@@ -17,13 +17,12 @@ from .physics import MandelConfig, MaterialModel, NonlinearLaw, \
     ProblemDefinition, estimate_constants, law_catalog, make_material, \
     mandel_material, mandel_problem, manufactured_material, \
     manufactured_problem
-from .assembly import BiotOperators, apply_essential_bc, assemble_flow, \
-    assemble_loads, assemble_mechanics, assemble_nonlinear_rhs, \
-    build_constraints, build_operators
+from .assembly import BiotOperators, assemble_flow, assemble_loads, \
+    assemble_mechanics, build_constraints, build_operators
 from .schemes import BiotState, DivergenceError, IterationTrace, \
-    SchemeConfig, build_initial_state, iterate_to_convergence, \
-    monolithic_iteration, residual_norms, splitting_iteration, time_march
-from .linalg import BlockSystem, CachedLU, SolverReport, \
-    fixed_stress_preconditioner, gmres, lu_solve
+    SchemeConfig, SchemeSolver, build_initial_state, iterate_to_convergence, \
+    residual_norms, time_march
+from .linalg import BlockSystem, CachedLU, FixedStressPreconditioner, \
+    SolverReport, gmres
 
 __version__ = "0.1.0"

@@ -35,15 +35,17 @@ class ConstraintConflictError(ValueError):
 
 @dataclass
 class ReducedSystem:
-    """A constraint-reduced operator with its right-hand-side lift shift.
+    """A constraint-reduced operator with its restriction and lift.
 
     Given a full right-hand side b, the reduced system reads
-    ``matrix @ x_red = R^T b - rhs_shift``.
+    ``matrix @ x_red = R^T b - rhs_shift`` with R the restriction, and the
+    full solution is ``R @ x_red + lift``.
     """
 
     matrix: sp.spmatrix
     rhs_shift: np.ndarray
-    names: tuple
+    restriction: sp.spmatrix
+    lift: np.ndarray
 
 
 def assemble_mechanics(mesh: Mesh, mat: MaterialModel, dofmap_u: DofMap,
@@ -168,53 +170,20 @@ class FieldConstraints:
         for d, v in pinned.items():
             self.lift[d] = v
 
-    def reduce_vector(self, b):
-        return self.restriction.T @ b
-
-    def expand(self, x_red):
-        return self.restriction @ x_red + self.lift
-
-
-def identity_constraints(n):
-    return FieldConstraints(n)
-
 
 @dataclass
 class BlockConstraints:
-    """Constraints of the (u, q, p) fields plus composed restrictions."""
+    """Constraints of the (u, q, p) fields."""
 
     u: FieldConstraints
     q: FieldConstraints
     p: FieldConstraints
 
-    def __post_init__(self):
-        self._composed_cache = {}
-
     def composed(self, names):
-        key = tuple(names)
-        if key not in self._composed_cache:
-            fields = [getattr(self, n) for n in names]
-            R = sp.block_diag([f.restriction for f in fields], format="csr")
-            lift = np.concatenate([f.lift for f in fields])
-            self._composed_cache[key] = (R, lift)
-        return self._composed_cache[key]
-
-    def reduce_system(self, matrix, rhs, names):
-        R, lift = self.composed(names)
-        b = rhs if not np.any(lift != 0.0) else rhs - matrix @ lift
-        return (R.T @ matrix @ R).tocsr(), R.T @ b
-
-    def expand(self, x_red, names):
-        R, lift = self.composed(names)
-        return R @ x_red + lift
-
-    def split(self, x_full, sizes):
-        out = []
-        off = 0
-        for s in sizes:
-            out.append(x_full[off:off + s])
-            off += s
-        return out
+        """Block-diagonal restriction and stacked lift of the named fields."""
+        fields = [getattr(self, n) for n in names]
+        R = sp.block_diag([f.restriction for f in fields], format="csr")
+        return R, np.concatenate([f.lift for f in fields])
 
 
 def _side_vertices(mesh, side):
@@ -272,16 +241,19 @@ def build_constraints(problem: ProblemDefinition, mesh: Mesh,
     return BlockConstraints(
         u=FieldConstraints(dofmap_u.n_dofs, pinned_u, ties),
         q=FieldConstraints(dofmap_q.n_dofs, pinned_q),
-        p=identity_constraints(dofmap_p.n_dofs))
+        p=FieldConstraints(dofmap_p.n_dofs))
 
 
 class BiotOperators:
-    """All constant operators of one discretized problem, plus caches.
+    """All constant operators of one discretized problem.
 
-    The six bilinear-form blocks are assembled once; the L-scheme system
-    matrices derived from them (mechanics block, 2x2 flow block, 3x3
-    monolithic block) are cached per stabilization/step-size key since they
-    stay constant over non-linear iterations and time steps.
+    The six bilinear-form blocks are assembled once; the `*_system`
+    methods build the constraint-reduced L-scheme matrices from them: the
+    mechanics block and the flux block with the pressure eliminated
+    (splitting), the 3x3 block (monolithic) and the 2x2 flow block of the
+    fixed-stress preconditioner.  Each call builds a new matrix; the
+    solver that uses it (`schemes.SchemeSolver`) keeps it and owns its
+    factorization.
     """
 
     def __init__(self, mesh: Mesh, mat: MaterialModel,
@@ -303,8 +275,6 @@ class BiotOperators:
         np.add.at(sign_sum, mesh.cell_edge_ids.ravel(),
                   mesh.cell_edge_signs.ravel())
         self.boundary_edge_sign = sign_sum
-        self.matrix_cache = {}
-        self.lu_cache = {}
         # inner linear-solver selection and per-solve reports (see linalg)
         self.solver = None
         self.solver_log = []
@@ -332,52 +302,37 @@ class BiotOperators:
         return self.b_up @ np.asarray(self.mat.h_law(self.div_u_cells(u_coeffs)),
                                       dtype=float)
 
-    # -- scheme system matrices (reduced, cached) --------------------------
+    # -- scheme system matrices (reduced) -----------------------------------
 
-    def _reduced(self, key, full, names):
-        if key not in self.matrix_cache:
-            R, lift = self.constraints.composed(names)
-            shift = R.T @ (full @ lift) if np.any(lift != 0.0) \
-                else np.zeros(R.shape[1])
-            self.matrix_cache[key] = ReducedSystem(
-                (R.T @ full @ R).tocsr(), shift, tuple(names))
-        return self.matrix_cache[key]
+    def _reduced(self, full, names):
+        R, lift = self.constraints.composed(names)
+        shift = R.T @ (full @ lift) if np.any(lift != 0.0) \
+            else np.zeros(R.shape[1])
+        return ReducedSystem((R.T @ full @ R).tocsr(), shift, R, lift)
 
     def mech_system(self, L2):
-        key = ("mech", float(L2))
-        if key not in self.matrix_cache:
-            return self._reduced(key, (self.a_e + L2 * self.d_div).tocsr(), ("u",))
-        return self.matrix_cache[key]
+        return self._reduced((self.a_e + L2 * self.d_div).tocsr(), ("u",))
 
     def flow_system(self, L1, tau):
-        key = ("flow", float(L1), float(tau))
-        if key not in self.matrix_cache:
-            full = sp.bmat([[self.m_q, -self.b_qp.T],
-                            [tau * self.b_qp, L1 * self.m_p]], format="csr")
-            return self._reduced(key, full, ("q", "p"))
-        return self.matrix_cache[key]
+        full = sp.bmat([[self.m_q, -self.b_qp.T],
+                        [tau * self.b_qp, L1 * self.m_p]], format="csr")
+        return self._reduced(full, ("q", "p"))
 
     def flow_schur_system(self, L1, tau):
         """Flux system with the pressure eliminated through the diagonal mass."""
-        key = ("flow_schur", float(L1), float(tau))
-        if key not in self.matrix_cache:
-            mp_inv = sp.diags(1.0 / self.mesh.areas)
-            full = (self.m_q
-                    + (tau / L1) * (self.b_qp.T @ mp_inv @ self.b_qp)).tocsr()
-            return self._reduced(key, full, ("q",))
-        return self.matrix_cache[key]
+        mp_inv = sp.diags(1.0 / self.mesh.areas)
+        full = (self.m_q
+                + (tau / L1) * (self.b_qp.T @ mp_inv @ self.b_qp)).tocsr()
+        return self._reduced(full, ("q",))
 
     def monolithic_system(self, L1, L2, tau):
-        key = ("mono", float(L1), float(L2), float(tau))
-        if key not in self.matrix_cache:
-            alpha = self.mat.alpha
-            full = sp.bmat(
-                [[self.a_e + L2 * self.d_div, None, -alpha * self.b_up],
-                 [None, self.m_q, -self.b_qp.T],
-                 [alpha * self.b_up.T, tau * self.b_qp, L1 * self.m_p]],
-                format="csr")
-            return self._reduced(key, full, ("u", "q", "p"))
-        return self.matrix_cache[key]
+        alpha = self.mat.alpha
+        full = sp.bmat(
+            [[self.a_e + L2 * self.d_div, None, -alpha * self.b_up],
+             [None, self.m_q, -self.b_qp.T],
+             [alpha * self.b_up.T, tau * self.b_qp, L1 * self.m_p]],
+            format="csr")
+        return self._reduced(full, ("u", "q", "p"))
 
 
 def build_operators(mesh: Mesh, mat: MaterialModel,
@@ -442,37 +397,9 @@ def assemble_loads(problem: ProblemDefinition, ops: BiotOperators, t):
     return f_vec, g_vec, s_vec
 
 
-def assemble_nonlinear_rhs(state, mat: MaterialModel, ops: BiotOperators):
-    """Exact dual vectors of the non-linear terms at a given state.
-
-    Returns (<b(p), w> entries, <h(div u), div z> entries); both are
-    assembled exactly from the cellwise-constant pressure and dilatation.
-    """
-    return ops.bp_dual(state.p.coeffs), ops.hu_dual(state.u.coeffs)
-
-
-def apply_essential_bc(matrix, rhs, constraints: BlockConstraints, names):
-    """Symmetrically reduce a block system by the essential constraints.
-
-    Returns (reduced matrix, reduced rhs, expand) where expand maps a
-    reduced solution back to the full DOF vector including lifted values.
-    """
-    red_mat, red_rhs = constraints.reduce_system(matrix, rhs, names)
-    return red_mat, red_rhs, lambda x: constraints.expand(x, names)
-
-
 def check_symmetric(matrix, tol=1e-12):
     """Validate a symmetry claim: max |A - A^T| entry below tol * max |A|."""
     diff = abs(matrix - matrix.T)
     dmax = diff.max() if diff.nnz else 0.0
     scale = abs(matrix).max() or 1.0
     return bool(dmax <= tol * scale)
-
-
-def dump_operator(matrix, path):
-    """Write a sparse operator as `row col value` lines (coordinate text)."""
-    coo = sp.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in order:
-            fh.write(f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.17g}\n")

@@ -242,9 +242,6 @@ def sweep_L(case_id, scheme_kind, L1_values, L2_values, nx=16, tau=0.25,
                              ops_cache=cache)
             iters[i, j] = r.iterations
             status[i][j] = r.status
-            # matrices depend on (L1, L2): drop them to bound memory
-            ops.matrix_cache.clear()
-            ops.lu_cache.clear()
     return SweepGrid(L1_values, L2_values, iters, status)
 
 

@@ -30,9 +30,9 @@ from .linalg import LinearSolveError, SolverOptions, write_solver_reports_csv
 from .mesh import generate_rect_mesh
 from .physics import (DARCY, CENTIPOISE, LAW_CASES, MandelConfig,
                       manufactured_material, manufactured_problem)
-from .schemes import (DivergenceError, SchemeConfig, build_initial_state,
-                      iterate_to_convergence, suggested_tuning,
-                      write_trace_csv)
+from .schemes import (DivergenceError, SchemeConfig, SchemeConfigError,
+                      build_initial_state, iterate_to_convergence,
+                      suggested_tuning, write_trace_csv)
 
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER = 0, 2, 3
 
@@ -51,7 +51,7 @@ DEFAULTS = {
                 "dt": "1.0", "steps": "500", "nx": "40", "ny": "40",
                 "probe_x": "", "probe_y": ""},
     "scheme": {"kind": "monolithic", "l1": "", "l2": "", "tol": "1e-8",
-               "max_iter": "500", "schur_flow": "false"},
+               "max_iter": "500"},
     "solver": {"method": "lu", "restart": "50", "rtol": "1e-10",
                "maxiter": "1000"},
     "output": {"dir": "out"},
@@ -106,10 +106,6 @@ def _iget(cfg, sec, key):
     return int(round(_fget(cfg, sec, key)))
 
 
-def _bget(cfg, sec, key):
-    return str(cfg[sec][key]).strip().lower() in ("1", "true", "yes", "on")
-
-
 def parse_values(text):
     """A value list: 'logspace(a,b,n)' or comma-separated numbers."""
     text = text.strip()
@@ -152,12 +148,10 @@ def _scheme_config(cfg, mat):
         l1 = s1 if l1 is None else l1
         l2 = s2 if l2 is None else l2
     return SchemeConfig(kind, L1=l1, L2=l2, tol=_fget(cfg, "scheme", "tol"),
-                        max_iter=_iget(cfg, "scheme", "max_iter"),
-                        schur_flow=_bget(cfg, "scheme", "schur_flow"))
+                        max_iter=_iget(cfg, "scheme", "max_iter"))
 
 
-def _write_manifest(outdir, subcommand, cfg, artifacts, seconds, seed,
-                    extra=None):
+def _write_manifest(outdir, subcommand, cfg, artifacts, seconds):
     manifest = {
         "subcommand": subcommand,
         "config": cfg,
@@ -166,11 +160,8 @@ def _write_manifest(outdir, subcommand, cfg, artifacts, seconds, seed,
                      "scipy": scipy.__version__,
                      "python": sys.version.split()[0]},
         "seconds": round(seconds, 3),
-        "seed": seed,
         "workers": worker_count(),
     }
-    if extra:
-        manifest.update(extra)
     path = Path(outdir) / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
@@ -239,6 +230,8 @@ def cmd_mandel(cfg, outdir):
         nx=_iget(cfg, "problem", "nx"), ny=_iget(cfg, "problem", "ny"),
         probe=probe, tol=_fget(cfg, "scheme", "tol"),
         max_iter=_iget(cfg, "scheme", "max_iter"),
+        permeability=_fget(cfg, "material", "permeability"),
+        viscosity=_fget(cfg, "material", "viscosity"),
         solver=_solver_options(cfg), solver_rows=solver_rows)
     bad = [i + 1 for i, (_, tr) in enumerate(results) if not tr.converged]
     if bad:
@@ -288,6 +281,7 @@ def cmd_verify(cfg, outdir):
     nx = int(round(1.0 / _fget(cfg, "problem", "h")))
     mesh = generate_rect_mesh((0, 0), (1, 1), nx, nx)
     ops = build_operators(mesh, mat, prob)
+    ops.solver = _solver_options(cfg)
     prev = build_initial_state(prob, ops)
     state, trace, archive = iterate_to_convergence(
         prev, scheme, ops, mat, prob, _fget(cfg, "problem", "tau"),
@@ -317,8 +311,6 @@ def build_parser():
         p.add_argument("--out", help="output directory (default: out)")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="SECTION.KEY=VALUE", help="config override")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed recorded in the manifest")
         p.add_argument("--scheme", choices=("splitting", "monolithic"))
         p.add_argument("--L1", type=float)
         p.add_argument("--L2", type=float)
@@ -411,7 +403,7 @@ def main(argv=None):
             artifacts = cmd_verify(cfg, outdir)
         else:  # pragma: no cover - argparse enforces the choices
             raise ConfigError(f"unknown subcommand {args.subcommand}")
-    except ConfigError as exc:
+    except (ConfigError, SchemeConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DivergenceError, LinearSolveError) as exc:
@@ -419,7 +411,7 @@ def main(argv=None):
         return EXIT_SOLVER
     _write_manifest(outdir, args.subcommand, cfg,
                     [str(p.name) for p in artifacts],
-                    time.perf_counter() - t0, args.seed)
+                    time.perf_counter() - t0)
     for p in artifacts:
         print(f"wrote {p}")
     return EXIT_OK

@@ -1,7 +1,7 @@
 """Sparse direct solves, restarted GMRES and the fixed-stress preconditioner.
 
-Factorizations use SuperLU through scipy and are cached where the operator
-is reused (the L-scheme matrices are constant across iterations and time
+Factorizations use SuperLU through scipy and are kept by the object that
+reuses them (the L-scheme matrices are constant across iterations and time
 steps).  The fixed-stress preconditioner performs one linearized splitting
 sweep per application: a flow solve with the stabilized mass row, then a
 mechanics solve driven by the updated pressure.
@@ -72,15 +72,6 @@ class BlockSystem:
         if not np.all(np.isfinite(self.rhs)):
             raise ValueError("rhs contains non-finite entries")
 
-    @property
-    def slices(self):
-        out = {}
-        off = 0
-        for name, size in self.blocks:
-            out[name] = slice(off, off + size)
-            off += size
-        return out
-
 
 @dataclass
 class SolverReport:
@@ -127,21 +118,6 @@ class CachedLU:
         for _ in range(self.refine):
             x += self._raw_solve(b - self.matrix @ x)
         return x
-
-
-def lu_solve(system: BlockSystem):
-    """Direct sparse solve with a residual check."""
-    t0 = time.perf_counter()
-    lu = CachedLU(system.matrix)
-    x = lu.solve(system.rhs)
-    seconds = time.perf_counter() - t0
-    bnorm = np.linalg.norm(system.rhs)
-    res = np.linalg.norm(system.matrix @ x - system.rhs)
-    relres = res / bnorm if bnorm > 0 else res
-    report = SolverReport("lu", 1, float(relres), seconds)
-    if not np.all(np.isfinite(x)):
-        raise FactorizationError("direct solve produced non-finite values")
-    return x, report
 
 
 def gmres(system: BlockSystem, preconditioner=None, restart=50, rtol=1e-10,
@@ -220,8 +196,3 @@ class FixedStressPreconditioner:
 
     def as_linear_operator(self):
         return spla.LinearOperator(self.shape, matvec=self.matvec)
-
-
-def fixed_stress_preconditioner(ops, cfg, mat, tau):
-    """Build the splitting-sweep preconditioner for the monolithic system."""
-    return FixedStressPreconditioner(ops, cfg, mat, tau)

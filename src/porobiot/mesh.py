@@ -160,19 +160,6 @@ class Mesh:
             lam[i] = 1.0 + g @ (point - corners[i])
         return lam
 
-    def dump(self, path):
-        """Write the plain-text mesh dump: header `V E F`, vertices, cells, edges."""
-        tag_code = {Side.LEFT: 0, Side.RIGHT: 1, Side.BOTTOM: 2, Side.TOP: 3}
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{self.n_vertices} {self.n_edges} {self.n_cells}\n")
-            for x, y in self.vertices:
-                fh.write(f"{x:.17g} {y:.17g}\n")
-            for a, b, c in self.cells:
-                fh.write(f"{a} {b} {c}\n")
-            for e, (a, b) in enumerate(self.edges):
-                tag = tag_code.get(self.boundary_tags.get(e, None), -1)
-                fh.write(f"{a} {b} {tag}\n")
-
 
 def generate_rect_mesh(origin, extent, nx, ny):
     """Triangulate [origin, origin+extent] with an nx-by-ny grid of split quads.

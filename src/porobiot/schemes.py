@@ -3,16 +3,17 @@
 Both schemes replace the non-linear storage and volumetric-stress terms by
 constant-slope updates with tuning parameters L1 and L2:
 
-* splitting: solve the 2x2 flow block (Darcy row plus L1-stabilized mass
-  row) for the new flux and pressure, then the L2-stabilized mechanics
-  block driven by that pressure;
+* splitting: solve the flow step (Darcy row plus L1-stabilized mass row)
+  for the new flux, with the pressure eliminated through the diagonal P0
+  mass, recover the pressure cellwise, then solve the L2-stabilized
+  mechanics block driven by that pressure;
 * monolithic: one solve of the 3x3 block system in (u, q, p) with the same
   stabilized rows.
 
-All system matrices are constant across iterations and time steps, so
-their factorizations are built once and reused.  Iterations start from the
-previous time-step solution and stop when the summed L2 norms of the field
-increments drop below the tolerance.
+All system matrices are constant across iterations and time steps, so a
+`SchemeSolver` builds them and their factorizations once and reuses them.
+Iterations start from the previous time-step solution and stop when the
+summed L2 norms of the field increments drop below the tolerance.
 """
 
 from __future__ import annotations
@@ -24,13 +25,18 @@ import numpy as np
 
 from .assembly import BiotOperators, assemble_loads, build_operators
 from .fem import FeFunction, interpolate, l2_norm
-from .linalg import CachedLU
+from .linalg import (BlockSystem, CachedLU, FixedStressPreconditioner,
+                     LinearSolveError, gmres)
 from .mesh import Mesh
 from .physics import MaterialModel, ProblemDefinition, check_admissible
 
 
 class DivergenceError(RuntimeError):
     """The combined increment blew past the divergence safeguard."""
+
+
+class SchemeConfigError(ValueError):
+    """An invalid scheme kind, stabilization parameter or tolerance."""
 
 
 SCHEME_KINDS = ("splitting", "monolithic")
@@ -46,17 +52,17 @@ class SchemeConfig:
     tol: float = 1e-8
     max_iter: int = 500
     divergence_factor: float = 1e6
-    schur_flow: bool = False
 
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
-            raise ValueError(f"scheme kind must be one of {SCHEME_KINDS}")
+            raise SchemeConfigError(f"scheme kind must be one of {SCHEME_KINDS}")
         if self.L1 < 0 or self.L2 < 0:
-            raise ValueError("stabilization parameters must be non-negative")
+            raise SchemeConfigError("stabilization parameters must be non-negative")
         if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.schur_flow and self.L1 == 0:
-            raise ValueError("pressure elimination needs L1 > 0")
+            raise SchemeConfigError("tolerance must be positive")
+        if self.kind == "splitting" and self.L1 == 0:
+            raise SchemeConfigError(
+                "the splitting flow step eliminates the pressure: it needs L1 > 0")
 
     def splitting_safe(self, mat: MaterialModel) -> bool:
         """L1 >= L_b and L2 >= L_h + alpha^2 / b_m (with the estimated constants)."""
@@ -91,7 +97,7 @@ def suggested_tuning(mat: MaterialModel, kind, l2_cap_factor=50.0):
     monolithic preset (1/M, lambda).
     """
     if kind not in SCHEME_KINDS:
-        raise ValueError(f"scheme kind must be one of {SCHEME_KINDS}")
+        raise SchemeConfigError(f"scheme kind must be one of {SCHEME_KINDS}")
     if not np.isfinite(mat.L_b) or not np.isfinite(mat.L_h):
         raise ValueError("law constants are not finite; certify a range first")
     L1 = mat.L_b
@@ -162,119 +168,130 @@ class StepContext:
         return cls(t_new, tau, f_vec, g_vec, s_vec, mass_const)
 
 
-def _solve(ops, key, system, rhs_full, trace=None):
-    R, lift = ops.constraints.composed(system.names)
-    rhs_red = R.T @ rhs_full - system.rhs_shift
-    opts = ops.solver
-    if opts is not None and opts.method == "gmres" and key[0] == "mono":
-        x_red = _gmres_solve(ops, key, system, rhs_red, opts)
-    else:
-        lu = ops.lu_cache.get(key)
-        if lu is None:
-            lu = CachedLU(system.matrix)
-            ops.lu_cache[key] = lu
-        x_red = lu.solve(rhs_red)
-    if trace is not None:
-        trace.n_linear_solves += 1
-    return R @ x_red + lift
+class SchemeSolver:
+    """The linear solves of one scheme at one step size, with their
+    factorizations.
 
+    Splitting needs the flux system with the pressure eliminated and the
+    mechanics block; the monolithic scheme needs the 3x3 block system,
+    solved by its LU factorization or, when ``ops.solver`` selects GMRES,
+    by fixed-stress-preconditioned GMRES.  Each matrix is built and
+    factored once, here; `step` performs one iteration of the scheme.
 
-def _gmres_solve(ops, key, system, rhs_red, opts):
-    from .linalg import (BlockSystem, LinearSolveError, gmres,
-                         fixed_stress_preconditioner)
-    _, L1, L2, tau = key
-    pk = ("fs_prec", L1, L2, tau)
-    prec = ops.lu_cache.get(pk)
-    if prec is None:
-        cfg = SchemeConfig("monolithic", L1=L1, L2=L2)
-        prec = fixed_stress_preconditioner(ops, cfg, ops.mat, tau)
-        ops.lu_cache[pk] = prec
-    x_red, report = gmres(BlockSystem(system.matrix, rhs_red),
-                          preconditioner=prec.as_linear_operator(),
-                          restart=opts.restart, rtol=opts.rtol,
-                          maxiter=opts.maxiter)
-    ops.solver_log.append((f"mono/L1={L1:g}/L2={L2:g}", report))
-    if not report.converged:
-        raise LinearSolveError(
-            f"preconditioned GMRES stopped at {report.status} with relative "
-            f"residual {report.relres:.2e}")
-    return x_red
+    No attribute holds a bound method of the solver: that reference cycle
+    would keep its factorizations alive until the cyclic garbage collector
+    runs, past the end of the run that built them.
+    """
 
+    def __init__(self, ops: BiotOperators, cfg: SchemeConfig, tau):
+        self.ops, self.cfg, self.tau = ops, cfg, tau
+        if cfg.kind == "splitting":
+            self.flow = ops.flow_schur_system(cfg.L1, tau)
+            self.mech = ops.mech_system(cfg.L2)
+            self.flow_lu = CachedLU(self.flow.matrix)
+            self.mech_lu = CachedLU(self.mech.matrix)
+            return
+        self.mono = ops.monolithic_system(cfg.L1, cfg.L2, tau)
+        opts = ops.solver
+        self.precond = self.mono_lu = None
+        if opts is not None and opts.method == "gmres":
+            self.precond = FixedStressPreconditioner(
+                ops, cfg, ops.mat, tau).as_linear_operator()
+        else:
+            self.mono_lu = CachedLU(self.mono.matrix)
 
-def _mass_rhs(ops, cfg, cur, ctx):
-    """L1-stabilized part of the mass-row right-hand side (common to both schemes)."""
-    return (ctx.mass_const - ops.bp_dual(cur.p.coeffs)
-            + cfg.L1 * (ops.m_p @ cur.p.coeffs))
+    def step(self, cur: BiotState, ctx: StepContext,
+             trace: IterationTrace = None) -> BiotState:
+        """One iteration of the scheme from the iterate `cur`."""
+        if self.cfg.kind == "splitting":
+            return self._splitting_step(cur, ctx, trace)
+        return self._monolithic_step(cur, ctx, trace)
 
+    def _restricted(self, system, inverse, rhs_full, trace):
+        """Solve a reduced system for a full right-hand side; return the
+        full solution, lifted values included."""
+        x_red = inverse(system.restriction.T @ rhs_full - system.rhs_shift)
+        if trace is not None:
+            trace.n_linear_solves += 1
+        return system.restriction @ x_red + system.lift
 
-def splitting_iteration(prev: BiotState, cur: BiotState, cfg: SchemeConfig,
-                        ops: BiotOperators, mat: MaterialModel,
-                        problem: ProblemDefinition, tau,
-                        ctx: StepContext = None,
-                        trace: IterationTrace = None) -> BiotState:
-    """One sweep of the fixed-stress-type splitting: flow solve, then mechanics."""
-    ctx = ctx or StepContext.build(ops, problem, prev, tau)
-    nq = ops.dofmap_q.n_dofs
-    # the displacement coupling is explicit in the split flow step
-    rhs_p = _mass_rhs(ops, cfg, cur, ctx) \
-        - mat.alpha * ops.divu_dual(cur.u.coeffs)
+    def _gmres(self, rhs_red):
+        opts, cfg = self.ops.solver, self.cfg
+        x_red, report = gmres(BlockSystem(self.mono.matrix, rhs_red),
+                              preconditioner=self.precond,
+                              restart=opts.restart, rtol=opts.rtol,
+                              maxiter=opts.maxiter)
+        self.ops.solver_log.append((f"mono/L1={cfg.L1:g}/L2={cfg.L2:g}", report))
+        if not report.converged:
+            raise LinearSolveError(
+                f"preconditioned GMRES stopped at {report.status} with relative "
+                f"residual {report.relres:.2e}")
+        return x_red
 
-    if cfg.schur_flow:
+    def _mass_rhs(self, cur, ctx):
+        """L1-stabilized part of the mass-row right-hand side (common to both
+        schemes)."""
+        ops = self.ops
+        return (ctx.mass_const - ops.bp_dual(cur.p.coeffs)
+                + self.cfg.L1 * (ops.m_p @ cur.p.coeffs))
+
+    def _splitting_step(self, cur, ctx, trace):
+        """One sweep of the fixed-stress-type splitting: flow, then mechanics.
+
+        The flow step's mass row is L1 M_p p + tau B q = rhs_p with M_p the
+        diagonal P0 mass, so the pressure is eliminated cellwise and the flux
+        solves the Schur system of `flow_schur_system`.
+        """
+        ops, cfg, alpha = self.ops, self.cfg, self.ops.mat.alpha
+        # the displacement coupling is explicit in the split flow step
+        rhs_p = self._mass_rhs(cur, ctx) - alpha * ops.divu_dual(cur.u.coeffs)
         mp_inv = 1.0 / ops.mesh.areas
         rhs_q = ctx.g_vec + (1.0 / cfg.L1) * (ops.b_qp.T @ (mp_inv * rhs_p))
-        q_new = _solve(ops, ("flow_schur", cfg.L1, tau),
-                       ops.flow_schur_system(cfg.L1, tau), rhs_q, trace)
-        p_new = mp_inv * (rhs_p - tau * (ops.b_qp @ q_new)) / cfg.L1
-    else:
-        x = _solve(ops, ("flow", cfg.L1, tau), ops.flow_system(cfg.L1, tau),
-                   np.concatenate([ctx.g_vec, rhs_p]), trace)
-        q_new, p_new = x[:nq], x[nq:]
+        q_new = self._restricted(self.flow, self.flow_lu.solve, rhs_q, trace)
+        p_new = mp_inv * (rhs_p - ctx.tau * (ops.b_qp @ q_new)) / cfg.L1
 
-    rhs_u = (ctx.f_vec + mat.alpha * (ops.b_up @ p_new)
-             + cfg.L2 * (ops.d_div @ cur.u.coeffs) - ops.hu_dual(cur.u.coeffs))
-    u_new = _solve(ops, ("mech", cfg.L2), ops.mech_system(cfg.L2), rhs_u, trace)
+        rhs_u = (ctx.f_vec + alpha * (ops.b_up @ p_new)
+                 + cfg.L2 * (ops.d_div @ cur.u.coeffs) - ops.hu_dual(cur.u.coeffs))
+        u_new = self._restricted(self.mech, self.mech_lu.solve, rhs_u, trace)
 
-    return BiotState(FeFunction(ops.dofmap_u, u_new),
-                     FeFunction(ops.dofmap_q, q_new),
-                     FeFunction(ops.dofmap_p, p_new), ctx.t_new)
+        return BiotState(FeFunction(ops.dofmap_u, u_new),
+                         FeFunction(ops.dofmap_q, q_new),
+                         FeFunction(ops.dofmap_p, p_new), ctx.t_new)
 
-
-def monolithic_iteration(prev: BiotState, cur: BiotState, cfg: SchemeConfig,
-                         ops: BiotOperators, mat: MaterialModel,
-                         problem: ProblemDefinition, tau,
-                         ctx: StepContext = None,
-                         trace: IterationTrace = None) -> BiotState:
-    """One solve of the 3x3 block system in (u, q, p)."""
-    ctx = ctx or StepContext.build(ops, problem, prev, tau)
-    nu, nq = ops.dofmap_u.n_dofs, ops.dofmap_q.n_dofs
-    rhs_u = (ctx.f_vec + cfg.L2 * (ops.d_div @ cur.u.coeffs)
-             - ops.hu_dual(cur.u.coeffs))
-    rhs_p = _mass_rhs(ops, cfg, cur, ctx)
-    x = _solve(ops, ("mono", cfg.L1, cfg.L2, tau),
-               ops.monolithic_system(cfg.L1, cfg.L2, tau),
-               np.concatenate([rhs_u, ctx.g_vec, rhs_p]), trace)
-    return BiotState(FeFunction(ops.dofmap_u, x[:nu]),
-                     FeFunction(ops.dofmap_q, x[nu:nu + nq]),
-                     FeFunction(ops.dofmap_p, x[nu + nq:]), ctx.t_new)
-
-
-_ITERATIONS = {"splitting": splitting_iteration, "monolithic": monolithic_iteration}
+    def _monolithic_step(self, cur, ctx, trace):
+        """One solve of the 3x3 block system in (u, q, p)."""
+        ops, cfg = self.ops, self.cfg
+        nu, nq = ops.dofmap_u.n_dofs, ops.dofmap_q.n_dofs
+        rhs_u = (ctx.f_vec + cfg.L2 * (ops.d_div @ cur.u.coeffs)
+                 - ops.hu_dual(cur.u.coeffs))
+        rhs_p = self._mass_rhs(cur, ctx)
+        inverse = self._gmres if self.mono_lu is None else self.mono_lu.solve
+        x = self._restricted(self.mono, inverse,
+                             np.concatenate([rhs_u, ctx.g_vec, rhs_p]), trace)
+        return BiotState(FeFunction(ops.dofmap_u, x[:nu]),
+                         FeFunction(ops.dofmap_q, x[nu:nu + nq]),
+                         FeFunction(ops.dofmap_p, x[nu + nq:]), ctx.t_new)
 
 
 def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
                            ops: BiotOperators, mat: MaterialModel,
                            problem: ProblemDefinition, tau,
-                           keep_iterates=False):
+                           keep_iterates=False, solver: SchemeSolver = None):
     """Iterate one scheme until the summed increment norms fall below tol.
 
     The first iterate is seeded with the previous time-step solution.  A
     combined increment above divergence_factor times the first one aborts;
-    exhausting max_iter returns with converged=False.  Returns the final
-    state, the trace and (optionally) the archived iterates.
+    exhausting max_iter returns with converged=False.  `solver` reuses the
+    factorizations of an earlier call with the same operators, scheme and
+    step size; without it they are built here.  Returns the final state,
+    the trace and (optionally) the archived iterates.
     """
     t0 = _time.perf_counter()
+    if solver is None:
+        solver = SchemeSolver(ops, cfg, tau)
+    elif solver.ops is not ops or solver.cfg != cfg or solver.tau != tau:
+        raise ValueError("solver was built for other operators, scheme or step")
     ctx = StepContext.build(ops, problem, prev, tau)
-    step = _ITERATIONS[cfg.kind]
     cur = prev.copy()
     cur.time = ctx.t_new
     trace = IterationTrace()
@@ -282,7 +299,7 @@ def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
 
     first_total = None
     for _ in range(cfg.max_iter):
-        new = step(prev, cur, cfg, ops, mat, problem, tau, ctx=ctx, trace=trace)
+        new = solver.step(cur, ctx, trace)
         dp = l2_norm(FeFunction(ops.dofmap_p, new.p.coeffs - cur.p.coeffs))
         dq = l2_norm(FeFunction(ops.dofmap_q, new.q.coeffs - cur.q.coeffs))
         du = l2_norm(FeFunction(ops.dofmap_u, new.u.coeffs - cur.u.coeffs))
@@ -334,11 +351,12 @@ def time_march(problem: ProblemDefinition, mesh: Mesh, mat: MaterialModel,
         raise ValueError("need at least one time step")
     ops = ops or build_operators(mesh, mat, problem)
     prev = initial if initial is not None else build_initial_state(problem, ops)
+    solver = SchemeSolver(ops, cfg, tau)
     results = []
     for n in range(1, n_steps + 1):
         try:
             state, trace = iterate_to_convergence(prev, cfg, ops, mat,
-                                                  problem, tau)
+                                                  problem, tau, solver=solver)
         except DivergenceError as exc:
             raise DivergenceError(f"step {n} (t={prev.time + tau:g}): {exc}") from exc
         results.append((state, trace))
@@ -352,7 +370,8 @@ def residual_norms(state: BiotState, prev: BiotState, ops: BiotOperators,
     """Dual norms of the non-linear discrete residual at a state.
 
     Residuals of the mechanics, Darcy and mass rows are restricted to the
-    constrained (reduced) spaces and measured in inverse-mass norms.
+    constrained (reduced) spaces and measured in inverse-mass norms; the
+    reduced mass matrices are factored on every call.
     """
     ctx = ctx or StepContext.build(ops, problem, prev, tau)
     u, q, p = state.u.coeffs, state.q.coeffs, state.p.coeffs
@@ -362,18 +381,13 @@ def residual_norms(state: BiotState, prev: BiotState, ops: BiotOperators,
     r_p = (ops.bp_dual(p) + alpha * ops.divu_dual(u) + tau * (ops.b_qp @ q)
            - ctx.mass_const)
 
-    def dual(field_name, r, mass):
-        con = getattr(ops.constraints, field_name)
+    def dual(con, r, mass):
         rr = con.restriction.T @ r
-        key = ("mass_red", field_name)
-        lu = ops.lu_cache.get(key)
-        if lu is None:
-            lu = CachedLU((con.restriction.T @ mass @ con.restriction).tocsr())
-            ops.lu_cache[key] = lu
+        lu = CachedLU((con.restriction.T @ mass @ con.restriction).tocsr())
         return float(np.sqrt(max(rr @ lu.solve(rr), 0.0)))
 
-    res_u = dual("u", r_u, ops.dofmap_u.mass_matrix)
-    res_q = dual("q", r_q, ops.dofmap_q.mass_matrix)
+    res_u = dual(ops.constraints.u, r_u, ops.dofmap_u.mass_matrix)
+    res_q = dual(ops.constraints.q, r_q, ops.dofmap_q.mass_matrix)
     res_p = float(np.sqrt(np.sum(r_p * r_p / ops.mesh.areas)))
     return {"u": res_u, "q": res_q, "p": res_p}
 

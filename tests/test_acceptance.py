@@ -17,8 +17,8 @@ from porobiot.bench import (error_norms, manufactured_convergence,
                             sensitivity_grid, sweep_L, verify_contraction,
                             write_sweep_csv)
 from porobiot.fem import FeFunction, l2_norm, rt0_div_cells
-from porobiot.linalg import (BlockSystem, CachedLU,
-                             fixed_stress_preconditioner, gmres)
+from porobiot.linalg import (BlockSystem, CachedLU, FixedStressPreconditioner,
+                             gmres)
 from porobiot.mesh import generate_rect_mesh
 from porobiot.physics import (estimate_constants, manufactured_material,
                               manufactured_problem)
@@ -51,10 +51,10 @@ def direct_step(ops, prob, prev, tau):
     """Oracle for the linear law: one direct solve of the coupled system."""
     ctx = StepContext.build(ops, prob, prev, tau)
     sysd = ops.monolithic_system(1.0, 1.0, tau)
-    R, lift = ops.constraints.composed(("u", "q", "p"))
+    R = sysd.restriction
     rhs = R.T @ np.concatenate([ctx.f_vec, ctx.g_vec, ctx.mass_const]) \
         - sysd.rhs_shift
-    x = R @ CachedLU(sysd.matrix).solve(rhs) + lift
+    x = R @ CachedLU(sysd.matrix).solve(rhs) + sysd.lift
     nu, nq = ops.dofmap_u.n_dofs, ops.dofmap_q.n_dofs
     return BiotState(FeFunction(ops.dofmap_u, x[:nu]),
                      FeFunction(ops.dofmap_q, x[nu:nu + nq]),
@@ -304,8 +304,7 @@ def _linear_monolithic_system(nx, tau=0.25):
     prev = build_initial_state(prob, ops)
     ctx = StepContext.build(ops, prob, prev, tau)
     sysd = ops.monolithic_system(1.0, 1.0, tau)
-    R, _ = ops.constraints.composed(("u", "q", "p"))
-    rhs = R.T @ np.concatenate([ctx.f_vec, ctx.g_vec, ctx.mass_const]) \
+    rhs = sysd.restriction.T @ np.concatenate([ctx.f_vec, ctx.g_vec, ctx.mass_const]) \
         - sysd.rhs_shift
     return BlockSystem(sysd.matrix, rhs), ops, mat
 
@@ -316,7 +315,7 @@ def test_criterion_8_preconditioned_gmres_mesh_robust():
         for nx in (8, 16, 32, 64):
             system, ops, mat = _linear_monolithic_system(nx)
             cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
-            M = fixed_stress_preconditioner(ops, cfg, mat, 0.25)
+            M = FixedStressPreconditioner(ops, cfg, mat, 0.25)
             _, rep = gmres(system, preconditioner=M.as_linear_operator(),
                            rtol=1e-10)
             assert rep.converged, nx

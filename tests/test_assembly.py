@@ -3,10 +3,8 @@ import pytest
 import sympy as sy
 
 from porobiot.assembly import (BiotOperators, ConstraintConflictError,
-                               FieldConstraints, apply_essential_bc,
-                               assemble_loads, assemble_nonlinear_rhs,
-                               build_operators, check_symmetric,
-                               dump_operator)
+                               FieldConstraints, assemble_loads,
+                               build_operators, check_symmetric)
 from porobiot.fem import DofMap, FeFunction, SpaceKind, interpolate
 from porobiot.linalg import CachedLU
 from porobiot.mesh import Side, generate_rect_mesh
@@ -203,7 +201,7 @@ class TestNonlinearRhs:
         ops, mat, _ = unit_ops
         state = build_initial_state(ops.problem, ops)
         state.p.coeffs[:] = 3.0
-        bp, _ = assemble_nonlinear_rhs(state, mat, ops)
+        bp = ops.bp_dual(state.p.coeffs)
         assert np.allclose(bp, 3.0 * ops.mesh.areas, rtol=1e-14)
 
     def test_cubic_volumetric_stress(self):
@@ -225,7 +223,7 @@ class TestNonlinearRhs:
         mesh = generate_rect_mesh((0, 0), (1, 1), 2, 2)
         ops = build_operators(mesh, mat, prob)
         state = build_initial_state(prob, ops)
-        bp, hu = assemble_nonlinear_rhs(state, mat, ops)
+        bp, hu = ops.bp_dual(state.p.coeffs), ops.hu_dual(state.u.coeffs)
         assert np.allclose(bp, mesh.areas, rtol=1e-14)
         assert np.allclose(hu, 0.0)
 
@@ -281,7 +279,7 @@ class TestConstraints:
         ops, mat, prob = unit_ops
         con = ops.constraints.u
         rng = np.random.default_rng(9)
-        x = con.expand(rng.standard_normal(con.n_reduced))
+        x = con.restriction @ rng.standard_normal(con.n_reduced) + con.lift
         mesh = ops.mesh
         for v, (vx, vy) in enumerate(mesh.vertices):
             on_boundary = (vx in (0.0, 1.0)) or (vy in (0.0, 1.0))
@@ -295,8 +293,8 @@ class TestConstraints:
         mesh = generate_rect_mesh((0, 0), (cfg.a, cfg.b), 4, 2)
         ops = build_operators(mesh, mat, prob)
         rng = np.random.default_rng(10)
-        q = ops.constraints.q.expand(
-            rng.standard_normal(ops.constraints.q.n_reduced))
+        con = ops.constraints.q
+        q = con.restriction @ rng.standard_normal(con.n_reduced) + con.lift
         for side in (Side.LEFT, Side.BOTTOM, Side.TOP):
             for e in mesh.boundary_edges(side):
                 assert q[e] == 0.0
@@ -311,7 +309,7 @@ class TestConstraints:
         ops = build_operators(mesh, mat, prob)
         con = ops.constraints.u
         rng = np.random.default_rng(12)
-        x = con.expand(rng.standard_normal(con.n_reduced))
+        x = con.restriction @ rng.standard_normal(con.n_reduced) + con.lift
         y_top = mesh.vertices[:, 1].max()
         top = [v for v in range(mesh.n_vertices)
                if abs(mesh.vertices[v, 1] - y_top) < 1e-9]
@@ -326,18 +324,15 @@ class TestConstraints:
             FieldConstraints(4, ties=[[0, 1], [1, 2]])
 
     def test_apply_essential_bc_roundtrip(self, unit_ops):
+        # the reduced mechanics system, solved and lifted back, satisfies
+        # the free equations of the full one
         ops, mat, prob = unit_ops
-        import scipy.sparse as sp
-        n = ops.dofmap_u.n_dofs
         A = (ops.a_e + ops.d_div).tocsr()
-        b = np.ones(n)
-        red_mat, red_rhs, expand = apply_essential_bc(
-            A, b, ops.constraints, ("u",))
-        x = expand(CachedLU(red_mat).solve(red_rhs))
-        # interior equations hold exactly
-        res = A @ x - b
-        free = ops.constraints.u.reduced_of >= 0
-        assert np.abs((ops.constraints.u.restriction.T @ res)).max() < 1e-10
+        b = np.ones(ops.dofmap_u.n_dofs)
+        sysd = ops.mech_system(1.0)
+        R = sysd.restriction
+        x = R @ CachedLU(sysd.matrix).solve(R.T @ b - sysd.rhs_shift) + sysd.lift
+        assert np.abs(R.T @ (A @ x - b)).max() < 1e-10
 
 
 def test_korn_type_bound():
@@ -362,14 +357,3 @@ def test_check_symmetric_flags_asymmetry(unit_ops):
     asym = asym.tolil()
     asym[0, 1] += 1.0
     assert not check_symmetric(asym.tocsr())
-
-
-def test_dump_operator_format(tmp_path, unit_ops):
-    ops, _, _ = unit_ops
-    path = tmp_path / "op.txt"
-    dump_operator(ops.m_p, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == ops.mesh.n_cells
-    r, c, v = lines[0].split()
-    assert int(r) == 0 and int(c) == 0
-    assert float(v) == pytest.approx(ops.mesh.areas[0])

@@ -81,9 +81,10 @@ class TestSweep:
         assert len(lines) == 2
 
     def test_failures_recorded_sweep_continues(self):
-        # L1 = L2 = 0 on a strongly non-linear case may hit the cap or
-        # diverge; the sweep must record a marker and keep going
-        grid = sweep_L("t1c4", "splitting", [0.0, 3.0], [0.0, 1.05],
+        # L1 ~ 0 (the splitting needs L1 > 0) and L2 = 0 on a strongly
+        # non-linear case may hit the cap or diverge; the sweep must record
+        # a marker and keep going
+        grid = sweep_L("t1c4", "splitting", [1e-6, 3.0], [0.0, 1.05],
                        nx=8, max_iter=40)
         assert grid.status[1][1] == "converged"
         flat = [s for row in grid.status for s in row]

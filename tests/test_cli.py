@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from porobiot.cli import (ConfigError, EXIT_CONFIG, EXIT_OK, main,
-                          parse_values, resolve_config)
+from porobiot.cli import (ConfigError, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER,
+                          main, parse_values, resolve_config)
 
 
 def run_cli(args):
@@ -72,6 +72,7 @@ class TestSubcommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["subcommand"] == "manufactured"
         assert manifest["config"]["scheme"]["kind"] == "monolithic"
+        assert "seed" not in manifest
 
     def test_sweep_cell_count(self, tmp_path):
         out = tmp_path / "run"
@@ -119,9 +120,52 @@ class TestSubcommands:
                         "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
 
+    def test_schur_flow_key_unknown(self, tmp_path):
+        code = run_cli(["manufactured", "--set", "scheme.schur_flow=true",
+                        "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("args", [
+        ["manufactured", "--case", "linear", "--h", "0.5", "--L1", "-1",
+         "--L2", "1"],
+        ["manufactured", "--case", "linear", "--h", "0.5",
+         "--set", "scheme.tol=0"],
+        ["mandel", "--steps", "1", "--set", "problem.nx=4",
+         "--set", "problem.ny=4", "--set", "scheme.tol=0"],
+        ["sweep", "--case", "linear", "--h", "0.5", "--scheme", "splitting",
+         "--L1-grid", "0,1", "--L2-grid", "1"],
+        ["sensitivity", "--case", "linear", "--h", "0.5", "--axis", "tau",
+         "--values", "0.25", "--L1", "1", "--L2", "-1"],
+        ["verify", "--case", "linear", "--h", "0.5", "--scheme", "splitting",
+         "--L1", "0", "--L2", "1"],
+    ])
+    def test_invalid_scheme_values_exit_code(self, tmp_path, args):
+        assert run_cli(args + ["--out", str(tmp_path / "x")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("override", ["material.permeability=1e-14",
+                                          "material.viscosity=1"])
+    def test_mandel_material_overrides_reach_the_run(self, tmp_path, override):
+        bodies = []
+        for name, extra in (("default", []), ("override", ["--set", override])):
+            out = tmp_path / name
+            code = run_cli(["mandel", "--steps", "3", "--set", "problem.nx=8",
+                            "--set", "problem.ny=8", "--out", str(out)] + extra)
+            assert code == EXIT_OK
+            bodies.append((out / "mandel.csv").read_bytes())
+        assert bodies[0] != bodies[1]
+
+    def test_verify_uses_solver_options(self, tmp_path):
+        # verify runs the monolithic scheme through the [solver] GMRES,
+        # whose one-iteration cap cannot reach the inner tolerance
+        code = run_cli(["verify", "--scheme", "monolithic", "--h", "0.25",
+                        "--set", "solver.method=gmres",
+                        "--set", "solver.restart=1", "--set", "solver.maxiter=1",
+                        "--set", "solver.rtol=1e-14",
+                        "--out", str(tmp_path / "x")])
+        assert code == EXIT_SOLVER
+
     def test_solver_failure_exit_code(self, tmp_path):
         # a one-iteration GMRES cap cannot reach the inner tolerance
-        from porobiot.cli import EXIT_SOLVER
         code = run_cli(["manufactured", "--case", "linear", "--h", "0.25",
                         "--set", "solver.method=gmres",
                         "--set", "solver.maxiter=1",

@@ -196,16 +196,3 @@ def test_mesh_immutable():
     m = generate_rect_mesh((0, 0), (1, 1), 2, 2)
     with pytest.raises(ValueError):
         m.vertices[0, 0] = 9.0
-
-
-def test_dump_format(tmp_path):
-    m = generate_rect_mesh((0, 0), (1, 1), 1, 1)
-    path = tmp_path / "mesh.txt"
-    m.dump(path)
-    lines = path.read_text().strip().splitlines()
-    header = lines[0].split()
-    assert [int(v) for v in header] == [4, 5, 2]
-    assert len(lines) == 1 + 4 + 2 + 5
-    # edge lines carry a side code, -1 for interior
-    tags = [int(line.split()[2]) for line in lines[1 + 4 + 2:]]
-    assert tags.count(-1) == 1

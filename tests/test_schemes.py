@@ -10,9 +10,8 @@ from porobiot.mesh import generate_rect_mesh
 from porobiot.physics import (NonlinearLaw, make_material, law_catalog,
                               manufactured_material, manufactured_problem)
 from porobiot.schemes import (BiotState, DivergenceError, SchemeConfig,
-                              StepContext, build_initial_state,
-                              iterate_to_convergence, monolithic_iteration,
-                              residual_norms, splitting_iteration,
+                              SchemeSolver, StepContext, build_initial_state,
+                              iterate_to_convergence, residual_norms,
                               suggested_tuning, time_march, write_trace_csv)
 
 
@@ -25,14 +24,19 @@ def linear_setup(nx=8):
     return mesh, mat, prob, ops, prev
 
 
+def reduced_solve(system, rhs_full):
+    """Solve a reduced system by LU and lift the solution to the full space."""
+    R = system.restriction
+    return R @ CachedLU(system.matrix).solve(R.T @ rhs_full - system.rhs_shift) \
+        + system.lift
+
+
 def direct_solve(ops, prob, prev, tau, L1=1.0, L2=1.0):
     """Oracle: one-shot solve of the coupled linear discrete system."""
     ctx = StepContext.build(ops, prob, prev, tau)
     sysd = ops.monolithic_system(L1, L2, tau)
-    R, lift = ops.constraints.composed(("u", "q", "p"))
-    rhs = R.T @ np.concatenate([ctx.f_vec, ctx.g_vec, ctx.mass_const]) \
-        - sysd.rhs_shift
-    x = R @ CachedLU(sysd.matrix).solve(rhs) + lift
+    x = reduced_solve(sysd, np.concatenate([ctx.f_vec, ctx.g_vec,
+                                            ctx.mass_const]))
     nu, nq = ops.dofmap_u.n_dofs, ops.dofmap_q.n_dofs
     return BiotState(FeFunction(ops.dofmap_u, x[:nu]),
                      FeFunction(ops.dofmap_q, x[nu:nu + nq]),
@@ -53,6 +57,10 @@ class TestSchemeConfig:
             SchemeConfig("splitting", -1.0, 1.0)
         with pytest.raises(ValueError):
             SchemeConfig("splitting", 1.0, 1.0, tol=0.0)
+        # the splitting flow step eliminates the pressure through L1 M_p
+        with pytest.raises(ValueError):
+            SchemeConfig("splitting", L1=0.0, L2=1.0)
+        SchemeConfig("monolithic", L1=0.0, L2=1.0)
 
     def test_theorem_flags(self):
         mat = manufactured_material("t1c1")  # b_m = 1/e, L_b = e, L_h = 0.75
@@ -99,11 +107,10 @@ class TestFixedPoints:
         mesh = generate_rect_mesh((0, 0), (1, 1), 4, 4)
         ops = build_operators(mesh, mat, prob)
         prev = build_initial_state(prob, ops)
-        for kind, fn in (("splitting", splitting_iteration),
-                         ("monolithic", monolithic_iteration)):
+        ctx = StepContext.build(ops, prob, prev, 0.25)
+        for kind in ("splitting", "monolithic"):
             cfg = SchemeConfig(kind, L1=1.0, L2=2.0)
-            cur = prev.copy()
-            new = fn(prev, cur, cfg, ops, mat, prob, 0.25)
+            new = SchemeSolver(ops, cfg, 0.25).step(prev.copy(), ctx)
             assert np.allclose(new.p.coeffs, 0.0, atol=1e-14)
             assert np.allclose(new.q.coeffs, 0.0, atol=1e-14)
             assert np.allclose(new.u.coeffs, 0.0, atol=1e-14)
@@ -165,14 +172,34 @@ class TestLinearConvergence:
             assert max(res.values()) <= 10 * cfg.tol
 
     def test_schur_flow_equivalent(self):
-        mesh, mat, prob, ops, prev = linear_setup(6)
-        tau = 0.25
-        a = iterate_to_convergence(prev, SchemeConfig(
-            "splitting", 1.0, 2.0), ops, mat, prob, tau)[0]
-        b = iterate_to_convergence(prev, SchemeConfig(
-            "splitting", 1.0, 2.0, schur_flow=True), ops, mat, prob, tau)[0]
-        ep, eq, eu = field_errors(ops, a, b)
-        assert max(ep, eq, eu) <= 1e-10
+        # oracle: the splitting sweep, whose flow step eliminates the
+        # pressure, against the same sweep with the 2x2 flux-pressure block
+        mat = manufactured_material("t1c1")
+        prob = manufactured_problem(mat)
+        mesh = generate_rect_mesh((0, 0), (1, 1), 6, 6)
+        ops = build_operators(mesh, mat, prob)
+        prev = build_initial_state(prob, ops)
+        tau, L1, L2 = 0.25, mat.L_b, mat.L_h + 1.0 / mat.b_m
+        ctx = StepContext.build(ops, prob, prev, tau)
+        solver = SchemeSolver(ops, SchemeConfig("splitting", L1, L2), tau)
+        nq = ops.dofmap_q.n_dofs
+        cur = prev.copy()
+        for _ in range(3):
+            rhs_p = (ctx.mass_const - ops.bp_dual(cur.p.coeffs)
+                     + L1 * (ops.m_p @ cur.p.coeffs)
+                     - mat.alpha * ops.divu_dual(cur.u.coeffs))
+            qp = reduced_solve(ops.flow_system(L1, tau),
+                               np.concatenate([ctx.g_vec, rhs_p]))
+            rhs_u = (ctx.f_vec + mat.alpha * (ops.b_up @ qp[nq:])
+                     + L2 * (ops.d_div @ cur.u.coeffs) - ops.hu_dual(cur.u.coeffs))
+            expect = BiotState(
+                FeFunction(ops.dofmap_u, reduced_solve(ops.mech_system(L2), rhs_u)),
+                FeFunction(ops.dofmap_q, qp[:nq]),
+                FeFunction(ops.dofmap_p, qp[nq:]), ctx.t_new)
+            got = solver.step(cur, ctx)
+            assert max(field_errors(ops, got, expect)) <= 1e-10
+            assert l2_norm(FeFunction(ops.dofmap_p, got.p.coeffs)) > 1e-4
+            cur = got
 
     def test_incompressible_fluid_monolithic(self):
         # b = 0 (zero storage): the monolithic iteration still contracts
@@ -297,6 +324,38 @@ class TestTimeMarch:
             errs[nx] = error_norms(results[-1][0], prob.exact)
         for fld in ("p", "u", "q", "div_u"):
             assert errs[16][fld] < errs[8][fld]
+
+    @pytest.mark.parametrize("kind,method,factors", [
+        ("splitting", "lu", 2), ("monolithic", "lu", 1),
+        ("monolithic", "gmres", 2)])
+    def test_factorizations_built_once_per_run(self, monkeypatch, kind, method,
+                                               factors):
+        # GMRES factors the two blocks of its fixed-stress preconditioner
+        from porobiot import linalg
+        built = []
+        original = linalg.CachedLU.__init__
+
+        def counting_init(lu, matrix, *args, **kwargs):
+            built.append(matrix.shape)
+            original(lu, matrix, *args, **kwargs)
+
+        monkeypatch.setattr(linalg.CachedLU, "__init__", counting_init)
+        mesh, mat, prob, ops, prev = linear_setup(4)
+        ops.solver = linalg.SolverOptions(method=method)
+        cfg = SchemeConfig(kind, L1=1.0, L2=2.0)
+        results = time_march(prob, mesh, mat, cfg, 0.25, 3, ops=ops)
+        assert len(built) == factors
+        per_iteration = 2 if kind == "splitting" else 1
+        assert all(tr.n_linear_solves == per_iteration * tr.iterations
+                   for _, tr in results)
+
+    def test_solver_for_another_step_rejected(self):
+        mesh, mat, prob, ops, prev = linear_setup(4)
+        cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
+        solver = SchemeSolver(ops, cfg, 0.5)
+        with pytest.raises(ValueError):
+            iterate_to_convergence(prev, cfg, ops, mat, prob, 0.25,
+                                   solver=solver)
 
     def test_bad_step_count(self):
         mesh, mat, prob, ops, prev = linear_setup(4)
