@@ -19,7 +19,7 @@ reduction, which keeps the diagonal blocks definite for the preconditioner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -247,13 +247,15 @@ def build_constraints(problem: ProblemDefinition, mesh: Mesh,
 class BiotOperators:
     """All constant operators of one discretized problem.
 
-    The six bilinear-form blocks are assembled once; the `*_system`
-    methods build the constraint-reduced L-scheme matrices from them: the
-    mechanics block and the flux block with the pressure eliminated
-    (splitting), the 3x3 block (monolithic) and the 2x2 flow block of the
-    fixed-stress preconditioner.  Each call builds a new matrix; the
-    solver that uses it (`schemes.SchemeSolver`) keeps it and owns its
-    factorization.
+    The six bilinear-form blocks are assembled once, together with the
+    load quadrature points and the boundary edges of each side; the
+    `*_system` methods build the constraint-reduced L-scheme matrices from
+    them: the mechanics block and the flux block with the pressure
+    eliminated (splitting), the symmetric positive definite (u, q) block
+    with the pressure eliminated (monolithic, direct solves), the 3x3
+    block (monolithic, GMRES) and the 2x2 flow block of the fixed-stress
+    preconditioner.  Each call builds a new matrix; the solver that uses
+    it (`schemes.SchemeSolver`) keeps it and owns its factorization.
     """
 
     def __init__(self, mesh: Mesh, mat: MaterialModel,
@@ -270,6 +272,11 @@ class BiotOperators:
             mesh, mat, self.dofmap_q, self.dofmap_p)
         self.constraints = build_constraints(
             problem, mesh, self.dofmap_u, self.dofmap_q, self.dofmap_p)
+        # degree-4 points of the body force and the source, per cell
+        self.load_points = np.einsum("qv,fvd->fqd", quadrature(4).points,
+                                     mesh.vertices[mesh.cells])
+        self.side_edges = {side: [e for e, tag in mesh.boundary_tags.items()
+                                  if tag is side] for side in Side}
         # net orientation sign per edge: +-1 on boundary edges, 0 inside
         sign_sum = np.zeros(mesh.n_edges, dtype=np.int64)
         np.add.at(sign_sum, mesh.cell_edge_ids.ravel(),
@@ -310,6 +317,15 @@ class BiotOperators:
             else np.zeros(R.shape[1])
         return ReducedSystem((R.T @ full @ R).tocsr(), shift, R, lift)
 
+    def _reduced_spd(self, full, names):
+        """`_reduced` for a symmetric positive definite operator, made
+        symmetric to the last bit: the assembly of m_q rounds its (i, j) and
+        (j, i) entries apart, and a matrix that differs from its transpose
+        by an ulp loses the symmetric factorization of `CachedLU`."""
+        system = self._reduced(full, names)
+        return replace(system,
+                       matrix=(0.5 * (system.matrix + system.matrix.T)).tocsr())
+
     def mech_system(self, L2):
         return self._reduced((self.a_e + L2 * self.d_div).tocsr(), ("u",))
 
@@ -323,7 +339,18 @@ class BiotOperators:
         mp_inv = sp.diags(1.0 / self.mesh.areas)
         full = (self.m_q
                 + (tau / L1) * (self.b_qp.T @ mp_inv @ self.b_qp)).tocsr()
-        return self._reduced(full, ("q",))
+        return self._reduced_spd(full, ("q",))
+
+    def monolithic_schur_system(self, L1, L2, tau):
+        """The (u, q) system of the monolithic step with the pressure
+        eliminated through the diagonal mass and the flux row scaled by tau:
+        blockdiag(A + L2 D, tau M_q) + (1/L1) C^T M_p^-1 C with
+        C = [alpha B_u^T, tau B], symmetric positive definite."""
+        coupling = sp.hstack([self.mat.alpha * self.b_up.T, tau * self.b_qp])
+        mp_inv = sp.diags(1.0 / self.mesh.areas)
+        full = (sp.block_diag([self.a_e + L2 * self.d_div, tau * self.m_q])
+                + (1.0 / L1) * (coupling.T @ mp_inv @ coupling)).tocsr()
+        return self._reduced_spd(full, ("u", "q"))
 
     def monolithic_system(self, L1, L2, tau):
         alpha = self.mat.alpha
@@ -344,15 +371,14 @@ def assemble_loads(problem: ProblemDefinition, ops: BiotOperators, t):
     """Load vectors at time t: body force, gravity/boundary-pressure, source.
 
     The body force and the fluid source use a degree-4 rule (exact for the
-    polynomial manufactured data); plate loads of tied sides enter as a
-    uniform traction on the side, and non-homogeneous boundary pressures of
-    the mixed form enter the Darcy right-hand side.
+    polynomial manufactured data) at the points `BiotOperators` builds
+    once; plate loads of tied sides enter as a uniform traction on the
+    side, and non-homogeneous boundary pressures of the mixed form enter
+    the Darcy right-hand side.
     """
     mesh = ops.mesh
     rule = quadrature(4)
-    corners = mesh.vertices[mesh.cells]
-    pts = np.einsum("qv,fvd->fqd", rule.points, corners)
-    x, y = pts[:, :, 0], pts[:, :, 1]
+    x, y = ops.load_points[:, :, 0], ops.load_points[:, :, 1]
 
     fvals = np.asarray(problem.body_force(x, y, t), dtype=float)
     f_vec = np.zeros(ops.dofmap_u.n_dofs)
@@ -365,7 +391,7 @@ def assemble_loads(problem: ProblemDefinition, ops: BiotOperators, t):
     for side, bc in problem.u_bc.items():
         if bc.kind != "tied_normal" or not bc.value:
             continue
-        edges = [e for e, tag in mesh.boundary_tags.items() if tag is side]
+        edges = ops.side_edges[side]
         length = float(sum(mesh.edge_lengths[e] for e in edges))
         traction = float(bc.value) / length
         c = normal_comp[side]
@@ -384,10 +410,9 @@ def assemble_loads(problem: ProblemDefinition, ops: BiotOperators, t):
         np.add.at(g_vec, ops.dofmap_q.cell_to_dofs.ravel(), gloc.ravel())
     for side, bc in problem.q_bc.items():
         if bc.kind == "pressure" and bc.value != 0.0:
-            for e, tag in mesh.boundary_tags.items():
-                if tag is side:
-                    sign = ops.boundary_edge_sign[e]
-                    g_vec[e] -= bc.value * sign * mesh.edge_lengths[e]
+            for e in ops.side_edges[side]:
+                sign = ops.boundary_edge_sign[e]
+                g_vec[e] -= bc.value * sign * mesh.edge_lengths[e]
 
     svals = np.asarray(problem.source(x, y, t), dtype=float)
     if np.any(svals != 0.0):

@@ -408,7 +408,8 @@ def write_mandel_csv(series: MandelSeries, path):
 def run_mandel(case_id="linear", cfg: MandelConfig = None, scheme_kind="monolithic",
                L1=None, L2=None, dt=1.0, n_steps=500, nx=40, ny=40,
                probe=None, tol=1e-8, max_iter=500, permeability=None,
-               viscosity=None, solver=None, solver_rows=None):
+               viscosity=None, p_range=None, s_range=None, solver=None,
+               solver_rows=None):
     """Convenience driver: construct, march and report the slab benchmark.
 
     Stabilization defaults to the estimated law constants; for the linear
@@ -422,7 +423,8 @@ def run_mandel(case_id="linear", cfg: MandelConfig = None, scheme_kind="monolith
         mat_kw["permeability"] = permeability
     if viscosity is not None:
         mat_kw["viscosity"] = viscosity
-    mat = mandel_material(case_id, cfg, **mat_kw)
+    mat = mandel_material(case_id, cfg, p_range=p_range, s_range=s_range,
+                          **mat_kw)
     prob = mandel_problem(mat, cfg, final_time=dt * n_steps)
     mesh = generate_rect_mesh((0, 0), (cfg.a, cfg.b), nx, ny)
     if L1 is None or L2 is None:

@@ -222,6 +222,7 @@ def cmd_mandel(cfg, outdir):
     probe = (probe_x, probe_y) if probe_x is not None and probe_y is not None \
         else None
     l1, l2 = _fget(cfg, "scheme", "l1"), _fget(cfg, "scheme", "l2")
+    p_range, s_range = _law_ranges(cfg)
     solver_rows = []
     series, results, _ = run_mandel(
         case_id=case, cfg=mandel_cfg, scheme_kind=cfg["scheme"]["kind"],
@@ -232,6 +233,7 @@ def cmd_mandel(cfg, outdir):
         max_iter=_iget(cfg, "scheme", "max_iter"),
         permeability=_fget(cfg, "material", "permeability"),
         viscosity=_fget(cfg, "material", "viscosity"),
+        p_range=p_range, s_range=s_range,
         solver=_solver_options(cfg), solver_rows=solver_rows)
     bad = [i + 1 for i, (_, tr) in enumerate(results) if not tr.converged]
     if bad:

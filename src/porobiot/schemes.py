@@ -7,8 +7,11 @@ constant-slope updates with tuning parameters L1 and L2:
   for the new flux, with the pressure eliminated through the diagonal P0
   mass, recover the pressure cellwise, then solve the L2-stabilized
   mechanics block driven by that pressure;
-* monolithic: one solve of the 3x3 block system in (u, q, p) with the same
-  stabilized rows.
+* monolithic: one solve of the coupled system in (u, q, p) with the same
+  stabilized rows.  Direct solves eliminate the pressure through the
+  diagonal P0 mass as well, which leaves a symmetric positive definite
+  (u, q) system, and recover it cellwise; GMRES solves the 3x3 block
+  system.
 
 All system matrices are constant across iterations and time steps, so a
 `SchemeSolver` builds them and their factorizations once and reuses them.
@@ -60,9 +63,9 @@ class SchemeConfig:
             raise SchemeConfigError("stabilization parameters must be non-negative")
         if self.tol <= 0:
             raise SchemeConfigError("tolerance must be positive")
-        if self.kind == "splitting" and self.L1 == 0:
+        if self.L1 == 0:
             raise SchemeConfigError(
-                "the splitting flow step eliminates the pressure: it needs L1 > 0")
+                "both schemes eliminate the pressure through L1 M_p: they need L1 > 0")
 
     def splitting_safe(self, mat: MaterialModel) -> bool:
         """L1 >= L_b and L2 >= L_h + alpha^2 / b_m (with the estimated constants)."""
@@ -173,10 +176,11 @@ class SchemeSolver:
     factorizations.
 
     Splitting needs the flux system with the pressure eliminated and the
-    mechanics block; the monolithic scheme needs the 3x3 block system,
-    solved by its LU factorization or, when ``ops.solver`` selects GMRES,
-    by fixed-stress-preconditioned GMRES.  Each matrix is built and
-    factored once, here; `step` performs one iteration of the scheme.
+    mechanics block.  The monolithic scheme needs the (u, q) system with
+    the pressure eliminated, solved by its LU factorization or, when
+    ``ops.solver`` selects GMRES, the 3x3 block system, solved by
+    fixed-stress-preconditioned GMRES.  Each matrix is built and factored
+    once, here; `step` performs one iteration of the scheme.
 
     No attribute holds a bound method of the solver: that reference cycle
     would keep its factorizations alive until the cyclic garbage collector
@@ -191,13 +195,14 @@ class SchemeSolver:
             self.flow_lu = CachedLU(self.flow.matrix)
             self.mech_lu = CachedLU(self.mech.matrix)
             return
-        self.mono = ops.monolithic_system(cfg.L1, cfg.L2, tau)
         opts = ops.solver
         self.precond = self.mono_lu = None
         if opts is not None and opts.method == "gmres":
+            self.mono = ops.monolithic_system(cfg.L1, cfg.L2, tau)
             self.precond = FixedStressPreconditioner(
                 ops, cfg, ops.mat, tau).as_linear_operator()
         else:
+            self.mono = ops.monolithic_schur_system(cfg.L1, cfg.L2, tau)
             self.mono_lu = CachedLU(self.mono.matrix)
 
     def step(self, cur: BiotState, ctx: StepContext,
@@ -235,6 +240,11 @@ class SchemeSolver:
         return (ctx.mass_const - ops.bp_dual(cur.p.coeffs)
                 + self.cfg.L1 * (ops.m_p @ cur.p.coeffs))
 
+    def _pressure(self, rhs_p, coupling=0.0):
+        """Cellwise solution of the stabilized mass row
+        L1 M_p p = rhs_p - coupling, M_p being the diagonal P0 mass."""
+        return (rhs_p - coupling) / (self.cfg.L1 * self.ops.mesh.areas)
+
     def _splitting_step(self, cur, ctx, trace):
         """One sweep of the fixed-stress-type splitting: flow, then mechanics.
 
@@ -245,10 +255,9 @@ class SchemeSolver:
         ops, cfg, alpha = self.ops, self.cfg, self.ops.mat.alpha
         # the displacement coupling is explicit in the split flow step
         rhs_p = self._mass_rhs(cur, ctx) - alpha * ops.divu_dual(cur.u.coeffs)
-        mp_inv = 1.0 / ops.mesh.areas
-        rhs_q = ctx.g_vec + (1.0 / cfg.L1) * (ops.b_qp.T @ (mp_inv * rhs_p))
+        rhs_q = ctx.g_vec + ops.b_qp.T @ self._pressure(rhs_p)
         q_new = self._restricted(self.flow, self.flow_lu.solve, rhs_q, trace)
-        p_new = mp_inv * (rhs_p - ctx.tau * (ops.b_qp @ q_new)) / cfg.L1
+        p_new = self._pressure(rhs_p, ctx.tau * (ops.b_qp @ q_new))
 
         rhs_u = (ctx.f_vec + alpha * (ops.b_up @ p_new)
                  + cfg.L2 * (ops.d_div @ cur.u.coeffs) - ops.hu_dual(cur.u.coeffs))
@@ -259,15 +268,32 @@ class SchemeSolver:
                          FeFunction(ops.dofmap_p, p_new), ctx.t_new)
 
     def _monolithic_step(self, cur, ctx, trace):
-        """One solve of the 3x3 block system in (u, q, p)."""
-        ops, cfg = self.ops, self.cfg
+        """One solve of the coupled system in (u, q, p).
+
+        By LU, the pressure is eliminated from the mass row
+        alpha B_u^T u + tau B q + L1 M_p p = rhs_p: with w = rhs_p / (L1 M_p)
+        the (u, q) system of `monolithic_schur_system` has the right-hand
+        side (rhs_u + alpha B_u w, tau (g + B^T w)), and p is recovered
+        cellwise.  GMRES solves the 3x3 block system.
+        """
+        ops, cfg, alpha = self.ops, self.cfg, self.ops.mat.alpha
         nu, nq = ops.dofmap_u.n_dofs, ops.dofmap_q.n_dofs
         rhs_u = (ctx.f_vec + cfg.L2 * (ops.d_div @ cur.u.coeffs)
                  - ops.hu_dual(cur.u.coeffs))
         rhs_p = self._mass_rhs(cur, ctx)
-        inverse = self._gmres if self.mono_lu is None else self.mono_lu.solve
-        x = self._restricted(self.mono, inverse,
-                             np.concatenate([rhs_u, ctx.g_vec, rhs_p]), trace)
+        if self.mono_lu is None:
+            x = self._restricted(self.mono, self._gmres,
+                                 np.concatenate([rhs_u, ctx.g_vec, rhs_p]), trace)
+        else:
+            w = self._pressure(rhs_p)
+            rhs = np.concatenate([rhs_u + alpha * (ops.b_up @ w),
+                                  ctx.tau * (ctx.g_vec + ops.b_qp.T @ w)])
+            uq = self._restricted(self.mono, self.mono_lu.solve, rhs, trace)
+            p = self._pressure(rhs_p, alpha * ops.divu_dual(uq[:nu])
+                               + ctx.tau * (ops.b_qp @ uq[nu:]))
+            # one array per iterate: a run keeps every step's state, and
+            # separate (u, q) and p arrays fragment the heap they fill
+            x = np.concatenate([uq, p])
         return BiotState(FeFunction(ops.dofmap_u, x[:nu]),
                          FeFunction(ops.dofmap_q, x[nu:nu + nq]),
                          FeFunction(ops.dofmap_p, x[nu + nq:]), ctx.t_new)

@@ -99,6 +99,19 @@ class TestFlow:
             v = rng.standard_normal(ops.dofmap_q.n_dofs)
             assert v @ (ops.m_q @ v) > 0
 
+    def test_schur_systems_exactly_symmetric(self):
+        # m_q differs from its transpose by ulps; with a large L1 the
+        # pressure coupling no longer rounds that away, yet the systems
+        # with the pressure eliminated must stay symmetric to the last bit
+        mat = manufactured_material("t1c1")
+        ops = build_operators(generate_rect_mesh((0, 0), (1, 1), 16, 16),
+                              mat, manufactured_problem(mat))
+        assert (ops.m_q != ops.m_q.T).nnz > 0
+        for L1 in (0.1, 100.0):
+            for system in (ops.flow_schur_system(L1, 0.25),
+                           ops.monolithic_schur_system(L1, 1.0, 0.25)):
+                assert (system.matrix != system.matrix.T).nnz == 0
+
     def test_nonpositive_permeability_rejected(self):
         from porobiot.assembly import assemble_flow
         from porobiot.physics import law_catalog, make_material

@@ -138,6 +138,8 @@ class TestSubcommands:
          "--values", "0.25", "--L1", "1", "--L2", "-1"],
         ["verify", "--case", "linear", "--h", "0.5", "--scheme", "splitting",
          "--L1", "0", "--L2", "1"],
+        ["manufactured", "--case", "linear", "--h", "0.5",
+         "--scheme", "monolithic", "--L1", "0", "--L2", "1"],
     ])
     def test_invalid_scheme_values_exit_code(self, tmp_path, args):
         assert run_cli(args + ["--out", str(tmp_path / "x")]) == EXIT_CONFIG
@@ -150,6 +152,20 @@ class TestSubcommands:
             out = tmp_path / name
             code = run_cli(["mandel", "--steps", "3", "--set", "problem.nx=8",
                             "--set", "problem.ny=8", "--out", str(out)] + extra)
+            assert code == EXIT_OK
+            bodies.append((out / "mandel.csv").read_bytes())
+        assert bodies[0] != bodies[1]
+
+    def test_mandel_law_ranges_reach_the_run(self, tmp_path):
+        # the certified pressure range sets the law constants, hence L1
+        bodies = []
+        for name, extra in (("default", []),
+                            ("ranges", ["--set", "laws.p_lo=0",
+                                        "--set", "laws.p_hi=50"])):
+            out = tmp_path / name
+            code = run_cli(["mandel", "--nonlinear", "t2c3", "--steps", "3",
+                            "--set", "problem.nx=8", "--set", "problem.ny=8",
+                            "--out", str(out)] + extra)
             assert code == EXIT_OK
             bodies.append((out / "mandel.csv").read_bytes())
         assert bodies[0] != bodies[1]

@@ -6,8 +6,10 @@ from porobiot.assembly import build_operators
 from porobiot.linalg import (BlockSystem, CachedLU, FactorizationError,
                              FixedStressPreconditioner, gmres)
 from porobiot.mesh import generate_rect_mesh
-from porobiot.physics import manufactured_material, manufactured_problem
-from porobiot.schemes import SchemeConfig, StepContext, build_initial_state
+from porobiot.physics import (MandelConfig, mandel_material, mandel_problem,
+                              manufactured_material, manufactured_problem)
+from porobiot.schemes import (SchemeConfig, StepContext, build_initial_state,
+                              suggested_tuning)
 
 
 def monolithic_linear_system(nx=8, alpha=1.0, tau=0.25):
@@ -21,6 +23,29 @@ def monolithic_linear_system(nx=8, alpha=1.0, tau=0.25):
     rhs = sysd.restriction.T @ np.concatenate([ctx.f_vec, ctx.g_vec, ctx.mass_const]) \
         - sysd.rhs_shift
     return BlockSystem(sysd.matrix, rhs), ops, mat
+
+
+def mandel_si_operators(nx=20):
+    """SI consolidation operators: blocks twenty orders of magnitude apart."""
+    cfg = MandelConfig()
+    mat = mandel_material("linear", cfg)
+    prob = mandel_problem(mat, cfg, final_time=10.0)
+    mesh = generate_rect_mesh((0, 0), (cfg.a, cfg.b), nx, nx)
+    L1, L2 = suggested_tuning(mat, "monolithic")
+    return build_operators(mesh, mat, prob), L1, L2
+
+
+def count_raw_solves(lu):
+    """Record every triangular solve pair that `lu` performs."""
+    calls = []
+    raw = lu._raw_solve
+
+    def counted(b):
+        calls.append(b)
+        return raw(b)
+
+    lu._raw_solve = counted
+    return calls
 
 
 class TestLU:
@@ -42,9 +67,41 @@ class TestLU:
         assert res / np.linalg.norm(system.rhs) <= 1e-11
 
     def test_singular_matrix(self):
-        singular = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        with pytest.raises(FactorizationError):
-            CachedLU(singular)
+        # symmetric and nonsymmetric: both orderings report the failure
+        for entries in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [1.0, 2.0]]):
+            with pytest.raises(FactorizationError):
+                CachedLU(sp.csr_matrix(np.array(entries)))
+
+    def test_symmetric_one_triangular_solve(self):
+        # the SI (u, q) system with the pressure eliminated is SPD: its
+        # symmetric factorization meets the residual test without refinement
+        ops, L1, L2 = mandel_si_operators()
+        A = ops.monolithic_schur_system(L1, L2, 1.0).matrix
+        lu = CachedLU(A)
+        assert np.array_equal(lu._lu.perm_r, lu._lu.perm_c)
+        calls = count_raw_solves(lu)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            b = rng.standard_normal(A.shape[0])
+            x = lu.solve(b)
+            assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+        assert len(calls) == 3
+
+    def test_nonsymmetric_ill_scaled_refined(self):
+        # the SI 3x3 block matrix misses the residual test after one solve:
+        # it is refined, exactly as every solve was before refinement became
+        # conditional
+        ops, L1, L2 = mandel_si_operators()
+        A = ops.monolithic_system(L1, L2, 1.0).matrix
+        lu = CachedLU(A)
+        b = np.random.default_rng(12).standard_normal(A.shape[0])
+        x_once = lu._raw_solve(b)
+        x_refined = x_once + lu._raw_solve(b - A @ x_once)
+        calls = count_raw_solves(lu)
+        x = lu.solve(b)
+        assert len(calls) == 2
+        assert np.linalg.norm(b - A @ x_once) > 1e-12 * np.linalg.norm(b)
+        assert np.linalg.norm(b - A @ x) <= np.linalg.norm(b - A @ x_refined)
 
     def test_cached_lu_reuse(self):
         A = sp.diags([1.0, 2.0, 3.0]).tocsr()

@@ -7,7 +7,8 @@ from porobiot.assembly import build_operators
 from porobiot.fem import FeFunction, l2_norm
 from porobiot.linalg import CachedLU
 from porobiot.mesh import generate_rect_mesh
-from porobiot.physics import (NonlinearLaw, make_material, law_catalog,
+from porobiot.physics import (MandelConfig, NonlinearLaw, make_material,
+                              law_catalog, mandel_material, mandel_problem,
                               manufactured_material, manufactured_problem)
 from porobiot.schemes import (BiotState, DivergenceError, SchemeConfig,
                               SchemeSolver, StepContext, build_initial_state,
@@ -57,10 +58,11 @@ class TestSchemeConfig:
             SchemeConfig("splitting", -1.0, 1.0)
         with pytest.raises(ValueError):
             SchemeConfig("splitting", 1.0, 1.0, tol=0.0)
-        # the splitting flow step eliminates the pressure through L1 M_p
+        # both schemes eliminate the pressure through L1 M_p
         with pytest.raises(ValueError):
             SchemeConfig("splitting", L1=0.0, L2=1.0)
-        SchemeConfig("monolithic", L1=0.0, L2=1.0)
+        with pytest.raises(ValueError):
+            SchemeConfig("monolithic", L1=0.0, L2=1.0)
 
     def test_theorem_flags(self):
         mat = manufactured_material("t1c1")  # b_m = 1/e, L_b = e, L_h = 0.75
@@ -200,6 +202,39 @@ class TestLinearConvergence:
             assert max(field_errors(ops, got, expect)) <= 1e-10
             assert l2_norm(FeFunction(ops.dofmap_p, got.p.coeffs)) > 1e-4
             cur = got
+
+    @pytest.mark.parametrize("case", ["t1c1", "mandel"])
+    def test_monolithic_pressure_elimination_equivalent(self, case):
+        # oracle: one monolithic LU iteration, which solves the (u, q)
+        # system with the pressure eliminated, against the same iteration
+        # solved with the 3x3 block system
+        if case == "mandel":
+            cfg = MandelConfig()
+            mat = mandel_material("linear", cfg)
+            prob = mandel_problem(mat, cfg, final_time=10.0)
+            mesh = generate_rect_mesh((0, 0), (cfg.a, cfg.b), 20, 20)
+            tau = 1.0
+        else:
+            mat = manufactured_material(case)
+            prob = manufactured_problem(mat)
+            mesh = generate_rect_mesh((0, 0), (1, 1), 8, 8)
+            tau = 0.25
+        ops = build_operators(mesh, mat, prob)
+        prev = build_initial_state(prob, ops)
+        L1, L2 = suggested_tuning(mat, "monolithic")
+        ctx = StepContext.build(ops, prob, prev, tau)
+        got = SchemeSolver(ops, SchemeConfig("monolithic", L1, L2), tau).step(
+            prev, ctx)
+        u, p = prev.u.coeffs, prev.p.coeffs
+        rhs_u = ctx.f_vec + L2 * (ops.d_div @ u) - ops.hu_dual(u)
+        rhs_p = ctx.mass_const - ops.bp_dual(p) + L1 * (ops.m_p @ p)
+        x = reduced_solve(ops.monolithic_system(L1, L2, tau),
+                          np.concatenate([rhs_u, ctx.g_vec, rhs_p]))
+        nu, nq = ops.dofmap_u.n_dofs, ops.dofmap_q.n_dofs
+        for have, want in ((got.u.coeffs, x[:nu]), (got.q.coeffs, x[nu:nu + nq]),
+                           (got.p.coeffs, x[nu + nq:])):
+            assert np.linalg.norm(want) > 0.0
+            assert np.linalg.norm(have - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_incompressible_fluid_monolithic(self):
         # b = 0 (zero storage): the monolithic iteration still contracts
