@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import DofMap, SpaceKind, quadrature, _rt0_values_at
+from .fem import DofMap, SpaceKind, quadrature, _rt0_local_mass, \
+    _rt0_values_at
 from .mesh import Mesh, Side
 from .physics import MaterialModel, ProblemDefinition
 
@@ -99,16 +100,12 @@ def assemble_flow(mesh: Mesh, mat: MaterialModel, dofmap_q: DofMap,
     b_qp : csr_matrix, shape (n_p, n_q), entries are signed edge lengths
     m_p : dia/csr matrix, diagonal of cell areas
     """
-    rule = quadrature(2)
-    vals = _rt0_values_at(mesh, rule)       # (F, nq, 3, 2)
-    corners = mesh.vertices[mesh.cells]
-    pts = np.einsum("qv,fvd->fqd", rule.points, corners)
+    pts = np.einsum("qv,fvd->fqd", quadrature(2).points,
+                    mesh.vertices[mesh.cells])
     kvals = np.asarray(mat.kappa(pts[:, :, 0], pts[:, :, 1]), dtype=float)
     if np.any(kvals <= 0.0):
         raise ValueError("non-positive permeability sampled at a quadrature point")
-    kinv = mat.nu_f / kvals
-    m_loc = np.einsum("fq,fqid,fqjd->fij", rule.weights[None, :] * kinv, vals, vals)
-    m_loc *= mesh.areas[:, None, None]
+    m_loc = _rt0_local_mass(mesh, mat.nu_f / kvals)
 
     dofs = dofmap_q.cell_to_dofs
     rows = np.repeat(dofs, 3, axis=1).ravel()
@@ -251,11 +248,11 @@ class BiotOperators:
     load quadrature points and the boundary edges of each side; the
     `*_system` methods build the constraint-reduced L-scheme matrices from
     them: the mechanics block and the flux block with the pressure
-    eliminated (splitting), the symmetric positive definite (u, q) block
-    with the pressure eliminated (monolithic, direct solves), the 3x3
-    block (monolithic, GMRES) and the 2x2 flow block of the fixed-stress
-    preconditioner.  Each call builds a new matrix; the solver that uses
-    it (`schemes.SchemeSolver`) keeps it and owns its factorization.
+    eliminated (splitting and the fixed-stress sweep), the symmetric
+    positive definite (u, q) block with the pressure eliminated
+    (monolithic, direct solves), the 3x3 block (monolithic, GMRES) and
+    the 2x2 flux-pressure block (a test oracle only).  Each call builds a
+    new matrix; its user keeps it and owns its factorization.
     """
 
     def __init__(self, mesh: Mesh, mat: MaterialModel,
@@ -319,9 +316,10 @@ class BiotOperators:
 
     def _reduced_spd(self, full, names):
         """`_reduced` for a symmetric positive definite operator, made
-        symmetric to the last bit: the assembly of m_q rounds its (i, j) and
-        (j, i) entries apart, and a matrix that differs from its transpose
-        by an ulp loses the symmetric factorization of `CachedLU`."""
+        symmetric to the last bit: the sparse products that form and reduce
+        it round its (i, j) and (j, i) entries apart, and a matrix that
+        differs from its transpose by an ulp loses the symmetric
+        factorization of `CachedLU`."""
         system = self._reduced(full, names)
         return replace(system,
                        matrix=(0.5 * (system.matrix + system.matrix.T)).tocsr())
@@ -420,11 +418,3 @@ def assemble_loads(problem: ProblemDefinition, ops: BiotOperators, t):
     else:
         s_vec = np.zeros(ops.dofmap_p.n_dofs)
     return f_vec, g_vec, s_vec
-
-
-def check_symmetric(matrix, tol=1e-12):
-    """Validate a symmetry claim: max |A - A^T| entry below tol * max |A|."""
-    diff = abs(matrix - matrix.T)
-    dmax = diff.max() if diff.nnz else 0.0
-    scale = abs(matrix).max() or 1.0
-    return bool(dmax <= tol * scale)

@@ -190,12 +190,22 @@ def _local_mass(dofmap: DofMap):
                 loc[2 * i, 2 * j] = m3[i, j]
                 loc[2 * i + 1, 2 * j + 1] = m3[i, j]
         return mesh.areas[:, None, None] * loc[None, :, :]
-    # RT0: degree-2 quadrature, exact for products of linear fields
+    return _rt0_local_mass(mesh)
+
+
+def _rt0_local_mass(mesh, weight=1.0):
+    """Per-cell RT0 mass matrices int weight phi_i . phi_j, shape (F, 3, 3).
+
+    `weight` is a constant or its values at the degree-2 points (exact for
+    products of linear fields) of every cell, shape (F, 3).  Each local
+    matrix is averaged with its transpose, whose products round apart, so
+    that the assembled mass equals its transpose to the last bit.
+    """
     rule = quadrature(2)
     vals = _rt0_values_at(mesh, rule)  # (F, nq, 3, 2)
-    w = rule.weights
-    loc = np.einsum("q,fqid,fqjd->fij", w, vals, vals) * mesh.areas[:, None, None]
-    return loc
+    w = np.broadcast_to(rule.weights * weight, (mesh.n_cells, len(rule.weights)))
+    loc = np.einsum("fq,fqid,fqjd->fij", w, vals, vals) * mesh.areas[:, None, None]
+    return 0.5 * (loc + loc.transpose(0, 2, 1))
 
 
 def _rt0_values_at(mesh, rule):

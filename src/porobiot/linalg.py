@@ -1,16 +1,18 @@
-"""Sparse direct solves, restarted GMRES and the fixed-stress preconditioner.
+"""Sparse direct solves, restarted GMRES and the fixed-stress sweep.
 
 Factorizations use SuperLU through scipy and are kept by the object that
 reuses them (the L-scheme matrices are constant across iterations and time
-steps).  The fixed-stress preconditioner performs one linearized splitting
-sweep per application: a flow solve with the stabilized mass row, then a
-mechanics solve driven by the updated pressure.
+steps).  The fixed-stress sweep is one linearized splitting sweep: a flux
+solve with the pressure eliminated through the diagonal P0 mass, then a
+mechanics solve driven by the updated pressure.  It owns the two
+factorizations of the splitting scheme and preconditions GMRES on the
+monolithic system.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,11 +57,10 @@ def write_solver_reports_csv(rows, path):
 
 @dataclass
 class BlockSystem:
-    """Assembled global sparse system with a named block layout."""
+    """Assembled global sparse system and its right-hand side."""
 
     matrix: sp.spmatrix
     rhs: np.ndarray
-    blocks: tuple = ()   # ((name, size), ...)
 
     def __post_init__(self):
         n = self.matrix.shape[0]
@@ -67,8 +68,6 @@ class BlockSystem:
             raise ValueError("system matrix must be square")
         if self.rhs.shape != (n,):
             raise ValueError("rhs length does not match the matrix")
-        if self.blocks and sum(s for _, s in self.blocks) != n:
-            raise ValueError("block sizes do not sum to the matrix dimension")
         if not np.all(np.isfinite(self.rhs)):
             raise ValueError("rhs contains non-finite entries")
 
@@ -81,6 +80,7 @@ class SolverReport:
     seconds: float
     converged: bool = True
     status: str = "converged"
+    history: list = field(default_factory=list)
 
 
 class CachedLU:
@@ -91,17 +91,17 @@ class CachedLU:
     twenty orders of magnitude in SI units).  A matrix equal to its
     transpose is factored in SuperLU's symmetric mode: a minimum-degree
     ordering of A^T + A and diagonal pivots, which is stable because every
-    symmetric matrix porobiot factors is positive definite.  Any other
-    matrix gets the COLAMD ordering with partial pivoting.  A solve runs
-    up to `refine` steps of iterative refinement, each only while the
-    relative residual exceeds 1e-12.
+    symmetric matrix porobiot factors is positive definite.  Every matrix
+    a run factors is symmetric; any other matrix (the tests' 3x3 oracles)
+    gets the COLAMD ordering with partial pivoting.  A solve runs
+    one step of iterative refinement when the relative residual exceeds
+    1e-12.
     """
 
-    def __init__(self, matrix, refine=1):
+    def __init__(self, matrix):
         t0 = time.perf_counter()
         matrix = sp.csc_matrix(matrix)
         self.matrix = matrix
-        self.refine = refine
         d = np.abs(matrix.diagonal())
         rowmax = np.abs(matrix).max(axis=1).toarray().ravel()
         d = np.where(d > 0.0, d, np.where(rowmax > 0.0, rowmax, 1.0))
@@ -124,23 +124,19 @@ class CachedLU:
     def solve(self, b):
         b = np.asarray(b, dtype=float)
         x = self._raw_solve(b)
-        bound = 1e-12 * np.linalg.norm(b)
-        for _ in range(self.refine):
-            r = b - self.matrix @ x
-            if np.linalg.norm(r) <= bound:
-                break
+        r = b - self.matrix @ x
+        if np.linalg.norm(r) > 1e-12 * np.linalg.norm(b):
             x += self._raw_solve(r)
         return x
 
 
 def gmres(system: BlockSystem, preconditioner=None, restart=50, rtol=1e-10,
-          maxiter=1000, keep_history=False):
+          maxiter=1000):
     """Restarted GMRES; `preconditioner` approximates the inverse operator.
 
     `maxiter` caps the total number of inner iterations.  Reports that
-    count and the true relative residual; the recorded history holds the
-    preconditioned residual norms, which are non-increasing inside each
-    restart cycle.
+    count, the true relative residual and the history of preconditioned
+    residual norms, which are non-increasing inside each restart cycle.
     """
     n = system.matrix.shape[0]
     history = []
@@ -168,44 +164,46 @@ def gmres(system: BlockSystem, preconditioner=None, restart=50, rtol=1e-10,
     converged = info == 0
     status = "converged" if converged else (
         "maxiter" if info > 0 else "breakdown")
-    report = SolverReport("gmres", len(history), float(relres), seconds,
-                          converged=converged, status=status)
-    if keep_history:
-        report.history = history
-    return x, report
+    return x, SolverReport("gmres", len(history), float(relres), seconds,
+                           converged=converged, status=status, history=history)
 
 
 class FixedStressPreconditioner:
     """One splitting sweep as a stationary linear operator.
 
-    Applied to a monolithic residual (r_u, r_q, r_p): first the 2x2 flow
-    block with the L1-stabilized mass row is solved for (dq, dp), then the
-    L2-stabilized mechanics block is solved with the pressure update on the
-    right-hand side.  Both inner blocks are factorized once.
+    Applied to a monolithic residual (r_u, r_q, r_p), it solves the flow
+    step with the pressure eliminated through the diagonal P0 mass: with
+    w = r_p / (L1 M_p), d_q solves the system of `flow_schur_system` for
+    r_q + B^T w and d_p = w - tau B d_q / (L1 M_p).  The L2-stabilized
+    mechanics block is then solved with the pressure update on the
+    right-hand side.  Both systems are built and factored once, here;
+    `schemes.SchemeSolver` solves the splitting steps with them too.
     """
 
     def __init__(self, ops, cfg, mat, tau):
-        self.sizes = tuple(
-            [ops.constraints.u.n_reduced, ops.constraints.q.n_reduced,
-             ops.constraints.p.n_reduced])
-        self.flow_lu = CachedLU(ops.flow_system(cfg.L1, tau).matrix)
-        self.mech_lu = CachedLU(ops.mech_system(cfg.L2).matrix)
-        Ru = ops.constraints.u.restriction
-        self.b_up_red = (Ru.T @ ops.b_up).tocsr()  # pressure field is unreduced
-        self.alpha = mat.alpha
+        self.flow = ops.flow_schur_system(cfg.L1, tau)
+        self.mech = ops.mech_system(cfg.L2)
+        self.sizes = (self.mech.matrix.shape[0], self.flow.matrix.shape[0],
+                      ops.mesh.n_cells)
+        self.flow_lu = CachedLU(self.flow.matrix)
+        self.mech_lu = CachedLU(self.mech.matrix)
+        # the pressure field is unreduced
+        self.b_red = (ops.b_qp @ ops.constraints.q.restriction).tocsr()
+        self.b_up_red = (ops.constraints.u.restriction.T @ ops.b_up).tocsr()
+        self.l1_areas = cfg.L1 * ops.mesh.areas
+        self.alpha, self.tau = mat.alpha, tau
         self.shape = (sum(self.sizes),) * 2
         self.dtype = np.dtype(float)
 
     def matvec(self, r):
-        nu, nq, npp = self.sizes
-        r_u, r_qp = r[:nu], r[nu:]
-        d_qp = self.flow_lu.solve(r_qp)
-        d_p = d_qp[nq:]
+        nu, nq, _ = self.sizes
+        r_u, r_q, r_p = r[:nu], r[nu:nu + nq], r[nu + nq:]
+        w = r_p / self.l1_areas
+        d_q = self.flow_lu.solve(r_q + self.b_red.T @ w)
+        d_p = w - self.tau * (self.b_red @ d_q) / self.l1_areas
         d_u = self.mech_lu.solve(r_u + self.alpha * (self.b_up_red @ d_p))
-        return np.concatenate([d_u, d_qp])
-
-    def __call__(self, r):
-        return self.matvec(r)
+        return np.concatenate([d_u, d_q, d_p])
 
     def as_linear_operator(self):
-        return spla.LinearOperator(self.shape, matvec=self.matvec)
+        return spla.LinearOperator(self.shape, matvec=self.matvec,
+                                   dtype=self.dtype)

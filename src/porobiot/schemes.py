@@ -11,7 +11,7 @@ constant-slope updates with tuning parameters L1 and L2:
   stabilized rows.  Direct solves eliminate the pressure through the
   diagonal P0 mass as well, which leaves a symmetric positive definite
   (u, q) system, and recover it cellwise; GMRES solves the 3x3 block
-  system.
+  system, preconditioned by one splitting sweep.
 
 All system matrices are constant across iterations and time steps, so a
 `SchemeSolver` builds them and their factorizations once and reuses them.
@@ -175,35 +175,31 @@ class SchemeSolver:
     """The linear solves of one scheme at one step size, with their
     factorizations.
 
-    Splitting needs the flux system with the pressure eliminated and the
-    mechanics block.  The monolithic scheme needs the (u, q) system with
-    the pressure eliminated, solved by its LU factorization or, when
-    ``ops.solver`` selects GMRES, the 3x3 block system, solved by
-    fixed-stress-preconditioned GMRES.  Each matrix is built and factored
-    once, here; `step` performs one iteration of the scheme.
+    Splitting solves with the two systems of one fixed-stress sweep
+    (`linalg.FixedStressPreconditioner`): the flux system with the
+    pressure eliminated and the mechanics block.  The monolithic scheme
+    needs the (u, q) system with the pressure eliminated, solved by its LU
+    factorization or, when ``ops.solver`` selects GMRES, the 3x3 block
+    system, solved by GMRES preconditioned with the same sweep.  Each
+    matrix is built and factored once, here; `step` performs one
+    iteration of the scheme.
 
-    No attribute holds a bound method of the solver: that reference cycle
-    would keep its factorizations alive until the cyclic garbage collector
-    runs, past the end of the run that built them.
+    No attribute holds a bound method of the solver or of its sweep: that
+    reference cycle would keep their factorizations alive until the cyclic
+    garbage collector runs, past the end of the run that built them.
     """
 
     def __init__(self, ops: BiotOperators, cfg: SchemeConfig, tau):
         self.ops, self.cfg, self.tau = ops, cfg, tau
-        if cfg.kind == "splitting":
-            self.flow = ops.flow_schur_system(cfg.L1, tau)
-            self.mech = ops.mech_system(cfg.L2)
-            self.flow_lu = CachedLU(self.flow.matrix)
-            self.mech_lu = CachedLU(self.mech.matrix)
-            return
-        opts = ops.solver
-        self.precond = self.mono_lu = None
-        if opts is not None and opts.method == "gmres":
-            self.mono = ops.monolithic_system(cfg.L1, cfg.L2, tau)
-            self.precond = FixedStressPreconditioner(
-                ops, cfg, ops.mat, tau).as_linear_operator()
-        else:
+        self.sweep = self.mono_lu = None
+        if cfg.kind == "monolithic" and (ops.solver is None
+                                         or ops.solver.method != "gmres"):
             self.mono = ops.monolithic_schur_system(cfg.L1, cfg.L2, tau)
             self.mono_lu = CachedLU(self.mono.matrix)
+            return
+        self.sweep = FixedStressPreconditioner(ops, cfg, ops.mat, tau)
+        if cfg.kind == "monolithic":
+            self.mono = ops.monolithic_system(cfg.L1, cfg.L2, tau)
 
     def step(self, cur: BiotState, ctx: StepContext,
              trace: IterationTrace = None) -> BiotState:
@@ -223,7 +219,7 @@ class SchemeSolver:
     def _gmres(self, rhs_red):
         opts, cfg = self.ops.solver, self.cfg
         x_red, report = gmres(BlockSystem(self.mono.matrix, rhs_red),
-                              preconditioner=self.precond,
+                              preconditioner=self.sweep,
                               restart=opts.restart, rtol=opts.rtol,
                               maxiter=opts.maxiter)
         self.ops.solver_log.append((f"mono/L1={cfg.L1:g}/L2={cfg.L2:g}", report))
@@ -253,15 +249,16 @@ class SchemeSolver:
         solves the Schur system of `flow_schur_system`.
         """
         ops, cfg, alpha = self.ops, self.cfg, self.ops.mat.alpha
+        sweep = self.sweep
         # the displacement coupling is explicit in the split flow step
         rhs_p = self._mass_rhs(cur, ctx) - alpha * ops.divu_dual(cur.u.coeffs)
         rhs_q = ctx.g_vec + ops.b_qp.T @ self._pressure(rhs_p)
-        q_new = self._restricted(self.flow, self.flow_lu.solve, rhs_q, trace)
+        q_new = self._restricted(sweep.flow, sweep.flow_lu.solve, rhs_q, trace)
         p_new = self._pressure(rhs_p, ctx.tau * (ops.b_qp @ q_new))
 
         rhs_u = (ctx.f_vec + alpha * (ops.b_up @ p_new)
                  + cfg.L2 * (ops.d_div @ cur.u.coeffs) - ops.hu_dual(cur.u.coeffs))
-        u_new = self._restricted(self.mech, self.mech_lu.solve, rhs_u, trace)
+        u_new = self._restricted(sweep.mech, sweep.mech_lu.solve, rhs_u, trace)
 
         return BiotState(FeFunction(ops.dofmap_u, u_new),
                          FeFunction(ops.dofmap_q, q_new),

@@ -384,6 +384,32 @@ class TestTimeMarch:
         assert all(tr.n_linear_solves == per_iteration * tr.iterations
                    for _, tr in results)
 
+    def test_every_factored_matrix_symmetric(self, monkeypatch):
+        # every factorization of a run, and of the residual check, takes
+        # the symmetric path of CachedLU
+        from porobiot import linalg
+        asymmetric = []
+        original = linalg.CachedLU.__init__
+
+        def recording_init(lu, matrix):
+            asymmetric.append((matrix != matrix.T).nnz)
+            original(lu, matrix)
+
+        monkeypatch.setattr(linalg.CachedLU, "__init__", recording_init)
+        mat = manufactured_material("t1c1")
+        prob = manufactured_problem(mat)
+        mesh = generate_rect_mesh((0, 0), (1, 1), 16, 16)
+        ops = build_operators(mesh, mat, prob)
+        prev = build_initial_state(prob, ops)
+        for kind, method in (("splitting", "lu"), ("monolithic", "lu"),
+                             ("monolithic", "gmres")):
+            ops.solver = linalg.SolverOptions(method=method)
+            cfg = SchemeConfig(kind, *suggested_tuning(mat, kind))
+            state, _ = time_march(prob, mesh, mat, cfg, 0.25, 1, ops=ops)[0]
+        residual_norms(state, prev, ops, mat, prob, 0.25)
+        assert len(asymmetric) == 2 + 1 + 2 + 2
+        assert asymmetric == [0] * len(asymmetric)
+
     def test_solver_for_another_step_rejected(self):
         mesh, mat, prob, ops, prev = linear_setup(4)
         cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
