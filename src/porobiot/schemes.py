@@ -21,6 +21,8 @@ summed L2 norms of the field increments drop below the tolerance.
 
 from __future__ import annotations
 
+import ctypes
+import sys
 import time as _time
 from dataclasses import dataclass, field as dc_field
 
@@ -190,6 +192,12 @@ class SchemeSolver:
     """
 
     def __init__(self, ops: BiotOperators, cfg: SchemeConfig, tau):
+        # A run's factorizations are its largest allocations.  Beneath them
+        # glibc keeps resident the heap that earlier runs freed, so a run's
+        # peak memory would depend on what ran before it and when.
+        libc = ctypes.CDLL(None) if sys.platform == "linux" else None
+        if hasattr(libc, "malloc_trim"):
+            libc.malloc_trim(0)
         self.ops, self.cfg, self.tau = ops, cfg, tau
         self.sweep = self.mono_lu = None
         if cfg.kind == "monolithic" and (ops.solver is None

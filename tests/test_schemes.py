@@ -1,3 +1,4 @@
+import platform
 import warnings
 
 import numpy as np
@@ -409,6 +410,26 @@ class TestTimeMarch:
         residual_norms(state, prev, ops, mat, prob, 0.25)
         assert len(asymmetric) == 2 + 1 + 2 + 2
         assert asymmetric == [0] * len(asymmetric)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="returns glibc heap pages")
+    def test_solver_returns_the_heap_earlier_runs_freed(self):
+        # 20 MiB of 64 KiB heap blocks, each pinned by a live block above
+        # it, stay resident once freed until the next solver is built
+        def resident_mib():
+            with open("/proc/self/status", encoding="ascii") as fh:
+                return next(int(line.split()[1]) / 1024.0 for line in fh
+                            if line.startswith("VmRSS:"))
+
+        mesh, mat, prob, ops, prev = linear_setup(4)
+        blocks, pins = [], []
+        for _ in range(320):
+            blocks.append(np.ones(8192))
+            pins.append(np.ones(256))
+        full = resident_mib()
+        del blocks
+        SchemeSolver(ops, SchemeConfig("monolithic", L1=1.0, L2=1.0), 0.5)
+        assert full - resident_mib() > 15.0
 
     def test_solver_for_another_step_rejected(self):
         mesh, mat, prob, ops, prev = linear_setup(4)
