@@ -40,13 +40,31 @@ class ReducedSystem:
 
     Given a full right-hand side b, the reduced system reads
     ``matrix @ x_red = R^T b - rhs_shift`` with R the restriction, and the
-    full solution is ``R @ x_red + lift``.
+    full solution is ``R @ x_red + lift``.  R has one unit entry in every
+    row of a DOF that is not pinned, in the column `reduced_of` gives (-1
+    where pinned), so `restrict` and `expand` apply R^T and R through that
+    index instead of sparse products, with the same sums in the same order.
     """
 
     matrix: sp.spmatrix
     rhs_shift: np.ndarray
     restriction: sp.spmatrix
     lift: np.ndarray
+    reduced_of: np.ndarray
+
+    def __post_init__(self):
+        # pinned DOFs map to one unknown past the reduced ones, which
+        # `restrict` drops and `expand` reads as zero
+        self._n = self.restriction.shape[1]
+        self._index = np.where(self.reduced_of >= 0, self.reduced_of, self._n)
+
+    def restrict(self, b):
+        """R^T b: the full vector summed into the reduced unknowns."""
+        return np.bincount(self._index, weights=b, minlength=self._n + 1)[:self._n]
+
+    def expand(self, x_red):
+        """R x_red + lift."""
+        return np.append(x_red, 0.0)[self._index] + self.lift
 
 
 def assemble_mechanics(mesh: Mesh, mat: MaterialModel, dofmap_u: DofMap,
@@ -134,38 +152,31 @@ class FieldConstraints:
         self.n_full = n_full
         self.pinned = pinned
         self.ties = [list(t) for t in ties]
-        tied_dofs = {}
-        for gi, group in enumerate(self.ties):
+        tied = set()
+        for group in self.ties:
             for d in group:
                 if d in pinned:
                     raise ConstraintConflictError(f"DOF {d} both pinned and tied")
-                if d in tied_dofs:
+                if d in tied:
                     raise ConstraintConflictError(f"DOF {d} in two tie groups")
-                tied_dofs[d] = gi
-        reduced_of = np.full(n_full, -1, dtype=np.int64)
-        group_red = [-1] * len(self.ties)
-        nred = 0
-        for d in range(n_full):
-            if d in pinned:
-                continue
-            gi = tied_dofs.get(d)
-            if gi is None:
-                reduced_of[d] = nred
-                nred += 1
-            else:
-                if group_red[gi] < 0:
-                    group_red[gi] = nred
-                    nred += 1
-                reduced_of[d] = group_red[gi]
-        self.n_reduced = nred
-        self.reduced_of = reduced_of
-        rows = np.nonzero(reduced_of >= 0)[0]
+                tied.add(d)
+        # reduced unknowns follow the DOF order; a tie group takes its
+        # unknown at its lowest DOF, which every DOF of the group stands for
+        leader = np.arange(n_full)
+        for group in self.ties:
+            if group:
+                leader[group] = min(group)
+        kept = np.ones(n_full, dtype=bool)
+        kept[list(pinned)] = False
+        first = kept & (leader == np.arange(n_full))
+        self.n_reduced = int(first.sum())
+        self.reduced_of = np.where(kept, (np.cumsum(first) - 1)[leader], -1)
+        rows = np.nonzero(kept)[0]
         self.restriction = sp.coo_matrix(
-            (np.ones(len(rows)), (rows, reduced_of[rows])),
-            shape=(n_full, nred)).tocsr()
+            (np.ones(len(rows)), (rows, self.reduced_of[rows])),
+            shape=(n_full, self.n_reduced)).tocsr()
         self.lift = np.zeros(n_full)
-        for d, v in pinned.items():
-            self.lift[d] = v
+        self.lift[list(pinned)] = list(pinned.values())
 
 
 @dataclass
@@ -181,6 +192,15 @@ class BlockConstraints:
         fields = [getattr(self, n) for n in names]
         R = sp.block_diag([f.restriction for f in fields], format="csr")
         return R, np.concatenate([f.lift for f in fields])
+
+    def composed_index(self, names):
+        """Stacked `reduced_of` of the named fields, numbered like the
+        columns of `composed`'s restriction (-1 where pinned)."""
+        parts, offset = [], 0
+        for f in (getattr(self, n) for n in names):
+            parts.append(np.where(f.reduced_of >= 0, f.reduced_of + offset, -1))
+            offset += f.n_reduced
+        return np.concatenate(parts)
 
 
 def _side_vertices(mesh, side):
@@ -267,6 +287,9 @@ class BiotOperators:
             mesh, mat, self.dofmap_u, self.dofmap_p)
         self.m_q, self.b_qp, self.m_p = assemble_flow(
             mesh, mat, self.dofmap_q, self.dofmap_p)
+        # transposed views: they share the blocks' arrays, and building a
+        # transpose per product would cost more than the product itself
+        self.b_up_t, self.b_qp_t = self.b_up.T, self.b_qp.T
         self.constraints = build_constraints(
             problem, mesh, self.dofmap_u, self.dofmap_q, self.dofmap_p)
         # degree-4 points of the body force and the source, per cell
@@ -291,20 +314,24 @@ class BiotOperators:
 
     def div_u_cells(self, u_coeffs):
         """Cellwise divergence of a displacement coefficient vector."""
-        return (self.b_up.T @ u_coeffs) / self.mesh.areas
+        return (self.b_up_t @ u_coeffs) / self.mesh.areas
 
     def divu_dual(self, u_coeffs):
         """<div u, w> against all P0 tests."""
-        return self.b_up.T @ u_coeffs
+        return self.b_up_t @ u_coeffs
 
     def bp_dual(self, p_cells):
         """<b(p), w> against all P0 tests (exact, p is cellwise constant)."""
         return self.mesh.areas * np.asarray(self.mat.b_law(p_cells), dtype=float)
 
-    def hu_dual(self, u_coeffs):
-        """<h(div u), div z> against all displacement tests (exact)."""
-        return self.b_up @ np.asarray(self.mat.h_law(self.div_u_cells(u_coeffs)),
-                                      dtype=float)
+    def hu_dual(self, u_coeffs, divu=None):
+        """<h(div u), div z> against all displacement tests (exact).
+
+        `divu` is `divu_dual(u_coeffs)`, when the caller has it already.
+        """
+        div = self.div_u_cells(u_coeffs) if divu is None \
+            else divu / self.mesh.areas
+        return self.b_up @ np.asarray(self.mat.h_law(div), dtype=float)
 
     # -- scheme system matrices (reduced) -----------------------------------
 
@@ -312,23 +339,26 @@ class BiotOperators:
         R, lift = self.constraints.composed(names)
         shift = R.T @ (full @ lift) if np.any(lift != 0.0) \
             else np.zeros(R.shape[1])
-        return ReducedSystem((R.T @ full @ R).tocsr(), shift, R, lift)
+        return ReducedSystem((R.T @ full @ R).tocsr(), shift, R, lift,
+                             self.constraints.composed_index(names))
 
     def _reduced_spd(self, full, names):
         """`_reduced` for a symmetric positive definite operator, made
         symmetric to the last bit: the sparse products that form and reduce
         it round its (i, j) and (j, i) entries apart, and a matrix that
         differs from its transpose by an ulp loses the symmetric
-        factorization of `CachedLU`."""
+        factorization of `CachedLU`.  It is stored in CSC, the format
+        `CachedLU` factors and multiplies in, so the factorization shares
+        its arrays instead of holding a second copy."""
         system = self._reduced(full, names)
         return replace(system,
-                       matrix=(0.5 * (system.matrix + system.matrix.T)).tocsr())
+                       matrix=(0.5 * (system.matrix + system.matrix.T)).tocsc())
 
     def mech_system(self, L2):
         return self._reduced((self.a_e + L2 * self.d_div).tocsr(), ("u",))
 
     def flow_system(self, L1, tau):
-        full = sp.bmat([[self.m_q, -self.b_qp.T],
+        full = sp.bmat([[self.m_q, -self.b_qp_t],
                         [tau * self.b_qp, L1 * self.m_p]], format="csr")
         return self._reduced(full, ("q", "p"))
 
@@ -336,7 +366,7 @@ class BiotOperators:
         """Flux system with the pressure eliminated through the diagonal mass."""
         mp_inv = sp.diags(1.0 / self.mesh.areas)
         full = (self.m_q
-                + (tau / L1) * (self.b_qp.T @ mp_inv @ self.b_qp)).tocsr()
+                + (tau / L1) * (self.b_qp_t @ mp_inv @ self.b_qp)).tocsr()
         return self._reduced_spd(full, ("q",))
 
     def monolithic_schur_system(self, L1, L2, tau):
@@ -344,7 +374,7 @@ class BiotOperators:
         eliminated through the diagonal mass and the flux row scaled by tau:
         blockdiag(A + L2 D, tau M_q) + (1/L1) C^T M_p^-1 C with
         C = [alpha B_u^T, tau B], symmetric positive definite."""
-        coupling = sp.hstack([self.mat.alpha * self.b_up.T, tau * self.b_qp])
+        coupling = sp.hstack([self.mat.alpha * self.b_up_t, tau * self.b_qp])
         mp_inv = sp.diags(1.0 / self.mesh.areas)
         full = (sp.block_diag([self.a_e + L2 * self.d_div, tau * self.m_q])
                 + (1.0 / L1) * (coupling.T @ mp_inv @ coupling)).tocsr()
@@ -354,8 +384,8 @@ class BiotOperators:
         alpha = self.mat.alpha
         full = sp.bmat(
             [[self.a_e + L2 * self.d_div, None, -alpha * self.b_up],
-             [None, self.m_q, -self.b_qp.T],
-             [alpha * self.b_up.T, tau * self.b_qp, L1 * self.m_p]],
+             [None, self.m_q, -self.b_qp_t],
+             [alpha * self.b_up_t, tau * self.b_qp, L1 * self.m_p]],
             format="csr")
         return self._reduced(full, ("u", "q", "p"))
 

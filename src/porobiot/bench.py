@@ -105,22 +105,22 @@ def estimate_orders(rows):
 def manufactured_convergence(case_id, scheme_kind, L1, L2, levels=3,
                              nx0=8, tau0=0.25, tau_proportional=True,
                              tol=1e-8, max_iter=500, final_time=1.0,
-                             permeability=1.0, alpha=1.0, solver=None,
-                             solver_rows=None):
+                             material=None, solver=None, solver_rows=None):
     """March the verification problem over a refinement ladder.
 
     Returns ErrorRows at the final time with observed orders; the time step
     halves with the mesh by default (the linear exact solution makes the
     implicit stepping exact in time, so the orders isolate space).
+    `material` holds the keyword arguments of `manufactured_material` past
+    the case id (its defaults when omitted).
     """
+    mat = manufactured_material(case_id, **(material or {}))
+    prob = manufactured_problem(mat, final_time=final_time)
     rows = []
     for lev in range(levels):
         nx = nx0 * (2 ** lev)
         tau = tau0 * (0.5 ** lev) if tau_proportional else tau0
         n_steps = int(round(final_time / tau))
-        mat = manufactured_material(case_id, permeability=permeability,
-                                    alpha=alpha)
-        prob = manufactured_problem(mat, final_time=final_time)
         mesh = generate_rect_mesh((0, 0), (1, 1), nx, nx)
         cfg = SchemeConfig(scheme_kind, L1=L1, L2=L2, tol=tol,
                            max_iter=max_iter)
@@ -156,11 +156,11 @@ class RunResult:
 
 
 def _single_step(case_id, scheme_kind, L1, L2, nx=16, tau=0.25, tol=1e-8,
-                 max_iter=200, permeability=1.0, alpha=1.0, ops_cache=None):
-    """One representative (first) time step of the verification problem."""
+                 max_iter=200, material=None, ops_cache=None):
+    """One representative (first) time step of the verification problem,
+    with `material` as in `manufactured_convergence`."""
     if ops_cache is None:
-        mat = manufactured_material(case_id, permeability=permeability,
-                                    alpha=alpha)
+        mat = manufactured_material(case_id, **(material or {}))
         prob = manufactured_problem(mat)
         mesh = generate_rect_mesh((0, 0), (1, 1), nx, nx)
         ops = build_operators(mesh, mat, prob)
@@ -179,9 +179,9 @@ def _single_step(case_id, scheme_kind, L1, L2, nx=16, tau=0.25, tol=1e-8,
 
 
 def _sweep_cell(args):
-    case_id, scheme_kind, L1, L2, nx, tau, tol, max_iter = args
+    case_id, scheme_kind, L1, L2, nx, tau, tol, max_iter, material = args
     r = _single_step(case_id, scheme_kind, L1, L2, nx=nx, tau=tau, tol=tol,
-                     max_iter=max_iter)
+                     max_iter=max_iter, material=material)
     return r.iterations, r.status
 
 
@@ -206,12 +206,13 @@ class SweepGrid:
 
 
 def sweep_L(case_id, scheme_kind, L1_values, L2_values, nx=16, tau=0.25,
-            tol=1e-8, max_iter=200, n_workers=None):
+            tol=1e-8, max_iter=200, n_workers=None, material=None):
     """Iteration counts of one time step over an (L1, L2) grid.
 
     Failures (cap or divergence) are recorded as markers and the sweep
     continues.  Cells are independent; POROBIOT_THREADS or n_workers > 1
-    runs them in a process pool.
+    runs them in a process pool.  `material` is as in
+    `manufactured_convergence`.
     """
     L1_values = np.asarray(list(L1_values), dtype=float)
     L2_values = np.asarray(list(L2_values), dtype=float)
@@ -224,13 +225,13 @@ def sweep_L(case_id, scheme_kind, L1_values, L2_values, nx=16, tau=0.25,
     cells = [(i, j) for i in range(len(L1_values)) for j in range(len(L2_values))]
     if n_workers > 1:
         args = [(case_id, scheme_kind, L1_values[i], L2_values[j], nx, tau,
-                 tol, max_iter) for i, j in cells]
+                 tol, max_iter, material) for i, j in cells]
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             for (i, j), (it, st) in zip(cells, pool.map(_sweep_cell, args)):
                 iters[i, j] = it
                 status[i][j] = st
     else:
-        mat = manufactured_material(case_id)
+        mat = manufactured_material(case_id, **(material or {}))
         prob = manufactured_problem(mat)
         mesh = generate_rect_mesh((0, 0), (1, 1), nx, nx)
         ops = build_operators(mesh, mat, prob)
@@ -255,26 +256,27 @@ def write_sweep_csv(grid: SweepGrid, path):
 
 
 def sensitivity_grid(case_id, scheme_kind, axis, values, L1, L2, nx=16,
-                     tau=0.25, tol=1e-8, max_iter=500):
+                     tau=0.25, tol=1e-8, max_iter=500, material=None):
     """Iteration counts of one time step along one parameter axis.
 
     axis is one of 'h' (values are mesh sizes of the unit square), 'tau',
     'K' or 'alpha'; the manufactured data are rebuilt per value so the
-    problem stays consistent.
+    problem stays consistent.  `material` is as in
+    `manufactured_convergence`; the axis overrides only its own key.
     """
     if axis not in ("h", "tau", "K", "alpha"):
         raise ValueError(f"unknown sensitivity axis {axis!r}")
     rows = []
     for v in values:
-        kw = dict(nx=nx, tau=tau, permeability=1.0, alpha=1.0)
+        kw = dict(nx=nx, tau=tau, material=dict(material or {}))
         if axis == "h":
             kw["nx"] = int(round(1.0 / float(v)))
         elif axis == "tau":
             kw["tau"] = float(v)
         elif axis == "K":
-            kw["permeability"] = float(v)
+            kw["material"]["permeability"] = float(v)
         else:
-            kw["alpha"] = float(v)
+            kw["material"]["alpha"] = float(v)
         r = _single_step(case_id, scheme_kind, L1, L2, tol=tol,
                          max_iter=max_iter, **kw)
         rows.append((axis, float(v), r.iterations, r.status))

@@ -169,22 +169,25 @@ def _write_manifest(outdir, subcommand, cfg, artifacts, seconds):
 
 
 def _manufactured_setup(cfg):
+    """Law case, the `manufactured_material` keywords of the [material] and
+    [laws] sections (which the bench drivers take as `material`) and the
+    material they build."""
     case = cfg["laws"]["case"].lower()
     if case not in LAW_CASES:
         raise ConfigError(f"unknown law case {case!r}")
     p_range, s_range = _law_ranges(cfg)
-    mat = manufactured_material(
-        case, permeability=_fget(cfg, "material", "permeability"),
+    material = dict(
+        permeability=_fget(cfg, "material", "permeability"),
         alpha=_fget(cfg, "material", "alpha"), mu=_fget(cfg, "material", "mu"),
         lam=_fget(cfg, "material", "lam"),
         m_modulus=_fget(cfg, "material", "biot_modulus"),
         nu_f=_fget(cfg, "material", "viscosity"),
         p_range=p_range, s_range=s_range)
-    return case, mat
+    return case, material, manufactured_material(case, **material)
 
 
 def cmd_manufactured(cfg, outdir):
-    case, mat = _manufactured_setup(cfg)
+    case, material, mat = _manufactured_setup(cfg)
     scheme = _scheme_config(cfg, mat)
     h = _fget(cfg, "problem", "h")
     nx0 = int(round(1.0 / h))
@@ -194,9 +197,7 @@ def cmd_manufactured(cfg, outdir):
         case, scheme.kind, scheme.L1, scheme.L2, levels=levels, nx0=nx0,
         tau0=_fget(cfg, "problem", "tau"), tol=scheme.tol,
         max_iter=scheme.max_iter,
-        final_time=_fget(cfg, "problem", "final_time"),
-        permeability=_fget(cfg, "material", "permeability"),
-        alpha=_fget(cfg, "material", "alpha"),
+        final_time=_fget(cfg, "problem", "final_time"), material=material,
         solver=_solver_options(cfg), solver_rows=solver_rows)
     path = Path(outdir) / "errors.csv"
     write_errors_csv(rows, path)
@@ -251,33 +252,34 @@ def cmd_mandel(cfg, outdir):
 
 
 def cmd_sweep(cfg, outdir, l1_spec, l2_spec):
-    case, mat = _manufactured_setup(cfg)
+    case, material, _ = _manufactured_setup(cfg)
     grid = sweep_L(case, cfg["scheme"]["kind"], parse_values(l1_spec),
                    parse_values(l2_spec),
                    nx=int(round(1.0 / _fget(cfg, "problem", "h"))),
                    tau=_fget(cfg, "problem", "tau"),
                    tol=_fget(cfg, "scheme", "tol"),
-                   max_iter=_iget(cfg, "scheme", "max_iter"))
+                   max_iter=_iget(cfg, "scheme", "max_iter"),
+                   material=material)
     path = Path(outdir) / "sweep.csv"
     write_sweep_csv(grid, path)
     return [path]
 
 
 def cmd_sensitivity(cfg, outdir, axis, values_spec):
-    case, mat = _manufactured_setup(cfg)
+    case, material, mat = _manufactured_setup(cfg)
     scheme = _scheme_config(cfg, mat)
     rows = sensitivity_grid(case, scheme.kind, axis, parse_values(values_spec),
                             scheme.L1, scheme.L2,
                             nx=int(round(1.0 / _fget(cfg, "problem", "h"))),
                             tau=_fget(cfg, "problem", "tau"), tol=scheme.tol,
-                            max_iter=scheme.max_iter)
+                            max_iter=scheme.max_iter, material=material)
     path = Path(outdir) / "sensitivity.csv"
     write_sensitivity_csv(rows, path)
     return [path]
 
 
 def cmd_verify(cfg, outdir):
-    case, mat = _manufactured_setup(cfg)
+    _, _, mat = _manufactured_setup(cfg)
     scheme = _scheme_config(cfg, mat)
     prob = manufactured_problem(mat, final_time=_fget(cfg, "problem", "final_time"))
     nx = int(round(1.0 / _fget(cfg, "problem", "h")))

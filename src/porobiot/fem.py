@@ -245,7 +245,26 @@ def l2_inner(f: FeFunction, g: FeFunction):
 
 def l2_norm(f: FeFunction):
     """L2 norm of a finite element function (mass-matrix weighted)."""
-    return float(np.sqrt(max(l2_inner(f, f), 0.0)))
+    c = f.coeffs
+    if f.kind is SpaceKind.P0:
+        sq = c @ (f.mesh.areas * c)   # the P0 mass is diagonal
+    else:
+        sq = c @ (f.dofmap.mass_matrix @ c)
+    return float(np.sqrt(max(sq, 0.0)))
+
+
+def _values(fn, x, y, shape):
+    """Values of `fn` at the points (x, y), as a new array of `shape`.
+
+    A vector field returns a pair of parts or an array with a trailing
+    component axis; scalars, scalar parts and constant arrays are
+    broadcast over the points.
+    """
+    val = fn(x, y)
+    if isinstance(val, (tuple, list)):
+        val = np.stack([np.broadcast_to(np.asarray(v, dtype=float), x.shape)
+                        for v in val], axis=-1)
+    return np.array(np.broadcast_to(np.asarray(val, dtype=float), shape))
 
 
 def interpolate(dofmap: DofMap, fn) -> FeFunction:
@@ -253,24 +272,27 @@ def interpolate(dofmap: DofMap, fn) -> FeFunction:
 
     P0 takes cell-centroid values, vector P1 vertex values and RT0 the
     normal component at edge midpoints (exact for fields with edgewise
-    linear normal traces).  `fn` maps (x, y) to a scalar (P0) or a pair.
+    linear normal traces).  `fn` is called once, on the arrays (x, y) of
+    all those points, and returns an array of values for P0 and, for the
+    vector spaces, a pair of parts or an array with a trailing component
+    axis of length 2.  Scalars, scalar parts and constant arrays are
+    broadcast over the points.
     """
     mesh = dofmap.mesh
     if dofmap.kind is SpaceKind.P0:
         cent = mesh.cell_centroids()
-        coeffs = np.array([float(fn(x, y)) for x, y in cent])
+        coeffs = _values(fn, cent[:, 0], cent[:, 1], (mesh.n_cells,))
     elif dofmap.kind is SpaceKind.P1_VECTOR:
-        coeffs = np.empty(dofmap.n_dofs)
-        for v, (x, y) in enumerate(mesh.vertices):
-            val = np.asarray(fn(x, y), dtype=float)
-            coeffs[2 * v] = val[0]
-            coeffs[2 * v + 1] = val[1]
+        v = mesh.vertices
+        coeffs = _values(fn, v[:, 0], v[:, 1], (mesh.n_vertices, 2)).ravel()
     elif dofmap.kind is SpaceKind.RT0:
-        coeffs = np.empty(dofmap.n_dofs)
-        for e, (a, b) in enumerate(mesh.edges):
-            mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-            n = mesh.edge_normal(e)
-            coeffs[e] = float(np.asarray(fn(*mid)) @ n)
+        a = mesh.vertices[mesh.edges[:, 0]]
+        b = mesh.vertices[mesh.edges[:, 1]]
+        mid = 0.5 * (a + b)
+        val = _values(fn, mid[:, 0], mid[:, 1], (mesh.n_edges, 2))
+        # unit normal of the globally oriented edge: the tangent rotated by -90 deg
+        t = (b - a) / mesh.edge_lengths[:, None]
+        coeffs = val[:, 0] * t[:, 1] + val[:, 1] * -t[:, 0]
     else:
         raise ValueError(f"unknown space kind {dofmap.kind}")
     return FeFunction(dofmap, coeffs)

@@ -11,6 +11,8 @@ monolithic system.
 
 from __future__ import annotations
 
+import ctypes
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -101,22 +103,46 @@ class CachedLU:
     def __init__(self, matrix):
         t0 = time.perf_counter()
         matrix = sp.csc_matrix(matrix)
+        # canonical before `_equilibrated` shares its index arrays: splu
+        # would otherwise sort them in place under `self.matrix`
+        matrix.sum_duplicates()
         self.matrix = matrix
         d = np.abs(matrix.diagonal())
         rowmax = np.abs(matrix).max(axis=1).toarray().ravel()
         d = np.where(d > 0.0, d, np.where(rowmax > 0.0, rowmax, 1.0))
         self.scale = 1.0 / np.sqrt(d)
-        scaled = sp.diags(self.scale) @ matrix @ sp.diags(self.scale)
         ordering = {}
         if (matrix != matrix.T).nnz == 0:
             ordering = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                             options={"SymmetricMode": True})
+        scaled = self._equilibrated()
+        # A factorization is a run's largest allocation.  Beneath it glibc
+        # keeps resident the heap freed before it (by earlier runs, by the
+        # assembly of this matrix), so a run's peak memory would depend on
+        # what ran before it and when.
+        libc = ctypes.CDLL(None) if sys.platform == "linux" else None
+        if hasattr(libc, "malloc_trim"):
+            libc.malloc_trim(0)
         try:
-            self._lu = spla.splu(scaled.tocsc(), **ordering)
+            self._lu = spla.splu(scaled, **ordering)
         except RuntimeError as exc:
             raise FactorizationError(str(exc)) from exc
         self.factor_seconds = time.perf_counter() - t0
         self.shape = matrix.shape
+
+    def _equilibrated(self):
+        """diag(scale) A diag(scale), formed on A's arrays: the entries
+        (s_i a_ij) s_j, exact zeros dropped, as the sparse products
+        diag(s) @ A @ diag(s) form them.  It shares A's index arrays unless
+        a zero is dropped, and its temporaries end with the call."""
+        a, s = self.matrix, self.scale
+        col = np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
+        scaled = sp.csc_matrix((s[a.indices] * a.data * s[col], a.indices,
+                                a.indptr), shape=a.shape)
+        if not np.all(scaled.data):
+            scaled = scaled.copy()   # eliminate_zeros edits the index arrays
+            scaled.eliminate_zeros()
+        return scaled
 
     def _raw_solve(self, b):
         return self.scale * self._lu.solve(self.scale * b)
@@ -189,6 +215,7 @@ class FixedStressPreconditioner:
         self.mech_lu = CachedLU(self.mech.matrix)
         # the pressure field is unreduced
         self.b_red = (ops.b_qp @ ops.constraints.q.restriction).tocsr()
+        self.b_red_t = self.b_red.T
         self.b_up_red = (ops.constraints.u.restriction.T @ ops.b_up).tocsr()
         self.l1_areas = cfg.L1 * ops.mesh.areas
         self.alpha, self.tau = mat.alpha, tau
@@ -199,7 +226,7 @@ class FixedStressPreconditioner:
         nu, nq, _ = self.sizes
         r_u, r_q, r_p = r[:nu], r[nu:nu + nq], r[nu + nq:]
         w = r_p / self.l1_areas
-        d_q = self.flow_lu.solve(r_q + self.b_red.T @ w)
+        d_q = self.flow_lu.solve(r_q + self.b_red_t @ w)
         d_p = w - self.tau * (self.b_red @ d_q) / self.l1_areas
         d_u = self.mech_lu.solve(r_u + self.alpha * (self.b_up_red @ d_p))
         return np.concatenate([d_u, d_q, d_p])

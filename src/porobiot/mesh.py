@@ -182,23 +182,23 @@ def generate_rect_mesh(origin, extent, nx, ny):
     xx, yy = np.meshgrid(xs, ys, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return j * (nx + 1) + i
-
+    # quad k = j nx + i (lower-left vertex v00) yields cell 2k below its
+    # v00-v11 diagonal and cell 2k + 1 above it
+    jj, ii = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
+    v00 = (jj * (nx + 1) + ii).ravel()
+    v10, v01, v11 = v00 + 1, v00 + nx + 1, v00 + nx + 2
     cells = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    k = 0
-    for j in range(ny):
-        for i in range(nx):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            cells[k] = (v00, v10, v11)      # below the v00-v11 diagonal
-            cells[k + 1] = (v00, v11, v01)  # above it
-            k += 2
+    cells[0::2] = np.column_stack([v00, v10, v11])
+    cells[1::2] = np.column_stack([v00, v11, v01])
 
-    # global edges: unique sorted vertex pairs, ordered lexicographically
+    # global edges: unique sorted vertex pairs (a, b), ordered
+    # lexicographically, which is the order of the key a * n_vertices + b
+    n_vertices = len(vertices)
     local = np.stack([cells[:, [1, 2]], cells[:, [2, 0]], cells[:, [0, 1]]], axis=1)
     local_sorted = np.sort(local.reshape(-1, 2), axis=1)
-    edges, inverse = np.unique(local_sorted, axis=0, return_inverse=True)
+    keys, inverse = np.unique(local_sorted[:, 0] * n_vertices + local_sorted[:, 1],
+                              return_inverse=True)
+    edges = np.column_stack([keys // n_vertices, keys % n_vertices])
     cell_edge_ids = inverse.reshape(-1, 3)
 
     # sign: +1 when the global edge normal points away from the opposite vertex
@@ -221,19 +221,18 @@ def generate_rect_mesh(origin, extent, nx, ny):
     x0, y0 = origin
     x1, y1 = origin + extent
     atol = 1e-12 * max(extent)
-    boundary_tags = {}
-    for e in boundary:
-        pa, pb = vertices[edges[e, 0]], vertices[edges[e, 1]]
-        if abs(pa[0] - x0) < atol and abs(pb[0] - x0) < atol:
-            boundary_tags[int(e)] = Side.LEFT
-        elif abs(pa[0] - x1) < atol and abs(pb[0] - x1) < atol:
-            boundary_tags[int(e)] = Side.RIGHT
-        elif abs(pa[1] - y0) < atol and abs(pb[1] - y0) < atol:
-            boundary_tags[int(e)] = Side.BOTTOM
-        elif abs(pa[1] - y1) < atol and abs(pb[1] - y1) < atol:
-            boundary_tags[int(e)] = Side.TOP
-        else:
-            raise MeshError("boundary edge not on the rectangle boundary")
+    pa, pb = vertices[edges[boundary, 0]], vertices[edges[boundary, 1]]
+
+    def on(coord, value):
+        return ((np.abs(pa[:, coord] - value) < atol)
+                & (np.abs(pb[:, coord] - value) < atol))
+
+    # the first side that holds both end points tags the edge
+    on_side = [on(0, x0), on(0, x1), on(1, y0), on(1, y1)]
+    if not np.all(np.any(on_side, axis=0)):
+        raise MeshError("boundary edge not on the rectangle boundary")
+    sides = np.array([Side.LEFT, Side.RIGHT, Side.BOTTOM, Side.TOP])
+    boundary_tags = dict(zip(boundary.tolist(), sides[np.argmax(on_side, axis=0)]))
 
     return Mesh(vertices, cells, edges, cell_edge_ids, signs, boundary_tags,
                 structured=(tuple(origin), tuple(extent), nx, ny))

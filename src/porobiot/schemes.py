@@ -21,8 +21,6 @@ summed L2 norms of the field increments drop below the tolerance.
 
 from __future__ import annotations
 
-import ctypes
-import sys
 import time as _time
 from dataclasses import dataclass, field as dc_field
 
@@ -192,12 +190,6 @@ class SchemeSolver:
     """
 
     def __init__(self, ops: BiotOperators, cfg: SchemeConfig, tau):
-        # A run's factorizations are its largest allocations.  Beneath them
-        # glibc keeps resident the heap that earlier runs freed, so a run's
-        # peak memory would depend on what ran before it and when.
-        libc = ctypes.CDLL(None) if sys.platform == "linux" else None
-        if hasattr(libc, "malloc_trim"):
-            libc.malloc_trim(0)
         self.ops, self.cfg, self.tau = ops, cfg, tau
         self.sweep = self.mono_lu = None
         if cfg.kind == "monolithic" and (ops.solver is None
@@ -219,10 +211,10 @@ class SchemeSolver:
     def _restricted(self, system, inverse, rhs_full, trace):
         """Solve a reduced system for a full right-hand side; return the
         full solution, lifted values included."""
-        x_red = inverse(system.restriction.T @ rhs_full - system.rhs_shift)
+        x_red = inverse(system.restrict(rhs_full) - system.rhs_shift)
         if trace is not None:
             trace.n_linear_solves += 1
-        return system.restriction @ x_red + system.lift
+        return system.expand(x_red)
 
     def _gmres(self, rhs_red):
         opts, cfg = self.ops.solver, self.cfg
@@ -242,7 +234,7 @@ class SchemeSolver:
         schemes)."""
         ops = self.ops
         return (ctx.mass_const - ops.bp_dual(cur.p.coeffs)
-                + self.cfg.L1 * (ops.m_p @ cur.p.coeffs))
+                + self.cfg.L1 * (ops.mesh.areas * cur.p.coeffs))
 
     def _pressure(self, rhs_p, coupling=0.0):
         """Cellwise solution of the stabilized mass row
@@ -259,13 +251,15 @@ class SchemeSolver:
         ops, cfg, alpha = self.ops, self.cfg, self.ops.mat.alpha
         sweep = self.sweep
         # the displacement coupling is explicit in the split flow step
-        rhs_p = self._mass_rhs(cur, ctx) - alpha * ops.divu_dual(cur.u.coeffs)
-        rhs_q = ctx.g_vec + ops.b_qp.T @ self._pressure(rhs_p)
+        divu = ops.divu_dual(cur.u.coeffs)
+        rhs_p = self._mass_rhs(cur, ctx) - alpha * divu
+        rhs_q = ctx.g_vec + ops.b_qp_t @ self._pressure(rhs_p)
         q_new = self._restricted(sweep.flow, sweep.flow_lu.solve, rhs_q, trace)
         p_new = self._pressure(rhs_p, ctx.tau * (ops.b_qp @ q_new))
 
         rhs_u = (ctx.f_vec + alpha * (ops.b_up @ p_new)
-                 + cfg.L2 * (ops.d_div @ cur.u.coeffs) - ops.hu_dual(cur.u.coeffs))
+                 + cfg.L2 * (ops.d_div @ cur.u.coeffs)
+                 - ops.hu_dual(cur.u.coeffs, divu))
         u_new = self._restricted(sweep.mech, sweep.mech_lu.solve, rhs_u, trace)
 
         return BiotState(FeFunction(ops.dofmap_u, u_new),
@@ -292,7 +286,7 @@ class SchemeSolver:
         else:
             w = self._pressure(rhs_p)
             rhs = np.concatenate([rhs_u + alpha * (ops.b_up @ w),
-                                  ctx.tau * (ctx.g_vec + ops.b_qp.T @ w)])
+                                  ctx.tau * (ctx.g_vec + ops.b_qp_t @ w)])
             uq = self._restricted(self.mono, self.mono_lu.solve, rhs, trace)
             p = self._pressure(rhs_p, alpha * ops.divu_dual(uq[:nu])
                                + ctx.tau * (ops.b_qp @ uq[nu:]))

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import sympy as sy
 
-from porobiot.assembly import (BiotOperators, ConstraintConflictError,
-                               FieldConstraints, assemble_loads,
-                               build_operators)
+import scipy.sparse as sp
+
+from porobiot.assembly import (BiotOperators, BlockConstraints,
+                               ConstraintConflictError, FieldConstraints,
+                               ReducedSystem, assemble_loads, build_operators)
 from porobiot.fem import DofMap, FeFunction, SpaceKind, interpolate
 from porobiot.linalg import CachedLU
 from porobiot.mesh import Side, generate_rect_mesh
@@ -352,6 +354,51 @@ class TestConstraints:
         R = sysd.restriction
         x = R @ CachedLU(sysd.matrix).solve(R.T @ b - sysd.rhs_shift) + sysd.lift
         assert np.abs(R.T @ (A @ x - b)).max() < 1e-10
+
+
+class TestIndexMaps:
+    """`ReducedSystem.restrict` and `expand` apply R^T and R + lift through
+    the composed index, to the last bit of the sparse products."""
+
+    @staticmethod
+    def assert_maps_match(system, seed):
+        R, lift = system.restriction, system.lift
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal(R.shape[0])
+        b[::7] = -0.0
+        x = rng.standard_normal(R.shape[1])
+        x[::5] = -0.0
+        assert system.restrict(b).tobytes() == (R.T @ b).tobytes()
+        assert system.expand(x).tobytes() == (R @ x + lift).tobytes()
+
+    def test_numbering_follows_the_dofs(self):
+        con = FieldConstraints(8, pinned={0: 1.5, 6: -2.0}, ties=[[5, 2, 7]])
+        assert con.reduced_of.tolist() == [-1, 0, 1, 2, 3, 1, -1, 1]
+        assert con.n_reduced == 4
+        assert con.lift.tolist() == [1.5, 0, 0, 0, 0, 0, -2.0, 0]
+
+    def test_pinned_values_and_a_tie_group(self):
+        cons = BlockConstraints(
+            u=FieldConstraints(12, pinned={0: 1.5, 7: -2.0, 11: 0.25},
+                               ties=[[3, 5, 9]]),
+            q=FieldConstraints(5, pinned={4: -0.75}),
+            p=FieldConstraints(4))
+        for names in (("u",), ("u", "q"), ("u", "q", "p")):
+            R, lift = cons.composed(names)
+            system = ReducedSystem(sp.identity(R.shape[1], format="csr"),
+                                   np.zeros(R.shape[1]), R, lift,
+                                   cons.composed_index(names))
+            self.assert_maps_match(system, seed=len(names))
+
+    def test_mandel_composed_systems(self):
+        cfg = MandelConfig()
+        mat = mandel_material("linear", cfg)
+        prob = mandel_problem(mat, cfg)
+        ops = build_operators(generate_rect_mesh((0, 0), (cfg.a, cfg.b), 6, 4),
+                              mat, prob)
+        assert ops.constraints.u.ties  # the tied top plate
+        self.assert_maps_match(ops.monolithic_schur_system(1.0, 1.0, 0.5), 1)
+        self.assert_maps_match(ops.monolithic_system(1.0, 1.0, 0.5), 2)
 
 
 def test_korn_type_bound():

@@ -170,6 +170,50 @@ class TestSubcommands:
             bodies.append((out / "mandel.csv").read_bytes())
         assert bodies[0] != bodies[1]
 
+    MANUFACTURED_RUNS = {
+        "manufactured": (["manufactured", "--case", "t1c1", "--h", "0.25"],
+                         "errors.csv"),
+        "sweep": (["sweep", "--case", "t1c1", "--scheme", "splitting",
+                   "--h", "0.25", "--L1-grid", "1,3", "--L2-grid", "0.5"],
+                  "sweep.csv"),
+        "sensitivity": (["sensitivity", "--case", "t1c1", "--scheme",
+                         "splitting", "--h", "0.25", "--axis", "tau",
+                         "--values", "0.25", "--L1", "3", "--L2", "2"],
+                        "sensitivity.csv"),
+    }
+
+    @pytest.mark.parametrize("subcommand", sorted(MANUFACTURED_RUNS))
+    def test_material_overrides_reach_the_run(self, tmp_path, subcommand):
+        args, csv = self.MANUFACTURED_RUNS[subcommand]
+        bodies = []
+        for name, extra in (("default", []),
+                            ("override", ["--set", "material.mu=3"])):
+            out = tmp_path / name
+            assert run_cli(args + ["--out", str(out)] + extra) == EXIT_OK
+            bodies.append((out / csv).read_bytes())
+        assert bodies[0] != bodies[1]
+
+    @pytest.mark.parametrize("subcommand", sorted(MANUFACTURED_RUNS))
+    def test_law_ranges_reach_the_run(self, tmp_path, monkeypatch, subcommand):
+        # the certified ranges set the law constants of the material that
+        # the drivers hand to the solver; with L1 and L2 given (sweep grid,
+        # sensitivity flags) no CSV column depends on them
+        from porobiot import bench
+        seen = []
+        original = bench.manufactured_problem
+
+        def recording(mat, *args, **kwargs):
+            seen.append((mat.b_law.admissible_range,
+                         mat.h_law.admissible_range))
+            return original(mat, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "manufactured_problem", recording)
+        args, csv = self.MANUFACTURED_RUNS[subcommand]
+        ranges = ["--set", "laws.p_lo=-0.5", "--set", "laws.p_hi=2",
+                  "--set", "laws.s_lo=-0.25", "--set", "laws.s_hi=0.25"]
+        assert run_cli(args + ["--out", str(tmp_path)] + ranges) == EXIT_OK
+        assert seen and set(seen) == {((-0.5, 2.0), (-0.25, 0.25))}
+
     def test_verify_uses_solver_options(self, tmp_path):
         # verify runs the monolithic scheme through the [solver] GMRES,
         # whose one-iteration cap cannot reach the inner tolerance

@@ -7,6 +7,7 @@ from porobiot.fem import (DofMap, FeFunction, SpaceKind, interpolate,
                           p1_vector_eval, quadrature, rt0_basis,
                           rt0_div_cells)
 from porobiot.mesh import generate_rect_mesh
+from porobiot.physics import MandelConfig, mandel_material, mandel_problem
 
 
 def reference_integral(expr):
@@ -102,11 +103,14 @@ class TestRT0:
         rng = np.random.default_rng(3)
         f = FeFunction(dm, rng.standard_normal(dm.n_dofs))
 
-        def field(x, y):
+        def point_field(x, y):
             cell = mesh.locate_cell((x, y))
             vals = rt0_basis(mesh, cell, (x, y))
             dofs = dm.cell_to_dofs[cell]
             return sum(f.coeffs[d] * v[0] for d, (v) in zip(dofs, vals))
+
+        def field(xs, ys):
+            return np.array([point_field(x, y) for x, y in zip(xs, ys)])
 
         g = interpolate(dm, field)
         assert np.allclose(g.coeffs, f.coeffs, atol=1e-12)
@@ -227,3 +231,56 @@ def test_fefunction_length_check():
     dm = DofMap(mesh, SpaceKind.P0)
     with pytest.raises(ValueError):
         FeFunction(dm, np.zeros(dm.n_dofs + 1))
+
+
+class TestInterpolateArrays:
+    """`interpolate` calls its field once on arrays of points; the result
+    equals a pointwise loop to the last bit."""
+
+    @staticmethod
+    def pointwise(dm, fn):
+        mesh = dm.mesh
+        out = np.empty(dm.n_dofs)
+        if dm.kind is SpaceKind.P0:
+            for c, (x, y) in enumerate(mesh.cell_centroids()):
+                out[c] = fn(x, y)
+        elif dm.kind is SpaceKind.P1_VECTOR:
+            for v, (x, y) in enumerate(mesh.vertices):
+                out[2 * v], out[2 * v + 1] = fn(x, y)
+        else:
+            for e, (a, b) in enumerate(mesh.edges):
+                va, vb = mesh.vertices[a], mesh.vertices[b]
+                fx, fy = fn(0.5 * (va[0] + vb[0]), 0.5 * (va[1] + vb[1]))
+                tx = (vb[0] - va[0]) / mesh.edge_lengths[e]
+                ty = (vb[1] - va[1]) / mesh.edge_lengths[e]
+                out[e] = fx * ty + fy * -tx
+        return out
+
+    @pytest.mark.parametrize("field", ["mandel_u0", "constant", "x_tuple"])
+    @pytest.mark.parametrize("kind", [SpaceKind.P0, SpaceKind.P1_VECTOR,
+                                      SpaceKind.RT0])
+    def test_matches_pointwise_loop(self, field, kind):
+        cfg = MandelConfig()
+        prob = mandel_problem(mandel_material("linear", cfg), cfg)
+        fn = {"mandel_u0": prob.initial_u,
+              "constant": lambda x, y: (2.5, -1.25),
+              "x_tuple": lambda x, y: (x, 0.0)}[field]
+        if kind is SpaceKind.P0:
+            vector_fn = fn
+
+            def fn(x, y):
+                return vector_fn(x, y)[0]
+        mesh = generate_rect_mesh((0, 0), (cfg.a, cfg.b), 7, 5)
+        dm = DofMap(mesh, kind)
+        got = interpolate(dm, fn).coeffs
+        assert got.tobytes() == self.pointwise(dm, fn).tobytes()
+        assert got.flags.writeable
+
+    def test_array_with_trailing_components(self):
+        mesh = generate_rect_mesh((0, 0), (1, 1), 3, 2)
+        dm = DofMap(mesh, SpaceKind.P1_VECTOR)
+        f = interpolate(dm, lambda x, y: np.stack([x, 2 * y], axis=-1))
+        g = interpolate(dm, lambda x, y: (x, 2 * y))
+        assert f.coeffs.tobytes() == g.coeffs.tobytes()
+        const = interpolate(dm, lambda x, y: np.array([1.0, -1.0]))
+        assert const.coeffs.tolist() == [1.0, -1.0] * mesh.n_vertices

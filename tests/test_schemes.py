@@ -446,6 +446,37 @@ class TestTimeMarch:
                        SchemeConfig("monolithic", 1.0, 1.0), 0.25, 0)
 
 
+@pytest.mark.parametrize("kind, method", [("splitting", "lu"),
+                                          ("monolithic", "lu"),
+                                          ("monolithic", "gmres")])
+def test_step_builds_no_sparse_transpose(monkeypatch, kind, method):
+    # an iteration multiplies by the transposes its operators built once:
+    # a transpose built per product costs more than the product
+    import scipy.sparse as sp
+    from porobiot.linalg import SolverOptions
+    mat = manufactured_material("t1c1")
+    prob = manufactured_problem(mat)
+    ops = build_operators(generate_rect_mesh((0, 0), (1, 1), 6, 6), mat, prob)
+    ops.solver = SolverOptions(method=method)
+    prev = build_initial_state(prob, ops)
+    solver = SchemeSolver(ops, SchemeConfig(kind, *suggested_tuning(mat, kind)),
+                          0.25)
+    ctx = StepContext.build(ops, prob, prev, 0.25)
+    built = []
+    for cls in (sp.csr_matrix, sp.csc_matrix, sp.csr_array, sp.csc_array):
+        def counting(matrix, *args, _original=cls.transpose, **kwargs):
+            built.append(type(matrix).__name__)
+            return _original(matrix, *args, **kwargs)
+        monkeypatch.setattr(cls, "transpose", counting)
+    ops.b_up.T
+    assert built == ["csr_matrix"]
+    built.clear()
+    cur = prev
+    for _ in range(2):
+        cur = solver.step(cur, ctx)
+    assert built == []
+
+
 def test_gmres_backed_monolithic_matches_lu():
     from porobiot.linalg import SolverOptions
     mesh, mat, prob, ops, prev = linear_setup(8)
