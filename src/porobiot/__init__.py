@@ -9,10 +9,9 @@ sweep doubles as a block preconditioner for GMRES on the monolithic
 system.
 """
 
-from .mesh import Mesh, MeshError, Side, boundary_edges, cell_geometry, \
-    generate_rect_mesh
+from .mesh import Mesh, MeshError, Side, boundary_edges, generate_rect_mesh
 from .fem import DofMap, FeFunction, QuadratureRule, SpaceKind, interpolate, \
-    l2_inner, l2_norm, p1_vector_eval, quadrature, rt0_basis
+    l2_inner, l2_norm, quadrature
 from .physics import MandelConfig, MaterialModel, NonlinearLaw, \
     ProblemDefinition, estimate_constants, law_catalog, make_material, \
     mandel_material, mandel_problem, manufactured_material, \
@@ -21,7 +20,7 @@ from .assembly import BiotOperators, assemble_flow, assemble_loads, \
     assemble_mechanics, build_constraints, build_operators
 from .schemes import BiotState, DivergenceError, IterationTrace, \
     SchemeConfig, SchemeSolver, build_initial_state, iterate_to_convergence, \
-    residual_norms, time_march
+    march, residual_norms, time_march
 from .linalg import BlockSystem, CachedLU, FixedStressPreconditioner, \
     SolverReport, gmres
 

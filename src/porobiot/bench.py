@@ -11,17 +11,19 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .assembly import build_operators
 from .fem import quadrature, _rt0_values_at
 from .mesh import generate_rect_mesh
-from .physics import (MandelConfig, mandel_material, mandel_problem,
-                      manufactured_material, manufactured_problem)
+from .physics import (AdmissibleRangeWarning, MandelConfig, mandel_material,
+                      mandel_problem, manufactured_material,
+                      manufactured_problem)
 from .schemes import (BiotState, DivergenceError, SchemeConfig,
-                      build_initial_state, iterate_to_convergence,
-                      suggested_tuning, time_march)
+                      build_initial_state, iterate_to_convergence, march,
+                      suggested_tuning)
 
 
 def _fmt(x):
@@ -110,7 +112,8 @@ def manufactured_convergence(case_id, scheme_kind, L1, L2, levels=3,
 
     Returns ErrorRows at the final time with observed orders; the time step
     halves with the mesh by default (the linear exact solution makes the
-    implicit stepping exact in time, so the orders isolate space).
+    implicit stepping exact in time, so the orders isolate space).  Each
+    level keeps only its final state.
     `material` holds the keyword arguments of `manufactured_material` past
     the case id (its defaults when omitted).
     """
@@ -126,10 +129,11 @@ def manufactured_convergence(case_id, scheme_kind, L1, L2, levels=3,
                            max_iter=max_iter)
         ops = build_operators(mesh, mat, prob)
         ops.solver = solver
-        results = time_march(prob, mesh, mat, cfg, tau, n_steps, ops=ops)
+        for state, _ in march(prob, mesh, mat, cfg, tau, n_steps, ops=ops):
+            pass
         if solver_rows is not None:
             solver_rows.extend(ops.solver_log)
-        errs = error_norms(results[-1][0], prob.exact)
+        errs = error_norms(state, prob.exact)
         rows.append(ErrorRow(mesh.h, tau, errs["p"], errs["u"],
                              errs["div_u"], errs["q"]))
     return estimate_orders(rows)
@@ -170,7 +174,8 @@ def _single_step(case_id, scheme_kind, L1, L2, nx=16, tau=0.25, tol=1e-8,
     cfg = SchemeConfig(scheme_kind, L1=L1, L2=L2, tol=tol, max_iter=max_iter)
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            # counted in trace.range_excursions
+            warnings.simplefilter("ignore", AdmissibleRangeWarning)
             _, trace = iterate_to_convergence(prev, cfg, ops, mat, prob, tau)
     except DivergenceError:
         return RunResult(max_iter, "diverged")
@@ -383,8 +388,11 @@ def mandel_report(initial: BiotState, results, mesh, probe=None,
                   initial_pressure=float("nan")):
     """Probe-pressure and plate-displacement series over a consolidation run.
 
-    `results` is the time_march output; the default probe sits at
-    (a/4, b/2).  The top displacement is read from any tied top vertex.
+    `results` is any iterable of (state, trace) pairs, one per step, such
+    as `march`: it is read once, in order, and no state is kept, so a run
+    reported from the generator holds one step's state at a time.  The
+    default probe sits at (a/4, b/2).  The top displacement is read from
+    any tied top vertex.
     """
     if probe is None:
         (x0, y0), (ex, ey) = ((mesh.vertices[:, 0].min(), mesh.vertices[:, 1].min()),
@@ -393,10 +401,10 @@ def mandel_report(initial: BiotState, results, mesh, probe=None,
     cell = mesh.locate_cell(probe)
     y_top = mesh.vertices[:, 1].max()
     top_vertex = int(np.nonzero(np.abs(mesh.vertices[:, 1] - y_top) < 1e-12)[0][0])
-    states = [initial] + [st for st, _ in results]
-    times = np.array([st.time for st in states])
-    p_probe = np.array([st.p.coeffs[cell] for st in states])
-    uy_top = np.array([st.u.coeffs[2 * top_vertex + 1] for st in states])
+    states = chain([initial], (st for st, _ in results))
+    times, p_probe, uy_top = np.array(
+        [(st.time, st.p.coeffs[cell], st.u.coeffs[2 * top_vertex + 1])
+         for st in states]).T
     return MandelSeries(times, p_probe, uy_top, tuple(probe), initial_pressure)
 
 
@@ -418,6 +426,13 @@ def run_mandel(case_id="linear", cfg: MandelConfig = None, scheme_kind="monolith
     law the monolithic scheme then runs the exact preset L1 = 1/M,
     L2 = lambda (two iterations per step) and the splitting scheme the
     undrained preset L2 = lambda + M alpha^2.
+
+    Returns (series, results, (mat, prob, mesh, ops, scheme)).  `results`
+    holds one (state, trace) pair per step, but only the last pair holds
+    its state; the earlier ones hold None, because the run streams `march`
+    into `mandel_report` and keeps only what it reports.  Excursions out of
+    the certified law ranges are not warned about; each trace counts its
+    own in `range_excursions`.
     """
     cfg = cfg or MandelConfig()
     mat_kw = {}
@@ -437,12 +452,22 @@ def run_mandel(case_id="linear", cfg: MandelConfig = None, scheme_kind="monolith
     ops = build_operators(mesh, mat, prob)
     ops.solver = solver
     initial = build_initial_state(prob, ops)
+    results = []
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        results = time_march(prob, mesh, mat, scheme, dt, n_steps, ops=ops,
-                             initial=initial)
+        warnings.simplefilter("ignore", AdmissibleRangeWarning)
+        series = mandel_report(
+            initial, _keep_last_state(march(prob, mesh, mat, scheme, dt, n_steps,
+                                            ops=ops, initial=initial), results),
+            mesh, probe=probe, initial_pressure=cfg.initial_pressure)
     if solver_rows is not None:
         solver_rows.extend(ops.solver_log)
-    series = mandel_report(initial, results, mesh, probe=probe,
-                           initial_pressure=cfg.initial_pressure)
     return series, results, (mat, prob, mesh, ops, scheme)
+
+
+def _keep_last_state(pairs, kept):
+    """Pass (state, trace) pairs through, appending (None, trace) for each
+    to `kept`; the last one keeps its state."""
+    for state, trace in pairs:
+        kept.append((None, trace))
+        yield state, trace
+    kept[-1] = (state, trace)

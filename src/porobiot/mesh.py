@@ -10,7 +10,6 @@ the bookkeeping lowest-order Raviart-Thomas elements need.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,15 +25,6 @@ class Side(enum.Enum):
     RIGHT = "right"
     BOTTOM = "bottom"
     TOP = "top"
-
-
-@dataclass(frozen=True)
-class CellGeometry:
-    """Affine geometry of one triangle: area, barycentric gradients, diameter."""
-
-    area: float
-    grads: np.ndarray  # (3, 2), gradients of the barycentric coordinates
-    diameter: float
 
 
 class Mesh:
@@ -113,18 +103,8 @@ class Mesh:
         """Mesh size: maximum cell diameter."""
         return float(self.diameters.max())
 
-    def cell_geometry(self, cell):
-        return cell_geometry(self, cell)
-
     def boundary_edges(self, tag):
         return boundary_edges(self, tag)
-
-    def edge_normal(self, edge):
-        """Unit normal of the globally oriented edge (tangent rotated by -90 deg)."""
-        a, b = self.edges[edge]
-        t = self.vertices[b] - self.vertices[a]
-        t = t / np.linalg.norm(t)
-        return np.array([t[1], -t[0]])
 
     def cell_centroids(self):
         return self.vertices[self.cells].mean(axis=1)
@@ -236,16 +216,6 @@ def generate_rect_mesh(origin, extent, nx, ny):
 
     return Mesh(vertices, cells, edges, cell_edge_ids, signs, boundary_tags,
                 structured=(tuple(origin), tuple(extent), nx, ny))
-
-
-def cell_geometry(mesh, cell):
-    """Area, barycentric gradients and diameter of one cell."""
-    if not 0 <= cell < mesh.n_cells:
-        raise ValueError(f"cell index {cell} out of range")
-    area = float(mesh.areas[cell])
-    if area <= 0.0:
-        raise MeshError(f"degenerate cell {cell}")
-    return CellGeometry(area, mesh.grads[cell].copy(), float(mesh.diameters[cell]))
 
 
 def boundary_edges(mesh, tag):

@@ -245,7 +245,12 @@ def make_material(alpha, mu, b_law, h_law, permeability, nu_f,
 
 
 def check_admissible(mat: MaterialModel, p_values, s_values, context=""):
-    """Warn when observed pressures / dilatations leave the certified ranges."""
+    """Warn when observed pressures / dilatations leave the certified ranges.
+
+    Returns how many of the two ranges were left (0, 1 or 2), so that a
+    caller that silences the warning still counts the excursion.
+    """
+    left = 0
     if not mat.b_law.constant_slope:
         plo, phi = mat.b_law.admissible_range
         pmin, pmax = float(np.min(p_values)), float(np.max(p_values))
@@ -253,6 +258,7 @@ def check_admissible(mat: MaterialModel, p_values, s_values, context=""):
             warnings.warn(
                 f"{context}pressure range [{pmin:g}, {pmax:g}] leaves certified "
                 f"range [{plo:g}, {phi:g}]", AdmissibleRangeWarning, stacklevel=2)
+            left += 1
     if not mat.h_law.constant_slope:
         slo, shi = mat.h_law.admissible_range
         smin, smax = float(np.min(s_values)), float(np.max(s_values))
@@ -260,6 +266,8 @@ def check_admissible(mat: MaterialModel, p_values, s_values, context=""):
             warnings.warn(
                 f"{context}dilatation range [{smin:g}, {smax:g}] leaves certified "
                 f"range [{slo:g}, {shi:g}]", AdmissibleRangeWarning, stacklevel=2)
+            left += 1
+    return left
 
 
 @dataclass

@@ -138,6 +138,7 @@ class IterationTrace:
     converged: bool = False
     n_linear_solves: int = 0
     seconds: float = 0.0
+    range_excursions: int = 0   # certified law ranges the final iterate left
 
     def record(self, dp, dq, du):
         total = dp + dq + du
@@ -283,6 +284,7 @@ class SchemeSolver:
         if self.mono_lu is None:
             x = self._restricted(self.mono, self._gmres,
                                  np.concatenate([rhs_u, ctx.g_vec, rhs_p]), trace)
+            uq, p = x[:nu + nq], x[nu + nq:]
         else:
             w = self._pressure(rhs_p)
             rhs = np.concatenate([rhs_u + alpha * (ops.b_up @ w),
@@ -290,12 +292,9 @@ class SchemeSolver:
             uq = self._restricted(self.mono, self.mono_lu.solve, rhs, trace)
             p = self._pressure(rhs_p, alpha * ops.divu_dual(uq[:nu])
                                + ctx.tau * (ops.b_qp @ uq[nu:]))
-            # one array per iterate: a run keeps every step's state, and
-            # separate (u, q) and p arrays fragment the heap they fill
-            x = np.concatenate([uq, p])
-        return BiotState(FeFunction(ops.dofmap_u, x[:nu]),
-                         FeFunction(ops.dofmap_q, x[nu:nu + nq]),
-                         FeFunction(ops.dofmap_p, x[nu + nq:]), ctx.t_new)
+        return BiotState(FeFunction(ops.dofmap_u, uq[:nu]),
+                         FeFunction(ops.dofmap_q, uq[nu:]),
+                         FeFunction(ops.dofmap_p, p), ctx.t_new)
 
 
 def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
@@ -347,8 +346,9 @@ def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
                 f"first increment {first_total:.3e}")
     trace.seconds = _time.perf_counter() - t0
 
-    check_admissible(mat, cur.p.coeffs, ops.div_u_cells(cur.u.coeffs),
-                     context=f"t={ctx.t_new:g}: ")
+    trace.range_excursions = check_admissible(
+        mat, cur.p.coeffs, ops.div_u_cells(cur.u.coeffs),
+        context=f"t={ctx.t_new:g}: ")
     if keep_iterates:
         return cur, trace, archive
     return cur, trace
@@ -363,30 +363,41 @@ def build_initial_state(problem: ProblemDefinition, ops: BiotOperators) -> BiotS
         0.0)
 
 
-def time_march(problem: ProblemDefinition, mesh: Mesh, mat: MaterialModel,
-               cfg: SchemeConfig, tau, n_steps, ops: BiotOperators = None,
-               initial: BiotState = None):
+def march(problem: ProblemDefinition, mesh: Mesh, mat: MaterialModel,
+          cfg: SchemeConfig, tau, n_steps, ops: BiotOperators = None,
+          initial: BiotState = None):
     """March n_steps implicit steps; each seeds from the previous solution.
 
-    Returns the list of (state, trace) pairs, one per step.  Non-converged
-    steps are kept (flagged in the trace); divergence aborts with the step
-    index attached.
+    A generator: it builds one `SchemeSolver` for the run and yields one
+    (state, trace) pair per step, holding no state but the previous one,
+    so a run's memory does not grow with n_steps unless its caller keeps
+    the states.  Non-converged steps are yielded (flagged in the trace);
+    divergence aborts with the step index attached.
     """
     if n_steps < 1:
         raise ValueError("need at least one time step")
     ops = ops or build_operators(mesh, mat, problem)
     prev = initial if initial is not None else build_initial_state(problem, ops)
     solver = SchemeSolver(ops, cfg, tau)
-    results = []
     for n in range(1, n_steps + 1):
         try:
-            state, trace = iterate_to_convergence(prev, cfg, ops, mat,
-                                                  problem, tau, solver=solver)
+            prev, trace = iterate_to_convergence(prev, cfg, ops, mat, problem,
+                                                 tau, solver=solver)
         except DivergenceError as exc:
             raise DivergenceError(f"step {n} (t={prev.time + tau:g}): {exc}") from exc
-        results.append((state, trace))
-        prev = state
-    return results
+        yield prev, trace
+
+
+def time_march(problem: ProblemDefinition, mesh: Mesh, mat: MaterialModel,
+               cfg: SchemeConfig, tau, n_steps, ops: BiotOperators = None,
+               initial: BiotState = None):
+    """The list of `march`'s (state, trace) pairs, one per step.
+
+    It keeps every step's state; a long run that reports only part of
+    them iterates `march` instead.
+    """
+    return list(march(problem, mesh, mat, cfg, tau, n_steps, ops=ops,
+                      initial=initial))
 
 
 def residual_norms(state: BiotState, prev: BiotState, ops: BiotOperators,

@@ -16,7 +16,7 @@ from porobiot.assembly import build_operators
 from porobiot.bench import (error_norms, manufactured_convergence,
                             sensitivity_grid, sweep_L, verify_contraction,
                             write_sweep_csv)
-from porobiot.fem import FeFunction, l2_norm, rt0_div_cells
+from porobiot.fem import FeFunction, l2_norm
 from porobiot.linalg import (BlockSystem, CachedLU, FixedStressPreconditioner,
                              gmres)
 from porobiot.mesh import generate_rect_mesh
@@ -25,6 +25,8 @@ from porobiot.physics import (estimate_constants, manufactured_material,
 from porobiot.schemes import (BiotState, SchemeConfig, StepContext,
                               build_initial_state, iterate_to_convergence,
                               residual_norms)
+
+from oracles import rt0_div_cells
 
 warnings.simplefilter("ignore")
 

@@ -89,7 +89,7 @@ class TestFlow:
         ops, _, _ = unit_ops
         rng = np.random.default_rng(8)
         q = rng.standard_normal(ops.dofmap_q.n_dofs)
-        from porobiot.fem import rt0_div_cells
+        from oracles import rt0_div_cells
         divs = rt0_div_cells(FeFunction(ops.dofmap_q, q))
         assert np.allclose(ops.b_qp @ q, divs * ops.mesh.areas, rtol=1e-12)
 

@@ -1,8 +1,12 @@
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 
+from porobiot import schemes
 from porobiot.assembly import build_operators
-from porobiot.bench import (ContractionReport, error_norms,
+from porobiot.bench import (ContractionReport, _single_step, error_norms,
                             manufactured_convergence, mandel_report,
                             run_mandel, sensitivity_grid, sweep_L,
                             verify_contraction, write_errors_csv,
@@ -10,8 +14,8 @@ from porobiot.bench import (ContractionReport, error_norms,
                             write_sweep_csv)
 from porobiot.fem import interpolate
 from porobiot.mesh import generate_rect_mesh
-from porobiot.physics import MandelConfig, manufactured_material, \
-    manufactured_problem
+from porobiot.physics import AdmissibleRangeWarning, MandelConfig, \
+    manufactured_material, manufactured_problem
 from porobiot.schemes import (SchemeConfig, build_initial_state,
                               iterate_to_convergence)
 
@@ -252,3 +256,77 @@ class TestMandelSeries:
         assert lines[0] == "t,p_probe,uy_top"
         assert len(lines) == 27  # header + initial + 25 steps
         assert lines[1].split(",")[0] == "0"
+
+
+class StateLog:
+    """Weak references to every state the time march yields (each step's
+    converged iterate), and how many earlier ones were alive as each
+    arrived."""
+
+    def __init__(self):
+        self.refs, self.alive_before = [], []
+
+    def record(self, state):
+        self.alive_before.append(len(self.alive()))
+        self.refs.append(weakref.ref(state))
+
+    def alive(self):
+        return [state for state in (r() for r in self.refs) if state is not None]
+
+
+@pytest.fixture
+def yielded_states(monkeypatch):
+    log = StateLog()
+    step = schemes.iterate_to_convergence
+
+    def recording(*args, **kwargs):
+        out = step(*args, **kwargs)
+        log.record(out[0])
+        return out
+
+    monkeypatch.setattr(schemes, "iterate_to_convergence", recording)
+    return log
+
+
+class TestStreamingMarch:
+    def test_run_mandel_keeps_only_the_final_state(self, yielded_states):
+        series, results, _ = run_mandel(n_steps=30, nx=8, ny=4)
+        assert len(yielded_states.refs) == len(results) == 30
+        assert len(series.times) == 31
+        # while marching, only the state the next step starts from
+        assert max(yielded_states.alive_before) == 1
+        alive = yielded_states.alive()
+        assert len(alive) == 1 and alive[0] is results[-1][0]
+        assert all(state is None for state, _ in results[:-1])
+        assert all(tr.converged for _, tr in results)
+
+    def test_manufactured_convergence_keeps_final_states(self, yielded_states):
+        rows = manufactured_convergence("linear", "monolithic", 1.0, 1.0,
+                                        levels=2, nx0=4, tau0=0.25)
+        assert len(rows) == 2
+        assert len(yielded_states.refs) == 4 + 8
+        # while marching, only the state the next step starts from (or, at
+        # the first step of a level, the final state of the level before)
+        assert max(yielded_states.alive_before) == 1
+        assert yielded_states.alive() == []
+
+
+def test_range_excursion_counted_under_single_step_filter(monkeypatch):
+    # a t1c1 step of tau = 4 leaves a certified range: _single_step silences
+    # the warning, and the trace still counts the excursion
+    traces = []
+    step = schemes.iterate_to_convergence
+
+    def recording(*args, **kwargs):
+        out = step(*args, **kwargs)
+        traces.append(out[1])
+        return out
+
+    monkeypatch.setattr("porobiot.bench.iterate_to_convergence", recording)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = _single_step("t1c1", "splitting", 2.72, 3.0, nx=4, tau=4.0)
+    assert result.status == "converged"
+    assert [tr.range_excursions for tr in traces] == [1]
+    assert not [w for w in caught if issubclass(w.category,
+                                                AdmissibleRangeWarning)]

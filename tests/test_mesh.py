@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from porobiot.mesh import (Mesh, MeshError, Side, boundary_edges,
-                           cell_geometry, generate_rect_mesh)
+                           generate_rect_mesh)
+
+from oracles import cell_geometry
 
 
 def test_smallest_mesh_counts():
