@@ -24,8 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import DofMap, SpaceKind, quadrature, _rt0_local_mass, \
-    _rt0_values_at
+from .fem import DofMap, SpaceKind, quadrature, _rt0_local_mass
 from .mesh import Mesh, Side
 from .physics import MaterialModel, ProblemDefinition
 
@@ -203,19 +202,14 @@ class BlockConstraints:
         return np.concatenate(parts)
 
 
-def _side_vertices(mesh, side):
-    verts = set()
-    for e, tag in mesh.boundary_tags.items():
-        if tag is side:
-            verts.update(int(v) for v in mesh.edges[e])
-    return sorted(verts)
+# displacement component normal to each side
+_NORMAL_COMP = {Side.LEFT: 0, Side.RIGHT: 0, Side.BOTTOM: 1, Side.TOP: 1}
 
 
 def build_constraints(problem: ProblemDefinition, mesh: Mesh,
                       dofmap_u: DofMap, dofmap_q: DofMap,
                       dofmap_p: DofMap) -> BlockConstraints:
     """Translate the problem's boundary conditions into DOF constraints."""
-    normal_comp = {Side.LEFT: 0, Side.RIGHT: 0, Side.BOTTOM: 1, Side.TOP: 1}
     pinned_u = {}
     ties = []
 
@@ -226,18 +220,17 @@ def build_constraints(problem: ProblemDefinition, mesh: Mesh,
         pinned_u[dof] = value
 
     for side, bc in problem.u_bc.items():
-        verts = _side_vertices(mesh, side)
+        verts = np.unique(mesh.edges[mesh.boundary_edges(side)]).tolist()
+        c = _NORMAL_COMP[side]
         if bc.kind == "fixed":
             vx, vy = bc.value
             for v in verts:
                 pin(2 * v, float(vx))
                 pin(2 * v + 1, float(vy))
         elif bc.kind == "normal_zero":
-            c = normal_comp[side]
             for v in verts:
                 pin(2 * v + c, 0.0)
         elif bc.kind == "tied_normal":
-            c = normal_comp[side]
             ties.append([2 * v + c for v in verts])
         elif bc.kind == "free":
             pass
@@ -247,9 +240,8 @@ def build_constraints(problem: ProblemDefinition, mesh: Mesh,
     pinned_q = {}
     for side, bc in problem.q_bc.items():
         if bc.kind == "noflow":
-            for e, tag in mesh.boundary_tags.items():
-                if tag is side:
-                    pinned_q[e] = float(bc.value)
+            pinned_q.update(dict.fromkeys(mesh.boundary_edges(side).tolist(),
+                                          float(bc.value)))
         elif bc.kind == "pressure":
             pass  # natural in the mixed form, handled by the load assembly
         else:
@@ -265,7 +257,7 @@ class BiotOperators:
     """All constant operators of one discretized problem.
 
     The six bilinear-form blocks are assembled once, together with the
-    load quadrature points and the boundary edges of each side; the
+    load quadrature points and the boundary edge orientations; the
     `*_system` methods build the constraint-reduced L-scheme matrices from
     them: the mechanics block and the flux block with the pressure
     eliminated (splitting and the fixed-stress sweep), the symmetric
@@ -295,8 +287,6 @@ class BiotOperators:
         # degree-4 points of the body force and the source, per cell
         self.load_points = np.einsum("qv,fvd->fqd", quadrature(4).points,
                                      mesh.vertices[mesh.cells])
-        self.side_edges = {side: [e for e, tag in mesh.boundary_tags.items()
-                                  if tag is side] for side in Side}
         # net orientation sign per edge: +-1 on boundary edges, 0 inside
         sign_sum = np.zeros(mesh.n_edges, dtype=np.int64)
         np.add.at(sign_sum, mesh.cell_edge_ids.ravel(),
@@ -396,13 +386,13 @@ def build_operators(mesh: Mesh, mat: MaterialModel,
 
 
 def assemble_loads(problem: ProblemDefinition, ops: BiotOperators, t):
-    """Load vectors at time t: body force, gravity/boundary-pressure, source.
+    """Load vectors at time t: body force, boundary pressure, source.
 
     The body force and the fluid source use a degree-4 rule (exact for the
     polynomial manufactured data) at the points `BiotOperators` builds
     once; plate loads of tied sides enter as a uniform traction on the
     side, and non-homogeneous boundary pressures of the mixed form enter
-    the Darcy right-hand side.
+    the Darcy right-hand side, over the side edges of `Mesh.boundary_edges`.
     """
     mesh = ops.mesh
     rule = quadrature(4)
@@ -415,32 +405,22 @@ def assemble_loads(problem: ProblemDefinition, ops: BiotOperators, t):
         floc = floc.reshape(mesh.n_cells, 6) * mesh.areas[:, None]
         np.add.at(f_vec, ops.dofmap_u.cell_to_dofs.ravel(), floc.ravel())
 
-    normal_comp = {Side.LEFT: 0, Side.RIGHT: 0, Side.BOTTOM: 1, Side.TOP: 1}
     for side, bc in problem.u_bc.items():
         if bc.kind != "tied_normal" or not bc.value:
             continue
-        edges = ops.side_edges[side]
-        length = float(sum(mesh.edge_lengths[e] for e in edges))
-        traction = float(bc.value) / length
-        c = normal_comp[side]
-        for e in edges:
-            half = 0.5 * mesh.edge_lengths[e] * traction
-            for v in mesh.edges[e]:
-                f_vec[2 * int(v) + c] += half
+        edges = mesh.boundary_edges(side)
+        # summed edge by edge (np.sum would pair the terms in another order)
+        traction = float(bc.value) / float(sum(mesh.edge_lengths[edges]))
+        half = 0.5 * mesh.edge_lengths[edges] * traction
+        np.add.at(f_vec, 2 * mesh.edges[edges] + _NORMAL_COMP[side],
+                  np.column_stack([half, half]))
 
     g_vec = np.zeros(ops.dofmap_q.n_dofs)
-    gvec = np.asarray(ops.mat.gravity, dtype=float)
-    if ops.mat.rho_f != 0.0 and np.any(gvec != 0.0):
-        rule2 = quadrature(2)
-        vals = _rt0_values_at(mesh, rule2)
-        gloc = ops.mat.rho_f * np.einsum("q,fqid,d->fi", rule2.weights, vals, gvec)
-        gloc *= mesh.areas[:, None]
-        np.add.at(g_vec, ops.dofmap_q.cell_to_dofs.ravel(), gloc.ravel())
     for side, bc in problem.q_bc.items():
         if bc.kind == "pressure" and bc.value != 0.0:
-            for e in ops.side_edges[side]:
-                sign = ops.boundary_edge_sign[e]
-                g_vec[e] -= bc.value * sign * mesh.edge_lengths[e]
+            edges = mesh.boundary_edges(side)
+            g_vec[edges] -= (bc.value * ops.boundary_edge_sign[edges]
+                             * mesh.edge_lengths[edges])
 
     svals = np.asarray(problem.source(x, y, t), dtype=float)
     if np.any(svals != 0.0):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .assembly import build_operators
 from .fem import quadrature, _rt0_values_at
-from .mesh import generate_rect_mesh
+from .mesh import Side, generate_rect_mesh
 from .physics import (AdmissibleRangeWarning, MandelConfig, mandel_material,
                       mandel_problem, manufactured_material,
                       manufactured_problem)
@@ -30,13 +30,28 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
-def worker_count(default=1):
-    """Worker cap from POROBIOT_THREADS (defaults to serial)."""
+def worker_count():
+    """Worker cap from POROBIOT_THREADS (serial when unset or not a number)."""
     raw = os.environ.get("POROBIOT_THREADS", "")
     try:
         return max(1, int(raw))
     except ValueError:
-        return default
+        return 1
+
+
+def manufactured_setup(case_id, nx, material=None, final_time=1.0,
+                       solver=None):
+    """Operators and initial state of the verification problem on the
+    nx-by-nx unit square; `ops.mat` and `ops.problem` hold its material and
+    problem.  `material` holds the `manufactured_material` keywords past the
+    case id (its defaults when omitted), `solver` the `linalg.SolverOptions`
+    of the monolithic solves (LU when None)."""
+    mat = manufactured_material(case_id, **(material or {}))
+    prob = manufactured_problem(mat, final_time=final_time)
+    ops = build_operators(generate_rect_mesh((0, 0), (1, 1), nx, nx), mat,
+                          prob)
+    ops.solver = solver
+    return ops, build_initial_state(prob, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -113,28 +128,23 @@ def manufactured_convergence(case_id, scheme_kind, L1, L2, levels=3,
     Returns ErrorRows at the final time with observed orders; the time step
     halves with the mesh by default (the linear exact solution makes the
     implicit stepping exact in time, so the orders isolate space).  Each
-    level keeps only its final state.
-    `material` holds the keyword arguments of `manufactured_material` past
-    the case id (its defaults when omitted).
+    level keeps only its final state.  `material` and `solver` are as in
+    `manufactured_setup`.
     """
-    mat = manufactured_material(case_id, **(material or {}))
-    prob = manufactured_problem(mat, final_time=final_time)
+    cfg = SchemeConfig(scheme_kind, L1=L1, L2=L2, tol=tol, max_iter=max_iter)
     rows = []
     for lev in range(levels):
-        nx = nx0 * (2 ** lev)
         tau = tau0 * (0.5 ** lev) if tau_proportional else tau0
-        n_steps = int(round(final_time / tau))
-        mesh = generate_rect_mesh((0, 0), (1, 1), nx, nx)
-        cfg = SchemeConfig(scheme_kind, L1=L1, L2=L2, tol=tol,
-                           max_iter=max_iter)
-        ops = build_operators(mesh, mat, prob)
-        ops.solver = solver
-        for state, _ in march(prob, mesh, mat, cfg, tau, n_steps, ops=ops):
+        ops, initial = manufactured_setup(case_id, nx0 * (2 ** lev), material,
+                                          final_time, solver)
+        for state, _ in march(ops.problem, ops.mesh, ops.mat, cfg, tau,
+                              int(round(final_time / tau)), ops=ops,
+                              initial=initial):
             pass
         if solver_rows is not None:
             solver_rows.extend(ops.solver_log)
-        errs = error_norms(state, prob.exact)
-        rows.append(ErrorRow(mesh.h, tau, errs["p"], errs["u"],
+        errs = error_norms(state, ops.problem.exact)
+        rows.append(ErrorRow(ops.mesh.h, tau, errs["p"], errs["u"],
                              errs["div_u"], errs["q"]))
     return estimate_orders(rows)
 
@@ -159,35 +169,23 @@ class RunResult:
     status: str   # converged | maxiter | diverged
 
 
-def _single_step(case_id, scheme_kind, L1, L2, nx=16, tau=0.25, tol=1e-8,
-                 max_iter=200, material=None, ops_cache=None):
-    """One representative (first) time step of the verification problem,
-    with `material` as in `manufactured_convergence`."""
-    if ops_cache is None:
-        mat = manufactured_material(case_id, **(material or {}))
-        prob = manufactured_problem(mat)
-        mesh = generate_rect_mesh((0, 0), (1, 1), nx, nx)
-        ops = build_operators(mesh, mat, prob)
-        prev = build_initial_state(prob, ops)
-    else:
-        mat, prob, ops, prev = ops_cache
-    cfg = SchemeConfig(scheme_kind, L1=L1, L2=L2, tol=tol, max_iter=max_iter)
+def _single_step(ops, prev, cfg: SchemeConfig, tau):
+    """The iteration count and status of one time step from `prev`."""
     try:
         with warnings.catch_warnings():
             # counted in trace.range_excursions
             warnings.simplefilter("ignore", AdmissibleRangeWarning)
-            _, trace = iterate_to_convergence(prev, cfg, ops, mat, prob, tau)
+            _, trace = iterate_to_convergence(prev, cfg, ops, ops.mat,
+                                              ops.problem, tau)
     except DivergenceError:
-        return RunResult(max_iter, "diverged")
+        return RunResult(cfg.max_iter, "diverged")
     return RunResult(trace.iterations,
                      "converged" if trace.converged else "maxiter")
 
 
 def _sweep_cell(args):
-    case_id, scheme_kind, L1, L2, nx, tau, tol, max_iter, material = args
-    r = _single_step(case_id, scheme_kind, L1, L2, nx=nx, tau=tau, tol=tol,
-                     max_iter=max_iter, material=material)
-    return r.iterations, r.status
+    case_id, nx, material, cfg, tau = args
+    return _single_step(*manufactured_setup(case_id, nx, material), cfg, tau)
 
 
 @dataclass
@@ -199,11 +197,8 @@ class SweepGrid:
 
     def argmin(self):
         """(L1, L2) of the fastest converged cell."""
-        it = self.iterations.astype(float)
-        for i in range(it.shape[0]):
-            for j in range(it.shape[1]):
-                if self.status[i][j] != "converged":
-                    it[i, j] = np.inf
+        it = np.where(np.array(self.status) == "converged", self.iterations,
+                      np.inf)
         if not np.isfinite(it).any():
             raise RuntimeError("no cell of the sweep converged")
         i, j = np.unravel_index(np.argmin(it), it.shape)
@@ -217,38 +212,27 @@ def sweep_L(case_id, scheme_kind, L1_values, L2_values, nx=16, tau=0.25,
     Failures (cap or divergence) are recorded as markers and the sweep
     continues.  Cells are independent; POROBIOT_THREADS or n_workers > 1
     runs them in a process pool.  `material` is as in
-    `manufactured_convergence`.
+    `manufactured_setup`.
     """
     L1_values = np.asarray(list(L1_values), dtype=float)
     L2_values = np.asarray(list(L2_values), dtype=float)
     if L1_values.size == 0 or L2_values.size == 0:
         raise ValueError("parameter grids must be non-empty")
     n_workers = worker_count() if n_workers is None else max(1, n_workers)
-    iters = np.zeros((len(L1_values), len(L2_values)), dtype=int)
-    status = [[""] * len(L2_values) for _ in L1_values]
-
-    cells = [(i, j) for i in range(len(L1_values)) for j in range(len(L2_values))]
+    cfgs = [SchemeConfig(scheme_kind, L1=l1, L2=l2, tol=tol, max_iter=max_iter)
+            for l1 in L1_values for l2 in L2_values]
     if n_workers > 1:
-        args = [(case_id, scheme_kind, L1_values[i], L2_values[j], nx, tau,
-                 tol, max_iter, material) for i, j in cells]
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            for (i, j), (it, st) in zip(cells, pool.map(_sweep_cell, args)):
-                iters[i, j] = it
-                status[i][j] = st
+            args = [(case_id, nx, material, c, tau) for c in cfgs]
+            results = list(pool.map(_sweep_cell, args))
     else:
-        mat = manufactured_material(case_id, **(material or {}))
-        prob = manufactured_problem(mat)
-        mesh = generate_rect_mesh((0, 0), (1, 1), nx, nx)
-        ops = build_operators(mesh, mat, prob)
-        prev = build_initial_state(prob, ops)
-        cache = (mat, prob, ops, prev)
-        for i, j in cells:
-            r = _single_step(case_id, scheme_kind, L1_values[i], L2_values[j],
-                             nx=nx, tau=tau, tol=tol, max_iter=max_iter,
-                             ops_cache=cache)
-            iters[i, j] = r.iterations
-            status[i][j] = r.status
-    return SweepGrid(L1_values, L2_values, iters, status)
+        ops, prev = manufactured_setup(case_id, nx, material)
+        results = [_single_step(ops, prev, c, tau) for c in cfgs]
+    rows = [results[k:k + len(L2_values)]
+            for k in range(0, len(results), len(L2_values))]
+    return SweepGrid(L1_values, L2_values,
+                     np.array([[r.iterations for r in row] for row in rows]),
+                     [[r.status for r in row] for row in rows])
 
 
 def write_sweep_csv(grid: SweepGrid, path):
@@ -267,23 +251,24 @@ def sensitivity_grid(case_id, scheme_kind, axis, values, L1, L2, nx=16,
     axis is one of 'h' (values are mesh sizes of the unit square), 'tau',
     'K' or 'alpha'; the manufactured data are rebuilt per value so the
     problem stays consistent.  `material` is as in
-    `manufactured_convergence`; the axis overrides only its own key.
+    `manufactured_setup`; the axis overrides only its own key.
     """
     if axis not in ("h", "tau", "K", "alpha"):
         raise ValueError(f"unknown sensitivity axis {axis!r}")
+    cfg = SchemeConfig(scheme_kind, L1=L1, L2=L2, tol=tol, max_iter=max_iter)
     rows = []
     for v in values:
-        kw = dict(nx=nx, tau=tau, material=dict(material or {}))
+        nx_v, tau_v, material_v = nx, tau, dict(material or {})
         if axis == "h":
-            kw["nx"] = int(round(1.0 / float(v)))
+            nx_v = int(round(1.0 / float(v)))
         elif axis == "tau":
-            kw["tau"] = float(v)
+            tau_v = float(v)
         elif axis == "K":
-            kw["material"]["permeability"] = float(v)
+            material_v["permeability"] = float(v)
         else:
-            kw["material"]["alpha"] = float(v)
-        r = _single_step(case_id, scheme_kind, L1, L2, tol=tol,
-                         max_iter=max_iter, **kw)
+            material_v["alpha"] = float(v)
+        r = _single_step(*manufactured_setup(case_id, nx_v, material_v), cfg,
+                         tau_v)
         rows.append((axis, float(v), r.iterations, r.status))
     return rows
 
@@ -318,13 +303,14 @@ def _p_norm_sq(ops, p_coeffs):
 
 
 def verify_contraction(archive, reference: BiotState, mat, cfg: SchemeConfig,
-                       ops, rel_slack=1e-9):
+                       ops):
     """Weighted error functionals along an archived iterate sequence.
 
     For the splitting scheme the errors are taken against the converged
     reference and weighted by (L1 - b_m, L2 - h_m); for the monolithic
     scheme consecutive-iterate differences are weighted by (L1, L2 - h_m).
-    Monotone decrease is asserted above a floor of (L1 + L2) (10 tol)^2.
+    Monotone decrease is asserted above a floor of (L1 + L2) (10 tol)^2,
+    up to a relative slack of 1e-9.
     """
     L1, L2 = cfg.L1, cfg.L2
     if cfg.kind == "splitting":
@@ -343,7 +329,7 @@ def verify_contraction(archive, reference: BiotState, mat, cfg: SchemeConfig,
     for a, b in zip(values, values[1:]):
         if a <= floor and b <= floor:
             continue
-        if b > a * (1.0 + rel_slack):
+        if b > a * (1.0 + 1e-9):
             monotone = False
             strict = False
             break
@@ -399,8 +385,7 @@ def mandel_report(initial: BiotState, results, mesh, probe=None,
                               (np.ptp(mesh.vertices[:, 0]), np.ptp(mesh.vertices[:, 1])))
         probe = (x0 + ex / 4.0, y0 + ey / 2.0)
     cell = mesh.locate_cell(probe)
-    y_top = mesh.vertices[:, 1].max()
-    top_vertex = int(np.nonzero(np.abs(mesh.vertices[:, 1] - y_top) < 1e-12)[0][0])
+    top_vertex = int(mesh.edges[mesh.boundary_edges(Side.TOP)[0], 0])
     states = chain([initial], (st for st, _ in results))
     times, p_probe, uy_top = np.array(
         [(st.time, st.p.coeffs[cell], st.u.coeffs[2 * top_vertex + 1])

@@ -21,18 +21,16 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .assembly import build_operators
-from .bench import (manufactured_convergence, run_mandel,
+from .bench import (manufactured_convergence, manufactured_setup, run_mandel,
                     sensitivity_grid, sweep_L, verify_contraction,
                     write_contraction_csv, write_errors_csv, write_mandel_csv,
                     write_sensitivity_csv, write_sweep_csv, worker_count)
 from .linalg import LinearSolveError, SolverOptions, write_solver_reports_csv
-from .mesh import generate_rect_mesh
 from .physics import (DARCY, CENTIPOISE, LAW_CASES, MandelConfig,
-                      manufactured_material, manufactured_problem)
+                      manufactured_material)
 from .schemes import (DivergenceError, SchemeConfig, SchemeConfigError,
-                      build_initial_state, iterate_to_convergence,
-                      suggested_tuning, write_trace_csv)
+                      iterate_to_convergence, suggested_tuning,
+                      write_trace_csv)
 
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER = 0, 2, 3
 
@@ -56,6 +54,11 @@ DEFAULTS = {
                "maxiter": "1000"},
     "output": {"dir": "out"},
 }
+
+# keys a run does not read (sweep L comes from the grids; both solve by LU)
+UNREAD = {"sweep": [("scheme", "l1"), ("scheme", "l2")]
+          + [("solver", key) for key in DEFAULTS["solver"]],
+          "sensitivity": [("solver", key) for key in DEFAULTS["solver"]]}
 
 # the consolidation benchmark defaults to its standard field parameters
 MANDEL_MATERIAL = {"alpha": "1.0", "mu": "2.475e9", "lam": "1.65e9",
@@ -168,7 +171,7 @@ def _write_manifest(outdir, subcommand, cfg, artifacts, seconds):
     return path
 
 
-def _manufactured_setup(cfg):
+def _manufactured_material(cfg):
     """Law case, the `manufactured_material` keywords of the [material] and
     [laws] sections (which the bench drivers take as `material`) and the
     material they build."""
@@ -187,7 +190,7 @@ def _manufactured_setup(cfg):
 
 
 def cmd_manufactured(cfg, outdir):
-    case, material, mat = _manufactured_setup(cfg)
+    case, material, mat = _manufactured_material(cfg)
     scheme = _scheme_config(cfg, mat)
     h = _fget(cfg, "problem", "h")
     nx0 = int(round(1.0 / h))
@@ -252,7 +255,7 @@ def cmd_mandel(cfg, outdir):
 
 
 def cmd_sweep(cfg, outdir, l1_spec, l2_spec):
-    case, material, _ = _manufactured_setup(cfg)
+    case, material, _ = _manufactured_material(cfg)
     grid = sweep_L(case, cfg["scheme"]["kind"], parse_values(l1_spec),
                    parse_values(l2_spec),
                    nx=int(round(1.0 / _fget(cfg, "problem", "h"))),
@@ -266,7 +269,7 @@ def cmd_sweep(cfg, outdir, l1_spec, l2_spec):
 
 
 def cmd_sensitivity(cfg, outdir, axis, values_spec):
-    case, material, mat = _manufactured_setup(cfg)
+    case, material, mat = _manufactured_material(cfg)
     scheme = _scheme_config(cfg, mat)
     rows = sensitivity_grid(case, scheme.kind, axis, parse_values(values_spec),
                             scheme.L1, scheme.L2,
@@ -279,16 +282,15 @@ def cmd_sensitivity(cfg, outdir, axis, values_spec):
 
 
 def cmd_verify(cfg, outdir):
-    _, _, mat = _manufactured_setup(cfg)
+    case, material, _ = _manufactured_material(cfg)
+    ops, prev = manufactured_setup(
+        case, int(round(1.0 / _fget(cfg, "problem", "h"))), material,
+        final_time=_fget(cfg, "problem", "final_time"),
+        solver=_solver_options(cfg))
+    mat = ops.mat
     scheme = _scheme_config(cfg, mat)
-    prob = manufactured_problem(mat, final_time=_fget(cfg, "problem", "final_time"))
-    nx = int(round(1.0 / _fget(cfg, "problem", "h")))
-    mesh = generate_rect_mesh((0, 0), (1, 1), nx, nx)
-    ops = build_operators(mesh, mat, prob)
-    ops.solver = _solver_options(cfg)
-    prev = build_initial_state(prob, ops)
     state, trace, archive = iterate_to_convergence(
-        prev, scheme, ops, mat, prob, _fget(cfg, "problem", "tau"),
+        prev, scheme, ops, mat, ops.problem, _fget(cfg, "problem", "tau"),
         keep_iterates=True)
     if not trace.converged:
         raise DivergenceError("iteration did not converge; nothing to verify")
@@ -390,6 +392,9 @@ def main(argv=None):
     try:
         cfg = resolve_config(args.subcommand, args.config, args.overrides)
         _apply_flags(cfg, args)
+        for sec, key in UNREAD.get(args.subcommand, ()):
+            if cfg[sec][key] != DEFAULTS[sec][key]:
+                raise ConfigError(f"{args.subcommand} ignores {sec}.{key}")
         outdir = Path(cfg["output"]["dir"])
         try:
             outdir.mkdir(parents=True, exist_ok=True)

@@ -76,7 +76,6 @@ class BlockSystem:
 
 @dataclass
 class SolverReport:
-    method: str
     iterations: int
     relres: float
     seconds: float
@@ -158,11 +157,12 @@ class CachedLU:
 
 def gmres(system: BlockSystem, preconditioner=None, restart=50, rtol=1e-10,
           maxiter=1000):
-    """Restarted GMRES; `preconditioner` approximates the inverse operator.
-
-    `maxiter` caps the total number of inner iterations.  Reports that
-    count, the true relative residual and the history of preconditioned
-    residual norms, which are non-increasing inside each restart cycle.
+    """Restarted GMRES; `preconditioner` approximates the inverse operator
+    as a matrix, a `LinearOperator` or an object with `shape`, `matvec` and
+    `dtype`, such as `FixedStressPreconditioner`.  `maxiter` caps the total
+    number of inner iterations.  Reports that count, the true relative
+    residual and the history of preconditioned residual norms, which are
+    non-increasing inside each restart cycle.
     """
     n = system.matrix.shape[0]
     history = []
@@ -170,17 +170,11 @@ def gmres(system: BlockSystem, preconditioner=None, restart=50, rtol=1e-10,
     def cb(pr_norm):
         history.append(float(pr_norm))
 
-    M = None
-    if preconditioner is not None:
-        M = spla.LinearOperator((n, n), matvec=preconditioner) \
-            if callable(preconditioner) and not isinstance(
-                preconditioner, spla.LinearOperator) else preconditioner
-
     restart = min(restart, n)
     cycles = max(1, -(-maxiter // restart))  # scipy counts restart cycles
     t0 = time.perf_counter()
-    x, info = spla.gmres(system.matrix, system.rhs, M=M, restart=restart,
-                         rtol=rtol, atol=0.0, maxiter=cycles,
+    x, info = spla.gmres(system.matrix, system.rhs, M=preconditioner,
+                         restart=restart, rtol=rtol, atol=0.0, maxiter=cycles,
                          callback=cb, callback_type="pr_norm")
     seconds = time.perf_counter() - t0
 
@@ -190,7 +184,7 @@ def gmres(system: BlockSystem, preconditioner=None, restart=50, rtol=1e-10,
     converged = info == 0
     status = "converged" if converged else (
         "maxiter" if info > 0 else "breakdown")
-    return x, SolverReport("gmres", len(history), float(relres), seconds,
+    return x, SolverReport(len(history), float(relres), seconds,
                            converged=converged, status=status, history=history)
 
 
@@ -203,7 +197,8 @@ class FixedStressPreconditioner:
     r_q + B^T w and d_p = w - tau B d_q / (L1 M_p).  The L2-stabilized
     mechanics block is then solved with the pressure update on the
     right-hand side.  Both systems are built and factored once, here;
-    `schemes.SchemeSolver` solves the splitting steps with them too.
+    `schemes.SchemeSolver` solves the splitting steps with them too, and
+    passes the sweep itself (`shape`, `matvec`, `dtype`) to `gmres`.
     """
 
     def __init__(self, ops, cfg, mat, tau):
@@ -230,7 +225,3 @@ class FixedStressPreconditioner:
         d_p = w - self.tau * (self.b_red @ d_q) / self.l1_areas
         d_u = self.mech_lu.solve(r_u + self.alpha * (self.b_up_red @ d_p))
         return np.concatenate([d_u, d_q, d_p])
-
-    def as_linear_operator(self):
-        return spla.LinearOperator(self.shape, matvec=self.matvec,
-                                   dtype=self.dtype)

@@ -42,7 +42,8 @@ class Mesh:
     cell_edge_signs : (F, 3) int array
         +1 where the global edge normal is cell-outward, -1 otherwise.
     boundary_tags : dict[int, Side]
-        Side tag for every boundary edge.
+        Side tag for every boundary edge; the edges of each side are
+        gathered once into the sorted read-only array `boundary_edges` returns.
     """
 
     def __init__(self, vertices, cells, edges, cell_edge_ids, cell_edge_signs,
@@ -56,9 +57,14 @@ class Mesh:
         # (origin, extent, nx, ny) when built by generate_rect_mesh
         self.structured = structured
         self._compute_geometry()
+        self._side_edges = {
+            side: np.array(sorted(e for e, t in self.boundary_tags.items()
+                                  if t is side), dtype=np.int64)
+            for side in Side}
         for arr in (self.vertices, self.cells, self.edges,
                     self.cell_edge_ids, self.cell_edge_signs,
-                    self.areas, self.grads, self.diameters, self.edge_lengths):
+                    self.areas, self.grads, self.diameters, self.edge_lengths,
+                    *self._side_edges.values()):
             arr.flags.writeable = False
 
     def _compute_geometry(self):
@@ -104,7 +110,8 @@ class Mesh:
         return float(self.diameters.max())
 
     def boundary_edges(self, tag):
-        return boundary_edges(self, tag)
+        """Edge indices on the given boundary side: ascending, read-only."""
+        return self._side_edges[tag]
 
     def cell_centroids(self):
         return self.vertices[self.cells].mean(axis=1)
@@ -219,6 +226,5 @@ def generate_rect_mesh(origin, extent, nx, ny):
 
 
 def boundary_edges(mesh, tag):
-    """Edge indices on the given boundary side, ascending."""
-    return np.array(sorted(e for e, t in mesh.boundary_tags.items() if t is tag),
-                    dtype=np.int64)
+    """Edge indices on the given boundary side: `Mesh.boundary_edges`."""
+    return mesh.boundary_edges(tag)

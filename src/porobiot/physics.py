@@ -189,7 +189,7 @@ class MaterialModel:
     kappa is a vectorized callable K(x, y); nu_f is the (dynamic) fluid
     viscosity appearing in the Darcy weak form as nu_f * K^{-1}.  The law
     constants (b_m, L_b, h_m, L_h) are estimates over the laws' certified
-    ranges and feed the theorem-compliance flags.
+    ranges and feed the theorem-compliance flags.  No gravity load.
     """
 
     alpha: float
@@ -200,8 +200,6 @@ class MaterialModel:
     nu_f: float
     k_m: float
     k_M: float
-    rho_f: float = 0.0
-    gravity: tuple[float, float] = (0.0, 0.0)
     b_m: float = 0.0
     L_b: float = np.inf
     h_m: float = 0.0
@@ -219,11 +217,11 @@ class MaterialModel:
 
 
 def make_material(alpha, mu, b_law, h_law, permeability, nu_f,
-                  rho_f=0.0, gravity=(0.0, 0.0), samples=201, k_bounds=None):
+                  samples=201, k_bounds=None):
     """Build a MaterialModel, estimating law constants on certified ranges.
 
     `permeability` is a constant or a vectorized callable K(x, y); a
-    callable needs explicit `k_bounds` = (k_m, k_M).
+    callable needs explicit `k_bounds` = (k_m, k_M).  No gravity load.
     """
     if callable(permeability):
         kappa = permeability
@@ -240,7 +238,6 @@ def make_material(alpha, mu, b_law, h_law, permeability, nu_f,
     h_m, L_h = estimate_constants(h_law, samples=samples)
     return MaterialModel(alpha=alpha, mu=mu, b_law=b_law, h_law=h_law,
                          kappa=kappa, nu_f=nu_f, k_m=k_m, k_M=k_M,
-                         rho_f=rho_f, gravity=tuple(gravity),
                          b_m=b_m, L_b=L_b, h_m=h_m, L_h=L_h)
 
 
@@ -339,8 +336,6 @@ def manufactured_problem(mat: MaterialModel, final_time=1.0) -> ProblemDefinitio
     """
     if mat.k_m != mat.k_M:
         raise ValueError("manufactured problem requires constant permeability")
-    if mat.rho_f != 0.0 and tuple(mat.gravity) != (0.0, 0.0):
-        raise ValueError("manufactured problem assumes zero gravity load")
     kk = mat.k_m / mat.nu_f
     alpha, mu = mat.alpha, mat.mu
     bp, hp = mat.b_law.deriv, mat.h_law.deriv
@@ -470,8 +465,6 @@ def mandel_problem(mat: MaterialModel, cfg: MandelConfig,
     The initial state is the instantaneous undrained response (uniform
     pressure, zero flux, linear displacement).
     """
-    if tuple(mat.gravity) != (0.0, 0.0):
-        raise ValueError("gravity is neglected in the consolidation benchmark")
     a, b, force = cfg.a, cfg.b, cfg.force
     nu_u, mu = cfg.nu_undrained, cfg.mu
     p0 = cfg.initial_pressure

@@ -88,12 +88,12 @@ class SchemeConfig:
         return self.monolithic_safe(mat)
 
 
-def suggested_tuning(mat: MaterialModel, kind, l2_cap_factor=50.0):
+def suggested_tuning(mat: MaterialModel, kind):
     """Default (L1, L2) from the estimated law constants.
 
     L1 = L_b for both schemes (at or above both convergence conditions).
     The splitting L2 adds the alpha^2 / b_m coupling margin when that is
-    finite and not absurdly larger than L_h (a degenerate monotonicity
+    finite and the sum at most 50 max(1, L_h) (a degenerate monotonicity
     floor would stall the mechanics update); otherwise, and for the
     monolithic scheme, L2 = L_h.  For linear laws this reproduces the
     undrained-split preset (1/M, lambda + M alpha^2) and the exact
@@ -107,7 +107,7 @@ def suggested_tuning(mat: MaterialModel, kind, l2_cap_factor=50.0):
     L2 = mat.L_h
     if kind == "splitting" and mat.alpha > 0 and mat.b_m > 0:
         candidate = mat.L_h + mat.alpha ** 2 / mat.b_m
-        if candidate <= l2_cap_factor * max(1.0, mat.L_h):
+        if candidate <= 50.0 * max(1.0, mat.L_h):
             L2 = candidate
     return L1, L2
 
@@ -160,7 +160,6 @@ class StepContext:
     tau: float
     f_vec: np.ndarray
     g_vec: np.ndarray
-    s_vec: np.ndarray
     mass_const: np.ndarray   # tau <S_f, w> + <b(p_prev), w> + alpha <div u_prev, w>
 
     @classmethod
@@ -169,7 +168,7 @@ class StepContext:
         f_vec, g_vec, s_vec = assemble_loads(problem, ops, t_new)
         mass_const = (tau * s_vec + ops.bp_dual(prev.p.coeffs)
                       + ops.mat.alpha * ops.divu_dual(prev.u.coeffs))
-        return cls(t_new, tau, f_vec, g_vec, s_vec, mass_const)
+        return cls(t_new, tau, f_vec, g_vec, mass_const)
 
 
 class SchemeSolver:

@@ -318,7 +318,7 @@ def test_criterion_8_preconditioned_gmres_mesh_robust():
             system, ops, mat = _linear_monolithic_system(nx)
             cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
             M = FixedStressPreconditioner(ops, cfg, mat, 0.25)
-            _, rep = gmres(system, preconditioner=M.as_linear_operator(),
+            _, rep = gmres(system, preconditioner=M,
                            rtol=1e-10)
             assert rep.converged, nx
             precond_counts.append(rep.iterations)

@@ -7,9 +7,9 @@ import pytest
 from porobiot import schemes
 from porobiot.assembly import build_operators
 from porobiot.bench import (ContractionReport, _single_step, error_norms,
-                            manufactured_convergence, mandel_report,
-                            run_mandel, sensitivity_grid, sweep_L,
-                            verify_contraction, write_errors_csv,
+                            manufactured_convergence, manufactured_setup,
+                            mandel_report, run_mandel, sensitivity_grid,
+                            sweep_L, verify_contraction, write_errors_csv,
                             write_mandel_csv, write_sensitivity_csv,
                             write_sweep_csv)
 from porobiot.fem import interpolate
@@ -246,7 +246,7 @@ class TestMandelSeries:
         monkeypatch.setenv("POROBIOT_THREADS", "3")
         assert worker_count() == 3
         monkeypatch.setenv("POROBIOT_THREADS", "junk")
-        assert worker_count(default=2) == 2
+        assert worker_count() == 1
 
     def test_csv_schema(self, short_run, tmp_path):
         series, _, _ = short_run
@@ -325,7 +325,9 @@ def test_range_excursion_counted_under_single_step_filter(monkeypatch):
     monkeypatch.setattr("porobiot.bench.iterate_to_convergence", recording)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = _single_step("t1c1", "splitting", 2.72, 3.0, nx=4, tau=4.0)
+        result = _single_step(*manufactured_setup("t1c1", 4),
+                              SchemeConfig("splitting", L1=2.72, L2=3.0,
+                                           max_iter=200), 4.0)
     assert result.status == "converged"
     assert [tr.range_excursions for tr in traces] == [1]
     assert not [w for w in caught if issubclass(w.category,

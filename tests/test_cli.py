@@ -214,6 +214,36 @@ class TestSubcommands:
         assert run_cli(args + ["--out", str(tmp_path)] + ranges) == EXIT_OK
         assert seen and set(seen) == {((-0.5, 2.0), (-0.25, 0.25))}
 
+    UNREAD_RUNS = {
+        "sweep": ["sweep", "--case", "t1c1", "--scheme", "monolithic",
+                  "--h", "0.25", "--L1-grid", "1", "--L2-grid", "1"],
+        "sensitivity": ["sensitivity", "--case", "t1c1", "--scheme",
+                        "monolithic", "--h", "0.25", "--axis", "tau",
+                        "--values", "0.25", "--L1", "1", "--L2", "1"],
+    }
+
+    @pytest.mark.parametrize("subcommand, extra, ini", [
+        ("sweep", ["--L1", "5"], None),
+        ("sweep", ["--set", "scheme.l2=5"], None),
+        ("sweep", [], "[scheme]\nl1 = 5\n"),
+        ("sweep", ["--set", "solver.method=gmres"], None),
+        ("sensitivity", ["--set", "solver.method=gmres"], None),
+        ("sensitivity", [], "[solver]\nrtol = 1e-6\n"),
+    ], ids=["sweep-l1-flag", "sweep-l2-set", "sweep-l1-file",
+            "sweep-solver-set", "sensitivity-solver-set",
+            "sensitivity-solver-file"])
+    def test_unread_keys_are_config_errors(self, tmp_path, subcommand, extra,
+                                           ini):
+        # the sweep takes L1 and L2 from its grids, and both runs solve by
+        # LU: a value the manifest would record but the run ignore is an error
+        args = self.UNREAD_RUNS[subcommand] + extra
+        if ini is not None:
+            (tmp_path / "run.ini").write_text(ini)
+            args += ["--config", str(tmp_path / "run.ini")]
+        out = tmp_path / "run"
+        assert run_cli(args + ["--out", str(out)]) == EXIT_CONFIG
+        assert not (out / "manifest.json").exists()
+
     def test_verify_uses_solver_options(self, tmp_path):
         # verify runs the monolithic scheme through the [solver] GMRES,
         # whose one-iteration cap cannot reach the inner tolerance

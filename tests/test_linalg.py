@@ -135,7 +135,7 @@ class TestGMRES:
         A = sp.csr_matrix(rng.standard_normal((12, 12)) + 12 * np.eye(12))
         b = rng.standard_normal(12)
         inv = np.linalg.inv(A.toarray())
-        x, rep = gmres(BlockSystem(A, b), preconditioner=lambda r: inv @ r,
+        x, rep = gmres(BlockSystem(A, b), preconditioner=inv,
                        rtol=1e-10)
         assert rep.converged
         assert rep.iterations <= 1
@@ -189,7 +189,7 @@ class TestFixedStressPreconditioner:
         rng = np.random.default_rng(7)
         system = BlockSystem(system.matrix,
                              rng.standard_normal(system.matrix.shape[0]))
-        x, rep = gmres(system, preconditioner=M.as_linear_operator(),
+        x, rep = gmres(system, preconditioner=M,
                        rtol=1e-10)
         assert rep.converged
         assert rep.iterations <= 2
@@ -200,7 +200,7 @@ class TestFixedStressPreconditioner:
             system, ops, mat = monolithic_linear_system(nx=nx)
             cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
             M = FixedStressPreconditioner(ops, cfg, mat, 0.25)
-            x, rep = gmres(system, preconditioner=M.as_linear_operator(),
+            x, rep = gmres(system, preconditioner=M,
                            rtol=1e-10)
             assert rep.converged
             counts.append(rep.iterations)
@@ -211,7 +211,7 @@ class TestFixedStressPreconditioner:
         system, ops, mat = monolithic_linear_system(nx=8)
         cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
         M = FixedStressPreconditioner(ops, cfg, mat, 0.25)
-        xg, repg = gmres(system, preconditioner=M.as_linear_operator(),
+        xg, repg = gmres(system, preconditioner=M,
                          rtol=1e-12)
         xd = CachedLU(system.matrix).solve(system.rhs)
         assert np.linalg.norm(xg - xd) / np.linalg.norm(xd) <= 1e-8

@@ -116,6 +116,16 @@ def test_boundary_edges_mandel_counts():
     assert len(boundary_edges(m, Side.BOTTOM)) == 40
 
 
+def test_boundary_edges_built_once_sorted_and_read_only():
+    m = generate_rect_mesh((0, 0), (3, 2), 3, 5)
+    for s in Side:
+        edges = m.boundary_edges(s)
+        assert edges is boundary_edges(m, s)
+        assert np.all(np.diff(edges) > 0)
+        with pytest.raises(ValueError):
+            edges[0] = 0
+
+
 def test_boundary_partition_disjoint():
     m = generate_rect_mesh((0, 0), (3, 2), 3, 5)
     tagged = [e for s in Side for e in boundary_edges(m, s)]
