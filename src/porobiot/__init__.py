@@ -9,7 +9,7 @@ sweep doubles as a block preconditioner for GMRES on the monolithic
 system.
 """
 
-from .mesh import Mesh, MeshError, Side, boundary_edges, generate_rect_mesh
+from .mesh import Mesh, MeshError, Side, generate_rect_mesh
 from .fem import DofMap, FeFunction, QuadratureRule, SpaceKind, interpolate, \
     l2_inner, l2_norm, quadrature
 from .physics import MandelConfig, MaterialModel, NonlinearLaw, \

@@ -109,7 +109,7 @@ def assemble_mechanics(mesh: Mesh, mat: MaterialModel, dofmap_u: DofMap,
 
 def assemble_flow(mesh: Mesh, mat: MaterialModel, dofmap_q: DofMap,
                   dofmap_p: DofMap):
-    """Weighted RT0 mass, flux-divergence map and P0 mass.
+    """RT0 mass weighted by nu_f / K, flux-divergence map and P0 mass.
 
     Returns
     -------
@@ -117,12 +117,7 @@ def assemble_flow(mesh: Mesh, mat: MaterialModel, dofmap_q: DofMap,
     b_qp : csr_matrix, shape (n_p, n_q), entries are signed edge lengths
     m_p : dia/csr matrix, diagonal of cell areas
     """
-    pts = np.einsum("qv,fvd->fqd", quadrature(2).points,
-                    mesh.vertices[mesh.cells])
-    kvals = np.asarray(mat.kappa(pts[:, :, 0], pts[:, :, 1]), dtype=float)
-    if np.any(kvals <= 0.0):
-        raise ValueError("non-positive permeability sampled at a quadrature point")
-    m_loc = _rt0_local_mass(mesh, mat.nu_f / kvals)
+    m_loc = _rt0_local_mass(mesh, mat.nu_f / mat.permeability)
 
     dofs = dofmap_q.cell_to_dofs
     rows = np.repeat(dofs, 3, axis=1).ravel()
@@ -295,10 +290,6 @@ class BiotOperators:
         # inner linear-solver selection and per-solve reports (see linalg)
         self.solver = None
         self.solver_log = []
-
-    @property
-    def sizes(self):
-        return (self.dofmap_u.n_dofs, self.dofmap_q.n_dofs, self.dofmap_p.n_dofs)
 
     # -- exact non-linear and coupling functionals ------------------------
 

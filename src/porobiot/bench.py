@@ -18,9 +18,9 @@ import numpy as np
 from .assembly import build_operators
 from .fem import quadrature, _rt0_values_at
 from .mesh import Side, generate_rect_mesh
-from .physics import (AdmissibleRangeWarning, MandelConfig, mandel_material,
-                      mandel_problem, manufactured_material,
-                      manufactured_problem)
+from .physics import (CENTIPOISE, DARCY, AdmissibleRangeWarning,
+                      MandelConfig, mandel_material, mandel_problem,
+                      manufactured_material, manufactured_problem)
 from .schemes import (BiotState, DivergenceError, SchemeConfig,
                       build_initial_state, iterate_to_convergence, march,
                       suggested_tuning)
@@ -58,14 +58,14 @@ def manufactured_setup(case_id, nx, material=None, final_time=1.0,
 # error norms and convergence orders
 # ---------------------------------------------------------------------------
 
-def error_norms(state: BiotState, exact, t=None):
-    """L2 errors of (p, u, div u, q) against an analytic triple.
+def error_norms(state: BiotState, exact):
+    """L2 errors of (p, u, div u, q) against an analytic triple at state.time.
 
     Integrated cellwise with a degree-4 rule; the numeric fields are
     evaluated from their coefficient vectors (P0 constant, P1 affine, RT0
     linear).
     """
-    t = state.time if t is None else t
+    t = state.time
     mesh = state.p.mesh
     rule = quadrature(4)
     corners = mesh.vertices[mesh.cells]
@@ -120,27 +120,30 @@ def estimate_orders(rows):
 
 
 def manufactured_convergence(case_id, scheme_kind, L1, L2, levels=3,
-                             nx0=8, tau0=0.25, tau_proportional=True,
-                             tol=1e-8, max_iter=500, final_time=1.0,
-                             material=None, solver=None, solver_rows=None):
+                             nx0=8, tau0=0.25, tol=1e-8, max_iter=500,
+                             final_time=1.0, material=None, solver=None,
+                             solver_rows=None):
     """March the verification problem over a refinement ladder.
 
     Returns ErrorRows at the final time with observed orders; the time step
-    halves with the mesh by default (the linear exact solution makes the
-    implicit stepping exact in time, so the orders isolate space).  Each
-    level keeps only its final state.  `material` and `solver` are as in
-    `manufactured_setup`.
+    halves with the mesh (the linear exact solution makes the implicit
+    stepping exact in time, so the orders isolate space).  Each level keeps
+    only its final state; a step that stops at `max_iter` raises
+    DivergenceError.  `material` and `solver` are as in `manufactured_setup`;
+    `solver_rows` collects every level's linear-solve reports.
     """
     cfg = SchemeConfig(scheme_kind, L1=L1, L2=L2, tol=tol, max_iter=max_iter)
     rows = []
     for lev in range(levels):
-        tau = tau0 * (0.5 ** lev) if tau_proportional else tau0
+        tau = tau0 * (0.5 ** lev)
         ops, initial = manufactured_setup(case_id, nx0 * (2 ** lev), material,
                                           final_time, solver)
-        for state, _ in march(ops.problem, ops.mesh, ops.mat, cfg, tau,
-                              int(round(final_time / tau)), ops=ops,
-                              initial=initial):
-            pass
+        for state, trace in march(ops.problem, ops.mesh, ops.mat, cfg, tau,
+                                  int(round(final_time / tau)), ops=ops,
+                                  initial=initial):
+            if not trace.converged:
+                raise DivergenceError(f"level {lev}: the step to t="
+                                      f"{state.time:g} stopped at max_iter")
         if solver_rows is not None:
             solver_rows.extend(ops.solver_log)
         errs = error_norms(state, ops.problem.exact)
@@ -402,9 +405,9 @@ def write_mandel_csv(series: MandelSeries, path):
 
 def run_mandel(case_id="linear", cfg: MandelConfig = None, scheme_kind="monolithic",
                L1=None, L2=None, dt=1.0, n_steps=500, nx=40, ny=40,
-               probe=None, tol=1e-8, max_iter=500, permeability=None,
-               viscosity=None, p_range=None, s_range=None, solver=None,
-               solver_rows=None):
+               probe=None, tol=1e-8, max_iter=500, permeability=100.0 * DARCY,
+               viscosity=10.0 * CENTIPOISE, p_range=None, s_range=None,
+               solver=None):
     """Convenience driver: construct, march and report the slab benchmark.
 
     Stabilization defaults to the estimated law constants; for the linear
@@ -415,18 +418,14 @@ def run_mandel(case_id="linear", cfg: MandelConfig = None, scheme_kind="monolith
     Returns (series, results, (mat, prob, mesh, ops, scheme)).  `results`
     holds one (state, trace) pair per step, but only the last pair holds
     its state; the earlier ones hold None, because the run streams `march`
-    into `mandel_report` and keeps only what it reports.  Excursions out of
-    the certified law ranges are not warned about; each trace counts its
-    own in `range_excursions`.
+    into `mandel_report` and keeps only what it reports; `ops.solver_log`
+    holds the linear-solve reports.  Excursions out of the certified law
+    ranges are not warned about; each trace counts its own in
+    `range_excursions`.
     """
     cfg = cfg or MandelConfig()
-    mat_kw = {}
-    if permeability is not None:
-        mat_kw["permeability"] = permeability
-    if viscosity is not None:
-        mat_kw["viscosity"] = viscosity
-    mat = mandel_material(case_id, cfg, p_range=p_range, s_range=s_range,
-                          **mat_kw)
+    mat = mandel_material(case_id, cfg, permeability, viscosity, p_range,
+                          s_range)
     prob = mandel_problem(mat, cfg, final_time=dt * n_steps)
     mesh = generate_rect_mesh((0, 0), (cfg.a, cfg.b), nx, ny)
     if L1 is None or L2 is None:
@@ -444,8 +443,6 @@ def run_mandel(case_id="linear", cfg: MandelConfig = None, scheme_kind="monolith
             initial, _keep_last_state(march(prob, mesh, mat, scheme, dt, n_steps,
                                             ops=ops, initial=initial), results),
             mesh, probe=probe, initial_pressure=cfg.initial_pressure)
-    if solver_rows is not None:
-        solver_rows.extend(ops.solver_log)
     return series, results, (mat, prob, mesh, ops, scheme)
 
 

@@ -5,7 +5,8 @@ Configuration is a flat INI file with sections [material] [laws] [problem]
 the defaults.  Every run writes its artifacts plus a manifest.json with
 the fully resolved configuration, package versions and timings.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure.
+Exit codes: 0 success, 2 configuration error (also the ValueError or
+MeshError the library raises on invalid input), 3 solver failure.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from .bench import (manufactured_convergence, manufactured_setup, run_mandel,
                     sensitivity_grid, sweep_L, verify_contraction,
                     write_contraction_csv, write_errors_csv, write_mandel_csv,
                     write_sensitivity_csv, write_sweep_csv, worker_count)
-from .linalg import LinearSolveError, SolverOptions, write_solver_reports_csv
+from .linalg import (FactorizationError, LinearSolveError, SolverOptions,
+                     write_solver_reports_csv)
+from .mesh import MeshError
 from .physics import (DARCY, CENTIPOISE, LAW_CASES, MandelConfig,
                       manufactured_material)
-from .schemes import (DivergenceError, SchemeConfig, SchemeConfigError,
-                      iterate_to_convergence, suggested_tuning,
-                      write_trace_csv)
+from .schemes import (DivergenceError, SchemeConfig, iterate_to_convergence,
+                      suggested_tuning, write_trace_csv)
 
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER = 0, 2, 3
 
@@ -55,10 +57,22 @@ DEFAULTS = {
     "output": {"dir": "out"},
 }
 
-# keys a run does not read (sweep L comes from the grids; both solve by LU)
-UNREAD = {"sweep": [("scheme", "l1"), ("scheme", "l2")]
-          + [("solver", key) for key in DEFAULTS["solver"]],
-          "sensitivity": [("solver", key) for key in DEFAULTS["solver"]]}
+# keys a run does not read: each run reads the [problem] keys of its own
+# domain, and only the ladder reads final_time; sweep takes L from its grids,
+# and sweep and sensitivity solve by LU
+_SLAB = [("problem", k) for k in
+         ("a", "b", "force", "dt", "steps", "nx", "ny", "probe_x", "probe_y")]
+_LADDER = [("problem", "levels"), ("problem", "final_time")]
+_LU = [("solver", k) for k in DEFAULTS["solver"]]
+UNREAD = {"mandel": [("problem", "h"), ("problem", "tau")] + _LADDER,
+          "manufactured": _SLAB, "verify": _SLAB + _LADDER,
+          "sweep": _SLAB + _LADDER + _LU
+          + [("scheme", "l1"), ("scheme", "l2")],
+          "sensitivity": _SLAB + _LADDER + _LU}
+# keys that must be positive (the library checks the others it reads)
+POSITIVE = [("problem", k) for k in ("h", "tau", "levels", "dt")] + [
+    ("scheme", "max_iter"), ("solver", "restart"), ("solver", "maxiter"),
+    ("material", "permeability"), ("material", "viscosity")]
 
 # the consolidation benchmark defaults to its standard field parameters
 MANDEL_MATERIAL = {"alpha": "1.0", "mu": "2.475e9", "lam": "1.65e9",
@@ -119,9 +133,12 @@ def parse_values(text):
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
         return np.logspace(lo, hi, n)
     try:
-        return np.array([float(v) for v in text.split(",") if v.strip() != ""])
+        values = np.array([float(v) for v in text.split(",") if v.strip()])
     except ValueError:
         raise ConfigError(f"cannot parse value list {text!r}")
+    if not values.size:
+        raise ConfigError("empty value list")
+    return values
 
 
 def _law_ranges(cfg):
@@ -227,8 +244,7 @@ def cmd_mandel(cfg, outdir):
         else None
     l1, l2 = _fget(cfg, "scheme", "l1"), _fget(cfg, "scheme", "l2")
     p_range, s_range = _law_ranges(cfg)
-    solver_rows = []
-    series, results, _ = run_mandel(
+    series, results, (_, _, _, ops, _) = run_mandel(
         case_id=case, cfg=mandel_cfg, scheme_kind=cfg["scheme"]["kind"],
         L1=l1, L2=l2, dt=_fget(cfg, "problem", "dt"),
         n_steps=_iget(cfg, "problem", "steps"),
@@ -238,7 +254,7 @@ def cmd_mandel(cfg, outdir):
         permeability=_fget(cfg, "material", "permeability"),
         viscosity=_fget(cfg, "material", "viscosity"),
         p_range=p_range, s_range=s_range,
-        solver=_solver_options(cfg), solver_rows=solver_rows)
+        solver=_solver_options(cfg))
     bad = [i + 1 for i, (_, tr) in enumerate(results) if not tr.converged]
     if bad:
         raise DivergenceError(f"steps {bad[:5]} did not converge")
@@ -247,9 +263,9 @@ def cmd_mandel(cfg, outdir):
     trace_path = Path(outdir) / "trace.csv"
     write_trace_csv([tr for _, tr in results], trace_path)
     artifacts = [series_path, trace_path]
-    if solver_rows:
+    if ops.solver_log:
         sol_path = Path(outdir) / "linsolve.csv"
-        write_solver_reports_csv(solver_rows, sol_path)
+        write_solver_reports_csv(ops.solver_log, sol_path)
         artifacts.append(sol_path)
     return artifacts
 
@@ -271,7 +287,10 @@ def cmd_sweep(cfg, outdir, l1_spec, l2_spec):
 def cmd_sensitivity(cfg, outdir, axis, values_spec):
     case, material, mat = _manufactured_material(cfg)
     scheme = _scheme_config(cfg, mat)
-    rows = sensitivity_grid(case, scheme.kind, axis, parse_values(values_spec),
+    values = parse_values(values_spec)
+    if axis != "alpha" and not np.all(values > 0):
+        raise ConfigError(f"sensitivity values of {axis} must be positive")
+    rows = sensitivity_grid(case, scheme.kind, axis, values,
                             scheme.L1, scheme.L2,
                             nx=int(round(1.0 / _fget(cfg, "problem", "h"))),
                             tau=_fget(cfg, "problem", "tau"), tol=scheme.tol,
@@ -285,7 +304,6 @@ def cmd_verify(cfg, outdir):
     case, material, _ = _manufactured_material(cfg)
     ops, prev = manufactured_setup(
         case, int(round(1.0 / _fget(cfg, "problem", "h"))), material,
-        final_time=_fget(cfg, "problem", "final_time"),
         solver=_solver_options(cfg))
     mat = ops.mat
     scheme = _scheme_config(cfg, mat)
@@ -395,6 +413,9 @@ def main(argv=None):
         for sec, key in UNREAD.get(args.subcommand, ()):
             if cfg[sec][key] != DEFAULTS[sec][key]:
                 raise ConfigError(f"{args.subcommand} ignores {sec}.{key}")
+        for sec, key in POSITIVE:
+            if not _fget(cfg, sec, key, 0.0) > 0:
+                raise ConfigError(f"{sec}.{key} must be positive")
         outdir = Path(cfg["output"]["dir"])
         try:
             outdir.mkdir(parents=True, exist_ok=True)
@@ -412,10 +433,10 @@ def main(argv=None):
             artifacts = cmd_verify(cfg, outdir)
         else:  # pragma: no cover - argparse enforces the choices
             raise ConfigError(f"unknown subcommand {args.subcommand}")
-    except (ConfigError, SchemeConfigError) as exc:
+    except (ValueError, MeshError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DivergenceError, LinearSolveError) as exc:
+    except (DivergenceError, FactorizationError, LinearSolveError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     _write_manifest(outdir, args.subcommand, cfg,

@@ -135,10 +135,10 @@ def _local_mass(dofmap: DofMap):
 def _rt0_local_mass(mesh, weight=1.0):
     """Per-cell RT0 mass matrices int weight phi_i . phi_j, shape (F, 3, 3).
 
-    `weight` is a constant or its values at the degree-2 points (exact for
-    products of linear fields) of every cell, shape (F, 3).  Each local
-    matrix is averaged with its transpose, whose products round apart, so
-    that the assembled mass equals its transpose to the last bit.
+    `weight` is a constant; the degree-2 rule is exact for products of
+    linear fields.  Each local matrix is averaged with its transpose, whose
+    products round apart, so that the assembled mass equals its transpose
+    to the last bit.
     """
     rule = quadrature(2)
     vals = _rt0_values_at(mesh, rule)  # (F, nq, 3, 2)

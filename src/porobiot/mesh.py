@@ -223,8 +223,3 @@ def generate_rect_mesh(origin, extent, nx, ny):
 
     return Mesh(vertices, cells, edges, cell_edge_ids, signs, boundary_tags,
                 structured=(tuple(origin), tuple(extent), nx, ny))
-
-
-def boundary_edges(mesh, tag):
-    """Edge indices on the given boundary side: `Mesh.boundary_edges`."""
-    return mesh.boundary_edges(tag)

@@ -186,9 +186,9 @@ def estimate_constants(law: NonlinearLaw, rng=None, samples=101):
 class MaterialModel:
     """Poromechanical material: coupling constants, laws and permeability.
 
-    kappa is a vectorized callable K(x, y); nu_f is the (dynamic) fluid
-    viscosity appearing in the Darcy weak form as nu_f * K^{-1}.  The law
-    constants (b_m, L_b, h_m, L_h) are estimates over the laws' certified
+    `permeability` is one positive constant K and nu_f the positive (dynamic)
+    fluid viscosity; the Darcy weak form weighs the flux by nu_f / K.  The
+    law constants (b_m, L_b, h_m, L_h) are estimates over the laws' certified
     ranges and feed the theorem-compliance flags.  No gravity load.
     """
 
@@ -196,10 +196,8 @@ class MaterialModel:
     mu: float
     b_law: NonlinearLaw
     h_law: NonlinearLaw
-    kappa: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    permeability: float
     nu_f: float
-    k_m: float
-    k_M: float
     b_m: float = 0.0
     L_b: float = np.inf
     h_m: float = 0.0
@@ -208,36 +206,22 @@ class MaterialModel:
     def __post_init__(self):
         if self.mu <= 0:
             raise ValueError("shear modulus must be positive")
-        if not 0 < self.k_m <= self.k_M:
-            raise ValueError("permeability bounds must satisfy 0 < k_m <= k_M")
+        if not (self.permeability > 0 and self.nu_f > 0):
+            raise ValueError("permeability and viscosity must be positive")
         if not 0 <= self.b_m <= self.L_b:
             raise ValueError("need 0 <= b_m <= L_b")
         if not 0 <= self.h_m <= self.L_h:
             raise ValueError("need 0 <= h_m <= L_h")
 
 
-def make_material(alpha, mu, b_law, h_law, permeability, nu_f,
-                  samples=201, k_bounds=None):
-    """Build a MaterialModel, estimating law constants on certified ranges.
-
-    `permeability` is a constant or a vectorized callable K(x, y); a
-    callable needs explicit `k_bounds` = (k_m, k_M).  No gravity load.
-    """
-    if callable(permeability):
-        kappa = permeability
-        if k_bounds is None:
-            raise ValueError("spatially varying permeability needs k_bounds")
-        k_m, k_M = map(float, k_bounds)
-    else:
-        k_const = float(permeability)
-        kappa = lambda x, y: np.full_like(np.asarray(x, dtype=float), k_const)
-        k_m = k_M = k_const
-    if k_m <= 0:
-        raise ValueError("permeability must be positive")
-    b_m, L_b = estimate_constants(b_law, samples=samples)
-    h_m, L_h = estimate_constants(h_law, samples=samples)
+def make_material(alpha, mu, b_law, h_law, permeability, nu_f):
+    """Build a MaterialModel of one positive permeability K, estimating the
+    law constants from 201 samples of each certified range.  No gravity
+    load."""
+    b_m, L_b = estimate_constants(b_law, samples=201)
+    h_m, L_h = estimate_constants(h_law, samples=201)
     return MaterialModel(alpha=alpha, mu=mu, b_law=b_law, h_law=h_law,
-                         kappa=kappa, nu_f=nu_f, k_m=k_m, k_M=k_M,
+                         permeability=float(permeability), nu_f=nu_f,
                          b_m=b_m, L_b=L_b, h_m=h_m, L_h=L_h)
 
 
@@ -304,9 +288,9 @@ class ExactSolution:
 
 @dataclass
 class ProblemDefinition:
-    """One initial-boundary-value problem on a rectangle."""
+    """One initial-boundary-value problem on a rectangle; `final_time` is
+    recorded only, a run's step size and count set how far it marches."""
 
-    domain: tuple[tuple[float, float], tuple[float, float]]
     final_time: float
     u_bc: dict
     q_bc: dict
@@ -316,7 +300,6 @@ class ProblemDefinition:
     initial_p: Callable        # (x, y) -> scalar
     initial_q: Callable        # (x, y) -> (2,)
     exact: Optional[ExactSolution] = None
-    label: str = ""
 
     def __post_init__(self):
         for side in Side:
@@ -334,9 +317,7 @@ def manufactured_problem(mat: MaterialModel, final_time=1.0) -> ProblemDefinitio
     Homogeneous conditions: displacement fixed, boundary pressure zero
     (natural in the mixed form); all initial data vanish.
     """
-    if mat.k_m != mat.k_M:
-        raise ValueError("manufactured problem requires constant permeability")
-    kk = mat.k_m / mat.nu_f
+    kk = mat.permeability / mat.nu_f
     alpha, mu = mat.alpha, mat.mu
     bp, hp = mat.b_law.deriv, mat.h_law.deriv
 
@@ -390,7 +371,6 @@ def manufactured_problem(mat: MaterialModel, final_time=1.0) -> ProblemDefinitio
 
     zero2 = lambda x, y: (0.0, 0.0)
     return ProblemDefinition(
-        domain=((0.0, 0.0), (1.0, 1.0)),
         final_time=final_time,
         u_bc={s: UBc("fixed", (0.0, 0.0)) for s in Side},
         q_bc={s: QBc("pressure", 0.0) for s in Side},
@@ -399,8 +379,7 @@ def manufactured_problem(mat: MaterialModel, final_time=1.0) -> ProblemDefinitio
         initial_u=zero2,
         initial_p=lambda x, y: 0.0,
         initial_q=zero2,
-        exact=ExactSolution(p=p_ex, u=u_ex, q=q_ex, div_u=div_u_ex),
-        label="manufactured")
+        exact=ExactSolution(p=p_ex, u=u_ex, q=q_ex, div_u=div_u_ex))
 
 
 @dataclass
@@ -465,7 +444,7 @@ def mandel_problem(mat: MaterialModel, cfg: MandelConfig,
     The initial state is the instantaneous undrained response (uniform
     pressure, zero flux, linear displacement).
     """
-    a, b, force = cfg.a, cfg.b, cfg.force
+    a, force = cfg.a, cfg.force
     nu_u, mu = cfg.nu_undrained, cfg.mu
     p0 = cfg.initial_pressure
 
@@ -481,7 +460,6 @@ def mandel_problem(mat: MaterialModel, cfg: MandelConfig,
         return np.zeros_like(np.asarray(x, dtype=float))
 
     return ProblemDefinition(
-        domain=((0.0, 0.0), (a, b)),
         final_time=final_time,
         u_bc={Side.LEFT: UBc("normal_zero"),
               Side.BOTTOM: UBc("normal_zero"),
@@ -496,8 +474,7 @@ def mandel_problem(mat: MaterialModel, cfg: MandelConfig,
         initial_u=u0,
         initial_p=lambda x, y: p0,
         initial_q=lambda x, y: (0.0, 0.0),
-        exact=None,
-        label="mandel")
+        exact=None)
 
 
 def mandel_material(case_id="linear", cfg: Optional[MandelConfig] = None,

@@ -344,8 +344,7 @@ def test_criterion_8_preconditioned_gmres_mesh_robust():
 def test_criterion_9_discrete_orders():
     with criterion(9, "observed orders: p, q first order; u second order"):
         rows = manufactured_convergence("linear", "monolithic", 1.0, 1.0,
-                                        levels=3, nx0=8, tau0=0.25,
-                                        tau_proportional=True, tol=1e-9)
+                                        levels=3, nx0=8, tau0=0.25, tol=1e-9)
         for prev_row, row in zip(rows, rows[1:]):
             ratio = np.log(prev_row.h / row.h)
             order_q = np.log(prev_row.err_q / row.err_q) / ratio

@@ -215,6 +215,12 @@ class TestSubcommands:
         assert seen and set(seen) == {((-0.5, 2.0), (-0.25, 0.25))}
 
     UNREAD_RUNS = {
+        "mandel": ["mandel", "--steps", "2", "--set", "problem.nx=4",
+                   "--set", "problem.ny=4"],
+        "manufactured": ["manufactured", "--case", "t1c1", "--h", "0.25",
+                         "--levels", "1"],
+        "verify": ["verify", "--case", "t1c1", "--scheme", "splitting",
+                   "--h", "0.25"],
         "sweep": ["sweep", "--case", "t1c1", "--scheme", "monolithic",
                   "--h", "0.25", "--L1-grid", "1", "--L2-grid", "1"],
         "sensitivity": ["sensitivity", "--case", "t1c1", "--scheme",
@@ -229,19 +235,69 @@ class TestSubcommands:
         ("sweep", ["--set", "solver.method=gmres"], None),
         ("sensitivity", ["--set", "solver.method=gmres"], None),
         ("sensitivity", [], "[solver]\nrtol = 1e-6\n"),
+        ("mandel", ["--set", "problem.h=9", "--set", "problem.levels=4"],
+         None),
+        ("manufactured", ["--set", "problem.nx=4"], None),
+        ("verify", ["--set", "problem.final_time=7"], None),
+        ("sweep", [], "[problem]\nsteps = 3\n"),
+        ("sensitivity", ["--set", "problem.probe_x=5"], None),
     ], ids=["sweep-l1-flag", "sweep-l2-set", "sweep-l1-file",
             "sweep-solver-set", "sensitivity-solver-set",
-            "sensitivity-solver-file"])
+            "sensitivity-solver-file", "mandel-unit-square-keys",
+            "manufactured-slab-key", "verify-final-time", "sweep-steps-file",
+            "sensitivity-probe"])
     def test_unread_keys_are_config_errors(self, tmp_path, subcommand, extra,
                                            ini):
-        # the sweep takes L1 and L2 from its grids, and both runs solve by
-        # LU: a value the manifest would record but the run ignore is an error
+        # the sweep takes L1 and L2 from its grids, both runs solve by LU,
+        # and each run reads only the [problem] keys of its own domain: a
+        # value the manifest would record but the run ignore is an error
         args = self.UNREAD_RUNS[subcommand] + extra
         if ini is not None:
             (tmp_path / "run.ini").write_text(ini)
             args += ["--config", str(tmp_path / "run.ini")]
         out = tmp_path / "run"
         assert run_cli(args + ["--out", str(out)]) == EXIT_CONFIG
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["mandel", "--nonlinear", "bogus"],
+        ["mandel", "--steps", "0"],
+        ["mandel", "--dt", "0"],
+        ["mandel", "--set", "problem.nx=0"],
+        ["mandel", "--set", "problem.a=-1"],
+        ["mandel", "--probe", "1e9,1e9"],
+        ["mandel", "--steps", "2", "--set", "material.viscosity=0"],
+        ["mandel", "--steps", "2", "--set", "material.permeability="],
+        ["manufactured", "--h", "0"],
+        ["manufactured", "--h", "3"],
+        ["manufactured", "--tau", "0"],
+        ["manufactured", "--set", "material.lam=-5"],
+        ["manufactured", "--set", "material.mu=0"],
+        ["manufactured", "--set", "solver.method=gmres",
+         "--set", "solver.restart=0"],
+        ["manufactured", "--set", "problem.levels=0"],
+        ["manufactured", "--set", "scheme.max_iter=0"],
+        ["sensitivity", "--axis", "h", "--values", "0"],
+        ["sensitivity", "--axis", "K", "--values", "0"],
+        ["sweep", "--L1-grid", "1", "--L2-grid", ""],
+    ], ids=lambda args: "_".join(a.lstrip("-") for a in args))
+    def test_bad_input_is_a_config_error(self, tmp_path, capsys, args):
+        # a value no run can use: one line on stderr, exit 2, no manifest
+        out = tmp_path / "run"
+        assert run_cli(args + ["--out", str(out)]) == EXIT_CONFIG
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("args", [
+        # L1 = 1e-320 makes the pressure elimination singular
+        ["manufactured", "--h", "0.25", "--L1", "1e-320", "--L2", "1"],
+        ["manufactured", "--case", "t1c1", "--scheme", "splitting",
+         "--h", "0.25", "--set", "scheme.max_iter=2"],
+    ], ids=["factorization", "manufactured-max-iter"])
+    def test_solver_failures_write_nothing(self, tmp_path, args):
+        out = tmp_path / "run"
+        assert run_cli(args + ["--out", str(out)]) == EXIT_SOLVER
+        assert not (out / "errors.csv").exists()
         assert not (out / "manifest.json").exists()
 
     def test_verify_uses_solver_options(self, tmp_path):

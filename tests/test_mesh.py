@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from porobiot.mesh import (Mesh, MeshError, Side, boundary_edges,
-                           generate_rect_mesh)
+from porobiot.mesh import Mesh, MeshError, Side, generate_rect_mesh
 
 from oracles import cell_geometry
 
@@ -96,7 +95,7 @@ def test_cell_geometry_bad_index():
 
 def test_boundary_edges_bottom_2x2():
     m = generate_rect_mesh((0, 0), (1, 1), 2, 2)
-    bottom = boundary_edges(m, Side.BOTTOM)
+    bottom = m.boundary_edges(Side.BOTTOM)
     assert len(bottom) == 2
     for e in bottom:
         assert np.allclose(m.vertices[m.edges[e], 1], 0.0)
@@ -104,23 +103,23 @@ def test_boundary_edges_bottom_2x2():
 
 def test_boundary_edges_all_tags_1x1():
     m = generate_rect_mesh((0, 0), (1, 1), 1, 1)
-    total = sum(len(boundary_edges(m, s)) for s in Side)
+    total = sum(len(m.boundary_edges(s)) for s in Side)
     assert total == 4
 
 
 def test_boundary_edges_mandel_counts():
     m = generate_rect_mesh((0, 0), (100, 10), 40, 40)
-    assert len(boundary_edges(m, Side.LEFT)) == 40
-    assert len(boundary_edges(m, Side.RIGHT)) == 40
-    assert len(boundary_edges(m, Side.TOP)) == 40
-    assert len(boundary_edges(m, Side.BOTTOM)) == 40
+    assert len(m.boundary_edges(Side.LEFT)) == 40
+    assert len(m.boundary_edges(Side.RIGHT)) == 40
+    assert len(m.boundary_edges(Side.TOP)) == 40
+    assert len(m.boundary_edges(Side.BOTTOM)) == 40
 
 
 def test_boundary_edges_built_once_sorted_and_read_only():
     m = generate_rect_mesh((0, 0), (3, 2), 3, 5)
     for s in Side:
         edges = m.boundary_edges(s)
-        assert edges is boundary_edges(m, s)
+        assert edges is m.boundary_edges(s)
         assert np.all(np.diff(edges) > 0)
         with pytest.raises(ValueError):
             edges[0] = 0
@@ -128,7 +127,7 @@ def test_boundary_edges_built_once_sorted_and_read_only():
 
 def test_boundary_partition_disjoint():
     m = generate_rect_mesh((0, 0), (3, 2), 3, 5)
-    tagged = [e for s in Side for e in boundary_edges(m, s)]
+    tagged = [e for s in Side for e in m.boundary_edges(s)]
     assert len(tagged) == len(set(tagged)) == len(m.boundary_tags)
 
 

@@ -183,7 +183,7 @@ class TestManufactured:
         g = x * (1 - x) * y * (1 - y)
         p = t * g
         u = (t * g, t * g)
-        kk = mat.k_m / mat.nu_f
+        kk = mat.permeability / mat.nu_f
         q = (-kk * sy.diff(p, x), -kk * sy.diff(p, y))
         div_u = sy.diff(u[0], x) + sy.diff(u[1], y)
         div_q = sy.diff(q[0], x) + sy.diff(q[1], y)
@@ -286,7 +286,7 @@ class TestMandel:
 
     def test_si_conversion(self):
         mat = mandel_material("linear")
-        assert mat.k_m == pytest.approx(9.869233e-11, rel=1e-12)
+        assert mat.permeability == pytest.approx(9.869233e-11, rel=1e-12)
         assert mat.nu_f == pytest.approx(1e-2, rel=1e-12)
 
     def test_initial_pressure_field_uniform(self):

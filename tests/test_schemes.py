@@ -102,13 +102,13 @@ class TestFixedPoints:
         zero_s = lambda x, y, t: np.zeros_like(np.asarray(x, float))
         zero_v = lambda x, y, t: np.zeros(np.asarray(x, float).shape + (2,))
         prob = ProblemDefinition(
-            domain=((0.0, 0.0), (1.0, 1.0)), final_time=1.0,
+            final_time=1.0,
             u_bc={s: UBc("fixed", (0.0, 0.0)) for s in Side},
             q_bc={s: QBc("pressure", 0.0) for s in Side},
             body_force=zero_v, source=zero_s,
             initial_u=lambda x, y: (0.0, 0.0),
             initial_p=lambda x, y: 0.0,
-            initial_q=lambda x, y: (0.0, 0.0), label="zero")
+            initial_q=lambda x, y: (0.0, 0.0))
         mesh = generate_rect_mesh((0, 0), (1, 1), 4, 4)
         ops = build_operators(mesh, mat, prob)
         prev = build_initial_state(prob, ops)
