@@ -120,7 +120,11 @@ def _fget(cfg, sec, key, default=None):
 
 
 def _iget(cfg, sec, key):
-    return int(round(_fget(cfg, sec, key)))
+    value = _fget(cfg, sec, key)
+    if value is None or not value.is_integer():
+        raise ConfigError(
+            f"{sec}.{key} must be a whole number, got {cfg[sec][key]!r}")
+    return int(value)
 
 
 def parse_values(text):
@@ -240,8 +244,9 @@ def cmd_mandel(cfg, outdir):
         alpha=_fget(cfg, "material", "alpha"))
     probe_x = _fget(cfg, "problem", "probe_x")
     probe_y = _fget(cfg, "problem", "probe_y")
-    probe = (probe_x, probe_y) if probe_x is not None and probe_y is not None \
-        else None
+    if (probe_x is None) != (probe_y is None):
+        raise ConfigError("problem.probe_x and problem.probe_y go together")
+    probe = None if probe_x is None else (probe_x, probe_y)
     l1, l2 = _fget(cfg, "scheme", "l1"), _fget(cfg, "scheme", "l2")
     p_range, s_range = _law_ranges(cfg)
     series, results, (_, _, _, ops, _) = run_mandel(

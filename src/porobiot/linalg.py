@@ -5,8 +5,8 @@ reuses them (the L-scheme matrices are constant across iterations and time
 steps).  The fixed-stress sweep is one linearized splitting sweep: a flux
 solve with the pressure eliminated through the diagonal P0 mass, then a
 mechanics solve driven by the updated pressure.  It owns the two
-factorizations of the splitting scheme and preconditions GMRES on the
-monolithic system.
+factorizations of the splitting scheme, is the splitting step, and
+preconditions GMRES on the monolithic system.
 """
 
 from __future__ import annotations
@@ -191,17 +191,17 @@ def gmres(system: BlockSystem, preconditioner=None, restart=50, rtol=1e-10,
 class FixedStressPreconditioner:
     """One splitting sweep as a stationary linear operator.
 
-    Applied to a monolithic residual (r_u, r_q, r_p), it solves the flow
-    step with the pressure eliminated through the diagonal P0 mass: with
+    Applied to a reduced (r_u, r_q, r_p), it solves the flow step with the
+    pressure eliminated through the diagonal P0 mass: with
     w = r_p / (L1 M_p), d_q solves the system of `flow_schur_system` for
     r_q + B^T w and d_p = w - tau B d_q / (L1 M_p).  The L2-stabilized
     mechanics block is then solved with the pressure update on the
-    right-hand side.  Both systems are built and factored once, here;
-    `schemes.SchemeSolver` solves the splitting steps with them too, and
-    passes the sweep itself (`shape`, `matvec`, `dtype`) to `gmres`.
+    right-hand side.  Both systems are built and factored once, here, and
+    solved only in `matvec`: a `schemes.SchemeSolver` splitting step is one
+    sweep, and its GMRES solves pass the sweep itself to `gmres`.
     """
 
-    def __init__(self, ops, cfg, mat, tau):
+    def __init__(self, ops, cfg, tau):
         self.flow = ops.flow_schur_system(cfg.L1, tau)
         self.mech = ops.mech_system(cfg.L2)
         self.sizes = (self.mech.matrix.shape[0], self.flow.matrix.shape[0],
@@ -213,7 +213,7 @@ class FixedStressPreconditioner:
         self.b_red_t = self.b_red.T
         self.b_up_red = (ops.constraints.u.restriction.T @ ops.b_up).tocsr()
         self.l1_areas = cfg.L1 * ops.mesh.areas
-        self.alpha, self.tau = mat.alpha, tau
+        self.alpha, self.tau = ops.mat.alpha, tau
         self.shape = (sum(self.sizes),) * 2
         self.dtype = np.dtype(float)
 

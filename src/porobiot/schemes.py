@@ -3,10 +3,11 @@
 Both schemes replace the non-linear storage and volumetric-stress terms by
 constant-slope updates with tuning parameters L1 and L2:
 
-* splitting: solve the flow step (Darcy row plus L1-stabilized mass row)
-  for the new flux, with the pressure eliminated through the diagonal P0
-  mass, recover the pressure cellwise, then solve the L2-stabilized
-  mechanics block driven by that pressure;
+* splitting: one fixed-stress sweep (`linalg.FixedStressPreconditioner`):
+  the flow step (Darcy row plus L1-stabilized mass row, the displacement
+  coupling taken explicitly) for the new flux, with the pressure
+  eliminated through the diagonal P0 mass and recovered cellwise, then
+  the L2-stabilized mechanics block driven by that pressure;
 * monolithic: one solve of the coupled system in (u, q, p) with the same
   stabilized rows.  Direct solves eliminate the pressure through the
   diagonal P0 mass as well, which leaves a symmetric positive definite
@@ -26,7 +27,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .assembly import BiotOperators, assemble_loads, build_operators
+from .assembly import (BiotOperators, ReducedSystem, assemble_loads,
+                       build_operators)
 from .fem import FeFunction, interpolate, l2_norm
 from .linalg import (BlockSystem, CachedLU, FixedStressPreconditioner,
                      LinearSolveError, gmres)
@@ -175,14 +177,14 @@ class SchemeSolver:
     """The linear solves of one scheme at one step size, with their
     factorizations.
 
-    Splitting solves with the two systems of one fixed-stress sweep
+    A splitting iteration is one application of the fixed-stress sweep
     (`linalg.FixedStressPreconditioner`): the flux system with the
-    pressure eliminated and the mechanics block.  The monolithic scheme
-    needs the (u, q) system with the pressure eliminated, solved by its LU
+    pressure eliminated, then the mechanics block.  The monolithic scheme
+    solves the (u, q) system with the pressure eliminated by its LU
     factorization or, when ``ops.solver`` selects GMRES, the 3x3 block
-    system, solved by GMRES preconditioned with the same sweep.  Each
-    matrix is built and factored once, here; `step` performs one
-    iteration of the scheme.
+    system by GMRES preconditioned with the same sweep.  Each matrix is
+    built and factored once, here; `step` performs one iteration of the
+    scheme.
 
     No attribute holds a bound method of the solver or of its sweep: that
     reference cycle would keep their factorizations alive until the cyclic
@@ -194,31 +196,27 @@ class SchemeSolver:
         self.sweep = self.mono_lu = None
         if cfg.kind == "monolithic" and (ops.solver is None
                                          or ops.solver.method != "gmres"):
-            self.mono = ops.monolithic_schur_system(cfg.L1, cfg.L2, tau)
-            self.mono_lu = CachedLU(self.mono.matrix)
+            self.system = ops.monolithic_schur_system(cfg.L1, cfg.L2, tau)
+            self.mono_lu = CachedLU(self.system.matrix)
             return
-        self.sweep = FixedStressPreconditioner(ops, cfg, ops.mat, tau)
+        self.sweep = FixedStressPreconditioner(ops, cfg, tau)
         if cfg.kind == "monolithic":
-            self.mono = ops.monolithic_system(cfg.L1, cfg.L2, tau)
-
-    def step(self, cur: BiotState, ctx: StepContext,
-             trace: IterationTrace = None) -> BiotState:
-        """One iteration of the scheme from the iterate `cur`."""
-        if self.cfg.kind == "splitting":
-            return self._splitting_step(cur, ctx, trace)
-        return self._monolithic_step(cur, ctx, trace)
-
-    def _restricted(self, system, inverse, rhs_full, trace):
-        """Solve a reduced system for a full right-hand side; return the
-        full solution, lifted values included."""
-        x_red = inverse(system.restrict(rhs_full) - system.rhs_shift)
-        if trace is not None:
-            trace.n_linear_solves += 1
-        return system.expand(x_red)
+            self.system = ops.monolithic_system(cfg.L1, cfg.L2, tau)
+            return
+        # the splitting operator [[A + L2 D, 0, -alpha B_u], [0, M_q, -B^T],
+        # [0, tau B, L1 M_p]] applied to the lifts; the sweep inverts its
+        # restriction, so the system carries no matrix
+        con, names = ops.constraints, ("u", "q", "p")
+        lift_q = con.q.lift
+        shift = np.concatenate([self.sweep.mech.rhs_shift,
+                                con.q.restriction.T @ (ops.m_q @ lift_q),
+                                tau * (ops.b_qp @ lift_q)])
+        self.system = ReducedSystem(None, shift, *con.composed(names),
+                                    con.composed_index(names))
 
     def _gmres(self, rhs_red):
         opts, cfg = self.ops.solver, self.cfg
-        x_red, report = gmres(BlockSystem(self.mono.matrix, rhs_red),
+        x_red, report = gmres(BlockSystem(self.system.matrix, rhs_red),
                               preconditioner=self.sweep,
                               restart=opts.restart, rtol=opts.rtol,
                               maxiter=opts.maxiter)
@@ -229,70 +227,47 @@ class SchemeSolver:
                 f"residual {report.relres:.2e}")
         return x_red
 
-    def _mass_rhs(self, cur, ctx):
-        """L1-stabilized part of the mass-row right-hand side (common to both
-        schemes)."""
-        ops = self.ops
-        return (ctx.mass_const - ops.bp_dual(cur.p.coeffs)
-                + self.cfg.L1 * (ops.mesh.areas * cur.p.coeffs))
+    def step(self, cur: BiotState, ctx: StepContext,
+             trace: IterationTrace = None) -> BiotState:
+        """One iteration of the scheme from the iterate `cur`.
 
-    def _pressure(self, rhs_p, coupling=0.0):
-        """Cellwise solution of the stabilized mass row
-        L1 M_p p = rhs_p - coupling, M_p being the diagonal P0 mass."""
-        return (rhs_p - coupling) / (self.cfg.L1 * self.ops.mesh.areas)
-
-    def _splitting_step(self, cur, ctx, trace):
-        """One sweep of the fixed-stress-type splitting: flow, then mechanics.
-
-        The flow step's mass row is L1 M_p p + tau B q = rhs_p with M_p the
-        diagonal P0 mass, so the pressure is eliminated cellwise and the flux
-        solves the Schur system of `flow_schur_system`.
-        """
-        ops, cfg, alpha = self.ops, self.cfg, self.ops.mat.alpha
-        sweep = self.sweep
-        # the displacement coupling is explicit in the split flow step
-        divu = ops.divu_dual(cur.u.coeffs)
-        rhs_p = self._mass_rhs(cur, ctx) - alpha * divu
-        rhs_q = ctx.g_vec + ops.b_qp_t @ self._pressure(rhs_p)
-        q_new = self._restricted(sweep.flow, sweep.flow_lu.solve, rhs_q, trace)
-        p_new = self._pressure(rhs_p, ctx.tau * (ops.b_qp @ q_new))
-
-        rhs_u = (ctx.f_vec + alpha * (ops.b_up @ p_new)
-                 + cfg.L2 * (ops.d_div @ cur.u.coeffs)
-                 - ops.hu_dual(cur.u.coeffs, divu))
-        u_new = self._restricted(sweep.mech, sweep.mech_lu.solve, rhs_u, trace)
-
-        return BiotState(FeFunction(ops.dofmap_u, u_new),
-                         FeFunction(ops.dofmap_q, q_new),
-                         FeFunction(ops.dofmap_p, p_new), ctx.t_new)
-
-    def _monolithic_step(self, cur, ctx, trace):
-        """One solve of the coupled system in (u, q, p).
-
-        By LU, the pressure is eliminated from the mass row
-        alpha B_u^T u + tau B q + L1 M_p p = rhs_p: with w = rhs_p / (L1 M_p)
-        the (u, q) system of `monolithic_schur_system` has the right-hand
-        side (rhs_u + alpha B_u w, tau (g + B^T w)), and p is recovered
-        cellwise.  GMRES solves the 3x3 block system.
+        Both schemes share the L-scheme right-hand side (rhs_u, g, rhs_p),
+        but for the displacement coupling of the mass row, which the
+        splitting takes explicitly.  The sweep (splitting) and GMRES solve
+        for its restriction.  The monolithic LU solve eliminates the
+        pressure from the mass row alpha B_u^T u + tau B q + L1 M_p p = rhs_p: with
+        w = rhs_p / (L1 M_p) the (u, q) system of `monolithic_schur_system`
+        has the right-hand side (rhs_u + alpha B_u w, tau (g + B^T w)), and
+        p is recovered cellwise, M_p being the diagonal P0 mass.
         """
         ops, cfg, alpha = self.ops, self.cfg, self.ops.mat.alpha
         nu, nq = ops.dofmap_u.n_dofs, ops.dofmap_q.n_dofs
+        divu = ops.divu_dual(cur.u.coeffs)
         rhs_u = (ctx.f_vec + cfg.L2 * (ops.d_div @ cur.u.coeffs)
-                 - ops.hu_dual(cur.u.coeffs))
-        rhs_p = self._mass_rhs(cur, ctx)
+                 - ops.hu_dual(cur.u.coeffs, divu))
+        rhs_p = (ctx.mass_const - ops.bp_dual(cur.p.coeffs)
+                 + cfg.L1 * (ops.mesh.areas * cur.p.coeffs))
+        if cfg.kind == "splitting":
+            rhs_p -= alpha * divu
         if self.mono_lu is None:
-            x = self._restricted(self.mono, self._gmres,
-                                 np.concatenate([rhs_u, ctx.g_vec, rhs_p]), trace)
-            uq, p = x[:nu + nq], x[nu + nq:]
+            rhs = np.concatenate([rhs_u, ctx.g_vec, rhs_p])
+            solve = self.sweep.matvec if cfg.kind == "splitting" else self._gmres
         else:
-            w = self._pressure(rhs_p)
+            l1_areas = cfg.L1 * ops.mesh.areas
+            w = rhs_p / l1_areas
             rhs = np.concatenate([rhs_u + alpha * (ops.b_up @ w),
                                   ctx.tau * (ctx.g_vec + ops.b_qp_t @ w)])
-            uq = self._restricted(self.mono, self.mono_lu.solve, rhs, trace)
-            p = self._pressure(rhs_p, alpha * ops.divu_dual(uq[:nu])
-                               + ctx.tau * (ops.b_qp @ uq[nu:]))
-        return BiotState(FeFunction(ops.dofmap_u, uq[:nu]),
-                         FeFunction(ops.dofmap_q, uq[nu:]),
+            solve = self.mono_lu.solve
+        x = self.system.expand(solve(self.system.restrict(rhs)
+                                     - self.system.rhs_shift))
+        u, q, p = x[:nu], x[nu:nu + nq], x[nu + nq:]
+        if self.mono_lu is not None:
+            p = (rhs_p - (alpha * ops.divu_dual(u)
+                          + ctx.tau * (ops.b_qp @ q))) / l1_areas
+        if trace is not None:
+            # a sweep solves the flux and the mechanics systems
+            trace.n_linear_solves += 2 if cfg.kind == "splitting" else 1
+        return BiotState(FeFunction(ops.dofmap_u, u), FeFunction(ops.dofmap_q, q),
                          FeFunction(ops.dofmap_p, p), ctx.t_new)
 
 

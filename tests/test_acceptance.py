@@ -317,7 +317,7 @@ def test_criterion_8_preconditioned_gmres_mesh_robust():
         for nx in (8, 16, 32, 64):
             system, ops, mat = _linear_monolithic_system(nx)
             cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
-            M = FixedStressPreconditioner(ops, cfg, mat, 0.25)
+            M = FixedStressPreconditioner(ops, cfg, 0.25)
             _, rep = gmres(system, preconditioner=M,
                            rtol=1e-10)
             assert rep.converged, nx

@@ -268,6 +268,8 @@ class TestSubcommands:
         ["mandel", "--probe", "1e9,1e9"],
         ["mandel", "--steps", "2", "--set", "material.viscosity=0"],
         ["mandel", "--steps", "2", "--set", "material.permeability="],
+        ["mandel", "--steps", "2", "--set", "problem.probe_x=5"],
+        ["mandel", "--set", "problem.steps="],
         ["manufactured", "--h", "0"],
         ["manufactured", "--h", "3"],
         ["manufactured", "--tau", "0"],
@@ -277,6 +279,8 @@ class TestSubcommands:
          "--set", "solver.restart=0"],
         ["manufactured", "--set", "problem.levels=0"],
         ["manufactured", "--set", "scheme.max_iter=0"],
+        ["manufactured", "--h", "0.5", "--set", "problem.levels=0.3"],
+        ["manufactured", "--h", "0.5", "--set", "scheme.max_iter=0.3"],
         ["sensitivity", "--axis", "h", "--values", "0"],
         ["sensitivity", "--axis", "K", "--values", "0"],
         ["sweep", "--L1-grid", "1", "--L2-grid", ""],

@@ -164,14 +164,14 @@ class TestFixedStressPreconditioner:
     def test_zero_residual_zero_correction(self):
         _, ops, mat = monolithic_linear_system(nx=4)
         cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
-        M = FixedStressPreconditioner(ops, cfg, mat, 0.25)
+        M = FixedStressPreconditioner(ops, cfg, 0.25)
         out = M.matvec(np.zeros(M.shape[0]))
         assert np.allclose(out, 0.0)
 
     def test_linearity(self):
         _, ops, mat = monolithic_linear_system(nx=4)
         cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
-        M = FixedStressPreconditioner(ops, cfg, mat, 0.25)
+        M = FixedStressPreconditioner(ops, cfg, 0.25)
         rng = np.random.default_rng(6)
         r1 = rng.standard_normal(M.shape[0])
         r2 = rng.standard_normal(M.shape[0])
@@ -185,7 +185,7 @@ class TestFixedStressPreconditioner:
         # inverse and GMRES converges immediately
         system, ops, mat = monolithic_linear_system(nx=6, alpha=0.0)
         cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
-        M = FixedStressPreconditioner(ops, cfg, mat, 0.25)
+        M = FixedStressPreconditioner(ops, cfg, 0.25)
         rng = np.random.default_rng(7)
         system = BlockSystem(system.matrix,
                              rng.standard_normal(system.matrix.shape[0]))
@@ -199,7 +199,7 @@ class TestFixedStressPreconditioner:
         for nx in (8, 16, 32):
             system, ops, mat = monolithic_linear_system(nx=nx)
             cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
-            M = FixedStressPreconditioner(ops, cfg, mat, 0.25)
+            M = FixedStressPreconditioner(ops, cfg, 0.25)
             x, rep = gmres(system, preconditioner=M,
                            rtol=1e-10)
             assert rep.converged
@@ -210,7 +210,7 @@ class TestFixedStressPreconditioner:
     def test_direct_vs_preconditioned_gmres(self):
         system, ops, mat = monolithic_linear_system(nx=8)
         cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
-        M = FixedStressPreconditioner(ops, cfg, mat, 0.25)
+        M = FixedStressPreconditioner(ops, cfg, 0.25)
         xg, repg = gmres(system, preconditioner=M,
                          rtol=1e-12)
         xd = CachedLU(system.matrix).solve(system.rhs)
@@ -231,7 +231,7 @@ def test_sweep_matches_two_by_two_flow_oracle(case):
         tau = 0.25
     L1, L2 = suggested_tuning(mat, "splitting")
     M = FixedStressPreconditioner(ops, SchemeConfig("monolithic", L1, L2),
-                                  mat, tau)
+                                  tau)
     nu, nq, _ = M.sizes
     r = np.random.default_rng(13).standard_normal(M.shape[0])
     d_qp = CachedLU(ops.flow_system(L1, tau).matrix).solve(r[nu:])

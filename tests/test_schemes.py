@@ -172,29 +172,36 @@ class TestLinearConvergence:
                                              ("monolithic", "gmres")])
     def test_nonzero_essential_values(self, kind, method):
         # a displacement pinned off zero and an imposed boundary flux give
-        # both fields a non-zero lift, which every solve path must carry
+        # both fields a non-zero lift, which every solve path must carry,
+        # also next to a tie group
         mat = manufactured_material("linear")
-        prob = replace(manufactured_problem(mat),
-                       u_bc={Side.LEFT: UBc("fixed", (0.01, 0.0)),
-                             Side.BOTTOM: UBc("normal_zero"),
-                             Side.RIGHT: UBc("free"), Side.TOP: UBc("free")},
-                       q_bc={Side.LEFT: QBc("pressure", 0.3),
-                             Side.RIGHT: QBc("pressure", 0.0),
-                             Side.BOTTOM: QBc("noflow", 0.05),
-                             Side.TOP: QBc("noflow", 0.0)})
-        ops = build_operators(generate_rect_mesh((0, 0), (1, 1), 6, 6),
-                              mat, prob)
-        assert np.any(ops.constraints.u.lift != 0.0)
-        assert np.any(ops.constraints.q.lift != 0.0)
-        ops.solver = SolverOptions(method, rtol=1e-12)
-        prev = build_initial_state(prob, ops)
-        tau = 0.25
-        direct = direct_solve(ops, prob, prev, tau)  # the exact linear preset
-        cfg = SchemeConfig(kind, L1=1.0, L2=2.0, tol=1e-11)
-        state, trace = iterate_to_convergence(prev, cfg, ops, mat, prob, tau)
-        assert trace.converged
-        assert bool(ops.solver_log) == (method == "gmres")
-        assert max(field_errors(ops, state, direct)) <= 1e-10
+        u_bcs = [{Side.LEFT: UBc("fixed", (0.01, 0.0)),
+                  Side.BOTTOM: UBc("normal_zero"),
+                  Side.RIGHT: UBc("free"), Side.TOP: UBc("free")},
+                 {Side.LEFT: UBc("normal_zero"),
+                  Side.BOTTOM: UBc("fixed", (0.0, 0.01)),
+                  Side.TOP: UBc("tied_normal", -0.5),
+                  Side.RIGHT: UBc("free")}]
+        for u_bc in u_bcs:
+            prob = replace(manufactured_problem(mat), u_bc=u_bc,
+                           q_bc={Side.LEFT: QBc("pressure", 0.3),
+                                 Side.RIGHT: QBc("pressure", 0.0),
+                                 Side.BOTTOM: QBc("noflow", 0.05),
+                                 Side.TOP: QBc("noflow", 0.0)})
+            ops = build_operators(generate_rect_mesh((0, 0), (1, 1), 6, 6),
+                                  mat, prob)
+            assert np.any(ops.constraints.u.lift != 0.0)
+            assert np.any(ops.constraints.q.lift != 0.0)
+            ops.solver = SolverOptions(method, rtol=1e-12)
+            prev = build_initial_state(prob, ops)
+            tau = 0.25
+            direct = direct_solve(ops, prob, prev, tau)  # the exact linear preset
+            cfg = SchemeConfig(kind, L1=1.0, L2=2.0, tol=1e-11)
+            state, trace = iterate_to_convergence(prev, cfg, ops, mat, prob,
+                                                  tau)
+            assert trace.converged
+            assert bool(ops.solver_log) == (method == "gmres")
+            assert max(field_errors(ops, state, direct)) <= 1e-10
 
     def test_residual_within_ten_tol(self):
         mesh, mat, prob, ops, prev = linear_setup(8)
