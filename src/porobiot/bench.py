@@ -22,8 +22,8 @@ from .physics import (CENTIPOISE, DARCY, AdmissibleRangeWarning,
                       MandelConfig, mandel_material, mandel_problem,
                       manufactured_material, manufactured_problem)
 from .schemes import (BiotState, DivergenceError, SchemeConfig,
-                      build_initial_state, iterate_to_convergence, march,
-                      suggested_tuning)
+                      SchemeSolver, build_initial_state,
+                      iterate_to_convergence, march, suggested_tuning)
 
 
 def _fmt(x):
@@ -172,14 +172,15 @@ class RunResult:
     status: str   # converged | maxiter | diverged
 
 
-def _single_step(ops, prev, cfg: SchemeConfig, tau):
-    """The iteration count and status of one time step from `prev`."""
+def _single_step(ops, prev, cfg: SchemeConfig, tau, solver=None):
+    """The iteration count and status of one time step from `prev`;
+    `solver` is a `SchemeSolver` built for it (one is built when None)."""
     try:
         with warnings.catch_warnings():
             # counted in trace.range_excursions
             warnings.simplefilter("ignore", AdmissibleRangeWarning)
             _, trace = iterate_to_convergence(prev, cfg, ops, ops.mat,
-                                              ops.problem, tau)
+                                              ops.problem, tau, solver=solver)
     except DivergenceError:
         return RunResult(cfg.max_iter, "diverged")
     return RunResult(trace.iterations,
@@ -216,6 +217,15 @@ def sweep_L(case_id, scheme_kind, L1_values, L2_values, nx=16, tau=0.25,
     continues.  Cells are independent; POROBIOT_THREADS or n_workers > 1
     runs them in a process pool.  `material` is as in
     `manufactured_setup`.
+
+    A serial splitting sweep builds and factors each distinct flow half
+    (L1) and each distinct mechanics half (L2) once: it visits the cells
+    L2-outer, and each cell's sweep shares the flow half of the first
+    cell with its L1 and the mechanics half of the first cell with its L2
+    (`FixedStressPreconditioner`).  The flow halves stay alive through the
+    sweep, and with them the first L2's mechanics half, which their
+    sweeps hold; past the first L2 one more mechanics half, the current
+    L2's, is alive.  The results keep the L1-major order.
     """
     L1_values = np.asarray(list(L1_values), dtype=float)
     L2_values = np.asarray(list(L2_values), dtype=float)
@@ -228,6 +238,19 @@ def sweep_L(case_id, scheme_kind, L1_values, L2_values, nx=16, tau=0.25,
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             args = [(case_id, nx, material, c, tau) for c in cfgs]
             results = list(pool.map(_sweep_cell, args))
+    elif scheme_kind == "splitting":
+        ops, prev = manufactured_setup(case_id, nx, material)
+        results = [None] * len(cfgs)
+        flows = {}   # L1 -> the sweep that built its flow half
+        for j in range(len(L2_values)):
+            mech = None   # the sweep that built this L2's mechanics half
+            for i, l1 in enumerate(L1_values):
+                k = i * len(L2_values) + j
+                reuse = [s for s in (flows.get(l1), mech) if s is not None]
+                solver = SchemeSolver(ops, cfgs[k], tau, reuse)
+                flows.setdefault(l1, solver.sweep)
+                mech = mech or solver.sweep
+                results[k] = _single_step(ops, prev, cfgs[k], tau, solver)
     else:
         ops, prev = manufactured_setup(case_id, nx, material)
         results = [_single_step(ops, prev, c, tau) for c in cfgs]

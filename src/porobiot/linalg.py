@@ -196,22 +196,43 @@ class FixedStressPreconditioner:
     w = r_p / (L1 M_p), d_q solves the system of `flow_schur_system` for
     r_q + B^T w and d_p = w - tau B d_q / (L1 M_p).  The L2-stabilized
     mechanics block is then solved with the pressure update on the
-    right-hand side.  Both systems are built and factored once, here, and
-    solved only in `matvec`: a `schemes.SchemeSolver` splitting step is one
+    right-hand side.  Both systems are built and factored here and solved
+    only in `matvec`: a `schemes.SchemeSolver` splitting step is one
     sweep, and its GMRES solves pass the sweep itself to `gmres`.
+
+    The flow half depends on (L1, tau) alone and the mechanics half on L2
+    alone.  `reuse` holds earlier sweeps on the same operators: a half one
+    of them built for the same parameters is shared instead of built
+    again, and so are the operator products.  A factorization stays owned
+    by the sweep that built it; later sweeps hold references to it.
     """
 
-    def __init__(self, ops, cfg, tau):
-        self.flow = ops.flow_schur_system(cfg.L1, tau)
-        self.mech = ops.mech_system(cfg.L2)
+    def __init__(self, ops, cfg, tau, reuse=()):
+        self.flow_params, self.L2 = (cfg.L1, tau), cfg.L2
+        flow = next((s for s in reuse if s.flow_params == self.flow_params),
+                    None)
+        mech = next((s for s in reuse if s.L2 == cfg.L2), None)
+        if flow is None:
+            self.flow = ops.flow_schur_system(cfg.L1, tau)
+            self.flow_lu = CachedLU(self.flow.matrix)
+        else:
+            self.flow, self.flow_lu = flow.flow, flow.flow_lu
+        if mech is None:
+            self.mech = ops.mech_system(cfg.L2)
+            self.mech_lu = CachedLU(self.mech.matrix)
+        else:
+            self.mech, self.mech_lu = mech.mech, mech.mech_lu
         self.sizes = (self.mech.matrix.shape[0], self.flow.matrix.shape[0],
                       ops.mesh.n_cells)
-        self.flow_lu = CachedLU(self.flow.matrix)
-        self.mech_lu = CachedLU(self.mech.matrix)
-        # the pressure field is unreduced
-        self.b_red = (ops.b_qp @ ops.constraints.q.restriction).tocsr()
-        self.b_red_t = self.b_red.T
-        self.b_up_red = (ops.constraints.u.restriction.T @ ops.b_up).tocsr()
+        if reuse:
+            self.b_red, self.b_red_t, self.b_up_red = (
+                reuse[0].b_red, reuse[0].b_red_t, reuse[0].b_up_red)
+        else:
+            # the pressure field is unreduced
+            self.b_red = (ops.b_qp @ ops.constraints.q.restriction).tocsr()
+            self.b_red_t = self.b_red.T
+            self.b_up_red = (ops.constraints.u.restriction.T
+                             @ ops.b_up).tocsr()
         self.l1_areas = cfg.L1 * ops.mesh.areas
         self.alpha, self.tau = ops.mat.alpha, tau
         self.shape = (sum(self.sizes),) * 2

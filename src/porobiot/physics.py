@@ -61,9 +61,16 @@ def _law_exp(scale=1.0, rng=(-1.0, 1.0)):
 
 
 def _law_cube(scale=1.0, rng=(-1.0, 1.0)):
-    return NonlinearLaw(lambda x: scale * np.asarray(x, dtype=float) ** 3,
-                        lambda x: 3.0 * scale * np.asarray(x, dtype=float) ** 2,
-                        "cube", rng)
+    # products, not `**`: numpy's power is about ten times slower here
+    def ev(x):
+        x = np.asarray(x, dtype=float)
+        return scale * (x * x * x)
+
+    def dv(x):
+        x = np.asarray(x, dtype=float)
+        return 3.0 * scale * (x * x)
+
+    return NonlinearLaw(ev, dv, "cube", rng)
 
 
 def _law_cbrt(scale=1.0, rng=(1e-4, 1.0)):

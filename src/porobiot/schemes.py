@@ -61,6 +61,8 @@ class SchemeConfig:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise SchemeConfigError(f"scheme kind must be one of {SCHEME_KINDS}")
+        if not np.all(np.isfinite([self.L1, self.L2, self.tol])):
+            raise SchemeConfigError("L1, L2 and tol must be finite")
         if self.L1 < 0 or self.L2 < 0:
             raise SchemeConfigError("stabilization parameters must be non-negative")
         if self.tol <= 0:
@@ -183,7 +185,10 @@ class SchemeSolver:
     solves the (u, q) system with the pressure eliminated by its LU
     factorization or, when ``ops.solver`` selects GMRES, the 3x3 block
     system by GMRES preconditioned with the same sweep.  Each matrix is
-    built and factored once, here; `step` performs one iteration of the
+    built and factored once, here, or shared from `reuse`: earlier sweeps
+    on the same operators, whose flow half (same L1 and step) or
+    mechanics half (same L2) the sweep takes instead of building its own
+    (`FixedStressPreconditioner`).  `step` performs one iteration of the
     scheme.
 
     No attribute holds a bound method of the solver or of its sweep: that
@@ -191,7 +196,7 @@ class SchemeSolver:
     garbage collector runs, past the end of the run that built them.
     """
 
-    def __init__(self, ops: BiotOperators, cfg: SchemeConfig, tau):
+    def __init__(self, ops: BiotOperators, cfg: SchemeConfig, tau, reuse=()):
         self.ops, self.cfg, self.tau = ops, cfg, tau
         self.sweep = self.mono_lu = None
         if cfg.kind == "monolithic" and (ops.solver is None
@@ -199,7 +204,7 @@ class SchemeSolver:
             self.system = ops.monolithic_schur_system(cfg.L1, cfg.L2, tau)
             self.mono_lu = CachedLU(self.system.matrix)
             return
-        self.sweep = FixedStressPreconditioner(ops, cfg, tau)
+        self.sweep = FixedStressPreconditioner(ops, cfg, tau, reuse)
         if cfg.kind == "monolithic":
             self.system = ops.monolithic_system(cfg.L1, cfg.L2, tau)
             return

@@ -397,6 +397,28 @@ class TestIndexMaps:
         self.assert_maps_match(ops.monolithic_schur_system(1.0, 1.0, 0.5), 1)
         self.assert_maps_match(ops.monolithic_system(1.0, 1.0, 0.5), 2)
 
+    @pytest.mark.parametrize("case", ["mandel", "t1c1"])
+    def test_composed_restriction_matches_block_diag(self, case):
+        if case == "mandel":
+            cfg = MandelConfig()
+            mat = mandel_material("linear", cfg)
+            prob = mandel_problem(mat, cfg)
+            mesh = generate_rect_mesh((0, 0), (cfg.a, cfg.b), 6, 4)
+        else:
+            mat = manufactured_material(case)
+            prob = manufactured_problem(mat)
+            mesh = generate_rect_mesh((0, 0), (1, 1), 8, 8)
+        cons = build_operators(mesh, mat, prob).constraints
+        assert bool(cons.u.ties) == (case == "mandel")
+        for names in (("u", "q", "p"), ("u", "q")):
+            R, _ = cons.composed(names)
+            ref = sp.block_diag([getattr(cons, n).restriction for n in names],
+                                format="csr")
+            assert R.shape == ref.shape
+            for attr in ("indptr", "indices", "data"):
+                a, b = getattr(R, attr), getattr(ref, attr)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
 
 def test_korn_type_bound():
     # pointwise 2D bound: eps(v):eps(v) >= (1/2) (div v)^2, so the assembled

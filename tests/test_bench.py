@@ -94,6 +94,41 @@ class TestSweep:
         flat = [s for row in grid.status for s in row]
         assert all(s in ("converged", "maxiter", "diverged") for s in flat)
 
+    @pytest.mark.parametrize("kind,factors", [("splitting", 6),
+                                              ("monolithic", 9)])
+    def test_splitting_sweep_factors_each_half_once(self, monkeypatch, kind,
+                                                    factors):
+        # one flow factorization per L1 and one mechanics factorization
+        # per L2; a monolithic cell's system couples L1 and L2
+        from porobiot import linalg
+        built = []
+        original = linalg.CachedLU.__init__
+
+        def counting_init(lu, matrix, *args, **kwargs):
+            built.append(matrix.shape)
+            original(lu, matrix, *args, **kwargs)
+
+        monkeypatch.setattr(linalg.CachedLU, "__init__", counting_init)
+        grid = sweep_L("t1c1", kind, [0.3, 1.0, 3.0], [0.1, 1.0, 10.0], nx=8)
+        assert len(built) == factors
+        assert all(s == "converged" for row in grid.status for s in row)
+
+    def test_shared_halves_match_fresh_cells(self):
+        # converged, max_iter and diverged cells alike: a cell whose sweep
+        # shares its halves with earlier cells iterates as a fresh one
+        L1s, L2s, material = [0.3, 3.0, 10.0], [0.0, 3.0, 10.0], {"alpha": 6.0}
+        grid = sweep_L("t1c4", "splitting", L1s, L2s, nx=8, max_iter=40,
+                       material=material)
+        ops, prev = manufactured_setup("t1c4", 8, material)
+        fresh = [[_single_step(ops, prev, SchemeConfig(
+            "splitting", L1=l1, L2=l2, max_iter=40), 0.25) for l2 in L2s]
+            for l1 in L1s]
+        assert grid.iterations.tolist() == [[r.iterations for r in row]
+                                            for row in fresh]
+        assert grid.status == [[r.status for r in row] for row in fresh]
+        assert {s for row in grid.status for s in row} == {
+            "converged", "maxiter", "diverged"}
+
     def test_argmin(self):
         grid = sweep_L("t1c1", "splitting", [0.3, 2.72], [0.3, 0.75], nx=8)
         l1, l2 = grid.argmin()

@@ -284,6 +284,11 @@ class TestSubcommands:
         ["sensitivity", "--axis", "h", "--values", "0"],
         ["sensitivity", "--axis", "K", "--values", "0"],
         ["sweep", "--L1-grid", "1", "--L2-grid", ""],
+        ["manufactured", "--h", "0.25", "--L1", "nan", "--L2", "1"],
+        ["manufactured", "--h", "0.25", "--L1", "1", "--L2", "nan"],
+        ["manufactured", "--h", "0.25", "--tol", "nan"],
+        ["sweep", "--case", "t1c1", "--scheme", "splitting", "--h", "0.25",
+         "--L1-grid", "nan", "--L2-grid", "1"],
     ], ids=lambda args: "_".join(a.lstrip("-") for a in args))
     def test_bad_input_is_a_config_error(self, tmp_path, capsys, args):
         # a value no run can use: one line on stderr, exit 2, no manifest
