@@ -218,14 +218,16 @@ def sweep_L(case_id, scheme_kind, L1_values, L2_values, nx=16, tau=0.25,
     runs them in a process pool.  `material` is as in
     `manufactured_setup`.
 
-    A serial splitting sweep builds and factors each distinct flow half
-    (L1) and each distinct mechanics half (L2) once: it visits the cells
+    A serial splitting sweep over a 2-D grid (more than one L1 and more
+    than one L2) builds and factors each distinct flow half (L1) and each
+    distinct mechanics half (L2) once: it visits the cells
     L2-outer, and each cell's sweep shares the flow half of the first
     cell with its L1 and the mechanics half of the first cell with its L2
     (`FixedStressPreconditioner`).  The flow halves stay alive through the
     sweep, and with them the first L2's mechanics half, which their
     sweeps hold; past the first L2 one more mechanics half, the current
-    L2's, is alive.  The results keep the L1-major order.
+    L2's, is alive.  The results keep the L1-major order.  A sweep along
+    one axis builds a fresh solver per cell, as a monolithic sweep does.
     """
     L1_values = np.asarray(list(L1_values), dtype=float)
     L2_values = np.asarray(list(L2_values), dtype=float)
@@ -238,7 +240,8 @@ def sweep_L(case_id, scheme_kind, L1_values, L2_values, nx=16, tau=0.25,
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             args = [(case_id, nx, material, c, tau) for c in cfgs]
             results = list(pool.map(_sweep_cell, args))
-    elif scheme_kind == "splitting":
+    elif scheme_kind == "splitting" and min(L1_values.size,
+                                            L2_values.size) > 1:
         ops, prev = manufactured_setup(case_id, nx, material)
         results = [None] * len(cfgs)
         flows = {}   # L1 -> the sweep that built its flow half
