@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import DofMap, SpaceKind, quadrature, _rt0_local_mass
+from .fem import DofMap, SpaceKind, per_row, quadrature, _rt0_local_mass
 from .mesh import Mesh, Side
 from .physics import MaterialModel, ProblemDefinition
 
@@ -41,8 +41,11 @@ class ReducedSystem:
     ``matrix @ x_red = R^T b - rhs_shift`` with R the restriction, and the
     full solution is ``R @ x_red + lift``.  R has one unit entry in every
     row of a DOF that is not pinned, in the column `reduced_of` gives (-1
-    where pinned), so `restrict` and `expand` apply R^T and R through that
-    index instead of sparse products, with the same sums in the same order.
+    where pinned), so `restrict` and `expand` apply R^T to a vector and R
+    through that index instead of sparse products, with the same sums in
+    the same order.  Both also take an (n, k) block of k vectors, column by
+    column: `restrict` by the sparse product R^T, which sums each column
+    in the order of the index.
     """
 
     matrix: sp.spmatrix
@@ -56,14 +59,18 @@ class ReducedSystem:
         # `restrict` drops and `expand` reads as zero
         self._n = self.restriction.shape[1]
         self._index = np.where(self.reduced_of >= 0, self.reduced_of, self._n)
+        self._restriction_t = self.restriction.T   # a view of R's arrays
 
     def restrict(self, b):
         """R^T b: the full vector summed into the reduced unknowns."""
+        if b.ndim == 2:
+            return self._restriction_t @ b
         return np.bincount(self._index, weights=b, minlength=self._n + 1)[:self._n]
 
     def expand(self, x_red):
         """R x_red + lift."""
-        return np.append(x_red, 0.0)[self._index] + self.lift
+        padded = np.concatenate([x_red, np.zeros((1,) + x_red.shape[1:])])
+        return padded.take(self._index, axis=0) + per_row(self.lift, x_red)
 
 
 def assemble_mechanics(mesh: Mesh, mat: MaterialModel, dofmap_u: DofMap,
@@ -310,16 +317,19 @@ class BiotOperators:
         return self.b_up_t @ u_coeffs
 
     def bp_dual(self, p_cells):
-        """<b(p), w> against all P0 tests (exact, p is cellwise constant)."""
-        return self.mesh.areas * np.asarray(self.mat.b_law(p_cells), dtype=float)
+        """<b(p), w> against all P0 tests (exact, p is cellwise constant);
+        of each column when `p_cells` is a block of pressures."""
+        return per_row(self.mesh.areas, p_cells) * np.asarray(
+            self.mat.b_law(p_cells), dtype=float)
 
     def hu_dual(self, u_coeffs, divu=None):
         """<h(div u), div z> against all displacement tests (exact).
 
-        `divu` is `divu_dual(u_coeffs)`, when the caller has it already.
+        `divu` is `divu_dual(u_coeffs)`, when the caller has it already;
+        both may be blocks of displacements, as in `bp_dual`.
         """
         div = self.div_u_cells(u_coeffs) if divu is None \
-            else divu / self.mesh.areas
+            else divu / per_row(self.mesh.areas, divu)
         return self.b_up @ np.asarray(self.mat.h_law(div), dtype=float)
 
     # -- scheme system matrices (reduced) -----------------------------------

@@ -17,12 +17,13 @@ import numpy as np
 
 from .assembly import build_operators
 from .fem import quadrature, _rt0_values_at
+from .linalg import FixedStressPreconditioner
 from .mesh import Side, generate_rect_mesh
 from .physics import (CENTIPOISE, DARCY, AdmissibleRangeWarning,
                       MandelConfig, mandel_material, mandel_problem,
                       manufactured_material, manufactured_problem)
 from .schemes import (BiotState, DivergenceError, SchemeConfig,
-                      SchemeSolver, build_initial_state,
+                      build_initial_state, iterate_lockstep,
                       iterate_to_convergence, march, suggested_tuning)
 
 
@@ -172,15 +173,15 @@ class RunResult:
     status: str   # converged | maxiter | diverged
 
 
-def _single_step(ops, prev, cfg: SchemeConfig, tau, solver=None):
-    """The iteration count and status of one time step from `prev`;
-    `solver` is a `SchemeSolver` built for it (one is built when None)."""
+def _single_step(ops, prev, cfg: SchemeConfig, tau):
+    """The iteration count and status of one time step from `prev`; a
+    diverged step reports max_iter."""
     try:
         with warnings.catch_warnings():
             # counted in trace.range_excursions
             warnings.simplefilter("ignore", AdmissibleRangeWarning)
             _, trace = iterate_to_convergence(prev, cfg, ops, ops.mat,
-                                              ops.problem, tau, solver=solver)
+                                              ops.problem, tau)
     except DivergenceError:
         return RunResult(cfg.max_iter, "diverged")
     return RunResult(trace.iterations,
@@ -220,14 +221,18 @@ def sweep_L(case_id, scheme_kind, L1_values, L2_values, nx=16, tau=0.25,
 
     A serial splitting sweep over a 2-D grid (more than one L1 and more
     than one L2) builds and factors each distinct flow half (L1) and each
-    distinct mechanics half (L2) once: it visits the cells
-    L2-outer, and each cell's sweep shares the flow half of the first
+    distinct mechanics half (L2) once: it visits the grid one L2 column
+    at a time, and each cell's sweep shares the flow half of the first
     cell with its L1 and the mechanics half of the first cell with its L2
-    (`FixedStressPreconditioner`).  The flow halves stay alive through the
+    (`FixedStressPreconditioner`).  The cells of a column iterate in lock
+    step (`schemes.iterate_lockstep`), their iterates one block whose
+    mechanics steps are one multi-column solve; each cell keeps the count
+    and status it has on its own.  The flow halves stay alive through the
     sweep, and with them the first L2's mechanics half, which their
     sweeps hold; past the first L2 one more mechanics half, the current
     L2's, is alive.  The results keep the L1-major order.  A sweep along
-    one axis builds a fresh solver per cell, as a monolithic sweep does.
+    one axis iterates each cell on its own with a fresh solver, as a
+    monolithic sweep does.
     """
     L1_values = np.asarray(list(L1_values), dtype=float)
     L2_values = np.asarray(list(L2_values), dtype=float)
@@ -245,15 +250,19 @@ def sweep_L(case_id, scheme_kind, L1_values, L2_values, nx=16, tau=0.25,
         ops, prev = manufactured_setup(case_id, nx, material)
         results = [None] * len(cfgs)
         flows = {}   # L1 -> the sweep that built its flow half
-        for j in range(len(L2_values)):
-            mech = None   # the sweep that built this L2's mechanics half
-            for i, l1 in enumerate(L1_values):
-                k = i * len(L2_values) + j
-                reuse = [s for s in (flows.get(l1), mech) if s is not None]
-                solver = SchemeSolver(ops, cfgs[k], tau, reuse)
-                flows.setdefault(l1, solver.sweep)
-                mech = mech or solver.sweep
-                results[k] = _single_step(ops, prev, cfgs[k], tau, solver)
+        n2 = len(L2_values)
+        for j in range(n2):
+            sweeps = []   # the first built this L2's mechanics half
+            for cfg in cfgs[j::n2]:
+                reuse = [s for s in (flows.get(cfg.L1), *sweeps[:1])
+                         if s is not None]
+                sweeps.append(FixedStressPreconditioner(ops, cfg, tau, reuse))
+                flows.setdefault(cfg.L1, sweeps[-1])
+            for k, (n, status) in zip(
+                    range(j, len(cfgs), n2),
+                    iterate_lockstep(ops, prev, cfgs[j::n2], tau, sweeps)):
+                results[k] = RunResult(
+                    max_iter if status == "diverged" else n, status)
     else:
         ops, prev = manufactured_setup(case_id, nx, material)
         results = [_single_step(ops, prev, c, tau) for c in cfgs]

@@ -187,6 +187,25 @@ def l2_norm(f: FeFunction):
     return float(np.sqrt(max(sq, 0.0)))
 
 
+def l2_norms(dofmap: DofMap, coeffs):
+    """`l2_norm` of each column of an (n, k) block of coefficient vectors
+    of one space, by the same dot: each column is copied out contiguous,
+    as a strided BLAS dot may sum in another order."""
+    if dofmap.kind is SpaceKind.P0:
+        mc = dofmap.mesh.areas[:, None] * coeffs
+    else:
+        mc = dofmap.mass_matrix @ coeffs
+    sq = [c @ m for c, m in zip(np.ascontiguousarray(coeffs.T),
+                                np.ascontiguousarray(mc.T))]
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+def per_row(v, x):
+    """`v`, one value per row of `x`, shaped to broadcast against `x`: a
+    coefficient vector or an (n, k) block of k of them."""
+    return v if x.ndim == 1 else v[:, None]
+
+
 def _values(fn, x, y, shape):
     """Values of `fn` at the points (x, y), as a new array of `shape`.
 

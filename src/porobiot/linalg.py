@@ -94,9 +94,11 @@ class CachedLU:
     ordering of A^T + A and diagonal pivots, which is stable because every
     symmetric matrix porobiot factors is positive definite.  Every matrix
     a run factors is symmetric; any other matrix (the tests' 3x3 oracles)
-    gets the COLAMD ordering with partial pivoting.  A solve runs
-    one step of iterative refinement when the relative residual exceeds
-    1e-12.
+    gets the COLAMD ordering with partial pivoting.  `solve` takes one
+    right-hand side of shape (n,) or k of them as the columns of an
+    (n, k) block, solved in one SuperLU call; a column whose relative
+    residual exceeds 1e-12 gets one step of iterative refinement, so each
+    column of a block is refined as its own vector solve would be.
     """
 
     def __init__(self, matrix):
@@ -144,14 +146,20 @@ class CachedLU:
         return scaled
 
     def _raw_solve(self, b):
-        return self.scale * self._lu.solve(self.scale * b)
+        s = self.scale if b.ndim == 1 else self.scale[:, None]
+        return s * self._lu.solve(s * b)
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)
         x = self._raw_solve(b)
         r = b - self.matrix @ x
-        if np.linalg.norm(r) > 1e-12 * np.linalg.norm(b):
-            x += self._raw_solve(r)
+        # a vector is a block of one column; each column's norms are those
+        # of its own vector solve
+        xs, rs, bs = (a.reshape(len(a), -1) for a in (x, r, b))
+        refine = [j for j in range(xs.shape[1]) if np.linalg.norm(rs[:, j])
+                  > 1e-12 * np.linalg.norm(bs[:, j])]
+        if refine:
+            xs[:, refine] += self._raw_solve(rs[:, refine])
         return x
 
 
@@ -197,8 +205,12 @@ class FixedStressPreconditioner:
     r_q + B^T w and d_p = w - tau B d_q / (L1 M_p).  The L2-stabilized
     mechanics block is then solved with the pressure update on the
     right-hand side.  Both systems are built and factored here and solved
-    only in `matvec`: a `schemes.SchemeSolver` splitting step is one
-    sweep, and its GMRES solves pass the sweep itself to `gmres`.
+    only in the two halves, `flow_step` and `mech_step`, whose composition
+    is `matvec`: a `schemes.SchemeSolver` splitting step is one sweep, and
+    its GMRES solves pass the sweep itself to `gmres`.  Each half, and so
+    `matvec`, takes a vector or an (n, k) block of k of them, whose
+    columns it solves in one multi-column `CachedLU.solve`, to the same
+    bits as k vector calls.
 
     The flow half depends on (L1, tau) alone and the mechanics half on L2
     alone.  `reuse` holds earlier sweeps on the same operators: a half one
@@ -238,11 +250,19 @@ class FixedStressPreconditioner:
         self.shape = (sum(self.sizes),) * 2
         self.dtype = np.dtype(float)
 
+    def flow_step(self, r_q, r_p):
+        """(d_q, d_p) of the flow half for the flux and mass residuals."""
+        l1_areas = self.l1_areas if r_p.ndim == 1 else self.l1_areas[:, None]
+        w = r_p / l1_areas
+        d_q = self.flow_lu.solve(r_q + self.b_red_t @ w)
+        return d_q, w - self.tau * (self.b_red @ d_q) / l1_areas
+
+    def mech_step(self, r_u, d_p):
+        """d_u of the mechanics half for the mechanics residual, driven by
+        the pressure update d_p."""
+        return self.mech_lu.solve(r_u + self.alpha * (self.b_up_red @ d_p))
+
     def matvec(self, r):
         nu, nq, _ = self.sizes
-        r_u, r_q, r_p = r[:nu], r[nu:nu + nq], r[nu + nq:]
-        w = r_p / self.l1_areas
-        d_q = self.flow_lu.solve(r_q + self.b_red_t @ w)
-        d_p = w - self.tau * (self.b_red @ d_q) / self.l1_areas
-        d_u = self.mech_lu.solve(r_u + self.alpha * (self.b_up_red @ d_p))
-        return np.concatenate([d_u, d_q, d_p])
+        d_q, d_p = self.flow_step(r[nu:nu + nq], r[nu + nq:])
+        return np.concatenate([self.mech_step(r[:nu], d_p), d_q, d_p])

@@ -17,11 +17,14 @@ constant-slope updates with tuning parameters L1 and L2:
 All system matrices are constant across iterations and time steps, so a
 `SchemeSolver` builds them and their factorizations once and reuses them.
 Iterations start from the previous time-step solution and stop when the
-summed L2 norms of the field increments drop below the tolerance.
+summed L2 norms of the field increments drop below the tolerance
+(`stop_status`).  `iterate_lockstep` iterates several splitting cells of
+one L2 together, their iterates the columns of one block.
 """
 
 from __future__ import annotations
 
+import numbers
 import time as _time
 from dataclasses import dataclass, field as dc_field
 
@@ -29,7 +32,7 @@ import numpy as np
 
 from .assembly import (BiotOperators, ReducedSystem, assemble_loads,
                        build_operators)
-from .fem import FeFunction, interpolate, l2_norm
+from .fem import FeFunction, interpolate, l2_norm, l2_norms, per_row
 from .linalg import (BlockSystem, CachedLU, FixedStressPreconditioner,
                      LinearSolveError, gmres)
 from .mesh import Mesh
@@ -70,6 +73,13 @@ class SchemeConfig:
         if self.L1 == 0:
             raise SchemeConfigError(
                 "both schemes eliminate the pressure through L1 M_p: they need L1 > 0")
+        if (not isinstance(self.max_iter, numbers.Integral)
+                or isinstance(self.max_iter, bool) or self.max_iter < 1):
+            raise SchemeConfigError("max_iter must be an integer of at least 1")
+        if not (np.isfinite(self.divergence_factor)
+                and self.divergence_factor >= 1):
+            raise SchemeConfigError(
+                "divergence_factor must be finite and at least 1")
 
     def splitting_safe(self, mat: MaterialModel) -> bool:
         """L1 >= L_b and L2 >= L_h + alpha^2 / b_m (with the estimated constants)."""
@@ -175,6 +185,42 @@ class StepContext:
         return cls(t_new, tau, f_vec, g_vec, mass_const)
 
 
+def _lscheme_rhs(ops: BiotOperators, ctx: StepContext, u, p, L1, L2,
+                 splitting):
+    """The mechanics and mass rows (rhs_u, rhs_p) of the L-scheme
+    right-hand side at the iterate (u, p).
+
+    The splitting takes the displacement coupling of the mass row
+    explicitly.  (u, p) may be blocks whose columns are k iterates, with
+    `L1` an array of their k values: each column is formed with the
+    arithmetic of a vector.
+    """
+    divu = ops.divu_dual(u)
+    rhs_u = (per_row(ctx.f_vec, u) + L2 * (ops.d_div @ u)
+             - ops.hu_dual(u, divu))
+    rhs_p = (per_row(ctx.mass_const, p) - ops.bp_dual(p)
+             + L1 * (per_row(ops.mesh.areas, p) * p))
+    if splitting:
+        rhs_p -= ops.mat.alpha * divu
+    return rhs_u, rhs_p
+
+
+def _splitting_system(ops: BiotOperators, sweep: FixedStressPreconditioner,
+                      tau):
+    """The stacked (u, q, p) restriction of a splitting step, whose shift
+    is the splitting operator [[A + L2 D, 0, -alpha B_u], [0, M_q, -B^T],
+    [0, tau B, L1 M_p]] applied to the lifts.  The sweep inverts its
+    restriction, so the system carries no matrix; its shift depends on L2
+    (through the sweep's mechanics half) and tau alone."""
+    con, names = ops.constraints, ("u", "q", "p")
+    lift_q = con.q.lift
+    shift = np.concatenate([sweep.mech.rhs_shift,
+                            con.q.restriction.T @ (ops.m_q @ lift_q),
+                            tau * (ops.b_qp @ lift_q)])
+    return ReducedSystem(None, shift, *con.composed(names),
+                         con.composed_index(names))
+
+
 class SchemeSolver:
     """The linear solves of one scheme at one step size, with their
     factorizations.
@@ -185,10 +231,7 @@ class SchemeSolver:
     solves the (u, q) system with the pressure eliminated by its LU
     factorization or, when ``ops.solver`` selects GMRES, the 3x3 block
     system by GMRES preconditioned with the same sweep.  Each matrix is
-    built and factored once, here, or shared from `reuse`: earlier sweeps
-    on the same operators, whose flow half (same L1 and step) or
-    mechanics half (same L2) the sweep takes instead of building its own
-    (`FixedStressPreconditioner`).  `step` performs one iteration of the
+    built and factored once, here.  `step` performs one iteration of the
     scheme.
 
     No attribute holds a bound method of the solver or of its sweep: that
@@ -196,7 +239,7 @@ class SchemeSolver:
     garbage collector runs, past the end of the run that built them.
     """
 
-    def __init__(self, ops: BiotOperators, cfg: SchemeConfig, tau, reuse=()):
+    def __init__(self, ops: BiotOperators, cfg: SchemeConfig, tau):
         self.ops, self.cfg, self.tau = ops, cfg, tau
         self.sweep = self.mono_lu = None
         if cfg.kind == "monolithic" and (ops.solver is None
@@ -204,20 +247,11 @@ class SchemeSolver:
             self.system = ops.monolithic_schur_system(cfg.L1, cfg.L2, tau)
             self.mono_lu = CachedLU(self.system.matrix)
             return
-        self.sweep = FixedStressPreconditioner(ops, cfg, tau, reuse)
+        self.sweep = FixedStressPreconditioner(ops, cfg, tau)
         if cfg.kind == "monolithic":
             self.system = ops.monolithic_system(cfg.L1, cfg.L2, tau)
-            return
-        # the splitting operator [[A + L2 D, 0, -alpha B_u], [0, M_q, -B^T],
-        # [0, tau B, L1 M_p]] applied to the lifts; the sweep inverts its
-        # restriction, so the system carries no matrix
-        con, names = ops.constraints, ("u", "q", "p")
-        lift_q = con.q.lift
-        shift = np.concatenate([self.sweep.mech.rhs_shift,
-                                con.q.restriction.T @ (ops.m_q @ lift_q),
-                                tau * (ops.b_qp @ lift_q)])
-        self.system = ReducedSystem(None, shift, *con.composed(names),
-                                    con.composed_index(names))
+        else:
+            self.system = _splitting_system(ops, self.sweep, tau)
 
     def _gmres(self, rhs_red):
         opts, cfg = self.ops.solver, self.cfg
@@ -247,13 +281,8 @@ class SchemeSolver:
         """
         ops, cfg, alpha = self.ops, self.cfg, self.ops.mat.alpha
         nu, nq = ops.dofmap_u.n_dofs, ops.dofmap_q.n_dofs
-        divu = ops.divu_dual(cur.u.coeffs)
-        rhs_u = (ctx.f_vec + cfg.L2 * (ops.d_div @ cur.u.coeffs)
-                 - ops.hu_dual(cur.u.coeffs, divu))
-        rhs_p = (ctx.mass_const - ops.bp_dual(cur.p.coeffs)
-                 + cfg.L1 * (ops.mesh.areas * cur.p.coeffs))
-        if cfg.kind == "splitting":
-            rhs_p -= alpha * divu
+        rhs_u, rhs_p = _lscheme_rhs(ops, ctx, cur.u.coeffs, cur.p.coeffs,
+                                    cfg.L1, cfg.L2, cfg.kind == "splitting")
         if self.mono_lu is None:
             rhs = np.concatenate([rhs_u, ctx.g_vec, rhs_p])
             solve = self.sweep.matvec if cfg.kind == "splitting" else self._gmres
@@ -276,6 +305,22 @@ class SchemeSolver:
                          FeFunction(ops.dofmap_p, p), ctx.t_new)
 
 
+def stop_status(total, first_total, iterations, cfg: SchemeConfig):
+    """The stop rule after `iterations` iterations whose last and first
+    summed increments are `total` and `first_total`: 'diverged' (not
+    finite, or above divergence_factor times the first), 'converged' (at
+    most tol), 'maxiter', or None to go on."""
+    if not np.isfinite(total):
+        return "diverged"
+    if total <= cfg.tol:
+        return "converged"
+    if total > cfg.divergence_factor * first_total:
+        return "diverged"
+    if iterations >= cfg.max_iter:
+        return "maxiter"
+    return None
+
+
 def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
                            ops: BiotOperators, mat: MaterialModel,
                            problem: ProblemDefinition, tau,
@@ -283,8 +328,9 @@ def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
     """Iterate one scheme until the summed increment norms fall below tol.
 
     The first iterate is seeded with the previous time-step solution.  A
-    combined increment above divergence_factor times the first one aborts;
-    exhausting max_iter returns with converged=False.  `solver` reuses the
+    combined increment that is not finite or above divergence_factor times
+    the first one aborts with `DivergenceError`; exhausting max_iter
+    returns with converged=False (`stop_status`).  `solver` reuses the
     factorizations of an earlier call with the same operators, scheme and
     step size; without it they are built here.  Returns the final state,
     the trace and (optionally) the archived iterates.
@@ -300,8 +346,8 @@ def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
     trace = IterationTrace()
     archive = [cur.copy()] if keep_iterates else None
 
-    first_total = None
-    for _ in range(cfg.max_iter):
+    status = None
+    while status is None:
         new = solver.step(cur, ctx, trace)
         dp = l2_norm(FeFunction(ops.dofmap_p, new.p.coeffs - cur.p.coeffs))
         dq = l2_norm(FeFunction(ops.dofmap_q, new.q.coeffs - cur.q.coeffs))
@@ -310,19 +356,16 @@ def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
         if keep_iterates:
             archive.append(new.copy())
         cur = new
-        total = trace.totals[-1]
+        total, first_total = trace.totals[-1], trace.totals[0]
+        status = stop_status(total, first_total, trace.iterations, cfg)
+    if status == "diverged":
         if not np.isfinite(total):
             raise DivergenceError(
                 f"non-finite increment at iteration {trace.iterations}")
-        if total <= cfg.tol:
-            trace.converged = True
-            break
-        if first_total is None:
-            first_total = total
-        elif total > cfg.divergence_factor * first_total:
-            raise DivergenceError(
-                f"increment {total:.3e} exceeds {cfg.divergence_factor:g} x "
-                f"first increment {first_total:.3e}")
+        raise DivergenceError(
+            f"increment {total:.3e} exceeds {cfg.divergence_factor:g} x "
+            f"first increment {first_total:.3e}")
+    trace.converged = status == "converged"
     trace.seconds = _time.perf_counter() - t0
 
     trace.range_excursions = check_admissible(
@@ -331,6 +374,66 @@ def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
     if keep_iterates:
         return cur, trace, archive
     return cur, trace
+
+
+def iterate_lockstep(ops: BiotOperators, prev: BiotState, cfgs, tau, sweeps):
+    """One splitting time step from `prev` for k cells of one L2, iterated
+    in lock step: each cell's (iterations, status) in `cfgs` order.
+
+    `sweeps` are the cells' fixed-stress sweeps, which share one mechanics
+    half.  The iterates of the cells still running are the columns of one
+    block: an iteration restricts the block's right-hand sides, solves
+    each cell's flux step with its own flow half and the block's
+    mechanics step with one multi-column solve, and expands the block.
+    Each column is formed and measured with the arithmetic of
+    `SchemeSolver.step` and `l2_norm` and stopped by `stop_status`, so a
+    cell stops where `iterate_to_convergence` would, but a divergence is
+    a status, not an error.  Range excursions are not checked.
+    """
+    mech = sweeps[0]
+    if any(c.kind != "splitting" for c in cfgs) or any(
+            s.mech_lu is not mech.mech_lu for s in sweeps):
+        raise ValueError("lock-step cells are splitting cells that share "
+                         "one mechanics half")
+    ctx = StepContext.build(ops, ops.problem, prev, tau)
+    system = _splitting_system(ops, mech, tau)
+    nu, nq = ops.dofmap_u.n_dofs, ops.dofmap_q.n_dofs
+    ru, rq, _ = mech.sizes
+    live = list(range(len(cfgs)))   # the cell of each column
+    u, q, p = (np.repeat(f.coeffs[:, None], len(live), axis=1)
+               for f in (prev.u, prev.q, prev.p))
+    first, out = {}, [None] * len(cfgs)
+    iterations = 0
+    while live:
+        iterations += 1
+        rhs_u, rhs_p = _lscheme_rhs(ops, ctx, u, p,
+                                    np.array([cfgs[c].L1 for c in live]),
+                                    mech.L2, True)
+        g = np.broadcast_to(ctx.g_vec[:, None], (nq, len(live)))
+        r = (system.restrict(np.concatenate([rhs_u, g, rhs_p]))
+             - system.rhs_shift[:, None])
+        flows = [sweeps[c].flow_step(r[ru:ru + rq, j], r[ru + rq:, j])
+                 for j, c in enumerate(live)]
+        d_q, d_p = (np.column_stack(d) for d in zip(*flows))
+        x = system.expand(np.concatenate([mech.mech_step(r[:ru], d_p),
+                                          d_q, d_p]))
+        new_u, new_q, new_p = x[:nu], x[nu:nu + nq], x[nu + nq:]
+        totals = (l2_norms(ops.dofmap_p, new_p - p)
+                  + l2_norms(ops.dofmap_q, new_q - q)
+                  + l2_norms(ops.dofmap_u, new_u - u))
+        going = []
+        for j, c in enumerate(live):
+            first.setdefault(c, totals[j])
+            status = stop_status(totals[j], first[c], iterations, cfgs[c])
+            if status is None:
+                going.append(j)
+            else:
+                out[c] = (iterations, status)
+        u, q, p = new_u, new_q, new_p
+        if len(going) < len(live):
+            live = [live[j] for j in going]
+            u, q, p = u[:, going], q[:, going], p[:, going]
+    return out
 
 
 def build_initial_state(problem: ProblemDefinition, ops: BiotOperators) -> BiotState:

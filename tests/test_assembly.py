@@ -368,6 +368,25 @@ class TestIndexMaps:
         assert system.restrict(b).tobytes() == (R.T @ b).tobytes()
         assert system.expand(x).tobytes() == (R @ x + lift).tobytes()
 
+    def test_blocks_map_column_by_column(self):
+        cons = BlockConstraints(
+            u=FieldConstraints(12, pinned={0: 1.5, 7: -2.0}, ties=[[3, 5, 9]]),
+            q=FieldConstraints(5, pinned={4: -0.75}),
+            p=FieldConstraints(4))
+        names = ("u", "q", "p")
+        R, lift = cons.composed(names)
+        system = ReducedSystem(None, np.zeros(R.shape[1]), R, lift,
+                               cons.composed_index(names))
+        rng = np.random.default_rng(5)
+        B = rng.standard_normal((R.shape[0], 3))
+        X = rng.standard_normal((R.shape[1], 3))
+        restricted, expanded = system.restrict(B), system.expand(X)
+        for j in range(3):
+            assert restricted[:, j].tobytes() == system.restrict(
+                B[:, j].copy()).tobytes()
+            assert expanded[:, j].tobytes() == system.expand(
+                X[:, j].copy()).tobytes()
+
     def test_numbering_follows_the_dofs(self):
         con = FieldConstraints(8, pinned={0: 1.5, 6: -2.0}, ties=[[5, 2, 7]])
         assert con.reduced_of.tolist() == [-1, 0, 1, 2, 3, 1, -1, 1]

@@ -129,6 +129,38 @@ class TestSweep:
         assert {s for row in grid.status for s in row} == {
             "converged", "maxiter", "diverged"}
 
+    def test_lockstep_columns_shrink_and_match_fresh_cells(self,
+                                                          monkeypatch):
+        # t1c1 at nx=8: the cells of each L2 column stop at different
+        # iterations, so the lock-step block shrinks mid-column; every
+        # increment of every cell has the bits of a fresh per-cell run
+        L1s, L2s = [0.3, 1.0, 3.0, 10.0], [0.3, 1.0, 3.0]
+        seen, rule = {}, schemes.stop_status
+
+        def recording(total, first, iterations, cfg):
+            seen[side][cfg.L1, cfg.L2, iterations] = float(total).hex()
+            return rule(total, first, iterations, cfg)
+
+        monkeypatch.setattr(schemes, "stop_status", recording)
+        side = "grid"
+        seen[side] = {}
+        grid = sweep_L("t1c1", "splitting", L1s, L2s, nx=8, max_iter=25)
+        side = "fresh"
+        seen[side] = {}
+        ops, prev = manufactured_setup("t1c1", 8)
+        fresh = [[_single_step(ops, prev, SchemeConfig(
+            "splitting", L1=l1, L2=l2, max_iter=25), 0.25) for l2 in L2s]
+            for l1 in L1s]
+        assert grid.iterations.tolist() == [[r.iterations for r in row]
+                                            for row in fresh]
+        assert grid.status == [[r.status for r in row] for row in fresh]
+        assert {s for row in grid.status for s in row} == {"converged",
+                                                           "maxiter"}
+        assert all(len(set(grid.iterations[:, j])) > 1
+                   for j in range(len(L2s)))
+        assert len(seen["grid"]) == int(grid.iterations.sum())
+        assert seen["grid"] == seen["fresh"]
+
     def test_argmin(self):
         grid = sweep_L("t1c1", "splitting", [0.3, 2.72], [0.3, 0.75], nx=8)
         l1, l2 = grid.argmin()
@@ -282,6 +314,18 @@ class TestMandelSeries:
         assert worker_count() == 3
         monkeypatch.setenv("POROBIOT_THREADS", "junk")
         assert worker_count() == 1
+
+    def test_gmres_agrees_with_lu_on_si_mandel(self):
+        # the SI blocks span about twenty orders of magnitude: GMRES must
+        # reach the same outer iterations and pressures as the LU solves
+        from porobiot.linalg import SolverOptions
+        lu, lu_results, _ = run_mandel(n_steps=10, nx=8, ny=8)
+        gm, gm_results, _ = run_mandel(n_steps=10, nx=8, ny=8,
+                                       solver=SolverOptions(method="gmres"))
+        assert [tr.iterations for _, tr in gm_results] == [
+            tr.iterations for _, tr in lu_results]
+        assert np.abs(gm.p_probe - lu.p_probe).max() <= 1e-6 * np.abs(
+            lu.p_probe).max()
 
     def test_csv_schema(self, short_run, tmp_path):
         series, _, _ = short_run

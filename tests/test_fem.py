@@ -3,7 +3,7 @@ import pytest
 import sympy as sy
 
 from porobiot.fem import (DofMap, FeFunction, SpaceKind, interpolate,
-                          l2_inner, l2_norm, quadrature)
+                          l2_inner, l2_norm, l2_norms, quadrature)
 from porobiot.mesh import generate_rect_mesh
 from porobiot.physics import MandelConfig, mandel_material, mandel_problem
 
@@ -203,6 +203,19 @@ class TestNorms:
                 g = FeFunction(dm, alpha * f.coeffs)
                 assert l2_norm(g) == pytest.approx(abs(alpha) * base,
                                                    rel=1e-13, abs=1e-15)
+
+    def test_block_norms_are_column_norms(self):
+        # each column's norm has the bits of `l2_norm` on that column; the
+        # mesh is large enough for the BLAS dot to take its vector kernel
+        mesh = generate_rect_mesh((0, 0), (2, 1), 12, 8)
+        rng = np.random.default_rng(24)
+        for kind in SpaceKind:
+            dm = DofMap(mesh, kind)
+            block = rng.standard_normal((dm.n_dofs, 5))
+            got = l2_norms(dm, block)
+            assert [float(v).hex() for v in got] == [
+                l2_norm(FeFunction(dm, block[:, j].copy())).hex()
+                for j in range(5)]
 
     def test_inner_space_mismatch(self):
         mesh = generate_rect_mesh((0, 0), (1, 1), 2, 2)

@@ -103,6 +103,48 @@ class TestLU:
         assert np.linalg.norm(b - A @ x_once) > 1e-12 * np.linalg.norm(b)
         assert np.linalg.norm(b - A @ x) <= np.linalg.norm(b - A @ x_refined)
 
+    @pytest.mark.parametrize("system", ["schur", "3x3"])
+    def test_block_solve_is_column_solves(self, system):
+        # one multi-column solve gives each column the bits of its own
+        # vector solve, refined (3x3) or not (schur) alike
+        ops, L1, L2 = mandel_si_operators(nx=8)
+        A = (ops.monolithic_schur_system(L1, L2, 1.0) if system == "schur"
+             else ops.monolithic_system(L1, L2, 1.0)).matrix
+        lu = CachedLU(A)
+        B = np.random.default_rng(14).standard_normal((A.shape[0], 4))
+        X = lu.solve(B)
+        assert X.shape == B.shape
+        for j in range(B.shape[1]):
+            assert X[:, j].tobytes() == lu.solve(B[:, j]).tobytes()
+
+    def test_block_refinement_is_decided_per_column(self):
+        # perturb one column of the first triangular solve: that column
+        # alone is refined, and the others keep their unrefined bits
+        ops, L1, L2 = mandel_si_operators(nx=8)
+        A = ops.monolithic_schur_system(L1, L2, 1.0).matrix
+        lu = CachedLU(A)
+        B = np.random.default_rng(15).standard_normal((A.shape[0], 3))
+        want = [lu.solve(B[:, j]) for j in range(3)]
+
+        class Perturbed:
+            def __init__(self, factor):
+                self.factor, self.shapes = factor, []
+
+            def solve(self, b):
+                x = self.factor.solve(b)
+                if not self.shapes:
+                    x[:, 1] *= 1.0 + 1e-6
+                self.shapes.append(b.shape)
+                return x
+
+        lu._lu = Perturbed(lu._lu)
+        X = lu.solve(B)
+        assert lu._lu.shapes == [B.shape, (A.shape[0], 1)]
+        assert X[:, 0].tobytes() == want[0].tobytes()
+        assert X[:, 2].tobytes() == want[2].tobytes()
+        assert np.linalg.norm(B[:, 1] - A @ X[:, 1]) <= 1e-12 * np.linalg.norm(
+            B[:, 1])
+
     def test_cached_lu_reuse(self):
         A = sp.diags([1.0, 2.0, 3.0]).tocsr()
         lu = CachedLU(A)
@@ -179,6 +221,16 @@ class TestFixedStressPreconditioner:
         right = 2.5 * M.matvec(r1) + M.matvec(r2)
         scale = max(np.abs(left).max(), 1.0)
         assert np.abs(left - right).max() <= 1e-12 * scale
+
+    def test_block_sweep_is_column_sweeps(self):
+        # both halves, and so the sweep, take blocks column by column
+        _, ops, mat = monolithic_linear_system(nx=4)
+        M = FixedStressPreconditioner(
+            ops, SchemeConfig("splitting", L1=0.3, L2=3.0), 0.25)
+        R = np.random.default_rng(16).standard_normal((M.shape[0], 3))
+        got = M.matvec(R)
+        for j in range(R.shape[1]):
+            assert got[:, j].tobytes() == M.matvec(R[:, j]).tobytes()
 
     def test_decoupled_block_exactness(self):
         # alpha = 0 decouples mechanics from flow: the sweep is an exact

@@ -14,9 +14,10 @@ from porobiot.physics import (MandelConfig, NonlinearLaw, QBc, UBc,
                               mandel_problem, manufactured_material,
                               manufactured_problem)
 from porobiot.schemes import (BiotState, DivergenceError, SchemeConfig,
-                              SchemeSolver, StepContext, build_initial_state,
-                              iterate_to_convergence, residual_norms,
-                              suggested_tuning, time_march, write_trace_csv)
+                              SchemeConfigError, SchemeSolver, StepContext,
+                              build_initial_state, iterate_lockstep,
+                              iterate_to_convergence, residual_norms, stop_status, suggested_tuning,
+                              time_march, write_trace_csv)
 
 
 def linear_setup(nx=8):
@@ -66,6 +67,36 @@ class TestSchemeConfig:
             SchemeConfig("splitting", L1=0.0, L2=1.0)
         with pytest.raises(ValueError):
             SchemeConfig("monolithic", L1=0.0, L2=1.0)
+
+    @pytest.mark.parametrize("bad", [
+        {"max_iter": 0}, {"max_iter": -3}, {"max_iter": 2.5},
+        {"max_iter": True}, {"divergence_factor": float("nan")},
+        {"divergence_factor": -1.0}, {"divergence_factor": 0.5},
+        {"divergence_factor": float("inf")}])
+    def test_stop_controls_validated(self, bad):
+        # a non-integer or non-positive max_iter, and a divergence factor
+        # that is not finite or below 1, would end or disable the stop rule
+        with pytest.raises(SchemeConfigError):
+            SchemeConfig("splitting", 1.0, 1.0, **bad)
+
+    def test_stop_controls_accepted(self):
+        cfg = SchemeConfig("splitting", 1.0, 1.0, max_iter=np.int64(3),
+                           divergence_factor=1.0)
+        assert cfg.max_iter == 3 and cfg.divergence_factor == 1.0
+
+    def test_stop_status_order(self):
+        cfg = SchemeConfig("splitting", 1.0, 1.0, tol=1e-8, max_iter=3,
+                           divergence_factor=10.0)
+        assert stop_status(float("nan"), 1.0, 1, cfg) == "diverged"
+        assert stop_status(float("inf"), 1.0, 2, cfg) == "diverged"
+        # at max_iter, a converged or diverged increment says so
+        assert stop_status(1e-8, 1.0, 3, cfg) == "converged"
+        assert stop_status(10.5, 1.0, 3, cfg) == "diverged"
+        assert stop_status(10.0, 1.0, 3, cfg) == "maxiter"
+        assert stop_status(10.0, 1.0, 2, cfg) is None
+        # the first increment never exceeds itself
+        assert stop_status(5.0, 5.0, 1, replace(cfg, divergence_factor=1.0)) \
+            is None
 
     def test_theorem_flags(self):
         mat = manufactured_material("t1c1")  # b_m = 1/e, L_b = e, L_h = 0.75
@@ -368,6 +399,23 @@ class TestIterationControl:
                 assert not trace.converged
             except DivergenceError:
                 pass
+
+
+def test_lockstep_cells_must_share_one_mechanics_half():
+    # a column's block has one mechanics solve: cells of another L2, or of
+    # the monolithic scheme, are refused instead of solved with it
+    from porobiot.linalg import FixedStressPreconditioner
+    mesh, mat, prob, ops, prev = linear_setup(4)
+    cfgs = [SchemeConfig("splitting", L1=1.0, L2=l2) for l2 in (1.0, 2.0)]
+    sweeps = [FixedStressPreconditioner(ops, c, 0.25) for c in cfgs]
+    with pytest.raises(ValueError):
+        iterate_lockstep(ops, prev, cfgs, 0.25, sweeps)
+    with pytest.raises(ValueError):
+        iterate_lockstep(ops, prev, [replace(cfgs[0], kind="monolithic")],
+                         0.25, sweeps[:1])
+    assert iterate_lockstep(ops, prev, cfgs[:1], 0.25, sweeps[:1]) == [
+        (iterate_to_convergence(prev, cfgs[0], ops, mat, prob,
+                                0.25)[1].iterations, "converged")]
 
 
 class TestTimeMarch:
