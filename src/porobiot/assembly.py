@@ -150,8 +150,6 @@ class FieldConstraints:
 
     def __init__(self, n_full, pinned=None, ties=()):
         pinned = dict(pinned or {})
-        self.n_full = n_full
-        self.pinned = pinned
         self.ties = [list(t) for t in ties]
         tied = set()
         for group in self.ties:

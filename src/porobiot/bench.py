@@ -22,7 +22,7 @@ from .mesh import Side, generate_rect_mesh
 from .physics import (CENTIPOISE, DARCY, AdmissibleRangeWarning,
                       MandelConfig, mandel_material, mandel_problem,
                       manufactured_material, manufactured_problem)
-from .schemes import (BiotState, DivergenceError, SchemeConfig,
+from .schemes import (BiotState, DivergenceError, SchemeConfig, StepContext,
                       build_initial_state, iterate_lockstep,
                       iterate_to_convergence, march, suggested_tuning)
 
@@ -128,11 +128,18 @@ def manufactured_convergence(case_id, scheme_kind, L1, L2, levels=3,
 
     Returns ErrorRows at the final time with observed orders; the time step
     halves with the mesh (the linear exact solution makes the implicit
-    stepping exact in time, so the orders isolate space).  Each level keeps
-    only its final state; a step that stops at `max_iter` raises
-    DivergenceError.  `material` and `solver` are as in `manufactured_setup`;
-    `solver_rows` collects every level's linear-solve reports.
+    stepping exact in time, so the orders isolate space).  `tau0` must
+    divide `final_time` into a whole number of steps (up to round-off), so
+    that every level ends at `final_time`; otherwise ValueError.  Each
+    level keeps only its final state; a step that stops at `max_iter`
+    raises DivergenceError.  `material` and `solver` are as in
+    `manufactured_setup`; `solver_rows` collects every level's
+    linear-solve reports.
     """
+    n_steps = int(round(final_time / tau0)) if tau0 > 0 else 0
+    if n_steps < 1 or abs(n_steps * tau0 - final_time) > 1e-12 * final_time:
+        raise ValueError(f"tau0={tau0:g} does not divide final_time="
+                         f"{final_time:g} into whole steps")
     cfg = SchemeConfig(scheme_kind, L1=L1, L2=L2, tol=tol, max_iter=max_iter)
     rows = []
     for lev in range(levels):
@@ -140,7 +147,7 @@ def manufactured_convergence(case_id, scheme_kind, L1, L2, levels=3,
         ops, initial = manufactured_setup(case_id, nx0 * (2 ** lev), material,
                                           final_time, solver)
         for state, trace in march(ops.problem, ops.mesh, ops.mat, cfg, tau,
-                                  int(round(final_time / tau)), ops=ops,
+                                  n_steps * 2 ** lev, ops=ops,
                                   initial=initial):
             if not trace.converged:
                 raise DivergenceError(f"level {lev}: the step to t="
@@ -225,9 +232,9 @@ def sweep_L(case_id, scheme_kind, L1_values, L2_values, nx=16, tau=0.25,
     at a time, and each cell's sweep shares the flow half of the first
     cell with its L1 and the mechanics half of the first cell with its L2
     (`FixedStressPreconditioner`).  The cells of a column iterate in lock
-    step (`schemes.iterate_lockstep`), their iterates one block whose
-    mechanics steps are one multi-column solve; each cell keeps the count
-    and status it has on its own.  The flow halves stay alive through the
+    step (`schemes.iterate_lockstep`, one step context for the sweep),
+    their iterates one block whose mechanics steps are one multi-column
+    solve; each cell keeps the count and status it has on its own.  The flow halves stay alive through the
     sweep, and with them the first L2's mechanics half, which their
     sweeps hold; past the first L2 one more mechanics half, the current
     L2's, is alive.  The results keep the L1-major order.  A sweep along
@@ -248,6 +255,7 @@ def sweep_L(case_id, scheme_kind, L1_values, L2_values, nx=16, tau=0.25,
     elif scheme_kind == "splitting" and min(L1_values.size,
                                             L2_values.size) > 1:
         ops, prev = manufactured_setup(case_id, nx, material)
+        ctx = StepContext.build(ops, ops.problem, prev, tau)
         results = [None] * len(cfgs)
         flows = {}   # L1 -> the sweep that built its flow half
         n2 = len(L2_values)
@@ -260,7 +268,7 @@ def sweep_L(case_id, scheme_kind, L1_values, L2_values, nx=16, tau=0.25,
                 flows.setdefault(cfg.L1, sweeps[-1])
             for k, (n, status) in zip(
                     range(j, len(cfgs), n2),
-                    iterate_lockstep(ops, prev, cfgs[j::n2], tau, sweeps)):
+                    iterate_lockstep(ops, prev, cfgs[j::n2], ctx, sweeps)):
                 results[k] = RunResult(
                     max_iter if status == "diverged" else n, status)
     else:
@@ -394,18 +402,6 @@ class MandelSeries:
     uy_top: np.ndarray
     probe: tuple
     initial_pressure: float
-
-    @property
-    def peak(self):
-        return float(self.p_probe.max())
-
-    @property
-    def peak_time(self):
-        return float(self.times[int(np.argmax(self.p_probe))])
-
-    @property
-    def final(self):
-        return float(self.p_probe[-1])
 
 
 def mandel_report(initial: BiotState, results, mesh, probe=None,

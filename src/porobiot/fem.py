@@ -57,14 +57,15 @@ class DofMap:
 
 
 class FeFunction:
-    """Coefficient vector bound to a DofMap."""
+    """Coefficient vector bound to a DofMap, or an (n, k) block of k of
+    them."""
 
     def __init__(self, dofmap: DofMap, coeffs=None):
         self.dofmap = dofmap
         if coeffs is None:
             coeffs = np.zeros(dofmap.n_dofs)
         self.coeffs = np.asarray(coeffs, dtype=float)
-        if self.coeffs.shape != (dofmap.n_dofs,):
+        if self.coeffs.shape[:1] != (dofmap.n_dofs,) or self.coeffs.ndim > 2:
             raise ValueError("coefficient length does not match the DOF map")
 
     @property
@@ -82,8 +83,7 @@ class FeFunction:
 class QuadratureRule:
     """Barycentric points and weights on the reference triangle, weights sum to 1."""
 
-    def __init__(self, degree, points, weights):
-        self.degree = degree
+    def __init__(self, points, weights):
         self.points = np.asarray(points, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
 
@@ -111,7 +111,7 @@ def quadrature(degree) -> QuadratureRule:
             wts += [w] * 3
     else:
         raise ValueError(f"unsupported quadrature degree {degree}")
-    rule = QuadratureRule(degree, pts, wts)
+    rule = QuadratureRule(pts, wts)
     _RULES[degree] = rule
     return rule
 
@@ -178,24 +178,20 @@ def l2_inner(f: FeFunction, g: FeFunction):
 
 
 def l2_norm(f: FeFunction):
-    """L2 norm of a finite element function (mass-matrix weighted)."""
+    """L2 norm of a finite element function (mass-matrix weighted).
+
+    A block of coefficients gives the array of its columns' norms, each
+    by the dot of a vector: the columns are copied out contiguous, as a
+    strided BLAS dot may sum in another order.
+    """
     c = f.coeffs
     if f.kind is SpaceKind.P0:
-        sq = c @ (f.mesh.areas * c)   # the P0 mass is diagonal
+        mc = per_row(f.mesh.areas, c) * c   # the P0 mass is diagonal
     else:
-        sq = c @ (f.dofmap.mass_matrix @ c)
-    return float(np.sqrt(max(sq, 0.0)))
-
-
-def l2_norms(dofmap: DofMap, coeffs):
-    """`l2_norm` of each column of an (n, k) block of coefficient vectors
-    of one space, by the same dot: each column is copied out contiguous,
-    as a strided BLAS dot may sum in another order."""
-    if dofmap.kind is SpaceKind.P0:
-        mc = dofmap.mesh.areas[:, None] * coeffs
-    else:
-        mc = dofmap.mass_matrix @ coeffs
-    sq = [c @ m for c, m in zip(np.ascontiguousarray(coeffs.T),
+        mc = f.dofmap.mass_matrix @ c
+    if c.ndim == 1:
+        return float(np.sqrt(max(c @ mc, 0.0)))
+    sq = [a @ b for a, b in zip(np.ascontiguousarray(c.T),
                                 np.ascontiguousarray(mc.T))]
     return np.sqrt(np.maximum(sq, 0.0))
 

@@ -102,7 +102,6 @@ class CachedLU:
     """
 
     def __init__(self, matrix):
-        t0 = time.perf_counter()
         matrix = sp.csc_matrix(matrix)
         # canonical before `_equilibrated` shares its index arrays: splu
         # would otherwise sort them in place under `self.matrix`
@@ -128,7 +127,6 @@ class CachedLU:
             self._lu = spla.splu(scaled, **ordering)
         except RuntimeError as exc:
             raise FactorizationError(str(exc)) from exc
-        self.factor_seconds = time.perf_counter() - t0
         self.shape = matrix.shape
 
     def _equilibrated(self):
@@ -153,13 +151,14 @@ class CachedLU:
         b = np.asarray(b, dtype=float)
         x = self._raw_solve(b)
         r = b - self.matrix @ x
-        # a vector is a block of one column; each column's norms are those
-        # of its own vector solve
-        xs, rs, bs = (a.reshape(len(a), -1) for a in (x, r, b))
-        refine = [j for j in range(xs.shape[1]) if np.linalg.norm(rs[:, j])
-                  > 1e-12 * np.linalg.norm(bs[:, j])]
+        # a vector is a block of one column; each column's norms are
+        # np.linalg.norm's of its own vector: the root of a contiguous dot
+        rs, bs = (np.ascontiguousarray(a.reshape(len(a), -1).T) for a in (r, b))
+        refine = [j for j, (rj, bj) in enumerate(zip(rs, bs))
+                  if np.sqrt(rj @ rj) > 1e-12 * np.sqrt(bj @ bj)]
         if refine:
-            xs[:, refine] += self._raw_solve(rs[:, refine])
+            x.reshape(len(x), -1)[:, refine] += self._raw_solve(
+                r.reshape(len(r), -1)[:, refine])
         return x
 
 

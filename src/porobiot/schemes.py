@@ -25,14 +25,13 @@ one L2 together, their iterates the columns of one block.
 from __future__ import annotations
 
 import numbers
-import time as _time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .assembly import (BiotOperators, ReducedSystem, assemble_loads,
                        build_operators)
-from .fem import FeFunction, interpolate, l2_norm, l2_norms, per_row
+from .fem import FeFunction, interpolate, l2_norm, per_row
 from .linalg import (BlockSystem, CachedLU, FixedStressPreconditioner,
                      LinearSolveError, gmres)
 from .mesh import Mesh
@@ -151,7 +150,6 @@ class IterationTrace:
     iterations: int = 0
     converged: bool = False
     n_linear_solves: int = 0
-    seconds: float = 0.0
     range_excursions: int = 0   # certified law ranges the final iterate left
 
     def record(self, dp, dq, du):
@@ -185,42 +183,6 @@ class StepContext:
         return cls(t_new, tau, f_vec, g_vec, mass_const)
 
 
-def _lscheme_rhs(ops: BiotOperators, ctx: StepContext, u, p, L1, L2,
-                 splitting):
-    """The mechanics and mass rows (rhs_u, rhs_p) of the L-scheme
-    right-hand side at the iterate (u, p).
-
-    The splitting takes the displacement coupling of the mass row
-    explicitly.  (u, p) may be blocks whose columns are k iterates, with
-    `L1` an array of their k values: each column is formed with the
-    arithmetic of a vector.
-    """
-    divu = ops.divu_dual(u)
-    rhs_u = (per_row(ctx.f_vec, u) + L2 * (ops.d_div @ u)
-             - ops.hu_dual(u, divu))
-    rhs_p = (per_row(ctx.mass_const, p) - ops.bp_dual(p)
-             + L1 * (per_row(ops.mesh.areas, p) * p))
-    if splitting:
-        rhs_p -= ops.mat.alpha * divu
-    return rhs_u, rhs_p
-
-
-def _splitting_system(ops: BiotOperators, sweep: FixedStressPreconditioner,
-                      tau):
-    """The stacked (u, q, p) restriction of a splitting step, whose shift
-    is the splitting operator [[A + L2 D, 0, -alpha B_u], [0, M_q, -B^T],
-    [0, tau B, L1 M_p]] applied to the lifts.  The sweep inverts its
-    restriction, so the system carries no matrix; its shift depends on L2
-    (through the sweep's mechanics half) and tau alone."""
-    con, names = ops.constraints, ("u", "q", "p")
-    lift_q = con.q.lift
-    shift = np.concatenate([sweep.mech.rhs_shift,
-                            con.q.restriction.T @ (ops.m_q @ lift_q),
-                            tau * (ops.b_qp @ lift_q)])
-    return ReducedSystem(None, shift, *con.composed(names),
-                         con.composed_index(names))
-
-
 class SchemeSolver:
     """The linear solves of one scheme at one step size, with their
     factorizations.
@@ -234,24 +196,43 @@ class SchemeSolver:
     built and factored once, here.  `step` performs one iteration of the
     scheme.
 
+    A splitting solver may hold `sweeps`, those of k cells (the first
+    `cfg`'s) that share one mechanics half, each with its own flow half.
+
     No attribute holds a bound method of the solver or of its sweep: that
     reference cycle would keep their factorizations alive until the cyclic
     garbage collector runs, past the end of the run that built them.
     """
 
-    def __init__(self, ops: BiotOperators, cfg: SchemeConfig, tau):
+    def __init__(self, ops: BiotOperators, cfg: SchemeConfig, tau,
+                 sweeps=None):
         self.ops, self.cfg, self.tau = ops, cfg, tau
         self.sweep = self.mono_lu = None
+        if sweeps is not None and (cfg.kind != "splitting" or any(
+                s.mech_lu is not sweeps[0].mech_lu for s in sweeps)):
+            raise ValueError("the sweeps of one solver are splitting sweeps "
+                             "that share one mechanics half")
         if cfg.kind == "monolithic" and (ops.solver is None
                                          or ops.solver.method != "gmres"):
             self.system = ops.monolithic_schur_system(cfg.L1, cfg.L2, tau)
             self.mono_lu = CachedLU(self.system.matrix)
             return
-        self.sweep = FixedStressPreconditioner(ops, cfg, tau)
+        self.sweeps = sweeps or [FixedStressPreconditioner(ops, cfg, tau)]
+        self.sweep = self.sweeps[0]
+        self.L1 = np.array([s.flow_params[0] for s in self.sweeps])
         if cfg.kind == "monolithic":
             self.system = ops.monolithic_system(cfg.L1, cfg.L2, tau)
-        else:
-            self.system = _splitting_system(ops, self.sweep, tau)
+            return
+        # the stacked restriction, shifted by the splitting operator
+        # [[A + L2 D, 0, -alpha B_u], [0, M_q, -B^T], [0, tau B, L1 M_p]]
+        # on the lifts; the sweep inverts it, so it carries no matrix
+        con, names = ops.constraints, ("u", "q", "p")
+        lift_q = con.q.lift
+        shift = np.concatenate([self.sweep.mech.rhs_shift,
+                                con.q.restriction.T @ (ops.m_q @ lift_q),
+                                tau * (ops.b_qp @ lift_q)])
+        self.system = ReducedSystem(None, shift, *con.composed(names),
+                                    con.composed_index(names))
 
     def _gmres(self, rhs_red):
         opts, cfg = self.ops.solver, self.cfg
@@ -267,10 +248,10 @@ class SchemeSolver:
         return x_red
 
     def step(self, cur: BiotState, ctx: StepContext,
-             trace: IterationTrace = None) -> BiotState:
+             trace: IterationTrace = None, cells=None) -> BiotState:
         """One iteration of the scheme from the iterate `cur`.
 
-        Both schemes share the L-scheme right-hand side (rhs_u, g, rhs_p),
+        Both schemes form the L-scheme right-hand side (rhs_u, g, rhs_p),
         but for the displacement coupling of the mass row, which the
         splitting takes explicitly.  The sweep (splitting) and GMRES solve
         for its restriction.  The monolithic LU solve eliminates the
@@ -278,22 +259,50 @@ class SchemeSolver:
         w = rhs_p / (L1 M_p) the (u, q) system of `monolithic_schur_system`
         has the right-hand side (rhs_u + alpha B_u w, tau (g + B^T w)), and
         p is recovered cellwise, M_p being the diagonal P0 mass.
+
+        The fields of `cur` may be (n, k) blocks (not for GMRES), each
+        column computed with the arithmetic of a vector.  The columns of a
+        splitting block iterate the solver's `cells`, indices into its
+        sweeps: each solves its flux step with its cell's flow half, and
+        the block its mechanics step in one multi-column solve.
         """
         ops, cfg, alpha = self.ops, self.cfg, self.ops.mat.alpha
         nu, nq = ops.dofmap_u.n_dofs, ops.dofmap_q.n_dofs
-        rhs_u, rhs_p = _lscheme_rhs(ops, ctx, cur.u.coeffs, cur.p.coeffs,
-                                    cfg.L1, cfg.L2, cfg.kind == "splitting")
-        if self.mono_lu is None:
-            rhs = np.concatenate([rhs_u, ctx.g_vec, rhs_p])
-            solve = self.sweep.matvec if cfg.kind == "splitting" else self._gmres
-        else:
-            l1_areas = cfg.L1 * ops.mesh.areas
+        u, p = cur.u.coeffs, cur.p.coeffs
+        block = cfg.kind == "splitting" and u.ndim == 2
+        L1 = self.L1[cells] if block else cfg.L1
+        divu = ops.divu_dual(u)
+        rhs_u = (per_row(ctx.f_vec, u) + cfg.L2 * (ops.d_div @ u)
+                 - ops.hu_dual(u, divu))
+        rhs_p = (per_row(ctx.mass_const, p) - ops.bp_dual(p)
+                 + L1 * (per_row(ops.mesh.areas, p) * p))
+        if self.mono_lu is not None:
+            l1_areas = per_row(L1 * ops.mesh.areas, p)
             w = rhs_p / l1_areas
             rhs = np.concatenate([rhs_u + alpha * (ops.b_up @ w),
-                                  ctx.tau * (ctx.g_vec + ops.b_qp_t @ w)])
-            solve = self.mono_lu.solve
-        x = self.system.expand(solve(self.system.restrict(rhs)
-                                     - self.system.rhs_shift))
+                                  ctx.tau * (per_row(ctx.g_vec, w)
+                                             + ops.b_qp_t @ w)])
+        else:
+            if cfg.kind == "splitting":
+                rhs_p -= alpha * divu
+            g = np.broadcast_to(per_row(ctx.g_vec, u), (nq,) + u.shape[1:])
+            rhs = np.concatenate([rhs_u, g, rhs_p])
+        r = self.system.restrict(rhs) - per_row(self.system.rhs_shift, rhs)
+        if self.mono_lu is not None:
+            x_red = self.mono_lu.solve(r)
+        elif cfg.kind == "monolithic":
+            x_red = self._gmres(r)
+        elif not block:
+            x_red = self.sweep.matvec(r)
+        else:
+            ru, rq, _ = self.sweep.sizes
+            flows = [self.sweeps[c].flow_step(r[ru:ru + rq, j], r[ru + rq:, j])
+                     for j, c in enumerate(cells)]
+            # column_stack's values, without its per-column copies
+            d_q, d_p = (np.array(d).T for d in zip(*flows))
+            x_red = np.concatenate([self.sweep.mech_step(r[:ru], d_p),
+                                    d_q, d_p])
+        x = self.system.expand(x_red)
         u, q, p = x[:nu], x[nu:nu + nq], x[nu + nq:]
         if self.mono_lu is not None:
             p = (rhs_p - (alpha * ops.divu_dual(u)
@@ -321,6 +330,43 @@ def stop_status(total, first_total, iterations, cfg: SchemeConfig):
     return None
 
 
+def _iterate(solver: SchemeSolver, cur: BiotState, ctx: StepContext, cfgs,
+             trace: IterationTrace = None, archive=None):
+    """Iterate `solver` from `cur`, one cell's vectors or the (n, k) block
+    of its k cells (`cfgs`), until `stop_status` stops every cell; a
+    stopped cell's column leaves the block.  `trace` and `archive` record
+    a vector cell's increments and iterates.  Returns the last iterate
+    and each cell's (iterations, status).
+    """
+    ops = solver.ops
+    live = list(range(len(cfgs)))   # the cell of each column
+    first, out, iterations = {}, [None] * len(cfgs), 0
+    while live:
+        iterations += 1
+        new = solver.step(cur, ctx, trace, live)
+        dp = l2_norm(FeFunction(ops.dofmap_p, new.p.coeffs - cur.p.coeffs))
+        dq = l2_norm(FeFunction(ops.dofmap_q, new.q.coeffs - cur.q.coeffs))
+        du = l2_norm(FeFunction(ops.dofmap_u, new.u.coeffs - cur.u.coeffs))
+        if trace is not None:
+            trace.record(dp, dq, du)
+        if archive is not None:
+            archive.append(new.copy())
+        cur, totals, going = new, np.atleast_1d(dp + dq + du), []
+        for j, c in enumerate(live):
+            status = stop_status(totals[j], first.setdefault(c, totals[j]),
+                                 iterations, cfgs[c])
+            if status is None:
+                going.append(j)
+            else:
+                out[c] = (iterations, status)
+        if len(going) < len(live):
+            live = [live[j] for j in going]
+            if live:
+                cur = BiotState(*(FeFunction(f.dofmap, f.coeffs[:, going])
+                                  for f in (cur.u, cur.q, cur.p)), cur.time)
+    return cur, out
+
+
 def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
                            ops: BiotOperators, mat: MaterialModel,
                            problem: ProblemDefinition, tau,
@@ -335,30 +381,17 @@ def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
     step size; without it they are built here.  Returns the final state,
     the trace and (optionally) the archived iterates.
     """
-    t0 = _time.perf_counter()
     if solver is None:
         solver = SchemeSolver(ops, cfg, tau)
     elif solver.ops is not ops or solver.cfg != cfg or solver.tau != tau:
         raise ValueError("solver was built for other operators, scheme or step")
     ctx = StepContext.build(ops, problem, prev, tau)
-    cur = prev.copy()
-    cur.time = ctx.t_new
+    cur = BiotState(prev.u, prev.q, prev.p, ctx.t_new)
     trace = IterationTrace()
     archive = [cur.copy()] if keep_iterates else None
-
-    status = None
-    while status is None:
-        new = solver.step(cur, ctx, trace)
-        dp = l2_norm(FeFunction(ops.dofmap_p, new.p.coeffs - cur.p.coeffs))
-        dq = l2_norm(FeFunction(ops.dofmap_q, new.q.coeffs - cur.q.coeffs))
-        du = l2_norm(FeFunction(ops.dofmap_u, new.u.coeffs - cur.u.coeffs))
-        trace.record(dp, dq, du)
-        if keep_iterates:
-            archive.append(new.copy())
-        cur = new
-        total, first_total = trace.totals[-1], trace.totals[0]
-        status = stop_status(total, first_total, trace.iterations, cfg)
+    cur, [(_, status)] = _iterate(solver, cur, ctx, [cfg], trace, archive)
     if status == "diverged":
+        total, first_total = trace.totals[-1], trace.totals[0]
         if not np.isfinite(total):
             raise DivergenceError(
                 f"non-finite increment at iteration {trace.iterations}")
@@ -366,7 +399,6 @@ def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
             f"increment {total:.3e} exceeds {cfg.divergence_factor:g} x "
             f"first increment {first_total:.3e}")
     trace.converged = status == "converged"
-    trace.seconds = _time.perf_counter() - t0
 
     trace.range_excursions = check_admissible(
         mat, cur.p.coeffs, ops.div_u_cells(cur.u.coeffs),
@@ -376,64 +408,24 @@ def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
     return cur, trace
 
 
-def iterate_lockstep(ops: BiotOperators, prev: BiotState, cfgs, tau, sweeps):
+def iterate_lockstep(ops: BiotOperators, prev: BiotState, cfgs,
+                     ctx: StepContext, sweeps):
     """One splitting time step from `prev` for k cells of one L2, iterated
     in lock step: each cell's (iterations, status) in `cfgs` order.
 
-    `sweeps` are the cells' fixed-stress sweeps, which share one mechanics
-    half.  The iterates of the cells still running are the columns of one
-    block: an iteration restricts the block's right-hand sides, solves
-    each cell's flux step with its own flow half and the block's
-    mechanics step with one multi-column solve, and expands the block.
-    Each column is formed and measured with the arithmetic of
-    `SchemeSolver.step` and `l2_norm` and stopped by `stop_status`, so a
-    cell stops where `iterate_to_convergence` would, but a divergence is
-    a status, not an error.  Range excursions are not checked.
+    `ctx` is the step's context and `sweeps` are the cells' sweeps, which
+    share one mechanics half.  The cells still running are the columns of
+    one block of a `SchemeSolver` holding the sweeps, so a cell stops
+    where `iterate_to_convergence` would, but a divergence is a status,
+    not an error.  Range excursions are not checked.
     """
-    mech = sweeps[0]
-    if any(c.kind != "splitting" for c in cfgs) or any(
-            s.mech_lu is not mech.mech_lu for s in sweeps):
-        raise ValueError("lock-step cells are splitting cells that share "
-                         "one mechanics half")
-    ctx = StepContext.build(ops, ops.problem, prev, tau)
-    system = _splitting_system(ops, mech, tau)
-    nu, nq = ops.dofmap_u.n_dofs, ops.dofmap_q.n_dofs
-    ru, rq, _ = mech.sizes
-    live = list(range(len(cfgs)))   # the cell of each column
-    u, q, p = (np.repeat(f.coeffs[:, None], len(live), axis=1)
-               for f in (prev.u, prev.q, prev.p))
-    first, out = {}, [None] * len(cfgs)
-    iterations = 0
-    while live:
-        iterations += 1
-        rhs_u, rhs_p = _lscheme_rhs(ops, ctx, u, p,
-                                    np.array([cfgs[c].L1 for c in live]),
-                                    mech.L2, True)
-        g = np.broadcast_to(ctx.g_vec[:, None], (nq, len(live)))
-        r = (system.restrict(np.concatenate([rhs_u, g, rhs_p]))
-             - system.rhs_shift[:, None])
-        flows = [sweeps[c].flow_step(r[ru:ru + rq, j], r[ru + rq:, j])
-                 for j, c in enumerate(live)]
-        d_q, d_p = (np.column_stack(d) for d in zip(*flows))
-        x = system.expand(np.concatenate([mech.mech_step(r[:ru], d_p),
-                                          d_q, d_p]))
-        new_u, new_q, new_p = x[:nu], x[nu:nu + nq], x[nu + nq:]
-        totals = (l2_norms(ops.dofmap_p, new_p - p)
-                  + l2_norms(ops.dofmap_q, new_q - q)
-                  + l2_norms(ops.dofmap_u, new_u - u))
-        going = []
-        for j, c in enumerate(live):
-            first.setdefault(c, totals[j])
-            status = stop_status(totals[j], first[c], iterations, cfgs[c])
-            if status is None:
-                going.append(j)
-            else:
-                out[c] = (iterations, status)
-        u, q, p = new_u, new_q, new_p
-        if len(going) < len(live):
-            live = [live[j] for j in going]
-            u, q, p = u[:, going], q[:, going], p[:, going]
-    return out
+    if any(c.kind != "splitting" for c in cfgs):
+        raise ValueError("lock-step cells are splitting cells")
+    solver = SchemeSolver(ops, cfgs[0], ctx.tau, sweeps)
+    cur = BiotState(*(FeFunction(f.dofmap, np.repeat(f.coeffs[:, None],
+                                                     len(cfgs), axis=1))
+                      for f in (prev.u, prev.q, prev.p)), ctx.t_new)
+    return _iterate(solver, cur, ctx, cfgs)[1]
 
 
 def build_initial_state(problem: ProblemDefinition, ops: BiotOperators) -> BiotState:

@@ -62,6 +62,35 @@ class TestErrorNorms:
         assert 1.7 <= ratio <= 2.6
         assert rows[1].order_p == pytest.approx(np.log2(ratio), rel=1e-12)
 
+    @pytest.mark.parametrize("tau0,final_time", [(0.3, 1.0), (2.0, 1.0),
+                                                 (0.25, 1.1), (-0.25, 1.0),
+                                                 (0.0, 1.0)])
+    def test_step_that_does_not_divide_the_final_time_rejected(
+            self, tau0, final_time):
+        # every level must end at final_time: 0.3 would end them at 0.9,
+        # 1.05 and 0.975
+        with pytest.raises(ValueError, match="whole steps"):
+            manufactured_convergence("linear", "monolithic", 1.0, 1.0,
+                                     levels=3, nx0=4, tau0=tau0,
+                                     final_time=final_time)
+
+    @pytest.mark.parametrize("tau0,final_time", [(0.1, 1.0), (0.5, 1.5)])
+    def test_every_level_ends_at_the_final_time(self, monkeypatch, tau0,
+                                                final_time):
+        from porobiot import bench
+        ends, original = [], bench.error_norms
+
+        def recording(state, exact):
+            ends.append(state.time)
+            return original(state, exact)
+
+        monkeypatch.setattr(bench, "error_norms", recording)
+        rows = manufactured_convergence("linear", "monolithic", 1.0, 1.0,
+                                        levels=2, nx0=4, tau0=tau0,
+                                        final_time=final_time)
+        assert [r.tau for r in rows] == [tau0, tau0 / 2]
+        assert ends == pytest.approx([final_time] * 2, rel=1e-12)
+
     def test_errors_csv_schema(self, tmp_path):
         rows = manufactured_convergence("linear", "monolithic", 1.0, 1.0,
                                         levels=2, nx0=4, tau0=0.25)
@@ -272,8 +301,8 @@ class TestMandelSeries:
 
     def test_pressure_rise_above_initial(self, short_run):
         series, _, _ = short_run
-        assert series.peak > series.initial_pressure
-        assert 0 < series.peak_time <= 25.0
+        assert series.p_probe.max() > series.initial_pressure
+        assert 0 < series.times[np.argmax(series.p_probe)] <= 25.0
 
     def test_default_probe_location(self, short_run):
         series, _, _ = short_run
@@ -288,7 +317,7 @@ class TestMandelSeries:
         p = series.p_probe
         assert p[1] < p[0]
         assert all(b <= a + 1e-12 for a, b in zip(p, p[1:]))
-        assert series.peak_time == 0.0
+        assert series.times[np.argmax(series.p_probe)] == 0.0
 
     def test_tied_plate_exact_after_solve(self, short_run):
         _, results, (mat, prob, mesh, ops, scheme) = short_run

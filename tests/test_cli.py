@@ -287,6 +287,9 @@ class TestSubcommands:
         ["manufactured", "--h", "0.25", "--L1", "nan", "--L2", "1"],
         ["manufactured", "--h", "0.25", "--L1", "1", "--L2", "nan"],
         ["manufactured", "--h", "0.25", "--tol", "nan"],
+        # 0.3 does not divide the final time 1.0 into whole steps
+        ["manufactured", "--case", "t1c1", "--h", "0.25", "--tau", "0.3"],
+        ["manufactured", "--h", "0.5", "--tau", "2"],
         ["sweep", "--case", "t1c1", "--scheme", "splitting", "--h", "0.25",
          "--L1-grid", "nan", "--L2-grid", "1"],
     ], ids=lambda args: "_".join(a.lstrip("-") for a in args))

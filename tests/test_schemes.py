@@ -408,14 +408,75 @@ def test_lockstep_cells_must_share_one_mechanics_half():
     mesh, mat, prob, ops, prev = linear_setup(4)
     cfgs = [SchemeConfig("splitting", L1=1.0, L2=l2) for l2 in (1.0, 2.0)]
     sweeps = [FixedStressPreconditioner(ops, c, 0.25) for c in cfgs]
+    ctx = StepContext.build(ops, prob, prev, 0.25)
     with pytest.raises(ValueError):
-        iterate_lockstep(ops, prev, cfgs, 0.25, sweeps)
+        iterate_lockstep(ops, prev, cfgs, ctx, sweeps)
     with pytest.raises(ValueError):
         iterate_lockstep(ops, prev, [replace(cfgs[0], kind="monolithic")],
-                         0.25, sweeps[:1])
-    assert iterate_lockstep(ops, prev, cfgs[:1], 0.25, sweeps[:1]) == [
+                         ctx, sweeps[:1])
+    assert iterate_lockstep(ops, prev, cfgs[:1], ctx, sweeps[:1]) == [
         (iterate_to_convergence(prev, cfgs[0], ops, mat, prob,
                                 0.25)[1].iterations, "converged")]
+
+
+@pytest.mark.parametrize("case", ["t1c1", "mandel"])
+@pytest.mark.parametrize("kind", ["splitting", "monolithic"])
+def test_one_column_block_step_is_the_vector_step(case, kind):
+    # a block of one column is stepped with the arithmetic of its vector,
+    # on the manufactured problem and on the tied, pinned Mandel slab
+    if case == "mandel":
+        cfg = MandelConfig()
+        mat = mandel_material("linear", cfg)
+        prob = mandel_problem(mat, cfg, final_time=10.0)
+        mesh = generate_rect_mesh((0, 0), (cfg.a, cfg.b), 10, 6)
+        tau = 1.0
+    else:
+        mat = manufactured_material(case)
+        prob = manufactured_problem(mat)
+        mesh = generate_rect_mesh((0, 0), (1, 1), 6, 6)
+        tau = 0.25
+    ops = build_operators(mesh, mat, prob)
+    prev = build_initial_state(prob, ops)
+    solver = SchemeSolver(ops, SchemeConfig(kind, *suggested_tuning(mat, kind)),
+                          tau)
+    ctx = StepContext.build(ops, prob, prev, tau)
+    vec, blk = prev, BiotState(*(FeFunction(f.dofmap, f.coeffs[:, None])
+                                 for f in (prev.u, prev.q, prev.p)), prev.time)
+    for _ in range(3):
+        vec, blk = solver.step(vec, ctx), solver.step(blk, ctx, cells=[0])
+        for a, b in zip((vec.u, vec.q, vec.p), (blk.u, blk.q, blk.p)):
+            assert b.coeffs.shape == (a.coeffs.size, 1)
+            assert b.coeffs[:, 0].tobytes() == a.coeffs.tobytes()
+
+
+def test_block_step_columns_are_their_cells_vector_steps():
+    # a splitting solver of three cells of one L2 steps a block of two of
+    # them: each column as a fresh solver of its cell steps its vector
+    from porobiot.linalg import FixedStressPreconditioner
+    mat = manufactured_material("t1c1")
+    prob = manufactured_problem(mat)
+    ops = build_operators(generate_rect_mesh((0, 0), (1, 1), 6, 6), mat, prob)
+    prev = build_initial_state(prob, ops)
+    ctx = StepContext.build(ops, prob, prev, 0.25)
+    cfgs = [SchemeConfig("splitting", L1=l1, L2=2.0) for l1 in (0.5, 1.0, 3.0)]
+    sweeps = []
+    for c in cfgs:
+        sweeps.append(FixedStressPreconditioner(ops, c, 0.25, sweeps[:1]))
+    solver = SchemeSolver(ops, cfgs[0], 0.25, sweeps)
+    fresh = [SchemeSolver(ops, c, 0.25) for c in cfgs]
+    states = [f.step(prev, ctx) for f in fresh]   # distinct iterates
+    cells = [2, 0]
+    blk = BiotState(*(FeFunction(getattr(prev, n).dofmap, np.column_stack(
+        [getattr(states[c], n).coeffs for c in cells])) for n in "uqp"),
+        ctx.t_new)
+    got = solver.step(blk, ctx, cells=cells)
+    for j, c in enumerate(cells):
+        want = fresh[c].step(states[c], ctx)
+        for n in "uqp":
+            assert (getattr(got, n).coeffs[:, j].tobytes()
+                    == getattr(want, n).coeffs.tobytes())
+    with pytest.raises(ValueError):
+        SchemeSolver(ops, replace(cfgs[0], kind="monolithic"), 0.25, sweeps)
 
 
 class TestTimeMarch:
