@@ -180,24 +180,27 @@ class RunResult:
     status: str   # converged | maxiter | diverged
 
 
-def _single_step(ops, prev, cfg: SchemeConfig, tau):
-    """The iteration count and status of one time step from `prev`; a
-    diverged step reports max_iter."""
+def _single_step(ops, prev, cfg: SchemeConfig, tau, ctx=None):
+    """The iteration count and status of one time step from `prev`, whose
+    step context `ctx` may be given; a diverged step reports max_iter."""
     try:
         with warnings.catch_warnings():
             # counted in trace.range_excursions
             warnings.simplefilter("ignore", AdmissibleRangeWarning)
             _, trace = iterate_to_convergence(prev, cfg, ops, ops.mat,
-                                              ops.problem, tau)
+                                              ops.problem, tau, ctx=ctx)
     except DivergenceError:
         return RunResult(cfg.max_iter, "diverged")
     return RunResult(trace.iterations,
                      "converged" if trace.converged else "maxiter")
 
 
-def _sweep_cell(args):
-    case_id, nx, material, cfg, tau = args
-    return _single_step(*manufactured_setup(case_id, nx, material), cfg, tau)
+def _sweep_cells(args):
+    """`_single_step` of each cell in `cfgs` from one set-up and context."""
+    case_id, nx, material, cfgs, tau = args
+    ops, prev = manufactured_setup(case_id, nx, material)
+    ctx = StepContext.build(ops, ops.problem, prev, tau)
+    return [_single_step(ops, prev, c, tau, ctx) for c in cfgs]
 
 
 @dataclass
@@ -239,7 +242,8 @@ def sweep_L(case_id, scheme_kind, L1_values, L2_values, nx=16, tau=0.25,
     sweeps hold; past the first L2 one more mechanics half, the current
     L2's, is alive.  The results keep the L1-major order.  A sweep along
     one axis iterates each cell on its own with a fresh solver, as a
-    monolithic sweep does.
+    monolithic sweep does, all from one set-up and one step context; in a
+    pool of n, worker w builds its own for the cells w, w + n, ...
     """
     L1_values = np.asarray(list(L1_values), dtype=float)
     L2_values = np.asarray(list(L2_values), dtype=float)
@@ -249,9 +253,11 @@ def sweep_L(case_id, scheme_kind, L1_values, L2_values, nx=16, tau=0.25,
     cfgs = [SchemeConfig(scheme_kind, L1=l1, L2=l2, tol=tol, max_iter=max_iter)
             for l1 in L1_values for l2 in L2_values]
     if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            args = [(case_id, nx, material, c, tau) for c in cfgs]
-            results = list(pool.map(_sweep_cell, args))
+        n = min(n_workers, len(cfgs))
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            parts = list(pool.map(_sweep_cells, [
+                (case_id, nx, material, cfgs[w::n], tau) for w in range(n)]))
+        results = [parts[k % n][k // n] for k in range(len(cfgs))]
     elif scheme_kind == "splitting" and min(L1_values.size,
                                             L2_values.size) > 1:
         ops, prev = manufactured_setup(case_id, nx, material)
@@ -272,8 +278,7 @@ def sweep_L(case_id, scheme_kind, L1_values, L2_values, nx=16, tau=0.25,
                 results[k] = RunResult(
                     max_iter if status == "diverged" else n, status)
     else:
-        ops, prev = manufactured_setup(case_id, nx, material)
-        results = [_single_step(ops, prev, c, tau) for c in cfgs]
+        results = _sweep_cells((case_id, nx, material, cfgs, tau))
     rows = [results[k:k + len(L2_values)]
             for k in range(0, len(results), len(L2_values))]
     return SweepGrid(L1_values, L2_values,

@@ -370,7 +370,8 @@ def _iterate(solver: SchemeSolver, cur: BiotState, ctx: StepContext, cfgs,
 def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
                            ops: BiotOperators, mat: MaterialModel,
                            problem: ProblemDefinition, tau,
-                           keep_iterates=False, solver: SchemeSolver = None):
+                           keep_iterates=False, solver: SchemeSolver = None,
+                           ctx: StepContext = None):
     """Iterate one scheme until the summed increment norms fall below tol.
 
     The first iterate is seeded with the previous time-step solution.  A
@@ -378,14 +379,18 @@ def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
     the first one aborts with `DivergenceError`; exhausting max_iter
     returns with converged=False (`stop_status`).  `solver` reuses the
     factorizations of an earlier call with the same operators, scheme and
-    step size; without it they are built here.  Returns the final state,
-    the trace and (optionally) the archived iterates.
+    step size, and `ctx` the step context built from `prev` and `tau`;
+    without them they are built here.  Returns the final state, the trace
+    and (optionally) the archived iterates.
     """
     if solver is None:
         solver = SchemeSolver(ops, cfg, tau)
     elif solver.ops is not ops or solver.cfg != cfg or solver.tau != tau:
         raise ValueError("solver was built for other operators, scheme or step")
-    ctx = StepContext.build(ops, problem, prev, tau)
+    if ctx is None:
+        ctx = StepContext.build(ops, problem, prev, tau)
+    elif ctx.tau != tau or ctx.t_new != prev.time + tau:
+        raise ValueError("step context was built for another step")
     cur = BiotState(prev.u, prev.q, prev.p, ctx.t_new)
     trace = IterationTrace()
     archive = [cur.copy()] if keep_iterates else None
@@ -481,7 +486,8 @@ def residual_norms(state: BiotState, prev: BiotState, ops: BiotOperators,
 
     Residuals of the mechanics, Darcy and mass rows are restricted to the
     constrained (reduced) spaces and measured in inverse-mass norms; the
-    reduced mass matrices are factored on every call.
+    reduced mass matrices are factored (and certified, `CachedLU`) on
+    every call.
     """
     ctx = ctx or StepContext.build(ops, problem, prev, tau)
     u, q, p = state.u.coeffs, state.q.coeffs, state.p.coeffs

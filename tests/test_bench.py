@@ -200,10 +200,38 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_L("linear", "splitting", [], [1.0])
 
+    @pytest.mark.parametrize("kind,l1s,l2s", [
+        ("splitting", [1.0], [0.3, 1.0, 3.0]),
+        ("monolithic", [0.3, 1.0, 3.0], [1.0])])
+    def test_line_sweep_assembles_the_loads_once(self, monkeypatch, kind,
+                                                 l1s, l2s):
+        # every cell steps from the same state with the same tau: one
+        # step context serves the sweep
+        calls, assemble = [], schemes.assemble_loads
+
+        def counting(*args):
+            calls.append(args)
+            return assemble(*args)
+
+        monkeypatch.setattr(schemes, "assemble_loads", counting)
+        grid = sweep_L("t1c1", kind, l1s, l2s, nx=8)
+        assert len(calls) == 1
+        assert grid.iterations.size == 3
+
     def test_parallel_workers_match_serial(self):
         serial = sweep_L("linear", "monolithic", [0.5, 1.0], [1.0], nx=4)
         parallel = sweep_L("linear", "monolithic", [0.5, 1.0], [1.0], nx=4,
                            n_workers=2)
+        assert np.array_equal(serial.iterations, parallel.iterations)
+        assert serial.status == parallel.status
+
+    def test_pool_workers_keep_the_cell_order(self):
+        # each worker steps every second cell; the grid is put back in
+        # L1-major order
+        L1s, L2s = [0.3, 1.0, 3.0], [0.3, 3.0]
+        serial = sweep_L("t1c1", "splitting", L1s, L2s, nx=8)
+        parallel = sweep_L("t1c1", "splitting", L1s, L2s, nx=8, n_workers=2)
+        assert len(set(serial.iterations.ravel())) > 2
         assert np.array_equal(serial.iterations, parallel.iterations)
         assert serial.status == parallel.status
 

@@ -3,13 +3,14 @@ import pytest
 import scipy.sparse as sp
 
 from porobiot.assembly import build_operators
+from porobiot.bench import manufactured_setup, run_mandel, sweep_L
 from porobiot.linalg import (BlockSystem, CachedLU, FactorizationError,
-                             FixedStressPreconditioner, gmres)
+                             FixedStressPreconditioner, SolverOptions, gmres)
 from porobiot.mesh import generate_rect_mesh
 from porobiot.physics import (MandelConfig, mandel_material, mandel_problem,
                               manufactured_material, manufactured_problem)
-from porobiot.schemes import (SchemeConfig, StepContext, build_initial_state,
-                              suggested_tuning)
+from porobiot.schemes import (SchemeConfig, SchemeSolver, StepContext,
+                              build_initial_state, suggested_tuning)
 
 
 def monolithic_linear_system(nx=8, alpha=1.0, tau=0.25):
@@ -46,6 +47,27 @@ def count_raw_solves(lu):
 
     lu._raw_solve = counted
     return calls
+
+
+def column_relres(A, B, X):
+    """Each column's relative residual ||b - A x|| / ||b||."""
+    B, X = (np.reshape(a, (len(a), -1)) for a in (B, X))
+    return np.linalg.norm(B - A @ X, axis=0) / np.linalg.norm(B, axis=0)
+
+
+def checked_solve(lu, b):
+    """`CachedLU.solve` as it ran before factors were certified: each
+    column whose relative residual exceeds 1e-12 is refined once."""
+    b = np.asarray(b, dtype=float)
+    x = lu._raw_solve(b)
+    r = b - lu.matrix @ x
+    rs, bs = (np.ascontiguousarray(a.reshape(len(a), -1).T) for a in (r, b))
+    refine = [j for j, (rj, bj) in enumerate(zip(rs, bs))
+              if np.sqrt(rj @ rj) > 1e-12 * np.sqrt(bj @ bj)]
+    if refine:
+        x.reshape(len(x), -1)[:, refine] += lu._raw_solve(
+            r.reshape(len(r), -1)[:, refine])
+    return x
 
 
 class TestLU:
@@ -119,10 +141,12 @@ class TestLU:
 
     def test_block_refinement_is_decided_per_column(self):
         # perturb one column of the first triangular solve: that column
-        # alone is refined, and the others keep their unrefined bits
-        ops, L1, L2 = mandel_si_operators(nx=8)
-        A = ops.monolithic_schur_system(L1, L2, 1.0).matrix
+        # alone is refined, and the others keep their unrefined bits.  A
+        # certified factor checks no solve, so this runs on a
+        # well-conditioned nonsymmetric one
+        A = monolithic_linear_system(nx=8)[0].matrix
         lu = CachedLU(A)
+        assert not lu.certified
         B = np.random.default_rng(15).standard_normal((A.shape[0], 3))
         want = [lu.solve(B[:, j]) for j in range(3)]
 
@@ -150,6 +174,122 @@ class TestLU:
         lu = CachedLU(A)
         for b in (np.ones(3), np.array([3.0, 2.0, 1.0])):
             assert np.allclose(A @ lu.solve(b), b)
+
+
+class TestCertificate:
+    def test_certified_solve_is_one_triangular_solve(self):
+        # a vector and an (n, k) block alike: no residual is formed, and
+        # the bits are those of the residual-checked solve, which refines
+        # none of them
+        ops, L1, L2 = mandel_si_operators(nx=8)
+        A = ops.monolithic_schur_system(L1, L2, 1.0).matrix
+        lu = CachedLU(A)
+        assert lu.certified
+        M = lu.matrix
+
+        class Products:
+            def __init__(self):
+                self.count = 0
+
+            def __matmul__(self, x):
+                self.count += 1
+                return M @ x
+
+        rng = np.random.default_rng(21)
+        for b in (rng.standard_normal(A.shape[0]),
+                  rng.standard_normal((A.shape[0], 4))):
+            want = checked_solve(lu, b)
+            calls, lu.matrix = count_raw_solves(lu), Products()
+            x = lu.solve(b)
+            assert len(calls) == 1 and calls[0].shape == b.shape
+            assert lu.matrix.count == 0
+            lu.matrix = M
+            assert x.tobytes() == want.tobytes()
+            assert column_relres(A, b, x).max() <= 1e-12
+
+    @pytest.mark.parametrize("matrix", ["si-3x3", "linear-3x3", "triangular"])
+    def test_nonsymmetric_never_certified(self, matrix):
+        if matrix == "si-3x3":
+            ops, L1, L2 = mandel_si_operators(nx=8)
+            A = ops.monolithic_system(L1, L2, 1.0).matrix
+        elif matrix == "linear-3x3":
+            A = monolithic_linear_system(nx=4)[0].matrix
+        else:   # exact in one solve: its probe would pass
+            A = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 4.0]]))
+        lu = CachedLU(A)
+        assert not lu.certified
+        B = np.random.default_rng(22).standard_normal((A.shape[0], 2))
+        assert lu.solve(B).tobytes() == checked_solve(lu, B).tobytes()
+
+    def test_failed_probe_keeps_per_column_refinement(self):
+        # symmetric but not definite: diagonal pivots of the equilibrated
+        # matrix grow by 1e18, and so does the backward error
+        eps = 1e-9
+        A = sp.csr_matrix(np.array([[eps, 1.0, 0.0], [1.0, eps, 0.0],
+                                    [0.0, 0.0, 2.0]]))
+        lu = CachedLU(A)
+        assert np.array_equal(lu._lu.perm_r, lu._lu.perm_c)
+        assert not lu.certified
+        B = np.zeros((3, 3))
+        B[:, 0], B[:, 1], B[2, 2] = [1.0, 1.0, 0.0], [1.0, -1.0, 1.0], 1.0
+        refined = column_relres(A, B, lu._raw_solve(B)) > 1e-12
+        assert refined.tolist() == [True, True, False]
+        calls = count_raw_solves(lu)
+        X = lu.solve(B)
+        assert [c.shape for c in calls] == [B.shape, (3, 2)]
+        assert X.tobytes() == checked_solve(lu, B).tobytes()
+        for j in range(3):
+            assert X[:, j].tobytes() == lu.solve(B[:, j]).tobytes()
+
+    @pytest.mark.parametrize("problem", ["mandel", "t1c1"])
+    def test_every_scheme_factor_certified(self, monkeypatch, problem):
+        # the monolithic LU, the GMRES sweep and the splitting sweep, at
+        # the suggested tuning and at the corners of the benchmark's L-grid
+        from porobiot import linalg
+        built = []
+        original = linalg.CachedLU.__init__
+
+        def recording_init(lu, matrix):
+            original(lu, matrix)
+            built.append(lu)
+
+        monkeypatch.setattr(linalg.CachedLU, "__init__", recording_init)
+        ops = (mandel_si_operators(nx=8)[0] if problem == "mandel"
+               else manufactured_setup("t1c1", 8)[0])
+        cells = [(kind, *suggested_tuning(ops.mat, kind))
+                 for kind in ("monolithic", "splitting")]
+        cells += [("splitting", l1, l2) for l1 in (1e-2, 1e2)
+                  for l2 in (1e-2, 1e2)]
+        for method in ("lu", "gmres"):
+            ops.solver = SolverOptions(method)
+            for kind, L1, L2 in cells:
+                SchemeSolver(ops, SchemeConfig(kind, L1=L1, L2=L2), 0.25)
+        # monolithic LU 1, GMRES sweep 2, five splitting sweeps twice 2
+        assert len(built) == 23
+        assert all(lu.certified for lu in built)
+
+    def test_run_solves_meet_the_residual_bound(self, monkeypatch):
+        # the check that certified factors no longer make on every solve,
+        # made here on every column of every solve of short runs: SI
+        # Mandel by each scheme and solver, and a lock-step L-sweep
+        from porobiot import linalg
+        worst, solve = [], linalg.CachedLU.solve
+
+        def checked(lu, b):
+            x = solve(lu, b)
+            worst.append(column_relres(lu.matrix, b, x).max())
+            return x
+
+        monkeypatch.setattr(linalg.CachedLU, "solve", checked)
+        for kind, method in [("monolithic", "lu"), ("monolithic", "gmres"),
+                             ("splitting", "lu")]:
+            run_mandel(scheme_kind=kind, n_steps=3, nx=8, ny=8,
+                       solver=SolverOptions(method))
+        grid = sweep_L("t1c1", "splitting", [1e-2, 1.0, 1e2],
+                       [1e-2, 1.0, 1e2], nx=8)
+        assert "converged" in {s for row in grid.status for s in row}
+        assert len(worst) > 100
+        assert max(worst) <= 1e-12
 
 
 class TestBlockSystem:

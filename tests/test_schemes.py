@@ -586,6 +586,19 @@ class TestTimeMarch:
             iterate_to_convergence(prev, cfg, ops, mat, prob, 0.25,
                                    solver=solver)
 
+    def test_context_for_another_step_rejected(self):
+        mesh, mat, prob, ops, prev = linear_setup(4)
+        cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
+        ctx = StepContext.build(ops, prob, prev, 0.5)
+        state, _ = iterate_to_convergence(prev, cfg, ops, mat, prob, 0.5)
+        given, _ = iterate_to_convergence(prev, cfg, ops, mat, prob, 0.5,
+                                          ctx=ctx)
+        assert given.p.coeffs.tobytes() == state.p.coeffs.tobytes()
+        with pytest.raises(ValueError):   # another step size
+            iterate_to_convergence(prev, cfg, ops, mat, prob, 0.25, ctx=ctx)
+        with pytest.raises(ValueError):   # another start
+            iterate_to_convergence(state, cfg, ops, mat, prob, 0.5, ctx=ctx)
+
     def test_bad_step_count(self):
         mesh, mat, prob, ops, prev = linear_setup(4)
         with pytest.raises(ValueError):
