@@ -276,7 +276,7 @@ class BiotOperators:
     """
 
     def __init__(self, mesh: Mesh, mat: MaterialModel,
-                 problem: ProblemDefinition):
+                 problem: ProblemDefinition, solver=None):
         self.mesh = mesh
         self.mat = mat
         self.problem = problem
@@ -301,7 +301,7 @@ class BiotOperators:
                   mesh.cell_edge_signs.ravel())
         self.boundary_edge_sign = sign_sum
         # inner linear-solver selection and per-solve reports (see linalg)
-        self.solver = None
+        self.solver = solver
         self.solver_log = []
 
     # -- exact non-linear and coupling functionals ------------------------
@@ -387,9 +387,9 @@ class BiotOperators:
         return self._reduced(full, ("u", "q", "p"))
 
 
-def build_operators(mesh: Mesh, mat: MaterialModel,
-                    problem: ProblemDefinition) -> BiotOperators:
-    return BiotOperators(mesh, mat, problem)
+def build_operators(mesh: Mesh, mat: MaterialModel, problem: ProblemDefinition,
+                    solver=None) -> BiotOperators:
+    return BiotOperators(mesh, mat, problem, solver)
 
 
 def assemble_loads(problem: ProblemDefinition, ops: BiotOperators, t):

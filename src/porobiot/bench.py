@@ -17,7 +17,6 @@ import numpy as np
 
 from .assembly import build_operators
 from .fem import quadrature, _rt0_values_at
-from .linalg import FixedStressPreconditioner
 from .mesh import Side, generate_rect_mesh
 from .physics import (CENTIPOISE, DARCY, AdmissibleRangeWarning,
                       MandelConfig, mandel_material, mandel_problem,
@@ -50,8 +49,7 @@ def manufactured_setup(case_id, nx, material=None, final_time=1.0,
     mat = manufactured_material(case_id, **(material or {}))
     prob = manufactured_problem(mat, final_time=final_time)
     ops = build_operators(generate_rect_mesh((0, 0), (1, 1), nx, nx), mat,
-                          prob)
-    ops.solver = solver
+                          prob, solver)
     return ops, build_initial_state(prob, ops)
 
 
@@ -174,15 +172,9 @@ def write_errors_csv(rows, path):
 # single-step runs, sweeps and sensitivity grids
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunResult:
-    iterations: int
-    status: str   # converged | maxiter | diverged
-
-
 def _single_step(ops, prev, cfg: SchemeConfig, tau, ctx=None):
-    """The iteration count and status of one time step from `prev`, whose
-    step context `ctx` may be given; a diverged step reports max_iter."""
+    """The (iterations, status) of one time step from `prev`, whose step
+    context `ctx` may be given; a diverged step reports max_iter."""
     try:
         with warnings.catch_warnings():
             # counted in trace.range_excursions
@@ -190,17 +182,29 @@ def _single_step(ops, prev, cfg: SchemeConfig, tau, ctx=None):
             _, trace = iterate_to_convergence(prev, cfg, ops, ops.mat,
                                               ops.problem, tau, ctx=ctx)
     except DivergenceError:
-        return RunResult(cfg.max_iter, "diverged")
-    return RunResult(trace.iterations,
-                     "converged" if trace.converged else "maxiter")
+        return cfg.max_iter, "diverged"
+    return trace.iterations, "converged" if trace.converged else "maxiter"
 
 
-def _sweep_cells(args):
-    """`_single_step` of each cell in `cfgs` from one set-up and context."""
-    case_id, nx, material, cfgs, tau = args
+def _sweep_groups(args):
+    """Each cell's (iterations, status), group by group, from one set-up
+    and one step context.  A group of several cells is one L2 column of a
+    splitting grid, iterated in lock step (`iterate_lockstep`) with the
+    flow halves shared across the columns; a group of one cell is stepped
+    by `_single_step` with its own solver.  A diverged cell reports
+    max_iter."""
+    case_id, nx, material, groups, tau = args
     ops, prev = manufactured_setup(case_id, nx, material)
     ctx = StepContext.build(ops, ops.problem, prev, tau)
-    return [_single_step(ops, prev, c, tau, ctx) for c in cfgs]
+    flows, out = {}, []
+    for cfgs in groups:
+        if len(cfgs) == 1:
+            out.append(_single_step(ops, prev, cfgs[0], tau, ctx))
+        else:
+            out.extend((c.max_iter if status == "diverged" else n, status)
+                       for c, (n, status) in zip(cfgs, iterate_lockstep(
+                           ops, prev, cfgs, ctx, flows)))
+    return out
 
 
 @dataclass
@@ -225,25 +229,19 @@ def sweep_L(case_id, scheme_kind, L1_values, L2_values, nx=16, tau=0.25,
     """Iteration counts of one time step over an (L1, L2) grid.
 
     Failures (cap or divergence) are recorded as markers and the sweep
-    continues.  Cells are independent; POROBIOT_THREADS or n_workers > 1
-    runs them in a process pool.  `material` is as in
-    `manufactured_setup`.
+    continues.  `material` is as in `manufactured_setup`.
 
-    A serial splitting sweep over a 2-D grid (more than one L1 and more
-    than one L2) builds and factors each distinct flow half (L1) and each
-    distinct mechanics half (L2) once: it visits the grid one L2 column
-    at a time, and each cell's sweep shares the flow half of the first
-    cell with its L1 and the mechanics half of the first cell with its L2
-    (`FixedStressPreconditioner`).  The cells of a column iterate in lock
-    step (`schemes.iterate_lockstep`, one step context for the sweep),
-    their iterates one block whose mechanics steps are one multi-column
-    solve; each cell keeps the count and status it has on its own.  The flow halves stay alive through the
-    sweep, and with them the first L2's mechanics half, which their
-    sweeps hold; past the first L2 one more mechanics half, the current
-    L2's, is alive.  The results keep the L1-major order.  A sweep along
-    one axis iterates each cell on its own with a fresh solver, as a
-    monolithic sweep does, all from one set-up and one step context; in a
-    pool of n, worker w builds its own for the cells w, w + n, ...
+    The cells are split into groups, run by `_sweep_groups`.  On a
+    splitting grid with more than one L1 and more than one L2 a group is
+    one L2 column: its cells iterate in lock step, their iterates one
+    block whose mechanics steps are one multi-column solve, and each
+    distinct flow half (L1) and mechanics half (L2) is built and factored
+    once per runner.  Otherwise a group is one cell with its own solver.
+    Each cell keeps the count and status it has on its own.  With
+    POROBIOT_THREADS or n_workers = n > 1, worker w of a process pool runs
+    the groups w, w + n, ..., from its own set-up and step context;
+    otherwise one runner takes every group in-process.  The results keep
+    the L1-major order.
     """
     L1_values = np.asarray(list(L1_values), dtype=float)
     L2_values = np.asarray(list(L2_values), dtype=float)
@@ -252,38 +250,26 @@ def sweep_L(case_id, scheme_kind, L1_values, L2_values, nx=16, tau=0.25,
     n_workers = worker_count() if n_workers is None else max(1, n_workers)
     cfgs = [SchemeConfig(scheme_kind, L1=l1, L2=l2, tol=tol, max_iter=max_iter)
             for l1 in L1_values for l2 in L2_values]
-    if n_workers > 1:
-        n = min(n_workers, len(cfgs))
-        with ProcessPoolExecutor(max_workers=n) as pool:
-            parts = list(pool.map(_sweep_cells, [
-                (case_id, nx, material, cfgs[w::n], tau) for w in range(n)]))
-        results = [parts[k % n][k // n] for k in range(len(cfgs))]
-    elif scheme_kind == "splitting" and min(L1_values.size,
-                                            L2_values.size) > 1:
-        ops, prev = manufactured_setup(case_id, nx, material)
-        ctx = StepContext.build(ops, ops.problem, prev, tau)
-        results = [None] * len(cfgs)
-        flows = {}   # L1 -> the sweep that built its flow half
-        n2 = len(L2_values)
-        for j in range(n2):
-            sweeps = []   # the first built this L2's mechanics half
-            for cfg in cfgs[j::n2]:
-                reuse = [s for s in (flows.get(cfg.L1), *sweeps[:1])
-                         if s is not None]
-                sweeps.append(FixedStressPreconditioner(ops, cfg, tau, reuse))
-                flows.setdefault(cfg.L1, sweeps[-1])
-            for k, (n, status) in zip(
-                    range(j, len(cfgs), n2),
-                    iterate_lockstep(ops, prev, cfgs[j::n2], ctx, sweeps)):
-                results[k] = RunResult(
-                    max_iter if status == "diverged" else n, status)
+    n1, n2 = L1_values.size, L2_values.size
+    if scheme_kind == "splitting" and min(n1, n2) > 1:
+        groups = [list(range(j, n1 * n2, n2)) for j in range(n2)]
     else:
-        results = _sweep_cells((case_id, nx, material, cfgs, tau))
-    rows = [results[k:k + len(L2_values)]
-            for k in range(0, len(results), len(L2_values))]
+        groups = [[k] for k in range(n1 * n2)]
+    n = min(n_workers, len(groups))
+    args = [(case_id, nx, material, [[cfgs[k] for k in g]
+                                     for g in groups[w::n]], tau)
+            for w in range(n)]
+    if n > 1:
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            parts = list(pool.map(_sweep_groups, args))
+    else:
+        parts = list(map(_sweep_groups, args))
+    order = [k for w in range(n) for g in groups[w::n] for k in g]
+    results = dict(zip(order, chain.from_iterable(parts)))
+    iterations, status = zip(*(results[k] for k in range(n1 * n2)))
     return SweepGrid(L1_values, L2_values,
-                     np.array([[r.iterations for r in row] for row in rows]),
-                     [[r.status for r in row] for row in rows])
+                     np.array(iterations).reshape(n1, n2),
+                     [list(status[k:k + n2]) for k in range(0, n1 * n2, n2)])
 
 
 def write_sweep_csv(grid: SweepGrid, path):
@@ -318,9 +304,8 @@ def sensitivity_grid(case_id, scheme_kind, axis, values, L1, L2, nx=16,
             material_v["permeability"] = float(v)
         else:
             material_v["alpha"] = float(v)
-        r = _single_step(*manufactured_setup(case_id, nx_v, material_v), cfg,
-                         tau_v)
-        rows.append((axis, float(v), r.iterations, r.status))
+        rows.append((axis, float(v), *_single_step(
+            *manufactured_setup(case_id, nx_v, material_v), cfg, tau_v)))
     return rows
 
 
@@ -469,8 +454,7 @@ def run_mandel(case_id="linear", cfg: MandelConfig = None, scheme_kind="monolith
         L1 = s1 if L1 is None else L1
         L2 = s2 if L2 is None else L2
     scheme = SchemeConfig(scheme_kind, L1=L1, L2=L2, tol=tol, max_iter=max_iter)
-    ops = build_operators(mesh, mat, prob)
-    ops.solver = solver
+    ops = build_operators(mesh, mat, prob, solver)
     initial = build_initial_state(prob, ops)
     results = []
     with warnings.catch_warnings():

@@ -3,10 +3,11 @@
 Factorizations use SuperLU through scipy and are kept by the object that
 reuses them (the L-scheme matrices are constant across iterations and time
 steps).  The fixed-stress sweep is one linearized splitting sweep: a flux
-solve with the pressure eliminated through the diagonal P0 mass, then a
-mechanics solve driven by the updated pressure.  It owns the two
-factorizations of the splitting scheme, is the splitting step, and
-preconditions GMRES on the monolithic system.
+solve with the pressure eliminated through the diagonal P0 mass (the flow
+half), then a mechanics solve driven by the updated pressure (the
+mechanics half).  Each half owns its factorization; the splitting step
+composes them, and so does the sweep that preconditions GMRES on the
+monolithic system.
 """
 
 from __future__ import annotations
@@ -106,7 +107,9 @@ class CachedLU:
     probe b = A z of a fixed z.  A symmetric factor whose probe's relative
     residual is at most 1e-12 is certified: each solve is one triangular
     solve.  Any other factor refines once each column whose relative
-    residual exceeds 1e-12, as that column's own vector solve would.
+    residual exceeds 1e-12, as that column's own vector solve would.  A
+    matrix with a non-finite entry raises `FactorizationError` before it
+    is scaled.
     """
 
     def __init__(self, matrix):
@@ -114,6 +117,8 @@ class CachedLU:
         # canonical before `_equilibrated` shares its index arrays: splu
         # would otherwise sort them in place under `self.matrix`
         matrix.sum_duplicates()
+        if not np.all(np.isfinite(matrix.data)):
+            raise FactorizationError("matrix has non-finite entries")
         self.matrix = matrix
         d = np.abs(matrix.diagonal())
         rowmax = np.abs(matrix).max(axis=1).toarray().ravel()
@@ -209,73 +214,65 @@ def gmres(system: BlockSystem, preconditioner=None, restart=50, rtol=1e-10,
                            converged=converged, status=status, history=history)
 
 
-class FixedStressPreconditioner:
-    """One splitting sweep as a stationary linear operator.
+class FlowHalf:
+    """The flow half of a fixed-stress sweep, which depends on (L1, tau)
+    alone: it builds the flux system of `flow_schur_system`, with the
+    pressure eliminated through the diagonal P0 mass, and owns its
+    factorization."""
 
-    Applied to a reduced (r_u, r_q, r_p), it solves the flow step with the
-    pressure eliminated through the diagonal P0 mass: with
-    w = r_p / (L1 M_p), d_q solves the system of `flow_schur_system` for
-    r_q + B^T w and d_p = w - tau B d_q / (L1 M_p).  The L2-stabilized
-    mechanics block is then solved with the pressure update on the
-    right-hand side.  Both systems are built and factored here and solved
-    only in the two halves, `flow_step` and `mech_step`, whose composition
-    is `matvec`: a `schemes.SchemeSolver` splitting step is one sweep, and
-    its GMRES solves pass the sweep itself to `gmres`.  Each half, and so
-    `matvec`, takes a vector or an (n, k) block of k of them, whose
+    def __init__(self, ops, L1, tau):
+        self.lu = CachedLU(ops.flow_schur_system(L1, tau).matrix)
+        # the pressure field is unreduced
+        self.b_red = (ops.b_qp @ ops.constraints.q.restriction).tocsr()
+        self.b_red_t = self.b_red.T
+        self.L1, self.tau = L1, tau
+        self.l1_areas = L1 * ops.mesh.areas
+
+    def step(self, r_q, r_p):
+        """(d_q, d_p) for the flux and mass residuals: with
+        w = r_p / (L1 M_p), d_q solves the flux system for r_q + B^T w and
+        d_p = w - tau B d_q / (L1 M_p)."""
+        l1_areas = self.l1_areas if r_p.ndim == 1 else self.l1_areas[:, None]
+        w = r_p / l1_areas
+        d_q = self.lu.solve(r_q + self.b_red_t @ w)
+        return d_q, w - self.tau * (self.b_red @ d_q) / l1_areas
+
+
+class MechHalf:
+    """The mechanics half of a fixed-stress sweep, which depends on L2
+    alone: it builds the L2-stabilized mechanics block of `mech_system`
+    and owns its factorization."""
+
+    def __init__(self, ops, L2):
+        self.system = ops.mech_system(L2)
+        self.lu = CachedLU(self.system.matrix)
+        self.b_up_red = (ops.constraints.u.restriction.T @ ops.b_up).tocsr()
+        self.alpha = ops.mat.alpha
+
+    def step(self, r_u, d_p):
+        """d_u for the mechanics residual, driven by the pressure update
+        d_p."""
+        return self.lu.solve(r_u + self.alpha * (self.b_up_red @ d_p))
+
+
+class FixedStressPreconditioner:
+    """One splitting sweep as a stationary linear operator: the flow half
+    of (L1, tau), then the mechanics half of L2 with the pressure update
+    on its right-hand side, applied to a reduced (r_u, r_q, r_p).  The
+    monolithic GMRES solves pass the sweep itself to `gmres`.  Each half,
+    and so `matvec`, takes a vector or an (n, k) block of k of them, whose
     columns it solves in one multi-column `CachedLU.solve`, to the same
     bits as k vector calls.
-
-    The flow half depends on (L1, tau) alone and the mechanics half on L2
-    alone.  `reuse` holds earlier sweeps on the same operators: a half one
-    of them built for the same parameters is shared instead of built
-    again, and so are the operator products.  A factorization stays owned
-    by the sweep that built it; later sweeps hold references to it.
     """
 
-    def __init__(self, ops, cfg, tau, reuse=()):
-        self.flow_params, self.L2 = (cfg.L1, tau), cfg.L2
-        flow = next((s for s in reuse if s.flow_params == self.flow_params),
-                    None)
-        mech = next((s for s in reuse if s.L2 == cfg.L2), None)
-        if flow is None:
-            self.flow = ops.flow_schur_system(cfg.L1, tau)
-            self.flow_lu = CachedLU(self.flow.matrix)
-        else:
-            self.flow, self.flow_lu = flow.flow, flow.flow_lu
-        if mech is None:
-            self.mech = ops.mech_system(cfg.L2)
-            self.mech_lu = CachedLU(self.mech.matrix)
-        else:
-            self.mech, self.mech_lu = mech.mech, mech.mech_lu
-        self.sizes = (self.mech.matrix.shape[0], self.flow.matrix.shape[0],
+    def __init__(self, ops, cfg, tau):
+        self.flow, self.mech = FlowHalf(ops, cfg.L1, tau), MechHalf(ops, cfg.L2)
+        self.sizes = (self.mech.lu.shape[0], self.flow.lu.shape[0],
                       ops.mesh.n_cells)
-        if reuse:
-            self.b_red, self.b_red_t, self.b_up_red = (
-                reuse[0].b_red, reuse[0].b_red_t, reuse[0].b_up_red)
-        else:
-            # the pressure field is unreduced
-            self.b_red = (ops.b_qp @ ops.constraints.q.restriction).tocsr()
-            self.b_red_t = self.b_red.T
-            self.b_up_red = (ops.constraints.u.restriction.T
-                             @ ops.b_up).tocsr()
-        self.l1_areas = cfg.L1 * ops.mesh.areas
-        self.alpha, self.tau = ops.mat.alpha, tau
         self.shape = (sum(self.sizes),) * 2
         self.dtype = np.dtype(float)
 
-    def flow_step(self, r_q, r_p):
-        """(d_q, d_p) of the flow half for the flux and mass residuals."""
-        l1_areas = self.l1_areas if r_p.ndim == 1 else self.l1_areas[:, None]
-        w = r_p / l1_areas
-        d_q = self.flow_lu.solve(r_q + self.b_red_t @ w)
-        return d_q, w - self.tau * (self.b_red @ d_q) / l1_areas
-
-    def mech_step(self, r_u, d_p):
-        """d_u of the mechanics half for the mechanics residual, driven by
-        the pressure update d_p."""
-        return self.mech_lu.solve(r_u + self.alpha * (self.b_up_red @ d_p))
-
     def matvec(self, r):
         nu, nq, _ = self.sizes
-        d_q, d_p = self.flow_step(r[nu:nu + nq], r[nu + nq:])
-        return np.concatenate([self.mech_step(r[:nu], d_p), d_q, d_p])
+        d_q, d_p = self.flow.step(r[nu:nu + nq], r[nu + nq:])
+        return np.concatenate([self.mech.step(r[:nu], d_p), d_q, d_p])

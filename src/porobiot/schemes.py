@@ -3,11 +3,12 @@
 Both schemes replace the non-linear storage and volumetric-stress terms by
 constant-slope updates with tuning parameters L1 and L2:
 
-* splitting: one fixed-stress sweep (`linalg.FixedStressPreconditioner`):
-  the flow step (Darcy row plus L1-stabilized mass row, the displacement
-  coupling taken explicitly) for the new flux, with the pressure
-  eliminated through the diagonal P0 mass and recovered cellwise, then
-  the L2-stabilized mechanics block driven by that pressure;
+* splitting: one fixed-stress sweep: the flow half (`linalg.FlowHalf`:
+  Darcy row plus L1-stabilized mass row, the displacement coupling taken
+  explicitly) for the new flux, with the pressure eliminated through the
+  diagonal P0 mass and recovered cellwise, then the mechanics half
+  (`linalg.MechHalf`: the L2-stabilized mechanics block) driven by that
+  pressure;
 * monolithic: one solve of the coupled system in (u, q, p) with the same
   stabilized rows.  Direct solves eliminate the pressure through the
   diagonal P0 mass as well, which leaves a symmetric positive definite
@@ -33,7 +34,7 @@ from .assembly import (BiotOperators, ReducedSystem, assemble_loads,
                        build_operators)
 from .fem import FeFunction, interpolate, l2_norm, per_row
 from .linalg import (BlockSystem, CachedLU, FixedStressPreconditioner,
-                     LinearSolveError, gmres)
+                     FlowHalf, LinearSolveError, MechHalf, gmres)
 from .mesh import Mesh
 from .physics import MaterialModel, ProblemDefinition, check_admissible
 
@@ -187,48 +188,49 @@ class SchemeSolver:
     """The linear solves of one scheme at one step size, with their
     factorizations.
 
-    A splitting iteration is one application of the fixed-stress sweep
-    (`linalg.FixedStressPreconditioner`): the flux system with the
-    pressure eliminated, then the mechanics block.  The monolithic scheme
-    solves the (u, q) system with the pressure eliminated by its LU
-    factorization or, when ``ops.solver`` selects GMRES, the 3x3 block
-    system by GMRES preconditioned with the same sweep.  Each matrix is
-    built and factored once, here.  `step` performs one iteration of the
-    scheme.
+    A splitting iteration is one fixed-stress sweep: the flow half (the
+    flux system with the pressure eliminated), then the mechanics half.
+    The monolithic scheme solves the (u, q) system with the pressure
+    eliminated by its LU factorization or, when ``ops.solver`` selects
+    GMRES, the 3x3 block system by GMRES preconditioned with the sweep
+    (`linalg.FixedStressPreconditioner`).  Each matrix is built and
+    factored once, by the solver or by its halves.  `step` performs one
+    iteration of the scheme.
 
-    A splitting solver may hold `sweeps`, those of k cells (the first
-    `cfg`'s) that share one mechanics half, each with its own flow half.
+    A splitting solver holds one flow half per cell (`flows`, those of k
+    cells of `cfg.L2`, the first `cfg`'s; built here when None) and builds
+    the one mechanics half of its L2.
 
-    No attribute holds a bound method of the solver or of its sweep: that
-    reference cycle would keep their factorizations alive until the cyclic
+    No attribute holds a bound method of the solver, its halves or its
+    sweep: that reference cycle would keep their factorizations alive until the cyclic
     garbage collector runs, past the end of the run that built them.
     """
 
     def __init__(self, ops: BiotOperators, cfg: SchemeConfig, tau,
-                 sweeps=None):
+                 flows=None):
         self.ops, self.cfg, self.tau = ops, cfg, tau
-        self.sweep = self.mono_lu = None
-        if sweeps is not None and (cfg.kind != "splitting" or any(
-                s.mech_lu is not sweeps[0].mech_lu for s in sweeps)):
-            raise ValueError("the sweeps of one solver are splitting sweeps "
-                             "that share one mechanics half")
-        if cfg.kind == "monolithic" and (ops.solver is None
-                                         or ops.solver.method != "gmres"):
-            self.system = ops.monolithic_schur_system(cfg.L1, cfg.L2, tau)
-            self.mono_lu = CachedLU(self.system.matrix)
-            return
-        self.sweeps = sweeps or [FixedStressPreconditioner(ops, cfg, tau)]
-        self.sweep = self.sweeps[0]
-        self.L1 = np.array([s.flow_params[0] for s in self.sweeps])
+        self.mono_lu = None
+        if flows is not None and (cfg.kind != "splitting"
+                                  or any(f.tau != tau for f in flows)):
+            raise ValueError("only a splitting solver takes flow halves, "
+                             "built for its step size")
         if cfg.kind == "monolithic":
-            self.system = ops.monolithic_system(cfg.L1, cfg.L2, tau)
+            if ops.solver is not None and ops.solver.method == "gmres":
+                self.sweep = FixedStressPreconditioner(ops, cfg, tau)
+                self.system = ops.monolithic_system(cfg.L1, cfg.L2, tau)
+            else:
+                self.system = ops.monolithic_schur_system(cfg.L1, cfg.L2, tau)
+                self.mono_lu = CachedLU(self.system.matrix)
             return
+        self.flows = flows or [FlowHalf(ops, cfg.L1, tau)]
+        self.mech = MechHalf(ops, cfg.L2)
+        self.L1 = np.array([f.L1 for f in self.flows])
         # the stacked restriction, shifted by the splitting operator
         # [[A + L2 D, 0, -alpha B_u], [0, M_q, -B^T], [0, tau B, L1 M_p]]
         # on the lifts; the sweep inverts it, so it carries no matrix
         con, names = ops.constraints, ("u", "q", "p")
         lift_q = con.q.lift
-        shift = np.concatenate([self.sweep.mech.rhs_shift,
+        shift = np.concatenate([self.mech.system.rhs_shift,
                                 con.q.restriction.T @ (ops.m_q @ lift_q),
                                 tau * (ops.b_qp @ lift_q)])
         self.system = ReducedSystem(None, shift, *con.composed(names),
@@ -247,8 +249,7 @@ class SchemeSolver:
                 f"residual {report.relres:.2e}")
         return x_red
 
-    def step(self, cur: BiotState, ctx: StepContext,
-             trace: IterationTrace = None, cells=None) -> BiotState:
+    def step(self, cur: BiotState, ctx: StepContext, cells=None) -> BiotState:
         """One iteration of the scheme from the iterate `cur`.
 
         Both schemes form the L-scheme right-hand side (rhs_u, g, rhs_p),
@@ -263,8 +264,8 @@ class SchemeSolver:
         The fields of `cur` may be (n, k) blocks (not for GMRES), each
         column computed with the arithmetic of a vector.  The columns of a
         splitting block iterate the solver's `cells`, indices into its
-        sweeps: each solves its flux step with its cell's flow half, and
-        the block its mechanics step in one multi-column solve.
+        flow halves: each solves its flux step with its cell's flow half,
+        and the block its mechanics step in one multi-column solve.
         """
         ops, cfg, alpha = self.ops, self.cfg, self.ops.mat.alpha
         nu, nq = ops.dofmap_u.n_dofs, ops.dofmap_q.n_dofs
@@ -292,24 +293,21 @@ class SchemeSolver:
             x_red = self.mono_lu.solve(r)
         elif cfg.kind == "monolithic":
             x_red = self._gmres(r)
-        elif not block:
-            x_red = self.sweep.matvec(r)
         else:
-            ru, rq, _ = self.sweep.sizes
-            flows = [self.sweeps[c].flow_step(r[ru:ru + rq, j], r[ru + rq:, j])
-                     for j, c in enumerate(cells)]
-            # column_stack's values, without its per-column copies
-            d_q, d_p = (np.array(d).T for d in zip(*flows))
-            x_red = np.concatenate([self.sweep.mech_step(r[:ru], d_p),
-                                    d_q, d_p])
+            ru, rq = self.mech.lu.shape[0], self.flows[0].lu.shape[0]
+            if block:
+                flows = [self.flows[c].step(r[ru:ru + rq, j], r[ru + rq:, j])
+                         for j, c in enumerate(cells)]
+                # column_stack's values, without its per-column copies
+                d_q, d_p = (np.array(d).T for d in zip(*flows))
+            else:
+                d_q, d_p = self.flows[0].step(r[ru:ru + rq], r[ru + rq:])
+            x_red = np.concatenate([self.mech.step(r[:ru], d_p), d_q, d_p])
         x = self.system.expand(x_red)
         u, q, p = x[:nu], x[nu:nu + nq], x[nu + nq:]
         if self.mono_lu is not None:
             p = (rhs_p - (alpha * ops.divu_dual(u)
                           + ctx.tau * (ops.b_qp @ q))) / l1_areas
-        if trace is not None:
-            # a sweep solves the flux and the mechanics systems
-            trace.n_linear_solves += 2 if cfg.kind == "splitting" else 1
         return BiotState(FeFunction(ops.dofmap_u, u), FeFunction(ops.dofmap_q, q),
                          FeFunction(ops.dofmap_p, p), ctx.t_new)
 
@@ -343,7 +341,7 @@ def _iterate(solver: SchemeSolver, cur: BiotState, ctx: StepContext, cfgs,
     first, out, iterations = {}, [None] * len(cfgs), 0
     while live:
         iterations += 1
-        new = solver.step(cur, ctx, trace, live)
+        new = solver.step(cur, ctx, live)
         dp = l2_norm(FeFunction(ops.dofmap_p, new.p.coeffs - cur.p.coeffs))
         dq = l2_norm(FeFunction(ops.dofmap_q, new.q.coeffs - cur.q.coeffs))
         du = l2_norm(FeFunction(ops.dofmap_u, new.u.coeffs - cur.u.coeffs))
@@ -395,6 +393,9 @@ def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
     trace = IterationTrace()
     archive = [cur.copy()] if keep_iterates else None
     cur, [(_, status)] = _iterate(solver, cur, ctx, [cfg], trace, archive)
+    # a sweep solves the flux and the mechanics systems
+    trace.n_linear_solves = (2 if cfg.kind == "splitting" else 1) * \
+        trace.iterations
     if status == "diverged":
         total, first_total = trace.totals[-1], trace.totals[0]
         if not np.isfinite(total):
@@ -414,19 +415,24 @@ def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
 
 
 def iterate_lockstep(ops: BiotOperators, prev: BiotState, cfgs,
-                     ctx: StepContext, sweeps):
+                     ctx: StepContext, flows):
     """One splitting time step from `prev` for k cells of one L2, iterated
     in lock step: each cell's (iterations, status) in `cfgs` order.
 
-    `ctx` is the step's context and `sweeps` are the cells' sweeps, which
-    share one mechanics half.  The cells still running are the columns of
-    one block of a `SchemeSolver` holding the sweeps, so a cell stops
-    where `iterate_to_convergence` would, but a divergence is a status,
-    not an error.  Range excursions are not checked.
+    `ctx` is the step's context and `flows` maps L1 to the `FlowHalf`
+    built for it and the step's tau; a half it lacks is built and added.
+    The cells still running are the columns of one block of a
+    `SchemeSolver` holding their flow halves and the one mechanics half
+    of their L2, so a cell stops where `iterate_to_convergence` would, but
+    a divergence is a status, not an error.  Range excursions are not
+    checked.
     """
-    if any(c.kind != "splitting" for c in cfgs):
-        raise ValueError("lock-step cells are splitting cells")
-    solver = SchemeSolver(ops, cfgs[0], ctx.tau, sweeps)
+    if any(c.kind != "splitting" or c.L2 != cfgs[0].L2 for c in cfgs):
+        raise ValueError("lock-step cells are splitting cells of one L2")
+    for c in cfgs:
+        if c.L1 not in flows:
+            flows[c.L1] = FlowHalf(ops, c.L1, ctx.tau)
+    solver = SchemeSolver(ops, cfgs[0], ctx.tau, [flows[c.L1] for c in cfgs])
     cur = BiotState(*(FeFunction(f.dofmap, np.repeat(f.coeffs[:, None],
                                                      len(cfgs), axis=1))
                       for f in (prev.u, prev.q, prev.p)), ctx.t_new)

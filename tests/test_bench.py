@@ -152,9 +152,9 @@ class TestSweep:
         fresh = [[_single_step(ops, prev, SchemeConfig(
             "splitting", L1=l1, L2=l2, max_iter=40), 0.25) for l2 in L2s]
             for l1 in L1s]
-        assert grid.iterations.tolist() == [[r.iterations for r in row]
+        assert grid.iterations.tolist() == [[n for n, _ in row]
                                             for row in fresh]
-        assert grid.status == [[r.status for r in row] for row in fresh]
+        assert grid.status == [[s for _, s in row] for row in fresh]
         assert {s for row in grid.status for s in row} == {
             "converged", "maxiter", "diverged"}
 
@@ -180,9 +180,9 @@ class TestSweep:
         fresh = [[_single_step(ops, prev, SchemeConfig(
             "splitting", L1=l1, L2=l2, max_iter=25), 0.25) for l2 in L2s]
             for l1 in L1s]
-        assert grid.iterations.tolist() == [[r.iterations for r in row]
+        assert grid.iterations.tolist() == [[n for n, _ in row]
                                             for row in fresh]
-        assert grid.status == [[r.status for r in row] for row in fresh]
+        assert grid.status == [[s for _, s in row] for row in fresh]
         assert {s for row in grid.status for s in row} == {"converged",
                                                            "maxiter"}
         assert all(len(set(grid.iterations[:, j])) > 1
@@ -226,14 +226,43 @@ class TestSweep:
         assert serial.status == parallel.status
 
     def test_pool_workers_keep_the_cell_order(self):
-        # each worker steps every second cell; the grid is put back in
-        # L1-major order
-        L1s, L2s = [0.3, 1.0, 3.0], [0.3, 3.0]
-        serial = sweep_L("t1c1", "splitting", L1s, L2s, nx=8)
-        parallel = sweep_L("t1c1", "splitting", L1s, L2s, nx=8, n_workers=2)
-        assert len(set(serial.iterations.ravel())) > 2
-        assert np.array_equal(serial.iterations, parallel.iterations)
-        assert serial.status == parallel.status
+        # each worker runs every second L2 column; the grid is put back in
+        # L1-major order.  The t1c4 grid has converged, max_iter and
+        # diverged cells.
+        for case, L1s, L2s, kwargs in [
+                ("t1c1", [0.3, 1.0, 3.0], [0.3, 3.0], {}),
+                ("t1c4", [0.3, 3.0, 10.0], [0.0, 3.0, 10.0],
+                 {"max_iter": 40, "material": {"alpha": 6.0}})]:
+            serial = sweep_L(case, "splitting", L1s, L2s, nx=8, **kwargs)
+            parallel = sweep_L(case, "splitting", L1s, L2s, nx=8,
+                               n_workers=2, **kwargs)
+            assert len(set(serial.iterations.ravel())) > 2
+            assert np.array_equal(serial.iterations, parallel.iterations)
+            assert serial.status == parallel.status
+        assert {s for row in parallel.status for s in row} == {
+            "converged", "maxiter", "diverged"}
+
+    def test_one_runner_factors_each_half_of_its_columns_once(self,
+                                                             monkeypatch):
+        # two L2 columns of a 3-L1 grid in one runner: 3 flow halves,
+        # shared across the columns, and one mechanics half per column
+        from porobiot import bench, linalg
+        built = []
+        original = linalg.CachedLU.__init__
+
+        def counting_init(lu, matrix, *args, **kwargs):
+            built.append(matrix.shape[0])
+            original(lu, matrix, *args, **kwargs)
+
+        monkeypatch.setattr(linalg.CachedLU, "__init__", counting_init)
+        columns = [[SchemeConfig("splitting", L1=l1, L2=l2) for l1 in
+                    (0.3, 1.0, 3.0)] for l2 in (0.3, 3.0)]
+        out = bench._sweep_groups(("t1c1", 8, None, columns, 0.25))
+        ops, _ = manufactured_setup("t1c1", 8)
+        n_flow = ops.constraints.q.restriction.shape[1]
+        n_mech = ops.constraints.u.restriction.shape[1]
+        assert sorted(built) == sorted([n_flow] * 3 + [n_mech] * 2)
+        assert [s for _, s in out] == ["converged"] * 6
 
 
 class TestSensitivity:
@@ -461,10 +490,10 @@ def test_range_excursion_counted_under_single_step_filter(monkeypatch):
     monkeypatch.setattr("porobiot.bench.iterate_to_convergence", recording)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = _single_step(*manufactured_setup("t1c1", 4),
-                              SchemeConfig("splitting", L1=2.72, L2=3.0,
-                                           max_iter=200), 4.0)
-    assert result.status == "converged"
+        _, status = _single_step(*manufactured_setup("t1c1", 4),
+                                 SchemeConfig("splitting", L1=2.72, L2=3.0,
+                                              max_iter=200), 4.0)
+    assert status == "converged"
     assert [tr.range_excursions for tr in traces] == [1]
     assert not [w for w in caught if issubclass(w.category,
                                                 AdmissibleRangeWarning)]

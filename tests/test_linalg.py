@@ -94,6 +94,15 @@ class TestLU:
             with pytest.raises(FactorizationError):
                 CachedLU(sp.csr_matrix(np.array(entries)))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_matrix_fails_before_it_is_scaled(self):
+        # an infinite diagonal would scale its row and column by 0, and
+        # 0 * inf is NaN: the matrix is refused before the equilibration
+        for bad in (np.inf, np.nan):
+            A = sp.csr_matrix(np.array([[bad, 1.0], [1.0, 2.0]]))
+            with pytest.raises(FactorizationError, match="non-finite"):
+                CachedLU(A)
+
     def test_symmetric_one_triangular_solve(self):
         # the SI (u, q) system with the pressure eliminated is SPD: its
         # symmetric factorization meets the residual test without refinement

@@ -403,20 +403,27 @@ class TestIterationControl:
 
 def test_lockstep_cells_must_share_one_mechanics_half():
     # a column's block has one mechanics solve: cells of another L2, or of
-    # the monolithic scheme, are refused instead of solved with it
-    from porobiot.linalg import FixedStressPreconditioner
+    # the monolithic scheme, are refused instead of solved with it; a flow
+    # half the map lacks is built and kept, one it holds is used
     mesh, mat, prob, ops, prev = linear_setup(4)
     cfgs = [SchemeConfig("splitting", L1=1.0, L2=l2) for l2 in (1.0, 2.0)]
-    sweeps = [FixedStressPreconditioner(ops, c, 0.25) for c in cfgs]
     ctx = StepContext.build(ops, prob, prev, 0.25)
+    flows = {}
     with pytest.raises(ValueError):
-        iterate_lockstep(ops, prev, cfgs, ctx, sweeps)
+        iterate_lockstep(ops, prev, cfgs, ctx, flows)
     with pytest.raises(ValueError):
         iterate_lockstep(ops, prev, [replace(cfgs[0], kind="monolithic")],
-                         ctx, sweeps[:1])
-    assert iterate_lockstep(ops, prev, cfgs[:1], ctx, sweeps[:1]) == [
-        (iterate_to_convergence(prev, cfgs[0], ops, mat, prob,
+                         ctx, flows)
+    assert flows == {}
+    want = [(iterate_to_convergence(prev, cfgs[0], ops, mat, prob,
+                                    0.25)[1].iterations, "converged")]
+    assert iterate_lockstep(ops, prev, cfgs[:1], ctx, flows) == want
+    half = flows[1.0]
+    assert list(flows) == [1.0] and half.L1 == 1.0 and half.tau == 0.25
+    assert iterate_lockstep(ops, prev, cfgs[1:], ctx, flows) == [
+        (iterate_to_convergence(prev, cfgs[1], ops, mat, prob,
                                 0.25)[1].iterations, "converged")]
+    assert list(flows) == [1.0] and flows[1.0] is half
 
 
 @pytest.mark.parametrize("case", ["t1c1", "mandel"])
@@ -452,17 +459,15 @@ def test_one_column_block_step_is_the_vector_step(case, kind):
 def test_block_step_columns_are_their_cells_vector_steps():
     # a splitting solver of three cells of one L2 steps a block of two of
     # them: each column as a fresh solver of its cell steps its vector
-    from porobiot.linalg import FixedStressPreconditioner
+    from porobiot.linalg import FlowHalf
     mat = manufactured_material("t1c1")
     prob = manufactured_problem(mat)
     ops = build_operators(generate_rect_mesh((0, 0), (1, 1), 6, 6), mat, prob)
     prev = build_initial_state(prob, ops)
     ctx = StepContext.build(ops, prob, prev, 0.25)
     cfgs = [SchemeConfig("splitting", L1=l1, L2=2.0) for l1 in (0.5, 1.0, 3.0)]
-    sweeps = []
-    for c in cfgs:
-        sweeps.append(FixedStressPreconditioner(ops, c, 0.25, sweeps[:1]))
-    solver = SchemeSolver(ops, cfgs[0], 0.25, sweeps)
+    solver = SchemeSolver(ops, cfgs[0], 0.25,
+                          [FlowHalf(ops, c.L1, 0.25) for c in cfgs])
     fresh = [SchemeSolver(ops, c, 0.25) for c in cfgs]
     states = [f.step(prev, ctx) for f in fresh]   # distinct iterates
     cells = [2, 0]
@@ -476,7 +481,10 @@ def test_block_step_columns_are_their_cells_vector_steps():
             assert (getattr(got, n).coeffs[:, j].tobytes()
                     == getattr(want, n).coeffs.tobytes())
     with pytest.raises(ValueError):
-        SchemeSolver(ops, replace(cfgs[0], kind="monolithic"), 0.25, sweeps)
+        SchemeSolver(ops, replace(cfgs[0], kind="monolithic"), 0.25,
+                     solver.flows)
+    with pytest.raises(ValueError):
+        SchemeSolver(ops, cfgs[0], 0.5, solver.flows)
 
 
 class TestTimeMarch:
