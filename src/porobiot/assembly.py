@@ -268,11 +268,13 @@ class BiotOperators:
     load quadrature points and the boundary edge orientations; the
     `*_system` methods build the constraint-reduced L-scheme matrices from
     them: the mechanics block and the flux block with the pressure
-    eliminated (splitting and the fixed-stress sweep), the symmetric
-    positive definite (u, q) block with the pressure eliminated
-    (monolithic, direct solves), the 3x3 block (monolithic, GMRES) and
-    the 2x2 flux-pressure block (a test oracle only).  Each call builds a
-    new matrix; its user keeps it and owns its factorization.
+    eliminated (splitting and the fixed-stress sweep), the (u, q) block
+    with the pressure eliminated (monolithic, direct solves), the 3x3
+    block (monolithic, GMRES) and the 2x2 flux-pressure block (a test
+    oracle only).  The first three are the factored ones: symmetric
+    positive definite, and built equal to their transposes to the last
+    bit (`_reduced_spd`).  Each call builds a new matrix; its user keeps
+    it and owns its factorization.
     """
 
     def __init__(self, mesh: Mesh, mat: MaterialModel,
@@ -342,17 +344,16 @@ class BiotOperators:
     def _reduced_spd(self, full, names):
         """`_reduced` for a symmetric positive definite operator, made
         symmetric to the last bit: the sparse products that form and reduce
-        it round its (i, j) and (j, i) entries apart, and a matrix that
-        differs from its transpose by an ulp loses the symmetric
-        factorization of `CachedLU`.  It is stored in CSC, the format
-        `CachedLU` factors and multiplies in, so the factorization shares
-        its arrays instead of holding a second copy."""
+        it round its (i, j) and (j, i) entries apart, and `CachedLU` refuses
+        a matrix that differs from its transpose by an ulp.  It is stored in
+        CSC, the format `CachedLU` factors and multiplies in, so the
+        factorization shares its arrays instead of holding a second copy."""
         system = self._reduced(full, names)
         return replace(system,
                        matrix=(0.5 * (system.matrix + system.matrix.T)).tocsc())
 
     def mech_system(self, L2):
-        return self._reduced((self.a_e + L2 * self.d_div).tocsr(), ("u",))
+        return self._reduced_spd((self.a_e + L2 * self.d_div).tocsr(), ("u",))
 
     def flow_system(self, L1, tau):
         full = sp.bmat([[self.m_q, -self.b_qp_t],

@@ -31,12 +31,16 @@ def _fmt(x):
 
 
 def worker_count():
-    """Worker cap from POROBIOT_THREADS (serial when unset or not a number)."""
+    """Worker cap from POROBIOT_THREADS (serial when unset or not a number),
+    at most the number of CPUs this process may run on."""
     raw = os.environ.get("POROBIOT_THREADS", "")
     try:
-        return max(1, int(raw))
+        wanted = max(1, int(raw))
     except ValueError:
         return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(wanted, cpus)
 
 
 def manufactured_setup(case_id, nx, material=None, final_time=1.0,
@@ -232,11 +236,12 @@ def sweep_L(case_id, scheme_kind, L1_values, L2_values, nx=16, tau=0.25,
     continues.  `material` is as in `manufactured_setup`.
 
     The cells are split into groups, run by `_sweep_groups`.  On a
-    splitting grid with more than one L1 and more than one L2 a group is
-    one L2 column: its cells iterate in lock step, their iterates one
-    block whose mechanics steps are one multi-column solve, and each
-    distinct flow half (L1) and mechanics half (L2) is built and factored
-    once per runner.  Otherwise a group is one cell with its own solver.
+    splitting grid a group is one L2 column: its cells iterate in lock
+    step, their iterates one block whose mechanics steps are one
+    multi-column solve, and each distinct flow half (L1) and mechanics
+    half (L2) is built and factored once per runner; a column of one cell
+    runs on its own.  On a monolithic grid a group is one cell with its
+    own solver.
     Each cell keeps the count and status it has on its own.  With
     POROBIOT_THREADS or n_workers = n > 1, worker w of a process pool runs
     the groups w, w + n, ..., from its own set-up and step context;
@@ -251,7 +256,7 @@ def sweep_L(case_id, scheme_kind, L1_values, L2_values, nx=16, tau=0.25,
     cfgs = [SchemeConfig(scheme_kind, L1=l1, L2=l2, tol=tol, max_iter=max_iter)
             for l1 in L1_values for l2 in L2_values]
     n1, n2 = L1_values.size, L2_values.size
-    if scheme_kind == "splitting" and min(n1, n2) > 1:
+    if scheme_kind == "splitting":
         groups = [list(range(j, n1 * n2, n2)) for j in range(n2)]
     else:
         groups = [[k] for k in range(n1 * n2)]

@@ -2,7 +2,8 @@
 
 Factorizations use SuperLU through scipy and are kept by the object that
 reuses them (the L-scheme matrices are constant across iterations and time
-steps).  The fixed-stress sweep is one linearized splitting sweep: a flux
+steps).  Every factored matrix is symmetric positive definite, and
+`CachedLU` refuses any other.  The fixed-stress sweep is one linearized splitting sweep: a flux
 solve with the pressure eliminated through the diagonal P0 mass (the flow
 half), then a mechanics solve driven by the updated pressure (the
 mechanics half).  Each half owns its factorization; the splitting step
@@ -23,7 +24,8 @@ import scipy.sparse.linalg as spla
 
 
 class FactorizationError(RuntimeError):
-    """Sparse LU factorization failed (singular or structurally singular)."""
+    """A matrix is not symmetric positive definite to `CachedLU`: refused,
+    singular, or its factor fails the backward-error probe."""
 
 
 class LinearSolveError(RuntimeError):
@@ -86,17 +88,15 @@ class SolverReport:
 
 
 class CachedLU:
-    """SuperLU factorization reused across many right-hand sides.
+    """SuperLU factorization of a symmetric positive definite matrix,
+    reused across many right-hand sides.
 
-    The matrix is symmetrically equilibrated by inverse square roots of its
-    diagonal magnitudes before factorizing (the Biot blocks mix scales over
-    twenty orders of magnitude in SI units).  A matrix equal to its
-    transpose is factored in SuperLU's symmetric mode: a minimum-degree
-    ordering of A^T + A and diagonal pivots.  Every matrix a run factors is
-    symmetric positive definite; any other matrix (the tests' 3x3 oracles)
-    gets the COLAMD ordering with partial pivoting.  `solve` takes one
-    right-hand side of shape (n,) or k of them as the columns of an
-    (n, k) block, solved in one SuperLU call.
+    The matrix is symmetrically equilibrated by the inverse square roots
+    of its diagonal (the Biot blocks mix scales over twenty orders of
+    magnitude in SI units) and factored in SuperLU's symmetric mode: a
+    minimum-degree ordering of A^T + A and diagonal pivots.  `solve` takes
+    one right-hand side of shape (n,) or k of them as the columns of an
+    (n, k) block, and makes one equilibrated triangular solve of them.
 
     Accuracy is certified once per factorization, not per solve: diagonal
     pivoting of an SPD matrix, equilibrated near-optimally (van der Sluis,
@@ -104,12 +104,11 @@ class CachedLU:
     and Stability of Numerical Algorithms, 2nd ed. 2002, ch. 10).  For any
     b the computed x then solves (A + E) x = b with ||E|| / ||A|| a small
     multiple of the unit round-off, which the constructor measures on the
-    probe b = A z of a fixed z.  A symmetric factor whose probe's relative
-    residual is at most 1e-12 is certified: each solve is one triangular
-    solve.  Any other factor refines once each column whose relative
-    residual exceeds 1e-12, as that column's own vector solve would.  A
-    matrix with a non-finite entry raises `FactorizationError` before it
-    is scaled.
+    probe b = A z of a fixed z.  `FactorizationError` is raised for a
+    matrix with a non-finite entry (before it is scaled), for one that is
+    not exactly symmetric or has a diagonal entry that is not positive,
+    for a failed factorization, and for a factor whose probe's relative
+    residual exceeds 1e-12.
     """
 
     def __init__(self, matrix):
@@ -119,15 +118,12 @@ class CachedLU:
         matrix.sum_duplicates()
         if not np.all(np.isfinite(matrix.data)):
             raise FactorizationError("matrix has non-finite entries")
-        self.matrix = matrix
-        d = np.abs(matrix.diagonal())
-        rowmax = np.abs(matrix).max(axis=1).toarray().ravel()
-        d = np.where(d > 0.0, d, np.where(rowmax > 0.0, rowmax, 1.0))
+        d = matrix.diagonal()
+        if (matrix != matrix.T).nnz or not np.all(d > 0.0):
+            raise FactorizationError(
+                "matrix is not symmetric with a positive diagonal")
+        self.matrix, self.shape = matrix, matrix.shape
         self.scale = 1.0 / np.sqrt(d)
-        ordering = {}
-        if (matrix != matrix.T).nnz == 0:
-            ordering = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                            options={"SymmetricMode": True})
         scaled = self._equilibrated()
         # A factorization is a run's largest allocation.  Beneath it glibc
         # keeps resident the heap freed before it (by earlier runs, by the
@@ -137,14 +133,15 @@ class CachedLU:
         if hasattr(libc, "malloc_trim"):
             libc.malloc_trim(0)
         try:
-            self._lu = spla.splu(scaled, **ordering)
+            self._lu = spla.splu(scaled, permc_spec="MMD_AT_PLUS_A",
+                                 diag_pivot_thresh=0.0,
+                                 options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise FactorizationError(str(exc)) from exc
-        self.shape = matrix.shape
         probe = matrix @ np.random.default_rng(0).standard_normal(self.shape[0])
-        self.certified = bool(ordering) and bool(np.linalg.norm(
-            probe - matrix @ self._raw_solve(probe))
-            <= 1e-12 * np.linalg.norm(probe))
+        miss = np.linalg.norm(probe - matrix @ self._raw_solve(probe))
+        if not miss <= 1e-12 * np.linalg.norm(probe):
+            raise FactorizationError("factor fails its backward-error probe")
 
     def _equilibrated(self):
         """diag(scale) A diag(scale), formed on A's arrays: the entries
@@ -165,20 +162,7 @@ class CachedLU:
         return s * self._lu.solve(s * b)
 
     def solve(self, b):
-        b = np.asarray(b, dtype=float)
-        x = self._raw_solve(b)
-        if self.certified:
-            return x
-        r = b - self.matrix @ x
-        # a vector is a block of one column; each column's norms are
-        # np.linalg.norm's of its own vector: the root of a contiguous dot
-        rs, bs = (np.ascontiguousarray(a.reshape(len(a), -1).T) for a in (r, b))
-        refine = [j for j, (rj, bj) in enumerate(zip(rs, bs))
-                  if np.sqrt(rj @ rj) > 1e-12 * np.sqrt(bj @ bj)]
-        if refine:
-            x.reshape(len(x), -1)[:, refine] += self._raw_solve(
-                r.reshape(len(r), -1)[:, refine])
-        return x
+        return self._raw_solve(np.asarray(b, dtype=float))
 
 
 def gmres(system: BlockSystem, preconditioner=None, restart=50, rtol=1e-10,

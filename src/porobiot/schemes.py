@@ -492,8 +492,8 @@ def residual_norms(state: BiotState, prev: BiotState, ops: BiotOperators,
 
     Residuals of the mechanics, Darcy and mass rows are restricted to the
     constrained (reduced) spaces and measured in inverse-mass norms; the
-    reduced mass matrices are factored (and certified, `CachedLU`) on
-    every call.
+    reduced mass matrices, symmetric positive definite like every
+    factored matrix, are factored by `CachedLU` on every call.
     """
     ctx = ctx or StepContext.build(ops, problem, prev, tau)
     u, q, p = state.u.coeffs, state.q.coeffs, state.p.coeffs
@@ -503,13 +503,13 @@ def residual_norms(state: BiotState, prev: BiotState, ops: BiotOperators,
     r_p = (ops.bp_dual(p) + alpha * ops.divu_dual(u) + tau * (ops.b_qp @ q)
            - ctx.mass_const)
 
-    def dual(con, r, mass):
-        rr = con.restriction.T @ r
-        lu = CachedLU((con.restriction.T @ mass @ con.restriction).tocsr())
-        return float(np.sqrt(max(rr @ lu.solve(rr), 0.0)))
+    def dual(name, r, mass):
+        system = ops._reduced_spd(mass, (name,))
+        rr = system.restriction.T @ r
+        return float(np.sqrt(max(rr @ CachedLU(system.matrix).solve(rr), 0.0)))
 
-    res_u = dual(ops.constraints.u, r_u, ops.dofmap_u.mass_matrix)
-    res_q = dual(ops.constraints.q, r_q, ops.dofmap_q.mass_matrix)
+    res_u = dual("u", r_u, ops.dofmap_u.mass_matrix)
+    res_q = dual("q", r_q, ops.dofmap_q.mass_matrix)
     res_p = float(np.sqrt(np.sum(r_p * r_p / ops.mesh.areas)))
     return {"u": res_u, "q": res_q, "p": res_p}
 

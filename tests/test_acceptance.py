@@ -17,8 +17,7 @@ from porobiot.bench import (error_norms, manufactured_convergence,
                             sensitivity_grid, sweep_L, verify_contraction,
                             write_sweep_csv)
 from porobiot.fem import FeFunction, l2_norm
-from porobiot.linalg import (BlockSystem, CachedLU, FixedStressPreconditioner,
-                             gmres)
+from porobiot.linalg import BlockSystem, FixedStressPreconditioner, gmres
 from porobiot.mesh import generate_rect_mesh
 from porobiot.physics import (estimate_constants, manufactured_material,
                               manufactured_problem)
@@ -26,7 +25,7 @@ from porobiot.schemes import (BiotState, SchemeConfig, StepContext,
                               build_initial_state, iterate_to_convergence,
                               residual_norms)
 
-from oracles import rt0_div_cells
+from oracles import lu_solve, rt0_div_cells
 
 warnings.simplefilter("ignore")
 
@@ -56,7 +55,7 @@ def direct_step(ops, prob, prev, tau):
     R = sysd.restriction
     rhs = R.T @ np.concatenate([ctx.f_vec, ctx.g_vec, ctx.mass_const]) \
         - sysd.rhs_shift
-    x = R @ CachedLU(sysd.matrix).solve(rhs) + sysd.lift
+    x = R @ lu_solve(sysd.matrix, rhs) + sysd.lift
     nu, nq = ops.dofmap_u.n_dofs, ops.dofmap_q.n_dofs
     return BiotState(FeFunction(ops.dofmap_u, x[:nu]),
                      FeFunction(ops.dofmap_q, x[nu:nu + nq]),

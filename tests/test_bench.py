@@ -1,3 +1,4 @@
+import os
 import warnings
 import weakref
 
@@ -264,6 +265,31 @@ class TestSweep:
         assert sorted(built) == sorted([n_flow] * 3 + [n_mech] * 2)
         assert [s for _, s in out] == ["converged"] * 6
 
+    def test_l1_line_is_one_lockstep_column(self, monkeypatch):
+        # a splitting sweep over L1 at one L2 is one L2 column: 3 flow
+        # halves and 1 mechanics half, and each cell as a fresh one,
+        # converged or stopped at max_iter
+        from porobiot import linalg
+        built = []
+        original = linalg.CachedLU.__init__
+
+        def counting_init(lu, matrix, *args, **kwargs):
+            built.append(matrix.shape[0])
+            original(lu, matrix, *args, **kwargs)
+
+        monkeypatch.setattr(linalg.CachedLU, "__init__", counting_init)
+        L1s = [0.3, 1.0, 100.0]
+        grid = sweep_L("t1c1", "splitting", L1s, [1.0], nx=8, max_iter=25)
+        ops, prev = manufactured_setup("t1c1", 8)
+        n_flow = ops.constraints.q.restriction.shape[1]
+        n_mech = ops.constraints.u.restriction.shape[1]
+        assert sorted(built) == sorted([n_flow] * 3 + [n_mech])
+        fresh = [_single_step(ops, prev, SchemeConfig(
+            "splitting", L1=l1, L2=1.0, max_iter=25), 0.25) for l1 in L1s]
+        assert grid.iterations.ravel().tolist() == [n for n, _ in fresh]
+        assert [row[0] for row in grid.status] == [s for _, s in fresh]
+        assert {s for _, s in fresh} == {"converged", "maxiter"}
+
 
 class TestSensitivity:
     def test_decoupled_alpha_zero(self):
@@ -394,12 +420,35 @@ class TestMandelSeries:
 
     def test_worker_count_env(self, monkeypatch):
         from porobiot.bench import worker_count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
+                            raising=False)
         monkeypatch.delenv("POROBIOT_THREADS", raising=False)
         assert worker_count() == 1
         monkeypatch.setenv("POROBIOT_THREADS", "3")
         assert worker_count() == 3
         monkeypatch.setenv("POROBIOT_THREADS", "junk")
         assert worker_count() == 1
+
+    def test_worker_count_capped_at_usable_cpus(self, monkeypatch):
+        # the CPUs this process may run on, or all of them where the
+        # affinity is unknown; a capped sweep of one worker starts no pool
+        from porobiot import bench
+        monkeypatch.setenv("POROBIOT_THREADS", "64")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        assert bench.worker_count() == 2
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert bench.worker_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert bench.worker_count() == 1
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a capped sweep started a pool")
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", no_pool)
+        grid = sweep_L("linear", "monolithic", [0.5, 1.0], [1.0], nx=4)
+        assert grid.status == [["converged"], ["converged"]]
 
     def test_gmres_agrees_with_lu_on_si_mandel(self):
         # the SI blocks span about twenty orders of magnitude: GMRES must

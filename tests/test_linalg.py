@@ -12,6 +12,8 @@ from porobiot.physics import (MandelConfig, mandel_material, mandel_problem,
 from porobiot.schemes import (SchemeConfig, SchemeSolver, StepContext,
                               build_initial_state, suggested_tuning)
 
+from oracles import lu_solve
+
 
 def monolithic_linear_system(nx=8, alpha=1.0, tau=0.25):
     mat = manufactured_material("linear", alpha=alpha)
@@ -55,21 +57,6 @@ def column_relres(A, B, X):
     return np.linalg.norm(B - A @ X, axis=0) / np.linalg.norm(B, axis=0)
 
 
-def checked_solve(lu, b):
-    """`CachedLU.solve` as it ran before factors were certified: each
-    column whose relative residual exceeds 1e-12 is refined once."""
-    b = np.asarray(b, dtype=float)
-    x = lu._raw_solve(b)
-    r = b - lu.matrix @ x
-    rs, bs = (np.ascontiguousarray(a.reshape(len(a), -1).T) for a in (r, b))
-    refine = [j for j, (rj, bj) in enumerate(zip(rs, bs))
-              if np.sqrt(rj @ rj) > 1e-12 * np.sqrt(bj @ bj)]
-    if refine:
-        x.reshape(len(x), -1)[:, refine] += lu._raw_solve(
-            r.reshape(len(r), -1)[:, refine])
-    return x
-
-
 class TestLU:
     def test_identity(self):
         x = CachedLU(sp.eye(5, format="csr")).solve(np.arange(5.0))
@@ -80,16 +67,18 @@ class TestLU:
         assert np.allclose(x, [1.0, 1.0])
 
     def test_residual_oracle_on_biot_system(self):
-        system, _, _ = monolithic_linear_system(nx=6)
+        # the (u, q) system with the pressure eliminated, the one a
+        # monolithic LU step factors
+        _, ops, _ = monolithic_linear_system(nx=6)
+        A = ops.monolithic_schur_system(1.0, 1.0, 0.25).matrix
         rng = np.random.default_rng(3)
-        system = BlockSystem(system.matrix,
-                             rng.standard_normal(system.matrix.shape[0]))
+        system = BlockSystem(A, rng.standard_normal(A.shape[0]))
         x = CachedLU(system.matrix).solve(system.rhs)
         res = np.linalg.norm(system.matrix @ x - system.rhs)
         assert res / np.linalg.norm(system.rhs) <= 1e-11
 
     def test_singular_matrix(self):
-        # symmetric and nonsymmetric: both orderings report the failure
+        # symmetric: SuperLU meets a zero pivot; nonsymmetric: refused
         for entries in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [1.0, 2.0]]):
             with pytest.raises(FactorizationError):
                 CachedLU(sp.csr_matrix(np.array(entries)))
@@ -118,65 +107,19 @@ class TestLU:
             assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
         assert len(calls) == 3
 
-    def test_nonsymmetric_ill_scaled_refined(self):
-        # the SI 3x3 block matrix misses the residual test after one solve:
-        # it is refined, exactly as every solve was before refinement became
-        # conditional
-        ops, L1, L2 = mandel_si_operators()
-        A = ops.monolithic_system(L1, L2, 1.0).matrix
-        lu = CachedLU(A)
-        b = np.random.default_rng(12).standard_normal(A.shape[0])
-        x_once = lu._raw_solve(b)
-        x_refined = x_once + lu._raw_solve(b - A @ x_once)
-        calls = count_raw_solves(lu)
-        x = lu.solve(b)
-        assert len(calls) == 2
-        assert np.linalg.norm(b - A @ x_once) > 1e-12 * np.linalg.norm(b)
-        assert np.linalg.norm(b - A @ x) <= np.linalg.norm(b - A @ x_refined)
-
-    @pytest.mark.parametrize("system", ["schur", "3x3"])
+    @pytest.mark.parametrize("system", ["schur", "mech"])
     def test_block_solve_is_column_solves(self, system):
         # one multi-column solve gives each column the bits of its own
-        # vector solve, refined (3x3) or not (schur) alike
+        # vector solve
         ops, L1, L2 = mandel_si_operators(nx=8)
         A = (ops.monolithic_schur_system(L1, L2, 1.0) if system == "schur"
-             else ops.monolithic_system(L1, L2, 1.0)).matrix
+             else ops.mech_system(L2)).matrix
         lu = CachedLU(A)
         B = np.random.default_rng(14).standard_normal((A.shape[0], 4))
         X = lu.solve(B)
         assert X.shape == B.shape
         for j in range(B.shape[1]):
             assert X[:, j].tobytes() == lu.solve(B[:, j]).tobytes()
-
-    def test_block_refinement_is_decided_per_column(self):
-        # perturb one column of the first triangular solve: that column
-        # alone is refined, and the others keep their unrefined bits.  A
-        # certified factor checks no solve, so this runs on a
-        # well-conditioned nonsymmetric one
-        A = monolithic_linear_system(nx=8)[0].matrix
-        lu = CachedLU(A)
-        assert not lu.certified
-        B = np.random.default_rng(15).standard_normal((A.shape[0], 3))
-        want = [lu.solve(B[:, j]) for j in range(3)]
-
-        class Perturbed:
-            def __init__(self, factor):
-                self.factor, self.shapes = factor, []
-
-            def solve(self, b):
-                x = self.factor.solve(b)
-                if not self.shapes:
-                    x[:, 1] *= 1.0 + 1e-6
-                self.shapes.append(b.shape)
-                return x
-
-        lu._lu = Perturbed(lu._lu)
-        X = lu.solve(B)
-        assert lu._lu.shapes == [B.shape, (A.shape[0], 1)]
-        assert X[:, 0].tobytes() == want[0].tobytes()
-        assert X[:, 2].tobytes() == want[2].tobytes()
-        assert np.linalg.norm(B[:, 1] - A @ X[:, 1]) <= 1e-12 * np.linalg.norm(
-            B[:, 1])
 
     def test_cached_lu_reuse(self):
         A = sp.diags([1.0, 2.0, 3.0]).tocsr()
@@ -188,12 +131,10 @@ class TestLU:
 class TestCertificate:
     def test_certified_solve_is_one_triangular_solve(self):
         # a vector and an (n, k) block alike: no residual is formed, and
-        # the bits are those of the residual-checked solve, which refines
-        # none of them
+        # every column meets the bound the probe certified
         ops, L1, L2 = mandel_si_operators(nx=8)
         A = ops.monolithic_schur_system(L1, L2, 1.0).matrix
         lu = CachedLU(A)
-        assert lu.certified
         M = lu.matrix
 
         class Products:
@@ -207,7 +148,7 @@ class TestCertificate:
         rng = np.random.default_rng(21)
         for b in (rng.standard_normal(A.shape[0]),
                   rng.standard_normal((A.shape[0], 4))):
-            want = checked_solve(lu, b)
+            want = lu._raw_solve(b)
             calls, lu.matrix = count_raw_solves(lu), Products()
             x = lu.solve(b)
             assert len(calls) == 1 and calls[0].shape == b.shape
@@ -218,6 +159,7 @@ class TestCertificate:
 
     @pytest.mark.parametrize("matrix", ["si-3x3", "linear-3x3", "triangular"])
     def test_nonsymmetric_never_certified(self, matrix):
+        # a nonsymmetric matrix is refused, not factored
         if matrix == "si-3x3":
             ops, L1, L2 = mandel_si_operators(nx=8)
             A = ops.monolithic_system(L1, L2, 1.0).matrix
@@ -225,30 +167,33 @@ class TestCertificate:
             A = monolithic_linear_system(nx=4)[0].matrix
         else:   # exact in one solve: its probe would pass
             A = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 4.0]]))
-        lu = CachedLU(A)
-        assert not lu.certified
-        B = np.random.default_rng(22).standard_normal((A.shape[0], 2))
-        assert lu.solve(B).tobytes() == checked_solve(lu, B).tobytes()
+        with pytest.raises(FactorizationError, match="not symmetric"):
+            CachedLU(A)
 
-    def test_failed_probe_keeps_per_column_refinement(self):
-        # symmetric but not definite: diagonal pivots of the equilibrated
-        # matrix grow by 1e18, and so does the backward error
+    @pytest.mark.parametrize("diagonal", [0.0, -1.0])
+    def test_non_positive_diagonal_refused(self, diagonal):
+        # symmetric, with one diagonal entry that is zero or negative: not
+        # definite, and it has no inverse square root to scale by
+        A = sp.csr_matrix(np.array([[diagonal, 1.0, 0.0], [1.0, 4.0, 0.0],
+                                    [0.0, 0.0, 2.0]]))
+        with pytest.raises(FactorizationError, match="positive diagonal"):
+            CachedLU(A)
+
+    def test_failed_probe_refused(self, monkeypatch):
+        # symmetric with a positive diagonal but not definite: diagonal
+        # pivots of the equilibrated matrix grow by 1e18, and so does the
+        # backward error.  The probe runs on the private triangular solve,
+        # never through `solve`.
+        solves = []
+        monkeypatch.setattr(CachedLU, "solve",
+                            lambda lu, b: solves.append(b))
         eps = 1e-9
         A = sp.csr_matrix(np.array([[eps, 1.0, 0.0], [1.0, eps, 0.0],
                                     [0.0, 0.0, 2.0]]))
-        lu = CachedLU(A)
-        assert np.array_equal(lu._lu.perm_r, lu._lu.perm_c)
-        assert not lu.certified
-        B = np.zeros((3, 3))
-        B[:, 0], B[:, 1], B[2, 2] = [1.0, 1.0, 0.0], [1.0, -1.0, 1.0], 1.0
-        refined = column_relres(A, B, lu._raw_solve(B)) > 1e-12
-        assert refined.tolist() == [True, True, False]
-        calls = count_raw_solves(lu)
-        X = lu.solve(B)
-        assert [c.shape for c in calls] == [B.shape, (3, 2)]
-        assert X.tobytes() == checked_solve(lu, B).tobytes()
-        for j in range(3):
-            assert X[:, j].tobytes() == lu.solve(B[:, j]).tobytes()
+        with pytest.raises(FactorizationError, match="probe"):
+            CachedLU(A)
+        CachedLU(A + sp.eye(3))
+        assert solves == []
 
     @pytest.mark.parametrize("problem", ["mandel", "t1c1"])
     def test_every_scheme_factor_certified(self, monkeypatch, problem):
@@ -269,18 +214,23 @@ class TestCertificate:
                  for kind in ("monolithic", "splitting")]
         cells += [("splitting", l1, l2) for l1 in (1e-2, 1e2)
                   for l2 in (1e-2, 1e2)]
+        # and L1, L2 at 1e-12 and 1e12 times the suggested tuning
+        s1, s2 = cells[0][1:]
+        cells += [("monolithic", s1 * f1, s2 * f2) for f1 in (1e-12, 1e12)
+                  for f2 in (1e-12, 1e12)]
         for method in ("lu", "gmres"):
             ops.solver = SolverOptions(method)
             for kind, L1, L2 in cells:
                 SchemeSolver(ops, SchemeConfig(kind, L1=L1, L2=L2), 0.25)
-        # monolithic LU 1, GMRES sweep 2, five splitting sweeps twice 2
-        assert len(built) == 23
-        assert all(lu.certified for lu in built)
+        # each factor passed its probe, or its constructor would have
+        # raised: five monolithic cells by LU 1 and by GMRES sweep 2, and
+        # five splitting sweeps twice 2
+        assert len(built) == 5 * (1 + 2) + 5 * 2 * 2
 
     def test_run_solves_meet_the_residual_bound(self, monkeypatch):
-        # the check that certified factors no longer make on every solve,
-        # made here on every column of every solve of short runs: SI
-        # Mandel by each scheme and solver, and a lock-step L-sweep
+        # the check that no solve makes, made here on every column of
+        # every solve of short runs: SI Mandel by each scheme and solver,
+        # and a lock-step L-sweep
         from porobiot import linalg
         worst, solve = [], linalg.CachedLU.solve
 
@@ -414,7 +364,7 @@ class TestFixedStressPreconditioner:
         M = FixedStressPreconditioner(ops, cfg, 0.25)
         xg, repg = gmres(system, preconditioner=M,
                          rtol=1e-12)
-        xd = CachedLU(system.matrix).solve(system.rhs)
+        xd = lu_solve(system.matrix, system.rhs)
         assert np.linalg.norm(xg - xd) / np.linalg.norm(xd) <= 1e-8
 
 
@@ -435,7 +385,7 @@ def test_sweep_matches_two_by_two_flow_oracle(case):
                                   tau)
     nu, nq, _ = M.sizes
     r = np.random.default_rng(13).standard_normal(M.shape[0])
-    d_qp = CachedLU(ops.flow_system(L1, tau).matrix).solve(r[nu:])
+    d_qp = lu_solve(ops.flow_system(L1, tau).matrix, r[nu:])
     b_up_red = ops.constraints.u.restriction.T @ ops.b_up
     d_u = CachedLU(ops.mech_system(L2).matrix).solve(
         r[:nu] + mat.alpha * (b_up_red @ d_qp[nq:]))

@@ -7,7 +7,7 @@ import pytest
 
 from porobiot.assembly import build_operators
 from porobiot.fem import FeFunction, l2_norm
-from porobiot.linalg import CachedLU, SolverOptions
+from porobiot.linalg import SolverOptions
 from porobiot.mesh import Side, generate_rect_mesh
 from porobiot.physics import (MandelConfig, NonlinearLaw, QBc, UBc,
                               make_material, law_catalog, mandel_material,
@@ -18,6 +18,8 @@ from porobiot.schemes import (BiotState, DivergenceError, SchemeConfig,
                               build_initial_state, iterate_lockstep,
                               iterate_to_convergence, residual_norms, stop_status, suggested_tuning,
                               time_march, write_trace_csv)
+
+from oracles import lu_solve
 
 
 def linear_setup(nx=8):
@@ -32,7 +34,7 @@ def linear_setup(nx=8):
 def reduced_solve(system, rhs_full):
     """Solve a reduced system by LU and lift the solution to the full space."""
     R = system.restriction
-    return R @ CachedLU(system.matrix).solve(R.T @ rhs_full - system.rhs_shift) \
+    return R @ lu_solve(system.matrix, R.T @ rhs_full - system.rhs_shift) \
         + system.lift
 
 
@@ -541,8 +543,9 @@ class TestTimeMarch:
                    for _, tr in results)
 
     def test_every_factored_matrix_symmetric(self, monkeypatch):
-        # every factorization of a run, and of the residual check, takes
-        # the symmetric path of CachedLU
+        # every matrix a run, or the residual check, factors equals its
+        # transpose to the last bit: t1c1, and SI Mandel on meshes whose
+        # products round the mechanics block's (i, j) and (j, i) apart
         from porobiot import linalg
         asymmetric = []
         original = linalg.CachedLU.__init__
@@ -552,18 +555,24 @@ class TestTimeMarch:
             original(lu, matrix)
 
         monkeypatch.setattr(linalg.CachedLU, "__init__", recording_init)
-        mat = manufactured_material("t1c1")
-        prob = manufactured_problem(mat)
-        mesh = generate_rect_mesh((0, 0), (1, 1), 16, 16)
-        ops = build_operators(mesh, mat, prob)
-        prev = build_initial_state(prob, ops)
-        for kind, method in (("splitting", "lu"), ("monolithic", "lu"),
-                             ("monolithic", "gmres")):
-            ops.solver = linalg.SolverOptions(method=method)
-            cfg = SchemeConfig(kind, *suggested_tuning(mat, kind))
-            state, _ = time_march(prob, mesh, mat, cfg, 0.25, 1, ops=ops)[0]
-        residual_norms(state, prev, ops, mat, prob, 0.25)
-        assert len(asymmetric) == 2 + 1 + 2 + 2
+        cfg = MandelConfig()
+        mandel = mandel_material("linear", cfg)
+        setups = [(manufactured_material("t1c1"), (1.0, 1.0), (16, 16), 0.25)]
+        setups += [(mandel, (cfg.a, cfg.b), n, 1.0) for n in ((8, 3), (13, 7))]
+        for mat, corner, (nx, ny), tau in setups:
+            prob = (manufactured_problem(mat) if mat is not mandel
+                    else mandel_problem(mat, cfg, final_time=10.0))
+            mesh = generate_rect_mesh((0, 0), corner, nx, ny)
+            ops = build_operators(mesh, mat, prob)
+            prev = build_initial_state(prob, ops)
+            for kind, method in (("splitting", "lu"), ("monolithic", "lu"),
+                                 ("monolithic", "gmres")):
+                ops.solver = linalg.SolverOptions(method=method)
+                cfg_k = SchemeConfig(kind, *suggested_tuning(mat, kind))
+                state, _ = time_march(prob, mesh, mat, cfg_k, tau, 1,
+                                      ops=ops)[0]
+            residual_norms(state, prev, ops, mat, prob, tau)
+        assert len(asymmetric) == 3 * (2 + 1 + 2 + 2)
         assert asymmetric == [0] * len(asymmetric)
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
