@@ -71,8 +71,8 @@ UNREAD = {"mandel": [("problem", "h"), ("problem", "tau")] + _LADDER,
           "sensitivity": _SLAB + _LADDER + _LU}
 # keys that must be positive (the library checks the others it reads)
 POSITIVE = [("problem", k) for k in ("h", "tau", "levels", "dt")] + [
-    ("scheme", "max_iter"), ("solver", "restart"), ("solver", "maxiter"),
-    ("material", "permeability"), ("material", "viscosity")]
+    ("scheme", "max_iter"), ("material", "permeability"),
+    ("material", "viscosity")]
 
 # the consolidation benchmark defaults to its standard field parameters
 MANDEL_MATERIAL = {"alpha": "1.0", "mu": "2.475e9", "lam": "1.65e9",

@@ -9,16 +9,24 @@ half), then a mechanics solve driven by the updated pressure (the
 mechanics half).  Each half owns its factorization; the splitting step
 composes them, and so does the sweep that preconditions GMRES on the
 monolithic system.
+
+Both solvers work on the same symmetric diagonal equilibration
+S = diag(|a_ii|)^-1/2 (`_equilibration`): `CachedLU` factors S A S, and
+`gmres` iterates on it and stops on the equilibrated relative residual
+||S (b - A x)|| / ||S b||, which does not depend on the units of the
+unknowns or of the equations.
 """
 
 from __future__ import annotations
 
 import ctypes
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -38,7 +46,13 @@ class SolverOptions:
 
     method 'lu' uses cached factorizations; 'gmres' solves the monolithic
     block system with fixed-stress-preconditioned GMRES (the split
-    sub-solves keep their factorizations either way).
+    sub-solves keep their factorizations either way).  GMRES restarts
+    after `restart` inner iterations, makes at most `maxiter` of them per
+    solve (one sweep each), and stops when the equilibrated relative
+    residual ||S (b - A x)|| / ||S b|| of `gmres` is at most `rtol`.
+    `ValueError` is raised for an unknown method, for a `restart` or
+    `maxiter` that is not an integer of at least 1, and for an `rtol`
+    outside the open interval (0, 1).
     """
 
     method: str = "lu"
@@ -49,10 +63,23 @@ class SolverOptions:
     def __post_init__(self):
         if self.method not in ("lu", "gmres"):
             raise ValueError(f"unknown solver method {self.method!r}")
+        for name in ("restart", "maxiter"):
+            value = getattr(self, name)
+            if (not isinstance(value, numbers.Integral)
+                    or isinstance(value, bool) or value < 1):
+                raise ValueError(f"solver {name} must be an integer of at "
+                                 f"least 1, got {value!r}")
+        if not (isinstance(self.rtol, numbers.Real)
+                and 0.0 < self.rtol < 1.0):   # also refuses NaN
+            raise ValueError(f"solver rtol must lie strictly between 0 and 1, "
+                             f"got {self.rtol!r}")
 
 
 def write_solver_reports_csv(rows, path):
-    """Serialize (label, SolverReport) pairs as linsys,iters,relres,seconds."""
+    """Serialize (label, SolverReport) pairs as linsys,iters,relres,seconds:
+    the inner iterations of a GMRES solve (one sweep each), the
+    equilibrated relative residual ||S (b - A x)|| / ||S b|| its stop
+    tested, and its seconds."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("linsys,iters,relres,seconds\n")
         for label, rep in rows:
@@ -87,14 +114,23 @@ class SolverReport:
     history: list = field(default_factory=list)
 
 
+def _equilibration(diagonal):
+    """The symmetric scaling S = diag(|a_ii|)^-1/2 of a matrix with the
+    given diagonal, 1 where a_ii = 0: `CachedLU` factors S A S, and
+    `gmres` iterates on it."""
+    d = np.abs(diagonal)
+    return 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0))
+
+
 class CachedLU:
     """SuperLU factorization of a symmetric positive definite matrix,
     reused across many right-hand sides.
 
     The matrix is symmetrically equilibrated by the inverse square roots
-    of its diagonal (the Biot blocks mix scales over twenty orders of
-    magnitude in SI units) and factored in SuperLU's symmetric mode: a
-    minimum-degree ordering of A^T + A and diagonal pivots.  `solve` takes
+    of its diagonal (`_equilibration`; the Biot blocks mix scales over
+    twenty orders of magnitude in SI units) and factored in SuperLU's
+    symmetric mode: a minimum-degree ordering of A^T + A and diagonal
+    pivots.  `solve` takes
     one right-hand side of shape (n,) or k of them as the columns of an
     (n, k) block, and makes one equilibrated triangular solve of them.
 
@@ -123,7 +159,7 @@ class CachedLU:
             raise FactorizationError(
                 "matrix is not symmetric with a positive diagonal")
         self.matrix, self.shape = matrix, matrix.shape
-        self.scale = 1.0 / np.sqrt(d)
+        self.scale = _equilibration(d)
         scaled = self._equilibrated()
         # A factorization is a run's largest allocation.  Beneath it glibc
         # keeps resident the heap freed before it (by earlier runs, by the
@@ -166,36 +202,106 @@ class CachedLU:
 
 
 def gmres(system: BlockSystem, preconditioner=None, restart=50, rtol=1e-10,
-          maxiter=1000):
-    """Restarted GMRES; `preconditioner` approximates the inverse operator
-    as a matrix, a `LinearOperator` or an object with `shape`, `matvec` and
-    `dtype`, such as `FixedStressPreconditioner`.  `maxiter` caps the total
-    number of inner iterations.  Reports that count, the true relative
-    residual and the history of preconditioned residual norms, which are
-    non-increasing inside each restart cycle.
+          maxiter=1000, x0=None):
+    """Restarted, right-preconditioned flexible GMRES (Saad, "A flexible
+    inner-outer preconditioned GMRES algorithm", SISC 1993) on the
+    equilibrated system S A S y = S b, x = S y, with S of `_equilibration`.
+
+    `preconditioner` approximates the inverse of A: a matrix, a
+    `LinearOperator` or an object with `shape`, `matvec` and `dtype`, such
+    as `FixedStressPreconditioner`.  It acts on the equilibrated system as
+    S^-1 M S^-1; without one, GMRES runs on S A S alone.  Each inner
+    iteration applies it once, and the solution update needs no further
+    application, because the preconditioned directions are kept.
+
+    The iteration starts from `x0` (zero when None), restarts after
+    `restart` inner iterations and makes at most `maxiter` of them.  It
+    stops when the true equilibrated relative residual
+    ||S (b - A x)|| / ||S b||, b the whole right-hand side, is at most
+    `rtol`; a zero b returns zeros.  The report holds the inner
+    iterations, that residual as `relres`, and in `history` each inner
+    iteration's residual estimate relative to ||S b||, non-increasing
+    inside a restart cycle.  Status 'breakdown' marks a cycle whose
+    Hessenberg column was singular or not finite, short of the tolerance.
     """
-    n = system.matrix.shape[0]
-    history = []
-
-    def cb(pr_norm):
-        history.append(float(pr_norm))
-
-    restart = min(restart, n)
-    cycles = max(1, -(-maxiter // restart))  # scipy counts restart cycles
     t0 = time.perf_counter()
-    x, info = spla.gmres(system.matrix, system.rhs, M=preconditioner,
-                         restart=restart, rtol=rtol, atol=0.0, maxiter=cycles,
-                         callback=cb, callback_type="pr_norm")
+    A, b = system.matrix, system.rhs
+    n = b.size
+    s = _equilibration(A.diagonal())
+    bnorm = np.linalg.norm(s * b)
+    if bnorm == 0.0:
+        return np.zeros(n), SolverReport(0, 0.0, time.perf_counter() - t0)
+    M = (None if preconditioner is None
+         else spla.aslinearoperator(preconditioner))
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    eps = np.finfo(float).eps
+    history, status = [], None
+    while True:
+        r = s * (b - A @ x)
+        rnorm = np.linalg.norm(r)
+        if rnorm <= rtol * bnorm:
+            status = "converged"
+            break
+        if status == "breakdown" or not np.isfinite(rnorm):
+            status = "breakdown"
+            break
+        if len(history) == maxiter:
+            status = "maxiter"
+            break
+        m = min(restart, n, maxiter - len(history))
+        # Arnoldi on S A S with the directions S^-1 M S^-1 v_j, each kept
+        # as the x-space direction z_j = M S^-1 v_j; the basis V grows
+        # with the cycle, so a short cycle holds a few vectors only
+        V = np.empty((min(m + 1, 8), n))
+        V[0] = r / rnorm
+        Z, H = [], np.zeros((m + 1, m))
+        g = np.zeros(m + 1)
+        g[0] = rnorm
+        rotations = []
+        for j in range(m):
+            Z.append(s * V[j] if M is None else M.matvec(V[j] / s))
+            w = s * (A @ Z[j])
+            h = np.zeros(j + 2)
+            h0 = np.linalg.norm(w)
+            for _ in range(2):   # classical Gram-Schmidt, twice
+                c = V[:j + 1] @ w
+                w -= c @ V[:j + 1]
+                h[:j + 1] += c
+            h[j + 1] = np.linalg.norm(w)
+            lucky = h[j + 1] <= eps * h0   # the basis spans the solution
+            if lucky:
+                h[j + 1] = 0.0
+            elif j + 1 < m:
+                if j + 1 == len(V):
+                    grown = np.empty((min(2 * len(V), m + 1), n))
+                    grown[:len(V)] = V
+                    V = grown
+                V[j + 1] = w / h[j + 1]
+            for i, (cs, sn) in enumerate(rotations):
+                h[i], h[i + 1] = (cs * h[i] + sn * h[i + 1],
+                                  cs * h[i + 1] - sn * h[i])
+            rho = np.hypot(h[j], h[j + 1])
+            if not rho > 0.0:   # H_j singular or not finite: drop column j
+                Z.pop()
+                history.append(abs(g[j]) / bnorm)
+                status = "breakdown"
+                break
+            cs, sn = h[j] / rho, h[j + 1] / rho
+            rotations.append((cs, sn))
+            H[:j, j], H[j, j] = h[:j], rho
+            g[j], g[j + 1] = cs * g[j], -sn * g[j]
+            history.append(abs(g[j + 1]) / bnorm)
+            if lucky or abs(g[j + 1]) <= rtol * bnorm:
+                break
+        k = len(Z)
+        if k:
+            y = sla.solve_triangular(H[:k, :k], g[:k], check_finite=False)
+            for yj, zj in zip(y, Z):
+                x += yj * zj
     seconds = time.perf_counter() - t0
-
-    bnorm = np.linalg.norm(system.rhs)
-    res = np.linalg.norm(system.matrix @ x - system.rhs)
-    relres = res / bnorm if bnorm > 0 else res
-    converged = info == 0
-    status = "converged" if converged else (
-        "maxiter" if info > 0 else "breakdown")
-    return x, SolverReport(len(history), float(relres), seconds,
-                           converged=converged, status=status, history=history)
+    return x, SolverReport(len(history), float(rnorm / bnorm), seconds,
+                           converged=status == "converged", status=status,
+                           history=history)
 
 
 class FlowHalf:

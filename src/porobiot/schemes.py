@@ -193,9 +193,12 @@ class SchemeSolver:
     The monolithic scheme solves the (u, q) system with the pressure
     eliminated by its LU factorization or, when ``ops.solver`` selects
     GMRES, the 3x3 block system by GMRES preconditioned with the sweep
-    (`linalg.FixedStressPreconditioner`).  Each matrix is built and
-    factored once, by the solver or by its halves.  `step` performs one
-    iteration of the scheme.
+    (`linalg.FixedStressPreconditioner`), applied once per inner
+    iteration.  GMRES starts from the iterate it is given, so it solves
+    for the increment.  Each matrix is built and factored once, by the
+    solver or by its halves.  `step` performs one iteration of the scheme
+    and depends on its iterate and step context alone: the solver keeps
+    no solution from one call to the next.
 
     A splitting solver holds one flow half per cell (`flows`, those of k
     cells of `cfg.L2`, the first `cfg`'s; built here when None) and builds
@@ -236,12 +239,19 @@ class SchemeSolver:
         self.system = ReducedSystem(None, shift, *con.composed(names),
                                     con.composed_index(names))
 
-    def _gmres(self, rhs_red):
-        opts, cfg = self.ops.solver, self.cfg
+    def _gmres(self, rhs_red, cur: BiotState):
+        """The reduced monolithic solution by GMRES, started from the
+        reduced coordinates of `cur`: the solve is one for the increment,
+        and a converged iterate needs no inner iteration."""
+        opts, cfg, index = self.ops.solver, self.cfg, self.system.reduced_of
+        free = index >= 0
+        x0 = np.empty(self.system.matrix.shape[0])
+        x0[index[free]] = np.concatenate([cur.u.coeffs, cur.q.coeffs,
+                                          cur.p.coeffs])[free]
         x_red, report = gmres(BlockSystem(self.system.matrix, rhs_red),
                               preconditioner=self.sweep,
                               restart=opts.restart, rtol=opts.rtol,
-                              maxiter=opts.maxiter)
+                              maxiter=opts.maxiter, x0=x0)
         self.ops.solver_log.append((f"mono/L1={cfg.L1:g}/L2={cfg.L2:g}", report))
         if not report.converged:
             raise LinearSolveError(
@@ -255,7 +265,8 @@ class SchemeSolver:
         Both schemes form the L-scheme right-hand side (rhs_u, g, rhs_p),
         but for the displacement coupling of the mass row, which the
         splitting takes explicitly.  The sweep (splitting) and GMRES solve
-        for its restriction.  The monolithic LU solve eliminates the
+        for its restriction, GMRES from the reduced coordinates of `cur`.
+        The monolithic LU solve eliminates the
         pressure from the mass row alpha B_u^T u + tau B q + L1 M_p p = rhs_p: with
         w = rhs_p / (L1 M_p) the (u, q) system of `monolithic_schur_system`
         has the right-hand side (rhs_u + alpha B_u w, tau (g + B^T w)), and
@@ -292,7 +303,7 @@ class SchemeSolver:
         if self.mono_lu is not None:
             x_red = self.mono_lu.solve(r)
         elif cfg.kind == "monolithic":
-            x_red = self._gmres(r)
+            x_red = self._gmres(r, cur)
         else:
             ru, rq = self.mech.lu.shape[0], self.flows[0].lu.shape[0]
             if block:

@@ -277,6 +277,14 @@ class TestSubcommands:
         ["manufactured", "--set", "material.mu=0"],
         ["manufactured", "--set", "solver.method=gmres",
          "--set", "solver.restart=0"],
+        ["manufactured", "--case", "linear", "--h", "0.25",
+         "--set", "solver.method=gmres", "--set", "solver.maxiter=0"],
+        ["manufactured", "--case", "linear", "--h", "0.25",
+         "--set", "solver.method=gmres", "--set", "solver.rtol=0"],
+        ["manufactured", "--case", "linear", "--h", "0.25",
+         "--set", "solver.method=gmres", "--set", "solver.rtol=nan"],
+        ["manufactured", "--case", "linear", "--h", "0.25",
+         "--set", "solver.method=gmres", "--set", "solver.rtol=-1"],
         ["manufactured", "--set", "problem.levels=0"],
         ["manufactured", "--set", "scheme.max_iter=0"],
         ["manufactured", "--h", "0.5", "--set", "problem.levels=0.3"],

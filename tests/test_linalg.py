@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from porobiot.assembly import build_operators
 from porobiot.bench import manufactured_setup, run_mandel, sweep_L
@@ -261,6 +262,9 @@ class TestBlockSystem:
             BlockSystem(sp.eye(3, format="csr"), np.array([1.0, np.nan, 0.0]))
 
 
+# a division by a zero norm in the Krylov code (a lucky breakdown, a zero
+# right-hand side) fails the test instead of passing with NaNs
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestGMRES:
     def test_spd_diagonal_krylov_exactness(self):
         # n distinct eigenvalues: converges in at most n iterations
@@ -298,7 +302,67 @@ class TestGMRES:
         x, rep = gmres(system, rtol=1e-12, maxiter=5)
         assert not rep.converged
         assert rep.status == "maxiter"
-        assert rep.iterations <= 5 + 49  # rounded up to whole restart cycles
+        assert rep.iterations == 5   # the cap counts inner iterations exactly
+
+    def test_warm_start_at_the_solution_takes_no_iteration(self):
+        system, ops, _ = monolithic_linear_system(nx=6)
+        M = FixedStressPreconditioner(
+            ops, SchemeConfig("monolithic", L1=1.0, L2=1.0), 0.25)
+        x = lu_solve(system.matrix, system.rhs)
+        got, rep = gmres(system, preconditioner=M, rtol=1e-10, x0=x)
+        assert rep.converged and rep.iterations == 0 and rep.relres <= 1e-10
+        assert got.tobytes() == x.tobytes() and got is not x
+
+    def test_zero_rhs_returns_zeros(self):
+        system, ops, _ = monolithic_linear_system(nx=4)
+        zero = BlockSystem(system.matrix, np.zeros(system.matrix.shape[0]))
+        x, rep = gmres(zero, x0=np.ones(system.matrix.shape[0]))
+        assert rep.converged and rep.iterations == 0 and rep.relres == 0.0
+        assert not np.any(x)
+
+    def test_lucky_breakdown_converges(self):
+        # b is an eigenvector: the first inner iteration spans the solution
+        system = BlockSystem(sp.diags([2.0, 3.0, 5.0]).tocsr(),
+                             np.array([0.0, 6.0, 0.0]))
+        x, rep = gmres(system)
+        assert rep.converged and rep.iterations == 1
+        assert np.allclose(x, [0.0, 2.0, 0.0])
+
+    def test_stop_is_unit_invariant(self):
+        # the system in other units, D A D (D^-1 x) = D b with D spanning
+        # twenty decades, preconditioned by the sweep in the same units:
+        # the stop tests the same equilibrated residual, so the same
+        # iterations, estimates and solution follow
+        system, ops, _ = monolithic_linear_system(nx=8)
+        M = FixedStressPreconditioner(
+            ops, SchemeConfig("monolithic", L1=1.0, L2=1.0), 0.25)
+        n = system.matrix.shape[0]
+        d = 10.0 ** np.random.default_rng(17).uniform(-10.0, 10.0, n)
+        D = sp.diags(d)
+        scaled = BlockSystem((D @ system.matrix @ D).tocsr(), d * system.rhs)
+        M_d = spla.LinearOperator((n, n), matvec=lambda v: M.matvec(v / d) / d)
+        x, rep = gmres(system, preconditioner=M, rtol=1e-10)
+        x_d, rep_d = gmres(scaled, preconditioner=M_d, rtol=1e-10)
+        assert rep.converged and rep_d.converged
+        assert rep_d.iterations == rep.iterations
+        assert np.allclose(rep_d.history, rep.history, rtol=1e-6, atol=0.0)
+        assert rep_d.relres == pytest.approx(rep.relres, rel=1e-6)
+        assert np.linalg.norm(d * x_d - x) <= 1e-10 * np.linalg.norm(x)
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize("field, value", [
+        ("restart", 0), ("restart", 2.5), ("restart", True),
+        ("maxiter", 0), ("maxiter", -3), ("maxiter", 10.0),
+        ("rtol", 0.0), ("rtol", -1.0), ("rtol", 1.0), ("rtol", np.nan),
+        ("rtol", np.inf), ("method", "cg")])
+    def test_invalid_values_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverOptions(**{"method": "gmres", field: value})
+
+    def test_valid_values_kept(self):
+        opts = SolverOptions("gmres", restart=1, rtol=0.5, maxiter=1)
+        assert (opts.restart, opts.rtol, opts.maxiter) == (1, 0.5, 1)
 
 
 class TestFixedStressPreconditioner:

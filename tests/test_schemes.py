@@ -670,6 +670,45 @@ def test_gmres_backed_monolithic_matches_lu():
     assert report.converged and report.iterations <= 15
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gmres_step_applies_the_sweep_once_per_inner_iteration(monkeypatch):
+    # one monolithic t1c1 step: each sweep application is one inner
+    # iteration, none goes to a preconditioned right-hand side or an
+    # initial residual, and each solve starts from the iterate, so the
+    # solves get shorter as the iterates settle
+    from porobiot.linalg import FixedStressPreconditioner
+    applied, matvec = [], FixedStressPreconditioner.matvec
+
+    def counted(sweep, r):
+        applied.append(r.shape)
+        return matvec(sweep, r)
+
+    monkeypatch.setattr(FixedStressPreconditioner, "matvec", counted)
+    mat = manufactured_material("t1c1")
+    prob = manufactured_problem(mat)
+    ops = build_operators(generate_rect_mesh((0, 0), (1, 1), 8, 8), mat, prob,
+                          SolverOptions("gmres"))
+    cfg = SchemeConfig("monolithic", *suggested_tuning(mat, "monolithic"))
+    _, trace = iterate_to_convergence(build_initial_state(prob, ops), cfg,
+                                      ops, mat, prob, 0.25)
+    iters = [rep.iterations for _, rep in ops.solver_log]
+    assert trace.converged and len(iters) == trace.iterations > 2
+    assert len(applied) == sum(iters)
+    assert iters[-1] < iters[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gmres_confirming_iteration_takes_no_inner_iteration():
+    # the exact monolithic preset solves a linear step in one iteration;
+    # the second, started from that solution, only confirms it
+    mesh, mat, prob, _, prev = linear_setup(8)
+    ops = build_operators(mesh, mat, prob, SolverOptions("gmres"))
+    cfg = SchemeConfig("monolithic", *suggested_tuning(mat, "monolithic"))
+    _, trace = iterate_to_convergence(prev, cfg, ops, mat, prob, 0.25)
+    assert trace.converged
+    assert [rep.iterations for _, rep in ops.solver_log][1:] == [0]
+
+
 def test_solver_reports_csv(tmp_path):
     from porobiot.linalg import SolverOptions, write_solver_reports_csv
     mesh, mat, prob, ops, prev = linear_setup(4)
