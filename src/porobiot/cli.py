@@ -146,11 +146,14 @@ def parse_values(text):
 
 
 def _law_ranges(cfg):
-    p_lo, p_hi = _fget(cfg, "laws", "p_lo"), _fget(cfg, "laws", "p_hi")
-    s_lo, s_hi = _fget(cfg, "laws", "s_lo"), _fget(cfg, "laws", "s_hi")
-    p_range = (p_lo, p_hi) if p_lo is not None and p_hi is not None else None
-    s_range = (s_lo, s_hi) if s_lo is not None and s_hi is not None else None
-    return p_range, s_range
+    """The (p_range, s_range) of [laws]: None where both ends are unset."""
+    ranges = []
+    for name in ("p", "s"):
+        lo, hi = (_fget(cfg, "laws", f"{name}_{end}") for end in ("lo", "hi"))
+        if (lo is None) != (hi is None):
+            raise ConfigError(f"laws.{name}_lo and laws.{name}_hi go together")
+        ranges.append(None if lo is None else (lo, hi))
+    return tuple(ranges)
 
 
 def _solver_options(cfg):
@@ -199,6 +202,10 @@ def _manufactured_material(cfg):
     case = cfg["laws"]["case"].lower()
     if case not in LAW_CASES:
         raise ConfigError(f"unknown law case {case!r}")
+    if case.startswith("t1"):   # unscaled laws: law_catalog reads neither
+        for key in ("lam", "biot_modulus"):
+            if _fget(cfg, "material", key) != float(DEFAULTS["material"][key]):
+                raise ConfigError(f"law case {case} ignores material.{key}")
     p_range, s_range = _law_ranges(cfg)
     material = dict(
         permeability=_fget(cfg, "material", "permeability"),

@@ -3,11 +3,11 @@
 Factorizations use SuperLU through scipy and are kept by the object that
 reuses them (the L-scheme matrices are constant across iterations and time
 steps).  Every factored matrix is symmetric positive definite, and
-`CachedLU` refuses any other.  The fixed-stress sweep is one linearized splitting sweep: a flux
+`CachedLU` refuses any other.  The fixed-stress sweep,
+`FixedStressPreconditioner`, is one linearized splitting sweep: a flux
 solve with the pressure eliminated through the diagonal P0 mass (the flow
-half), then a mechanics solve driven by the updated pressure (the
-mechanics half).  Each half owns its factorization; the splitting step
-composes them, and so does the sweep that preconditions GMRES on the
+half, `FlowHalf`), then a mechanics solve driven by the updated pressure.
+It is both the splitting step and the preconditioner of GMRES on the
 monolithic system.
 
 Both solvers work on the same symmetric diagonal equilibration
@@ -306,63 +306,59 @@ def gmres(system: BlockSystem, preconditioner=None, restart=50, rtol=1e-10,
 
 class FlowHalf:
     """The flow half of a fixed-stress sweep, which depends on (L1, tau)
-    alone: it builds the flux system of `flow_schur_system`, with the
-    pressure eliminated through the diagonal P0 mass, and owns its
-    factorization."""
+    alone: the factored flux system of `flow_schur_system`, with the
+    pressure eliminated through the diagonal P0 mass.  Sweeps of several
+    L2 may share it."""
 
     def __init__(self, ops, L1, tau):
         self.lu = CachedLU(ops.flow_schur_system(L1, tau).matrix)
-        # the pressure field is unreduced
-        self.b_red = (ops.b_qp @ ops.constraints.q.restriction).tocsr()
-        self.b_red_t = self.b_red.T
         self.L1, self.tau = L1, tau
-        self.l1_areas = L1 * ops.mesh.areas
-
-    def step(self, r_q, r_p):
-        """(d_q, d_p) for the flux and mass residuals: with
-        w = r_p / (L1 M_p), d_q solves the flux system for r_q + B^T w and
-        d_p = w - tau B d_q / (L1 M_p)."""
-        l1_areas = self.l1_areas if r_p.ndim == 1 else self.l1_areas[:, None]
-        w = r_p / l1_areas
-        d_q = self.lu.solve(r_q + self.b_red_t @ w)
-        return d_q, w - self.tau * (self.b_red @ d_q) / l1_areas
-
-
-class MechHalf:
-    """The mechanics half of a fixed-stress sweep, which depends on L2
-    alone: it builds the L2-stabilized mechanics block of `mech_system`
-    and owns its factorization."""
-
-    def __init__(self, ops, L2):
-        self.system = ops.mech_system(L2)
-        self.lu = CachedLU(self.system.matrix)
-        self.b_up_red = (ops.constraints.u.restriction.T @ ops.b_up).tocsr()
-        self.alpha = ops.mat.alpha
-
-    def step(self, r_u, d_p):
-        """d_u for the mechanics residual, driven by the pressure update
-        d_p."""
-        return self.lu.solve(r_u + self.alpha * (self.b_up_red @ d_p))
 
 
 class FixedStressPreconditioner:
-    """One splitting sweep as a stationary linear operator: the flow half
-    of (L1, tau), then the mechanics half of L2 with the pressure update
-    on its right-hand side, applied to a reduced (r_u, r_q, r_p).  The
-    monolithic GMRES solves pass the sweep itself to `gmres`.  Each half,
-    and so `matvec`, takes a vector or an (n, k) block of k of them, whose
-    columns it solves in one multi-column `CachedLU.solve`, to the same
-    bits as k vector calls.
+    """One splitting sweep as a stationary linear operator on a reduced
+    (r_u, r_q, r_p), the splitting step of `SchemeSolver` and the
+    preconditioner its GMRES solves pass to `gmres`.  It holds the flow
+    halves `flows` of step size `tau` (one of `cfg.L1` when None), the
+    factored mechanics block `mech` of `cfg.L2`, and the two couplings.
     """
 
-    def __init__(self, ops, cfg, tau):
-        self.flow, self.mech = FlowHalf(ops, cfg.L1, tau), MechHalf(ops, cfg.L2)
-        self.sizes = (self.mech.lu.shape[0], self.flow.lu.shape[0],
+    def __init__(self, ops, cfg, tau, flows=None):
+        if flows is not None and any(f.tau != tau for f in flows):
+            raise ValueError("flow halves built for another step size")
+        self.flows = flows or [FlowHalf(ops, cfg.L1, tau)]
+        self.mech = ops.mech_system(cfg.L2)
+        self.mech_lu = CachedLU(self.mech.matrix)
+        # the pressure field is unreduced
+        self.b_red = (ops.b_qp @ ops.constraints.q.restriction).tocsr()
+        self.b_red_t = self.b_red.T
+        self.b_up_red = (ops.constraints.u.restriction.T @ ops.b_up).tocsr()
+        self.alpha, self.tau = ops.mat.alpha, tau
+        self.L1 = np.array([f.L1 for f in self.flows])
+        self.l1_areas = ops.mesh.areas[:, None] * self.L1
+        self.sizes = (self.mech_lu.shape[0], self.flows[0].lu.shape[0],
                       ops.mesh.n_cells)
         self.shape = (sum(self.sizes),) * 2
         self.dtype = np.dtype(float)
 
-    def matvec(self, r):
+    def matvec(self, r, cells=None):
+        """The sweep of r, a vector or an (n, k) block whose column j uses
+        the flow half cells[j] (the first when None): with
+        w = r_p / (L1 M_p), d_q solves the flux system for r_q + B^T w,
+        d_p = w - tau B d_q / (L1 M_p), and d_u the mechanics system for
+        r_u + alpha B_u^T d_p.  A column gets the bits of its vector sweep.
+        """
+        block = r if r.ndim == 2 else r[:, None]
+        cells = [0] * block.shape[1] if cells is None else cells
         nu, nq, _ = self.sizes
-        d_q, d_p = self.flow.step(r[nu:nu + nq], r[nu + nq:])
-        return np.concatenate([self.mech.step(r[:nu], d_p), d_q, d_p])
+        l1_areas = self.l1_areas[:, cells]
+        w = block[nu + nq:] / l1_areas
+        rhs_q = block[nu:nu + nq] + self.b_red_t @ w
+        # column_stack's values, without its per-column copies
+        d_q = np.array([self.flows[c].lu.solve(rhs_q[:, j])
+                        for j, c in enumerate(cells)]).T
+        d_p = w - self.tau * (self.b_red @ d_q) / l1_areas
+        d_u = self.mech_lu.solve(block[:nu]
+                                 + self.alpha * (self.b_up_red @ d_p))
+        out = np.concatenate([d_u, d_q, d_p])
+        return out if r.ndim == 2 else out[:, 0]

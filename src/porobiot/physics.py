@@ -211,10 +211,12 @@ class MaterialModel:
     L_h: float = np.inf
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("shear modulus must be positive")
-        if not (self.permeability > 0 and self.nu_f > 0):
-            raise ValueError("permeability and viscosity must be positive")
+        if not np.isfinite(self.alpha):
+            raise ValueError("Biot coefficient must be finite")
+        if not 0 < self.mu < np.inf:
+            raise ValueError("shear modulus must be finite > 0")
+        if not (0 < self.permeability < np.inf and 0 < self.nu_f < np.inf):
+            raise ValueError("permeability and viscosity must be finite > 0")
         if not 0 <= self.b_m <= self.L_b:
             raise ValueError("need 0 <= b_m <= L_b")
         if not 0 <= self.h_m <= self.L_h:
@@ -430,8 +432,8 @@ class MandelConfig:
         return self.force * self.skempton * (1.0 + self.nu_undrained) / (3.0 * self.a)
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0 or self.force <= 0:
-            raise ValueError("dimensions and plate load must be positive")
+        if not all(0 < v < np.inf for v in (self.a, self.b, self.force)):
+            raise ValueError("dimensions and plate load must be finite > 0")
         if not 0.0 < self.nu < 0.5:
             raise ValueError(f"drained Poisson ratio {self.nu:g} outside (0, 1/2)")
         if not 0.0 < self.skempton <= 1.0:

@@ -3,12 +3,11 @@
 Both schemes replace the non-linear storage and volumetric-stress terms by
 constant-slope updates with tuning parameters L1 and L2:
 
-* splitting: one fixed-stress sweep: the flow half (`linalg.FlowHalf`:
-  Darcy row plus L1-stabilized mass row, the displacement coupling taken
-  explicitly) for the new flux, with the pressure eliminated through the
-  diagonal P0 mass and recovered cellwise, then the mechanics half
-  (`linalg.MechHalf`: the L2-stabilized mechanics block) driven by that
-  pressure;
+* splitting: one fixed-stress sweep (`linalg.FixedStressPreconditioner`):
+  the flow half (Darcy row plus L1-stabilized mass row, the displacement
+  coupling taken explicitly) for the new flux, with the pressure
+  eliminated through the diagonal P0 mass and recovered cellwise, then
+  the L2-stabilized mechanics block driven by that pressure;
 * monolithic: one solve of the coupled system in (u, q, p) with the same
   stabilized rows.  Direct solves eliminate the pressure through the
   diagonal P0 mass as well, which leaves a symmetric positive definite
@@ -34,7 +33,7 @@ from .assembly import (BiotOperators, ReducedSystem, assemble_loads,
                        build_operators)
 from .fem import FeFunction, interpolate, l2_norm, per_row
 from .linalg import (BlockSystem, CachedLU, FixedStressPreconditioner,
-                     FlowHalf, LinearSolveError, MechHalf, gmres)
+                     FlowHalf, LinearSolveError, gmres)
 from .mesh import Mesh
 from .physics import MaterialModel, ProblemDefinition, check_admissible
 
@@ -188,24 +187,20 @@ class SchemeSolver:
     """The linear solves of one scheme at one step size, with their
     factorizations.
 
-    A splitting iteration is one fixed-stress sweep: the flow half (the
-    flux system with the pressure eliminated), then the mechanics half.
-    The monolithic scheme solves the (u, q) system with the pressure
-    eliminated by its LU factorization or, when ``ops.solver`` selects
-    GMRES, the 3x3 block system by GMRES preconditioned with the sweep
-    (`linalg.FixedStressPreconditioner`), applied once per inner
-    iteration.  GMRES starts from the iterate it is given, so it solves
-    for the increment.  Each matrix is built and factored once, by the
-    solver or by its halves.  `step` performs one iteration of the scheme
-    and depends on its iterate and step context alone: the solver keeps
-    no solution from one call to the next.
+    A splitting iteration is one application of the fixed-stress sweep
+    `sweep` (`linalg.FixedStressPreconditioner`), which holds the flow
+    halves `flows` of k cells of `cfg.L2`, the first `cfg`'s (one built
+    there when None).  The monolithic scheme solves the (u, q) system
+    with the pressure eliminated by its LU factorization or, when
+    ``ops.solver`` selects GMRES, the 3x3 block system by GMRES
+    preconditioned with the sweep, applied once per inner iteration.
+    GMRES starts from the iterate it is given, so it solves for the
+    increment.  Each matrix is built and factored once.  `step` performs
+    one iteration of the scheme and depends on its iterate and step
+    context alone: the solver keeps no solution from one call to the next.
 
-    A splitting solver holds one flow half per cell (`flows`, those of k
-    cells of `cfg.L2`, the first `cfg`'s; built here when None) and builds
-    the one mechanics half of its L2.
-
-    No attribute holds a bound method of the solver, its halves or its
-    sweep: that reference cycle would keep their factorizations alive until the cyclic
+    No attribute holds a bound method of the solver or its sweep: that
+    reference cycle would keep their factorizations alive until the cyclic
     garbage collector runs, past the end of the run that built them.
     """
 
@@ -213,27 +208,23 @@ class SchemeSolver:
                  flows=None):
         self.ops, self.cfg, self.tau = ops, cfg, tau
         self.mono_lu = None
-        if flows is not None and (cfg.kind != "splitting"
-                                  or any(f.tau != tau for f in flows)):
-            raise ValueError("only a splitting solver takes flow halves, "
-                             "built for its step size")
-        if cfg.kind == "monolithic":
-            if ops.solver is not None and ops.solver.method == "gmres":
-                self.sweep = FixedStressPreconditioner(ops, cfg, tau)
-                self.system = ops.monolithic_system(cfg.L1, cfg.L2, tau)
-            else:
-                self.system = ops.monolithic_schur_system(cfg.L1, cfg.L2, tau)
-                self.mono_lu = CachedLU(self.system.matrix)
+        if flows is not None and cfg.kind != "splitting":
+            raise ValueError("only a splitting solver takes flow halves")
+        if cfg.kind == "monolithic" and (ops.solver is None
+                                         or ops.solver.method != "gmres"):
+            self.system = ops.monolithic_schur_system(cfg.L1, cfg.L2, tau)
+            self.mono_lu = CachedLU(self.system.matrix)
             return
-        self.flows = flows or [FlowHalf(ops, cfg.L1, tau)]
-        self.mech = MechHalf(ops, cfg.L2)
-        self.L1 = np.array([f.L1 for f in self.flows])
+        self.sweep = FixedStressPreconditioner(ops, cfg, tau, flows)
+        if cfg.kind == "monolithic":
+            self.system = ops.monolithic_system(cfg.L1, cfg.L2, tau)
+            return
         # the stacked restriction, shifted by the splitting operator
         # [[A + L2 D, 0, -alpha B_u], [0, M_q, -B^T], [0, tau B, L1 M_p]]
         # on the lifts; the sweep inverts it, so it carries no matrix
         con, names = ops.constraints, ("u", "q", "p")
         lift_q = con.q.lift
-        shift = np.concatenate([self.mech.system.rhs_shift,
+        shift = np.concatenate([self.sweep.mech.rhs_shift,
                                 con.q.restriction.T @ (ops.m_q @ lift_q),
                                 tau * (ops.b_qp @ lift_q)])
         self.system = ReducedSystem(None, shift, *con.composed(names),
@@ -274,15 +265,14 @@ class SchemeSolver:
 
         The fields of `cur` may be (n, k) blocks (not for GMRES), each
         column computed with the arithmetic of a vector.  The columns of a
-        splitting block iterate the solver's `cells`, indices into its
-        flow halves: each solves its flux step with its cell's flow half,
-        and the block its mechanics step in one multi-column solve.
+        splitting block iterate the cells `cells`, indices into the flow
+        halves of the sweep.
         """
         ops, cfg, alpha = self.ops, self.cfg, self.ops.mat.alpha
         nu, nq = ops.dofmap_u.n_dofs, ops.dofmap_q.n_dofs
         u, p = cur.u.coeffs, cur.p.coeffs
         block = cfg.kind == "splitting" and u.ndim == 2
-        L1 = self.L1[cells] if block else cfg.L1
+        L1 = self.sweep.L1[cells] if block else cfg.L1
         divu = ops.divu_dual(u)
         rhs_u = (per_row(ctx.f_vec, u) + cfg.L2 * (ops.d_div @ u)
                  - ops.hu_dual(u, divu))
@@ -305,15 +295,7 @@ class SchemeSolver:
         elif cfg.kind == "monolithic":
             x_red = self._gmres(r, cur)
         else:
-            ru, rq = self.mech.lu.shape[0], self.flows[0].lu.shape[0]
-            if block:
-                flows = [self.flows[c].step(r[ru:ru + rq, j], r[ru + rq:, j])
-                         for j, c in enumerate(cells)]
-                # column_stack's values, without its per-column copies
-                d_q, d_p = (np.array(d).T for d in zip(*flows))
-            else:
-                d_q, d_p = self.flows[0].step(r[ru:ru + rq], r[ru + rq:])
-            x_red = np.concatenate([self.mech.step(r[:ru], d_p), d_q, d_p])
+            x_red = self.sweep.matvec(r, cells)
         x = self.system.expand(x_red)
         u, q, p = x[:nu], x[nu:nu + nq], x[nu + nq:]
         if self.mono_lu is not None:
@@ -433,10 +415,10 @@ def iterate_lockstep(ops: BiotOperators, prev: BiotState, cfgs,
     `ctx` is the step's context and `flows` maps L1 to the `FlowHalf`
     built for it and the step's tau; a half it lacks is built and added.
     The cells still running are the columns of one block of a
-    `SchemeSolver` holding their flow halves and the one mechanics half
-    of their L2, so a cell stops where `iterate_to_convergence` would, but
-    a divergence is a status, not an error.  Range excursions are not
-    checked.
+    `SchemeSolver` whose sweep holds their flow halves and the mechanics
+    block of their L2, so a cell stops where `iterate_to_convergence`
+    would, but a divergence is a status, not an error.  Range excursions
+    are not checked.
     """
     if any(c.kind != "splitting" or c.L2 != cfgs[0].L2 for c in cfgs):
         raise ValueError("lock-step cells are splitting cells of one L2")

@@ -300,6 +300,31 @@ class TestSubcommands:
         ["manufactured", "--h", "0.5", "--tau", "2"],
         ["sweep", "--case", "t1c1", "--scheme", "splitting", "--h", "0.25",
          "--L1-grid", "nan", "--L2-grid", "1"],
+        # one end of a certified range without the other
+        ["manufactured", "--case", "t1c3", "--h", "0.25",
+         "--set", "laws.p_lo=0.5"],
+        ["manufactured", "--case", "t1c3", "--h", "0.25",
+         "--set", "laws.p_hi=0.5"],
+        ["manufactured", "--case", "t1c3", "--h", "0.25",
+         "--set", "laws.s_lo=-0.5"],
+        ["manufactured", "--case", "t1c3", "--h", "0.25",
+         "--set", "laws.s_hi=0.5"],
+        ["mandel", "--steps", "2", "--set", "laws.p_lo=0"],
+        # non-finite physical inputs
+        ["mandel", "--steps", "2", "--set", "problem.force=nan"],
+        ["mandel", "--steps", "2", "--set", "problem.force=inf"],
+        ["manufactured", "--case", "t1c1", "--h", "0.25",
+         "--set", "material.mu=nan"],
+        ["manufactured", "--case", "t1c1", "--h", "0.25",
+         "--set", "material.mu=inf"],
+        ["manufactured", "--case", "t1c1", "--h", "0.25",
+         "--set", "material.alpha=nan"],
+        ["manufactured", "--case", "t1c1", "--h", "0.25",
+         "--set", "material.alpha=inf"],
+        ["manufactured", "--case", "t1c1", "--h", "0.25",
+         "--set", "material.permeability=inf"],
+        ["manufactured", "--case", "t1c1", "--h", "0.25",
+         "--set", "material.viscosity=inf"],
     ], ids=lambda args: "_".join(a.lstrip("-") for a in args))
     def test_bad_input_is_a_config_error(self, tmp_path, capsys, args):
         # a value no run can use: one line on stderr, exit 2, no manifest
@@ -307,6 +332,22 @@ class TestSubcommands:
         assert run_cli(args + ["--out", str(out)]) == EXIT_CONFIG
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["manufactured"], ["verify"],
+        ["sweep", "--L1-grid", "1", "--L2-grid", "1"],
+        ["sensitivity", "--axis", "K", "--values", "1"]])
+    @pytest.mark.parametrize("key", ["lam", "biot_modulus"])
+    def test_unscaled_law_cases_refuse_lam_and_modulus(self, tmp_path,
+                                                       command, key):
+        # the t1c* laws are unscaled: a lam or Biot modulus off its default
+        # would change nothing but the manifest
+        out = tmp_path / "run"
+        args = command + ["--case", "t1c1", "--h", "0.25", "--out", str(out)]
+        assert run_cli(args + ["--set", f"material.{key}=5"]) == EXIT_CONFIG
+        assert not (out / "manifest.json").exists()
+        # the default value, however spelled, is accepted
+        assert run_cli(args + ["--set", f"material.{key}=1"]) == EXIT_OK
 
     @pytest.mark.parametrize("args", [
         # L1 = 1e-320 makes the pressure elimination singular

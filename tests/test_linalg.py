@@ -6,7 +6,8 @@ import scipy.sparse.linalg as spla
 from porobiot.assembly import build_operators
 from porobiot.bench import manufactured_setup, run_mandel, sweep_L
 from porobiot.linalg import (BlockSystem, CachedLU, FactorizationError,
-                             FixedStressPreconditioner, SolverOptions, gmres)
+                             FixedStressPreconditioner, FlowHalf,
+                             SolverOptions, gmres)
 from porobiot.mesh import generate_rect_mesh
 from porobiot.physics import (MandelConfig, mandel_material, mandel_problem,
                               manufactured_material, manufactured_problem)
@@ -365,6 +366,7 @@ class TestSolverOptions:
         assert (opts.restart, opts.rtol, opts.maxiter) == (1, 0.5, 1)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestFixedStressPreconditioner:
     def test_zero_residual_zero_correction(self):
         _, ops, mat = monolithic_linear_system(nx=4)
@@ -386,7 +388,8 @@ class TestFixedStressPreconditioner:
         assert np.abs(left - right).max() <= 1e-12 * scale
 
     def test_block_sweep_is_column_sweeps(self):
-        # both halves, and so the sweep, take blocks column by column
+        # every column of a block uses the first flow half, to the bits
+        # of its own vector sweep
         _, ops, mat = monolithic_linear_system(nx=4)
         M = FixedStressPreconditioner(
             ops, SchemeConfig("splitting", L1=0.3, L2=3.0), 0.25)
@@ -394,6 +397,21 @@ class TestFixedStressPreconditioner:
         got = M.matvec(R)
         for j in range(R.shape[1]):
             assert got[:, j].tobytes() == M.matvec(R[:, j]).tobytes()
+
+    def test_block_columns_use_their_flow_halves(self):
+        # a block whose three columns use three flow halves: each column
+        # is the vector sweep of a sweep built for its cell alone
+        _, ops, mat = monolithic_linear_system(nx=4)
+        cfgs = [SchemeConfig("splitting", L1=l1, L2=3.0)
+                for l1 in (0.3, 1.0, 4.0)]
+        M = FixedStressPreconditioner(
+            ops, cfgs[0], 0.25, [FlowHalf(ops, c.L1, 0.25) for c in cfgs])
+        R = np.random.default_rng(18).standard_normal((M.shape[0], 3))
+        cells = [2, 0, 1]
+        got = M.matvec(R, cells)
+        for j, c in enumerate(cells):
+            own = FixedStressPreconditioner(ops, cfgs[c], 0.25)
+            assert got[:, j].tobytes() == own.matvec(R[:, j]).tobytes()
 
     def test_decoupled_block_exactness(self):
         # alpha = 0 decouples mechanics from flow: the sweep is an exact

@@ -115,6 +115,21 @@ class TestMaterialModel:
         with pytest.raises(ValueError):
             make_material(1.0, 1.0, b, h, 0.0, 1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", np.nan), ("alpha", np.inf), ("alpha", -np.inf),
+        ("mu", np.nan), ("mu", np.inf), ("permeability", np.nan),
+        ("permeability", np.inf), ("nu_f", np.nan), ("nu_f", np.inf)])
+    def test_non_finite_inputs_refused(self, field, value):
+        b, h = law_catalog("t1c1")
+        args = dict(alpha=1.0, mu=1.0, b_law=b, h_law=h, permeability=1.0,
+                    nu_f=1.0)
+        with pytest.raises(ValueError):
+            make_material(**{**args, field: value})
+
+    def test_zero_coupling_is_valid(self):
+        # the sensitivity study's alpha axis starts at the decoupled limit
+        assert manufactured_material("t1c1", alpha=0.0).alpha == 0.0
+
     def test_constants_populated(self):
         mat = manufactured_material("t1c1")
         assert mat.b_m == pytest.approx(np.exp(-1.0))
@@ -304,5 +319,9 @@ class TestMandel:
     def test_config_invariants(self):
         with pytest.raises(ValueError):
             MandelConfig(force=-1.0)
+        for value in (np.nan, np.inf):
+            for field in ("a", "b", "force"):
+                with pytest.raises(ValueError):
+                    MandelConfig(**{field: value})
         with pytest.raises(ValueError):
             MandelConfig(lam=-5e9)

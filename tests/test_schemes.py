@@ -484,9 +484,9 @@ def test_block_step_columns_are_their_cells_vector_steps():
                     == getattr(want, n).coeffs.tobytes())
     with pytest.raises(ValueError):
         SchemeSolver(ops, replace(cfgs[0], kind="monolithic"), 0.25,
-                     solver.flows)
+                     solver.sweep.flows)
     with pytest.raises(ValueError):
-        SchemeSolver(ops, cfgs[0], 0.5, solver.flows)
+        SchemeSolver(ops, cfgs[0], 0.5, solver.sweep.flows)
 
 
 class TestTimeMarch:
@@ -695,6 +695,37 @@ def test_gmres_step_applies_the_sweep_once_per_inner_iteration(monkeypatch):
     assert trace.converged and len(iters) == trace.iterations > 2
     assert len(applied) == sum(iters)
     assert iters[-1] < iters[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_splitting_applies_the_sweep_once_per_iteration(monkeypatch):
+    # a splitting iteration is one application of the sweep: to a vector
+    # for one cell, and to the block of the cells still running when
+    # cells iterate in lock step
+    from porobiot.linalg import FixedStressPreconditioner
+    applied, matvec = [], FixedStressPreconditioner.matvec
+
+    def counted(sweep, r, cells=None):
+        applied.append(r.shape)
+        return matvec(sweep, r, cells)
+
+    monkeypatch.setattr(FixedStressPreconditioner, "matvec", counted)
+    mat = manufactured_material("t1c1")
+    prob = manufactured_problem(mat)
+    ops = build_operators(generate_rect_mesh((0, 0), (1, 1), 6, 6), mat, prob)
+    prev = build_initial_state(prob, ops)
+    cfg = SchemeConfig("splitting", *suggested_tuning(mat, "splitting"))
+    _, trace = iterate_to_convergence(prev, cfg, ops, mat, prob, 0.25)
+    assert trace.converged and trace.iterations > 2
+    assert len(applied) == trace.iterations
+    assert all(len(shape) == 1 for shape in applied)
+    applied.clear()
+    cfgs = [replace(cfg, L1=f * cfg.L1) for f in (1.0, 4.0, 16.0)]
+    out = iterate_lockstep(ops, prev, cfgs, StepContext.build(
+        ops, prob, prev, 0.25), {})
+    assert len(applied) == max(n for n, _ in out)
+    assert applied[0][1] == 3 and len({n for n, _ in out}) > 1
+    assert sum(shape[1] for shape in applied) == sum(n for n, _ in out)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
