@@ -1,0 +1,138 @@
+"""The golden CSV bodies that `tests/test_golden.py` compares runs against.
+
+`CASES` holds twelve small command-line runs: short consolidation runs by
+LU, splitting, GMRES and `t2c3` splitting, small L-sweeps by both schemes,
+the manufactured ladder by LU, splitting and GMRES, `verify` by both
+schemes and a sensitivity K axis.  Each case's CSV files live in
+`tests/golden/<case>/`, and `versions.json` records the numpy and scipy
+versions and the machine they were written on.  `manifest.json` and the
+`seconds` column of `linsolve.csv` are left out: they record the host, not
+the arithmetic.
+
+    python tests/golden/regenerate.py
+
+reruns every case, rewrites its files and `versions.json`, and prints each
+file's largest relative change against the file it replaces.  That is the
+bound to state when a change moves output bits on purpose.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import platform
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+GOLDEN = Path(__file__).resolve().parent
+
+_MANDEL = ["mandel", "--set", "problem.nx=10", "--set", "problem.ny=10"]
+_SWEEP = ["sweep", "--case", "t1c1", "--h", "0.125",
+          "--L1-grid", "logspace(-1,1,3)", "--L2-grid", "logspace(-1,1,3)"]
+_LADDER = ["manufactured", "--case", "t1c1", "--h", "0.25", "--levels", "3"]
+_VERIFY = ["verify", "--case", "t1c1", "--h", "0.125"]
+_GMRES = ["--set", "solver.method=gmres"]
+
+CASES = {
+    "mandel_lu": _MANDEL + ["--steps", "10"],
+    "mandel_splitting": _MANDEL + ["--steps", "10", "--scheme", "splitting"],
+    "mandel_gmres": _MANDEL + ["--steps", "10"] + _GMRES,
+    "mandel_t2c3_splitting": _MANDEL + ["--steps", "5", "--nonlinear", "t2c3",
+                                        "--scheme", "splitting"],
+    "sweep_splitting": _SWEEP + ["--scheme", "splitting"],
+    "sweep_monolithic": _SWEEP + ["--scheme", "monolithic"],
+    "manufactured_lu": _LADDER,
+    "manufactured_splitting": _LADDER + ["--scheme", "splitting"],
+    "manufactured_gmres": _LADDER + _GMRES,
+    "verify_monolithic": _VERIFY,
+    "verify_splitting": _VERIFY + ["--scheme", "splitting"],
+    "sensitivity_K": ["sensitivity", "--case", "t1c1", "--h", "0.125",
+                      "--axis", "K", "--values", "0.1,1,10"],
+}
+
+
+def versions():
+    """The numpy and scipy versions and the machine of this process."""
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "machine": platform.machine()}
+
+
+def run_case(argv, outdir):
+    """Run one case's command line into `outdir`: {file name: CSV body}."""
+    from porobiot.cli import main
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv + ["--out", str(outdir)])
+    if code != 0:
+        raise RuntimeError(f"{' '.join(argv)} exited {code}")
+    bodies = {}
+    for path in sorted(Path(outdir).glob("*.csv")):
+        body = path.read_bytes()
+        if path.name == "linsolve.csv":   # drop the seconds column
+            body = b"".join(line.rsplit(b",", 1)[0] + b"\n"
+                            for line in body.splitlines())
+        bodies[path.name] = body
+    return bodies
+
+
+_INT = re.compile(r"-?\d+")
+
+
+def differences(got: bytes, want: bytes):
+    """(largest relative change of the float cells, cells that differ
+    otherwise).  Cells that read as integers in both bodies, status strings,
+    empty cells and the header compare exactly; the rows and columns must
+    match."""
+    rows_got = [r.split(",") for r in got.decode().splitlines()]
+    rows_want = [r.split(",") for r in want.decode().splitlines()]
+    if [len(r) for r in rows_got] != [len(r) for r in rows_want]:
+        return float("inf"), ["the rows or columns differ"]
+    largest, exact = 0.0, []
+    for i, (row_got, row_want) in enumerate(zip(rows_got, rows_want)):
+        for j, (a, b) in enumerate(zip(row_got, row_want)):
+            if a == b:
+                continue
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                x = y = None
+            if (i == 0 or x is None or not np.isfinite([x, y]).all()
+                    or (_INT.fullmatch(a) and _INT.fullmatch(b))):
+                exact.append(f"row {i} column {j}: {a!r} != {b!r}")
+            elif x != y:
+                largest = max(largest, abs(x - y) / max(abs(x), abs(y)))
+    return largest, exact
+
+
+def main():
+    for name, argv in CASES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            bodies = run_case(argv, tmp)
+        folder = GOLDEN / name
+        folder.mkdir(exist_ok=True)
+        for stale in set(p.name for p in folder.glob("*.csv")) - set(bodies):
+            (folder / stale).unlink()
+        for file_name, body in bodies.items():
+            path = folder / file_name
+            if path.exists():
+                largest, exact = differences(body, path.read_bytes())
+                change = (f"{len(exact)} exact cells differ" if exact
+                          else f"largest relative change {largest:.3g}")
+            else:
+                change = "new"
+            path.write_bytes(body)
+            print(f"{name}/{file_name}: {change}")
+    (GOLDEN / "versions.json").write_text(
+        json.dumps(versions(), indent=2, sort_keys=True) + "\n",
+        encoding="utf-8")
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(GOLDEN.parents[1] / "src"))
+    main()

@@ -1,0 +1,46 @@
+"""Byte identity of the reproduction CSVs against `tests/golden/`.
+
+Each case of `golden.regenerate.CASES` is rerun and its CSV bodies are
+compared with the committed ones: byte for byte where the numpy and scipy
+versions and the machine match those recorded in `versions.json`, and
+otherwise floats at a relative tolerance of 1e-10, with integers, status
+strings and headers exact.  A change that moves output bits on purpose
+reruns `python tests/golden/regenerate.py` and states the largest relative
+change it prints.
+"""
+
+import json
+
+import pytest
+
+from golden.regenerate import CASES, GOLDEN, differences, run_case, versions
+
+RTOL = 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_csv_bodies_match_the_golden_files(name, tmp_path):
+    got = run_case(CASES[name], tmp_path)
+    folder = GOLDEN / name
+    want = {p.name: p.read_bytes() for p in folder.glob("*.csv")}
+    assert sorted(got) == sorted(want)
+    same_build = versions() == json.loads(
+        (GOLDEN / "versions.json").read_text(encoding="utf-8"))
+    for file_name, body in got.items():
+        if same_build:
+            assert body == want[file_name], f"{name}/{file_name} moved"
+        else:
+            largest, exact = differences(body, want[file_name])
+            assert not exact and largest <= RTOL, (file_name, largest, exact)
+
+
+def test_differences_compares_floats_relatively_and_the_rest_exactly():
+    want = b"iter,value,status\n1,1.5,converged\n"
+    assert differences(want, want) == (0.0, [])
+    largest, exact = differences(b"iter,value,status\n1,1.5000000003,converged\n",
+                                 want)
+    assert exact == [] and largest == pytest.approx(2e-10, rel=1e-6)
+    assert differences(b"iter,value,status\n2,1.5,converged\n", want)[1]
+    assert differences(b"iter,value,status\n1,1.5,maxiter\n", want)[1]
+    assert differences(b"iter,value,status\n1,nan,converged\n", want)[1]
+    assert differences(b"iter,value\n1,1.5\n", want)[1]
