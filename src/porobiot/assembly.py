@@ -39,38 +39,20 @@ class ReducedSystem:
 
     Given a full right-hand side b, the reduced system reads
     ``matrix @ x_red = R^T b - rhs_shift`` with R the restriction, and the
-    full solution is ``R @ x_red + lift``.  R has one unit entry in every
-    row of a DOF that is not pinned, in the column `reduced_of` gives (-1
-    where pinned), so `restrict` and `expand` apply R^T to a vector and R
-    through that index instead of sparse products, with the same sums in
-    the same order.  Both also take an (n, k) block of k vectors, column by
-    column: `restrict` by the sparse product R^T, which sums each column
-    in the order of the index.
+    full solution is ``R @ x_red + lift``.
     """
 
     matrix: sp.spmatrix
     rhs_shift: np.ndarray
     restriction: sp.spmatrix
     lift: np.ndarray
-    reduced_of: np.ndarray
 
     def __post_init__(self):
-        # pinned DOFs map to one unknown past the reduced ones, which
-        # `restrict` drops and `expand` reads as zero
-        self._n = self.restriction.shape[1]
-        self._index = np.where(self.reduced_of >= 0, self.reduced_of, self._n)
         self._restriction_t = self.restriction.T   # a view of R's arrays
 
     def restrict(self, b):
-        """R^T b: the full vector summed into the reduced unknowns."""
-        if b.ndim == 2:
-            return self._restriction_t @ b
-        return np.bincount(self._index, weights=b, minlength=self._n + 1)[:self._n]
-
-    def expand(self, x_red):
-        """R x_red + lift."""
-        padded = np.concatenate([x_red, np.zeros((1,) + x_red.shape[1:])])
-        return padded.take(self._index, axis=0) + per_row(self.lift, x_red)
+        """R^T b, column by column for an (n, k) block."""
+        return self._restriction_t @ b
 
 
 def assemble_mechanics(mesh: Mesh, mat: MaterialModel, dofmap_u: DofMap,
@@ -176,6 +158,21 @@ class FieldConstraints:
             shape=(n_full, self.n_reduced)).tocsr()
         self.lift = np.zeros(n_full)
         self.lift[list(pinned)] = list(pinned.values())
+        self._gather = np.where(kept, self.reduced_of, self.n_reduced)
+        self._first = np.nonzero(first)[0]   # each unknown's first DOF
+
+    def expand(self, x, lift=True):
+        """R x + lift of an (n_reduced, k) block, with the bits of the
+        sparse products, or R x (an increment) without the lift: a gather,
+        in which pinned DOFs read a zero row past the unknowns."""
+        padded = np.concatenate([x, np.zeros((1, x.shape[1]))])
+        full = padded.take(self._gather, axis=0)
+        return full + self.lift[:, None] if lift else full
+
+    def coordinates(self, full):
+        """Each unknown's value at its first DOF of the full vector `full`:
+        the inverse of `expand` where `full` meets the constraints."""
+        return full[self._first]
 
 
 @dataclass
@@ -189,25 +186,18 @@ class BlockConstraints:
     def composed(self, names):
         """Block-diagonal restriction and stacked lift of the named fields.
 
-        The CSR arrays are built from `composed_index`: one unit entry in
-        each row that is not pinned.  They equal those of `sp.block_diag`
+        The restriction has one unit entry in each row that is not pinned,
+        in the column of its field's unknown, numbered past the unknowns of
+        the fields before it.  Its CSR arrays equal those of `sp.block_diag`
         of the field restrictions, built in about a third of its time."""
         fields = [getattr(self, n) for n in names]
-        index = self.composed_index(names)
-        kept = index >= 0
+        offsets = np.cumsum([0] + [f.n_reduced for f in fields])
+        index = np.concatenate([f.reduced_of + o for f, o in zip(fields, offsets)])
+        kept = np.concatenate([f.reduced_of >= 0 for f in fields])
         indptr = np.concatenate([[0], np.cumsum(kept)])
         R = sp.csr_matrix((np.ones(int(indptr[-1])), index[kept], indptr),
-                          shape=(index.size, sum(f.n_reduced for f in fields)))
+                          shape=(index.size, int(offsets[-1])))
         return R, np.concatenate([f.lift for f in fields])
-
-    def composed_index(self, names):
-        """Stacked `reduced_of` of the named fields, numbered like the
-        columns of `composed`'s restriction (-1 where pinned)."""
-        parts, offset = [], 0
-        for f in (getattr(self, n) for n in names):
-            parts.append(np.where(f.reduced_of >= 0, f.reduced_of + offset, -1))
-            offset += f.n_reduced
-        return np.concatenate(parts)
 
 
 # displacement component normal to each side
@@ -328,8 +318,8 @@ class BiotOperators:
         `divu` is `divu_dual(u_coeffs)`, when the caller has it already;
         both may be blocks of displacements, as in `bp_dual`.
         """
-        div = self.div_u_cells(u_coeffs) if divu is None \
-            else divu / per_row(self.mesh.areas, divu)
+        divu = self.divu_dual(u_coeffs) if divu is None else divu
+        div = divu / per_row(self.mesh.areas, divu)
         return self.b_up @ np.asarray(self.mat.h_law(div), dtype=float)
 
     # -- scheme system matrices (reduced) -----------------------------------
@@ -338,8 +328,7 @@ class BiotOperators:
         R, lift = self.constraints.composed(names)
         shift = R.T @ (full @ lift) if np.any(lift != 0.0) \
             else np.zeros(R.shape[1])
-        return ReducedSystem((R.T @ full @ R).tocsr(), shift, R, lift,
-                             self.constraints.composed_index(names))
+        return ReducedSystem((R.T @ full @ R).tocsr(), shift, R, lift)
 
     def _reduced_spd(self, full, names):
         """`_reduced` for a symmetric positive definite operator, made

@@ -300,8 +300,9 @@ def cmd_sensitivity(cfg, outdir, axis, values_spec):
     case, material, mat = _manufactured_material(cfg)
     scheme = _scheme_config(cfg, mat)
     values = parse_values(values_spec)
-    if axis != "alpha" and not np.all(values > 0):
-        raise ConfigError(f"sensitivity values of {axis} must be positive")
+    if not np.all(values >= 0 if axis == "alpha" else values > 0):
+        raise ConfigError(f"sensitivity values of {axis} must be "
+                          + ("non-negative" if axis == "alpha" else "positive"))
     rows = sensitivity_grid(case, scheme.kind, axis, values,
                             scheme.L1, scheme.L2,
                             nx=int(round(1.0 / _fget(cfg, "problem", "h"))),
@@ -319,9 +320,10 @@ def cmd_verify(cfg, outdir):
         solver=_solver_options(cfg))
     mat = ops.mat
     scheme = _scheme_config(cfg, mat)
-    state, trace, archive = iterate_to_convergence(
+    archive = []
+    state, trace = iterate_to_convergence(
         prev, scheme, ops, mat, ops.problem, _fget(cfg, "problem", "tau"),
-        keep_iterates=True)
+        archive)
     if not trace.converged:
         raise DivergenceError("iteration did not converge; nothing to verify")
     report = verify_contraction(archive, state, mat, scheme, ops)

@@ -194,8 +194,10 @@ class CachedLU:
         return scaled
 
     def _raw_solve(self, b):
-        s = self.scale if b.ndim == 1 else self.scale[:, None]
-        return s * self._lu.solve(s * b)
+        # SuperLU solves a vector faster than a one-column block, to its bits
+        v = b[:, 0] if b.shape[1:] == (1,) else b
+        s = self.scale if v.ndim == 1 else self.scale[:, None]
+        return (s * self._lu.solve(s * v)).reshape(b.shape)
 
     def solve(self, b):
         return self._raw_solve(np.asarray(b, dtype=float))

@@ -193,9 +193,10 @@ def estimate_constants(law: NonlinearLaw, rng=None, samples=101):
 class MaterialModel:
     """Poromechanical material: coupling constants, laws and permeability.
 
-    `permeability` is one positive constant K and nu_f the positive (dynamic)
-    fluid viscosity; the Darcy weak form weighs the flux by nu_f / K.  The
-    law constants (b_m, L_b, h_m, L_h) are estimates over the laws' certified
+    The Biot coefficient alpha is finite and at least 0.  `permeability`
+    is one positive constant K and nu_f the positive (dynamic) fluid
+    viscosity; the Darcy weak form weighs the flux by nu_f / K.  The law
+    constants (b_m, L_b, h_m, L_h) are estimates over the laws' certified
     ranges and feed the theorem-compliance flags.  No gravity load.
     """
 
@@ -211,8 +212,8 @@ class MaterialModel:
     L_h: float = np.inf
 
     def __post_init__(self):
-        if not np.isfinite(self.alpha):
-            raise ValueError("Biot coefficient must be finite")
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError("Biot coefficient must be finite >= 0")
         if not 0 < self.mu < np.inf:
             raise ValueError("shear modulus must be finite > 0")
         if not (0 < self.permeability < np.inf and 0 < self.nu_f < np.inf):

@@ -16,10 +16,11 @@ constant-slope updates with tuning parameters L1 and L2:
 
 All system matrices are constant across iterations and time steps, so a
 `SchemeSolver` builds them and their factorizations once and reuses them.
-Iterations start from the previous time-step solution and stop when the
-summed L2 norms of the field increments drop below the tolerance
-(`stop_status`).  `iterate_lockstep` iterates several splitting cells of
-one L2 together, their iterates the columns of one block.
+An iterate, an (n, k) block of reduced coordinates with one column per
+cell, starts at the previous time-step solution, and full fields are
+formed once a step ends.  Iterations stop when the summed L2 norms of the
+field increments drop below the tolerance (`stop_status`);
+`iterate_lockstep` iterates several splitting cells of one L2 together.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .assembly import (BiotOperators, ReducedSystem, assemble_loads,
                        build_operators)
-from .fem import FeFunction, interpolate, l2_norm, per_row
+from .fem import FeFunction, interpolate, l2_norm
 from .linalg import (BlockSystem, CachedLU, FixedStressPreconditioner,
                      FlowHalf, LinearSolveError, gmres)
 from .mesh import Mesh
@@ -187,6 +188,9 @@ class SchemeSolver:
     """The linear solves of one scheme at one step size, with their
     factorizations.
 
+    An iterate x is an (n, k) block of k reduced (u, q, p), numbered as in
+    `BlockConstraints.composed`; `coordinates` and `state` convert it.
+
     A splitting iteration is one application of the fixed-stress sweep
     `sweep` (`linalg.FixedStressPreconditioner`), which holds the flow
     halves `flows` of k cells of `cfg.L2`, the first `cfg`'s (one built
@@ -207,6 +211,9 @@ class SchemeSolver:
     def __init__(self, ops: BiotOperators, cfg: SchemeConfig, tau,
                  flows=None):
         self.ops, self.cfg, self.tau = ops, cfg, tau
+        con = ops.constraints
+        self.sizes = (con.u.n_reduced, con.q.n_reduced, con.p.n_reduced)
+        self.L1 = np.array([f.L1 for f in flows] if flows else [cfg.L1])
         self.mono_lu = None
         if flows is not None and cfg.kind != "splitting":
             raise ValueError("only a splitting solver takes flow halves")
@@ -222,87 +229,85 @@ class SchemeSolver:
         # the stacked restriction, shifted by the splitting operator
         # [[A + L2 D, 0, -alpha B_u], [0, M_q, -B^T], [0, tau B, L1 M_p]]
         # on the lifts; the sweep inverts it, so it carries no matrix
-        con, names = ops.constraints, ("u", "q", "p")
         lift_q = con.q.lift
         shift = np.concatenate([self.sweep.mech.rhs_shift,
                                 con.q.restriction.T @ (ops.m_q @ lift_q),
                                 tau * (ops.b_qp @ lift_q)])
-        self.system = ReducedSystem(None, shift, *con.composed(names),
-                                    con.composed_index(names))
+        self.system = ReducedSystem(None, shift, *con.composed(("u", "q", "p")))
 
-    def _gmres(self, rhs_red, cur: BiotState):
-        """The reduced monolithic solution by GMRES, started from the
-        reduced coordinates of `cur`: the solve is one for the increment,
-        and a converged iterate needs no inner iteration."""
-        opts, cfg, index = self.ops.solver, self.cfg, self.system.reduced_of
-        free = index >= 0
-        x0 = np.empty(self.system.matrix.shape[0])
-        x0[index[free]] = np.concatenate([cur.u.coeffs, cur.q.coeffs,
-                                          cur.p.coeffs])[free]
-        x_red, report = gmres(BlockSystem(self.system.matrix, rhs_red),
-                              preconditioner=self.sweep,
-                              restart=opts.restart, rtol=opts.rtol,
-                              maxiter=opts.maxiter, x0=x0)
-        self.ops.solver_log.append((f"mono/L1={cfg.L1:g}/L2={cfg.L2:g}", report))
-        if not report.converged:
-            raise LinearSolveError(
-                f"preconditioned GMRES stopped at {report.status} with relative "
-                f"residual {report.relres:.2e}")
-        return x_red
+    def coordinates(self, state: BiotState):
+        """The one-column x of `state` (`FieldConstraints.coordinates`)."""
+        con = self.ops.constraints
+        return np.concatenate([con.u.coordinates(state.u.coeffs),
+                               con.q.coordinates(state.q.coeffs),
+                               state.p.coeffs])[:, None]
 
-    def step(self, cur: BiotState, ctx: StepContext, cells=None) -> BiotState:
-        """One iteration of the scheme from the iterate `cur`.
+    def state(self, x, time):
+        """The `BiotState` at `time` of the first column of x."""
+        ops, con, (nu, nq, _) = self.ops, self.ops.constraints, self.sizes
+        return BiotState(
+            FeFunction(ops.dofmap_u, con.u.expand(x[:nu, :1])[:, 0]),
+            FeFunction(ops.dofmap_q, con.q.expand(x[nu:nu + nq, :1])[:, 0]),
+            FeFunction(ops.dofmap_p, x[nu + nq:, 0].copy()), time)
 
-        Both schemes form the L-scheme right-hand side (rhs_u, g, rhs_p),
-        but for the displacement coupling of the mass row, which the
-        splitting takes explicitly.  The sweep (splitting) and GMRES solve
-        for its restriction, GMRES from the reduced coordinates of `cur`.
-        The monolithic LU solve eliminates the
-        pressure from the mass row alpha B_u^T u + tau B q + L1 M_p p = rhs_p: with
-        w = rhs_p / (L1 M_p) the (u, q) system of `monolithic_schur_system`
-        has the right-hand side (rhs_u + alpha B_u w, tau (g + B^T w)), and
-        p is recovered cellwise, M_p being the diagonal P0 mass.
+    def step(self, x, ctx: StepContext, cells=None):
+        """The next iterate after the (n, k) block x: a new block.
 
-        The fields of `cur` may be (n, k) blocks (not for GMRES), each
-        column computed with the arithmetic of a vector.  The columns of a
-        splitting block iterate the cells `cells`, indices into the flow
-        halves of the sweep.
+        Both schemes form the L-scheme right-hand side (rhs_u, g, rhs_p) in
+        full coordinates, from u = R x_u + lift and p, but for the
+        displacement coupling of the mass row, which the splitting takes
+        explicitly.  The sweep (splitting) and GMRES solve for its
+        restriction, GMRES from x itself.  The monolithic LU solve
+        eliminates the pressure from the mass row
+        alpha B_u^T u + tau B q + L1 M_p p = rhs_p: with w = rhs_p / (L1 M_p)
+        the (u, q) system of `monolithic_schur_system` has the right-hand
+        side (rhs_u + alpha B_u w, tau (g + B^T w)), and p is recovered
+        cellwise, M_p being the diagonal P0 mass.
+
+        Column j gets the bits of a vector's arithmetic and iterates the
+        cell cells[j], an index into the sweep's flow halves (the first when
+        None).  GMRES takes one column.
         """
         ops, cfg, alpha = self.ops, self.cfg, self.ops.mat.alpha
-        nu, nq = ops.dofmap_u.n_dofs, ops.dofmap_q.n_dofs
-        u, p = cur.u.coeffs, cur.p.coeffs
-        block = cfg.kind == "splitting" and u.ndim == 2
-        L1 = self.sweep.L1[cells] if block else cfg.L1
+        con, (nu, nq, _) = ops.constraints, self.sizes
+        L1 = self.L1[cells or [0]]
+        u, p = con.u.expand(x[:nu]), x[nu + nq:]
+        areas = ops.mesh.areas[:, None]
         divu = ops.divu_dual(u)
-        rhs_u = (per_row(ctx.f_vec, u) + cfg.L2 * (ops.d_div @ u)
+        rhs_u = (ctx.f_vec[:, None] + cfg.L2 * (ops.d_div @ u)
                  - ops.hu_dual(u, divu))
-        rhs_p = (per_row(ctx.mass_const, p) - ops.bp_dual(p)
-                 + L1 * (per_row(ops.mesh.areas, p) * p))
+        rhs_p = ctx.mass_const[:, None] - ops.bp_dual(p) + L1 * (areas * p)
         if self.mono_lu is not None:
-            l1_areas = per_row(L1 * ops.mesh.areas, p)
+            l1_areas = areas * L1
             w = rhs_p / l1_areas
             rhs = np.concatenate([rhs_u + alpha * (ops.b_up @ w),
-                                  ctx.tau * (per_row(ctx.g_vec, w)
+                                  ctx.tau * (ctx.g_vec[:, None]
                                              + ops.b_qp_t @ w)])
         else:
             if cfg.kind == "splitting":
                 rhs_p -= alpha * divu
-            g = np.broadcast_to(per_row(ctx.g_vec, u), (nq,) + u.shape[1:])
+            g = np.broadcast_to(ctx.g_vec[:, None], (ctx.g_vec.size, x.shape[1]))
             rhs = np.concatenate([rhs_u, g, rhs_p])
-        r = self.system.restrict(rhs) - per_row(self.system.rhs_shift, rhs)
+        r = self.system.restrict(rhs) - self.system.rhs_shift[:, None]
         if self.mono_lu is not None:
-            x_red = self.mono_lu.solve(r)
-        elif cfg.kind == "monolithic":
-            x_red = self._gmres(r, cur)
-        else:
-            x_red = self.sweep.matvec(r, cells)
-        x = self.system.expand(x_red)
-        u, q, p = x[:nu], x[nu:nu + nq], x[nu + nq:]
-        if self.mono_lu is not None:
+            uq = self.mono_lu.solve(r)
+            u, q = con.u.expand(uq[:nu]), con.q.expand(uq[nu:])
             p = (rhs_p - (alpha * ops.divu_dual(u)
                           + ctx.tau * (ops.b_qp @ q))) / l1_areas
-        return BiotState(FeFunction(ops.dofmap_u, u), FeFunction(ops.dofmap_q, q),
-                         FeFunction(ops.dofmap_p, p), ctx.t_new)
+            return np.concatenate([uq, p])
+        if cfg.kind == "splitting":
+            return self.sweep.matvec(r, cells)
+        opts = ops.solver
+        x_red, report = gmres(BlockSystem(self.system.matrix, r.ravel()),
+                              preconditioner=self.sweep,
+                              restart=opts.restart, rtol=opts.rtol,
+                              maxiter=opts.maxiter, x0=x.ravel())
+        ops.solver_log.append((f"mono/L1={cfg.L1:g}/L2={cfg.L2:g}", report))
+        if not report.converged:
+            raise LinearSolveError(
+                f"preconditioned GMRES stopped at {report.status} with relative "
+                f"residual {report.relres:.2e}")
+        return x_red[:, None]
 
 
 def stop_status(total, first_total, iterations, cfg: SchemeConfig):
@@ -321,28 +326,30 @@ def stop_status(total, first_total, iterations, cfg: SchemeConfig):
     return None
 
 
-def _iterate(solver: SchemeSolver, cur: BiotState, ctx: StepContext, cfgs,
+def _iterate(solver: SchemeSolver, x, ctx: StepContext, cfgs,
              trace: IterationTrace = None, archive=None):
-    """Iterate `solver` from `cur`, one cell's vectors or the (n, k) block
-    of its k cells (`cfgs`), until `stop_status` stops every cell; a
-    stopped cell's column leaves the block.  `trace` and `archive` record
-    a vector cell's increments and iterates.  Returns the last iterate
-    and each cell's (iterations, status).
+    """Iterate `solver` from the (n, k) block x of its k cells (`cfgs`)
+    until `stop_status` stops every cell, whose column then leaves the
+    block.  Increments are measured in full coordinates, expanded without
+    the lift; `trace` and `archive` record those of a single cell and its
+    states.  Returns the last block and each cell's (iterations, status).
     """
-    ops = solver.ops
+    ops, con, (nu, nq, _) = solver.ops, solver.ops.constraints, solver.sizes
     live = list(range(len(cfgs)))   # the cell of each column
     first, out, iterations = {}, [None] * len(cfgs), 0
     while live:
         iterations += 1
-        new = solver.step(cur, ctx, live)
-        dp = l2_norm(FeFunction(ops.dofmap_p, new.p.coeffs - cur.p.coeffs))
-        dq = l2_norm(FeFunction(ops.dofmap_q, new.q.coeffs - cur.q.coeffs))
-        du = l2_norm(FeFunction(ops.dofmap_u, new.u.coeffs - cur.u.coeffs))
+        new = solver.step(x, ctx, live)
+        dx = new - x
+        dp = l2_norm(FeFunction(ops.dofmap_p, dx[nu + nq:]))
+        dq = l2_norm(FeFunction(ops.dofmap_q,
+                                con.q.expand(dx[nu:nu + nq], lift=False)))
+        du = l2_norm(FeFunction(ops.dofmap_u, con.u.expand(dx[:nu], lift=False)))
         if trace is not None:
-            trace.record(dp, dq, du)
+            trace.record(dp[0], dq[0], du[0])
         if archive is not None:
-            archive.append(new.copy())
-        cur, totals, going = new, np.atleast_1d(dp + dq + du), []
+            archive.append(solver.state(new, ctx.t_new))
+        x, totals, going = new, dp + dq + du, []
         for j, c in enumerate(live):
             status = stop_status(totals[j], first.setdefault(c, totals[j]),
                                  iterations, cfgs[c])
@@ -353,26 +360,26 @@ def _iterate(solver: SchemeSolver, cur: BiotState, ctx: StepContext, cfgs,
         if len(going) < len(live):
             live = [live[j] for j in going]
             if live:
-                cur = BiotState(*(FeFunction(f.dofmap, f.coeffs[:, going])
-                                  for f in (cur.u, cur.q, cur.p)), cur.time)
-    return cur, out
+                x = x[:, going]
+    return x, out
 
 
 def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
                            ops: BiotOperators, mat: MaterialModel,
                            problem: ProblemDefinition, tau,
-                           keep_iterates=False, solver: SchemeSolver = None,
+                           archive=None, solver: SchemeSolver = None,
                            ctx: StepContext = None):
     """Iterate one scheme until the summed increment norms fall below tol.
 
-    The first iterate is seeded with the previous time-step solution.  A
+    The iterate starts at `SchemeSolver.coordinates` of the previous
+    time-step solution, and the state is formed from the last one.  A
     combined increment that is not finite or above divergence_factor times
     the first one aborts with `DivergenceError`; exhausting max_iter
     returns with converged=False (`stop_status`).  `solver` reuses the
     factorizations of an earlier call with the same operators, scheme and
     step size, and `ctx` the step context built from `prev` and `tau`;
-    without them they are built here.  Returns the final state, the trace
-    and (optionally) the archived iterates.
+    without them they are built here.  A list `archive` receives a copy of
+    `prev`, then each iterate's state.  Returns the final state and trace.
     """
     if solver is None:
         solver = SchemeSolver(ops, cfg, tau)
@@ -382,10 +389,11 @@ def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
         ctx = StepContext.build(ops, problem, prev, tau)
     elif ctx.tau != tau or ctx.t_new != prev.time + tau:
         raise ValueError("step context was built for another step")
-    cur = BiotState(prev.u, prev.q, prev.p, ctx.t_new)
     trace = IterationTrace()
-    archive = [cur.copy()] if keep_iterates else None
-    cur, [(_, status)] = _iterate(solver, cur, ctx, [cfg], trace, archive)
+    if archive is not None:
+        archive.append(prev.copy())
+    x, [(_, status)] = _iterate(solver, solver.coordinates(prev), ctx, [cfg],
+                                trace, archive)
     # a sweep solves the flux and the mechanics systems
     trace.n_linear_solves = (2 if cfg.kind == "splitting" else 1) * \
         trace.iterations
@@ -399,11 +407,10 @@ def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
             f"first increment {first_total:.3e}")
     trace.converged = status == "converged"
 
+    cur = solver.state(x, ctx.t_new)
     trace.range_excursions = check_admissible(
         mat, cur.p.coeffs, ops.div_u_cells(cur.u.coeffs),
         context=f"t={ctx.t_new:g}: ")
-    if keep_iterates:
-        return cur, trace, archive
     return cur, trace
 
 
@@ -426,10 +433,8 @@ def iterate_lockstep(ops: BiotOperators, prev: BiotState, cfgs,
         if c.L1 not in flows:
             flows[c.L1] = FlowHalf(ops, c.L1, ctx.tau)
     solver = SchemeSolver(ops, cfgs[0], ctx.tau, [flows[c.L1] for c in cfgs])
-    cur = BiotState(*(FeFunction(f.dofmap, np.repeat(f.coeffs[:, None],
-                                                     len(cfgs), axis=1))
-                      for f in (prev.u, prev.q, prev.p)), ctx.t_new)
-    return _iterate(solver, cur, ctx, cfgs)[1]
+    x = np.repeat(solver.coordinates(prev), len(cfgs), axis=1)
+    return _iterate(solver, x, ctx, cfgs)[1]
 
 
 def build_initial_state(problem: ProblemDefinition, ops: BiotOperators) -> BiotState:

@@ -4,7 +4,8 @@ They evaluate the discrete spaces one cell or one point at a time, the
 slow and obvious way, so that the tests can check the vectorized
 assembly and the cell-constant fields of `porobiot.fem` against them.
 `lu_solve` solves the nonsymmetric block systems (the 3x3 monolithic and
-the 2x2 flux-pressure block) that no run factors.
+the 2x2 flux-pressure block) that no run factors, and `vector_step` is one
+scheme iteration by vectors in full coordinates.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from porobiot.fem import FeFunction, SpaceKind
+from porobiot.linalg import BlockSystem, gmres
 from porobiot.mesh import MeshError
+from porobiot.schemes import BiotState
 
 
 @dataclass(frozen=True)
@@ -144,3 +147,48 @@ def lu_solve(matrix, b):
     if refine:
         x.reshape(len(x), -1)[:, refine] += raw(r.reshape(len(r), -1)[:, refine])
     return x
+
+
+def vector_step(solver, cur, ctx):
+    """One iteration of the `SchemeSolver` `solver` from the `BiotState`
+    `cur`, by vectors in full coordinates: the right-hand side is formed
+    from the fields of `cur`, restricted by the sparse product R^T, solved,
+    and expanded by R + lift, GMRES started from the reduced coordinates
+    that the index of R gives `cur`.  `SchemeSolver.step` keeps its bits on
+    a one-column block."""
+    ops, cfg, alpha = solver.ops, solver.cfg, solver.ops.mat.alpha
+    system = solver.system
+    R = system.restriction
+    u, p = cur.u.coeffs, cur.p.coeffs
+    divu = ops.divu_dual(u)
+    rhs_u = ctx.f_vec + cfg.L2 * (ops.d_div @ u) - ops.hu_dual(u, divu)
+    rhs_p = ctx.mass_const - ops.bp_dual(p) + cfg.L1 * (ops.mesh.areas * p)
+    if solver.mono_lu is not None:
+        l1_areas = cfg.L1 * ops.mesh.areas
+        w = rhs_p / l1_areas
+        rhs = np.concatenate([rhs_u + alpha * (ops.b_up @ w),
+                              ctx.tau * (ctx.g_vec + ops.b_qp_t @ w)])
+    else:
+        if cfg.kind == "splitting":
+            rhs_p = rhs_p - alpha * divu
+        rhs = np.concatenate([rhs_u, ctx.g_vec, rhs_p])
+    r = R.T @ rhs - system.rhs_shift
+    if solver.mono_lu is not None:
+        x_red = solver.mono_lu.solve(r)
+    elif cfg.kind == "monolithic":
+        x0 = np.empty(R.shape[1])
+        x0[R.indices] = np.concatenate([u, cur.q.coeffs, p])[np.diff(R.indptr) > 0]
+        opts = ops.solver
+        x_red = gmres(BlockSystem(system.matrix, r), preconditioner=solver.sweep,
+                      restart=opts.restart, rtol=opts.rtol,
+                      maxiter=opts.maxiter, x0=x0)[0]
+    else:
+        x_red = solver.sweep.matvec(r)
+    x = R @ x_red + system.lift
+    nu, nq = ops.dofmap_u.n_dofs, ops.dofmap_q.n_dofs
+    u, q, p = x[:nu], x[nu:nu + nq], x[nu + nq:]
+    if solver.mono_lu is not None:
+        p = (rhs_p - (alpha * ops.divu_dual(u)
+                      + ctx.tau * (ops.b_qp @ q))) / l1_areas
+    return BiotState(FeFunction(ops.dofmap_u, u), FeFunction(ops.dofmap_q, q),
+                     FeFunction(ops.dofmap_p, p), ctx.t_new)

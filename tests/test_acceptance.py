@@ -151,8 +151,9 @@ def t1_runs():
         for kind in ("splitting", "monolithic"):
             L1, L2 = suggested_case_tuning(mat, kind)
             cfg = SchemeConfig(kind, L1=L1, L2=L2, tol=1e-10, max_iter=6000)
-            state, trace, archive = iterate_to_convergence(
-                prev, cfg, ops, mat, prob, tau, keep_iterates=True)
+            archive = []
+            state, trace = iterate_to_convergence(
+                prev, cfg, ops, mat, prob, tau, archive=archive)
             entry[kind] = {"cfg": cfg, "state": state, "trace": trace,
                            "archive": archive}
         runs[case] = entry

@@ -234,6 +234,24 @@ class TestNonlinearRhs:
         z = interpolate(ops.dofmap_u, lambda x, y: (x, 0.0))  # div z = 1
         assert z.coeffs @ hu == pytest.approx(8.0, rel=1e-13)
 
+    def test_duals_of_a_block_are_its_columns_duals(self):
+        # with or without the divergence at hand, each column of a block
+        # gets the bits of its own vector
+        mat = manufactured_material("t1c1")
+        ops = build_operators(generate_rect_mesh((0, 0), (1, 1), 3, 3), mat,
+                              manufactured_problem(mat))
+        rng = np.random.default_rng(3)
+        U = 0.1 * rng.standard_normal((ops.dofmap_u.n_dofs, 2))
+        P = 0.1 * rng.standard_normal((ops.dofmap_p.n_dofs, 2))
+        blocks = (ops.hu_dual(U), ops.hu_dual(U, ops.divu_dual(U)),
+                  ops.bp_dual(P))
+        for j in range(2):
+            u, p = U[:, j].copy(), P[:, j].copy()
+            for blk, vec in zip(blocks, (ops.hu_dual(u), ops.hu_dual(u),
+                                         ops.bp_dual(p))):
+                assert blk.shape == (vec.size, 2)
+                assert blk[:, j].tobytes() == vec.tobytes()
+
     def test_zero_state_exponential(self):
         # b(0) = 1 for the exponential law: entries are the cell areas
         mat = manufactured_material("t1c1")
@@ -354,38 +372,45 @@ class TestConstraints:
 
 
 class TestIndexMaps:
-    """`ReducedSystem.restrict` and `expand` apply R^T and R + lift through
-    the composed index, to the last bit of the sparse products."""
+    """`FieldConstraints.expand` applies R and R + lift by a gather, to the
+    last bit of the sparse products, and `coordinates` inverts it;
+    `ReducedSystem.restrict` maps a block column by column."""
 
     @staticmethod
-    def assert_maps_match(system, seed):
-        R, lift = system.restriction, system.lift
+    def assert_maps_match(con, seed):
+        R, lift = con.restriction, con.lift
         rng = np.random.default_rng(seed)
-        b = rng.standard_normal(R.shape[0])
-        b[::7] = -0.0
-        x = rng.standard_normal(R.shape[1])
-        x[::5] = -0.0
-        assert system.restrict(b).tobytes() == (R.T @ b).tobytes()
-        assert system.expand(x).tobytes() == (R @ x + lift).tobytes()
+        X = rng.standard_normal((R.shape[1], 3))
+        X[::5] = -0.0
+        expanded, increment = con.expand(X), con.expand(X, lift=False)
+        for j in range(3):
+            x = X[:, j].copy()
+            assert expanded[:, j].tobytes() == (R @ x + lift).tobytes()
+            assert np.array_equal(increment[:, j], R @ x)   # zeros may keep a sign
+            assert np.array_equal(con.coordinates(expanded[:, j]), x)
+
+    @staticmethod
+    def assert_restricts_by_columns(system, seed):
+        R = system.restriction
+        B = np.random.default_rng(seed).standard_normal((R.shape[0], 3))
+        B[::7] = -0.0
+        restricted = system.restrict(B)
+        for j in range(3):
+            b = B[:, j].copy()
+            assert restricted[:, j].tobytes() == system.restrict(b).tobytes()
+            assert restricted[:, j].tobytes() == (R.T @ b).tobytes()
 
     def test_blocks_map_column_by_column(self):
         cons = BlockConstraints(
             u=FieldConstraints(12, pinned={0: 1.5, 7: -2.0}, ties=[[3, 5, 9]]),
             q=FieldConstraints(5, pinned={4: -0.75}),
             p=FieldConstraints(4))
+        for seed, name in enumerate("uqp"):
+            self.assert_maps_match(getattr(cons, name), seed)
         names = ("u", "q", "p")
         R, lift = cons.composed(names)
-        system = ReducedSystem(None, np.zeros(R.shape[1]), R, lift,
-                               cons.composed_index(names))
-        rng = np.random.default_rng(5)
-        B = rng.standard_normal((R.shape[0], 3))
-        X = rng.standard_normal((R.shape[1], 3))
-        restricted, expanded = system.restrict(B), system.expand(X)
-        for j in range(3):
-            assert restricted[:, j].tobytes() == system.restrict(
-                B[:, j].copy()).tobytes()
-            assert expanded[:, j].tobytes() == system.expand(
-                X[:, j].copy()).tobytes()
+        self.assert_restricts_by_columns(
+            ReducedSystem(None, np.zeros(R.shape[1]), R, lift), 5)
 
     def test_numbering_follows_the_dofs(self):
         con = FieldConstraints(8, pinned={0: 1.5, 6: -2.0}, ties=[[5, 2, 7]])
@@ -394,17 +419,15 @@ class TestIndexMaps:
         assert con.lift.tolist() == [1.5, 0, 0, 0, 0, 0, -2.0, 0]
 
     def test_pinned_values_and_a_tie_group(self):
-        cons = BlockConstraints(
-            u=FieldConstraints(12, pinned={0: 1.5, 7: -2.0, 11: 0.25},
-                               ties=[[3, 5, 9]]),
-            q=FieldConstraints(5, pinned={4: -0.75}),
-            p=FieldConstraints(4))
-        for names in (("u",), ("u", "q"), ("u", "q", "p")):
-            R, lift = cons.composed(names)
-            system = ReducedSystem(sp.identity(R.shape[1], format="csr"),
-                                   np.zeros(R.shape[1]), R, lift,
-                                   cons.composed_index(names))
-            self.assert_maps_match(system, seed=len(names))
+        con = FieldConstraints(12, pinned={0: 1.5, 7: -2.0, 11: 0.25},
+                               ties=[[3, 5, 9]])
+        self.assert_maps_match(con, seed=1)
+        # a field off its constraints is projected: the tie group takes its
+        # first DOF's value, and the pinned DOFs their lift
+        full = np.arange(12.0)
+        back = con.expand(con.coordinates(full)[:, None])[:, 0]
+        assert back[[3, 5, 9]].tolist() == [3.0, 3.0, 3.0]
+        assert back[[0, 7, 11]].tolist() == [1.5, -2.0, 0.25]
 
     def test_mandel_composed_systems(self):
         cfg = MandelConfig()
@@ -413,8 +436,11 @@ class TestIndexMaps:
         ops = build_operators(generate_rect_mesh((0, 0), (cfg.a, cfg.b), 6, 4),
                               mat, prob)
         assert ops.constraints.u.ties  # the tied top plate
-        self.assert_maps_match(ops.monolithic_schur_system(1.0, 1.0, 0.5), 1)
-        self.assert_maps_match(ops.monolithic_system(1.0, 1.0, 0.5), 2)
+        self.assert_maps_match(ops.constraints.u, 1)
+        self.assert_maps_match(ops.constraints.q, 2)
+        self.assert_restricts_by_columns(
+            ops.monolithic_schur_system(1.0, 1.0, 0.5), 3)
+        self.assert_restricts_by_columns(ops.monolithic_system(1.0, 1.0, 0.5), 4)
 
     @pytest.mark.parametrize("case", ["mandel", "t1c1"])
     def test_composed_restriction_matches_block_diag(self, case):

@@ -336,8 +336,9 @@ class TestContraction:
     def test_splitting_undrained_strictly_decreasing(self):
         mat, prob, mesh, ops, prev = linear_setup(8)
         cfg = SchemeConfig("splitting", L1=1.0, L2=2.0)
-        state, trace, archive = iterate_to_convergence(
-            prev, cfg, ops, mat, prob, 0.25, keep_iterates=True)
+        archive = []
+        state, trace = iterate_to_convergence(
+            prev, cfg, ops, mat, prob, 0.25, archive=archive)
         assert cfg.splitting_safe(mat)
         report = verify_contraction(archive, state, mat, cfg, ops)
         assert report.monotone
@@ -356,16 +357,18 @@ class TestContraction:
         ops = build_operators(mesh, mat, prob)
         prev = build_initial_state(prob, ops)
         cfg = SchemeConfig("monolithic", L1=0.05, L2=1.0)
-        state, trace, archive = iterate_to_convergence(
-            prev, cfg, ops, mat, prob, 0.25, keep_iterates=True)
+        archive = []
+        state, trace = iterate_to_convergence(
+            prev, cfg, ops, mat, prob, 0.25, archive=archive)
         report = verify_contraction(archive, state, mat, cfg, ops)
         assert report.monotone
 
     def test_single_iteration_vacuously_monotone(self):
         mat, prob, mesh, ops, prev = linear_setup(4)
         cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
-        state, trace, archive = iterate_to_convergence(
-            prev, cfg, ops, mat, prob, 0.25, keep_iterates=True)
+        archive = []
+        state, trace = iterate_to_convergence(
+            prev, cfg, ops, mat, prob, 0.25, archive=archive)
         report = verify_contraction(archive[:2], archive[1], mat, cfg, ops)
         assert report.monotone
 

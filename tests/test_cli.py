@@ -103,6 +103,14 @@ class TestSubcommands:
         lines = (out / "sensitivity.csv").read_text().strip().splitlines()
         assert len(lines) == 3
 
+    def test_sensitivity_alpha_axis_starts_at_zero(self, tmp_path):
+        out = tmp_path / "run"
+        code = run_cli(["sensitivity", "--case", "t1c1", "--axis", "alpha",
+                        "--values=0,0.5", "--h", "0.25", "--out", str(out)])
+        assert code == EXIT_OK
+        rows = (out / "sensitivity.csv").read_text().strip().splitlines()[1:]
+        assert [r.split(",")[1] for r in rows] == ["0", "0.5"]
+
     def test_verify_smoke(self, tmp_path):
         out = tmp_path / "run"
         code = run_cli(["verify", "--case", "t1c1", "--scheme", "splitting",
@@ -321,6 +329,13 @@ class TestSubcommands:
          "--set", "material.alpha=nan"],
         ["manufactured", "--case", "t1c1", "--h", "0.25",
          "--set", "material.alpha=inf"],
+        # a negative Biot coefficient
+        ["manufactured", "--case", "t1c1", "--h", "0.25",
+         "--set", "material.alpha=-1"],
+        ["sensitivity", "--case", "t1c1", "--h", "0.25", "--axis", "alpha",
+         "--values=-1,-0.5"],
+        ["sensitivity", "--case", "t1c1", "--h", "0.25", "--axis", "alpha",
+         "--values=0.5,-1"],
         ["manufactured", "--case", "t1c1", "--h", "0.25",
          "--set", "material.permeability=inf"],
         ["manufactured", "--case", "t1c1", "--h", "0.25",

@@ -123,6 +123,19 @@ class TestLU:
         for j in range(B.shape[1]):
             assert X[:, j].tobytes() == lu.solve(B[:, j]).tobytes()
 
+    def test_one_column_block_solve_is_the_vector_solve(self):
+        # a one-column block is solved as its vector, with the bits that
+        # SuperLU gives the block itself, in one call of the solve
+        ops, L1, L2 = mandel_si_operators(nx=8)
+        lu = CachedLU(ops.monolithic_schur_system(L1, L2, 1.0).matrix)
+        b = np.random.default_rng(15).standard_normal(lu.shape[0])
+        s = lu.scale[:, None]
+        block = s * lu._lu.solve(s * b[:, None])
+        calls = count_raw_solves(lu)
+        x = lu.solve(b[:, None])
+        assert len(calls) == 1 and x.shape == (b.size, 1)
+        assert x.tobytes() == lu.solve(b).tobytes() == block.tobytes()
+
     def test_cached_lu_reuse(self):
         A = sp.diags([1.0, 2.0, 3.0]).tocsr()
         lu = CachedLU(A)

@@ -130,6 +130,11 @@ class TestMaterialModel:
         # the sensitivity study's alpha axis starts at the decoupled limit
         assert manufactured_material("t1c1", alpha=0.0).alpha == 0.0
 
+    @pytest.mark.parametrize("alpha", [-1.0, -1e-300])
+    def test_negative_biot_coefficient_refused(self, alpha):
+        with pytest.raises(ValueError):
+            manufactured_material("t1c1", alpha=alpha)
+
     def test_constants_populated(self):
         mat = manufactured_material("t1c1")
         assert mat.b_m == pytest.approx(np.exp(-1.0))

@@ -19,7 +19,7 @@ from porobiot.schemes import (BiotState, DivergenceError, SchemeConfig,
                               iterate_to_convergence, residual_norms, stop_status, suggested_tuning,
                               time_march, write_trace_csv)
 
-from oracles import lu_solve
+from oracles import lu_solve, vector_step
 
 
 def linear_setup(nx=8):
@@ -148,7 +148,9 @@ class TestFixedPoints:
         ctx = StepContext.build(ops, prob, prev, 0.25)
         for kind in ("splitting", "monolithic"):
             cfg = SchemeConfig(kind, L1=1.0, L2=2.0)
-            new = SchemeSolver(ops, cfg, 0.25).step(prev.copy(), ctx)
+            solver = SchemeSolver(ops, cfg, 0.25)
+            new = solver.state(solver.step(solver.coordinates(prev), ctx),
+                               ctx.t_new)
             assert np.allclose(new.p.coeffs, 0.0, atol=1e-14)
             assert np.allclose(new.q.coeffs, 0.0, atol=1e-14)
             assert np.allclose(new.u.coeffs, 0.0, atol=1e-14)
@@ -257,7 +259,7 @@ class TestLinearConvergence:
         ctx = StepContext.build(ops, prob, prev, tau)
         solver = SchemeSolver(ops, SchemeConfig("splitting", L1, L2), tau)
         nq = ops.dofmap_q.n_dofs
-        cur = prev.copy()
+        cur, x = prev.copy(), solver.coordinates(prev)
         for _ in range(3):
             rhs_p = (ctx.mass_const - ops.bp_dual(cur.p.coeffs)
                      + L1 * (ops.m_p @ cur.p.coeffs)
@@ -270,7 +272,8 @@ class TestLinearConvergence:
                 FeFunction(ops.dofmap_u, reduced_solve(ops.mech_system(L2), rhs_u)),
                 FeFunction(ops.dofmap_q, qp[:nq]),
                 FeFunction(ops.dofmap_p, qp[nq:]), ctx.t_new)
-            got = solver.step(cur, ctx)
+            x = solver.step(x, ctx)
+            got = solver.state(x, ctx.t_new)
             assert max(field_errors(ops, got, expect)) <= 1e-10
             assert l2_norm(FeFunction(ops.dofmap_p, got.p.coeffs)) > 1e-4
             cur = got
@@ -295,8 +298,8 @@ class TestLinearConvergence:
         prev = build_initial_state(prob, ops)
         L1, L2 = suggested_tuning(mat, "monolithic")
         ctx = StepContext.build(ops, prob, prev, tau)
-        got = SchemeSolver(ops, SchemeConfig("monolithic", L1, L2), tau).step(
-            prev, ctx)
+        solver = SchemeSolver(ops, SchemeConfig("monolithic", L1, L2), tau)
+        got = solver.state(solver.step(solver.coordinates(prev), ctx), ctx.t_new)
         u, p = prev.u.coeffs, prev.p.coeffs
         rhs_u = ctx.f_vec + L2 * (ops.d_div @ u) - ops.hu_dual(u)
         rhs_p = ctx.mass_const - ops.bp_dual(p) + L1 * (ops.m_p @ p)
@@ -330,8 +333,9 @@ class TestIterationControl:
     def test_seeding_bitwise(self):
         mesh, mat, prob, ops, prev = linear_setup(4)
         cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
-        _, _, archive = iterate_to_convergence(prev, cfg, ops, mat, prob,
-                                               0.25, keep_iterates=True)
+        archive = []
+        iterate_to_convergence(prev, cfg, ops, mat, prob, 0.25,
+                               archive=archive)
         assert np.array_equal(archive[0].p.coeffs, prev.p.coeffs)
         assert np.array_equal(archive[0].q.coeffs, prev.q.coeffs)
         assert np.array_equal(archive[0].u.coeffs, prev.u.coeffs)
@@ -428,39 +432,75 @@ def test_lockstep_cells_must_share_one_mechanics_half():
     assert list(flows) == [1.0] and flows[1.0] is half
 
 
-@pytest.mark.parametrize("case", ["t1c1", "mandel"])
-@pytest.mark.parametrize("kind", ["splitting", "monolithic"])
-def test_one_column_block_step_is_the_vector_step(case, kind):
-    # a block of one column is stepped with the arithmetic of its vector,
-    # on the manufactured problem and on the tied, pinned Mandel slab
+def case_setup(case, nx, ny, solver=None):
+    """Operators, initial state and step size of the manufactured `case`
+    on the nx-by-ny unit square, or of the tied, pinned Mandel slab."""
     if case == "mandel":
         cfg = MandelConfig()
         mat = mandel_material("linear", cfg)
         prob = mandel_problem(mat, cfg, final_time=10.0)
-        mesh = generate_rect_mesh((0, 0), (cfg.a, cfg.b), 10, 6)
+        mesh = generate_rect_mesh((0, 0), (cfg.a, cfg.b), nx, ny)
         tau = 1.0
     else:
         mat = manufactured_material(case)
         prob = manufactured_problem(mat)
-        mesh = generate_rect_mesh((0, 0), (1, 1), 6, 6)
+        mesh = generate_rect_mesh((0, 0), (1, 1), nx, ny)
         tau = 0.25
-    ops = build_operators(mesh, mat, prob)
-    prev = build_initial_state(prob, ops)
-    solver = SchemeSolver(ops, SchemeConfig(kind, *suggested_tuning(mat, kind)),
-                          tau)
-    ctx = StepContext.build(ops, prob, prev, tau)
-    vec, blk = prev, BiotState(*(FeFunction(f.dofmap, f.coeffs[:, None])
-                                 for f in (prev.u, prev.q, prev.p)), prev.time)
-    for _ in range(3):
-        vec, blk = solver.step(vec, ctx), solver.step(blk, ctx, cells=[0])
-        for a, b in zip((vec.u, vec.q, vec.p), (blk.u, blk.q, blk.p)):
-            assert b.coeffs.shape == (a.coeffs.size, 1)
-            assert b.coeffs[:, 0].tobytes() == a.coeffs.tobytes()
+    ops = build_operators(mesh, mat, prob, solver)
+    return ops, build_initial_state(prob, ops), tau
+
+
+@pytest.mark.parametrize("case", ["t1c1", "mandel"])
+@pytest.mark.parametrize("kind", ["splitting", "monolithic"])
+def test_one_column_block_step_is_the_vector_step(case, kind):
+    # a block of one column is stepped with the arithmetic of the vector
+    # step in full coordinates, by LU, by GMRES and by the sweep, on the
+    # manufactured problem and on the tied, pinned Mandel slab
+    for method in ("lu", "gmres") if kind == "monolithic" else ("lu",):
+        ops, prev, tau = case_setup(case, *((10, 6) if case == "mandel"
+                                            else (6, 6)), SolverOptions(method))
+        solver = SchemeSolver(ops, SchemeConfig(
+            kind, *suggested_tuning(ops.mat, kind)), tau)
+        ctx = StepContext.build(ops, ops.problem, prev, tau)
+        vec, x = prev, solver.coordinates(prev)
+        for _ in range(3):
+            vec, x = vector_step(solver, vec, ctx), solver.step(x, ctx, cells=[0])
+            blk = solver.state(x, ctx.t_new)
+            assert x.shape == (sum(solver.sizes), 1)
+            for a, b in zip((vec.u, vec.q, vec.p), (blk.u, blk.q, blk.p)):
+                assert b.coeffs.tobytes() == a.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("case", ["t1c1", "mandel"])
+def test_state_and_iterate_round_trip_bit_for_bit(case):
+    # x = coordinates(state) and state(x) invert each other to the last bit,
+    # on the initial state and after one step of each scheme, also across
+    # the tie group and the pins of the Mandel slab; a pinned DOF takes its
+    # lift, so the -0.0 that the initial slab holds there comes back as 0.0
+    ops, prev, tau = case_setup(case, 10, 10)
+    ctx = StepContext.build(ops, ops.problem, prev, tau)
+    for kind in ("splitting", "monolithic"):
+        solver = SchemeSolver(ops, SchemeConfig(
+            kind, *suggested_tuning(ops.mat, kind)), tau)
+        x = solver.coordinates(prev)
+        states = [(solver.state(x, prev.time), prev, x)]
+        x = solver.step(x, ctx)
+        new = solver.state(x, ctx.t_new)
+        states.append((new, solver.state(solver.coordinates(new), ctx.t_new), x))
+        for got, want, coords in states:
+            assert solver.coordinates(got).tobytes() == coords.tobytes()
+            assert got.time == want.time
+            for n in "uqp":
+                a, b = getattr(got, n).coeffs, getattr(want, n).coeffs
+                free = getattr(ops.constraints, n).reduced_of >= 0
+                assert np.array_equal(a, b)
+                assert a[free].tobytes() == b[free].tobytes()
+        assert np.any(states[1][0].u.coeffs != prev.u.coeffs)
 
 
 def test_block_step_columns_are_their_cells_vector_steps():
     # a splitting solver of three cells of one L2 steps a block of two of
-    # them: each column as a fresh solver of its cell steps its vector
+    # them: each column as a fresh solver of its cell steps its column
     from porobiot.linalg import FlowHalf
     mat = manufactured_material("t1c1")
     prob = manufactured_problem(mat)
@@ -471,17 +511,12 @@ def test_block_step_columns_are_their_cells_vector_steps():
     solver = SchemeSolver(ops, cfgs[0], 0.25,
                           [FlowHalf(ops, c.L1, 0.25) for c in cfgs])
     fresh = [SchemeSolver(ops, c, 0.25) for c in cfgs]
-    states = [f.step(prev, ctx) for f in fresh]   # distinct iterates
+    xs = [f.step(f.coordinates(prev), ctx) for f in fresh]   # distinct iterates
     cells = [2, 0]
-    blk = BiotState(*(FeFunction(getattr(prev, n).dofmap, np.column_stack(
-        [getattr(states[c], n).coeffs for c in cells])) for n in "uqp"),
-        ctx.t_new)
-    got = solver.step(blk, ctx, cells=cells)
+    got = solver.step(np.hstack([xs[c] for c in cells]), ctx, cells=cells)
     for j, c in enumerate(cells):
-        want = fresh[c].step(states[c], ctx)
-        for n in "uqp":
-            assert (getattr(got, n).coeffs[:, j].tobytes()
-                    == getattr(want, n).coeffs.tobytes())
+        want = fresh[c].step(xs[c], ctx)
+        assert got[:, j].tobytes() == want[:, 0].tobytes()
     with pytest.raises(ValueError):
         SchemeSolver(ops, replace(cfgs[0], kind="monolithic"), 0.25,
                      solver.sweep.flows)
@@ -648,9 +683,9 @@ def test_step_builds_no_sparse_transpose(monkeypatch, kind, method):
     ops.b_up.T
     assert built == ["csr_matrix"]
     built.clear()
-    cur = prev
+    x = solver.coordinates(prev)
     for _ in range(2):
-        cur = solver.step(cur, ctx)
+        x = solver.step(x, ctx)
     assert built == []
 
 
@@ -699,9 +734,9 @@ def test_gmres_step_applies_the_sweep_once_per_inner_iteration(monkeypatch):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_splitting_applies_the_sweep_once_per_iteration(monkeypatch):
-    # a splitting iteration is one application of the sweep: to a vector
-    # for one cell, and to the block of the cells still running when
-    # cells iterate in lock step
+    # a splitting iteration is one application of the sweep: to a block of
+    # one column for one cell, and to the block of the cells still running
+    # when cells iterate in lock step
     from porobiot.linalg import FixedStressPreconditioner
     applied, matvec = [], FixedStressPreconditioner.matvec
 
@@ -718,7 +753,7 @@ def test_splitting_applies_the_sweep_once_per_iteration(monkeypatch):
     _, trace = iterate_to_convergence(prev, cfg, ops, mat, prob, 0.25)
     assert trace.converged and trace.iterations > 2
     assert len(applied) == trace.iterations
-    assert all(len(shape) == 1 for shape in applied)
+    assert all(shape[1:] == (1,) for shape in applied)
     applied.clear()
     cfgs = [replace(cfg, L1=f * cfg.L1) for f in (1.0, 4.0, 16.0)]
     out = iterate_lockstep(ops, prev, cfgs, StepContext.build(
