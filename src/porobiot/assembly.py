@@ -312,15 +312,21 @@ class BiotOperators:
         return per_row(self.mesh.areas, p_cells) * np.asarray(
             self.mat.b_law(p_cells), dtype=float)
 
-    def hu_dual(self, u_coeffs, divu=None):
-        """<h(div u), div z> against all displacement tests (exact).
-
-        `divu` is `divu_dual(u_coeffs)`, when the caller has it already;
-        both may be blocks of displacements, as in `bp_dual`.
-        """
-        divu = self.divu_dual(u_coeffs) if divu is None else divu
+    def hu_dual(self, u_coeffs):
+        """<h(div u), div z> against all displacement tests (exact); of
+        each column when `u_coeffs` is a block of displacements, as in
+        `bp_dual`."""
+        divu = self.divu_dual(u_coeffs)
         div = divu / per_row(self.mesh.areas, divu)
         return self.b_up @ np.asarray(self.mat.h_law(div), dtype=float)
+
+    def reduced_couplings(self):
+        """The couplings between the reduced displacement and flux and the
+        cell pressures, as CSR: R_u^T B_u, whose product with cellwise
+        values v is <v, div z> on the reduced tests, and B R_q."""
+        con = self.constraints
+        return ((con.u.restriction.T @ self.b_up).tocsr(),
+                (self.b_qp @ con.q.restriction).tocsr())
 
     # -- scheme system matrices (reduced) -----------------------------------
 

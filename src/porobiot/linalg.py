@@ -332,9 +332,8 @@ class FixedStressPreconditioner:
         self.mech = ops.mech_system(cfg.L2)
         self.mech_lu = CachedLU(self.mech.matrix)
         # the pressure field is unreduced
-        self.b_red = (ops.b_qp @ ops.constraints.q.restriction).tocsr()
+        self.b_up_red, self.b_red = ops.reduced_couplings()
         self.b_red_t = self.b_red.T
-        self.b_up_red = (ops.constraints.u.restriction.T @ ops.b_up).tocsr()
         self.alpha, self.tau = ops.mat.alpha, tau
         self.L1 = np.array([f.L1 for f in self.flows])
         self.l1_areas = ops.mesh.areas[:, None] * self.L1

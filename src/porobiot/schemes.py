@@ -18,7 +18,11 @@ All system matrices are constant across iterations and time steps, so a
 `SchemeSolver` builds them and their factorizations once and reuses them.
 An iterate, an (n, k) block of reduced coordinates with one column per
 cell, starts at the previous time-step solution, and full fields are
-formed once a step ends.  Iterations stop when the summed L2 norms of the
+formed once a step ends.  Each iteration forms its right-hand side in
+reduced coordinates too: the loads are restricted once per step
+(`StepContext`), and the divergence, the law h and the L2 stabilization
+of the mechanics row come from the reduced coupling R_u^T B_u and a
+constant lift term.  Iterations stop when the summed L2 norms of the
 field increments drop below the tolerance (`stop_status`);
 `iterate_lockstep` iterates several splitting cells of one L2 together.
 """
@@ -30,8 +34,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .assembly import (BiotOperators, ReducedSystem, assemble_loads,
-                       build_operators)
+from .assembly import BiotOperators, assemble_loads, build_operators
 from .fem import FeFunction, interpolate, l2_norm
 from .linalg import (BlockSystem, CachedLU, FixedStressPreconditioner,
                      FlowHalf, LinearSolveError, gmres)
@@ -167,13 +170,16 @@ class IterationTrace:
 
 @dataclass
 class StepContext:
-    """Loads and previous-state terms that are constant over one time step."""
+    """Loads and previous-state terms that are constant over one time step;
+    the loads also restricted, once, for the scheme iterations."""
 
     t_new: float
     tau: float
     f_vec: np.ndarray
     g_vec: np.ndarray
     mass_const: np.ndarray   # tau <S_f, w> + <b(p_prev), w> + alpha <div u_prev, w>
+    f_red: np.ndarray        # R_u^T f_vec
+    g_red: np.ndarray        # R_q^T g_vec
 
     @classmethod
     def build(cls, ops: BiotOperators, problem, prev: BiotState, tau):
@@ -181,7 +187,9 @@ class StepContext:
         f_vec, g_vec, s_vec = assemble_loads(problem, ops, t_new)
         mass_const = (tau * s_vec + ops.bp_dual(prev.p.coeffs)
                       + ops.mat.alpha * ops.divu_dual(prev.u.coeffs))
-        return cls(t_new, tau, f_vec, g_vec, mass_const)
+        con = ops.constraints
+        return cls(t_new, tau, f_vec, g_vec, mass_const,
+                   con.u.restriction.T @ f_vec, con.q.restriction.T @ g_vec)
 
 
 class SchemeSolver:
@@ -199,9 +207,11 @@ class SchemeSolver:
     ``ops.solver`` selects GMRES, the 3x3 block system by GMRES
     preconditioned with the sweep, applied once per inner iteration.
     GMRES starts from the iterate it is given, so it solves for the
-    increment.  Each matrix is built and factored once.  `step` performs
-    one iteration of the scheme and depends on its iterate and step
-    context alone: the solver keeps no solution from one call to the next.
+    increment.  Each matrix is built and factored once, and after them
+    the couplings of `BiotOperators.reduced_couplings`, shared with the
+    sweep.  `step` performs one iteration of the scheme and depends on its
+    iterate and step context alone: the solver keeps no solution from one
+    call to the next.
 
     No attribute holds a bound method of the solver or its sweep: that
     reference cycle would keep their factorizations alive until the cyclic
@@ -217,23 +227,31 @@ class SchemeSolver:
         self.mono_lu = None
         if flows is not None and cfg.kind != "splitting":
             raise ValueError("only a splitting solver takes flow halves")
+        self.lift_divu = ops.divu_dual(con.u.lift)[:, None]   # <div lift, w>
+        lift_q = con.q.lift
         if cfg.kind == "monolithic" and (ops.solver is None
                                          or ops.solver.method != "gmres"):
-            self.system = ops.monolithic_schur_system(cfg.L1, cfg.L2, tau)
-            self.mono_lu = CachedLU(self.system.matrix)
-            return
-        self.sweep = FixedStressPreconditioner(ops, cfg, tau, flows)
-        if cfg.kind == "monolithic":
-            self.system = ops.monolithic_system(cfg.L1, cfg.L2, tau)
-            return
-        # the stacked restriction, shifted by the splitting operator
-        # [[A + L2 D, 0, -alpha B_u], [0, M_q, -B^T], [0, tau B, L1 M_p]]
-        # on the lifts; the sweep inverts it, so it carries no matrix
-        lift_q = con.q.lift
-        shift = np.concatenate([self.sweep.mech.rhs_shift,
-                                con.q.restriction.T @ (ops.m_q @ lift_q),
-                                tau * (ops.b_qp @ lift_q)])
-        self.system = ReducedSystem(None, shift, *con.composed(("u", "q", "p")))
+            system = ops.monolithic_schur_system(cfg.L1, cfg.L2, tau)
+            self.mono_lu = CachedLU(system.matrix)
+            self.shift = system.rhs_shift[:, None]
+            self.b_up_red, self.b_red = ops.reduced_couplings()
+            self.b_red_t = self.b_red.T
+            self.lift_bq = (ops.b_qp @ lift_q)[:, None]   # <div lift_q, w>
+        else:
+            self.sweep = FixedStressPreconditioner(ops, cfg, tau, flows)
+            self.b_up_red = self.sweep.b_up_red
+            if cfg.kind == "monolithic":
+                self.system = ops.monolithic_system(cfg.L1, cfg.L2, tau)
+                self.shift = self.system.rhs_shift[:, None]
+            else:
+                # the shift of the splitting operator
+                # [[A + L2 D, 0, -alpha B_u], [0, M_q, -B^T], [0, tau B, L1 M_p]]
+                # on the lifts; the sweep inverts it, so it carries no matrix
+                self.shift = np.concatenate([
+                    self.sweep.mech.rhs_shift,
+                    con.q.restriction.T @ (ops.m_q @ lift_q),
+                    tau * (ops.b_qp @ lift_q)])[:, None]
+        self.b_up_red_t = self.b_up_red.T   # B_u^T R_u, a view
 
     def coordinates(self, state: BiotState):
         """The one-column x of `state` (`FieldConstraints.coordinates`)."""
@@ -250,51 +268,56 @@ class SchemeSolver:
             FeFunction(ops.dofmap_q, con.q.expand(x[nu:nu + nq, :1])[:, 0]),
             FeFunction(ops.dofmap_p, x[nu + nq:, 0].copy()), time)
 
+    def divu_dual(self, x):
+        """<div u, w> against all P0 tests, u = R_u x_u + lift the
+        displacement of each column of x: B_u^T R_u x_u + B_u^T lift."""
+        return self.b_up_red_t @ x[:self.sizes[0]] + self.lift_divu
+
     def step(self, x, ctx: StepContext, cells=None):
         """The next iterate after the (n, k) block x: a new block.
 
-        Both schemes form the L-scheme right-hand side (rhs_u, g, rhs_p) in
-        full coordinates, from u = R x_u + lift and p, but for the
-        displacement coupling of the mass row, which the splitting takes
-        explicitly.  The sweep (splitting) and GMRES solve for its
-        restriction, GMRES from x itself.  The monolithic LU solve
-        eliminates the pressure from the mass row
-        alpha B_u^T u + tau B q + L1 M_p p = rhs_p: with w = rhs_p / (L1 M_p)
-        the (u, q) system of `monolithic_schur_system` has the right-hand
-        side (rhs_u + alpha B_u w, tau (g + B^T w)), and p is recovered
-        cellwise, M_p being the diagonal P0 mass.
+        Both schemes form the L-scheme right-hand side in reduced
+        coordinates, less the lifts' `shift`.  As D = B_u M_p^-1 B_u^T,
+        the mechanics row is r_u = f_red + R_u^T B_u (L2 div - h(div)),
+        div = `divu_dual`(x) / |K|.  The mass row rhs_p = mass_const -
+        <b(p), w> + L1 M_p p takes the displacement coupling explicitly in
+        the splitting.  The sweep (splitting) and GMRES solve for
+        (r_u, g_red, rhs_p), GMRES from x itself.  The monolithic LU solve
+        eliminates the pressure from the mass row alpha B_u^T u + tau B q
+        + L1 M_p p = rhs_p: with w = rhs_p / (L1 M_p) the (u, q) system of
+        `monolithic_schur_system` has the right-hand side (r_u + alpha
+        R_u^T B_u w, tau (g_red + R_q^T B^T w)), and p is recovered
+        cellwise from the new (u, q) by the same couplings, M_p being the
+        diagonal P0 mass.
 
-        Column j gets the bits of a vector's arithmetic and iterates the
+        Column j gets the bits of its own one-column step and iterates the
         cell cells[j], an index into the sweep's flow halves (the first when
         None).  GMRES takes one column.
         """
         ops, cfg, alpha = self.ops, self.cfg, self.ops.mat.alpha
-        con, (nu, nq, _) = ops.constraints, self.sizes
+        (nu, nq, _), shift = self.sizes, self.shift
         L1 = self.L1[cells or [0]]
-        u, p = con.u.expand(x[:nu]), x[nu + nq:]
-        areas = ops.mesh.areas[:, None]
-        divu = ops.divu_dual(u)
-        rhs_u = (ctx.f_vec[:, None] + cfg.L2 * (ops.d_div @ u)
-                 - ops.hu_dual(u, divu))
+        p, areas = x[nu + nq:], ops.mesh.areas[:, None]
+        divu = self.divu_dual(x)
+        div = divu / areas
+        mech = cfg.L2 * div - np.asarray(ops.mat.h_law(div), dtype=float)
         rhs_p = ctx.mass_const[:, None] - ops.bp_dual(p) + L1 * (areas * p)
+        r_u = ctx.f_red[:, None] - shift[:nu]
         if self.mono_lu is not None:
             l1_areas = areas * L1
             w = rhs_p / l1_areas
-            rhs = np.concatenate([rhs_u + alpha * (ops.b_up @ w),
-                                  ctx.tau * (ctx.g_vec[:, None]
-                                             + ops.b_qp_t @ w)])
-        else:
-            if cfg.kind == "splitting":
-                rhs_p -= alpha * divu
-            g = np.broadcast_to(ctx.g_vec[:, None], (ctx.g_vec.size, x.shape[1]))
-            rhs = np.concatenate([rhs_u, g, rhs_p])
-        r = self.system.restrict(rhs) - self.system.rhs_shift[:, None]
-        if self.mono_lu is not None:
-            uq = self.mono_lu.solve(r)
-            u, q = con.u.expand(uq[:nu]), con.q.expand(uq[nu:])
-            p = (rhs_p - (alpha * ops.divu_dual(u)
-                          + ctx.tau * (ops.b_qp @ q))) / l1_areas
+            uq = self.mono_lu.solve(np.concatenate([
+                r_u + self.b_up_red @ (mech + alpha * w),
+                ctx.tau * (ctx.g_red[:, None] + self.b_red_t @ w) - shift[nu:]]))
+            p = (rhs_p - alpha * self.divu_dual(uq) - ctx.tau * (
+                self.b_red @ uq[nu:] + self.lift_bq)) / l1_areas
             return np.concatenate([uq, p])
+        if cfg.kind == "splitting":
+            rhs_p -= alpha * divu
+        r_q = np.broadcast_to(ctx.g_red[:, None] - shift[nu:nu + nq],
+                              (nq, x.shape[1]))
+        r = np.concatenate([r_u + self.b_up_red @ mech, r_q,
+                            rhs_p - shift[nu + nq:]])
         if cfg.kind == "splitting":
             return self.sweep.matvec(r, cells)
         opts = ops.solver
@@ -409,7 +432,7 @@ def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
 
     cur = solver.state(x, ctx.t_new)
     trace.range_excursions = check_admissible(
-        mat, cur.p.coeffs, ops.div_u_cells(cur.u.coeffs),
+        mat, cur.p.coeffs, solver.divu_dual(x)[:, 0] / ops.mesh.areas,
         context=f"t={ctx.t_new:g}: ")
     return cur, trace
 

@@ -12,8 +12,10 @@ the arithmetic.
     python tests/golden/regenerate.py
 
 reruns every case, rewrites its files and `versions.json`, and prints each
-file's largest relative change against the file it replaces.  That is the
-bound to state when a change moves output bits on purpose.
+file's largest relative change against the file it replaces, cell by cell
+(`differences`) and relative to each column's largest magnitude
+(`column_change`).  Those are the bounds to state when a change moves
+output bits on purpose.
 """
 
 from __future__ import annotations
@@ -110,6 +112,34 @@ def differences(got: bytes, want: bytes):
     return largest, exact
 
 
+def _as_float(cell):
+    try:
+        return float(cell)
+    except ValueError:   # a status or an empty cell
+        return None
+
+
+def column_change(got: bytes, want: bytes):
+    """The largest change of a finite float cell relative to the largest
+    magnitude in its column of `want`: the measure of a change at
+    round-off in cells that are themselves round-off, such as the
+    increments of an iteration that confirms a converged step.  The bodies
+    must have the same shape, as `differences` checks."""
+    rows_got = [r.split(",") for r in got.decode().splitlines()[1:]]
+    rows_want = [r.split(",") for r in want.decode().splitlines()[1:]]
+    largest = 0.0
+    for col_got, col_want in zip(zip(*rows_got), zip(*rows_want)):
+        pairs = np.array([(x, y) for x, y in zip(map(_as_float, col_got),
+                                                  map(_as_float, col_want))
+                          if x is not None and y is not None
+                          and np.isfinite([x, y]).all()]).reshape(-1, 2)
+        scale = np.max(np.abs(pairs[:, 1]), initial=0.0)
+        if scale > 0.0:
+            change = np.max(np.abs(pairs[:, 0] - pairs[:, 1]))
+            largest = max(largest, float(change / scale))
+    return largest
+
+
 def main():
     for name, argv in CASES.items():
         with tempfile.TemporaryDirectory() as tmp:
@@ -123,7 +153,9 @@ def main():
             if path.exists():
                 largest, exact = differences(body, path.read_bytes())
                 change = (f"{len(exact)} exact cells differ" if exact
-                          else f"largest relative change {largest:.3g}")
+                          else f"largest relative change {largest:.3g}, "
+                               f"relative to its column "
+                               f"{column_change(body, path.read_bytes()):.3g}")
             else:
                 change = "new"
             path.write_bytes(body)

@@ -5,7 +5,8 @@ slow and obvious way, so that the tests can check the vectorized
 assembly and the cell-constant fields of `porobiot.fem` against them.
 `lu_solve` solves the nonsymmetric block systems (the 3x3 monolithic and
 the 2x2 flux-pressure block) that no run factors, and `vector_step` is one
-scheme iteration by vectors in full coordinates.
+scheme iteration by vectors in full coordinates, the reference of the
+step in reduced coordinates.
 """
 
 from __future__ import annotations
@@ -152,22 +153,32 @@ def lu_solve(matrix, b):
 def vector_step(solver, cur, ctx):
     """One iteration of the `SchemeSolver` `solver` from the `BiotState`
     `cur`, by vectors in full coordinates: the right-hand side is formed
-    from the fields of `cur`, restricted by the sparse product R^T, solved,
-    and expanded by R + lift, GMRES started from the reduced coordinates
-    that the index of R gives `cur`.  `SchemeSolver.step` keeps its bits on
-    a one-column block."""
-    ops, cfg, alpha = solver.ops, solver.cfg, solver.ops.mat.alpha
-    system = solver.system
+    from the fields of `cur`, restricted by the sparse product R^T less the
+    shift of the reduced system that the step solves, built here from the
+    assembled blocks, solved, and expanded by R + lift, GMRES started from
+    the reduced coordinates that the index of R gives `cur`.
+    `SchemeSolver.step` forms the same iteration in reduced coordinates."""
+    ops, cfg, alpha, tau = solver.ops, solver.cfg, solver.ops.mat.alpha, ctx.tau
+    if solver.mono_lu is not None:
+        system = ops.monolithic_schur_system(cfg.L1, cfg.L2, tau)
+    elif cfg.kind == "monolithic":
+        system = ops.monolithic_system(cfg.L1, cfg.L2, tau)
+    else:   # the splitting operator, which the sweep inverts
+        system = ops._reduced(sp.bmat(
+            [[ops.a_e + cfg.L2 * ops.d_div, None, -alpha * ops.b_up],
+             [None, ops.m_q, -ops.b_qp_t],
+             [None, tau * ops.b_qp, cfg.L1 * ops.m_p]], format="csr"),
+            ("u", "q", "p"))
     R = system.restriction
     u, p = cur.u.coeffs, cur.p.coeffs
     divu = ops.divu_dual(u)
-    rhs_u = ctx.f_vec + cfg.L2 * (ops.d_div @ u) - ops.hu_dual(u, divu)
+    rhs_u = ctx.f_vec + cfg.L2 * (ops.d_div @ u) - ops.hu_dual(u)
     rhs_p = ctx.mass_const - ops.bp_dual(p) + cfg.L1 * (ops.mesh.areas * p)
     if solver.mono_lu is not None:
         l1_areas = cfg.L1 * ops.mesh.areas
         w = rhs_p / l1_areas
         rhs = np.concatenate([rhs_u + alpha * (ops.b_up @ w),
-                              ctx.tau * (ctx.g_vec + ops.b_qp_t @ w)])
+                              tau * (ctx.g_vec + ops.b_qp_t @ w)])
     else:
         if cfg.kind == "splitting":
             rhs_p = rhs_p - alpha * divu
@@ -189,6 +200,6 @@ def vector_step(solver, cur, ctx):
     u, q, p = x[:nu], x[nu:nu + nq], x[nu + nq:]
     if solver.mono_lu is not None:
         p = (rhs_p - (alpha * ops.divu_dual(u)
-                      + ctx.tau * (ops.b_qp @ q))) / l1_areas
+                      + tau * (ops.b_qp @ q))) / l1_areas
     return BiotState(FeFunction(ops.dofmap_u, u), FeFunction(ops.dofmap_q, q),
                      FeFunction(ops.dofmap_p, p), ctx.t_new)
