@@ -12,9 +12,10 @@ space):
 
 Because P0 pressures and P1 divergences are cellwise constant, the
 non-linear terms <b(p), w> and <h(div u), div z> are assembled exactly
-without quadrature.  Essential conditions (displacement Dirichlet, no-flow
-edges, the tied rigid-plate group) are applied by symmetric master-slave
-reduction, which keeps the diagonal blocks definite for the preconditioner.
+without quadrature.  Essential conditions (zero displacements, zero normal
+displacements, zero no-flow edges, the tied rigid-plate group) are
+homogeneous and applied by symmetric master-slave reduction, which keeps
+the diagonal blocks definite for the preconditioner.
 """
 
 from __future__ import annotations
@@ -35,24 +36,12 @@ class ConstraintConflictError(ValueError):
 
 @dataclass
 class ReducedSystem:
-    """A constraint-reduced operator with its restriction and lift.
-
-    Given a full right-hand side b, the reduced system reads
-    ``matrix @ x_red = R^T b - rhs_shift`` with R the restriction, and the
-    full solution is ``R @ x_red + lift``.
-    """
+    """A constraint-reduced operator R^T A R with its restriction R: given
+    a full right-hand side b, ``matrix @ x_red = R^T b``, and the full
+    solution is ``R @ x_red``."""
 
     matrix: sp.spmatrix
-    rhs_shift: np.ndarray
     restriction: sp.spmatrix
-    lift: np.ndarray
-
-    def __post_init__(self):
-        self._restriction_t = self.restriction.T   # a view of R's arrays
-
-    def restrict(self, b):
-        """R^T b, column by column for an (n, k) block."""
-        return self._restriction_t @ b
 
 
 def assemble_mechanics(mesh: Mesh, mat: MaterialModel, dofmap_u: DofMap,
@@ -124,14 +113,14 @@ def assemble_flow(mesh: Mesh, mat: MaterialModel, dofmap_q: DofMap,
 
 
 class FieldConstraints:
-    """Essential constraints on one field via master-slave reduction.
-
-    x_full = R x_reduced + lift, with one reduced unknown per free DOF and
-    per tie group.  Reduction of a system is R^T A R, R^T (b - A lift).
+    """Homogeneous essential constraints on one field via master-slave
+    reduction: x_full = R x_reduced, with one reduced unknown per free DOF
+    and per tie group, and zero at the `pinned` DOFs.  A system reduces to
+    R^T A R, R^T b.
     """
 
-    def __init__(self, n_full, pinned=None, ties=()):
-        pinned = dict(pinned or {})
+    def __init__(self, n_full, pinned=(), ties=()):
+        pinned = set(pinned)
         self.ties = [list(t) for t in ties]
         tied = set()
         for group in self.ties:
@@ -156,18 +145,20 @@ class FieldConstraints:
         self.restriction = sp.coo_matrix(
             (np.ones(len(rows)), (rows, self.reduced_of[rows])),
             shape=(n_full, self.n_reduced)).tocsr()
-        self.lift = np.zeros(n_full)
-        self.lift[list(pinned)] = list(pinned.values())
+        self._restriction_t = self.restriction.T   # a view of R's arrays
         self._gather = np.where(kept, self.reduced_of, self.n_reduced)
         self._first = np.nonzero(first)[0]   # each unknown's first DOF
 
-    def expand(self, x, lift=True):
-        """R x + lift of an (n_reduced, k) block, with the bits of the
-        sparse products, or R x (an increment) without the lift: a gather,
-        in which pinned DOFs read a zero row past the unknowns."""
+    def restrict(self, b):
+        """R^T b, column by column for an (n, k) block."""
+        return self._restriction_t @ b
+
+    def expand(self, x):
+        """R x of an (n_reduced, k) block by a gather, in which pinned DOFs
+        read a zero row past the unknowns: the sparse product, but for the
+        sign of a -0.0."""
         padded = np.concatenate([x, np.zeros((1, x.shape[1]))])
-        full = padded.take(self._gather, axis=0)
-        return full + self.lift[:, None] if lift else full
+        return padded.take(self._gather, axis=0)
 
     def coordinates(self, full):
         """Each unknown's value at its first DOF of the full vector `full`:
@@ -184,7 +175,7 @@ class BlockConstraints:
     p: FieldConstraints
 
     def composed(self, names):
-        """Block-diagonal restriction and stacked lift of the named fields.
+        """Block-diagonal restriction of the named fields.
 
         The restriction has one unit entry in each row that is not pinned,
         in the column of its field's unknown, numbered past the unknowns of
@@ -197,7 +188,7 @@ class BlockConstraints:
         indptr = np.concatenate([[0], np.cumsum(kept)])
         R = sp.csr_matrix((np.ones(int(indptr[-1])), index[kept], indptr),
                           shape=(index.size, int(offsets[-1])))
-        return R, np.concatenate([f.lift for f in fields])
+        return R
 
 
 # displacement component normal to each side
@@ -207,27 +198,19 @@ _NORMAL_COMP = {Side.LEFT: 0, Side.RIGHT: 0, Side.BOTTOM: 1, Side.TOP: 1}
 def build_constraints(problem: ProblemDefinition, mesh: Mesh,
                       dofmap_u: DofMap, dofmap_q: DofMap,
                       dofmap_p: DofMap) -> BlockConstraints:
-    """Translate the problem's boundary conditions into DOF constraints."""
-    pinned_u = {}
-    ties = []
-
-    def pin(dof, value):
-        if dof in pinned_u and pinned_u[dof] != value:
-            raise ConstraintConflictError(
-                f"displacement DOF {dof} pinned to both {pinned_u[dof]} and {value}")
-        pinned_u[dof] = value
-
+    """Translate the problem's boundary conditions into DOF constraints;
+    `ValueError` for an essential condition whose value is not zero."""
+    pinned_u, ties = set(), []
     for side, bc in problem.u_bc.items():
         verts = np.unique(mesh.edges[mesh.boundary_edges(side)]).tolist()
         c = _NORMAL_COMP[side]
         if bc.kind == "fixed":
-            vx, vy = bc.value
-            for v in verts:
-                pin(2 * v, float(vx))
-                pin(2 * v + 1, float(vy))
+            if np.any(bc.value):
+                raise ValueError(f"{side.value} side: fixed displacement "
+                                 f"{bc.value} is not zero")
+            pinned_u.update(2 * v + k for v in verts for k in (0, 1))
         elif bc.kind == "normal_zero":
-            for v in verts:
-                pin(2 * v + c, 0.0)
+            pinned_u.update(2 * v + c for v in verts)
         elif bc.kind == "tied_normal":
             ties.append([2 * v + c for v in verts])
         elif bc.kind == "free":
@@ -235,11 +218,13 @@ def build_constraints(problem: ProblemDefinition, mesh: Mesh,
         else:
             raise ValueError(f"unknown displacement BC kind {bc.kind!r}")
 
-    pinned_q = {}
+    pinned_q = set()
     for side, bc in problem.q_bc.items():
         if bc.kind == "noflow":
-            pinned_q.update(dict.fromkeys(mesh.boundary_edges(side).tolist(),
-                                          float(bc.value)))
+            if bc.value:
+                raise ValueError(f"{side.value} side: no-flow flux {bc.value} "
+                                 f"is not zero")
+            pinned_q.update(mesh.boundary_edges(side).tolist())
         elif bc.kind == "pressure":
             pass  # natural in the mixed form, handled by the load assembly
         else:
@@ -331,10 +316,8 @@ class BiotOperators:
     # -- scheme system matrices (reduced) -----------------------------------
 
     def _reduced(self, full, names):
-        R, lift = self.constraints.composed(names)
-        shift = R.T @ (full @ lift) if np.any(lift != 0.0) \
-            else np.zeros(R.shape[1])
-        return ReducedSystem((R.T @ full @ R).tocsr(), shift, R, lift)
+        R = self.constraints.composed(names)
+        return ReducedSystem((R.T @ full @ R).tocsr(), R)
 
     def _reduced_spd(self, full, names):
         """`_reduced` for a symmetric positive definite operator, made

@@ -59,11 +59,13 @@ DEFAULTS = {
 
 # keys a run does not read: each run reads the [problem] keys of its own
 # domain, and only the ladder reads final_time; sweep takes L from its grids,
-# and sweep and sensitivity solve by LU
+# sweep and sensitivity solve by LU, a splitting run reads no [solver] key
+# and an LU run no GMRES control
 _SLAB = [("problem", k) for k in
          ("a", "b", "force", "dt", "steps", "nx", "ny", "probe_x", "probe_y")]
 _LADDER = [("problem", "levels"), ("problem", "final_time")]
-_LU = [("solver", k) for k in DEFAULTS["solver"]]
+_GMRES = [("solver", k) for k in ("restart", "rtol", "maxiter")]
+_LU = [("solver", "method")] + _GMRES
 UNREAD = {"mandel": [("problem", "h"), ("problem", "tau")] + _LADDER,
           "manufactured": _SLAB, "verify": _SLAB + _LADDER,
           "sweep": _SLAB + _LADDER + _LU
@@ -424,7 +426,10 @@ def main(argv=None):
     try:
         cfg = resolve_config(args.subcommand, args.config, args.overrides)
         _apply_flags(cfg, args)
-        for sec, key in UNREAD.get(args.subcommand, ()):
+        method = cfg["solver"]["method"].strip().lower()
+        for sec, key in UNREAD.get(args.subcommand, []) + (
+                _LU if cfg["scheme"]["kind"] == "splitting"
+                else [] if method == "gmres" else _GMRES):
             if cfg[sec][key] != DEFAULTS[sec][key]:
                 raise ConfigError(f"{args.subcommand} ignores {sec}.{key}")
         for sec, key in POSITIVE:

@@ -329,8 +329,7 @@ class FixedStressPreconditioner:
         if flows is not None and any(f.tau != tau for f in flows):
             raise ValueError("flow halves built for another step size")
         self.flows = flows or [FlowHalf(ops, cfg.L1, tau)]
-        self.mech = ops.mech_system(cfg.L2)
-        self.mech_lu = CachedLU(self.mech.matrix)
+        self.mech_lu = CachedLU(ops.mech_system(cfg.L2).matrix)
         # the pressure field is unreduced
         self.b_up_red, self.b_red = ops.reduced_couplings()
         self.b_red_t = self.b_red.T

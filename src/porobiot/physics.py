@@ -265,9 +265,10 @@ def check_admissible(mat: MaterialModel, p_values, s_values, context=""):
 class UBc:
     """Displacement condition on one side.
 
-    kind: 'fixed' (both components prescribed), 'normal_zero' (u.n = 0),
-    'free' (natural), or 'tied_normal' (all normal components on the side
-    equal one master unknown; `value` is the total normal load on the side).
+    kind: 'fixed' (u = 0; `value`, if given, must be zero), 'normal_zero'
+    (u.n = 0), 'free' (natural), or 'tied_normal' (all normal components on
+    the side equal one master unknown; `value` is the total normal load on
+    the side).
     """
 
     kind: str
@@ -278,7 +279,7 @@ class UBc:
 class QBc:
     """Flux condition on one side.
 
-    kind: 'noflow' (essential q.n = value, default 0) or 'pressure'
+    kind: 'noflow' (essential q.n = 0; `value` must be 0) or 'pressure'
     (natural; `value` is the boundary pressure entering the Darcy RHS).
     """
 

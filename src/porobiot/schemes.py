@@ -21,8 +21,9 @@ cell, starts at the previous time-step solution, and full fields are
 formed once a step ends.  Each iteration forms its right-hand side in
 reduced coordinates too: the loads are restricted once per step
 (`StepContext`), and the divergence, the law h and the L2 stabilization
-of the mechanics row come from the reduced coupling R_u^T B_u and a
-constant lift term.  Iterations stop when the summed L2 norms of the
+of the mechanics row come from the reduced coupling R_u^T B_u.  The
+essential conditions are homogeneous, so no constraint enters a
+right-hand side.  Iterations stop when the summed L2 norms of the
 field increments drop below the tolerance (`stop_status`);
 `iterate_lockstep` iterates several splitting cells of one L2 together.
 """
@@ -189,7 +190,7 @@ class StepContext:
                       + ops.mat.alpha * ops.divu_dual(prev.u.coeffs))
         con = ops.constraints
         return cls(t_new, tau, f_vec, g_vec, mass_const,
-                   con.u.restriction.T @ f_vec, con.q.restriction.T @ g_vec)
+                   con.u.restrict(f_vec), con.q.restrict(g_vec))
 
 
 class SchemeSolver:
@@ -227,30 +228,17 @@ class SchemeSolver:
         self.mono_lu = None
         if flows is not None and cfg.kind != "splitting":
             raise ValueError("only a splitting solver takes flow halves")
-        self.lift_divu = ops.divu_dual(con.u.lift)[:, None]   # <div lift, w>
-        lift_q = con.q.lift
         if cfg.kind == "monolithic" and (ops.solver is None
                                          or ops.solver.method != "gmres"):
-            system = ops.monolithic_schur_system(cfg.L1, cfg.L2, tau)
-            self.mono_lu = CachedLU(system.matrix)
-            self.shift = system.rhs_shift[:, None]
+            self.mono_lu = CachedLU(
+                ops.monolithic_schur_system(cfg.L1, cfg.L2, tau).matrix)
             self.b_up_red, self.b_red = ops.reduced_couplings()
             self.b_red_t = self.b_red.T
-            self.lift_bq = (ops.b_qp @ lift_q)[:, None]   # <div lift_q, w>
         else:
             self.sweep = FixedStressPreconditioner(ops, cfg, tau, flows)
             self.b_up_red = self.sweep.b_up_red
             if cfg.kind == "monolithic":
                 self.system = ops.monolithic_system(cfg.L1, cfg.L2, tau)
-                self.shift = self.system.rhs_shift[:, None]
-            else:
-                # the shift of the splitting operator
-                # [[A + L2 D, 0, -alpha B_u], [0, M_q, -B^T], [0, tau B, L1 M_p]]
-                # on the lifts; the sweep inverts it, so it carries no matrix
-                self.shift = np.concatenate([
-                    self.sweep.mech.rhs_shift,
-                    con.q.restriction.T @ (ops.m_q @ lift_q),
-                    tau * (ops.b_qp @ lift_q)])[:, None]
         self.b_up_red_t = self.b_up_red.T   # B_u^T R_u, a view
 
     def coordinates(self, state: BiotState):
@@ -269,15 +257,16 @@ class SchemeSolver:
             FeFunction(ops.dofmap_p, x[nu + nq:, 0].copy()), time)
 
     def divu_dual(self, x):
-        """<div u, w> against all P0 tests, u = R_u x_u + lift the
-        displacement of each column of x: B_u^T R_u x_u + B_u^T lift."""
-        return self.b_up_red_t @ x[:self.sizes[0]] + self.lift_divu
+        """<div u, w> against all P0 tests, u = R_u x_u the displacement of
+        each column of x: B_u^T R_u x_u."""
+        return self.b_up_red_t @ x[:self.sizes[0]]
 
     def step(self, x, ctx: StepContext, cells=None):
         """The next iterate after the (n, k) block x: a new block.
 
         Both schemes form the L-scheme right-hand side in reduced
-        coordinates, less the lifts' `shift`.  As D = B_u M_p^-1 B_u^T,
+        coordinates, with nothing to add for the homogeneous essential
+        conditions.  As D = B_u M_p^-1 B_u^T,
         the mechanics row is r_u = f_red + R_u^T B_u (L2 div - h(div)),
         div = `divu_dual`(x) / |K|.  The mass row rhs_p = mass_const -
         <b(p), w> + L1 M_p p takes the displacement coupling explicitly in
@@ -295,29 +284,27 @@ class SchemeSolver:
         None).  GMRES takes one column.
         """
         ops, cfg, alpha = self.ops, self.cfg, self.ops.mat.alpha
-        (nu, nq, _), shift = self.sizes, self.shift
+        nu, nq, _ = self.sizes
         L1 = self.L1[cells or [0]]
         p, areas = x[nu + nq:], ops.mesh.areas[:, None]
         divu = self.divu_dual(x)
         div = divu / areas
         mech = cfg.L2 * div - np.asarray(ops.mat.h_law(div), dtype=float)
         rhs_p = ctx.mass_const[:, None] - ops.bp_dual(p) + L1 * (areas * p)
-        r_u = ctx.f_red[:, None] - shift[:nu]
+        f_red, g_red = ctx.f_red[:, None], ctx.g_red[:, None]
         if self.mono_lu is not None:
             l1_areas = areas * L1
             w = rhs_p / l1_areas
             uq = self.mono_lu.solve(np.concatenate([
-                r_u + self.b_up_red @ (mech + alpha * w),
-                ctx.tau * (ctx.g_red[:, None] + self.b_red_t @ w) - shift[nu:]]))
-            p = (rhs_p - alpha * self.divu_dual(uq) - ctx.tau * (
-                self.b_red @ uq[nu:] + self.lift_bq)) / l1_areas
+                f_red + self.b_up_red @ (mech + alpha * w),
+                ctx.tau * (g_red + self.b_red_t @ w)]))
+            p = (rhs_p - alpha * self.divu_dual(uq)
+                 - ctx.tau * (self.b_red @ uq[nu:])) / l1_areas
             return np.concatenate([uq, p])
         if cfg.kind == "splitting":
             rhs_p -= alpha * divu
-        r_q = np.broadcast_to(ctx.g_red[:, None] - shift[nu:nu + nq],
-                              (nq, x.shape[1]))
-        r = np.concatenate([r_u + self.b_up_red @ mech, r_q,
-                            rhs_p - shift[nu + nq:]])
+        r = np.concatenate([f_red + self.b_up_red @ mech,
+                            np.broadcast_to(g_red, (nq, x.shape[1])), rhs_p])
         if cfg.kind == "splitting":
             return self.sweep.matvec(r, cells)
         opts = ops.solver
@@ -353,8 +340,7 @@ def _iterate(solver: SchemeSolver, x, ctx: StepContext, cfgs,
              trace: IterationTrace = None, archive=None):
     """Iterate `solver` from the (n, k) block x of its k cells (`cfgs`)
     until `stop_status` stops every cell, whose column then leaves the
-    block.  Increments are measured in full coordinates, expanded without
-    the lift; `trace` and `archive` record those of a single cell and its
+    block.  Increments are measured in full coordinates; `trace` and `archive` record those of a single cell and its
     states.  Returns the last block and each cell's (iterations, status).
     """
     ops, con, (nu, nq, _) = solver.ops, solver.ops.constraints, solver.sizes
@@ -365,9 +351,8 @@ def _iterate(solver: SchemeSolver, x, ctx: StepContext, cfgs,
         new = solver.step(x, ctx, live)
         dx = new - x
         dp = l2_norm(FeFunction(ops.dofmap_p, dx[nu + nq:]))
-        dq = l2_norm(FeFunction(ops.dofmap_q,
-                                con.q.expand(dx[nu:nu + nq], lift=False)))
-        du = l2_norm(FeFunction(ops.dofmap_u, con.u.expand(dx[:nu], lift=False)))
+        dq = l2_norm(FeFunction(ops.dofmap_q, con.q.expand(dx[nu:nu + nq])))
+        du = l2_norm(FeFunction(ops.dofmap_u, con.u.expand(dx[:nu])))
         if trace is not None:
             trace.record(dp[0], dq[0], du[0])
         if archive is not None:

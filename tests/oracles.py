@@ -153,9 +153,9 @@ def lu_solve(matrix, b):
 def vector_step(solver, cur, ctx):
     """One iteration of the `SchemeSolver` `solver` from the `BiotState`
     `cur`, by vectors in full coordinates: the right-hand side is formed
-    from the fields of `cur`, restricted by the sparse product R^T less the
-    shift of the reduced system that the step solves, built here from the
-    assembled blocks, solved, and expanded by R + lift, GMRES started from
+    from the fields of `cur`, restricted by the sparse product R^T of the
+    reduced system that the step solves, built here from the assembled
+    blocks, solved, and expanded by R, GMRES started from
     the reduced coordinates that the index of R gives `cur`.
     `SchemeSolver.step` forms the same iteration in reduced coordinates."""
     ops, cfg, alpha, tau = solver.ops, solver.cfg, solver.ops.mat.alpha, ctx.tau
@@ -183,7 +183,7 @@ def vector_step(solver, cur, ctx):
         if cfg.kind == "splitting":
             rhs_p = rhs_p - alpha * divu
         rhs = np.concatenate([rhs_u, ctx.g_vec, rhs_p])
-    r = R.T @ rhs - system.rhs_shift
+    r = R.T @ rhs
     if solver.mono_lu is not None:
         x_red = solver.mono_lu.solve(r)
     elif cfg.kind == "monolithic":
@@ -195,7 +195,7 @@ def vector_step(solver, cur, ctx):
                       maxiter=opts.maxiter, x0=x0)[0]
     else:
         x_red = solver.sweep.matvec(r)
-    x = R @ x_red + system.lift
+    x = R @ x_red
     nu, nq = ops.dofmap_u.n_dofs, ops.dofmap_q.n_dofs
     u, q, p = x[:nu], x[nu:nu + nq], x[nu + nq:]
     if solver.mono_lu is not None:

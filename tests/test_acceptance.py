@@ -53,9 +53,8 @@ def direct_step(ops, prob, prev, tau):
     ctx = StepContext.build(ops, prob, prev, tau)
     sysd = ops.monolithic_system(1.0, 1.0, tau)
     R = sysd.restriction
-    rhs = R.T @ np.concatenate([ctx.f_vec, ctx.g_vec, ctx.mass_const]) \
-        - sysd.rhs_shift
-    x = R @ lu_solve(sysd.matrix, rhs) + sysd.lift
+    rhs = R.T @ np.concatenate([ctx.f_vec, ctx.g_vec, ctx.mass_const])
+    x = R @ lu_solve(sysd.matrix, rhs)
     nu, nq = ops.dofmap_u.n_dofs, ops.dofmap_q.n_dofs
     return BiotState(FeFunction(ops.dofmap_u, x[:nu]),
                      FeFunction(ops.dofmap_q, x[nu:nu + nq]),
@@ -309,8 +308,7 @@ def _linear_monolithic_system(nx, tau=0.25):
     prev = build_initial_state(prob, ops)
     ctx = StepContext.build(ops, prob, prev, tau)
     sysd = ops.monolithic_system(1.0, 1.0, tau)
-    rhs = sysd.restriction.T @ np.concatenate([ctx.f_vec, ctx.g_vec, ctx.mass_const]) \
-        - sysd.rhs_shift
+    rhs = sysd.restriction.T @ np.concatenate([ctx.f_vec, ctx.g_vec, ctx.mass_const])
     return BlockSystem(sysd.matrix, rhs), ops, mat
 
 

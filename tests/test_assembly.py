@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import sympy as sy
@@ -6,12 +8,13 @@ import scipy.sparse as sp
 
 from porobiot.assembly import (BiotOperators, BlockConstraints,
                                ConstraintConflictError, FieldConstraints,
-                               ReducedSystem, assemble_loads, build_operators)
+                               assemble_loads, build_operators)
 from porobiot.fem import FeFunction, interpolate
 from porobiot.linalg import CachedLU
 from porobiot.mesh import Side, generate_rect_mesh
-from porobiot.physics import (MandelConfig, mandel_material, mandel_problem,
-                              manufactured_material, manufactured_problem)
+from porobiot.physics import (MandelConfig, QBc, UBc, mandel_material,
+                              mandel_problem, manufactured_material,
+                              manufactured_problem)
 from porobiot.schemes import build_initial_state
 
 
@@ -332,7 +335,7 @@ class TestConstraints:
         ops, mat, prob = unit_ops
         con = ops.constraints.u
         rng = np.random.default_rng(9)
-        x = con.restriction @ rng.standard_normal(con.n_reduced) + con.lift
+        x = con.restriction @ rng.standard_normal(con.n_reduced)
         mesh = ops.mesh
         for v, (vx, vy) in enumerate(mesh.vertices):
             on_boundary = (vx in (0.0, 1.0)) or (vy in (0.0, 1.0))
@@ -347,7 +350,7 @@ class TestConstraints:
         ops = build_operators(mesh, mat, prob)
         rng = np.random.default_rng(10)
         con = ops.constraints.q
-        q = con.restriction @ rng.standard_normal(con.n_reduced) + con.lift
+        q = con.restriction @ rng.standard_normal(con.n_reduced)
         for side in (Side.LEFT, Side.BOTTOM, Side.TOP):
             for e in mesh.boundary_edges(side):
                 assert q[e] == 0.0
@@ -362,7 +365,7 @@ class TestConstraints:
         ops = build_operators(mesh, mat, prob)
         con = ops.constraints.u
         rng = np.random.default_rng(12)
-        x = con.restriction @ rng.standard_normal(con.n_reduced) + con.lift
+        x = con.restriction @ rng.standard_normal(con.n_reduced)
         y_top = mesh.vertices[:, 1].max()
         top = [v for v in range(mesh.n_vertices)
                if abs(mesh.vertices[v, 1] - y_top) < 1e-9]
@@ -372,79 +375,86 @@ class TestConstraints:
 
     def test_conflicting_constraints_rejected(self):
         with pytest.raises(ConstraintConflictError):
-            FieldConstraints(4, pinned={1: 0.0}, ties=[[1, 2]])
+            FieldConstraints(4, pinned=[1], ties=[[1, 2]])
         with pytest.raises(ConstraintConflictError):
             FieldConstraints(4, ties=[[0, 1], [1, 2]])
 
     def test_apply_essential_bc_roundtrip(self, unit_ops):
-        # the reduced mechanics system, solved and lifted back, satisfies
+        # the reduced mechanics system, solved and expanded back, satisfies
         # the free equations of the full one
         ops, mat, prob = unit_ops
         A = (ops.a_e + ops.d_div).tocsr()
         b = np.ones(ops.dofmap_u.n_dofs)
         sysd = ops.mech_system(1.0)
         R = sysd.restriction
-        x = R @ CachedLU(sysd.matrix).solve(R.T @ b - sysd.rhs_shift) + sysd.lift
+        x = R @ CachedLU(sysd.matrix).solve(R.T @ b)
         assert np.abs(R.T @ (A @ x - b)).max() < 1e-10
+
+    @pytest.mark.parametrize("side, u_bc, q_bc", [
+        (Side.LEFT, UBc("fixed", (0.01, 0.0)), None),
+        (Side.BOTTOM, None, QBc("noflow", 0.05))], ids=["fixed", "noflow"])
+    def test_nonzero_essential_values_refused(self, side, u_bc, q_bc):
+        # essential conditions are homogeneous: a non-zero value is refused,
+        # with the side it was set on
+        mat = manufactured_material("linear")
+        prob = manufactured_problem(mat)
+        prob = replace(prob, u_bc={**prob.u_bc, **({side: u_bc} if u_bc else {})},
+                       q_bc={**prob.q_bc, **({side: q_bc} if q_bc else {})})
+        with pytest.raises(ValueError, match=f"{side.value} side"):
+            build_operators(generate_rect_mesh((0, 0), (1, 1), 4, 4), mat, prob)
 
 
 class TestIndexMaps:
-    """`FieldConstraints.expand` applies R and R + lift by a gather, to the
-    last bit of the sparse products, and `coordinates` inverts it;
-    `ReducedSystem.restrict` maps a block column by column."""
+    """`FieldConstraints.expand` applies R by a gather, equal to the sparse
+    product, and `coordinates` inverts it; `FieldConstraints.restrict` maps
+    a block column by column, to the last bit of the sparse product."""
 
     @staticmethod
     def assert_maps_match(con, seed):
-        R, lift = con.restriction, con.lift
+        R = con.restriction
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((R.shape[1], 3))
         X[::5] = -0.0
-        expanded, increment = con.expand(X), con.expand(X, lift=False)
+        expanded = con.expand(X)
         for j in range(3):
             x = X[:, j].copy()
-            assert expanded[:, j].tobytes() == (R @ x + lift).tobytes()
-            assert np.array_equal(increment[:, j], R @ x)   # zeros may keep a sign
-            assert np.array_equal(con.coordinates(expanded[:, j]), x)
+            assert np.array_equal(expanded[:, j], R @ x)   # zeros may keep a sign
+            assert con.coordinates(expanded[:, j]).tobytes() == x.tobytes()
 
     @staticmethod
-    def assert_restricts_by_columns(system, seed):
-        R = system.restriction
+    def assert_restricts_by_columns(con, seed):
+        R = con.restriction
         B = np.random.default_rng(seed).standard_normal((R.shape[0], 3))
         B[::7] = -0.0
-        restricted = system.restrict(B)
+        restricted = con.restrict(B)
         for j in range(3):
             b = B[:, j].copy()
-            assert restricted[:, j].tobytes() == system.restrict(b).tobytes()
+            assert restricted[:, j].tobytes() == con.restrict(b).tobytes()
             assert restricted[:, j].tobytes() == (R.T @ b).tobytes()
 
     def test_blocks_map_column_by_column(self):
         cons = BlockConstraints(
-            u=FieldConstraints(12, pinned={0: 1.5, 7: -2.0}, ties=[[3, 5, 9]]),
-            q=FieldConstraints(5, pinned={4: -0.75}),
+            u=FieldConstraints(12, pinned=[0, 7], ties=[[3, 5, 9]]),
+            q=FieldConstraints(5, pinned=[4]),
             p=FieldConstraints(4))
         for seed, name in enumerate("uqp"):
             self.assert_maps_match(getattr(cons, name), seed)
-        names = ("u", "q", "p")
-        R, lift = cons.composed(names)
-        self.assert_restricts_by_columns(
-            ReducedSystem(None, np.zeros(R.shape[1]), R, lift), 5)
+            self.assert_restricts_by_columns(getattr(cons, name), seed + 5)
 
     def test_numbering_follows_the_dofs(self):
-        con = FieldConstraints(8, pinned={0: 1.5, 6: -2.0}, ties=[[5, 2, 7]])
+        con = FieldConstraints(8, pinned=[0, 6], ties=[[5, 2, 7]])
         assert con.reduced_of.tolist() == [-1, 0, 1, 2, 3, 1, -1, 1]
         assert con.n_reduced == 4
-        assert con.lift.tolist() == [1.5, 0, 0, 0, 0, 0, -2.0, 0]
 
     def test_pinned_values_and_a_tie_group(self):
-        con = FieldConstraints(12, pinned={0: 1.5, 7: -2.0, 11: 0.25},
-                               ties=[[3, 5, 9]])
+        con = FieldConstraints(12, pinned=[0, 7, 11], ties=[[3, 5, 9]])
         self.assert_maps_match(con, seed=1)
         # a field off its constraints is projected: the tie group takes its
-        # first DOF's value, and the pinned DOFs their lift
+        # first DOF's value, and the pinned DOFs read zero
         full = np.arange(12.0)
         back = con.expand(con.coordinates(full)[:, None])[:, 0]
         assert back[[3, 5, 9]].tolist() == [3.0, 3.0, 3.0]
-        assert back[[0, 7, 11]].tolist() == [1.5, -2.0, 0.25]
+        assert back[[0, 7, 11]].tolist() == [0.0, 0.0, 0.0]
 
     def test_mandel_composed_systems(self):
         cfg = MandelConfig()
@@ -455,9 +465,8 @@ class TestIndexMaps:
         assert ops.constraints.u.ties  # the tied top plate
         self.assert_maps_match(ops.constraints.u, 1)
         self.assert_maps_match(ops.constraints.q, 2)
-        self.assert_restricts_by_columns(
-            ops.monolithic_schur_system(1.0, 1.0, 0.5), 3)
-        self.assert_restricts_by_columns(ops.monolithic_system(1.0, 1.0, 0.5), 4)
+        self.assert_restricts_by_columns(ops.constraints.u, 3)
+        self.assert_restricts_by_columns(ops.constraints.q, 4)
 
     @pytest.mark.parametrize("case", ["mandel", "t1c1"])
     def test_composed_restriction_matches_block_diag(self, case):
@@ -473,7 +482,7 @@ class TestIndexMaps:
         cons = build_operators(mesh, mat, prob).constraints
         assert bool(cons.u.ties) == (case == "mandel")
         for names in (("u", "q", "p"), ("u", "q")):
-            R, _ = cons.composed(names)
+            R = cons.composed(names)
             ref = sp.block_diag([getattr(cons, n).restriction for n in names],
                                 format="csr")
             assert R.shape == ref.shape

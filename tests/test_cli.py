@@ -249,16 +249,30 @@ class TestSubcommands:
         ("verify", ["--set", "problem.final_time=7"], None),
         ("sweep", [], "[problem]\nsteps = 3\n"),
         ("sensitivity", ["--set", "problem.probe_x=5"], None),
+        ("manufactured", ["--scheme", "splitting", "--set",
+                          "solver.method=gmres", "--set", "solver.rtol=0.5"],
+         None),
+        ("mandel", ["--scheme", "splitting"], "[solver]\nrestart = 5\n"),
+        ("verify", ["--scheme", "splitting", "--set", "solver.method=gmres"],
+         None),
+        ("manufactured", ["--set", "solver.rtol=0.5"], None),
+        ("mandel", ["--set", "solver.maxiter=5"], None),
+        ("verify", ["--scheme", "monolithic"], "[solver]\nrestart = 5\n"),
     ], ids=["sweep-l1-flag", "sweep-l2-set", "sweep-l1-file",
             "sweep-solver-set", "sensitivity-solver-set",
             "sensitivity-solver-file", "mandel-unit-square-keys",
             "manufactured-slab-key", "verify-final-time", "sweep-steps-file",
-            "sensitivity-probe"])
+            "sensitivity-probe", "manufactured-splitting-solver",
+            "mandel-splitting-solver-file", "verify-splitting-method",
+            "manufactured-lu-rtol", "mandel-lu-maxiter",
+            "verify-lu-restart-file"])
     def test_unread_keys_are_config_errors(self, tmp_path, subcommand, extra,
                                            ini):
         # the sweep takes L1 and L2 from its grids, both runs solve by LU,
-        # and each run reads only the [problem] keys of its own domain: a
-        # value the manifest would record but the run ignore is an error
+        # each run reads only the [problem] keys of its own domain, a
+        # splitting run reads no [solver] key and an LU run no GMRES
+        # control: a value the manifest would record but the run ignore is
+        # an error
         args = self.UNREAD_RUNS[subcommand] + extra
         if ini is not None:
             (tmp_path / "run.ini").write_text(ini)

@@ -25,8 +25,7 @@ def monolithic_linear_system(nx=8, alpha=1.0, tau=0.25):
     prev = build_initial_state(prob, ops)
     ctx = StepContext.build(ops, prob, prev, tau)
     sysd = ops.monolithic_system(1.0, 1.0, tau)
-    rhs = sysd.restriction.T @ np.concatenate([ctx.f_vec, ctx.g_vec, ctx.mass_const]) \
-        - sysd.rhs_shift
+    rhs = sysd.restriction.T @ np.concatenate([ctx.f_vec, ctx.g_vec, ctx.mass_const])
     return BlockSystem(sysd.matrix, rhs), ops, mat
 
 

@@ -8,8 +8,8 @@ import pytest
 from porobiot.assembly import build_operators
 from porobiot.fem import FeFunction, l2_norm
 from porobiot.linalg import SolverOptions
-from porobiot.mesh import Side, generate_rect_mesh
-from porobiot.physics import (MandelConfig, NonlinearLaw, QBc, UBc,
+from porobiot.mesh import generate_rect_mesh
+from porobiot.physics import (MandelConfig, NonlinearLaw,
                               make_material, law_catalog, mandel_material,
                               mandel_problem, manufactured_material,
                               manufactured_problem)
@@ -32,10 +32,9 @@ def linear_setup(nx=8):
 
 
 def reduced_solve(system, rhs_full):
-    """Solve a reduced system by LU and lift the solution to the full space."""
+    """Solve a reduced system by LU and expand the solution to the full space."""
     R = system.restriction
-    return R @ lu_solve(system.matrix, R.T @ rhs_full - system.rhs_shift) \
-        + system.lift
+    return R @ lu_solve(system.matrix, R.T @ rhs_full)
 
 
 def direct_solve(ops, prob, prev, tau, L1=1.0, L2=1.0):
@@ -54,27 +53,6 @@ def field_errors(ops, a, b):
     return (l2_norm(FeFunction(ops.dofmap_p, a.p.coeffs - b.p.coeffs)),
             l2_norm(FeFunction(ops.dofmap_q, a.q.coeffs - b.q.coeffs)),
             l2_norm(FeFunction(ops.dofmap_u, a.u.coeffs - b.u.coeffs)))
-
-
-# a displacement pinned off zero, and the same next to a tie group
-LIFTED_U_BCS = {
-    "lifted": {Side.LEFT: UBc("fixed", (0.01, 0.0)),
-               Side.BOTTOM: UBc("normal_zero"),
-               Side.RIGHT: UBc("free"), Side.TOP: UBc("free")},
-    "lifted_tied": {Side.LEFT: UBc("normal_zero"),
-                    Side.BOTTOM: UBc("fixed", (0.0, 0.01)),
-                    Side.TOP: UBc("tied_normal", -0.5),
-                    Side.RIGHT: UBc("free")}}
-
-
-def lifted_problem(mat, u_bc):
-    """The manufactured problem with the displacement conditions u_bc and an
-    imposed boundary flux: both fields have a non-zero lift."""
-    return replace(manufactured_problem(mat), u_bc=u_bc,
-                   q_bc={Side.LEFT: QBc("pressure", 0.3),
-                         Side.RIGHT: QBc("pressure", 0.0),
-                         Side.BOTTOM: QBc("noflow", 0.05),
-                         Side.TOP: QBc("noflow", 0.0)})
 
 
 class TestSchemeConfig:
@@ -203,7 +181,7 @@ class TestFixedPoints:
         assert np.abs(mech.toarray() - undrained).max() < 1e-14
         flow = ops.flow_system(1.0 / m_mod, 0.25).matrix
         import scipy.sparse as sp
-        Rqp, _ = ops.constraints.composed(("q", "p"))
+        Rqp = ops.constraints.composed(("q", "p"))
         expect = (Rqp.T @ sp.bmat(
             [[ops.m_q, -ops.b_qp.T],
              [0.25 * ops.b_qp, (1.0 / m_mod) * ops.m_p]]) @ Rqp).toarray()
@@ -222,31 +200,6 @@ class TestLinearConvergence:
         assert trace.converged
         ep, eq, eu = field_errors(ops, state, direct)
         assert max(ep, eq, eu) <= 1e-9
-
-    @pytest.mark.parametrize("kind,method", [("splitting", "lu"),
-                                             ("monolithic", "lu"),
-                                             ("monolithic", "gmres")])
-    def test_nonzero_essential_values(self, kind, method):
-        # a displacement pinned off zero and an imposed boundary flux give
-        # both fields a non-zero lift, which every solve path must carry,
-        # also next to a tie group
-        mat = manufactured_material("linear")
-        for u_bc in LIFTED_U_BCS.values():
-            prob = lifted_problem(mat, u_bc)
-            ops = build_operators(generate_rect_mesh((0, 0), (1, 1), 6, 6),
-                                  mat, prob)
-            assert np.any(ops.constraints.u.lift != 0.0)
-            assert np.any(ops.constraints.q.lift != 0.0)
-            ops.solver = SolverOptions(method, rtol=1e-12)
-            prev = build_initial_state(prob, ops)
-            tau = 0.25
-            direct = direct_solve(ops, prob, prev, tau)  # the exact linear preset
-            cfg = SchemeConfig(kind, L1=1.0, L2=2.0, tol=1e-11)
-            state, trace = iterate_to_convergence(prev, cfg, ops, mat, prob,
-                                                  tau)
-            assert trace.converged
-            assert bool(ops.solver_log) == (method == "gmres")
-            assert max(field_errors(ops, state, direct)) <= 1e-10
 
     def test_residual_within_ten_tol(self):
         mesh, mat, prob, ops, prev = linear_setup(8)
@@ -444,20 +397,13 @@ def test_lockstep_cells_must_share_one_mechanics_half():
 
 def case_setup(case, nx, ny, solver=None):
     """Operators, initial state and step size of the manufactured `case`
-    on the nx-by-ny unit square, of the linear manufactured problem with
-    the lifts of `LIFTED_U_BCS[case]`, or of the tied, pinned Mandel
-    slab."""
+    on the nx-by-ny unit square, or of the tied, pinned Mandel slab."""
     if case == "mandel":
         cfg = MandelConfig()
         mat = mandel_material("linear", cfg)
         prob = mandel_problem(mat, cfg, final_time=10.0)
         mesh = generate_rect_mesh((0, 0), (cfg.a, cfg.b), nx, ny)
         tau = 1.0
-    elif case in LIFTED_U_BCS:
-        mat = manufactured_material("linear")
-        prob = lifted_problem(mat, LIFTED_U_BCS[case])
-        mesh = generate_rect_mesh((0, 0), (1, 1), nx, ny)
-        tau = 0.25
     else:
         mat = manufactured_material(case)
         prob = manufactured_problem(mat)
@@ -467,13 +413,13 @@ def case_setup(case, nx, ny, solver=None):
     return ops, build_initial_state(prob, ops), tau
 
 
-@pytest.mark.parametrize("case", ["t1c1", "mandel", *LIFTED_U_BCS])
+@pytest.mark.parametrize("case", ["t1c1", "mandel"])
 @pytest.mark.parametrize("kind", ["splitting", "monolithic"])
 def test_one_column_block_step_is_the_vector_step(case, kind):
     # a block of one column, stepped in reduced coordinates, follows the
     # vector step in full coordinates to round-off, by LU, by GMRES and by
-    # the sweep, on the manufactured problem, on the tied, pinned Mandel
-    # slab and with non-zero lifts: each field within 1e-12 of its largest
+    # the sweep, on the manufactured problem and on the tied, pinned Mandel
+    # slab: each field within 1e-12 of its largest
     # value, after each of three steps (sums are formed in another order)
     for method in ("lu", "gmres") if kind == "monolithic" else ("lu",):
         ops, prev, tau = case_setup(case, *((10, 6) if case == "mandel"
@@ -481,7 +427,6 @@ def test_one_column_block_step_is_the_vector_step(case, kind):
         solver = SchemeSolver(ops, SchemeConfig(
             kind, *suggested_tuning(ops.mat, kind)), tau)
         ctx = StepContext.build(ops, ops.problem, prev, tau)
-        # the initial states of the lifted cases are off their constraints
         x = solver.coordinates(prev)
         vec = solver.state(x, prev.time)
         for _ in range(3):
@@ -498,8 +443,8 @@ def test_one_column_block_step_is_the_vector_step(case, kind):
 def test_state_and_iterate_round_trip_bit_for_bit(case):
     # x = coordinates(state) and state(x) invert each other to the last bit,
     # on the initial state and after one step of each scheme, also across
-    # the tie group and the pins of the Mandel slab; a pinned DOF takes its
-    # lift, so the -0.0 that the initial slab holds there comes back as 0.0
+    # the tie group and the pins of the Mandel slab; a pinned DOF reads
+    # zero, so the -0.0 that the initial slab holds there comes back as 0.0
     ops, prev, tau = case_setup(case, 10, 10)
     ctx = StepContext.build(ops, ops.problem, prev, tau)
     for kind in ("splitting", "monolithic"):
@@ -719,14 +664,14 @@ def test_step_stays_in_reduced_coordinates(monkeypatch, kind, method):
     # a step neither expands its iterate into full fields nor restricts a
     # full right-hand side, and forms L2 D u and <h(div u), div z> by
     # R_u^T B_u, without D; the range check of a step takes the final
-    # divergence from the same coupling.  Lifts and a tie group present.
-    from porobiot.assembly import BiotOperators, FieldConstraints, ReducedSystem
-    ops, prev, tau = case_setup("lifted_tied", 6, 6, SolverOptions(method))
+    # divergence from the same coupling.  Pins and a tie group present.
+    from porobiot.assembly import BiotOperators, FieldConstraints
+    ops, prev, tau = case_setup("mandel", 10, 6, SolverOptions(method))
     cfg = SchemeConfig(kind, *suggested_tuning(ops.mat, kind))
     solver = SchemeSolver(ops, cfg, tau)
     ctx = StepContext.build(ops, ops.problem, prev, tau)
     calls = []
-    for cls, name in ((FieldConstraints, "expand"), (ReducedSystem, "restrict"),
+    for cls, name in ((FieldConstraints, "expand"), (FieldConstraints, "restrict"),
                       (BiotOperators, "divu_dual"), (BiotOperators, "hu_dual"),
                       (BiotOperators, "div_u_cells")):
         def counting(obj, *args, _name=name, _original=getattr(cls, name),
@@ -757,7 +702,7 @@ def test_step_stays_in_reduced_coordinates(monkeypatch, kind, method):
     ops.div_u_cells(ops.d_div @ np.zeros(ops.dofmap_u.n_dofs))
     ops.hu_dual(prev.u.coeffs)
     solver.state(x, ctx.t_new)
-    ops._reduced_spd(ops.m_p, ("p",)).restrict(ctx.mass_const)
+    ops.constraints.p.restrict(ctx.mass_const)
     assert sorted(calls) == ["d_div", "div_u_cells", "divu_dual", "expand",
                              "expand", "hu_dual", "restrict"]
 
