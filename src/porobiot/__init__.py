@@ -21,7 +21,6 @@ from .assembly import BiotOperators, assemble_flow, assemble_loads, \
 from .schemes import BiotState, DivergenceError, IterationTrace, \
     SchemeConfig, SchemeSolver, build_initial_state, iterate_to_convergence, \
     march, residual_norms, time_march
-from .linalg import BlockSystem, CachedLU, FixedStressPreconditioner, \
-    SolverReport, gmres
+from .linalg import CachedLU, FixedStressPreconditioner, SolverReport, gmres
 
 __version__ = "0.1.0"

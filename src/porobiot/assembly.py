@@ -20,7 +20,7 @@ the diagonal blocks definite for the preconditioner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,16 +32,6 @@ from .physics import MaterialModel, ProblemDefinition
 
 class ConstraintConflictError(ValueError):
     """A DOF received conflicting essential constraints."""
-
-
-@dataclass
-class ReducedSystem:
-    """A constraint-reduced operator R^T A R with its restriction R: given
-    a full right-hand side b, ``matrix @ x_red = R^T b``, and the full
-    solution is ``R @ x_red``."""
-
-    matrix: sp.spmatrix
-    restriction: sp.spmatrix
 
 
 def assemble_mechanics(mesh: Mesh, mat: MaterialModel, dofmap_u: DofMap,
@@ -241,15 +231,16 @@ class BiotOperators:
 
     The six bilinear-form blocks are assembled once, together with the
     load quadrature points and the boundary edge orientations; the
-    `*_system` methods build the constraint-reduced L-scheme matrices from
-    them: the mechanics block and the flux block with the pressure
-    eliminated (splitting and the fixed-stress sweep), the (u, q) block
-    with the pressure eliminated (monolithic, direct solves), the 3x3
-    block (monolithic, GMRES) and the 2x2 flux-pressure block (a test
-    oracle only).  The first three are the factored ones: symmetric
-    positive definite, and built equal to their transposes to the last
-    bit (`_reduced_spd`).  Each call builds a new matrix; its user keeps
-    it and owns its factorization.
+    `*_system` methods build from them the constraint-reduced L-scheme
+    matrices R^T A R, bare sparse matrices with R of
+    `BlockConstraints.composed`: the mechanics block and the flux block
+    with the pressure eliminated (splitting and the fixed-stress sweep),
+    the (u, q) block with the pressure eliminated (monolithic, direct
+    solves), the 3x3 block (monolithic, GMRES) and the 2x2 flux-pressure
+    block (a test oracle only).  The first three are the factored ones:
+    symmetric positive definite, CSC, and built equal to their transposes
+    to the last bit (`_reduced_spd`).  Each call builds a new matrix; its
+    user keeps it and owns its factorization.
     """
 
     def __init__(self, mesh: Mesh, mat: MaterialModel,
@@ -316,8 +307,10 @@ class BiotOperators:
     # -- scheme system matrices (reduced) -----------------------------------
 
     def _reduced(self, full, names):
+        """R^T full R as CSR, R = `constraints.composed(names)`: the matrix
+        of the reduced unknowns x_red, x = R x_red, for the rhs R^T b."""
         R = self.constraints.composed(names)
-        return ReducedSystem((R.T @ full @ R).tocsr(), R)
+        return (R.T @ full @ R).tocsr()
 
     def _reduced_spd(self, full, names):
         """`_reduced` for a symmetric positive definite operator, made
@@ -326,9 +319,8 @@ class BiotOperators:
         a matrix that differs from its transpose by an ulp.  It is stored in
         CSC, the format `CachedLU` factors and multiplies in, so the
         factorization shares its arrays instead of holding a second copy."""
-        system = self._reduced(full, names)
-        return replace(system,
-                       matrix=(0.5 * (system.matrix + system.matrix.T)).tocsc())
+        matrix = self._reduced(full, names)
+        return (0.5 * (matrix + matrix.T)).tocsc()
 
     def mech_system(self, L2):
         return self._reduced_spd((self.a_e + L2 * self.d_div).tocsr(), ("u",))

@@ -329,7 +329,6 @@ def write_sensitivity_csv(rows, path):
 class ContractionReport:
     kind: str
     values: np.ndarray
-    floor: float
     monotone: bool
     strictly_decreasing: bool
 
@@ -376,7 +375,7 @@ def verify_contraction(archive, reference: BiotState, mat, cfg: SchemeConfig,
             break
         if b >= a:
             strict = False
-    return ContractionReport(cfg.kind, values, floor, monotone, strict)
+    return ContractionReport(cfg.kind, values, monotone, strict)
 
 
 def write_contraction_csv(report: ContractionReport, path):

@@ -88,23 +88,6 @@ def write_solver_reports_csv(rows, path):
 
 
 @dataclass
-class BlockSystem:
-    """Assembled global sparse system and its right-hand side."""
-
-    matrix: sp.spmatrix
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        n = self.matrix.shape[0]
-        if self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError("system matrix must be square")
-        if self.rhs.shape != (n,):
-            raise ValueError("rhs length does not match the matrix")
-        if not np.all(np.isfinite(self.rhs)):
-            raise ValueError("rhs contains non-finite entries")
-
-
-@dataclass
 class SolverReport:
     iterations: int
     relres: float
@@ -203,11 +186,13 @@ class CachedLU:
         return self._raw_solve(np.asarray(b, dtype=float))
 
 
-def gmres(system: BlockSystem, preconditioner=None, restart=50, rtol=1e-10,
-          maxiter=1000, x0=None):
+def gmres(A, b, preconditioner=None, restart=50, rtol=1e-10, maxiter=1000,
+          x0=None):
     """Restarted, right-preconditioned flexible GMRES (Saad, "A flexible
     inner-outer preconditioned GMRES algorithm", SISC 1993) on the
     equilibrated system S A S y = S b, x = S y, with S of `_equilibration`.
+    `ValueError` is raised for a sparse matrix A that is not square and for
+    a vector b whose length is not A's.
 
     `preconditioner` approximates the inverse of A: a matrix, a
     `LinearOperator` or an object with `shape`, `matvec` and `dtype`, such
@@ -224,11 +209,19 @@ def gmres(system: BlockSystem, preconditioner=None, restart=50, rtol=1e-10,
     iterations, that residual as `relres`, and in `history` each inner
     iteration's residual estimate relative to ||S b||, non-increasing
     inside a restart cycle.  Status 'breakdown' marks a cycle whose
-    Hessenberg column was singular or not finite, short of the tolerance.
+    Hessenberg column was singular or not finite, short of the tolerance,
+    and a b with a non-finite entry, which returns NaN as a direct solve
+    would.
     """
     t0 = time.perf_counter()
-    A, b = system.matrix, system.rhs
-    n = b.size
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise ValueError("system matrix must be square")
+    if b.shape != (n,):
+        raise ValueError("rhs length does not match the matrix")
+    if not np.all(np.isfinite(b)):
+        return np.full(n, np.nan), SolverReport(
+            0, np.nan, time.perf_counter() - t0, False, "breakdown")
     s = _equilibration(A.diagonal())
     bnorm = np.linalg.norm(s * b)
     if bnorm == 0.0:
@@ -313,7 +306,7 @@ class FlowHalf:
     L2 may share it."""
 
     def __init__(self, ops, L1, tau):
-        self.lu = CachedLU(ops.flow_schur_system(L1, tau).matrix)
+        self.lu = CachedLU(ops.flow_schur_system(L1, tau))
         self.L1, self.tau = L1, tau
 
 
@@ -329,7 +322,7 @@ class FixedStressPreconditioner:
         if flows is not None and any(f.tau != tau for f in flows):
             raise ValueError("flow halves built for another step size")
         self.flows = flows or [FlowHalf(ops, cfg.L1, tau)]
-        self.mech_lu = CachedLU(ops.mech_system(cfg.L2).matrix)
+        self.mech_lu = CachedLU(ops.mech_system(cfg.L2))
         # the pressure field is unreduced
         self.b_up_red, self.b_red = ops.reduced_couplings()
         self.b_red_t = self.b_red.T

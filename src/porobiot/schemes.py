@@ -24,7 +24,8 @@ reduced coordinates too: the loads are restricted once per step
 of the mechanics row come from the reduced coupling R_u^T B_u.  The
 essential conditions are homogeneous, so no constraint enters a
 right-hand side.  Iterations stop when the summed L2 norms of the
-field increments drop below the tolerance (`stop_status`);
+field increments drop below the tolerance, and abort when they are not
+finite or exceed `DIVERGENCE_FACTOR` times the first (`stop_status`);
 `iterate_lockstep` iterates several splitting cells of one L2 together.
 """
 
@@ -37,8 +38,8 @@ import numpy as np
 
 from .assembly import BiotOperators, assemble_loads, build_operators
 from .fem import FeFunction, interpolate, l2_norm
-from .linalg import (BlockSystem, CachedLU, FixedStressPreconditioner,
-                     FlowHalf, LinearSolveError, gmres)
+from .linalg import (CachedLU, FixedStressPreconditioner, FlowHalf,
+                     LinearSolveError, gmres)
 from .mesh import Mesh
 from .physics import MaterialModel, ProblemDefinition, check_admissible
 
@@ -52,6 +53,7 @@ class SchemeConfigError(ValueError):
 
 
 SCHEME_KINDS = ("splitting", "monolithic")
+DIVERGENCE_FACTOR = 1e6   # a summed increment this many times the first diverges
 
 
 @dataclass
@@ -63,7 +65,6 @@ class SchemeConfig:
     L2: float
     tol: float = 1e-8
     max_iter: int = 500
-    divergence_factor: float = 1e6
 
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
@@ -80,10 +81,6 @@ class SchemeConfig:
         if (not isinstance(self.max_iter, numbers.Integral)
                 or isinstance(self.max_iter, bool) or self.max_iter < 1):
             raise SchemeConfigError("max_iter must be an integer of at least 1")
-        if not (np.isfinite(self.divergence_factor)
-                and self.divergence_factor >= 1):
-            raise SchemeConfigError(
-                "divergence_factor must be finite and at least 1")
 
     def splitting_safe(self, mat: MaterialModel) -> bool:
         """L1 >= L_b and L2 >= L_h + alpha^2 / b_m (with the estimated constants)."""
@@ -231,14 +228,14 @@ class SchemeSolver:
         if cfg.kind == "monolithic" and (ops.solver is None
                                          or ops.solver.method != "gmres"):
             self.mono_lu = CachedLU(
-                ops.monolithic_schur_system(cfg.L1, cfg.L2, tau).matrix)
+                ops.monolithic_schur_system(cfg.L1, cfg.L2, tau))
             self.b_up_red, self.b_red = ops.reduced_couplings()
             self.b_red_t = self.b_red.T
         else:
             self.sweep = FixedStressPreconditioner(ops, cfg, tau, flows)
             self.b_up_red = self.sweep.b_up_red
             if cfg.kind == "monolithic":
-                self.system = ops.monolithic_system(cfg.L1, cfg.L2, tau)
+                self.matrix = ops.monolithic_system(cfg.L1, cfg.L2, tau)
         self.b_up_red_t = self.b_up_red.T   # B_u^T R_u, a view
 
     def coordinates(self, state: BiotState):
@@ -308,12 +305,12 @@ class SchemeSolver:
         if cfg.kind == "splitting":
             return self.sweep.matvec(r, cells)
         opts = ops.solver
-        x_red, report = gmres(BlockSystem(self.system.matrix, r.ravel()),
-                              preconditioner=self.sweep,
+        x_red, report = gmres(self.matrix, r.ravel(), preconditioner=self.sweep,
                               restart=opts.restart, rtol=opts.rtol,
                               maxiter=opts.maxiter, x0=x.ravel())
         ops.solver_log.append((f"mono/L1={cfg.L1:g}/L2={cfg.L2:g}", report))
-        if not report.converged:
+        # a NaN solution, of a non-finite rhs, diverges as the LU path's does
+        if not report.converged and np.all(np.isfinite(x_red)):
             raise LinearSolveError(
                 f"preconditioned GMRES stopped at {report.status} with relative "
                 f"residual {report.relres:.2e}")
@@ -323,13 +320,13 @@ class SchemeSolver:
 def stop_status(total, first_total, iterations, cfg: SchemeConfig):
     """The stop rule after `iterations` iterations whose last and first
     summed increments are `total` and `first_total`: 'diverged' (not
-    finite, or above divergence_factor times the first), 'converged' (at
-    most tol), 'maxiter', or None to go on."""
+    finite, or above `DIVERGENCE_FACTOR` times the first), 'converged' (at
+    most cfg.tol), 'maxiter' (cfg.max_iter reached), or None to go on."""
     if not np.isfinite(total):
         return "diverged"
     if total <= cfg.tol:
         return "converged"
-    if total > cfg.divergence_factor * first_total:
+    if total > DIVERGENCE_FACTOR * first_total:
         return "diverged"
     if iterations >= cfg.max_iter:
         return "maxiter"
@@ -381,8 +378,8 @@ def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
 
     The iterate starts at `SchemeSolver.coordinates` of the previous
     time-step solution, and the state is formed from the last one.  A
-    combined increment that is not finite or above divergence_factor times
-    the first one aborts with `DivergenceError`; exhausting max_iter
+    combined increment that is not finite or above `DIVERGENCE_FACTOR`
+    times the first one aborts with `DivergenceError`; exhausting max_iter
     returns with converged=False (`stop_status`).  `solver` reuses the
     factorizations of an earlier call with the same operators, scheme and
     step size, and `ctx` the step context built from `prev` and `tau`;
@@ -411,7 +408,7 @@ def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
             raise DivergenceError(
                 f"non-finite increment at iteration {trace.iterations}")
         raise DivergenceError(
-            f"increment {total:.3e} exceeds {cfg.divergence_factor:g} x "
+            f"increment {total:.3e} exceeds {DIVERGENCE_FACTOR:g} x "
             f"first increment {first_total:.3e}")
     trace.converged = status == "converged"
 
@@ -510,9 +507,9 @@ def residual_norms(state: BiotState, prev: BiotState, ops: BiotOperators,
            - ctx.mass_const)
 
     def dual(name, r, mass):
-        system = ops._reduced_spd(mass, (name,))
-        rr = system.restriction.T @ r
-        return float(np.sqrt(max(rr @ CachedLU(system.matrix).solve(rr), 0.0)))
+        rr = getattr(ops.constraints, name).restrict(r)
+        lu = CachedLU(ops._reduced_spd(mass, (name,)))
+        return float(np.sqrt(max(rr @ lu.solve(rr), 0.0)))
 
     res_u = dual("u", r_u, ops.dofmap_u.mass_matrix)
     res_q = dual("q", r_q, ops.dofmap_q.mass_matrix)

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from porobiot.fem import FeFunction, SpaceKind
-from porobiot.linalg import BlockSystem, gmres
+from porobiot.linalg import gmres
 from porobiot.mesh import MeshError
 from porobiot.schemes import BiotState
 
@@ -153,23 +153,24 @@ def lu_solve(matrix, b):
 def vector_step(solver, cur, ctx):
     """One iteration of the `SchemeSolver` `solver` from the `BiotState`
     `cur`, by vectors in full coordinates: the right-hand side is formed
-    from the fields of `cur`, restricted by the sparse product R^T of the
-    reduced system that the step solves, built here from the assembled
-    blocks, solved, and expanded by R, GMRES started from
-    the reduced coordinates that the index of R gives `cur`.
+    from the fields of `cur`, restricted by the sparse product R^T, R the
+    `BlockConstraints.composed` restriction of the fields that the step
+    solves for, solved (by the matrix built here from the assembled blocks,
+    or by the solver's factorization), and expanded by R, GMRES started
+    from the reduced coordinates that the index of R gives `cur`.
     `SchemeSolver.step` forms the same iteration in reduced coordinates."""
     ops, cfg, alpha, tau = solver.ops, solver.cfg, solver.ops.mat.alpha, ctx.tau
+    names = ("u", "q", "p")
     if solver.mono_lu is not None:
-        system = ops.monolithic_schur_system(cfg.L1, cfg.L2, tau)
+        names = ("u", "q")
     elif cfg.kind == "monolithic":
-        system = ops.monolithic_system(cfg.L1, cfg.L2, tau)
+        matrix = ops.monolithic_system(cfg.L1, cfg.L2, tau)
     else:   # the splitting operator, which the sweep inverts
-        system = ops._reduced(sp.bmat(
+        matrix = ops._reduced(sp.bmat(
             [[ops.a_e + cfg.L2 * ops.d_div, None, -alpha * ops.b_up],
              [None, ops.m_q, -ops.b_qp_t],
-             [None, tau * ops.b_qp, cfg.L1 * ops.m_p]], format="csr"),
-            ("u", "q", "p"))
-    R = system.restriction
+             [None, tau * ops.b_qp, cfg.L1 * ops.m_p]], format="csr"), names)
+    R = ops.constraints.composed(names)
     u, p = cur.u.coeffs, cur.p.coeffs
     divu = ops.divu_dual(u)
     rhs_u = ctx.f_vec + cfg.L2 * (ops.d_div @ u) - ops.hu_dual(u)
@@ -190,7 +191,7 @@ def vector_step(solver, cur, ctx):
         x0 = np.empty(R.shape[1])
         x0[R.indices] = np.concatenate([u, cur.q.coeffs, p])[np.diff(R.indptr) > 0]
         opts = ops.solver
-        x_red = gmres(BlockSystem(system.matrix, r), preconditioner=solver.sweep,
+        x_red = gmres(matrix, r, preconditioner=solver.sweep,
                       restart=opts.restart, rtol=opts.rtol,
                       maxiter=opts.maxiter, x0=x0)[0]
     else:

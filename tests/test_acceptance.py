@@ -17,7 +17,7 @@ from porobiot.bench import (error_norms, manufactured_convergence,
                             sensitivity_grid, sweep_L, verify_contraction,
                             write_sweep_csv)
 from porobiot.fem import FeFunction, l2_norm
-from porobiot.linalg import BlockSystem, FixedStressPreconditioner, gmres
+from porobiot.linalg import FixedStressPreconditioner, gmres
 from porobiot.mesh import generate_rect_mesh
 from porobiot.physics import (estimate_constants, manufactured_material,
                               manufactured_problem)
@@ -51,10 +51,9 @@ def field_diffs(ops, a, b):
 def direct_step(ops, prob, prev, tau):
     """Oracle for the linear law: one direct solve of the coupled system."""
     ctx = StepContext.build(ops, prob, prev, tau)
-    sysd = ops.monolithic_system(1.0, 1.0, tau)
-    R = sysd.restriction
+    R = ops.constraints.composed(("u", "q", "p"))
     rhs = R.T @ np.concatenate([ctx.f_vec, ctx.g_vec, ctx.mass_const])
-    x = R @ lu_solve(sysd.matrix, rhs)
+    x = R @ lu_solve(ops.monolithic_system(1.0, 1.0, tau), rhs)
     nu, nq = ops.dofmap_u.n_dofs, ops.dofmap_q.n_dofs
     return BiotState(FeFunction(ops.dofmap_u, x[:nu]),
                      FeFunction(ops.dofmap_q, x[nu:nu + nq]),
@@ -307,32 +306,30 @@ def _linear_monolithic_system(nx, tau=0.25):
     ops = build_operators(mesh, mat, prob)
     prev = build_initial_state(prob, ops)
     ctx = StepContext.build(ops, prob, prev, tau)
-    sysd = ops.monolithic_system(1.0, 1.0, tau)
-    rhs = sysd.restriction.T @ np.concatenate([ctx.f_vec, ctx.g_vec, ctx.mass_const])
-    return BlockSystem(sysd.matrix, rhs), ops, mat
+    R = ops.constraints.composed(("u", "q", "p"))
+    rhs = R.T @ np.concatenate([ctx.f_vec, ctx.g_vec, ctx.mass_const])
+    return ops.monolithic_system(1.0, 1.0, tau), rhs, ops, mat
 
 
 def test_criterion_8_preconditioned_gmres_mesh_robust():
     with criterion(8, "fixed-stress GMRES mesh-robust; bare GMRES degrades"):
         precond_counts = []
         for nx in (8, 16, 32, 64):
-            system, ops, mat = _linear_monolithic_system(nx)
+            A, b, ops, mat = _linear_monolithic_system(nx)
             cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
             M = FixedStressPreconditioner(ops, cfg, 0.25)
-            _, rep = gmres(system, preconditioner=M,
-                           rtol=1e-10)
+            _, rep = gmres(A, b, preconditioner=M, rtol=1e-10)
             assert rep.converged, nx
             precond_counts.append(rep.iterations)
         assert max(precond_counts) <= 15, precond_counts
 
         bare_counts = []
         for nx in (8, 16, 32):
-            system, _, _ = _linear_monolithic_system(nx)
-            d = np.abs(system.matrix.diagonal())
+            A, b, _, _ = _linear_monolithic_system(nx)
+            d = np.abs(A.diagonal())
             S = sp.diags(1.0 / np.sqrt(np.where(d > 0, d, 1.0)))
-            scaled = BlockSystem((S @ system.matrix @ S).tocsr(),
-                                 S @ system.rhs)
-            _, rep = gmres(scaled, rtol=1e-6, maxiter=15000)
+            _, rep = gmres((S @ A @ S).tocsr(), S @ b, rtol=1e-6,
+                           maxiter=15000)
             bare_counts.append(rep.iterations)
         assert bare_counts[0] < bare_counts[1] < bare_counts[2], bare_counts
         print(f"  preconditioned: {precond_counts}; bare: {bare_counts}")

@@ -136,12 +136,33 @@ class TestFlow:
         with monkeypatch.context() as m:
             m.setattr(ops, "_reduced_spd", ops._reduced)
             for build in builders:
-                raw = build(100.0).matrix
+                raw = build(100.0)
                 assert (raw != raw.T).nnz > 0
         for L1 in (0.1, 100.0):
             for build in builders:
-                matrix = build(L1).matrix
+                matrix = build(L1)
                 assert (matrix != matrix.T).nnz == 0
+
+    @pytest.mark.parametrize("builder, args, names, factored", [
+        ("mech_system", (2.0,), ("u",), True),
+        ("flow_system", (1.0, 0.25), ("q", "p"), False),
+        ("flow_schur_system", (1.0, 0.25), ("q",), True),
+        ("monolithic_schur_system", (1.0, 2.0, 0.25), ("u", "q"), True),
+        ("monolithic_system", (1.0, 2.0, 0.25), ("u", "q", "p"), False)])
+    def test_system_builders_return_bare_reduced_matrices(
+            self, builder, args, names, factored):
+        # each builder returns the sparse matrix itself, square in the
+        # reduced unknowns of its fields (pins and a tie group present);
+        # the factored ones in CSC, the format CachedLU factors in
+        cfg = MandelConfig()
+        mat = mandel_material("linear", cfg)
+        ops = build_operators(generate_rect_mesh((0, 0), (cfg.a, cfg.b), 6, 4),
+                              mat, mandel_problem(mat, cfg))
+        matrix = getattr(ops, builder)(*args)
+        n = sum(getattr(ops.constraints, f).n_reduced for f in names)
+        assert sp.issparse(matrix) and matrix.shape == (n, n)
+        assert n < sum(getattr(ops, f"dofmap_{f}").n_dofs for f in names)
+        assert matrix.format == ("csc" if factored else "csr")
 
     def test_nonpositive_permeability_rejected(self):
         from porobiot.physics import law_catalog, make_material
@@ -385,9 +406,8 @@ class TestConstraints:
         ops, mat, prob = unit_ops
         A = (ops.a_e + ops.d_div).tocsr()
         b = np.ones(ops.dofmap_u.n_dofs)
-        sysd = ops.mech_system(1.0)
-        R = sysd.restriction
-        x = R @ CachedLU(sysd.matrix).solve(R.T @ b)
+        R = ops.constraints.composed(("u",))
+        x = R @ CachedLU(ops.mech_system(1.0)).solve(R.T @ b)
         assert np.abs(R.T @ (A @ x - b)).max() < 1e-10
 
     @pytest.mark.parametrize("side, u_bc, q_bc", [

@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 
 from porobiot.assembly import build_operators
 from porobiot.bench import manufactured_setup, run_mandel, sweep_L
-from porobiot.linalg import (BlockSystem, CachedLU, FactorizationError,
+from porobiot.linalg import (CachedLU, FactorizationError,
                              FixedStressPreconditioner, FlowHalf,
                              SolverOptions, gmres)
 from porobiot.mesh import generate_rect_mesh
@@ -18,15 +18,18 @@ from oracles import lu_solve
 
 
 def monolithic_linear_system(nx=8, alpha=1.0, tau=0.25):
+    """The reduced 3x3 matrix and right-hand side of one linear monolithic
+    step (L1 = L2 = 1) on the nx-by-nx unit square, its operators and
+    material."""
     mat = manufactured_material("linear", alpha=alpha)
     prob = manufactured_problem(mat)
     mesh = generate_rect_mesh((0, 0), (1, 1), nx, nx)
     ops = build_operators(mesh, mat, prob)
     prev = build_initial_state(prob, ops)
     ctx = StepContext.build(ops, prob, prev, tau)
-    sysd = ops.monolithic_system(1.0, 1.0, tau)
-    rhs = sysd.restriction.T @ np.concatenate([ctx.f_vec, ctx.g_vec, ctx.mass_const])
-    return BlockSystem(sysd.matrix, rhs), ops, mat
+    R = ops.constraints.composed(("u", "q", "p"))
+    rhs = R.T @ np.concatenate([ctx.f_vec, ctx.g_vec, ctx.mass_const])
+    return ops.monolithic_system(1.0, 1.0, tau), rhs, ops, mat
 
 
 def mandel_si_operators(nx=20):
@@ -70,13 +73,11 @@ class TestLU:
     def test_residual_oracle_on_biot_system(self):
         # the (u, q) system with the pressure eliminated, the one a
         # monolithic LU step factors
-        _, ops, _ = monolithic_linear_system(nx=6)
-        A = ops.monolithic_schur_system(1.0, 1.0, 0.25).matrix
-        rng = np.random.default_rng(3)
-        system = BlockSystem(A, rng.standard_normal(A.shape[0]))
-        x = CachedLU(system.matrix).solve(system.rhs)
-        res = np.linalg.norm(system.matrix @ x - system.rhs)
-        assert res / np.linalg.norm(system.rhs) <= 1e-11
+        _, _, ops, _ = monolithic_linear_system(nx=6)
+        A = ops.monolithic_schur_system(1.0, 1.0, 0.25)
+        b = np.random.default_rng(3).standard_normal(A.shape[0])
+        x = CachedLU(A).solve(b)
+        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-11
 
     def test_singular_matrix(self):
         # symmetric: SuperLU meets a zero pivot; nonsymmetric: refused
@@ -97,7 +98,7 @@ class TestLU:
         # the SI (u, q) system with the pressure eliminated is SPD: its
         # symmetric factorization meets the residual test without refinement
         ops, L1, L2 = mandel_si_operators()
-        A = ops.monolithic_schur_system(L1, L2, 1.0).matrix
+        A = ops.monolithic_schur_system(L1, L2, 1.0)
         lu = CachedLU(A)
         assert np.array_equal(lu._lu.perm_r, lu._lu.perm_c)
         calls = count_raw_solves(lu)
@@ -114,7 +115,7 @@ class TestLU:
         # vector solve
         ops, L1, L2 = mandel_si_operators(nx=8)
         A = (ops.monolithic_schur_system(L1, L2, 1.0) if system == "schur"
-             else ops.mech_system(L2)).matrix
+             else ops.mech_system(L2))
         lu = CachedLU(A)
         B = np.random.default_rng(14).standard_normal((A.shape[0], 4))
         X = lu.solve(B)
@@ -126,7 +127,7 @@ class TestLU:
         # a one-column block is solved as its vector, with the bits that
         # SuperLU gives the block itself, in one call of the solve
         ops, L1, L2 = mandel_si_operators(nx=8)
-        lu = CachedLU(ops.monolithic_schur_system(L1, L2, 1.0).matrix)
+        lu = CachedLU(ops.monolithic_schur_system(L1, L2, 1.0))
         b = np.random.default_rng(15).standard_normal(lu.shape[0])
         s = lu.scale[:, None]
         block = s * lu._lu.solve(s * b[:, None])
@@ -147,7 +148,7 @@ class TestCertificate:
         # a vector and an (n, k) block alike: no residual is formed, and
         # every column meets the bound the probe certified
         ops, L1, L2 = mandel_si_operators(nx=8)
-        A = ops.monolithic_schur_system(L1, L2, 1.0).matrix
+        A = ops.monolithic_schur_system(L1, L2, 1.0)
         lu = CachedLU(A)
         M = lu.matrix
 
@@ -176,9 +177,9 @@ class TestCertificate:
         # a nonsymmetric matrix is refused, not factored
         if matrix == "si-3x3":
             ops, L1, L2 = mandel_si_operators(nx=8)
-            A = ops.monolithic_system(L1, L2, 1.0).matrix
+            A = ops.monolithic_system(L1, L2, 1.0)
         elif matrix == "linear-3x3":
-            A = monolithic_linear_system(nx=4)[0].matrix
+            A = monolithic_linear_system(nx=4)[0]
         else:   # exact in one solve: its probe would pass
             A = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 4.0]]))
         with pytest.raises(FactorizationError, match="not symmetric"):
@@ -265,25 +266,29 @@ class TestCertificate:
         assert max(worst) <= 1e-12
 
 
-class TestBlockSystem:
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            BlockSystem(sp.eye(3, 4, format="csr"), np.zeros(3))
-        with pytest.raises(ValueError):
-            BlockSystem(sp.eye(3, format="csr"), np.zeros(4))
-        with pytest.raises(ValueError):
-            BlockSystem(sp.eye(3, format="csr"), np.array([1.0, np.nan, 0.0]))
-
-
 # a division by a zero norm in the Krylov code (a lucky breakdown, a zero
 # right-hand side) fails the test instead of passing with NaNs
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestGMRES:
+    def test_shape_validation(self):
+        with pytest.raises(ValueError, match="square"):
+            gmres(sp.eye(3, 4, format="csr"), np.zeros(3))
+        with pytest.raises(ValueError, match="length"):
+            gmres(sp.eye(3, format="csr"), np.zeros(4))
+
+    def test_non_finite_rhs_returns_nan(self):
+        # as a direct solve would, not the start x0: no iteration is made,
+        # and the report says breakdown
+        x, rep = gmres(sp.eye(3, format="csr"), np.array([1.0, np.nan, 0.0]),
+                       x0=np.ones(3))
+        assert np.all(np.isnan(x))
+        assert not rep.converged and rep.status == "breakdown"
+        assert rep.iterations == 0
+
     def test_spd_diagonal_krylov_exactness(self):
         # n distinct eigenvalues: converges in at most n iterations
         diag = np.arange(1.0, 9.0)
-        system = BlockSystem(sp.diags(diag).tocsr(), np.ones(8))
-        x, rep = gmres(system, rtol=1e-12)
+        x, rep = gmres(sp.diags(diag).tocsr(), np.ones(8), rtol=1e-12)
         assert rep.converged
         assert rep.iterations <= 8
         assert np.allclose(x, 1.0 / diag)
@@ -293,51 +298,48 @@ class TestGMRES:
         A = sp.csr_matrix(rng.standard_normal((12, 12)) + 12 * np.eye(12))
         b = rng.standard_normal(12)
         inv = np.linalg.inv(A.toarray())
-        x, rep = gmres(BlockSystem(A, b), preconditioner=inv,
-                       rtol=1e-10)
+        x, rep = gmres(A, b, preconditioner=inv, rtol=1e-10)
         assert rep.converged
         assert rep.iterations <= 1
         assert np.allclose(A @ x, b, atol=1e-8)
 
     def test_residual_history_monotone_within_cycle(self):
-        system, ops, mat = monolithic_linear_system(nx=6)
-        d = np.abs(system.matrix.diagonal())
+        A, b, ops, mat = monolithic_linear_system(nx=6)
+        d = np.abs(A.diagonal())
         S = sp.diags(1.0 / np.sqrt(np.where(d > 0, d, 1.0)))
-        scaled = BlockSystem((S @ system.matrix @ S).tocsr(), S @ system.rhs)
-        x, rep = gmres(scaled, restart=40, rtol=1e-10, maxiter=200)
+        x, rep = gmres((S @ A @ S).tocsr(), S @ b, restart=40, rtol=1e-10,
+                       maxiter=200)
         hist = rep.history
         for i in range(1, len(hist)):
             if i % 40 != 0:  # inside one restart cycle
                 assert hist[i] <= hist[i - 1] * (1 + 1e-12)
 
     def test_maxiter_status(self):
-        system, _, _ = monolithic_linear_system(nx=6)
-        x, rep = gmres(system, rtol=1e-12, maxiter=5)
+        A, b, _, _ = monolithic_linear_system(nx=6)
+        x, rep = gmres(A, b, rtol=1e-12, maxiter=5)
         assert not rep.converged
         assert rep.status == "maxiter"
         assert rep.iterations == 5   # the cap counts inner iterations exactly
 
     def test_warm_start_at_the_solution_takes_no_iteration(self):
-        system, ops, _ = monolithic_linear_system(nx=6)
+        A, b, ops, _ = monolithic_linear_system(nx=6)
         M = FixedStressPreconditioner(
             ops, SchemeConfig("monolithic", L1=1.0, L2=1.0), 0.25)
-        x = lu_solve(system.matrix, system.rhs)
-        got, rep = gmres(system, preconditioner=M, rtol=1e-10, x0=x)
+        x = lu_solve(A, b)
+        got, rep = gmres(A, b, preconditioner=M, rtol=1e-10, x0=x)
         assert rep.converged and rep.iterations == 0 and rep.relres <= 1e-10
         assert got.tobytes() == x.tobytes() and got is not x
 
     def test_zero_rhs_returns_zeros(self):
-        system, ops, _ = monolithic_linear_system(nx=4)
-        zero = BlockSystem(system.matrix, np.zeros(system.matrix.shape[0]))
-        x, rep = gmres(zero, x0=np.ones(system.matrix.shape[0]))
+        A, _, _, _ = monolithic_linear_system(nx=4)
+        x, rep = gmres(A, np.zeros(A.shape[0]), x0=np.ones(A.shape[0]))
         assert rep.converged and rep.iterations == 0 and rep.relres == 0.0
         assert not np.any(x)
 
     def test_lucky_breakdown_converges(self):
         # b is an eigenvector: the first inner iteration spans the solution
-        system = BlockSystem(sp.diags([2.0, 3.0, 5.0]).tocsr(),
-                             np.array([0.0, 6.0, 0.0]))
-        x, rep = gmres(system)
+        x, rep = gmres(sp.diags([2.0, 3.0, 5.0]).tocsr(),
+                       np.array([0.0, 6.0, 0.0]))
         assert rep.converged and rep.iterations == 1
         assert np.allclose(x, [0.0, 2.0, 0.0])
 
@@ -346,16 +348,16 @@ class TestGMRES:
         # twenty decades, preconditioned by the sweep in the same units:
         # the stop tests the same equilibrated residual, so the same
         # iterations, estimates and solution follow
-        system, ops, _ = monolithic_linear_system(nx=8)
+        A, b, ops, _ = monolithic_linear_system(nx=8)
         M = FixedStressPreconditioner(
             ops, SchemeConfig("monolithic", L1=1.0, L2=1.0), 0.25)
-        n = system.matrix.shape[0]
+        n = A.shape[0]
         d = 10.0 ** np.random.default_rng(17).uniform(-10.0, 10.0, n)
         D = sp.diags(d)
-        scaled = BlockSystem((D @ system.matrix @ D).tocsr(), d * system.rhs)
         M_d = spla.LinearOperator((n, n), matvec=lambda v: M.matvec(v / d) / d)
-        x, rep = gmres(system, preconditioner=M, rtol=1e-10)
-        x_d, rep_d = gmres(scaled, preconditioner=M_d, rtol=1e-10)
+        x, rep = gmres(A, b, preconditioner=M, rtol=1e-10)
+        x_d, rep_d = gmres((D @ A @ D).tocsr(), d * b, preconditioner=M_d,
+                           rtol=1e-10)
         assert rep.converged and rep_d.converged
         assert rep_d.iterations == rep.iterations
         assert np.allclose(rep_d.history, rep.history, rtol=1e-6, atol=0.0)
@@ -381,14 +383,14 @@ class TestSolverOptions:
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestFixedStressPreconditioner:
     def test_zero_residual_zero_correction(self):
-        _, ops, mat = monolithic_linear_system(nx=4)
+        _, _, ops, mat = monolithic_linear_system(nx=4)
         cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
         M = FixedStressPreconditioner(ops, cfg, 0.25)
         out = M.matvec(np.zeros(M.shape[0]))
         assert np.allclose(out, 0.0)
 
     def test_linearity(self):
-        _, ops, mat = monolithic_linear_system(nx=4)
+        _, _, ops, mat = monolithic_linear_system(nx=4)
         cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
         M = FixedStressPreconditioner(ops, cfg, 0.25)
         rng = np.random.default_rng(6)
@@ -402,7 +404,7 @@ class TestFixedStressPreconditioner:
     def test_block_sweep_is_column_sweeps(self):
         # every column of a block uses the first flow half, to the bits
         # of its own vector sweep
-        _, ops, mat = monolithic_linear_system(nx=4)
+        _, _, ops, mat = monolithic_linear_system(nx=4)
         M = FixedStressPreconditioner(
             ops, SchemeConfig("splitting", L1=0.3, L2=3.0), 0.25)
         R = np.random.default_rng(16).standard_normal((M.shape[0], 3))
@@ -413,7 +415,7 @@ class TestFixedStressPreconditioner:
     def test_block_columns_use_their_flow_halves(self):
         # a block whose three columns use three flow halves: each column
         # is the vector sweep of a sweep built for its cell alone
-        _, ops, mat = monolithic_linear_system(nx=4)
+        _, _, ops, mat = monolithic_linear_system(nx=4)
         cfgs = [SchemeConfig("splitting", L1=l1, L2=3.0)
                 for l1 in (0.3, 1.0, 4.0)]
         M = FixedStressPreconditioner(
@@ -428,37 +430,32 @@ class TestFixedStressPreconditioner:
     def test_decoupled_block_exactness(self):
         # alpha = 0 decouples mechanics from flow: the sweep is an exact
         # inverse and GMRES converges immediately
-        system, ops, mat = monolithic_linear_system(nx=6, alpha=0.0)
+        A, _, ops, mat = monolithic_linear_system(nx=6, alpha=0.0)
         cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
         M = FixedStressPreconditioner(ops, cfg, 0.25)
-        rng = np.random.default_rng(7)
-        system = BlockSystem(system.matrix,
-                             rng.standard_normal(system.matrix.shape[0]))
-        x, rep = gmres(system, preconditioner=M,
-                       rtol=1e-10)
+        b = np.random.default_rng(7).standard_normal(A.shape[0])
+        x, rep = gmres(A, b, preconditioner=M, rtol=1e-10)
         assert rep.converged
         assert rep.iterations <= 2
 
     def test_mesh_robust_iteration_counts(self):
         counts = []
         for nx in (8, 16, 32):
-            system, ops, mat = monolithic_linear_system(nx=nx)
+            A, b, ops, mat = monolithic_linear_system(nx=nx)
             cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
             M = FixedStressPreconditioner(ops, cfg, 0.25)
-            x, rep = gmres(system, preconditioner=M,
-                           rtol=1e-10)
+            x, rep = gmres(A, b, preconditioner=M, rtol=1e-10)
             assert rep.converged
             counts.append(rep.iterations)
         assert max(counts) <= 15
         assert max(counts) - min(counts) <= 3
 
     def test_direct_vs_preconditioned_gmres(self):
-        system, ops, mat = monolithic_linear_system(nx=8)
+        A, b, ops, mat = monolithic_linear_system(nx=8)
         cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
         M = FixedStressPreconditioner(ops, cfg, 0.25)
-        xg, repg = gmres(system, preconditioner=M,
-                         rtol=1e-12)
-        xd = lu_solve(system.matrix, system.rhs)
+        xg, repg = gmres(A, b, preconditioner=M, rtol=1e-12)
+        xd = lu_solve(A, b)
         assert np.linalg.norm(xg - xd) / np.linalg.norm(xd) <= 1e-8
 
 
@@ -479,9 +476,9 @@ def test_sweep_matches_two_by_two_flow_oracle(case):
                                   tau)
     nu, nq, _ = M.sizes
     r = np.random.default_rng(13).standard_normal(M.shape[0])
-    d_qp = lu_solve(ops.flow_system(L1, tau).matrix, r[nu:])
-    b_up_red = ops.constraints.u.restriction.T @ ops.b_up
-    d_u = CachedLU(ops.mech_system(L2).matrix).solve(
+    d_qp = lu_solve(ops.flow_system(L1, tau), r[nu:])
+    b_up_red = ops.constraints.composed(("u",)).T @ ops.b_up
+    d_u = CachedLU(ops.mech_system(L2)).solve(
         r[:nu] + mat.alpha * (b_up_red @ d_qp[nq:]))
     got = M.matvec(r)
     for block in (slice(0, nu), slice(nu, nu + nq), slice(nu + nq, None)):

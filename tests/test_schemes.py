@@ -1,4 +1,5 @@
 import platform
+import re
 import warnings
 from dataclasses import replace
 
@@ -13,10 +14,11 @@ from porobiot.physics import (MandelConfig, NonlinearLaw,
                               make_material, law_catalog, mandel_material,
                               mandel_problem, manufactured_material,
                               manufactured_problem)
-from porobiot.schemes import (BiotState, DivergenceError, SchemeConfig,
-                              SchemeConfigError, SchemeSolver, StepContext,
-                              build_initial_state, iterate_lockstep,
-                              iterate_to_convergence, residual_norms, stop_status, suggested_tuning,
+from porobiot.schemes import (DIVERGENCE_FACTOR, BiotState, DivergenceError,
+                              SchemeConfig, SchemeConfigError, SchemeSolver,
+                              StepContext, build_initial_state,
+                              iterate_lockstep, iterate_to_convergence,
+                              residual_norms, stop_status, suggested_tuning,
                               time_march, write_trace_csv)
 
 from oracles import lu_solve, vector_step
@@ -31,18 +33,19 @@ def linear_setup(nx=8):
     return mesh, mat, prob, ops, prev
 
 
-def reduced_solve(system, rhs_full):
-    """Solve a reduced system by LU and expand the solution to the full space."""
-    R = system.restriction
-    return R @ lu_solve(system.matrix, R.T @ rhs_full)
+def reduced_solve(ops, matrix, names, rhs_full):
+    """Solve the reduced system `matrix` of the fields `names` by LU and
+    expand the solution to the full space."""
+    R = ops.constraints.composed(names)
+    return R @ lu_solve(matrix, R.T @ rhs_full)
 
 
 def direct_solve(ops, prob, prev, tau, L1=1.0, L2=1.0):
     """Oracle: one-shot solve of the coupled linear discrete system."""
     ctx = StepContext.build(ops, prob, prev, tau)
     sysd = ops.monolithic_system(L1, L2, tau)
-    x = reduced_solve(sysd, np.concatenate([ctx.f_vec, ctx.g_vec,
-                                            ctx.mass_const]))
+    x = reduced_solve(ops, sysd, ("u", "q", "p"),
+                      np.concatenate([ctx.f_vec, ctx.g_vec, ctx.mass_const]))
     nu, nq = ops.dofmap_u.n_dofs, ops.dofmap_q.n_dofs
     return BiotState(FeFunction(ops.dofmap_u, x[:nu]),
                      FeFunction(ops.dofmap_q, x[nu:nu + nq]),
@@ -71,33 +74,30 @@ class TestSchemeConfig:
 
     @pytest.mark.parametrize("bad", [
         {"max_iter": 0}, {"max_iter": -3}, {"max_iter": 2.5},
-        {"max_iter": True}, {"divergence_factor": float("nan")},
-        {"divergence_factor": -1.0}, {"divergence_factor": 0.5},
-        {"divergence_factor": float("inf")}])
+        {"max_iter": True}])
     def test_stop_controls_validated(self, bad):
-        # a non-integer or non-positive max_iter, and a divergence factor
-        # that is not finite or below 1, would end or disable the stop rule
+        # a non-integer or non-positive max_iter would end or disable the
+        # stop rule
         with pytest.raises(SchemeConfigError):
             SchemeConfig("splitting", 1.0, 1.0, **bad)
 
     def test_stop_controls_accepted(self):
-        cfg = SchemeConfig("splitting", 1.0, 1.0, max_iter=np.int64(3),
-                           divergence_factor=1.0)
-        assert cfg.max_iter == 3 and cfg.divergence_factor == 1.0
+        cfg = SchemeConfig("splitting", 1.0, 1.0, max_iter=np.int64(3))
+        assert cfg.max_iter == 3
 
     def test_stop_status_order(self):
-        cfg = SchemeConfig("splitting", 1.0, 1.0, tol=1e-8, max_iter=3,
-                           divergence_factor=10.0)
+        cfg = SchemeConfig("splitting", 1.0, 1.0, tol=1e-8, max_iter=3)
+        big = DIVERGENCE_FACTOR
         assert stop_status(float("nan"), 1.0, 1, cfg) == "diverged"
         assert stop_status(float("inf"), 1.0, 2, cfg) == "diverged"
         # at max_iter, a converged or diverged increment says so
         assert stop_status(1e-8, 1.0, 3, cfg) == "converged"
-        assert stop_status(10.5, 1.0, 3, cfg) == "diverged"
-        assert stop_status(10.0, 1.0, 3, cfg) == "maxiter"
-        assert stop_status(10.0, 1.0, 2, cfg) is None
-        # the first increment never exceeds itself
-        assert stop_status(5.0, 5.0, 1, replace(cfg, divergence_factor=1.0)) \
-            is None
+        assert stop_status(1.05 * big, 1.0, 3, cfg) == "diverged"
+        assert stop_status(big, 1.0, 3, cfg) == "maxiter"
+        assert stop_status(big, 1.0, 2, cfg) is None
+        # the factor scales the first increment, not a fixed bound
+        assert stop_status(1.05 * big, 2.0, 2, cfg) is None
+        assert stop_status(2.05 * big, 2.0, 2, cfg) == "diverged"
 
     def test_theorem_flags(self):
         mat = manufactured_material("t1c1")  # b_m = 1/e, L_b = e, L_h = 0.75
@@ -175,11 +175,11 @@ class TestFixedPoints:
         mesh, mat, prob, ops, prev = linear_setup(4)
         lam, m_mod, alpha = 1.0, 1.0, 1.0
         L2 = lam + m_mod * alpha ** 2
-        mech = ops.mech_system(L2).matrix
-        R = ops.constraints.u.restriction
+        mech = ops.mech_system(L2)
+        R = ops.constraints.composed(("u",))
         undrained = (R.T @ (ops.a_e + L2 * ops.d_div) @ R).toarray()
         assert np.abs(mech.toarray() - undrained).max() < 1e-14
-        flow = ops.flow_system(1.0 / m_mod, 0.25).matrix
+        flow = ops.flow_system(1.0 / m_mod, 0.25)
         import scipy.sparse as sp
         Rqp = ops.constraints.composed(("q", "p"))
         expect = (Rqp.T @ sp.bmat(
@@ -227,12 +227,13 @@ class TestLinearConvergence:
             rhs_p = (ctx.mass_const - ops.bp_dual(cur.p.coeffs)
                      + L1 * (ops.m_p @ cur.p.coeffs)
                      - mat.alpha * ops.divu_dual(cur.u.coeffs))
-            qp = reduced_solve(ops.flow_system(L1, tau),
+            qp = reduced_solve(ops, ops.flow_system(L1, tau), ("q", "p"),
                                np.concatenate([ctx.g_vec, rhs_p]))
             rhs_u = (ctx.f_vec + mat.alpha * (ops.b_up @ qp[nq:])
                      + L2 * (ops.d_div @ cur.u.coeffs) - ops.hu_dual(cur.u.coeffs))
             expect = BiotState(
-                FeFunction(ops.dofmap_u, reduced_solve(ops.mech_system(L2), rhs_u)),
+                FeFunction(ops.dofmap_u, reduced_solve(
+                    ops, ops.mech_system(L2), ("u",), rhs_u)),
                 FeFunction(ops.dofmap_q, qp[:nq]),
                 FeFunction(ops.dofmap_p, qp[nq:]), ctx.t_new)
             x = solver.step(x, ctx)
@@ -266,7 +267,8 @@ class TestLinearConvergence:
         u, p = prev.u.coeffs, prev.p.coeffs
         rhs_u = ctx.f_vec + L2 * (ops.d_div @ u) - ops.hu_dual(u)
         rhs_p = ctx.mass_const - ops.bp_dual(p) + L1 * (ops.m_p @ p)
-        x = reduced_solve(ops.monolithic_system(L1, L2, tau),
+        x = reduced_solve(ops, ops.monolithic_system(L1, L2, tau),
+                          ("u", "q", "p"),
                           np.concatenate([rhs_u, ctx.g_vec, rhs_p]))
         nu, nq = ops.dofmap_u.n_dofs, ops.dofmap_q.n_dofs
         for have, want in ((got.u.coeffs, x[:nu]), (got.q.coeffs, x[nu:nu + nq]),
@@ -351,23 +353,36 @@ class TestIterationControl:
             assert "increment" in str(exc)
 
     def test_divergence_abort_on_blowup(self):
-        # a deliberately mis-tuned monolithic run (L1 far below the local
-        # storage slope) oscillates and trips the safeguard or the cap
-        mat = manufactured_material("t1c3")
+        # L2 = 0, far below the volumetric slope lam = 100 of a linear law,
+        # amplifies every iterate: the summed increment passes
+        # DIVERGENCE_FACTOR times the first while still finite, and the
+        # safeguard aborts with that factor in the message
+        mat = manufactured_material("linear", lam=100.0)
         prob = manufactured_problem(mat)
-        mesh = generate_rect_mesh((0, 0), (1, 1), 8, 8)
-        ops = build_operators(mesh, mat, prob)
+        ops = build_operators(generate_rect_mesh((0, 0), (1, 1), 4, 4), mat,
+                              prob)
         prev = build_initial_state(prob, ops)
-        cfg = SchemeConfig("monolithic", L1=1e-6, L2=0.75, max_iter=100,
-                           divergence_factor=10.0)
+        cfg = SchemeConfig("monolithic", L1=1.0, L2=0.0, max_iter=100)
+        with pytest.raises(DivergenceError, match=re.escape(
+                f"exceeds {DIVERGENCE_FACTOR:g} x first increment")):
+            iterate_to_convergence(prev, cfg, ops, mat, prob, 0.25)
+
+    @pytest.mark.parametrize("method", ["lu", "gmres"])
+    def test_non_finite_rhs_diverges_by_either_solver(self, method):
+        # exp(800) overflows the storage law of t1c1, so the first
+        # right-hand side is not finite: GMRES ends as the LU solve does,
+        # with a divergence (a solver failure to the CLI), not a ValueError
+        from porobiot.bench import manufactured_setup
+        ops, prev = manufactured_setup("t1c1", 4,
+                                       solver=SolverOptions(method=method))
+        prev.p.coeffs[:] = 800.0
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            try:
-                _, trace = iterate_to_convergence(prev, cfg, ops, mat, prob,
-                                                  0.25)
-                assert not trace.converged
-            except DivergenceError:
-                pass
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(DivergenceError,
+                               match="non-finite increment at iteration 1"):
+                iterate_to_convergence(
+                    prev, SchemeConfig("monolithic", 1.0, 1.0), ops, ops.mat,
+                    ops.problem, 0.25)
 
 
 def test_lockstep_cells_must_share_one_mechanics_half():
