@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import DofMap, SpaceKind, per_row, quadrature, _rt0_local_mass
+from .fem import (DofMap, SpaceKind, per_row, quadrature, _assemble_mass,
+                  _rt0_local_mass)
 from .mesh import Mesh, Side
 from .physics import MaterialModel, ProblemDefinition
 
@@ -303,6 +304,14 @@ class BiotOperators:
         con = self.constraints
         return ((con.u.restriction.T @ self.b_up).tocsr(),
                 (self.b_qp @ con.q.restriction).tocsr())
+
+    def reduced_masses(self):
+        """The displacement and flux masses R^T M R (CSR) of the reduced
+        unknowns, assembled in the reduced numbering."""
+        con = self.constraints
+        return tuple(_assemble_mass(dofmap, c.reduced_of, c.n_reduced)
+                     for dofmap, c in ((self.dofmap_u, con.u),
+                                       (self.dofmap_q, con.q)))
 
     # -- scheme system matrices (reduced) -----------------------------------
 

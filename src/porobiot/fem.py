@@ -157,15 +157,20 @@ def _rt0_values_at(mesh, rule):
     return scale[:, None, :, None] * diff
 
 
-def _assemble_mass(dofmap: DofMap):
-    loc = _local_mass(dofmap)
-    k = loc.shape[1]
-    dofs = dofmap.cell_to_dofs
+def _assemble_mass(dofmap: DofMap, numbering=None, n=None):
+    """The mass matrix of the space (CSR), or R^T M R where DOF i is
+    unknown numbering[i] of n (dropped where that is negative), assembled
+    without the zero local entries (the two displacement components')."""
+    if numbering is None:
+        numbering, n = np.arange(dofmap.n_dofs), dofmap.n_dofs
+    loc = _local_mass(dofmap).ravel()
+    dofs = numbering[dofmap.cell_to_dofs]
+    k = dofs.shape[1]
     rows = np.repeat(dofs, k, axis=1).ravel()
     cols = np.tile(dofs, (1, k)).ravel()
-    mat = sp.coo_matrix((loc.ravel(), (rows, cols)),
-                        shape=(dofmap.n_dofs, dofmap.n_dofs))
-    return mat.tocsr()
+    kept = (loc != 0.0) & (rows >= 0) & (cols >= 0)
+    return sp.coo_matrix((loc[kept], (rows[kept], cols[kept])),
+                         shape=(n, n)).tocsr()
 
 
 def l2_inner(f: FeFunction, g: FeFunction):
@@ -177,22 +182,23 @@ def l2_inner(f: FeFunction, g: FeFunction):
     return float(f.coeffs @ (f.dofmap.mass_matrix @ g.coeffs))
 
 
-def l2_norm(f: FeFunction):
-    """L2 norm of a finite element function (mass-matrix weighted).
+def l2_norm(f, mass=None):
+    """L2 norm of a finite element function (mass-matrix weighted), or of
+    the coefficients `f` measured in `mass`: a sparse matrix, or the
+    diagonal of a diagonal one.
 
     A block of coefficients gives the array of its columns' norms, each
     by the dot of a vector: the columns are copied out contiguous, as a
     strided BLAS dot may sum in another order.
     """
-    c = f.coeffs
-    if f.kind is SpaceKind.P0:
-        mc = per_row(f.mesh.areas, c) * c   # the P0 mass is diagonal
-    else:
-        mc = f.dofmap.mass_matrix @ c
-    if c.ndim == 1:
-        return float(np.sqrt(max(c @ mc, 0.0)))
-    sq = [a @ b for a, b in zip(np.ascontiguousarray(c.T),
-                                np.ascontiguousarray(mc.T))]
+    if mass is None:   # the P0 mass is the diagonal of the cell areas
+        f, mass = f.coeffs, (f.mesh.areas if f.kind is SpaceKind.P0
+                             else f.dofmap.mass_matrix)
+    mf = per_row(mass, f) * f if mass.ndim == 1 else mass @ f
+    if f.ndim == 1:
+        return float(np.sqrt(max(f @ mf, 0.0)))
+    sq = [a @ b for a, b in zip(np.ascontiguousarray(f.T),
+                                np.ascontiguousarray(mf.T))]
     return np.sqrt(np.maximum(sq, 0.0))
 
 

@@ -115,7 +115,11 @@ class CachedLU:
     symmetric mode: a minimum-degree ordering of A^T + A and diagonal
     pivots.  `solve` takes
     one right-hand side of shape (n,) or k of them as the columns of an
-    (n, k) block, and makes one equilibrated triangular solve of them.
+    (n, k) block, and makes one equilibrated triangular solve of them: one
+    call of SuperLU's transposed kernel, which solves the same system as
+    the factored matrix is symmetric to the last bit, gives each block
+    column the bits of its vector solve, and is the faster kernel on these
+    factors.  The constructor's probe makes the same call.
 
     Accuracy is certified once per factorization, not per solve: diagonal
     pivoting of an SPD matrix, equilibrated near-optimally (van der Sluis,
@@ -177,10 +181,8 @@ class CachedLU:
         return scaled
 
     def _raw_solve(self, b):
-        # SuperLU solves a vector faster than a one-column block, to its bits
-        v = b[:, 0] if b.shape[1:] == (1,) else b
-        s = self.scale if v.ndim == 1 else self.scale[:, None]
-        return (s * self._lu.solve(s * v)).reshape(b.shape)
+        s = self.scale if b.ndim == 1 else self.scale[:, None]
+        return s * self._lu.solve(s * b, trans="T")
 
     def solve(self, b):
         return self._raw_solve(np.asarray(b, dtype=float))

@@ -25,7 +25,8 @@ of the mechanics row come from the reduced coupling R_u^T B_u.  The
 essential conditions are homogeneous, so no constraint enters a
 right-hand side.  Iterations stop when the summed L2 norms of the
 field increments drop below the tolerance, and abort when they are not
-finite or exceed `DIVERGENCE_FACTOR` times the first (`stop_status`);
+finite or exceed `DIVERGENCE_FACTOR` times the first (`stop_status`),
+norms taken in reduced coordinates too (`SchemeSolver.increment_norms`);
 `iterate_lockstep` iterates several splitting cells of one L2 together.
 """
 
@@ -195,7 +196,8 @@ class SchemeSolver:
     factorizations.
 
     An iterate x is an (n, k) block of k reduced (u, q, p), numbered as in
-    `BlockConstraints.composed`; `coordinates` and `state` convert it.
+    `BlockConstraints.composed`; `coordinates` and `state` convert it, and
+    `increment_norms` measures the difference of two.
 
     A splitting iteration is one application of the fixed-stress sweep
     `sweep` (`linalg.FixedStressPreconditioner`), which holds the flow
@@ -237,6 +239,8 @@ class SchemeSolver:
             if cfg.kind == "monolithic":
                 self.matrix = ops.monolithic_system(cfg.L1, cfg.L2, tau)
         self.b_up_red_t = self.b_up_red.T   # B_u^T R_u, a view
+        # after the factorizations, whose working memory is a run's peak
+        self.mass_u, self.mass_q = ops.reduced_masses()
 
     def coordinates(self, state: BiotState):
         """The one-column x of `state` (`FieldConstraints.coordinates`)."""
@@ -252,6 +256,14 @@ class SchemeSolver:
             FeFunction(ops.dofmap_u, con.u.expand(x[:nu, :1])[:, 0]),
             FeFunction(ops.dofmap_q, con.q.expand(x[nu:nu + nq, :1])[:, 0]),
             FeFunction(ops.dofmap_p, x[nu + nq:, 0].copy()), time)
+
+    def increment_norms(self, dx):
+        """The L2 norms (dp, dq, du) of each column of the increment dx,
+        by the reduced masses R^T M R of u and q and the cell areas of p."""
+        nu, nq, _ = self.sizes
+        return (l2_norm(dx[nu + nq:], self.ops.mesh.areas),
+                l2_norm(dx[nu:nu + nq], self.mass_q),
+                l2_norm(dx[:nu], self.mass_u))
 
     def divu_dual(self, x):
         """<div u, w> against all P0 tests, u = R_u x_u the displacement of
@@ -277,12 +289,12 @@ class SchemeSolver:
         diagonal P0 mass.
 
         Column j gets the bits of its own one-column step and iterates the
-        cell cells[j], an index into the sweep's flow halves (the first when
-        None).  GMRES takes one column.
+        cell cells[j], a list or an index array into the sweep's flow halves
+        (the first when None).  GMRES takes one column.
         """
         ops, cfg, alpha = self.ops, self.cfg, self.ops.mat.alpha
         nu, nq, _ = self.sizes
-        L1 = self.L1[cells or [0]]
+        L1 = self.L1[[0] if cells is None else cells]
         p, areas = x[nu + nq:], ops.mesh.areas[:, None]
         divu = self.divu_dual(x)
         div = divu / areas
@@ -337,19 +349,17 @@ def _iterate(solver: SchemeSolver, x, ctx: StepContext, cfgs,
              trace: IterationTrace = None, archive=None):
     """Iterate `solver` from the (n, k) block x of its k cells (`cfgs`)
     until `stop_status` stops every cell, whose column then leaves the
-    block.  Increments are measured in full coordinates; `trace` and `archive` record those of a single cell and its
-    states.  Returns the last block and each cell's (iterations, status).
+    block.  Increments are measured in reduced coordinates
+    (`SchemeSolver.increment_norms`); `trace` and `archive` record those of
+    a single cell and its states.  Returns the last block and each cell's
+    (iterations, status).
     """
-    ops, con, (nu, nq, _) = solver.ops, solver.ops.constraints, solver.sizes
     live = list(range(len(cfgs)))   # the cell of each column
     first, out, iterations = {}, [None] * len(cfgs), 0
     while live:
         iterations += 1
         new = solver.step(x, ctx, live)
-        dx = new - x
-        dp = l2_norm(FeFunction(ops.dofmap_p, dx[nu + nq:]))
-        dq = l2_norm(FeFunction(ops.dofmap_q, con.q.expand(dx[nu:nu + nq])))
-        du = l2_norm(FeFunction(ops.dofmap_u, con.u.expand(dx[:nu])))
+        dp, dq, du = solver.increment_norms(new - x)
         if trace is not None:
             trace.record(dp[0], dq[0], du[0])
         if archive is not None:

@@ -9,17 +9,20 @@ versions and the machine they were written on.  `manifest.json` and the
 `seconds` column of `linsolve.csv` are left out: they record the host, not
 the arithmetic.
 
-    python tests/golden/regenerate.py
+    python tests/golden/regenerate.py [--check]
 
 reruns every case, rewrites its files and `versions.json`, and prints each
 file's largest relative change against the file it replaces, cell by cell
 (`differences`) and relative to each column's largest magnitude
 (`column_change`).  Those are the bounds to state when a change moves
-output bits on purpose.
+output bits on purpose.  With `--check` it prints the same lines but
+rewrites nothing, and exits 1 when an exact cell (an iteration count, a
+status, a header) differs or a file is new or gone.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -140,31 +143,50 @@ def column_change(got: bytes, want: bytes):
     return largest
 
 
-def main():
+def main(check=False):
+    """Rerun every case against its golden files, rewriting them unless
+    `check`: the exit status, 1 when `check` finds an exact cell moved or a
+    file new or gone."""
+    moved = False
     for name, argv in CASES.items():
         with tempfile.TemporaryDirectory() as tmp:
             bodies = run_case(argv, tmp)
         folder = GOLDEN / name
-        folder.mkdir(exist_ok=True)
-        for stale in set(p.name for p in folder.glob("*.csv")) - set(bodies):
-            (folder / stale).unlink()
+        for stale in sorted(set(p.name for p in folder.glob("*.csv"))
+                            - set(bodies)):
+            print(f"{name}/{stale}: gone")
+            moved = True
+            if not check:
+                (folder / stale).unlink()
         for file_name, body in bodies.items():
             path = folder / file_name
             if path.exists():
-                largest, exact = differences(body, path.read_bytes())
+                want = path.read_bytes()
+                largest, exact = differences(body, want)
                 change = (f"{len(exact)} exact cells differ" if exact
                           else f"largest relative change {largest:.3g}, "
                                f"relative to its column "
-                               f"{column_change(body, path.read_bytes()):.3g}")
+                               f"{column_change(body, want):.3g}")
+                moved = moved or bool(exact)
             else:
                 change = "new"
-            path.write_bytes(body)
+                moved = True
+            if not check:
+                folder.mkdir(exist_ok=True)
+                path.write_bytes(body)
             print(f"{name}/{file_name}: {change}")
+    if check:
+        return int(moved)
     (GOLDEN / "versions.json").write_text(
         json.dumps(versions(), indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
+    return 0
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="print each file's change, rewrite nothing, "
+                             "exit 1 when an exact cell moved")
     sys.path.insert(0, str(GOLDEN.parents[1] / "src"))
-    main()
+    sys.exit(main(parser.parse_args().check))

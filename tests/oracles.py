@@ -4,9 +4,10 @@ They evaluate the discrete spaces one cell or one point at a time, the
 slow and obvious way, so that the tests can check the vectorized
 assembly and the cell-constant fields of `porobiot.fem` against them.
 `lu_solve` solves the nonsymmetric block systems (the 3x3 monolithic and
-the 2x2 flux-pressure block) that no run factors, and `vector_step` is one
+the 2x2 flux-pressure block) that no run factors, `vector_step` is one
 scheme iteration by vectors in full coordinates, the reference of the
-step in reduced coordinates.
+step in reduced coordinates, and `full_increment_norms` measures an
+increment on the full fields, the reference of the reduced masses.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from porobiot.fem import FeFunction, SpaceKind
+from porobiot.fem import FeFunction, SpaceKind, l2_norm
 from porobiot.linalg import gmres
 from porobiot.mesh import MeshError
 from porobiot.schemes import BiotState
@@ -204,3 +205,16 @@ def vector_step(solver, cur, ctx):
                       + tau * (ops.b_qp @ q))) / l1_areas
     return BiotState(FeFunction(ops.dofmap_u, u), FeFunction(ops.dofmap_q, q),
                      FeFunction(ops.dofmap_p, p), ctx.t_new)
+
+
+def full_increment_norms(solver, dx):
+    """The L2 norms (dp, dq, du) of the fields of the increment dx, a
+    vector or a block of the `SchemeSolver` `solver`'s reduced coordinates:
+    each field is expanded by the sparse product with its restriction R and
+    measured by `l2_norm` in the mass of its space.
+    `SchemeSolver.increment_norms` measures dx in reduced coordinates."""
+    ops, con, (nu, nq, _) = solver.ops, solver.ops.constraints, solver.sizes
+    return (l2_norm(FeFunction(ops.dofmap_p, dx[nu + nq:])),
+            l2_norm(FeFunction(ops.dofmap_q,
+                               con.q.restriction @ dx[nu:nu + nq])),
+            l2_norm(FeFunction(ops.dofmap_u, con.u.restriction @ dx[:nu])))

@@ -10,9 +10,11 @@ change it prints.
 """
 
 import json
+import shutil
 
 import pytest
 
+import golden.regenerate as regenerate
 from golden.regenerate import CASES, GOLDEN, differences, run_case, versions
 
 RTOL = 1e-10
@@ -44,3 +46,27 @@ def test_differences_compares_floats_relatively_and_the_rest_exactly():
     assert differences(b"iter,value,status\n1,1.5,maxiter\n", want)[1]
     assert differences(b"iter,value,status\n1,nan,converged\n", want)[1]
     assert differences(b"iter,value\n1,1.5\n", want)[1]
+
+
+def test_check_prints_the_changes_and_rewrites_nothing(tmp_path, monkeypatch,
+                                                       capsys):
+    # --check exits 1 when an exact cell moved, 0 when floats alone did,
+    # and writes no file either way
+    name = "sweep_splitting"
+    shutil.copytree(GOLDEN / name, tmp_path / name)
+    monkeypatch.setattr(regenerate, "GOLDEN", tmp_path)
+    monkeypatch.setattr(regenerate, "CASES", {name: CASES[name]})
+    path = tmp_path / name / "sweep.csv"
+    header, first, *rest = path.read_text(
+        encoding="utf-8").splitlines(keepends=True)
+    l1, l2, iters, status = first.rstrip("\n").split(",")
+    for row, code in ((["0.10000000000000003", l2, iters, status], 0),
+                      ([l1, l2, str(int(iters) + 1), status], 1)):
+        edited = "".join([header, ",".join(row) + "\n", *rest])
+        path.write_text(edited, encoding="utf-8")
+        assert regenerate.main(check=True) == code
+        out = capsys.readouterr().out
+        assert out.startswith(f"{name}/sweep.csv: ")
+        assert ("exact cells differ" in out) == (code == 1)
+        assert path.read_text(encoding="utf-8") == edited
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]

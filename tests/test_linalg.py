@@ -124,17 +124,45 @@ class TestLU:
             assert X[:, j].tobytes() == lu.solve(B[:, j]).tobytes()
 
     def test_one_column_block_solve_is_the_vector_solve(self):
-        # a one-column block is solved as its vector, with the bits that
-        # SuperLU gives the block itself, in one call of the solve
+        # a one-column block is solved with the bits of its vector, which
+        # SuperLU's transposed kernel gives the block itself, in one call
+        # of the solve
         ops, L1, L2 = mandel_si_operators(nx=8)
         lu = CachedLU(ops.monolithic_schur_system(L1, L2, 1.0))
         b = np.random.default_rng(15).standard_normal(lu.shape[0])
         s = lu.scale[:, None]
-        block = s * lu._lu.solve(s * b[:, None])
+        block = s * lu._lu.solve(s * b[:, None], trans="T")
         calls = count_raw_solves(lu)
         x = lu.solve(b[:, None])
         assert len(calls) == 1 and x.shape == (b.size, 1)
         assert x.tobytes() == lu.solve(b).tobytes() == block.tobytes()
+
+    def test_every_solve_is_one_transposed_kernel_call(self, monkeypatch):
+        # the probe, a vector, a one-column block and a 4-column block each
+        # reach SuperLU as exactly one call of its transposed kernel
+        calls, splu = [], spla.splu
+
+        class Recording:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs, trans="N"):
+                calls.append((rhs.shape, trans))
+                return self.lu.solve(rhs, trans=trans)
+
+        monkeypatch.setattr(spla, "splu",
+                            lambda *args, **kwargs: Recording(splu(*args, **kwargs)))
+        ops, L1, L2 = mandel_si_operators(nx=8)
+        lu = CachedLU(ops.mech_system(L2))
+        n = lu.shape[0]
+        assert calls == [((n,), "T")]
+        rng = np.random.default_rng(16)
+        for shape in ((n,), (n, 1), (n, 4)):
+            calls.clear()
+            b = rng.standard_normal(shape)
+            x = lu.solve(b)
+            assert calls == [(shape, "T")] and x.shape == shape
+            assert column_relres(lu.matrix, b, x).max() <= 1e-12
 
     def test_cached_lu_reuse(self):
         A = sp.diags([1.0, 2.0, 3.0]).tocsr()

@@ -21,7 +21,7 @@ from porobiot.schemes import (DIVERGENCE_FACTOR, BiotState, DivergenceError,
                               residual_norms, stop_status, suggested_tuning,
                               time_march, write_trace_csv)
 
-from oracles import lu_solve, vector_step
+from oracles import full_increment_norms, lu_solve, vector_step
 
 
 def linear_setup(nx=8):
@@ -505,6 +505,51 @@ def test_block_step_columns_are_their_cells_vector_steps():
                      solver.sweep.flows)
     with pytest.raises(ValueError):
         SchemeSolver(ops, cfgs[0], 0.5, solver.sweep.flows)
+
+
+def test_block_step_takes_its_cells_as_a_list_or_an_array():
+    # the cells of a block step index the flow halves as the sweep does:
+    # a list and an index array give the same bits
+    from porobiot.linalg import FlowHalf
+    ops, prev, tau = case_setup("t1c1", 6, 6)
+    ctx = StepContext.build(ops, ops.problem, prev, tau)
+    cfgs = [SchemeConfig("splitting", L1=l1, L2=2.0) for l1 in (0.5, 1.0, 3.0)]
+    solver = SchemeSolver(ops, cfgs[0], tau,
+                          [FlowHalf(ops, c.L1, tau) for c in cfgs])
+    x = np.repeat(solver.coordinates(prev), 2, axis=1)
+    for cells in ([2, 0], [1]):
+        block = x[:, :len(cells)]
+        want = solver.step(block, ctx, cells=cells)
+        got = solver.step(block, ctx, cells=np.array(cells))
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", ["t1c1", "mandel"])
+def test_reduced_increment_norms_are_the_full_field_norms(case):
+    # the increments measured by the reduced masses R^T M R and the cell
+    # areas are the norms of the expanded fields, to round-off: on t1c1
+    # with its pins and on the SI Mandel slab with its pins and tied plate,
+    # for a vector and a 3-column block, whose columns have the bits of
+    # their vectors
+    ops, prev, tau = case_setup(case, *((10, 6) if case == "mandel"
+                                        else (6, 6)))
+    ctx = StepContext.build(ops, ops.problem, prev, tau)
+    solver = SchemeSolver(ops, SchemeConfig(
+        "splitting", *suggested_tuning(ops.mat, "splitting")), tau)
+    xs = [solver.coordinates(prev)]
+    for _ in range(3):
+        xs.append(solver.step(xs[-1], ctx))
+    block = np.hstack([b - a for a, b in zip(xs, xs[1:])])
+    columns = [solver.increment_norms(block[:, j].copy()) for j in range(3)]
+    for dx in (block[:, 0], block):
+        got, want = solver.increment_norms(dx), full_increment_norms(solver, dx)
+        for g, w in zip(got, want):
+            assert np.all(w > 0.0)
+            assert np.all(np.abs(g - w) <= 1e-13 * w)
+    got = solver.increment_norms(block)
+    for f in range(3):
+        assert [float(v).hex() for v in got[f]] == [
+            float(c[f]).hex() for c in columns]
 
 
 class TestTimeMarch:
