@@ -7,17 +7,22 @@ schemes and a sensitivity K axis.  Each case's CSV files live in
 `tests/golden/<case>/`, and `versions.json` records the numpy and scipy
 versions and the machine they were written on.  `manifest.json` and the
 `seconds` column of `linsolve.csv` are left out: they record the host, not
-the arithmetic.
+the arithmetic.  `FULL` holds the full-size runs, whose files live in
+`tests/golden/full/<case>/` with their own `versions.json`: `mandel` at
+its defaults, 50 splitting steps of it, the 9x9 splitting sweep at
+`--h 0.0625`, and the 3-level ladder by LU, splitting and GMRES.  They
+take about 15 s, so the tests do not run them.
 
-    python tests/golden/regenerate.py [--check]
+    python tests/golden/regenerate.py [--check] [--full]
 
-reruns every case, rewrites its files and `versions.json`, and prints each
-file's largest relative change against the file it replaces, cell by cell
-(`differences`) and relative to each column's largest magnitude
-(`column_change`).  Those are the bounds to state when a change moves
-output bits on purpose.  With `--check` it prints the same lines but
-rewrites nothing, and exits 1 when an exact cell (an iteration count, a
-status, a header) differs or a file is new or gone.
+reruns every case (the full-size ones with `--full`), rewrites its files
+and `versions.json`, and prints each file's largest relative change
+against the file it replaces, cell by cell (`differences`) and relative
+to each column's largest magnitude (`column_change`).  Those are the
+bounds to state when a change moves output bits on purpose.  With
+`--check` it prints the same lines but rewrites nothing, and exits 1 when
+an exact cell (an iteration count, a status, a header) differs or a file
+is new or gone.
 """
 
 from __future__ import annotations
@@ -59,6 +64,19 @@ CASES = {
     "verify_splitting": _VERIFY + ["--scheme", "splitting"],
     "sensitivity_K": ["sensitivity", "--case", "t1c1", "--h", "0.125",
                       "--axis", "K", "--values", "0.1,1,10"],
+}
+
+_SWEEP_9X9 = ["--L1-grid", "logspace(-2,2,9)", "--L2-grid", "logspace(-2,2,9)"]
+_LADDER_3 = ["manufactured", "--case", "t1c1", "--levels", "3"]
+
+FULL = {
+    "mandel": ["mandel"],
+    "mandel_splitting_50": ["mandel", "--steps", "50", "--scheme", "splitting"],
+    "sweep_splitting": ["sweep", "--case", "t1c1", "--scheme", "splitting",
+                        "--h", "0.0625"] + _SWEEP_9X9,
+    "manufactured_lu": _LADDER_3,
+    "manufactured_splitting": _LADDER_3 + ["--scheme", "splitting"],
+    "manufactured_gmres": _LADDER_3 + _GMRES,
 }
 
 
@@ -143,15 +161,16 @@ def column_change(got: bytes, want: bytes):
     return largest
 
 
-def main(check=False):
-    """Rerun every case against its golden files, rewriting them unless
-    `check`: the exit status, 1 when `check` finds an exact cell moved or a
-    file new or gone."""
+def main(check=False, full=False):
+    """Rerun every case (of `FULL` when `full`) against its golden files,
+    rewriting them unless `check`: the exit status, 1 when `check` finds an
+    exact cell moved or a file new or gone."""
+    cases, root = (FULL, GOLDEN / "full") if full else (CASES, GOLDEN)
     moved = False
-    for name, argv in CASES.items():
+    for name, argv in cases.items():
         with tempfile.TemporaryDirectory() as tmp:
             bodies = run_case(argv, tmp)
-        folder = GOLDEN / name
+        folder = root / name
         for stale in sorted(set(p.name for p in folder.glob("*.csv"))
                             - set(bodies)):
             print(f"{name}/{stale}: gone")
@@ -172,12 +191,12 @@ def main(check=False):
                 change = "new"
                 moved = True
             if not check:
-                folder.mkdir(exist_ok=True)
+                folder.mkdir(parents=True, exist_ok=True)
                 path.write_bytes(body)
             print(f"{name}/{file_name}: {change}")
     if check:
         return int(moved)
-    (GOLDEN / "versions.json").write_text(
+    (root / "versions.json").write_text(
         json.dumps(versions(), indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
     return 0
@@ -188,5 +207,8 @@ if __name__ == "__main__":
     parser.add_argument("--check", action="store_true",
                         help="print each file's change, rewrite nothing, "
                              "exit 1 when an exact cell moved")
+    parser.add_argument("--full", action="store_true",
+                        help="run the full-size cases of tests/golden/full/")
     sys.path.insert(0, str(GOLDEN.parents[1] / "src"))
-    sys.exit(main(parser.parse_args().check))
+    args = parser.parse_args()
+    sys.exit(main(args.check, args.full))
