@@ -12,7 +12,9 @@ space):
 
 Because P0 pressures and P1 divergences are cellwise constant, the
 non-linear terms <b(p), w> and <h(div u), div z> are assembled exactly
-without quadrature.  Essential conditions (zero displacements, zero normal
+without quadrature.  The local matrices are broadcast products along the
+cells, and every block is summed by `fem.scatter`; ``a_e`` and ``d_div``
+share one conversion and one structure.  Essential conditions (zero displacements, zero normal
 displacements, zero no-flow edges, the tied rigid-plate group) are
 homogeneous and applied by symmetric master-slave reduction, which keeps
 the diagonal blocks definite for the preconditioner.
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import (DofMap, SpaceKind, per_row, quadrature, _assemble_mass,
-                  _rt0_local_mass)
+from .fem import (DofMap, SpaceKind, per_row, quadrature, quadrature_points,
+                  scatter, _assemble_mass, _rt0_local_mass)
 from .mesh import Mesh, Side
 from .physics import MaterialModel, ProblemDefinition
 
@@ -39,40 +41,41 @@ def assemble_mechanics(mesh: Mesh, mat: MaterialModel, dofmap_u: DofMap,
                        dofmap_p: DofMap):
     """Elasticity, div-div and pressure-coupling blocks.
 
+    The local matrices are formed with the cells last, so that every
+    product runs along the cells, and turned to (F, 6, 6) as they are
+    scattered; a_e and d_div are scattered at once and share one structure.
+
     Returns
     -------
     a_e, d_div : csr_matrix, shape (n_u, n_u)
     b_up : csr_matrix, shape (n_u, n_p)
     """
-    grads = mesh.grads                      # (F, 3, 2)
+    grads = np.ascontiguousarray(mesh.grads.transpose(1, 2, 0))   # (3, 2, F)
     areas = mesh.areas
     n_cells = mesh.n_cells
 
-    gg = np.einsum("fvd,fwd->fvw", grads, grads)
-    a_loc = np.zeros((n_cells, 6, 6))
-    for c in range(2):
-        for cp in range(2):
-            term = np.einsum("fw,fv->fvw", grads[:, :, c], grads[:, :, cp])
-            if c == cp:
-                term = term + gg
-            a_loc[:, c::2, cp::2] = term
-    a_loc *= (mat.mu * areas)[:, None, None]
-
-    divloc = grads.reshape(n_cells, 6)      # div of local basis j = 2v + c
-    d_loc = areas[:, None, None] * divloc[:, :, None] * divloc[:, None, :]
+    # 2 mu eps(u) : eps(z) of local bases (v, c) and (w, c'), j = 2v + c:
+    # mu (g_w[c] g_v[c'] + [c = c'] g_v . g_w) times the area
+    gg = (grads[:, None, 0] * grads[None, :, 0]
+          + grads[:, None, 1] * grads[None, :, 1])
+    a_loc = grads.transpose(1, 0, 2)[None, :, :, None] * grads[:, None, None]
+    a_loc[:, 0, :, 0] += gg
+    a_loc[:, 1, :, 1] += gg
+    a_loc *= mat.mu * areas
+    div = grads.reshape(6, n_cells)           # div of local basis j = 2v + c
+    d_loc = areas * div[:, None] * div[None, :]
+    # averaged with its transpose, whose products round apart, so that the
+    # assembled block equals its transpose to the last bit
+    d_loc = 0.5 * (d_loc + d_loc.transpose(1, 0, 2))
 
     dofs = dofmap_u.cell_to_dofs
-    rows = np.repeat(dofs, 6, axis=1).ravel()
-    cols = np.tile(dofs, (1, 6)).ravel()
-    shape = (dofmap_u.n_dofs, dofmap_u.n_dofs)
-    a_e = sp.coo_matrix((a_loc.ravel(), (rows, cols)), shape=shape).tocsr()
-    d_div = sp.coo_matrix((d_loc.ravel(), (rows, cols)), shape=shape).tocsr()
-
-    bu_vals = (areas[:, None] * divloc).ravel()
-    bu_rows = dofs.ravel()
-    bu_cols = np.repeat(np.arange(n_cells), 6)
-    b_up = sp.coo_matrix((bu_vals, (bu_rows, bu_cols)),
-                         shape=(dofmap_u.n_dofs, dofmap_p.n_dofs)).tocsr()
+    a_e, d_div = scatter((dofmap_u.n_dofs,) * 2, dofs[:, :, None],
+                         dofs[:, None, :],
+                         a_loc.reshape(6, 6, n_cells).transpose(2, 0, 1),
+                         d_loc.transpose(2, 0, 1))
+    b_up = scatter((dofmap_u.n_dofs, dofmap_p.n_dofs), dofs[:, :, None],
+                   np.arange(n_cells)[:, None, None],
+                   (areas * div).T[:, :, None])
     return a_e, d_div, b_up
 
 
@@ -86,19 +89,13 @@ def assemble_flow(mesh: Mesh, mat: MaterialModel, dofmap_q: DofMap,
     b_qp : csr_matrix, shape (n_p, n_q), entries are signed edge lengths
     m_p : dia/csr matrix, diagonal of cell areas
     """
-    m_loc = _rt0_local_mass(mesh, mat.nu_f / mat.permeability)
-
     dofs = dofmap_q.cell_to_dofs
-    rows = np.repeat(dofs, 3, axis=1).ravel()
-    cols = np.tile(dofs, (1, 3)).ravel()
-    m_q = sp.coo_matrix((m_loc.ravel(), (rows, cols)),
-                        shape=(dofmap_q.n_dofs, dofmap_q.n_dofs)).tocsr()
-
+    m_q = scatter((dofmap_q.n_dofs,) * 2, dofs[:, :, None], dofs[:, None, :],
+                  _rt0_local_mass(mesh, mat.nu_f / mat.permeability))
     signed = (mesh.cell_edge_signs * mesh.edge_lengths[mesh.cell_edge_ids])
-    bq_rows = np.repeat(np.arange(mesh.n_cells), 3)
-    b_qp = sp.coo_matrix((signed.ravel(), (bq_rows, dofs.ravel())),
-                         shape=(dofmap_p.n_dofs, dofmap_q.n_dofs)).tocsr()
-
+    b_qp = scatter((dofmap_p.n_dofs, dofmap_q.n_dofs),
+                   np.arange(mesh.n_cells)[:, None, None], dofs[:, None, :],
+                   signed[:, None, :])
     m_p = sp.diags(mesh.areas).tocsr()
     return m_q, b_qp, m_p
 
@@ -262,8 +259,7 @@ class BiotOperators:
         self.constraints = build_constraints(
             problem, mesh, self.dofmap_u, self.dofmap_q, self.dofmap_p)
         # degree-4 points of the body force and the source, per cell
-        self.load_points = np.einsum("qv,fvd->fqd", quadrature(4).points,
-                                     mesh.vertices[mesh.cells])
+        self.load_points = quadrature_points(mesh, quadrature(4))
         # net orientation sign per edge: +-1 on boundary edges, 0 inside
         sign_sum = np.zeros(mesh.n_edges, dtype=np.int64)
         np.add.at(sign_sum, mesh.cell_edge_ids.ravel(),
@@ -383,7 +379,7 @@ def assemble_loads(problem: ProblemDefinition, ops: BiotOperators, t):
     """
     mesh = ops.mesh
     rule = quadrature(4)
-    x, y = ops.load_points[:, :, 0], ops.load_points[:, :, 1]
+    x, y = ops.load_points
 
     fvals = np.asarray(problem.body_force(x, y, t), dtype=float)
     f_vec = np.zeros(ops.dofmap_u.n_dofs)

@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from .assembly import build_operators
-from .fem import quadrature, _rt0_values_at
+from .fem import quadrature, quadrature_points, _rt0_values_at
 from .mesh import Side, generate_rect_mesh
 from .physics import (CENTIPOISE, DARCY, AdmissibleRangeWarning,
                       MandelConfig, mandel_material, mandel_problem,
@@ -71,9 +71,7 @@ def error_norms(state: BiotState, exact):
     t = state.time
     mesh = state.p.mesh
     rule = quadrature(4)
-    corners = mesh.vertices[mesh.cells]
-    pts = np.einsum("qv,fvd->fqd", rule.points, corners)
-    x, y = pts[:, :, 0], pts[:, :, 1]
+    x, y = quadrature_points(mesh, rule)
     w, areas = rule.weights, mesh.areas
 
     def cell_sq(diff_sq):
@@ -89,7 +87,7 @@ def error_norms(state: BiotState, exact):
     divu_num = np.einsum("fvc,fvc->f", local_u, mesh.grads)
     err_divu2 = cell_sq((divu_num[:, None] - exact.div_u(x, y, t)) ** 2)
 
-    vals = _rt0_values_at(mesh, rule)
+    vals = np.ascontiguousarray(_rt0_values_at(mesh, rule).transpose(3, 0, 2, 1))
     local_q = state.q.coeffs[state.q.dofmap.cell_to_dofs]
     q_num = np.einsum("fi,fqic->fqc", local_q, vals)
     err_q2 = cell_sq(((q_num - exact.q(x, y, t)) ** 2).sum(axis=-1))

@@ -6,6 +6,16 @@ DOF conventions
 * RT0: one DOF per edge, the constant normal component of the field along the
   globally oriented edge normal;
 * P0: one DOF per cell.
+
+Set-up kernels
+--------------
+Per-cell arrays are formed with the cells on the last axis, so that each
+product runs along the cells: the quadrature points
+(`quadrature_points`), the RT0 basis values (`_rt0_values_at`) and the
+RT0 local masses, whose sums run in the order the einsums they replace
+summed in, so that no bit moves.  `scatter` is the one element-to-CSR
+scatter: it sums element matrices by one COO to CSR conversion, and two
+matrices on one pattern by one conversion onto one shared structure.
 """
 
 from __future__ import annotations
@@ -81,11 +91,13 @@ class FeFunction:
 
 
 class QuadratureRule:
-    """Barycentric points and weights on the reference triangle, weights sum to 1."""
+    """Barycentric points and weights on the reference triangle, weights sum
+    to 1; read-only, as `quadrature` hands the same rule to every caller."""
 
     def __init__(self, points, weights):
-        self.points = np.asarray(points, dtype=float)
-        self.weights = np.asarray(weights, dtype=float)
+        self.points = np.array(points, dtype=float)
+        self.weights = np.array(weights, dtype=float)
+        self.points.flags.writeable = self.weights.flags.writeable = False
 
 
 _RULES = {}
@@ -116,61 +128,106 @@ def quadrature(degree) -> QuadratureRule:
     return rule
 
 
-def _local_mass(dofmap: DofMap):
-    """Per-cell local mass matrices, shape (F, k, k)."""
-    mesh = dofmap.mesh
-    if dofmap.kind is SpaceKind.P0:
-        return mesh.areas[:, None, None].copy()
-    if dofmap.kind is SpaceKind.P1_VECTOR:
-        m3 = (np.ones((3, 3)) + np.eye(3)) / 12.0  # int lam_i lam_j / area
-        loc = np.zeros((6, 6))
-        for i in range(3):
-            for j in range(3):
-                loc[2 * i, 2 * j] = m3[i, j]
-                loc[2 * i + 1, 2 * j + 1] = m3[i, j]
-        return mesh.areas[:, None, None] * loc[None, :, :]
-    return _rt0_local_mass(mesh)
+def quadrature_points(mesh, rule):
+    """Coordinates (x, y) of the points of `rule` in every cell, shape
+    (2, F, nq)."""
+    corners = mesh.vertices.T[:, mesh.cells.T]      # (2, 3, F)
+    return np.ascontiguousarray(_points(corners, rule).transpose(0, 2, 1))
+
+
+def _points(corners, rule):
+    """The points of `rule` in cells of corners (2, 3, F), shape (2, nq, F):
+    sum_v lam_v x_v, summed in vertex order."""
+    return sum(rule.points[None, :, v, None] * corners[:, None, v]
+               for v in range(3))
 
 
 def _rt0_local_mass(mesh, weight=1.0):
     """Per-cell RT0 mass matrices int weight phi_i . phi_j, shape (F, 3, 3).
 
     `weight` is a constant; the degree-2 rule is exact for products of
-    linear fields.  Each local matrix is averaged with its transpose, whose
-    products round apart, so that the assembled mass equals its transpose
-    to the last bit.
+    linear fields.  The products run along the cells and sum each point's
+    two components first, then the points in turn.  Each local matrix is
+    averaged with its transpose, whose products round apart, so that the
+    assembled mass equals its transpose to the last bit.
     """
     rule = quadrature(2)
-    vals = _rt0_values_at(mesh, rule)  # (F, nq, 3, 2)
-    w = np.broadcast_to(rule.weights * weight, (mesh.n_cells, len(rule.weights)))
-    loc = np.einsum("fq,fqid,fqjd->fij", w, vals, vals) * mesh.areas[:, None, None]
-    return 0.5 * (loc + loc.transpose(0, 2, 1))
+    loc = 0.0
+    for w, (vx, vy) in zip(rule.weights * weight, _rt0_values_at(mesh, rule)):
+        loc = loc + ((w * vx)[:, None] * vx + (w * vy)[:, None] * vy)
+    loc = loc * mesh.areas
+    return (0.5 * (loc + loc.transpose(1, 0, 2))).transpose(2, 0, 1)
 
 
 def _rt0_values_at(mesh, rule):
-    """RT0 basis values at quadrature points of every cell, shape (F, nq, 3, 2)."""
-    corners = mesh.vertices[mesh.cells]             # (F, 3, 2)
-    pts = np.einsum("qv,fvd->fqd", rule.points, corners)
-    signed = mesh.cell_edge_signs * mesh.edge_lengths[mesh.cell_edge_ids]  # (F, 3)
-    scale = signed / (2.0 * mesh.areas[:, None])    # (F, 3)
-    diff = pts[:, :, None, :] - corners[:, None, :, :]
-    return scale[:, None, :, None] * diff
+    """RT0 basis values at the points of `rule` in every cell, shape
+    (nq, 2, 3, F): component d of basis i at point q of cell f."""
+    corners = mesh.vertices.T[:, mesh.cells.T]      # (2, 3, F)
+    pts = _points(corners, rule).transpose(1, 0, 2)  # (nq, 2, F)
+    signed = mesh.cell_edge_signs.T * mesh.edge_lengths[mesh.cell_edge_ids.T]
+    scale = signed / (2.0 * mesh.areas)             # (3, F)
+    return scale * (pts[:, :, None, :] - corners)
+
+
+def scatter(shape, rows, cols, *local):
+    """The CSR matrix of `shape` that sums the element matrices `local`, or
+    one such matrix per array when two are given: entry (f, i, j) of an
+    array adds to row rows[f, i, j] and column cols[f, i, j], where `rows`
+    and `cols` broadcast against the arrays.  Entries at a negative row or
+    column are left out.
+
+    The entries are summed by scipy's COO to CSR conversion in their
+    (f, i, j) order, which fixes the order of each sum and so its bits.
+    Two arrays share one structure and one conversion, as the real and
+    imaginary parts of one complex array: the conversion orders entries by
+    their indices alone, so each part is summed as on its own.
+    """
+    dropped = min(rows.min(), cols.min()) < 0
+    # the index type scipy would choose, so that it keeps these arrays
+    index = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
+    rows, cols = (np.broadcast_to(a, local[0].shape).astype(index, order="C")
+                  .ravel() for a in (rows, cols))
+    if len(local) == 1:
+        values = local[0].ravel()
+    else:
+        first, second = local
+        values = np.empty(first.shape, dtype=complex)
+        values.real, values.imag = first, second
+        values = values.ravel()
+    if dropped:
+        kept = (rows >= 0) & (cols >= 0)
+        rows, cols, values = rows[kept], cols[kept], values[kept]
+    csr = sp.coo_matrix((values, (rows, cols)), shape=shape).tocsr()
+    if len(local) == 1:
+        return csr
+    return tuple(sp.csr_matrix((part.copy(), csr.indices, csr.indptr),
+                               shape=shape)
+                 for part in (csr.data.real, csr.data.imag))
 
 
 def _assemble_mass(dofmap: DofMap, numbering=None, n=None):
     """The mass matrix of the space (CSR), or R^T M R where DOF i is
     unknown numbering[i] of n (dropped where that is negative), assembled
-    without the zero local entries (the two displacement components')."""
+    without zero local entries: the two displacement components, which do
+    not couple, as two scalar P1 masses.  It is averaged with its
+    transpose, whose sums over the DOFs of one unknown (a tie group) round
+    apart, so that it equals its transpose to the last bit."""
     if numbering is None:
         numbering, n = np.arange(dofmap.n_dofs), dofmap.n_dofs
-    loc = _local_mass(dofmap).ravel()
+    mesh = dofmap.mesh
     dofs = numbering[dofmap.cell_to_dofs]
-    k = dofs.shape[1]
-    rows = np.repeat(dofs, k, axis=1).ravel()
-    cols = np.tile(dofs, (1, k)).ravel()
-    kept = (loc != 0.0) & (rows >= 0) & (cols >= 0)
-    return sp.coo_matrix((loc[kept], (rows[kept], cols[kept])),
-                         shape=(n, n)).tocsr()
+    if dofmap.kind is SpaceKind.P1_VECTOR:
+        m3 = (np.ones((3, 3)) + np.eye(3)) / 12.0  # int lam_i lam_j / area
+        dofs = dofs.reshape(-1, 3, 2).transpose(0, 2, 1)   # (F, component, vertex)
+        loc = np.broadcast_to((mesh.areas[:, None, None] * m3)[:, None],
+                              dofs.shape + (3,))
+    elif dofmap.kind is SpaceKind.RT0:
+        loc = _rt0_local_mass(mesh)
+    else:
+        loc = mesh.areas[:, None, None]
+    mass = scatter((n, n), np.where(loc != 0.0, dofs[..., :, None], -1),
+                   dofs[..., None, :], loc)
+    return (0.5 * (mass + mass.T)).tocsr()
 
 
 def l2_inner(f: FeFunction, g: FeFunction):

@@ -68,29 +68,24 @@ class Mesh:
             arr.flags.writeable = False
 
     def _compute_geometry(self):
-        p0 = self.vertices[self.cells[:, 0]]
-        p1 = self.vertices[self.cells[:, 1]]
-        p2 = self.vertices[self.cells[:, 2]]
-        d1, d2 = p1 - p0, p2 - p0
-        twice_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        if np.any(twice_area <= 0.0):
+        # corner coordinates with the cells last, (3, F) each: the element
+        # passes run along the cells
+        cx, cy = self.vertices.T[:, self.cells.T]
+        twice_area = ((cx[1] - cx[0]) * (cy[2] - cy[0])
+                      - (cy[1] - cy[0]) * (cx[2] - cx[0]))
+        # the negated test also refuses NaN areas
+        if not np.all(twice_area > 0.0):
             raise MeshError("non-positive cell area (cells must be counter-clockwise)")
         self.areas = 0.5 * twice_area
-        # gradient of barycentric i = perp(opposite edge vector) / (2 area)
-        grads = np.empty((self.n_cells, 3, 2))
-        corners = (p0, p1, p2)
-        for i in range(3):
-            e = corners[(i + 2) % 3] - corners[(i + 1) % 3]
-            grads[:, i, 0] = -e[:, 1]
-            grads[:, i, 1] = e[:, 0]
-        grads /= twice_area[:, None, None]
-        self.grads = grads
-        sides = np.stack([np.linalg.norm(p1 - p0, axis=1),
-                          np.linalg.norm(p2 - p1, axis=1),
-                          np.linalg.norm(p0 - p2, axis=1)])
-        self.diameters = sides.max(axis=0)
+        # gradient of barycentric i = perp(opposite edge vector) / (2 area),
+        # the edge running from corner i + 1 to corner i + 2
+        nxt, prv = [1, 2, 0], [2, 0, 1]
+        grads = np.stack([-(cy[prv] - cy[nxt]), cx[prv] - cx[nxt]]) / twice_area
+        self.grads = np.ascontiguousarray(grads.transpose(2, 1, 0))
         ev = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
-        self.edge_lengths = np.linalg.norm(ev, axis=1)
+        self.edge_lengths = np.sqrt(ev[:, 0] * ev[:, 0] + ev[:, 1] * ev[:, 1])
+        # the sides of a cell are the edges opposite its corners
+        self.diameters = self.edge_lengths[self.cell_edge_ids].max(axis=1)
 
     @property
     def n_vertices(self):
@@ -153,14 +148,19 @@ def generate_rect_mesh(origin, extent, nx, ny):
 
     Parameters
     ----------
-    origin, extent : length-2 sequences
+    origin, extent : length-2 sequences of finite numbers, extent positive
     nx, ny : int
         Number of quads per direction; each quad yields two triangles.
     """
+    for n in (nx, ny):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"nx and ny must be integers, not {n!r}")
     if nx < 1 or ny < 1:
         raise ValueError("nx and ny must be at least 1")
     origin = np.asarray(origin, dtype=float)
     extent = np.asarray(extent, dtype=float)
+    if not (np.all(np.isfinite(origin)) and np.all(np.isfinite(extent))):
+        raise ValueError("origin and extent must be finite")
     if extent[0] <= 0 or extent[1] <= 0:
         raise ValueError("extents must be positive")
 
@@ -178,27 +178,25 @@ def generate_rect_mesh(origin, extent, nx, ny):
     cells[0::2] = np.column_stack([v00, v10, v11])
     cells[1::2] = np.column_stack([v00, v11, v01])
 
-    # global edges: unique sorted vertex pairs (a, b), ordered
-    # lexicographically, which is the order of the key a * n_vertices + b
-    n_vertices = len(vertices)
-    local = np.stack([cells[:, [1, 2]], cells[:, [2, 0]], cells[:, [0, 1]]], axis=1)
-    local_sorted = np.sort(local.reshape(-1, 2), axis=1)
-    keys, inverse = np.unique(local_sorted[:, 0] * n_vertices + local_sorted[:, 1],
-                              return_inverse=True)
-    edges = np.column_stack([keys // n_vertices, keys % n_vertices])
-    cell_edge_ids = inverse.reshape(-1, 3)
-
-    # sign: +1 when the global edge normal points away from the opposite vertex
-    signs = np.empty((len(cells), 3), dtype=np.int64)
-    for loc in range(3):
-        eids = cell_edge_ids[:, loc]
-        a = vertices[edges[eids, 0]]
-        b = vertices[edges[eids, 1]]
-        t = b - a
-        normal = np.column_stack([t[:, 1], -t[:, 0]])
-        opposite = vertices[cells[:, loc]]
-        mid = 0.5 * (a + b)
-        signs[:, loc] = np.where(np.einsum("ij,ij->i", normal, mid - opposite) > 0, 1, -1)
+    # global edges: the sorted vertex pairs (a, b) in lexicographic order.
+    # Vertex a starts its horizontal edge to a + 1, its vertical edge to
+    # a + nx + 1 and its diagonal edge to a + nx + 2, in that order, where
+    # the grid has them, so the edges are numbered in turn over these
+    # (vertex, kind) pairs
+    has = np.zeros((ny + 1, nx + 1, 3), dtype=bool)
+    has[:, :nx, 0] = has[:ny, :, 1] = has[:ny, :nx, 2] = True
+    hor, ver, diag = (np.cumsum(has.ravel()) - 1).reshape(-1, 3).T
+    a, kind = np.divmod(np.flatnonzero(has), 3)
+    edges = np.column_stack([a, a + np.array([1, nx + 1, nx + 2])[kind]])
+    # the edge opposite each corner of the cells below and above the diagonal
+    cell_edge_ids = np.empty_like(cells)
+    cell_edge_ids[0::2] = np.column_stack([ver[v10], diag[v00], hor[v00]])
+    cell_edge_ids[1::2] = np.column_stack([hor[v01], ver[v00], diag[v00]])
+    # +1 where the global normal, the tangent b - a turned by -90 degrees,
+    # points away from the opposite corner: out of the lower cell through
+    # its vertical and horizontal sides, out of the upper one through the
+    # diagonal
+    signs = np.tile(np.array([[1, -1, 1], [-1, -1, 1]]), (nx * ny, 1))
 
     counts = np.bincount(cell_edge_ids.ravel(), minlength=len(edges))
     if not np.all((counts == 1) | (counts == 2)):

@@ -8,6 +8,11 @@ the 2x2 flux-pressure block) that no run factors, `vector_step` is one
 scheme iteration by vectors in full coordinates, the reference of the
 step in reduced coordinates, and `full_increment_norms` measures an
 increment on the full fields, the reference of the reduced masses.
+The reference kernels (`einsum_points`, `einsum_rt0_values`,
+`reference_operators`, `reference_mass`, `reference_mesh`) are the
+set-up formulas that `porobiot` replaced by products along the cells and
+one scatter: einsums, strided writes, one COO to CSR conversion per
+matrix, and a mesh built by `np.unique` with orientations from geometry.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from porobiot.fem import FeFunction, SpaceKind, l2_norm
+from porobiot.fem import FeFunction, SpaceKind, l2_norm, quadrature
 from porobiot.linalg import gmres
 from porobiot.mesh import MeshError
 from porobiot.schemes import BiotState
@@ -218,3 +223,131 @@ def full_increment_norms(solver, dx):
             l2_norm(FeFunction(ops.dofmap_q,
                                con.q.restriction @ dx[nu:nu + nq])),
             l2_norm(FeFunction(ops.dofmap_u, con.u.restriction @ dx[:nu])))
+
+
+# -- reference set-up kernels ----------------------------------------------
+
+def einsum_points(mesh, rule):
+    """Quadrature points of every cell by einsum, shape (F, nq, 2)."""
+    return np.einsum("qv,fvd->fqd", rule.points, mesh.vertices[mesh.cells])
+
+
+def einsum_rt0_values(mesh, rule):
+    """RT0 basis values at the points of `rule`, shape (F, nq, 3, 2)."""
+    corners = mesh.vertices[mesh.cells]
+    signed = mesh.cell_edge_signs * mesh.edge_lengths[mesh.cell_edge_ids]
+    scale = signed / (2.0 * mesh.areas[:, None])
+    diff = einsum_points(mesh, rule)[:, :, None, :] - corners[:, None, :, :]
+    return scale[:, None, :, None] * diff
+
+
+def einsum_rt0_mass(mesh, weight=1.0):
+    """Local RT0 masses by the four-operand einsum, symmetrized."""
+    rule = quadrature(2)
+    vals = einsum_rt0_values(mesh, rule)
+    w = np.broadcast_to(rule.weights * weight, (mesh.n_cells, len(rule.weights)))
+    loc = np.einsum("fq,fqid,fqjd->fij", w, vals, vals) * mesh.areas[:, None, None]
+    return 0.5 * (loc + loc.transpose(0, 2, 1))
+
+
+def coo_csr(row_dofs, col_dofs, local, shape):
+    """One COO to CSR conversion of the element matrices `local` (F, i, j)."""
+    rows = np.repeat(row_dofs, col_dofs.shape[1], axis=1).ravel()
+    cols = np.tile(col_dofs, (1, row_dofs.shape[1])).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=shape).tocsr()
+
+
+def reference_operators(mesh, mat, dofmap_u, dofmap_q):
+    """The six blocks {name: CSR matrix} by the reference kernels."""
+    grads, areas, n_cells = mesh.grads, mesh.areas, mesh.n_cells
+    gg = np.einsum("fvd,fwd->fvw", grads, grads)
+    a_loc = np.zeros((n_cells, 6, 6))
+    for c in range(2):
+        for cp in range(2):
+            term = np.einsum("fw,fv->fvw", grads[:, :, c], grads[:, :, cp])
+            if c == cp:
+                term = term + gg
+            a_loc[:, c::2, cp::2] = term
+    a_loc *= (mat.mu * areas)[:, None, None]
+    divloc = grads.reshape(n_cells, 6)
+    d_loc = areas[:, None, None] * divloc[:, :, None] * divloc[:, None, :]
+    du, dq = dofmap_u.cell_to_dofs, dofmap_q.cell_to_dofs
+    cells = np.arange(n_cells)[:, None]
+    n_u, n_q = dofmap_u.n_dofs, dofmap_q.n_dofs
+    signed = mesh.cell_edge_signs * mesh.edge_lengths[mesh.cell_edge_ids]
+    return {
+        "a_e": coo_csr(du, du, a_loc, (n_u, n_u)),
+        "d_div": coo_csr(du, du, d_loc, (n_u, n_u)),
+        "b_up": coo_csr(du, cells, (areas[:, None] * divloc)[:, :, None],
+                        (n_u, n_cells)),
+        "m_q": coo_csr(dq, dq, einsum_rt0_mass(mesh, mat.nu_f / mat.permeability),
+                       (n_q, n_q)),
+        "b_qp": coo_csr(cells, dq, signed[:, None, :], (n_cells, n_q)),
+        "m_p": sp.diags(areas).tocsr(),
+    }
+
+
+def reference_mass(dofmap, numbering, n):
+    """R^T M R of the space by its (F, k, k) local masses, without the
+    zero entries and the DOFs numbered negative."""
+    mesh = dofmap.mesh
+    if dofmap.kind is SpaceKind.P1_VECTOR:
+        m3 = (np.ones((3, 3)) + np.eye(3)) / 12.0
+        loc = np.zeros((6, 6))
+        for i in range(3):
+            for j in range(3):
+                loc[2 * i, 2 * j] = loc[2 * i + 1, 2 * j + 1] = m3[i, j]
+        loc = mesh.areas[:, None, None] * loc[None, :, :]
+    elif dofmap.kind is SpaceKind.RT0:
+        loc = einsum_rt0_mass(mesh)
+    else:
+        loc = mesh.areas[:, None, None]
+    loc = loc.ravel()
+    dofs = numbering[dofmap.cell_to_dofs]
+    k = dofs.shape[1]
+    rows = np.repeat(dofs, k, axis=1).ravel()
+    cols = np.tile(dofs, (1, k)).ravel()
+    kept = (loc != 0.0) & (rows >= 0) & (cols >= 0)
+    return sp.coo_matrix((loc[kept], (rows[kept], cols[kept])),
+                         shape=(n, n)).tocsr()
+
+
+def reference_mesh(mesh):
+    """The edges, cell edges, signs and geometry of `mesh` rebuilt from its
+    vertices and cells: the edges by `np.unique` of the sorted local vertex
+    pairs, each sign from the normal and the opposite corner, lengths and
+    diameters by `np.linalg.norm`.  {attribute name: array}."""
+    vertices, cells = mesh.vertices, mesh.cells
+    n_vertices = len(vertices)
+    local = np.stack([cells[:, [1, 2]], cells[:, [2, 0]], cells[:, [0, 1]]], axis=1)
+    pairs = np.sort(local.reshape(-1, 2), axis=1)
+    keys, inverse = np.unique(pairs[:, 0] * n_vertices + pairs[:, 1],
+                              return_inverse=True)
+    edges = np.column_stack([keys // n_vertices, keys % n_vertices])
+    cell_edge_ids = inverse.reshape(-1, 3)
+    signs = np.empty_like(cell_edge_ids)
+    for loc in range(3):
+        a = vertices[edges[cell_edge_ids[:, loc], 0]]
+        b = vertices[edges[cell_edge_ids[:, loc], 1]]
+        t = b - a
+        normal = np.column_stack([t[:, 1], -t[:, 0]])
+        away = np.einsum("ij,ij->i", normal, 0.5 * (a + b) - vertices[cells[:, loc]])
+        signs[:, loc] = np.where(away > 0, 1, -1)
+    p0, p1, p2 = (vertices[cells[:, i]] for i in range(3))
+    d1, d2 = p1 - p0, p2 - p0
+    twice_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    grads = np.empty((len(cells), 3, 2))
+    corners = (p0, p1, p2)
+    for i in range(3):
+        e = corners[(i + 2) % 3] - corners[(i + 1) % 3]
+        grads[:, i, 0] = -e[:, 1]
+        grads[:, i, 1] = e[:, 0]
+    grads /= twice_area[:, None, None]
+    sides = np.stack([np.linalg.norm(p1 - p0, axis=1),
+                      np.linalg.norm(p2 - p1, axis=1),
+                      np.linalg.norm(p0 - p2, axis=1)])
+    ev = vertices[edges[:, 1]] - vertices[edges[:, 0]]
+    return {"edges": edges, "cell_edge_ids": cell_edge_ids,
+            "cell_edge_signs": signs, "areas": 0.5 * twice_area,
+            "grads": grads, "diameters": sides.max(axis=0),
+            "edge_lengths": np.linalg.norm(ev, axis=1)}

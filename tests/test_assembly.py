@@ -9,13 +9,16 @@ import scipy.sparse as sp
 from porobiot.assembly import (BiotOperators, BlockConstraints,
                                ConstraintConflictError, FieldConstraints,
                                assemble_loads, build_operators)
-from porobiot.fem import FeFunction, interpolate
+from porobiot.fem import FeFunction, _rt0_values_at, interpolate, quadrature
 from porobiot.linalg import CachedLU
 from porobiot.mesh import Side, generate_rect_mesh
 from porobiot.physics import (MandelConfig, QBc, UBc, mandel_material,
                               mandel_problem, manufactured_material,
                               manufactured_problem)
 from porobiot.schemes import build_initial_state
+
+from oracles import (einsum_points, einsum_rt0_values, reference_mass,
+                     reference_operators)
 
 
 @pytest.fixture(scope="module")
@@ -509,6 +512,77 @@ class TestIndexMaps:
             for attr in ("indptr", "indices", "data"):
                 a, b = getattr(R, attr), getattr(ref, attr)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module", params=["unit 1x1", "unit 3x3", "slab 7x4"])
+def reference_case(request):
+    """Operators on a 1x1 and a 3x3 unit square (t1c1, pins) and on a 7x4
+    grid of the 100 x 10 Mandel slab (cells 14.3 by 2.5, pins and the tied
+    plate), where the reference kernels round d_div and the reduced
+    displacement mass apart from their transposes."""
+    if request.param == "slab 7x4":
+        cfg = MandelConfig()
+        mat = mandel_material("linear", cfg)
+        prob = mandel_problem(mat, cfg)
+        mesh = generate_rect_mesh((0, 0), (cfg.a, cfg.b), 7, 4)
+    else:
+        mat = manufactured_material("t1c1")
+        prob = manufactured_problem(mat)
+        n = int(request.param[-1])
+        mesh = generate_rect_mesh((0, 0), (1, 1), n, n)
+    return build_operators(mesh, mat, prob)
+
+
+class TestReferenceKernels:
+    """The set-up kernels against the einsum and per-matrix COO formulas
+    of `oracles`: the same structure, values at relative 1e-14."""
+
+    @staticmethod
+    def assert_same_matrix(got, want):
+        assert got.format == "csr" and got.shape == want.shape
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        np.testing.assert_allclose(got.data, want.data, rtol=1e-14, atol=0.0)
+
+    def test_blocks_match_the_reference_kernels(self, reference_case):
+        ops = reference_case
+        want = reference_operators(ops.mesh, ops.mat, ops.dofmap_u, ops.dofmap_q)
+        for name, matrix in want.items():
+            self.assert_same_matrix(getattr(ops, name), matrix)
+        # a_e and d_div are scattered at once onto one structure
+        assert np.shares_memory(ops.a_e.indices, ops.d_div.indices)
+        assert np.shares_memory(ops.a_e.indptr, ops.d_div.indptr)
+
+    def test_reduced_masses_match_the_reference_kernels(self, reference_case):
+        ops = reference_case
+        con = ops.constraints
+        for got, dofmap, c in zip(ops.reduced_masses(),
+                                  (ops.dofmap_u, ops.dofmap_q), (con.u, con.q)):
+            self.assert_same_matrix(got, reference_mass(dofmap, c.reduced_of,
+                                                        c.n_reduced))
+        for dofmap in (ops.dofmap_u, ops.dofmap_q, ops.dofmap_p):
+            n = dofmap.n_dofs
+            self.assert_same_matrix(dofmap.mass_matrix,
+                                    reference_mass(dofmap, np.arange(n), n))
+
+    def test_points_and_rt0_values_match_the_reference_kernels(
+            self, reference_case):
+        mesh = reference_case.mesh
+        np.testing.assert_allclose(
+            reference_case.load_points,
+            einsum_points(mesh, quadrature(4)).transpose(2, 0, 1),
+            rtol=1e-14, atol=0.0)
+        for degree in (2, 4):
+            rule = quadrature(degree)
+            np.testing.assert_allclose(
+                _rt0_values_at(mesh, rule),
+                einsum_rt0_values(mesh, rule).transpose(1, 3, 2, 0),
+                rtol=1e-14, atol=0.0)
+
+    def test_masses_and_elastic_blocks_exactly_symmetric(self, reference_case):
+        ops = reference_case
+        for matrix in (ops.m_q, ops.a_e, ops.d_div, *ops.reduced_masses()):
+            assert (matrix != matrix.T).nnz == 0
 
 
 def test_korn_type_bound():

@@ -60,6 +60,17 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             quadrature(3)
 
+    @pytest.mark.parametrize("degree", [1, 2, 4])
+    def test_cached_rules_are_read_only(self, degree):
+        # every caller gets the same rule, so one write would corrupt the
+        # assembly of every later caller
+        rule = quadrature(degree)
+        assert quadrature(degree) is rule
+        for arr in (rule.points, rule.weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
 
 class TestRT0:
     def setup_method(self):

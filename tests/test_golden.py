@@ -70,3 +70,16 @@ def test_check_prints_the_changes_and_rewrites_nothing(tmp_path, monkeypatch,
         assert ("exact cells differ" in out) == (code == 1)
         assert path.read_text(encoding="utf-8") == edited
     assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
+def test_full_check_reads_the_full_folder(tmp_path, monkeypatch, capsys):
+    # --full runs the cases of FULL against tests/golden/full/<case>/
+    name = "sweep_splitting"
+    shutil.copytree(GOLDEN / name, tmp_path / "full" / "small_sweep")
+    monkeypatch.setattr(regenerate, "GOLDEN", tmp_path)
+    monkeypatch.setattr(regenerate, "FULL", {"small_sweep": CASES[name]})
+    monkeypatch.setattr(regenerate, "CASES", {})
+    assert regenerate.main(check=True, full=True) == 0
+    assert capsys.readouterr().out == (
+        "small_sweep/sweep.csv: largest relative change 0, "
+        "relative to its column 0\n")

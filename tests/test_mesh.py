@@ -3,7 +3,7 @@ import pytest
 
 from porobiot.mesh import Mesh, MeshError, Side, generate_rect_mesh
 
-from oracles import cell_geometry
+from oracles import cell_geometry, reference_mesh
 
 
 def test_smallest_mesh_counts():
@@ -36,6 +36,31 @@ def test_invalid_inputs():
         generate_rect_mesh((0, 0), (1, 1), 0, 3)
     with pytest.raises(ValueError):
         generate_rect_mesh((0, 0), (-1, 1), 2, 2)
+    # non-finite corners would build NaN areas and mesh sizes
+    for origin, extent in (((0, 0), (np.inf, 1)), ((0, np.nan), (1, 1)),
+                           ((-np.inf, 0), (1, 1)), ((0, 0), (1, np.nan))):
+        with pytest.raises(ValueError, match="finite"):
+            generate_rect_mesh(origin, extent, 2, 2)
+    # a bool or a float is not a cell count (True would build a 1x1 mesh)
+    for nx, ny in ((True, 2), (2, False), (2.0, 2), (2, "2")):
+        with pytest.raises(ValueError, match="integers"):
+            generate_rect_mesh((0, 0), (1, 1), nx, ny)
+    assert generate_rect_mesh((0, 0), (1, 1), np.int64(2), 2).n_cells == 8
+
+
+@pytest.mark.parametrize("origin, extent, nx, ny", [
+    ((0, 0), (1, 1), 1, 1), ((0, 0), (1, 1), 3, 3),
+    ((0.3, -1.0), (2.7, 0.4), 5, 3), ((0, 0), (100, 10), 40, 40),
+    ((1, 2), (3, 4), 1, 7)])
+def test_structured_numbering_matches_the_reference(origin, extent, nx, ny):
+    # the edges, cell edges and signs numbered from the grid, and the
+    # geometry along the cells, are those of np.unique, the normals and
+    # np.linalg.norm, to the last bit
+    m = generate_rect_mesh(origin, extent, nx, ny)
+    for name, want in reference_mesh(m).items():
+        got = getattr(m, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
 
 
 def test_cell_geometry_reference_triangle():
@@ -181,6 +206,11 @@ def test_degenerate_cell_rejected():
     with pytest.raises(MeshError):
         Mesh(verts, clockwise, edges, np.array([[0, 1, 2]]),
              np.array([[1, 1, 1]]), {})
+    # a NaN area fails `area <= 0` too, and must be refused
+    nan_corner = np.array([[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]])
+    with pytest.raises(MeshError):
+        Mesh(nan_corner, np.array([[0, 1, 2]]), edges, np.array([[2, 1, 0]]),
+             np.array([[1, -1, 1]]), {})
 
 
 def test_anisotropic_grid_orientation():
