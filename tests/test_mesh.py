@@ -206,7 +206,7 @@ def test_degenerate_cell_rejected():
     with pytest.raises(MeshError):
         Mesh(verts, clockwise, edges, np.array([[0, 1, 2]]),
              np.array([[1, 1, 1]]), {})
-    # a NaN area fails `area <= 0` too, and must be refused
+    # a NaN area is not `<= 0` either, and must be refused too
     nan_corner = np.array([[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]])
     with pytest.raises(MeshError):
         Mesh(nan_corner, np.array([[0, 1, 2]]), edges, np.array([[2, 1, 0]]),
