@@ -376,13 +376,15 @@ def assemble_loads(problem: ProblemDefinition, ops: BiotOperators, t):
     once; plate loads of tied sides enter as a uniform traction on the
     side, and non-homogeneous boundary pressures of the mixed form enter
     the Darcy right-hand side, over the side edges of `Mesh.boundary_edges`.
+    A body force or source of None is zero and is not evaluated.
     """
     mesh = ops.mesh
     rule = quadrature(4)
     x, y = ops.load_points
 
-    fvals = np.asarray(problem.body_force(x, y, t), dtype=float)
     f_vec = np.zeros(ops.dofmap_u.n_dofs)
+    fvals = (0.0 if problem.body_force is None
+             else np.asarray(problem.body_force(x, y, t), dtype=float))
     if np.any(fvals != 0.0):
         floc = np.einsum("q,fqc,qv->fvc", rule.weights, fvals, rule.points)
         floc = floc.reshape(mesh.n_cells, 6) * mesh.areas[:, None]
@@ -405,7 +407,8 @@ def assemble_loads(problem: ProblemDefinition, ops: BiotOperators, t):
             g_vec[edges] -= (bc.value * ops.boundary_edge_sign[edges]
                              * mesh.edge_lengths[edges])
 
-    svals = np.asarray(problem.source(x, y, t), dtype=float)
+    svals = (0.0 if problem.source is None
+             else np.asarray(problem.source(x, y, t), dtype=float))
     if np.any(svals != 0.0):
         s_vec = mesh.areas * np.einsum("q,fq->f", rule.weights, svals)
     else:

@@ -300,13 +300,17 @@ class ExactSolution:
 @dataclass
 class ProblemDefinition:
     """One initial-boundary-value problem on a rectangle; `final_time` is
-    recorded only, a run's step size and count set how far it marches."""
+    recorded only, a run's step size and count set how far it marches.
+
+    A `body_force` or `source` of None is zero.  The boundary data are
+    constants, so a problem whose two are None has loads that do not
+    depend on time, and `schemes.march` assembles them once per run."""
 
     final_time: float
     u_bc: dict
     q_bc: dict
-    body_force: Callable       # f(x, y, t) -> (..., 2)
-    source: Callable           # S_f(x, y, t) -> (...)
+    body_force: Optional[Callable]   # f(x, y, t) -> (..., 2), None for zero
+    source: Optional[Callable]       # S_f(x, y, t) -> (...), None for zero
     initial_u: Callable        # (x, y) -> (2,)
     initial_p: Callable        # (x, y) -> scalar
     initial_q: Callable        # (x, y) -> (2,)
@@ -452,8 +456,9 @@ def mandel_problem(mat: MaterialModel, cfg: MandelConfig,
     right side drains at zero pressure and is traction free, and the top
     carries the rigid frictionless plate: zero shear, all vertical
     displacements tied to one master unknown loaded by the total force.
-    The initial state is the instantaneous undrained response (uniform
-    pressure, zero flux, linear displacement).
+    There is no body force or source (None), so the loads do not depend on
+    time.  The initial state is the instantaneous undrained response
+    (uniform pressure, zero flux, linear displacement).
     """
     a, force = cfg.a, cfg.force
     nu_u, mu = cfg.nu_undrained, cfg.mu
@@ -462,13 +467,6 @@ def mandel_problem(mat: MaterialModel, cfg: MandelConfig,
     def u0(x, y):
         return (force * nu_u * x / (2.0 * mu * a),
                 -force * (1.0 - nu_u) * y / (2.0 * mu * a))
-
-    def zero_vec(x, y, t):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape + (2,))
-
-    def zero_scalar(x, y, t):
-        return np.zeros_like(np.asarray(x, dtype=float))
 
     return ProblemDefinition(
         final_time=final_time,
@@ -480,8 +478,8 @@ def mandel_problem(mat: MaterialModel, cfg: MandelConfig,
               Side.BOTTOM: QBc("noflow"),
               Side.TOP: QBc("noflow"),
               Side.RIGHT: QBc("pressure", 0.0)},
-        body_force=zero_vec,
-        source=zero_scalar,
+        body_force=None,
+        source=None,
         initial_u=u0,
         initial_p=lambda x, y: p0,
         initial_q=lambda x, y: (0.0, 0.0),

@@ -17,13 +17,12 @@ constant-slope updates with tuning parameters L1 and L2:
 All system matrices are constant across iterations and time steps, so a
 `SchemeSolver` builds them and their factorizations once and reuses them.
 An iterate, an (n, k) block of reduced coordinates with one column per
-cell, starts at the previous time-step solution, and full fields are
-formed once a step ends.  Each iteration forms its right-hand side in
-reduced coordinates too: the loads are restricted once per step
-(`StepContext`), and the divergence, the law h and the L2 stabilization
-of the mechanics row come from the reduced coupling R_u^T B_u.  The
-essential conditions are homogeneous, so no constraint enters a
-right-hand side.  Iterations stop when the summed L2 norms of the
+cell, carries its divergences B_u^T R_u x_u, of which the law h and the
+L2 stabilization are formed by the reduced coupling R_u^T B_u.  `march`
+carries it from step to step, forms full fields only to yield them, and
+restricts the loads (`StepContext`) once per run when they do not depend
+on time.  The essential conditions are homogeneous, so no constraint
+enters a right-hand side.  Iterations stop when the summed L2 norms of the
 field increments drop below the tolerance, and abort when they are not
 finite or exceed `DIVERGENCE_FACTOR` times the first (`stop_status`),
 norms taken in reduced coordinates too (`SchemeSolver.increment_norms`);
@@ -33,7 +32,7 @@ norms taken in reduced coordinates too (`SchemeSolver.increment_norms`);
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -128,6 +127,14 @@ def suggested_tuning(mat: MaterialModel, kind):
     return L1, L2
 
 
+def _check_step_size(tau):
+    """`ValueError` unless the step size tau is a finite positive number."""
+    if (not isinstance(tau, numbers.Real) or isinstance(tau, bool)
+            or not np.isfinite(tau) or tau <= 0):
+        raise ValueError(f"step size tau must be finite and positive, "
+                         f"not {tau!r}")
+
+
 @dataclass
 class BiotState:
     """The discrete triple (u, q, p) at one time level."""
@@ -169,8 +176,8 @@ class IterationTrace:
 
 @dataclass
 class StepContext:
-    """Loads and previous-state terms that are constant over one time step;
-    the loads also restricted, once, for the scheme iterations."""
+    """Loads, also restricted once, and previous-state terms that are
+    constant over one time step; `seeded` adds the latter to `loads`."""
 
     t_new: float
     tau: float
@@ -181,14 +188,22 @@ class StepContext:
     g_red: np.ndarray        # R_q^T g_vec
 
     @classmethod
-    def build(cls, ops: BiotOperators, problem, prev: BiotState, tau):
-        t_new = prev.time + tau
+    def loads(cls, ops: BiotOperators, problem, t_new, tau):
+        _check_step_size(tau)
         f_vec, g_vec, s_vec = assemble_loads(problem, ops, t_new)
-        mass_const = (tau * s_vec + ops.bp_dual(prev.p.coeffs)
-                      + ops.mat.alpha * ops.divu_dual(prev.u.coeffs))
         con = ops.constraints
-        return cls(t_new, tau, f_vec, g_vec, mass_const,
+        return cls(t_new, tau, f_vec, g_vec, tau * s_vec,
                    con.u.restrict(f_vec), con.q.restrict(g_vec))
+
+    def seeded(self, ops: BiotOperators, t_new, p, divu):
+        """These loads at t_new, seeded by pressures p and divergences divu."""
+        return replace(self, t_new=t_new, mass_const=self.mass_const
+                       + ops.bp_dual(p) + ops.mat.alpha * divu)
+
+    @classmethod
+    def build(cls, ops: BiotOperators, problem, prev: BiotState, tau):
+        return cls.loads(ops, problem, prev.time + tau, tau).seeded(
+            ops, prev.time + tau, prev.p.coeffs, ops.divu_dual(prev.u.coeffs))
 
 
 class SchemeSolver:
@@ -196,8 +211,10 @@ class SchemeSolver:
     factorizations.
 
     An iterate x is an (n, k) block of k reduced (u, q, p), numbered as in
-    `BlockConstraints.composed`; `coordinates` and `state` convert it, and
-    `increment_norms` measures the difference of two.
+    `BlockConstraints.composed`; `coordinates` and `state` convert it,
+    `step` maps it and its divergences (`divu_dual`) to the next ones, and
+    `increment_norms` measures the difference of two.  tau must be finite
+    and positive (`_check_step_size`), as for `StepContext`.
 
     A splitting iteration is one application of the fixed-stress sweep
     `sweep` (`linalg.FixedStressPreconditioner`), which holds the flow
@@ -210,8 +227,8 @@ class SchemeSolver:
     increment.  Each matrix is built and factored once, and after them
     the couplings of `BiotOperators.reduced_couplings`, shared with the
     sweep.  `step` performs one iteration of the scheme and depends on its
-    iterate and step context alone: the solver keeps no solution from one
-    call to the next.
+    iterate, its divergences and the step context alone: the solver keeps
+    no solution from one call to the next.
 
     No attribute holds a bound method of the solver or its sweep: that
     reference cycle would keep their factorizations alive until the cyclic
@@ -220,6 +237,7 @@ class SchemeSolver:
 
     def __init__(self, ops: BiotOperators, cfg: SchemeConfig, tau,
                  flows=None):
+        _check_step_size(tau)
         self.ops, self.cfg, self.tau = ops, cfg, tau
         con = ops.constraints
         self.sizes = (con.u.n_reduced, con.q.n_reduced, con.p.n_reduced)
@@ -270,8 +288,9 @@ class SchemeSolver:
         each column of x: B_u^T R_u x_u."""
         return self.b_up_red_t @ x[:self.sizes[0]]
 
-    def step(self, x, ctx: StepContext, cells=None):
-        """The next iterate after the (n, k) block x: a new block.
+    def step(self, x, divu, ctx: StepContext, cells=None):
+        """The next iterate after the (n, k) block x, whose divergences
+        `divu_dual`(x) are divu: the new block and its divergences.
 
         Both schemes form the L-scheme right-hand side in reduced
         coordinates, with nothing to add for the homogeneous essential
@@ -286,7 +305,7 @@ class SchemeSolver:
         `monolithic_schur_system` has the right-hand side (r_u + alpha
         R_u^T B_u w, tau (g_red + R_q^T B^T w)), and p is recovered
         cellwise from the new (u, q) by the same couplings, M_p being the
-        diagonal P0 mass.
+        diagonal P0 mass, the new divergences among them.
 
         Column j gets the bits of its own one-column step and iterates the
         cell cells[j], a list or an index array into the sweep's flow halves
@@ -296,7 +315,6 @@ class SchemeSolver:
         nu, nq, _ = self.sizes
         L1 = self.L1[[0] if cells is None else cells]
         p, areas = x[nu + nq:], ops.mesh.areas[:, None]
-        divu = self.divu_dual(x)
         div = divu / areas
         mech = cfg.L2 * div - np.asarray(ops.mat.h_law(div), dtype=float)
         rhs_p = ctx.mass_const[:, None] - ops.bp_dual(p) + L1 * (areas * p)
@@ -307,15 +325,17 @@ class SchemeSolver:
             uq = self.mono_lu.solve(np.concatenate([
                 f_red + self.b_up_red @ (mech + alpha * w),
                 ctx.tau * (g_red + self.b_red_t @ w)]))
-            p = (rhs_p - alpha * self.divu_dual(uq)
+            divu = self.divu_dual(uq)
+            p = (rhs_p - alpha * divu
                  - ctx.tau * (self.b_red @ uq[nu:])) / l1_areas
-            return np.concatenate([uq, p])
+            return np.concatenate([uq, p]), divu
         if cfg.kind == "splitting":
             rhs_p -= alpha * divu
         r = np.concatenate([f_red + self.b_up_red @ mech,
                             np.broadcast_to(g_red, (nq, x.shape[1])), rhs_p])
         if cfg.kind == "splitting":
-            return self.sweep.matvec(r, cells)
+            new = self.sweep.matvec(r, cells)
+            return new, self.divu_dual(new)
         opts = ops.solver
         x_red, report = gmres(self.matrix, r.ravel(), preconditioner=self.sweep,
                               restart=opts.restart, rtol=opts.rtol,
@@ -326,7 +346,7 @@ class SchemeSolver:
             raise LinearSolveError(
                 f"preconditioned GMRES stopped at {report.status} with relative "
                 f"residual {report.relres:.2e}")
-        return x_red[:, None]
+        return x_red[:, None], self.divu_dual(x_red[:, None])
 
 
 def stop_status(total, first_total, iterations, cfg: SchemeConfig):
@@ -345,20 +365,20 @@ def stop_status(total, first_total, iterations, cfg: SchemeConfig):
     return None
 
 
-def _iterate(solver: SchemeSolver, x, ctx: StepContext, cfgs,
+def _iterate(solver: SchemeSolver, x, divu, ctx: StepContext, cfgs,
              trace: IterationTrace = None, archive=None):
-    """Iterate `solver` from the (n, k) block x of its k cells (`cfgs`)
-    until `stop_status` stops every cell, whose column then leaves the
-    block.  Increments are measured in reduced coordinates
-    (`SchemeSolver.increment_norms`); `trace` and `archive` record those of
-    a single cell and its states.  Returns the last block and each cell's
-    (iterations, status).
+    """Iterate `solver` from the (n, k) block x of its k cells (`cfgs`),
+    whose divergences are divu, until `stop_status` stops every cell, whose
+    column then leaves the block.  Increments are measured in reduced
+    coordinates (`SchemeSolver.increment_norms`); `trace` and `archive`
+    record those of a single cell and its states.  Returns the last block,
+    its divergences and each cell's (iterations, status).
     """
     live = list(range(len(cfgs)))   # the cell of each column
     first, out, iterations = {}, [None] * len(cfgs), 0
     while live:
         iterations += 1
-        new = solver.step(x, ctx, live)
+        new, divu = solver.step(x, divu, ctx, live)
         dp, dq, du = solver.increment_norms(new - x)
         if trace is not None:
             trace.record(dp[0], dq[0], du[0])
@@ -375,8 +395,31 @@ def _iterate(solver: SchemeSolver, x, ctx: StepContext, cfgs,
         if len(going) < len(live):
             live = [live[j] for j in going]
             if live:
-                x = x[:, going]
-    return x, out
+                x, divu = x[:, going], divu[:, going]
+    return x, divu, out
+
+
+def _converge(solver: SchemeSolver, x, divu, ctx: StepContext,
+              mat: MaterialModel, archive=None):
+    """One time step from the one-column x with divergences divu: the last
+    x, its divergences and the trace; `DivergenceError` if it diverged."""
+    trace = IterationTrace()
+    x, divu, [(_, status)] = _iterate(solver, x, divu, ctx, [solver.cfg],
+                                      trace, archive)
+    # a sweep solves the flux and the mechanics systems
+    trace.n_linear_solves = (2 if solver.cfg.kind == "splitting" else 1) * \
+        trace.iterations
+    if status == "diverged":
+        total, first_total = trace.totals[-1], trace.totals[0]
+        raise DivergenceError(
+            f"increment {total:.3e} exceeds {DIVERGENCE_FACTOR:g} x first "
+            f"increment {first_total:.3e}" if np.isfinite(total) else
+            f"non-finite increment at iteration {trace.iterations}")
+    trace.converged = status == "converged"
+    trace.range_excursions = check_admissible(
+        mat, x[sum(solver.sizes[:2]):, 0], divu[:, 0] / solver.ops.mesh.areas,
+        context=f"t={ctx.t_new:g}: ")
+    return x, divu, trace
 
 
 def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
@@ -404,29 +447,11 @@ def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
         ctx = StepContext.build(ops, problem, prev, tau)
     elif ctx.tau != tau or ctx.t_new != prev.time + tau:
         raise ValueError("step context was built for another step")
-    trace = IterationTrace()
     if archive is not None:
         archive.append(prev.copy())
-    x, [(_, status)] = _iterate(solver, solver.coordinates(prev), ctx, [cfg],
-                                trace, archive)
-    # a sweep solves the flux and the mechanics systems
-    trace.n_linear_solves = (2 if cfg.kind == "splitting" else 1) * \
-        trace.iterations
-    if status == "diverged":
-        total, first_total = trace.totals[-1], trace.totals[0]
-        if not np.isfinite(total):
-            raise DivergenceError(
-                f"non-finite increment at iteration {trace.iterations}")
-        raise DivergenceError(
-            f"increment {total:.3e} exceeds {DIVERGENCE_FACTOR:g} x "
-            f"first increment {first_total:.3e}")
-    trace.converged = status == "converged"
-
-    cur = solver.state(x, ctx.t_new)
-    trace.range_excursions = check_admissible(
-        mat, cur.p.coeffs, solver.divu_dual(x)[:, 0] / ops.mesh.areas,
-        context=f"t={ctx.t_new:g}: ")
-    return cur, trace
+    x = solver.coordinates(prev)
+    x, _, trace = _converge(solver, x, solver.divu_dual(x), ctx, mat, archive)
+    return solver.state(x, ctx.t_new), trace
 
 
 def iterate_lockstep(ops: BiotOperators, prev: BiotState, cfgs,
@@ -449,7 +474,7 @@ def iterate_lockstep(ops: BiotOperators, prev: BiotState, cfgs,
             flows[c.L1] = FlowHalf(ops, c.L1, ctx.tau)
     solver = SchemeSolver(ops, cfgs[0], ctx.tau, [flows[c.L1] for c in cfgs])
     x = np.repeat(solver.coordinates(prev), len(cfgs), axis=1)
-    return _iterate(solver, x, ctx, cfgs)[1]
+    return _iterate(solver, x, solver.divu_dual(x), ctx, cfgs)[2]
 
 
 def build_initial_state(problem: ProblemDefinition, ops: BiotOperators) -> BiotState:
@@ -466,24 +491,33 @@ def march(problem: ProblemDefinition, mesh: Mesh, mat: MaterialModel,
           initial: BiotState = None):
     """March n_steps implicit steps; each seeds from the previous solution.
 
-    A generator: it builds one `SchemeSolver` for the run and yields one
-    (state, trace) pair per step, holding no state but the previous one,
+    A generator: it builds one `SchemeSolver` for the run, carries its
+    iterate x and divergences from step to step, seeds each step's
+    `mass_const` from them, and assembles the loads once when the body
+    force and source are None.  It yields one (state, trace) pair per step,
     so a run's memory does not grow with n_steps unless its caller keeps
     the states.  Non-converged steps are yielded (flagged in the trace);
     divergence aborts with the step index attached.
     """
-    if n_steps < 1:
-        raise ValueError("need at least one time step")
+    if (not isinstance(n_steps, numbers.Integral) or isinstance(n_steps, bool)
+            or n_steps < 1):
+        raise ValueError(f"n_steps must be an integer of at least 1, "
+                         f"not {n_steps!r}")
     ops = ops or build_operators(mesh, mat, problem)
     prev = initial if initial is not None else build_initial_state(problem, ops)
     solver = SchemeSolver(ops, cfg, tau)
+    x, time, loads = solver.coordinates(prev), prev.time, None
+    divu, nuq = solver.divu_dual(x), sum(solver.sizes[:2])
     for n in range(1, n_steps + 1):
+        time += tau
+        if loads is None or problem.body_force or problem.source:
+            loads = StepContext.loads(ops, problem, time, tau)
+        ctx = loads.seeded(ops, time, x[nuq:, 0], divu[:, 0])
         try:
-            prev, trace = iterate_to_convergence(prev, cfg, ops, mat, problem,
-                                                 tau, solver=solver)
+            x, divu, trace = _converge(solver, x, divu, ctx, mat)
         except DivergenceError as exc:
-            raise DivergenceError(f"step {n} (t={prev.time + tau:g}): {exc}") from exc
-        yield prev, trace
+            raise DivergenceError(f"step {n} (t={time:g}): {exc}") from exc
+        yield solver.state(x, time), trace
 
 
 def time_march(problem: ProblemDefinition, mesh: Mesh, mat: MaterialModel,

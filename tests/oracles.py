@@ -6,8 +6,10 @@ assembly and the cell-constant fields of `porobiot.fem` against them.
 `lu_solve` solves the nonsymmetric block systems (the 3x3 monolithic and
 the 2x2 flux-pressure block) that no run factors, `vector_step` is one
 scheme iteration by vectors in full coordinates, the reference of the
-step in reduced coordinates, and `full_increment_norms` measures an
-increment on the full fields, the reference of the reduced masses.
+step in reduced coordinates, `full_increment_norms` measures an
+increment on the full fields, the reference of the reduced masses, and
+`step_chain` marches by one `iterate_to_convergence` call per step, the
+reference of the march that carries its iterate.
 The reference kernels (`einsum_points`, `einsum_rt0_values`,
 `reference_operators`, `reference_mass`, `reference_mesh`) are the
 set-up formulas that `porobiot` replaced by products along the cells and
@@ -26,7 +28,7 @@ import scipy.sparse.linalg as spla
 from porobiot.fem import FeFunction, SpaceKind, l2_norm, quadrature
 from porobiot.linalg import gmres
 from porobiot.mesh import MeshError
-from porobiot.schemes import BiotState
+from porobiot.schemes import BiotState, SchemeSolver, iterate_to_convergence
 
 
 @dataclass(frozen=True)
@@ -223,6 +225,20 @@ def full_increment_norms(solver, dx):
             l2_norm(FeFunction(ops.dofmap_q,
                                con.q.restriction @ dx[nu:nu + nq])),
             l2_norm(FeFunction(ops.dofmap_u, con.u.restriction @ dx[:nu])))
+
+
+def step_chain(problem, mat, cfg, tau, n_steps, ops, initial):
+    """The (state, trace) pairs of n_steps time steps from `initial`, each
+    one `iterate_to_convergence` call from the state the step before
+    returned, with its loads assembled and its step context built from
+    that state's full fields, and one `SchemeSolver` for the chain.
+    `schemes.march` carries the reduced iterate from step to step."""
+    solver, prev, out = SchemeSolver(ops, cfg, tau), initial, []
+    for _ in range(n_steps):
+        prev, trace = iterate_to_convergence(prev, cfg, ops, mat, problem,
+                                             tau, solver=solver)
+        out.append((prev, trace))
+    return out
 
 
 # -- reference set-up kernels ----------------------------------------------

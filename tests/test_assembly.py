@@ -327,6 +327,32 @@ class TestLoads:
                 assert f[2 * v + 1] == 0.0
             assert f[2 * v] == 0.0
 
+    @pytest.mark.parametrize("case", ["mandel", "manufactured"])
+    def test_none_loads_are_the_zero_callables(self, case):
+        # a body force and source of None are zero: the same bits as the
+        # callables that return zeros, with the plate traction of the slab
+        # and the boundary data kept
+        if case == "mandel":
+            cfg = MandelConfig()
+            mat = mandel_material("linear", cfg)
+            prob = mandel_problem(mat, cfg)
+            mesh = generate_rect_mesh((0, 0), (cfg.a, cfg.b), 7, 3)
+        else:
+            mat = manufactured_material("linear")
+            prob = replace(manufactured_problem(mat), body_force=None,
+                           source=None)
+            mesh = generate_rect_mesh((0, 0), (1, 1), 5, 5)
+        assert prob.body_force is None and prob.source is None
+        zeros = replace(
+            prob, body_force=lambda x, y, t: np.zeros(np.shape(x) + (2,)),
+            source=lambda x, y, t: np.zeros(np.shape(x)))
+        ops = build_operators(mesh, mat, prob)
+        for t in (0.0, 2.5):
+            got, want = assemble_loads(prob, ops, t), assemble_loads(zeros, ops, t)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert np.any(got[0] != 0.0) == (case == "mandel")
+
     def test_manufactured_body_loads_vanish_at_t0(self, unit_ops):
         ops, _, prob = unit_ops
         f, g, _ = assemble_loads(prob, ops, 0.0)

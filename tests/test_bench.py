@@ -493,15 +493,16 @@ class StateLog:
 
 @pytest.fixture
 def yielded_states(monkeypatch):
+    # the march forms each state it yields from its iterate
     log = StateLog()
-    step = schemes.iterate_to_convergence
+    state = schemes.SchemeSolver.state
 
-    def recording(*args, **kwargs):
-        out = step(*args, **kwargs)
-        log.record(out[0])
+    def recording(solver, *args, **kwargs):
+        out = state(solver, *args, **kwargs)
+        log.record(out)
         return out
 
-    monkeypatch.setattr(schemes, "iterate_to_convergence", recording)
+    monkeypatch.setattr(schemes.SchemeSolver, "state", recording)
     return log
 
 

@@ -18,10 +18,10 @@ from porobiot.schemes import (DIVERGENCE_FACTOR, BiotState, DivergenceError,
                               SchemeConfig, SchemeConfigError, SchemeSolver,
                               StepContext, build_initial_state,
                               iterate_lockstep, iterate_to_convergence,
-                              residual_norms, stop_status, suggested_tuning,
-                              time_march, write_trace_csv)
+                              march, residual_norms, stop_status,
+                              suggested_tuning, time_march, write_trace_csv)
 
-from oracles import full_increment_norms, lu_solve, vector_step
+from oracles import full_increment_norms, lu_solve, step_chain, vector_step
 
 
 def linear_setup(nx=8):
@@ -31,6 +31,12 @@ def linear_setup(nx=8):
     ops = build_operators(mesh, mat, prob)
     prev = build_initial_state(prob, ops)
     return mesh, mat, prob, ops, prev
+
+
+def step(solver, x, ctx, cells=None):
+    """`SchemeSolver.step` from the block x alone, whose divergences are
+    formed here: the new block."""
+    return solver.step(x, solver.divu_dual(x), ctx, cells)[0]
 
 
 def reduced_solve(ops, matrix, names, rhs_full):
@@ -148,7 +154,7 @@ class TestFixedPoints:
         for kind in ("splitting", "monolithic"):
             cfg = SchemeConfig(kind, L1=1.0, L2=2.0)
             solver = SchemeSolver(ops, cfg, 0.25)
-            new = solver.state(solver.step(solver.coordinates(prev), ctx),
+            new = solver.state(step(solver, solver.coordinates(prev), ctx),
                                ctx.t_new)
             assert np.allclose(new.p.coeffs, 0.0, atol=1e-14)
             assert np.allclose(new.q.coeffs, 0.0, atol=1e-14)
@@ -236,7 +242,7 @@ class TestLinearConvergence:
                     ops, ops.mech_system(L2), ("u",), rhs_u)),
                 FeFunction(ops.dofmap_q, qp[:nq]),
                 FeFunction(ops.dofmap_p, qp[nq:]), ctx.t_new)
-            x = solver.step(x, ctx)
+            x = step(solver, x, ctx)
             got = solver.state(x, ctx.t_new)
             assert max(field_errors(ops, got, expect)) <= 1e-10
             assert l2_norm(FeFunction(ops.dofmap_p, got.p.coeffs)) > 1e-4
@@ -263,7 +269,7 @@ class TestLinearConvergence:
         L1, L2 = suggested_tuning(mat, "monolithic")
         ctx = StepContext.build(ops, prob, prev, tau)
         solver = SchemeSolver(ops, SchemeConfig("monolithic", L1, L2), tau)
-        got = solver.state(solver.step(solver.coordinates(prev), ctx), ctx.t_new)
+        got = solver.state(step(solver, solver.coordinates(prev), ctx), ctx.t_new)
         u, p = prev.u.coeffs, prev.p.coeffs
         rhs_u = ctx.f_vec + L2 * (ops.d_div @ u) - ops.hu_dual(u)
         rhs_p = ctx.mass_const - ops.bp_dual(p) + L1 * (ops.m_p @ p)
@@ -445,7 +451,7 @@ def test_one_column_block_step_is_the_vector_step(case, kind):
         x = solver.coordinates(prev)
         vec = solver.state(x, prev.time)
         for _ in range(3):
-            vec, x = vector_step(solver, vec, ctx), solver.step(x, ctx, cells=[0])
+            vec, x = vector_step(solver, vec, ctx), step(solver, x, ctx, cells=[0])
             blk = solver.state(x, ctx.t_new)
             assert x.shape == (sum(solver.sizes), 1)
             for a, b in zip((vec.u, vec.q, vec.p), (blk.u, blk.q, blk.p)):
@@ -467,7 +473,7 @@ def test_state_and_iterate_round_trip_bit_for_bit(case):
             kind, *suggested_tuning(ops.mat, kind)), tau)
         x = solver.coordinates(prev)
         states = [(solver.state(x, prev.time), prev, x)]
-        x = solver.step(x, ctx)
+        x = step(solver, x, ctx)
         new = solver.state(x, ctx.t_new)
         states.append((new, solver.state(solver.coordinates(new), ctx.t_new), x))
         for got, want, coords in states:
@@ -494,11 +500,11 @@ def test_block_step_columns_are_their_cells_vector_steps():
     solver = SchemeSolver(ops, cfgs[0], 0.25,
                           [FlowHalf(ops, c.L1, 0.25) for c in cfgs])
     fresh = [SchemeSolver(ops, c, 0.25) for c in cfgs]
-    xs = [f.step(f.coordinates(prev), ctx) for f in fresh]   # distinct iterates
+    xs = [step(f, f.coordinates(prev), ctx) for f in fresh]   # distinct iterates
     cells = [2, 0]
-    got = solver.step(np.hstack([xs[c] for c in cells]), ctx, cells=cells)
+    got = step(solver, np.hstack([xs[c] for c in cells]), ctx, cells=cells)
     for j, c in enumerate(cells):
-        want = fresh[c].step(xs[c], ctx)
+        want = step(fresh[c], xs[c], ctx)
         assert got[:, j].tobytes() == want[:, 0].tobytes()
     with pytest.raises(ValueError):
         SchemeSolver(ops, replace(cfgs[0], kind="monolithic"), 0.25,
@@ -519,8 +525,8 @@ def test_block_step_takes_its_cells_as_a_list_or_an_array():
     x = np.repeat(solver.coordinates(prev), 2, axis=1)
     for cells in ([2, 0], [1]):
         block = x[:, :len(cells)]
-        want = solver.step(block, ctx, cells=cells)
-        got = solver.step(block, ctx, cells=np.array(cells))
+        want = step(solver, block, ctx, cells=cells)
+        got = step(solver, block, ctx, cells=np.array(cells))
         assert got.tobytes() == want.tobytes()
 
 
@@ -538,7 +544,7 @@ def test_reduced_increment_norms_are_the_full_field_norms(case):
         "splitting", *suggested_tuning(ops.mat, "splitting")), tau)
     xs = [solver.coordinates(prev)]
     for _ in range(3):
-        xs.append(solver.step(xs[-1], ctx))
+        xs.append(step(solver, xs[-1], ctx))
     block = np.hstack([b - a for a, b in zip(xs, xs[1:])])
     columns = [solver.increment_norms(block[:, j].copy()) for j in range(3)]
     for dx in (block[:, 0], block):
@@ -713,7 +719,7 @@ def test_step_builds_no_sparse_transpose(monkeypatch, kind, method):
     built.clear()
     x = solver.coordinates(prev)
     for _ in range(2):
-        x = solver.step(x, ctx)
+        x = step(solver, x, ctx)
     assert built == []
 
 
@@ -751,7 +757,7 @@ def test_step_stays_in_reduced_coordinates(monkeypatch, kind, method):
     monkeypatch.setattr(ops, "d_div", CountedProducts(ops.d_div))
     x = solver.coordinates(prev)
     for _ in range(2):
-        x = solver.step(x, ctx)
+        x = step(solver, x, ctx)
     assert calls == []
     _, trace = iterate_to_convergence(prev, cfg, ops, ops.mat, ops.problem,
                                       tau, solver=solver, ctx=ctx)
@@ -878,3 +884,190 @@ def test_trace_csv_schema(tmp_path):
     assert first[0] == "1" and first[1] == "1" and first[6] == ""
     n_rows = sum(tr.iterations for _, tr in results)
     assert len(lines) == 1 + n_rows
+
+
+# -- the march carries the reduced iterate ----------------------------------
+
+@pytest.mark.parametrize("case, kind, method", [
+    ("mandel", "monolithic", "lu"), ("mandel", "splitting", "lu"),
+    ("mandel", "monolithic", "gmres"), ("t1c1", "monolithic", "lu"),
+    ("t1c1", "splitting", "lu")])
+def test_march_is_a_chain_of_steps(case, kind, method):
+    # the march, which carries x and its divergences from step to step and
+    # seeds each step from them, against one iterate_to_convergence call
+    # per step from the full fields: equal traces, and states within 1e-11
+    # of each field's largest value.  The tied plate's two entries of a
+    # cell are summed in another order by B_u^T R_u x_u than by B_u^T u;
+    # t1c1 has no tie, and there the march keeps every bit, while its
+    # loads change every step
+    ops, prev, tau = case_setup(case, *((10, 6) if case == "mandel"
+                                        else (6, 6)), SolverOptions(method))
+    cfg = SchemeConfig(kind, *suggested_tuning(ops.mat, kind))
+    got = list(march(ops.problem, ops.mesh, ops.mat, cfg, tau, 5, ops=ops,
+                     initial=prev))
+    want = step_chain(ops.problem, ops.mat, cfg, tau, 5, ops, prev)
+    assert len(got) == len(want) == 5
+    for (a, ta), (b, tb) in zip(got, want):
+        assert a.time == b.time
+        assert (ta.iterations, ta.converged, ta.n_linear_solves,
+                ta.range_excursions) == (tb.iterations, tb.converged,
+                                         tb.n_linear_solves, tb.range_excursions)
+        assert ta.converged and ta.iterations > 1
+        for n in "uqp":
+            fa, fb = getattr(a, n).coeffs, getattr(b, n).coeffs
+            scale = np.max(np.abs(fb))
+            assert scale > 0.0
+            assert np.max(np.abs(fa - fb)) <= 1e-11 * scale
+            if case == "t1c1":
+                assert fa.tobytes() == fb.tobytes()
+        if case == "t1c1":
+            assert ta.totals == tb.totals
+
+
+@pytest.mark.parametrize("case, calls", [("mandel", 1), ("t1c1", 5)])
+def test_march_assembles_steady_loads_once(monkeypatch, case, calls):
+    # the Mandel slab has no body force or source (None), so its loads do
+    # not depend on time and a 5-step march assembles them once; the
+    # manufactured loads change every step
+    from porobiot import schemes
+    made, assemble = [], schemes.assemble_loads
+
+    def counting(problem, ops, t):
+        made.append(t)
+        return assemble(problem, ops, t)
+
+    monkeypatch.setattr(schemes, "assemble_loads", counting)
+    ops, prev, tau = case_setup(case, 6, 6)
+    cfg = SchemeConfig("monolithic", *suggested_tuning(ops.mat, "monolithic"))
+    results = list(march(ops.problem, ops.mesh, ops.mat, cfg, tau, 5, ops=ops,
+                         initial=prev))
+    assert len(results) == 5 and len(made) == calls
+    assert made[0] == prev.time + tau
+
+
+@pytest.mark.parametrize("kind, method", [("splitting", "lu"),
+                                          ("monolithic", "lu"),
+                                          ("monolithic", "gmres")])
+def test_steps_carry_the_divergences_of_their_blocks(monkeypatch, kind,
+                                                      method):
+    # every step takes the divergences of its block and returns those of
+    # the new one, with the bits of B_u^T R_u x_u, across the steps of a
+    # march of one column and in a lock-step block whose columns leave it
+    calls, original = [], SchemeSolver.step
+
+    def checked(solver, x, divu, ctx, cells=None):
+        new, new_divu = original(solver, x, divu, ctx, cells)
+        nu = solver.sizes[0]
+        for block, div in ((x, divu), (new, new_divu)):
+            assert div.shape == (solver.sizes[2], block.shape[1])
+            assert div.tobytes() == (solver.b_up_red_t @ block[:nu]).tobytes()
+        calls.append(x.shape[1])
+        return new, new_divu
+
+    monkeypatch.setattr(SchemeSolver, "step", checked)
+    ops, prev, tau = case_setup("mandel", 10, 6, SolverOptions(method))
+    cfg = SchemeConfig(kind, *suggested_tuning(ops.mat, kind))
+    results = list(march(ops.problem, ops.mesh, ops.mat, cfg, tau, 3, ops=ops,
+                         initial=prev))
+    assert len(calls) == sum(tr.iterations for _, tr in results)
+    if kind == "splitting":
+        calls.clear()
+        cfgs = [replace(cfg, L1=f * cfg.L1) for f in (1.0, 4.0, 16.0)]
+        out = iterate_lockstep(ops, prev, cfgs,
+                               StepContext.build(ops, ops.problem, prev, tau), {})
+        assert calls[0] == 3 and 0 < calls[-1] < 3
+        assert len({n for n, _ in out}) > 1
+
+
+def test_lu_iteration_makes_four_sparse_products():
+    # an LU iteration multiplies by the reduced couplings four times: the
+    # mechanics and flux right-hand sides, and the pressure recovery's two
+    # products, of which B_u^T R_u (u, q) is the new divergence; the step
+    # that formed its divergences from x made a fifth
+    ops, prev, tau = case_setup("mandel", 10, 6)
+    solver = SchemeSolver(ops, SchemeConfig(
+        "monolithic", *suggested_tuning(ops.mat, "monolithic")), tau)
+    ctx = StepContext.build(ops, ops.problem, prev, tau)
+    x = solver.coordinates(prev)
+    divu = solver.divu_dual(x)
+    products = []
+
+    class Counted:
+        def __init__(self, name, matrix):
+            self.name, self.matrix = name, matrix
+
+        def __matmul__(self, other):
+            products.append(self.name)
+            return self.matrix @ other
+
+    for name in ("b_up_red", "b_up_red_t", "b_red", "b_red_t"):
+        setattr(solver, name, Counted(name, getattr(solver, name)))
+    for _ in range(2):
+        products.clear()
+        x, divu = solver.step(x, divu, ctx)
+        assert sorted(products) == ["b_red", "b_red_t", "b_up_red",
+                                    "b_up_red_t"]
+
+
+def test_march_divergence_names_the_step():
+    # a diverged step ends the march with its index and time attached
+    mat = manufactured_material("linear", lam=100.0)
+    prob = manufactured_problem(mat)
+    mesh = generate_rect_mesh((0, 0), (1, 1), 4, 4)
+    cfg = SchemeConfig("monolithic", L1=1.0, L2=0.0, max_iter=100)
+    with pytest.raises(DivergenceError, match=re.escape(
+            f"step 1 (t=0.25): increment ")):
+        list(march(prob, mesh, mat, cfg, 0.25, 3))
+
+
+class TestStepInputs:
+    # a step size that is not finite and positive, and a step count that
+    # is not an integer of at least 1, are refused by name before any
+    # system is built or factored
+    BAD_TAU = [0.0, -1.0, -0.5, float("nan"), float("inf"), -float("inf"),
+               True, "0.25", None]
+
+    @pytest.mark.parametrize("tau", BAD_TAU)
+    def test_iterate_to_convergence_refuses_the_step_size(self, tau):
+        from porobiot.bench import manufactured_setup
+        ops, prev = manufactured_setup("t1c1", 4)
+        with pytest.raises(ValueError, match="step size tau"):
+            iterate_to_convergence(prev, SchemeConfig("splitting", 1, 1), ops,
+                                   ops.mat, ops.problem, tau)
+
+    @pytest.mark.parametrize("tau", BAD_TAU)
+    def test_march_refuses_the_step_size(self, tau):
+        mesh, mat, prob, ops, prev = linear_setup(4)
+        with pytest.raises(ValueError, match="step size tau"):
+            next(march(prob, mesh, mat, SchemeConfig("monolithic", 1.0, 1.0),
+                       tau, 2, ops=ops))
+
+    @pytest.mark.parametrize("dt", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_run_mandel_refuses_the_step_size(self, dt):
+        from porobiot.bench import run_mandel
+        with pytest.raises(ValueError, match="step size tau"):
+            run_mandel(dt=dt, n_steps=2, nx=4, ny=4)
+
+    @pytest.mark.parametrize("kind", ["splitting", "monolithic"])
+    @pytest.mark.parametrize("tau", [-1.0, float("nan")])
+    def test_sweep_refuses_the_step_size(self, kind, tau):
+        # a splitting column of two cells iterates in lock step, from flow
+        # halves built before any solver: its step context refuses first
+        from porobiot.bench import sweep_L
+        with pytest.raises(ValueError, match="step size tau"):
+            sweep_L("t1c1", kind, [1.0, 2.0], [1.0], nx=4, tau=tau,
+                    n_workers=1)
+
+    @pytest.mark.parametrize("n_steps", [True, False, 2.5, "3", 0, -1, None])
+    def test_march_refuses_the_step_count(self, n_steps):
+        mesh, mat, prob, ops, prev = linear_setup(4)
+        with pytest.raises(ValueError, match="n_steps"):
+            next(march(prob, mesh, mat, SchemeConfig("monolithic", 1.0, 1.0),
+                       0.25, n_steps, ops=ops))
+
+    def test_integer_and_float_types_of_numpy_are_taken(self):
+        mesh, mat, prob, ops, prev = linear_setup(4)
+        cfg = SchemeConfig("monolithic", 1.0, 1.0)
+        results = time_march(prob, mesh, mat, cfg, np.float64(0.25),
+                             np.int64(2), ops=ops)
+        assert [st.time for st, _ in results] == [0.25, 0.5]
