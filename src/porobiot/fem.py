@@ -244,9 +244,10 @@ def l2_norm(f, mass=None):
     the coefficients `f` measured in `mass`: a sparse matrix, or the
     diagonal of a diagonal one.
 
-    A block of coefficients gives the array of its columns' norms, each
-    by the dot of a vector: the columns are copied out contiguous, as a
-    strided BLAS dot may sum in another order.
+    A block of coefficients gives the array of its columns' norms by one
+    `np.vecdot` of contiguous copies of the columns: it makes the BLAS dot
+    of a vector on each, so each norm has the bits of its column's, where
+    a dot over strided columns may sum in another order.
     """
     if mass is None:   # the P0 mass is the diagonal of the cell areas
         f, mass = f.coeffs, (f.mesh.areas if f.kind is SpaceKind.P0
@@ -254,8 +255,7 @@ def l2_norm(f, mass=None):
     mf = per_row(mass, f) * f if mass.ndim == 1 else mass @ f
     if f.ndim == 1:
         return float(np.sqrt(max(f @ mf, 0.0)))
-    sq = [a @ b for a, b in zip(np.ascontiguousarray(f.T),
-                                np.ascontiguousarray(mf.T))]
+    sq = np.vecdot(np.ascontiguousarray(f.T), np.ascontiguousarray(mf.T))
     return np.sqrt(np.maximum(sq, 0.0))
 
 

@@ -341,19 +341,20 @@ class FixedStressPreconditioner:
         the flow half cells[j] (the first when None): with
         w = r_p / (L1 M_p), d_q solves the flux system for r_q + B^T w,
         d_p = w - tau B d_q / (L1 M_p), and d_u the mechanics system for
-        r_u + alpha B_u^T d_p.  A column gets the bits of its vector sweep.
+        r_u + alpha B_u^T d_p, all written into one new block.  A column
+        gets the bits of its vector sweep.
         """
         block = r if r.ndim == 2 else r[:, None]
         cells = [0] * block.shape[1] if cells is None else cells
         nu, nq, _ = self.sizes
         l1_areas = self.l1_areas[:, cells]
-        w = block[nu + nq:] / l1_areas
+        out = np.empty(block.shape)   # (d_u, d_q, d_p), filled in place
+        d_u, d_q, d_p = out[:nu], out[nu:nu + nq], out[nu + nq:]
+        w = np.divide(block[nu + nq:], l1_areas, out=d_p)
         rhs_q = block[nu:nu + nq] + self.b_red_t @ w
-        # column_stack's values, without its per-column copies
-        d_q = np.array([self.flows[c].lu.solve(rhs_q[:, j])
-                        for j, c in enumerate(cells)]).T
-        d_p = w - self.tau * (self.b_red @ d_q) / l1_areas
-        d_u = self.mech_lu.solve(block[:nu]
-                                 + self.alpha * (self.b_up_red @ d_p))
-        out = np.concatenate([d_u, d_q, d_p])
+        for j, c in enumerate(cells):   # each flux solve into its column
+            d_q[:, j] = self.flows[c].lu.solve(rhs_q[:, j])
+        d_p -= self.tau * (self.b_red @ d_q) / l1_areas
+        d_u[:] = self.mech_lu.solve(block[:nu]
+                                    + self.alpha * (self.b_up_red @ d_p))
         return out if r.ndim == 2 else out[:, 0]

@@ -309,7 +309,9 @@ class SchemeSolver:
 
         Column j gets the bits of its own one-column step and iterates the
         cell cells[j], a list or an index array into the sweep's flow halves
-        (the first when None).  GMRES takes one column.
+        (the first when None).  GMRES takes one column.  The right-hand side
+        and the new iterate are each one block that the call allocates and
+        fills in place.
         """
         ops, cfg, alpha = self.ops, self.cfg, self.ops.mat.alpha
         nu, nq, _ = self.sizes
@@ -317,22 +319,27 @@ class SchemeSolver:
         p, areas = x[nu + nq:], ops.mesh.areas[:, None]
         div = divu / areas
         mech = cfg.L2 * div - np.asarray(ops.mat.h_law(div), dtype=float)
-        rhs_p = ctx.mass_const[:, None] - ops.bp_dual(p) + L1 * (areas * p)
+        r = np.empty(x.shape)   # (r_u, r_q, rhs_p), filled in place
+        r_u, r_q, rhs_p = r[:nu], r[nu:nu + nq], r[nu + nq:]
+        np.add(ctx.mass_const[:, None] - ops.bp_dual(p), L1 * (areas * p),
+               out=rhs_p)
         f_red, g_red = ctx.f_red[:, None], ctx.g_red[:, None]
         if self.mono_lu is not None:
             l1_areas = areas * L1
             w = rhs_p / l1_areas
-            uq = self.mono_lu.solve(np.concatenate([
-                f_red + self.b_up_red @ (mech + alpha * w),
-                ctx.tau * (g_red + self.b_red_t @ w)]))
-            divu = self.divu_dual(uq)
-            p = (rhs_p - alpha * divu
-                 - ctx.tau * (self.b_red @ uq[nu:])) / l1_areas
-            return np.concatenate([uq, p]), divu
+            np.add(f_red, self.b_up_red @ (mech + alpha * w), out=r_u)
+            np.multiply(ctx.tau, g_red + self.b_red_t @ w, out=r_q)
+            new = np.empty(x.shape)
+            new[:nu + nq] = self.mono_lu.solve(r[:nu + nq])
+            divu = self.divu_dual(new)
+            np.divide(rhs_p - alpha * divu
+                      - ctx.tau * (self.b_red @ new[nu:nu + nq]), l1_areas,
+                      out=new[nu + nq:])
+            return new, divu
         if cfg.kind == "splitting":
             rhs_p -= alpha * divu
-        r = np.concatenate([f_red + self.b_up_red @ mech,
-                            np.broadcast_to(g_red, (nq, x.shape[1])), rhs_p])
+        np.add(f_red, self.b_up_red @ mech, out=r_u)
+        r_q[:] = g_red
         if cfg.kind == "splitting":
             new = self.sweep.matvec(r, cells)
             return new, self.divu_dual(new)

@@ -23,6 +23,11 @@ bounds to state when a change moves output bits on purpose.  With
 `--check` it prints the same lines but rewrites nothing, and exits 1 when
 an exact cell (an iteration count, a status, a header) differs or a file
 is new or gone.
+
+Run as a script, it sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 before numpy is imported, as the golden files were
+written with one BLAS thread: the full-size GMRES ladder's bits depend on
+the thread count.
 """
 
 from __future__ import annotations
@@ -31,11 +36,16 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import platform
 import re
 import sys
 import tempfile
 from pathlib import Path
+
+if __name__ == "__main__":   # before numpy loads BLAS
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 import numpy as np
 import scipy

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import sympy as sy
 
+from porobiot.bench import manufactured_setup
 from porobiot.fem import (DofMap, FeFunction, SpaceKind, interpolate,
                           l2_inner, l2_norm, quadrature)
 from porobiot.mesh import generate_rect_mesh
@@ -216,17 +217,28 @@ class TestNorms:
                                                    rel=1e-13, abs=1e-15)
 
     def test_block_norms_are_column_norms(self):
-        # each column's norm has the bits of `l2_norm` on that column; the
-        # mesh is large enough for the BLAS dot to take its vector kernel
+        # each column's norm has the bits of `l2_norm` on that column, for
+        # the block widths of a lock-step L-sweep, by each space's mass and
+        # by the reduced masses and cell areas of its t1c1 set-up at
+        # nx=16; the meshes are large enough for the BLAS dot to take its
+        # vector kernel
         mesh = generate_rect_mesh((0, 0), (2, 1), 12, 8)
+        ops, _ = manufactured_setup("t1c1", 16)
         rng = np.random.default_rng(24)
-        for kind in SpaceKind:
-            dm = DofMap(mesh, kind)
-            block = rng.standard_normal((dm.n_dofs, 5))
-            got = l2_norm(FeFunction(dm, block))
-            assert [float(v).hex() for v in got] == [
-                l2_norm(FeFunction(dm, block[:, j].copy())).hex()
-                for j in range(5)]
+        for width in (1, 3, 9):
+            for kind in SpaceKind:
+                dm = DofMap(mesh, kind)
+                block = rng.standard_normal((dm.n_dofs, width))
+                got = l2_norm(FeFunction(dm, block))
+                assert [float(v).hex() for v in got] == [
+                    l2_norm(FeFunction(dm, block[:, j].copy())).hex()
+                    for j in range(width)]
+            for mass in ops.reduced_masses() + (ops.mesh.areas,):
+                block = rng.standard_normal((mass.shape[0], width))
+                got = l2_norm(block, mass)
+                assert [float(v).hex() for v in got] == [
+                    l2_norm(block[:, j].copy(), mass).hex()
+                    for j in range(width)]
 
     def test_inner_space_mismatch(self):
         mesh = generate_rect_mesh((0, 0), (1, 1), 2, 2)

@@ -441,15 +441,18 @@ class TestFixedStressPreconditioner:
             assert got[:, j].tobytes() == M.matvec(R[:, j]).tobytes()
 
     def test_block_columns_use_their_flow_halves(self):
-        # a block whose three columns use three flow halves: each column
-        # is the vector sweep of a sweep built for its cell alone
+        # a block of nine columns over nine flow halves, taken in a permuted
+        # order, as a lock-step L-sweep's first block: each column is the
+        # vector sweep of a sweep built for its cell alone
         _, _, ops, mat = monolithic_linear_system(nx=4)
         cfgs = [SchemeConfig("splitting", L1=l1, L2=3.0)
-                for l1 in (0.3, 1.0, 4.0)]
+                for l1 in np.logspace(-2.0, 2.0, 9)]
         M = FixedStressPreconditioner(
             ops, cfgs[0], 0.25, [FlowHalf(ops, c.L1, 0.25) for c in cfgs])
-        R = np.random.default_rng(18).standard_normal((M.shape[0], 3))
-        cells = [2, 0, 1]
+        rng = np.random.default_rng(18)
+        R = rng.standard_normal((M.shape[0], 9))
+        cells = rng.permutation(9).tolist()
+        assert cells != sorted(cells)
         got = M.matvec(R, cells)
         for j, c in enumerate(cells):
             own = FixedStressPreconditioner(ops, cfgs[c], 0.25)

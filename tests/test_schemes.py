@@ -530,6 +530,38 @@ def test_block_step_takes_its_cells_as_a_list_or_an_array():
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("path", ["splitting", "lu", "gmres"])
+def test_each_step_returns_a_block_of_its_own(path):
+    # two steps in a row, as `_iterate` holds an iterate and the next one at
+    # once: the second leaves the bytes of the first's block and
+    # divergences as they were, and no result shares memory with the block
+    # it was stepped from; a step that reused one output buffer fails both
+    from porobiot.linalg import FlowHalf
+    ops, prev, tau = case_setup("t1c1", 6, 6, SolverOptions(
+        "gmres" if path == "gmres" else "lu"))
+    ctx = StepContext.build(ops, ops.problem, prev, tau)
+    if path == "splitting":   # a lock-step block of three cells
+        cfgs = [SchemeConfig("splitting", L1=l1, L2=2.0)
+                for l1 in (0.5, 1.0, 3.0)]
+        solver = SchemeSolver(ops, cfgs[0], tau,
+                              [FlowHalf(ops, c.L1, tau) for c in cfgs])
+        cells = [0, 1, 2]
+    else:
+        solver = SchemeSolver(ops, SchemeConfig(
+            "monolithic", *suggested_tuning(ops.mat, "monolithic")), tau)
+        cells = [0]
+    x = np.repeat(solver.coordinates(prev), len(cells), axis=1)
+    first = solver.step(x, solver.divu_dual(x), ctx, cells)
+    kept = [a.tobytes() for a in first]
+    second = solver.step(*first, ctx, cells)
+    assert [a.tobytes() for a in first] == kept
+    assert second[0].tobytes() != kept[0]
+    for new, old in ((first, x), (second, first[0])):
+        assert new[0].shape == x.shape
+        assert not np.shares_memory(new[0], old)
+        assert not np.shares_memory(new[1], old)
+
+
 @pytest.mark.parametrize("case", ["t1c1", "mandel"])
 def test_reduced_increment_norms_are_the_full_field_norms(case):
     # the increments measured by the reduced masses R^T M R and the cell
