@@ -309,8 +309,8 @@ class SchemeSolver:
 
         Column j gets the bits of its own one-column step and iterates the
         cell cells[j], a list or an index array into the sweep's flow halves
-        (the first when None).  GMRES takes one column.  The right-hand side
-        and the new iterate are each one block that the call allocates and
+        (the first when None).  GMRES takes one column.  The sweep and GMRES
+        solve for one right-hand side block that the call allocates and
         fills in place.
         """
         ops, cfg, alpha = self.ops, self.cfg, self.ops.mat.alpha
@@ -327,15 +327,13 @@ class SchemeSolver:
         if self.mono_lu is not None:
             l1_areas = areas * L1
             w = rhs_p / l1_areas
-            np.add(f_red, self.b_up_red @ (mech + alpha * w), out=r_u)
-            np.multiply(ctx.tau, g_red + self.b_red_t @ w, out=r_q)
-            new = np.empty(x.shape)
-            new[:nu + nq] = self.mono_lu.solve(r[:nu + nq])
-            divu = self.divu_dual(new)
-            np.divide(rhs_p - alpha * divu
-                      - ctx.tau * (self.b_red @ new[nu:nu + nq]), l1_areas,
-                      out=new[nu + nq:])
-            return new, divu
+            uq = self.mono_lu.solve(np.concatenate([
+                f_red + self.b_up_red @ (mech + alpha * w),
+                ctx.tau * (g_red + self.b_red_t @ w)]))
+            divu = self.divu_dual(uq)
+            p = (rhs_p - alpha * divu
+                 - ctx.tau * (self.b_red @ uq[nu:])) / l1_areas
+            return np.concatenate([uq, p]), divu
         if cfg.kind == "splitting":
             rhs_p -= alpha * divu
         np.add(f_red, self.b_up_red @ mech, out=r_u)
