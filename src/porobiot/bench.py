@@ -174,6 +174,15 @@ def write_errors_csv(rows, path):
 # single-step runs, sweeps and sensitivity grids
 # ---------------------------------------------------------------------------
 
+def cells_per_side(h):
+    """The nx of an nx-by-nx unit square of mesh size h: `ValueError`
+    unless 1/h is a whole number of at least 1 (up to round-off)."""
+    nx = int(round(1.0 / h)) if h > 0 else 0
+    if nx < 1 or abs(nx * h - 1.0) > 1e-12:
+        raise ValueError(f"1/h is not a whole number: h={h:g}")
+    return nx
+
+
 def _single_step(ops, prev, cfg: SchemeConfig, tau, ctx=None):
     """The (iterations, status) of one time step from `prev`, whose step
     context `ctx` may be given; a diverged step reports max_iter."""
@@ -185,7 +194,7 @@ def _single_step(ops, prev, cfg: SchemeConfig, tau, ctx=None):
                                               ops.problem, tau, ctx=ctx)
     except DivergenceError:
         return cfg.max_iter, "diverged"
-    return trace.iterations, "converged" if trace.converged else "maxiter"
+    return trace.iterations, trace.status
 
 
 def _sweep_groups(args):
@@ -202,10 +211,13 @@ def _sweep_groups(args):
     for cfgs in groups:
         if len(cfgs) == 1:
             out.append(_single_step(ops, prev, cfgs[0], tau, ctx))
-        else:
-            out.extend((c.max_iter if status == "diverged" else n, status)
-                       for c, (n, status) in zip(cfgs, iterate_lockstep(
-                           ops, prev, cfgs, ctx, flows)))
+            continue
+        with warnings.catch_warnings():
+            # counted in each trace's range_excursions
+            warnings.simplefilter("ignore", AdmissibleRangeWarning)
+            traces = iterate_lockstep(ops, prev, cfgs, ctx, flows)
+        out.extend((c.max_iter, "diverged") if t.status == "diverged"
+                   else (t.iterations, t.status) for c, t in zip(cfgs, traces))
     return out
 
 
@@ -288,28 +300,29 @@ def sensitivity_grid(case_id, scheme_kind, axis, values, L1, L2, nx=16,
                      tau=0.25, tol=1e-8, max_iter=500, material=None):
     """Iteration counts of one time step along one parameter axis.
 
-    axis is one of 'h' (values are mesh sizes of the unit square), 'tau',
-    'K' or 'alpha'; the manufactured data are rebuilt per value so the
+    axis is one of 'h' (values are mesh sizes of the unit square, each
+    checked by `cells_per_side` before the first run), 'tau', 'K' or
+    'alpha'; the manufactured data are rebuilt per value so the
     problem stays consistent.  `material` is as in
     `manufactured_setup`; the axis overrides only its own key.
     """
     if axis not in ("h", "tau", "K", "alpha"):
         raise ValueError(f"unknown sensitivity axis {axis!r}")
     cfg = SchemeConfig(scheme_kind, L1=L1, L2=L2, tol=tol, max_iter=max_iter)
-    rows = []
+    runs = []
     for v in values:
         nx_v, tau_v, material_v = nx, tau, dict(material or {})
         if axis == "h":
-            nx_v = int(round(1.0 / float(v)))
+            nx_v = cells_per_side(float(v))
         elif axis == "tau":
             tau_v = float(v)
         elif axis == "K":
             material_v["permeability"] = float(v)
         else:
             material_v["alpha"] = float(v)
-        rows.append((axis, float(v), *_single_step(
-            *manufactured_setup(case_id, nx_v, material_v), cfg, tau_v)))
-    return rows
+        runs.append((float(v), nx_v, material_v, tau_v))
+    return [(axis, v, *_single_step(*manufactured_setup(case_id, n, m), cfg, t))
+            for v, n, m, t in runs]
 
 
 def write_sensitivity_csv(rows, path):

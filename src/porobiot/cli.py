@@ -22,10 +22,11 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bench import (manufactured_convergence, manufactured_setup, run_mandel,
-                    sensitivity_grid, sweep_L, verify_contraction,
-                    write_contraction_csv, write_errors_csv, write_mandel_csv,
-                    write_sensitivity_csv, write_sweep_csv, worker_count)
+from .bench import (cells_per_side, manufactured_convergence,
+                    manufactured_setup, run_mandel, sensitivity_grid, sweep_L,
+                    verify_contraction, write_contraction_csv,
+                    write_errors_csv, write_mandel_csv, write_sensitivity_csv,
+                    write_sweep_csv, worker_count)
 from .linalg import (FactorizationError, LinearSolveError, SolverOptions,
                      write_solver_reports_csv)
 from .mesh import MeshError
@@ -222,8 +223,7 @@ def _manufactured_material(cfg):
 def cmd_manufactured(cfg, outdir):
     case, material, mat = _manufactured_material(cfg)
     scheme = _scheme_config(cfg, mat)
-    h = _fget(cfg, "problem", "h")
-    nx0 = int(round(1.0 / h))
+    nx0 = cells_per_side(_fget(cfg, "problem", "h"))
     levels = _iget(cfg, "problem", "levels")
     solver_rows = []
     rows = manufactured_convergence(
@@ -288,7 +288,7 @@ def cmd_sweep(cfg, outdir, l1_spec, l2_spec):
     case, material, _ = _manufactured_material(cfg)
     grid = sweep_L(case, cfg["scheme"]["kind"], parse_values(l1_spec),
                    parse_values(l2_spec),
-                   nx=int(round(1.0 / _fget(cfg, "problem", "h"))),
+                   nx=cells_per_side(_fget(cfg, "problem", "h")),
                    tau=_fget(cfg, "problem", "tau"),
                    tol=_fget(cfg, "scheme", "tol"),
                    max_iter=_iget(cfg, "scheme", "max_iter"),
@@ -307,7 +307,7 @@ def cmd_sensitivity(cfg, outdir, axis, values_spec):
                           + ("non-negative" if axis == "alpha" else "positive"))
     rows = sensitivity_grid(case, scheme.kind, axis, values,
                             scheme.L1, scheme.L2,
-                            nx=int(round(1.0 / _fget(cfg, "problem", "h"))),
+                            nx=cells_per_side(_fget(cfg, "problem", "h")),
                             tau=_fget(cfg, "problem", "tau"), tol=scheme.tol,
                             max_iter=scheme.max_iter, material=material)
     path = Path(outdir) / "sensitivity.csv"
@@ -318,7 +318,7 @@ def cmd_sensitivity(cfg, outdir, axis, values_spec):
 def cmd_verify(cfg, outdir):
     case, material, _ = _manufactured_material(cfg)
     ops, prev = manufactured_setup(
-        case, int(round(1.0 / _fget(cfg, "problem", "h"))), material,
+        case, cells_per_side(_fget(cfg, "problem", "h")), material,
         solver=_solver_options(cfg))
     mat = ops.mat
     scheme = _scheme_config(cfg, mat)

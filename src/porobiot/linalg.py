@@ -23,7 +23,7 @@ import ctypes
 import numbers
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -94,7 +94,6 @@ class SolverReport:
     seconds: float
     converged: bool = True
     status: str = "converged"
-    history: list = field(default_factory=list)
 
 
 def _equilibration(diagonal):
@@ -208,12 +207,10 @@ def gmres(A, b, preconditioner=None, restart=50, rtol=1e-10, maxiter=1000,
     stops when the true equilibrated relative residual
     ||S (b - A x)|| / ||S b||, b the whole right-hand side, is at most
     `rtol`; a zero b returns zeros.  The report holds the inner
-    iterations, that residual as `relres`, and in `history` each inner
-    iteration's residual estimate relative to ||S b||, non-increasing
-    inside a restart cycle.  Status 'breakdown' marks a cycle whose
-    Hessenberg column was singular or not finite, short of the tolerance,
-    and a b with a non-finite entry, which returns NaN as a direct solve
-    would.
+    iterations and that residual as `relres`.  Status 'breakdown' marks a
+    cycle whose Hessenberg column was singular or not finite, short of the
+    tolerance, and a b with a non-finite entry, which returns NaN as a
+    direct solve would.
     """
     t0 = time.perf_counter()
     n = A.shape[0]
@@ -232,7 +229,7 @@ def gmres(A, b, preconditioner=None, restart=50, rtol=1e-10, maxiter=1000,
          else spla.aslinearoperator(preconditioner))
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     eps = np.finfo(float).eps
-    history, status = [], None
+    iterations, status = 0, None
     while True:
         r = s * (b - A @ x)
         rnorm = np.linalg.norm(r)
@@ -242,10 +239,10 @@ def gmres(A, b, preconditioner=None, restart=50, rtol=1e-10, maxiter=1000,
         if status == "breakdown" or not np.isfinite(rnorm):
             status = "breakdown"
             break
-        if len(history) == maxiter:
+        if iterations == maxiter:
             status = "maxiter"
             break
-        m = min(restart, n, maxiter - len(history))
+        m = min(restart, n, maxiter - iterations)
         # Arnoldi on S A S with the directions S^-1 M S^-1 v_j, each kept
         # as the x-space direction z_j = M S^-1 v_j; the basis V grows
         # with the cycle, so a short cycle holds a few vectors only
@@ -277,17 +274,16 @@ def gmres(A, b, preconditioner=None, restart=50, rtol=1e-10, maxiter=1000,
             for i, (cs, sn) in enumerate(rotations):
                 h[i], h[i + 1] = (cs * h[i] + sn * h[i + 1],
                                   cs * h[i + 1] - sn * h[i])
+            iterations += 1
             rho = np.hypot(h[j], h[j + 1])
             if not rho > 0.0:   # H_j singular or not finite: drop column j
                 Z.pop()
-                history.append(abs(g[j]) / bnorm)
                 status = "breakdown"
                 break
             cs, sn = h[j] / rho, h[j + 1] / rho
             rotations.append((cs, sn))
             H[:j, j], H[j, j] = h[:j], rho
             g[j], g[j + 1] = cs * g[j], -sn * g[j]
-            history.append(abs(g[j + 1]) / bnorm)
             if lucky or abs(g[j + 1]) <= rtol * bnorm:
                 break
         k = len(Z)
@@ -296,9 +292,8 @@ def gmres(A, b, preconditioner=None, restart=50, rtol=1e-10, maxiter=1000,
             for yj, zj in zip(y, Z):
                 x += yj * zj
     seconds = time.perf_counter() - t0
-    return x, SolverReport(len(history), float(rnorm / bnorm), seconds,
-                           converged=status == "converged", status=status,
-                           history=history)
+    return x, SolverReport(iterations, float(rnorm / bnorm), seconds,
+                           converged=status == "converged", status=status)
 
 
 class FlowHalf:

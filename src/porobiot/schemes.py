@@ -26,7 +26,8 @@ enters a right-hand side.  Iterations stop when the summed L2 norms of the
 field increments drop below the tolerance, and abort when they are not
 finite or exceed `DIVERGENCE_FACTOR` times the first (`stop_status`),
 norms taken in reduced coordinates too (`SchemeSolver.increment_norms`);
-`iterate_lockstep` iterates several splitting cells of one L2 together.
+one loop (`_iterate`) traces each cell of one step or of a lock-step block
+of splitting cells of one L2 (`iterate_lockstep`), range check included.
 """
 
 from __future__ import annotations
@@ -158,9 +159,10 @@ class IterationTrace:
     totals: list = dc_field(default_factory=list)
     rates: list = dc_field(default_factory=list)
     iterations: int = 0
-    converged: bool = False
+    status: str = None   # `stop_status`'s verdict
     n_linear_solves: int = 0
     range_excursions: int = 0   # certified law ranges the final iterate left
+    converged = property(lambda self: self.status == "converged")
 
     def record(self, dp, dq, du):
         total = dp + dq + du
@@ -371,83 +373,69 @@ def stop_status(total, first_total, iterations, cfg: SchemeConfig):
 
 
 def _iterate(solver: SchemeSolver, x, divu, ctx: StepContext, cfgs,
-             trace: IterationTrace = None, archive=None):
+             archive=None):
     """Iterate `solver` from the (n, k) block x of its k cells (`cfgs`),
     whose divergences are divu, until `stop_status` stops every cell, whose
     column then leaves the block.  Increments are measured in reduced
-    coordinates (`SchemeSolver.increment_norms`); `trace` and `archive`
-    record those of a single cell and its states.  Returns the last block,
-    its divergences and each cell's (iterations, status).
+    coordinates (`SchemeSolver.increment_norms`), a cell's last column,
+    unless it diverged, is range-checked (`check_admissible` of `ops.mat`)
+    and `archive` records the states of a single cell.  Returns the last
+    block, its divergences and each cell's trace.
     """
+    traces = [IterationTrace() for _ in cfgs]
     live = list(range(len(cfgs)))   # the cell of each column
-    first, out, iterations = {}, [None] * len(cfgs), 0
+    nuq, areas = sum(solver.sizes[:2]), solver.ops.mesh.areas
+    solves = 2 if solver.cfg.kind == "splitting" else 1   # flux, mechanics
     while live:
-        iterations += 1
         new, divu = solver.step(x, divu, ctx, live)
         dp, dq, du = solver.increment_norms(new - x)
-        if trace is not None:
-            trace.record(dp[0], dq[0], du[0])
         if archive is not None:
             archive.append(solver.state(new, ctx.t_new))
-        x, totals, going = new, dp + dq + du, []
+        x, going = new, []
         for j, c in enumerate(live):
-            status = stop_status(totals[j], first.setdefault(c, totals[j]),
-                                 iterations, cfgs[c])
-            if status is None:
+            tr = traces[c]
+            tr.record(dp[j], dq[j], du[j])
+            tr.n_linear_solves += solves
+            tr.status = stop_status(tr.totals[-1], tr.totals[0],
+                                    tr.iterations, cfgs[c])
+            if tr.status is None:
                 going.append(j)
-            else:
-                out[c] = (iterations, status)
-        if len(going) < len(live):
-            live = [live[j] for j in going]
-            if live:
-                x, divu = x[:, going], divu[:, going]
-    return x, divu, out
+            elif tr.status != "diverged":
+                tr.range_excursions = check_admissible(
+                    solver.ops.mat, x[nuq:, j], divu[:, j] / areas,
+                    context=f"t={ctx.t_new:g}: ")
+        if going and len(going) < len(live):
+            x, divu = x[:, going], divu[:, going]
+        live = [live[j] for j in going]
+    return x, divu, traces
 
 
-def _converge(solver: SchemeSolver, x, divu, ctx: StepContext,
-              mat: MaterialModel, archive=None):
-    """One time step from the one-column x with divergences divu: the last
-    x, its divergences and the trace; `DivergenceError` if it diverged."""
-    trace = IterationTrace()
-    x, divu, [(_, status)] = _iterate(solver, x, divu, ctx, [solver.cfg],
-                                      trace, archive)
-    # a sweep solves the flux and the mechanics systems
-    trace.n_linear_solves = (2 if solver.cfg.kind == "splitting" else 1) * \
-        trace.iterations
-    if status == "diverged":
-        total, first_total = trace.totals[-1], trace.totals[0]
-        raise DivergenceError(
-            f"increment {total:.3e} exceeds {DIVERGENCE_FACTOR:g} x first "
-            f"increment {first_total:.3e}" if np.isfinite(total) else
-            f"non-finite increment at iteration {trace.iterations}")
-    trace.converged = status == "converged"
-    trace.range_excursions = check_admissible(
-        mat, x[sum(solver.sizes[:2]):, 0], divu[:, 0] / solver.ops.mesh.areas,
-        context=f"t={ctx.t_new:g}: ")
-    return x, divu, trace
+def _divergence(trace: IterationTrace, prefix=""):
+    """The `DivergenceError` of a diverged trace, its text after `prefix`."""
+    total, first_total = trace.totals[-1], trace.totals[0]
+    return DivergenceError(prefix + (
+        f"increment {total:.3e} exceeds {DIVERGENCE_FACTOR:g} x first "
+        f"increment {first_total:.3e}" if np.isfinite(total) else
+        f"non-finite increment at iteration {trace.iterations}"))
 
 
 def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
                            ops: BiotOperators, mat: MaterialModel,
                            problem: ProblemDefinition, tau,
-                           archive=None, solver: SchemeSolver = None,
-                           ctx: StepContext = None):
+                           archive=None, ctx: StepContext = None):
     """Iterate one scheme until the summed increment norms fall below tol.
 
     The iterate starts at `SchemeSolver.coordinates` of the previous
     time-step solution, and the state is formed from the last one.  A
     combined increment that is not finite or above `DIVERGENCE_FACTOR`
     times the first one aborts with `DivergenceError`; exhausting max_iter
-    returns with converged=False (`stop_status`).  `solver` reuses the
-    factorizations of an earlier call with the same operators, scheme and
-    step size, and `ctx` the step context built from `prev` and `tau`;
-    without them they are built here.  A list `archive` receives a copy of
-    `prev`, then each iterate's state.  Returns the final state and trace.
+    returns with converged=False (`stop_status`).  The laws iterated and
+    range-checked are those of `ops.mat`, which `mat` built.  `ctx` is the
+    step context of `prev` and `tau`, built here when None.  A list
+    `archive` receives a copy of `prev`, then each iterate's state.
+    Returns the final state and trace.
     """
-    if solver is None:
-        solver = SchemeSolver(ops, cfg, tau)
-    elif solver.ops is not ops or solver.cfg != cfg or solver.tau != tau:
-        raise ValueError("solver was built for other operators, scheme or step")
+    solver = SchemeSolver(ops, cfg, tau)
     if ctx is None:
         ctx = StepContext.build(ops, problem, prev, tau)
     elif ctx.tau != tau or ctx.t_new != prev.time + tau:
@@ -455,22 +443,24 @@ def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
     if archive is not None:
         archive.append(prev.copy())
     x = solver.coordinates(prev)
-    x, _, trace = _converge(solver, x, solver.divu_dual(x), ctx, mat, archive)
+    x, _, [trace] = _iterate(solver, x, solver.divu_dual(x), ctx, [cfg],
+                             archive)
+    if trace.status == "diverged":
+        raise _divergence(trace)
     return solver.state(x, ctx.t_new), trace
 
 
 def iterate_lockstep(ops: BiotOperators, prev: BiotState, cfgs,
                      ctx: StepContext, flows):
     """One splitting time step from `prev` for k cells of one L2, iterated
-    in lock step: each cell's (iterations, status) in `cfgs` order.
+    in lock step: each cell's trace, in `cfgs` order.
 
     `ctx` is the step's context and `flows` maps L1 to the `FlowHalf`
     built for it and the step's tau; a half it lacks is built and added.
     The cells still running are the columns of one block of a
     `SchemeSolver` whose sweep holds their flow halves and the mechanics
-    block of their L2, so a cell stops where `iterate_to_convergence`
-    would, but a divergence is a status, not an error.  Range excursions
-    are not checked.
+    block of their L2, so a cell stops and is range-checked where
+    `iterate_to_convergence` would, but a divergence is a status.
     """
     if any(c.kind != "splitting" or c.L2 != cfgs[0].L2 for c in cfgs):
         raise ValueError("lock-step cells are splitting cells of one L2")
@@ -518,10 +508,9 @@ def march(problem: ProblemDefinition, mesh: Mesh, mat: MaterialModel,
         if loads is None or problem.body_force or problem.source:
             loads = StepContext.loads(ops, problem, time, tau)
         ctx = loads.seeded(ops, time, x[nuq:, 0], divu[:, 0])
-        try:
-            x, divu, trace = _converge(solver, x, divu, ctx, mat)
-        except DivergenceError as exc:
-            raise DivergenceError(f"step {n} (t={time:g}): {exc}") from exc
+        x, divu, [trace] = _iterate(solver, x, divu, ctx, [cfg])
+        if trace.status == "diverged":
+            raise _divergence(trace, f"step {n} (t={time:g}): ")
         yield solver.state(x, time), trace
 
 

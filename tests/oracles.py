@@ -28,7 +28,7 @@ import scipy.sparse.linalg as spla
 from porobiot.fem import FeFunction, SpaceKind, l2_norm, quadrature
 from porobiot.linalg import gmres
 from porobiot.mesh import MeshError
-from porobiot.schemes import BiotState, SchemeSolver, iterate_to_convergence
+from porobiot.schemes import BiotState, iterate_to_convergence
 
 
 @dataclass(frozen=True)
@@ -231,12 +231,12 @@ def step_chain(problem, mat, cfg, tau, n_steps, ops, initial):
     """The (state, trace) pairs of n_steps time steps from `initial`, each
     one `iterate_to_convergence` call from the state the step before
     returned, with its loads assembled and its step context built from
-    that state's full fields, and one `SchemeSolver` for the chain.
-    `schemes.march` carries the reduced iterate from step to step."""
-    solver, prev, out = SchemeSolver(ops, cfg, tau), initial, []
+    that state's full fields.  `schemes.march` carries the reduced iterate
+    from step to step, with one `SchemeSolver` for the run."""
+    prev, out = initial, []
     for _ in range(n_steps):
         prev, trace = iterate_to_convergence(prev, cfg, ops, mat, problem,
-                                             tau, solver=solver)
+                                             tau)
         out.append((prev, trace))
     return out
 

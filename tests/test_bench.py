@@ -21,6 +21,23 @@ from porobiot.schemes import (SchemeConfig, build_initial_state,
                               iterate_to_convergence)
 
 
+def fresh_trace(ops, prev, cfg, tau):
+    """The trace of one step of one cell on a solver of its own, by
+    `iterate_to_convergence`, or by the loop itself when the cell diverges,
+    which that call raises."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AdmissibleRangeWarning)
+            return iterate_to_convergence(prev, cfg, ops, ops.mat,
+                                          ops.problem, tau)[1]
+    except schemes.DivergenceError:
+        solver = schemes.SchemeSolver(ops, cfg, tau)
+        x = solver.coordinates(prev)
+        ctx = schemes.StepContext.build(ops, ops.problem, prev, tau)
+        return schemes._iterate(solver, x, solver.divu_dual(x), ctx,
+                                [cfg])[2][0]
+
+
 def linear_setup(nx=8):
     mat = manufactured_material("linear")
     prob = manufactured_problem(mat)
@@ -191,6 +208,55 @@ class TestSweep:
         assert len(seen["grid"]) == int(grid.iterations.sum())
         assert seen["grid"] == seen["fresh"]
 
+    @pytest.mark.parametrize("case, material, L1s, L2s, tau, max_iter", [
+        ("t1c4", {"alpha": 6.0}, [0.3, 3.0, 10.0], [0.0, 3.0, 10.0], 0.25,
+         40),
+        ("t1c1", None, [1.0, 2.72, 5.0, 10.0], [3.0], 4.0, 200)])
+    def test_lockstep_traces_are_fresh_traces(self, case, material, L1s, L2s,
+                                              tau, max_iter):
+        # each cell of a lock-step column, converged, stopped at max_iter,
+        # diverged or out of a certified range, has the trace of its own
+        # one-column run: every increment to the bit, the stop, the solve
+        # count and the range check; a lock-step column warns of each
+        # excursion it counts
+        ops, prev = setup = manufactured_setup(case, 8 if case == "t1c4"
+                                               else 4, material)
+        ctx = schemes.StepContext.build(ops, ops.problem, prev, tau)
+        flows, got, warned, want = {}, [], 0, []
+        for l2 in L2s:
+            cfgs = [SchemeConfig("splitting", L1=l1, L2=l2,
+                                 max_iter=max_iter) for l1 in L1s]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", AdmissibleRangeWarning)
+                got += schemes.iterate_lockstep(ops, prev, cfgs, ctx, flows)
+            warned += len(caught)
+            want += [fresh_trace(*setup, cfg, tau) for cfg in cfgs]
+        fields = ("iterations", "status", "n_linear_solves",
+                  "range_excursions")
+        for a, b in zip(got, want, strict=True):
+            for name in ("dp", "dq", "du", "totals"):
+                assert ([v.hex() for v in getattr(a, name)]
+                        == [v.hex() for v in getattr(b, name)])
+            assert ([getattr(a, n) for n in fields]
+                    == [getattr(b, n) for n in fields])
+        assert warned == sum(tr.range_excursions for tr in got)
+        if case == "t1c4":
+            assert {tr.status for tr in got} == {"converged", "maxiter",
+                                                 "diverged"}
+        else:
+            assert {tr.status for tr in got} == {"converged"}
+            assert warned > 0
+
+    def test_lockstep_sweep_lets_no_range_warning_out(self):
+        # the t1c1 column at tau = 4 leaves a certified range in lock step
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            grid = sweep_L("t1c1", "splitting", [1.0, 2.72, 5.0, 10.0], [3.0],
+                           nx=4, tau=4.0)
+        assert {s for row in grid.status for s in row} == {"converged"}
+        assert not [w for w in caught
+                    if issubclass(w.category, AdmissibleRangeWarning)]
+
     def test_argmin(self):
         grid = sweep_L("t1c1", "splitting", [0.3, 2.72], [0.3, 0.75], nx=8)
         l1, l2 = grid.argmin()
@@ -318,6 +384,26 @@ class TestSensitivity:
                                 L1=2.72, L2=3.47, nx=8)
         assert all(r[3] == "converged" for r in rows)
         assert all(r[2] >= 1 for r in rows)
+
+    @pytest.mark.parametrize("values", [[0.3], [0.0], [0.25, 1 / 3, 0.4]])
+    def test_h_must_split_the_unit_square(self, monkeypatch, values):
+        # 0.3 and 1/3 would both run the 3x3 mesh and 0.0 divide by zero:
+        # every h is checked before the first run
+        from porobiot import bench
+        built = []
+        monkeypatch.setattr(bench, "manufactured_setup",
+                            lambda *args: built.append(args))
+        with pytest.raises(ValueError, match="whole number"):
+            sensitivity_grid("t1c1", "splitting", "h", values, 1.0, 1.0)
+        assert built == []
+
+    def test_cells_per_side(self):
+        from porobiot.bench import cells_per_side
+        assert [cells_per_side(h) for h in (1.0, 1 / 3, 0.25, 0.125, 0.0625,
+                                            1 / 32)] == [1, 3, 4, 8, 16, 32]
+        for h in (0.3, 0.4, 2.0, 0.0, -0.25, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                cells_per_side(h)
 
     def test_axis_validation_and_csv(self, tmp_path):
         with pytest.raises(ValueError):

@@ -354,6 +354,9 @@ class TestSubcommands:
          "--set", "material.permeability=inf"],
         ["manufactured", "--case", "t1c1", "--h", "0.25",
          "--set", "material.viscosity=inf"],
+        # an h that does not split the unit square into whole cells
+        ["manufactured", "--h", "0.3"],
+        ["sensitivity", "--axis", "h", "--values", "0.3"],
     ], ids=lambda args: "_".join(a.lstrip("-") for a in args))
     def test_bad_input_is_a_config_error(self, tmp_path, capsys, args):
         # a value no run can use: one line on stderr, exit 2, no manifest

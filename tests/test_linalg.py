@@ -331,17 +331,6 @@ class TestGMRES:
         assert rep.iterations <= 1
         assert np.allclose(A @ x, b, atol=1e-8)
 
-    def test_residual_history_monotone_within_cycle(self):
-        A, b, ops, mat = monolithic_linear_system(nx=6)
-        d = np.abs(A.diagonal())
-        S = sp.diags(1.0 / np.sqrt(np.where(d > 0, d, 1.0)))
-        x, rep = gmres((S @ A @ S).tocsr(), S @ b, restart=40, rtol=1e-10,
-                       maxiter=200)
-        hist = rep.history
-        for i in range(1, len(hist)):
-            if i % 40 != 0:  # inside one restart cycle
-                assert hist[i] <= hist[i - 1] * (1 + 1e-12)
-
     def test_maxiter_status(self):
         A, b, _, _ = monolithic_linear_system(nx=6)
         x, rep = gmres(A, b, rtol=1e-12, maxiter=5)
@@ -375,7 +364,7 @@ class TestGMRES:
         # the system in other units, D A D (D^-1 x) = D b with D spanning
         # twenty decades, preconditioned by the sweep in the same units:
         # the stop tests the same equilibrated residual, so the same
-        # iterations, estimates and solution follow
+        # iterations, final residual and solution follow
         A, b, ops, _ = monolithic_linear_system(nx=8)
         M = FixedStressPreconditioner(
             ops, SchemeConfig("monolithic", L1=1.0, L2=1.0), 0.25)
@@ -388,7 +377,6 @@ class TestGMRES:
                            rtol=1e-10)
         assert rep.converged and rep_d.converged
         assert rep_d.iterations == rep.iterations
-        assert np.allclose(rep_d.history, rep.history, rtol=1e-6, atol=0.0)
         assert rep_d.relres == pytest.approx(rep.relres, rel=1e-6)
         assert np.linalg.norm(d * x_d - x) <= 1e-10 * np.linalg.norm(x)
 
