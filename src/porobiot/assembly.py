@@ -368,7 +368,7 @@ def build_operators(mesh: Mesh, mat: MaterialModel, problem: ProblemDefinition,
     return BiotOperators(mesh, mat, problem, solver)
 
 
-def assemble_loads(problem: ProblemDefinition, ops: BiotOperators, t):
+def assemble_loads(ops: BiotOperators, t):
     """Load vectors at time t: body force, boundary pressure, source.
 
     The body force and the fluid source use a degree-4 rule (exact for the
@@ -378,7 +378,7 @@ def assemble_loads(problem: ProblemDefinition, ops: BiotOperators, t):
     the Darcy right-hand side, over the side edges of `Mesh.boundary_edges`.
     A body force or source of None is zero and is not evaluated.
     """
-    mesh = ops.mesh
+    mesh, problem = ops.mesh, ops.problem
     rule = quadrature(4)
     x, y = ops.load_points
 

@@ -134,8 +134,11 @@ def manufactured_convergence(case_id, scheme_kind, L1, L2, levels=3,
     level keeps only its final state; a step that stops at `max_iter`
     raises DivergenceError.  `material` and `solver` are as in
     `manufactured_setup`; `solver_rows` collects every level's
-    linear-solve reports.
+    linear-solve reports.  `final_time` must be finite and positive.
     """
+    if not 0 < final_time < np.inf:
+        raise ValueError(f"final_time must be finite and positive, "
+                         f"not {final_time!r}")
     n_steps = int(round(final_time / tau0)) if tau0 > 0 else 0
     if n_steps < 1 or abs(n_steps * tau0 - final_time) > 1e-12 * final_time:
         raise ValueError(f"tau0={tau0:g} does not divide final_time="
@@ -146,9 +149,7 @@ def manufactured_convergence(case_id, scheme_kind, L1, L2, levels=3,
         tau = tau0 * (0.5 ** lev)
         ops, initial = manufactured_setup(case_id, nx0 * (2 ** lev), material,
                                           final_time, solver)
-        for state, trace in march(ops.problem, ops.mesh, ops.mat, cfg, tau,
-                                  n_steps * 2 ** lev, ops=ops,
-                                  initial=initial):
+        for state, trace in march(ops, cfg, tau, n_steps * 2 ** lev, initial):
             if not trace.converged:
                 raise DivergenceError(f"level {lev}: the step to t="
                                       f"{state.time:g} stopped at max_iter")
@@ -206,7 +207,7 @@ def _sweep_groups(args):
     max_iter."""
     case_id, nx, material, groups, tau = args
     ops, prev = manufactured_setup(case_id, nx, material)
-    ctx = StepContext.build(ops, ops.problem, prev, tau)
+    ctx = StepContext.build(ops, prev, tau)
     flows, out = {}, []
     for cfgs in groups:
         if len(cfgs) == 1:
@@ -353,17 +354,16 @@ def _p_norm_sq(ops, p_coeffs):
     return float(np.sum(ops.mesh.areas * p_coeffs * p_coeffs))
 
 
-def verify_contraction(archive, reference: BiotState, mat, cfg: SchemeConfig,
-                       ops):
+def verify_contraction(archive, reference: BiotState, cfg: SchemeConfig, ops):
     """Weighted error functionals along an archived iterate sequence.
 
     For the splitting scheme the errors are taken against the converged
-    reference and weighted by (L1 - b_m, L2 - h_m); for the monolithic
-    scheme consecutive-iterate differences are weighted by (L1, L2 - h_m).
-    Monotone decrease is asserted above a floor of (L1 + L2) (10 tol)^2,
-    up to a relative slack of 1e-9.
+    reference and weighted by (L1 - b_m, L2 - h_m), constants of `ops.mat`;
+    for the monolithic scheme consecutive-iterate differences are weighted
+    by (L1, L2 - h_m).  Monotone decrease is asserted above a floor of
+    (L1 + L2) (10 tol)^2, up to a relative slack of 1e-9.
     """
-    L1, L2 = cfg.L1, cfg.L2
+    L1, L2, mat = cfg.L1, cfg.L2, ops.mat
     if cfg.kind == "splitting":
         wp, wd = L1 - mat.b_m, L2 - mat.h_m
         seq = [(st.p.coeffs - reference.p.coeffs,
@@ -409,16 +409,17 @@ class MandelSeries:
     initial_pressure: float
 
 
-def mandel_report(initial: BiotState, results, mesh, probe=None,
+def mandel_report(initial: BiotState, results, probe=None,
                   initial_pressure=float("nan")):
     """Probe-pressure and plate-displacement series over a consolidation run.
 
     `results` is any iterable of (state, trace) pairs, one per step, such
     as `march`: it is read once, in order, and no state is kept, so a run
     reported from the generator holds one step's state at a time.  The
-    default probe sits at (a/4, b/2).  The top displacement is read from
-    any tied top vertex.
+    default probe sits at (a/4, b/2) of the mesh of `initial`.  The top
+    displacement is read from any tied top vertex.
     """
+    mesh = initial.p.mesh
     if probe is None:
         (x0, y0), (ex, ey) = ((mesh.vertices[:, 0].min(), mesh.vertices[:, 1].min()),
                               (np.ptp(mesh.vertices[:, 0]), np.ptp(mesh.vertices[:, 1])))
@@ -451,11 +452,11 @@ def run_mandel(case_id="linear", cfg: MandelConfig = None, scheme_kind="monolith
     L2 = lambda (two iterations per step) and the splitting scheme the
     undrained preset L2 = lambda + M alpha^2.
 
-    Returns (series, results, (mat, prob, mesh, ops, scheme)).  `results`
-    holds one (state, trace) pair per step, but only the last pair holds
-    its state; the earlier ones hold None, because the run streams `march`
-    into `mandel_report` and keeps only what it reports; `ops.solver_log`
-    holds the linear-solve reports.  Excursions out of the certified law
+    Returns (series, results, (ops, scheme)).  `results` holds one (state,
+    trace) pair per step, but only the last pair holds its state; the
+    earlier ones hold None, because the run streams `march` into
+    `mandel_report` and keeps only what it reports; `ops.solver_log` holds
+    the linear-solve reports.  Excursions out of the certified law
     ranges are not warned about; each trace counts its own in
     `range_excursions`.
     """
@@ -475,10 +476,10 @@ def run_mandel(case_id="linear", cfg: MandelConfig = None, scheme_kind="monolith
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AdmissibleRangeWarning)
         series = mandel_report(
-            initial, _keep_last_state(march(prob, mesh, mat, scheme, dt, n_steps,
-                                            ops=ops, initial=initial), results),
-            mesh, probe=probe, initial_pressure=cfg.initial_pressure)
-    return series, results, (mat, prob, mesh, ops, scheme)
+            initial, _keep_last_state(march(ops, scheme, dt, n_steps, initial),
+                                      results),
+            probe=probe, initial_pressure=cfg.initial_pressure)
+    return series, results, (ops, scheme)
 
 
 def _keep_last_state(pairs, kept):

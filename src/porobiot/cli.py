@@ -258,7 +258,7 @@ def cmd_mandel(cfg, outdir):
     probe = None if probe_x is None else (probe_x, probe_y)
     l1, l2 = _fget(cfg, "scheme", "l1"), _fget(cfg, "scheme", "l2")
     p_range, s_range = _law_ranges(cfg)
-    series, results, (_, _, _, ops, _) = run_mandel(
+    series, results, (ops, _) = run_mandel(
         case_id=case, cfg=mandel_cfg, scheme_kind=cfg["scheme"]["kind"],
         L1=l1, L2=l2, dt=_fget(cfg, "problem", "dt"),
         n_steps=_iget(cfg, "problem", "steps"),
@@ -328,7 +328,7 @@ def cmd_verify(cfg, outdir):
         archive)
     if not trace.converged:
         raise DivergenceError("iteration did not converge; nothing to verify")
-    report = verify_contraction(archive, state, mat, scheme, ops)
+    report = verify_contraction(archive, state, scheme, ops)
     path = Path(outdir) / "contraction.csv"
     write_contraction_csv(report, path)
     flag = "monotone" if report.monotone else "NON-MONOTONE"

@@ -114,6 +114,8 @@ class Mesh:
     def locate_cell(self, point):
         """Index of a cell containing `point` (structured fast path, else scan)."""
         point = np.asarray(point, dtype=float)
+        if not np.all(np.isfinite(point)):
+            raise MeshError(f"point {point} lies outside the mesh")
         if self.structured is not None:
             origin, extent, nx, ny = self.structured
             fx = (point[0] - origin[0]) / extent[0] * nx

@@ -117,7 +117,11 @@ def law_catalog(case_id, m_modulus=1.0, lam=1.0,
     consolidation family (t2c1..t2c3) and the linear case scale by the
     compressibility modulus and the first Lame parameter.  Certified
     ranges default to solution-informed intervals and can be overridden.
+    The modulus must be finite and positive (`ValueError`).
     """
+    if not 0 < m_modulus < np.inf:
+        raise ValueError(f"compressibility modulus must be finite and "
+                         f"positive, not {m_modulus!r}")
     case = str(case_id).lower()
     if case == "linear":
         b = _law_linear(1.0 / m_modulus, "p/M")

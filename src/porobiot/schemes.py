@@ -37,11 +37,10 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .assembly import BiotOperators, assemble_loads, build_operators
+from .assembly import BiotOperators, assemble_loads
 from .fem import FeFunction, interpolate, l2_norm
 from .linalg import (CachedLU, FixedStressPreconditioner, FlowHalf,
                      LinearSolveError, gmres)
-from .mesh import Mesh
 from .physics import MaterialModel, ProblemDefinition, check_admissible
 
 
@@ -190,9 +189,9 @@ class StepContext:
     g_red: np.ndarray        # R_q^T g_vec
 
     @classmethod
-    def loads(cls, ops: BiotOperators, problem, t_new, tau):
+    def loads(cls, ops: BiotOperators, t_new, tau):
         _check_step_size(tau)
-        f_vec, g_vec, s_vec = assemble_loads(problem, ops, t_new)
+        f_vec, g_vec, s_vec = assemble_loads(ops, t_new)
         con = ops.constraints
         return cls(t_new, tau, f_vec, g_vec, tau * s_vec,
                    con.u.restrict(f_vec), con.q.restrict(g_vec))
@@ -203,8 +202,8 @@ class StepContext:
                        + ops.bp_dual(p) + ops.mat.alpha * divu)
 
     @classmethod
-    def build(cls, ops: BiotOperators, problem, prev: BiotState, tau):
-        return cls.loads(ops, problem, prev.time + tau, tau).seeded(
+    def build(cls, ops: BiotOperators, prev: BiotState, tau):
+        return cls.loads(ops, prev.time + tau, tau).seeded(
             ops, prev.time + tau, prev.p.coeffs, ops.divu_dual(prev.u.coeffs))
 
 
@@ -429,15 +428,17 @@ def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
     time-step solution, and the state is formed from the last one.  A
     combined increment that is not finite or above `DIVERGENCE_FACTOR`
     times the first one aborts with `DivergenceError`; exhausting max_iter
-    returns with converged=False (`stop_status`).  The laws iterated and
-    range-checked are those of `ops.mat`, which `mat` built.  `ctx` is the
-    step context of `prev` and `tau`, built here when None.  A list
-    `archive` receives a copy of `prev`, then each iterate's state.
-    Returns the final state and trace.
+    returns with converged=False (`stop_status`).  The problem iterated is
+    `ops`'s: `mat` and `problem` must be `ops.mat` and `ops.problem`
+    (`ValueError` otherwise).  `ctx` is the step context of `prev` and
+    `tau`, built here when None.  A list `archive` receives a copy of
+    `prev`, then each iterate's state.  Returns the final state and trace.
     """
+    if mat is not ops.mat or problem is not ops.problem:
+        raise ValueError("mat and problem must be those ops was built from")
     solver = SchemeSolver(ops, cfg, tau)
     if ctx is None:
-        ctx = StepContext.build(ops, problem, prev, tau)
+        ctx = StepContext.build(ops, prev, tau)
     elif ctx.tau != tau or ctx.t_new != prev.time + tau:
         raise ValueError("step context was built for another step")
     if archive is not None:
@@ -481,10 +482,10 @@ def build_initial_state(problem: ProblemDefinition, ops: BiotOperators) -> BiotS
         0.0)
 
 
-def march(problem: ProblemDefinition, mesh: Mesh, mat: MaterialModel,
-          cfg: SchemeConfig, tau, n_steps, ops: BiotOperators = None,
+def march(ops: BiotOperators, cfg: SchemeConfig, tau, n_steps,
           initial: BiotState = None):
-    """March n_steps implicit steps; each seeds from the previous solution.
+    """March n_steps implicit steps of `ops`'s problem from `initial` (its
+    initial state when None); each seeds from the previous solution.
 
     A generator: it builds one `SchemeSolver` for the run, carries its
     iterate x and divergences from step to step, seeds each step's
@@ -498,7 +499,7 @@ def march(problem: ProblemDefinition, mesh: Mesh, mat: MaterialModel,
             or n_steps < 1):
         raise ValueError(f"n_steps must be an integer of at least 1, "
                          f"not {n_steps!r}")
-    ops = ops or build_operators(mesh, mat, problem)
+    problem = ops.problem
     prev = initial if initial is not None else build_initial_state(problem, ops)
     solver = SchemeSolver(ops, cfg, tau)
     x, time, loads = solver.coordinates(prev), prev.time, None
@@ -506,7 +507,7 @@ def march(problem: ProblemDefinition, mesh: Mesh, mat: MaterialModel,
     for n in range(1, n_steps + 1):
         time += tau
         if loads is None or problem.body_force or problem.source:
-            loads = StepContext.loads(ops, problem, time, tau)
+            loads = StepContext.loads(ops, time, tau)
         ctx = loads.seeded(ops, time, x[nuq:, 0], divu[:, 0])
         x, divu, [trace] = _iterate(solver, x, divu, ctx, [cfg])
         if trace.status == "diverged":
@@ -514,21 +515,18 @@ def march(problem: ProblemDefinition, mesh: Mesh, mat: MaterialModel,
         yield solver.state(x, time), trace
 
 
-def time_march(problem: ProblemDefinition, mesh: Mesh, mat: MaterialModel,
-               cfg: SchemeConfig, tau, n_steps, ops: BiotOperators = None,
+def time_march(ops: BiotOperators, cfg: SchemeConfig, tau, n_steps,
                initial: BiotState = None):
     """The list of `march`'s (state, trace) pairs, one per step.
 
     It keeps every step's state; a long run that reports only part of
     them iterates `march` instead.
     """
-    return list(march(problem, mesh, mat, cfg, tau, n_steps, ops=ops,
-                      initial=initial))
+    return list(march(ops, cfg, tau, n_steps, initial))
 
 
 def residual_norms(state: BiotState, prev: BiotState, ops: BiotOperators,
-                   mat: MaterialModel, problem: ProblemDefinition, tau,
-                   ctx: StepContext = None):
+                   tau, ctx: StepContext = None):
     """Dual norms of the non-linear discrete residual at a state.
 
     Residuals of the mechanics, Darcy and mass rows are restricted to the
@@ -536,9 +534,9 @@ def residual_norms(state: BiotState, prev: BiotState, ops: BiotOperators,
     reduced mass matrices, symmetric positive definite like every
     factored matrix, are factored by `CachedLU` on every call.
     """
-    ctx = ctx or StepContext.build(ops, problem, prev, tau)
+    ctx = ctx or StepContext.build(ops, prev, tau)
     u, q, p = state.u.coeffs, state.q.coeffs, state.p.coeffs
-    alpha = mat.alpha
+    alpha = ops.mat.alpha
     r_u = ops.a_e @ u + ops.hu_dual(u) - alpha * (ops.b_up @ p) - ctx.f_vec
     r_q = ops.m_q @ q - ops.b_qp.T @ p - ctx.g_vec
     r_p = (ops.bp_dual(p) + alpha * ops.divu_dual(u) + tau * (ops.b_qp @ q)

@@ -227,7 +227,7 @@ def full_increment_norms(solver, dx):
             l2_norm(FeFunction(ops.dofmap_u, con.u.restriction @ dx[:nu])))
 
 
-def step_chain(problem, mat, cfg, tau, n_steps, ops, initial):
+def step_chain(ops, cfg, tau, n_steps, initial):
     """The (state, trace) pairs of n_steps time steps from `initial`, each
     one `iterate_to_convergence` call from the state the step before
     returned, with its loads assembled and its step context built from
@@ -235,8 +235,8 @@ def step_chain(problem, mat, cfg, tau, n_steps, ops, initial):
     from step to step, with one `SchemeSolver` for the run."""
     prev, out = initial, []
     for _ in range(n_steps):
-        prev, trace = iterate_to_convergence(prev, cfg, ops, mat, problem,
-                                             tau)
+        prev, trace = iterate_to_convergence(prev, cfg, ops, ops.mat,
+                                             ops.problem, tau)
         out.append((prev, trace))
     return out
 

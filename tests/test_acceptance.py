@@ -48,9 +48,9 @@ def field_diffs(ops, a, b):
             "u": l2_norm(FeFunction(ops.dofmap_u, a.u.coeffs - b.u.coeffs))}
 
 
-def direct_step(ops, prob, prev, tau):
+def direct_step(ops, prev, tau):
     """Oracle for the linear law: one direct solve of the coupled system."""
-    ctx = StepContext.build(ops, prob, prev, tau)
+    ctx = StepContext.build(ops, prev, tau)
     R = ops.constraints.composed(("u", "q", "p"))
     rhs = R.T @ np.concatenate([ctx.f_vec, ctx.g_vec, ctx.mass_const])
     x = R @ lu_solve(ops.monolithic_system(1.0, 1.0, tau), rhs)
@@ -116,7 +116,7 @@ def test_criterion_1_linear_oracle_equivalence():
         prev_direct = build_initial_state(prob, ops)
         prev = {k: prev_direct.copy() for k in configs}
         for _ in range(n_steps):
-            direct = direct_step(ops, prob, prev_direct, tau)
+            direct = direct_step(ops, prev_direct, tau)
             for kind, cfg in configs.items():
                 state, trace = iterate_to_convergence(prev[kind], cfg, ops,
                                                       mat, prob, tau)
@@ -168,8 +168,8 @@ def test_criterion_2_nonlinear_cross_scheme_agreement(t1_runs):
             diffs = field_diffs(ops, split["state"], mono["state"])
             assert max(diffs.values()) <= 1e-6, (case, diffs)
             for run in (split, mono):
-                res = residual_norms(run["state"], entry["prev"], ops, mat,
-                                     prob, entry["tau"])
+                res = residual_norms(run["state"], entry["prev"], ops,
+                                     entry["tau"])
                 assert max(res.values()) <= 1e-7, (case, run["cfg"].kind, res)
 
 
@@ -183,7 +183,7 @@ def test_criterion_3_contraction_functionals(t1_runs):
                 if not run["cfg"].theorem_safe(mat):
                     continue
                 report = verify_contraction(run["archive"], run["state"],
-                                            mat, run["cfg"], ops)
+                                            run["cfg"], ops)
                 assert report.monotone, (case, kind)
                 if kind == "splitting":
                     assert report.strictly_decreasing, (case, kind)
@@ -305,7 +305,7 @@ def _linear_monolithic_system(nx, tau=0.25):
     mesh = generate_rect_mesh((0, 0), (1, 1), nx, nx)
     ops = build_operators(mesh, mat, prob)
     prev = build_initial_state(prob, ops)
-    ctx = StepContext.build(ops, prob, prev, tau)
+    ctx = StepContext.build(ops, prev, tau)
     R = ops.constraints.composed(("u", "q", "p"))
     rhs = R.T @ np.concatenate([ctx.f_vec, ctx.g_vec, ctx.mass_const])
     return ops.monolithic_system(1.0, 1.0, tau), rhs, ops, mat

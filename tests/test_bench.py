@@ -33,7 +33,7 @@ def fresh_trace(ops, prev, cfg, tau):
     except schemes.DivergenceError:
         solver = schemes.SchemeSolver(ops, cfg, tau)
         x = solver.coordinates(prev)
-        ctx = schemes.StepContext.build(ops, ops.problem, prev, tau)
+        ctx = schemes.StepContext.build(ops, prev, tau)
         return schemes._iterate(solver, x, solver.divu_dual(x), ctx,
                                 [cfg])[2][0]
 
@@ -91,6 +91,13 @@ class TestErrorNorms:
             manufactured_convergence("linear", "monolithic", 1.0, 1.0,
                                      levels=3, nx0=4, tau0=tau0,
                                      final_time=final_time)
+
+    @pytest.mark.parametrize("final_time", [float("inf"), float("nan"), 0.0,
+                                            -1.0])
+    def test_final_time_must_be_finite_and_positive(self, final_time):
+        with pytest.raises(ValueError, match="final_time must be finite"):
+            manufactured_convergence("linear", "monolithic", 1.0, 1.0,
+                                     levels=1, nx0=4, final_time=final_time)
 
     @pytest.mark.parametrize("tau0,final_time", [(0.1, 1.0), (0.5, 1.5)])
     def test_every_level_ends_at_the_final_time(self, monkeypatch, tau0,
@@ -221,7 +228,7 @@ class TestSweep:
         # excursion it counts
         ops, prev = setup = manufactured_setup(case, 8 if case == "t1c4"
                                                else 4, material)
-        ctx = schemes.StepContext.build(ops, ops.problem, prev, tau)
+        ctx = schemes.StepContext.build(ops, prev, tau)
         flows, got, warned, want = {}, [], 0, []
         for l2 in L2s:
             cfgs = [SchemeConfig("splitting", L1=l1, L2=l2,
@@ -426,7 +433,7 @@ class TestContraction:
         state, trace = iterate_to_convergence(
             prev, cfg, ops, mat, prob, 0.25, archive=archive)
         assert cfg.splitting_safe(mat)
-        report = verify_contraction(archive, state, mat, cfg, ops)
+        report = verify_contraction(archive, state, cfg, ops)
         assert report.monotone
         assert report.strictly_decreasing
         assert report.values[0] > report.values[1]
@@ -446,7 +453,7 @@ class TestContraction:
         archive = []
         state, trace = iterate_to_convergence(
             prev, cfg, ops, mat, prob, 0.25, archive=archive)
-        report = verify_contraction(archive, state, mat, cfg, ops)
+        report = verify_contraction(archive, state, cfg, ops)
         assert report.monotone
 
     def test_single_iteration_vacuously_monotone(self):
@@ -455,7 +462,7 @@ class TestContraction:
         archive = []
         state, trace = iterate_to_convergence(
             prev, cfg, ops, mat, prob, 0.25, archive=archive)
-        report = verify_contraction(archive[:2], archive[1], mat, cfg, ops)
+        report = verify_contraction(archive[:2], archive[1], cfg, ops)
         assert report.monotone
 
 
@@ -492,7 +499,8 @@ class TestMandelSeries:
         assert series.times[np.argmax(series.p_probe)] == 0.0
 
     def test_tied_plate_exact_after_solve(self, short_run):
-        _, results, (mat, prob, mesh, ops, scheme) = short_run
+        _, results, (ops, _) = short_run
+        mesh = ops.mesh
         y_top = mesh.vertices[:, 1].max()
         top = [v for v in range(mesh.n_vertices)
                if abs(mesh.vertices[v, 1] - y_top) < 1e-9]
@@ -501,10 +509,10 @@ class TestMandelSeries:
 
     def test_noflow_edges_zero_after_solve(self, short_run):
         from porobiot.mesh import Side
-        _, results, (mat, prob, mesh, ops, scheme) = short_run
+        _, results, (ops, _) = short_run
         q = results[-1][0].q.coeffs
         for side in (Side.LEFT, Side.BOTTOM, Side.TOP):
-            for e in mesh.boundary_edges(side):
+            for e in ops.mesh.boundary_edges(side):
                 assert q[e] == 0.0
 
     def test_worker_count_env(self, monkeypatch):

@@ -317,6 +317,19 @@ class TestSubcommands:
         ["manufactured", "--h", "0.25", "--L1", "nan", "--L2", "1"],
         ["manufactured", "--h", "0.25", "--L1", "1", "--L2", "nan"],
         ["manufactured", "--h", "0.25", "--tol", "nan"],
+        # a zero compressibility modulus, a non-finite final time or probe
+        ["manufactured", "--case", "linear", "--h", "0.5",
+         "--set", "material.biot_modulus=0"],
+        ["manufactured", "--case", "t2c1", "--h", "0.5",
+         "--set", "material.biot_modulus=0"],
+        ["manufactured", "--case", "linear", "--h", "0.5",
+         "--set", "problem.final_time=inf"],
+        ["manufactured", "--case", "linear", "--h", "0.5",
+         "--set", "problem.final_time=nan"],
+        ["mandel", "--probe", "inf,5", "--steps", "1",
+         "--set", "problem.nx=4", "--set", "problem.ny=4"],
+        ["mandel", "--probe", "nan,5", "--steps", "1",
+         "--set", "problem.nx=4", "--set", "problem.ny=4"],
         # 0.3 does not divide the final time 1.0 into whole steps
         ["manufactured", "--case", "t1c1", "--h", "0.25", "--tau", "0.3"],
         ["manufactured", "--h", "0.5", "--tau", "2"],

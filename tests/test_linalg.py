@@ -26,7 +26,7 @@ def monolithic_linear_system(nx=8, alpha=1.0, tau=0.25):
     mesh = generate_rect_mesh((0, 0), (1, 1), nx, nx)
     ops = build_operators(mesh, mat, prob)
     prev = build_initial_state(prob, ops)
-    ctx = StepContext.build(ops, prob, prev, tau)
+    ctx = StepContext.build(ops, prev, tau)
     R = ops.constraints.composed(("u", "q", "p"))
     rhs = R.T @ np.concatenate([ctx.f_vec, ctx.g_vec, ctx.mass_const])
     return ops.monolithic_system(1.0, 1.0, tau), rhs, ops, mat

@@ -233,6 +233,14 @@ def test_locate_cell():
         m.locate_cell((5.0, 5.0))
 
 
+@pytest.mark.parametrize("point", [(np.inf, 0.5), (0.5, -np.inf),
+                                   (np.nan, 0.5), (0.5, np.nan)])
+def test_locate_cell_refuses_a_non_finite_point(point):
+    m = generate_rect_mesh((0, 0), (2, 1), 4, 4)
+    with pytest.raises(MeshError, match="outside the mesh"):
+        m.locate_cell(point)
+
+
 def test_mesh_immutable():
     m = generate_rect_mesh((0, 0), (1, 1), 2, 2)
     with pytest.raises(ValueError):

@@ -35,6 +35,12 @@ class TestLawCatalog:
         with pytest.raises(ValueError):
             law_catalog("t9c9")
 
+    @pytest.mark.parametrize("m_modulus", [0.0, -1.0, float("nan"),
+                                           float("inf")])
+    def test_modulus_must_be_finite_and_positive(self, m_modulus):
+        with pytest.raises(ValueError, match="modulus"):
+            law_catalog("linear", m_modulus=m_modulus)
+
     def test_odd_extension_of_cube_roots(self):
         b, h = law_catalog("t1c5")
         assert float(b(-8.0)) == pytest.approx(-2.0)

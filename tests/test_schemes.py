@@ -46,9 +46,9 @@ def reduced_solve(ops, matrix, names, rhs_full):
     return R @ lu_solve(matrix, R.T @ rhs_full)
 
 
-def direct_solve(ops, prob, prev, tau, L1=1.0, L2=1.0):
+def direct_solve(ops, prev, tau, L1=1.0, L2=1.0):
     """Oracle: one-shot solve of the coupled linear discrete system."""
-    ctx = StepContext.build(ops, prob, prev, tau)
+    ctx = StepContext.build(ops, prev, tau)
     sysd = ops.monolithic_system(L1, L2, tau)
     x = reduced_solve(ops, sysd, ("u", "q", "p"),
                       np.concatenate([ctx.f_vec, ctx.g_vec, ctx.mass_const]))
@@ -150,7 +150,7 @@ class TestFixedPoints:
         mesh = generate_rect_mesh((0, 0), (1, 1), 4, 4)
         ops = build_operators(mesh, mat, prob)
         prev = build_initial_state(prob, ops)
-        ctx = StepContext.build(ops, prob, prev, 0.25)
+        ctx = StepContext.build(ops, prev, 0.25)
         for kind in ("splitting", "monolithic"):
             cfg = SchemeConfig(kind, L1=1.0, L2=2.0)
             solver = SchemeSolver(ops, cfg, 0.25)
@@ -200,7 +200,7 @@ class TestLinearConvergence:
     def test_converges_to_direct_solve(self, kind, L1, L2):
         mesh, mat, prob, ops, prev = linear_setup(8)
         tau = 0.25
-        direct = direct_solve(ops, prob, prev, tau)
+        direct = direct_solve(ops, prev, tau)
         cfg = SchemeConfig(kind, L1=L1, L2=L2, tol=1e-9)
         state, trace = iterate_to_convergence(prev, cfg, ops, mat, prob, tau)
         assert trace.converged
@@ -213,7 +213,7 @@ class TestLinearConvergence:
         for kind, L1, L2 in (("splitting", 1.0, 2.0), ("monolithic", 0.5, 1.0)):
             cfg = SchemeConfig(kind, L1=L1, L2=L2, tol=1e-8)
             state, trace = iterate_to_convergence(prev, cfg, ops, mat, prob, tau)
-            res = residual_norms(state, prev, ops, mat, prob, tau)
+            res = residual_norms(state, prev, ops, tau)
             assert max(res.values()) <= 10 * cfg.tol
 
     def test_schur_flow_equivalent(self):
@@ -225,7 +225,7 @@ class TestLinearConvergence:
         ops = build_operators(mesh, mat, prob)
         prev = build_initial_state(prob, ops)
         tau, L1, L2 = 0.25, mat.L_b, mat.L_h + 1.0 / mat.b_m
-        ctx = StepContext.build(ops, prob, prev, tau)
+        ctx = StepContext.build(ops, prev, tau)
         solver = SchemeSolver(ops, SchemeConfig("splitting", L1, L2), tau)
         nq = ops.dofmap_q.n_dofs
         cur, x = prev.copy(), solver.coordinates(prev)
@@ -267,7 +267,7 @@ class TestLinearConvergence:
         ops = build_operators(mesh, mat, prob)
         prev = build_initial_state(prob, ops)
         L1, L2 = suggested_tuning(mat, "monolithic")
-        ctx = StepContext.build(ops, prob, prev, tau)
+        ctx = StepContext.build(ops, prev, tau)
         solver = SchemeSolver(ops, SchemeConfig("monolithic", L1, L2), tau)
         got = solver.state(step(solver, solver.coordinates(prev), ctx), ctx.t_new)
         u, p = prev.u.coeffs, prev.p.coeffs
@@ -397,7 +397,7 @@ def test_lockstep_cells_must_share_one_mechanics_half():
     # half the map lacks is built and kept, one it holds is used
     mesh, mat, prob, ops, prev = linear_setup(4)
     cfgs = [SchemeConfig("splitting", L1=1.0, L2=l2) for l2 in (1.0, 2.0)]
-    ctx = StepContext.build(ops, prob, prev, 0.25)
+    ctx = StepContext.build(ops, prev, 0.25)
     flows = {}
     with pytest.raises(ValueError):
         iterate_lockstep(ops, prev, cfgs, ctx, flows)
@@ -447,7 +447,7 @@ def test_one_column_block_step_is_the_vector_step(case, kind):
                                             else (6, 6)), SolverOptions(method))
         solver = SchemeSolver(ops, SchemeConfig(
             kind, *suggested_tuning(ops.mat, kind)), tau)
-        ctx = StepContext.build(ops, ops.problem, prev, tau)
+        ctx = StepContext.build(ops, prev, tau)
         x = solver.coordinates(prev)
         vec = solver.state(x, prev.time)
         for _ in range(3):
@@ -467,7 +467,7 @@ def test_state_and_iterate_round_trip_bit_for_bit(case):
     # the tie group and the pins of the Mandel slab; a pinned DOF reads
     # zero, so the -0.0 that the initial slab holds there comes back as 0.0
     ops, prev, tau = case_setup(case, 10, 10)
-    ctx = StepContext.build(ops, ops.problem, prev, tau)
+    ctx = StepContext.build(ops, prev, tau)
     for kind in ("splitting", "monolithic"):
         solver = SchemeSolver(ops, SchemeConfig(
             kind, *suggested_tuning(ops.mat, kind)), tau)
@@ -495,7 +495,7 @@ def test_block_step_columns_are_their_cells_vector_steps():
     prob = manufactured_problem(mat)
     ops = build_operators(generate_rect_mesh((0, 0), (1, 1), 6, 6), mat, prob)
     prev = build_initial_state(prob, ops)
-    ctx = StepContext.build(ops, prob, prev, 0.25)
+    ctx = StepContext.build(ops, prev, 0.25)
     cfgs = [SchemeConfig("splitting", L1=l1, L2=2.0) for l1 in (0.5, 1.0, 3.0)]
     solver = SchemeSolver(ops, cfgs[0], 0.25,
                           [FlowHalf(ops, c.L1, 0.25) for c in cfgs])
@@ -518,7 +518,7 @@ def test_block_step_takes_its_cells_as_a_list_or_an_array():
     # a list and an index array give the same bits
     from porobiot.linalg import FlowHalf
     ops, prev, tau = case_setup("t1c1", 6, 6)
-    ctx = StepContext.build(ops, ops.problem, prev, tau)
+    ctx = StepContext.build(ops, prev, tau)
     cfgs = [SchemeConfig("splitting", L1=l1, L2=2.0) for l1 in (0.5, 1.0, 3.0)]
     solver = SchemeSolver(ops, cfgs[0], tau,
                           [FlowHalf(ops, c.L1, tau) for c in cfgs])
@@ -539,7 +539,7 @@ def test_each_step_returns_a_block_of_its_own(path):
     from porobiot.linalg import FlowHalf
     ops, prev, tau = case_setup("t1c1", 6, 6, SolverOptions(
         "gmres" if path == "gmres" else "lu"))
-    ctx = StepContext.build(ops, ops.problem, prev, tau)
+    ctx = StepContext.build(ops, prev, tau)
     if path == "splitting":   # a lock-step block of three cells
         cfgs = [SchemeConfig("splitting", L1=l1, L2=2.0)
                 for l1 in (0.5, 1.0, 3.0)]
@@ -571,7 +571,7 @@ def test_reduced_increment_norms_are_the_full_field_norms(case):
     # their vectors
     ops, prev, tau = case_setup(case, *((10, 6) if case == "mandel"
                                         else (6, 6)))
-    ctx = StepContext.build(ops, ops.problem, prev, tau)
+    ctx = StepContext.build(ops, prev, tau)
     solver = SchemeSolver(ops, SchemeConfig(
         "splitting", *suggested_tuning(ops.mat, "splitting")), tau)
     xs = [solver.coordinates(prev)]
@@ -594,7 +594,7 @@ class TestTimeMarch:
     def test_single_step_equals_iterate_call(self):
         mesh, mat, prob, ops, prev = linear_setup(6)
         cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
-        results = time_march(prob, mesh, mat, cfg, 0.25, 1, ops=ops)
+        results = time_march(ops, cfg, 0.25, 1)
         state, _ = iterate_to_convergence(prev, cfg, ops, mat, prob, 0.25)
         assert len(results) == 1
         assert np.allclose(results[0][0].p.coeffs, state.p.coeffs, atol=1e-15)
@@ -602,7 +602,7 @@ class TestTimeMarch:
     def test_states_advance_in_time(self):
         mesh, mat, prob, ops, prev = linear_setup(4)
         cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
-        results = time_march(prob, mesh, mat, cfg, 0.25, 4, ops=ops)
+        results = time_march(ops, cfg, 0.25, 4)
         assert [round(st.time, 10) for st, _ in results] == [0.25, 0.5, 0.75, 1.0]
 
     def test_self_convergence_under_refinement(self):
@@ -614,7 +614,8 @@ class TestTimeMarch:
             prob = manufactured_problem(mat)
             mesh = generate_rect_mesh((0, 0), (1, 1), nx, nx)
             cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
-            results = time_march(prob, mesh, mat, cfg, 0.25, 4)
+            results = time_march(build_operators(mesh, mat, prob), cfg,
+                                 0.25, 4)
             errs[nx] = error_norms(results[-1][0], prob.exact)
         for fld in ("p", "u", "q", "div_u"):
             assert errs[16][fld] < errs[8][fld]
@@ -637,7 +638,7 @@ class TestTimeMarch:
         mesh, mat, prob, ops, prev = linear_setup(4)
         ops.solver = linalg.SolverOptions(method=method)
         cfg = SchemeConfig(kind, L1=1.0, L2=2.0)
-        results = time_march(prob, mesh, mat, cfg, 0.25, 3, ops=ops)
+        results = time_march(ops, cfg, 0.25, 3)
         assert len(built) == factors
         per_iteration = 2 if kind == "splitting" else 1
         assert all(tr.n_linear_solves == per_iteration * tr.iterations
@@ -670,9 +671,8 @@ class TestTimeMarch:
                                  ("monolithic", "gmres")):
                 ops.solver = linalg.SolverOptions(method=method)
                 cfg_k = SchemeConfig(kind, *suggested_tuning(mat, kind))
-                state, _ = time_march(prob, mesh, mat, cfg_k, tau, 1,
-                                      ops=ops)[0]
-            residual_norms(state, prev, ops, mat, prob, tau)
+                state, _ = time_march(ops, cfg_k, tau, 1)[0]
+            residual_norms(state, prev, ops, tau)
         assert len(asymmetric) == 3 * (2 + 1 + 2 + 2)
         assert asymmetric == [0] * len(asymmetric)
 
@@ -699,7 +699,7 @@ class TestTimeMarch:
     def test_context_for_another_step_rejected(self):
         mesh, mat, prob, ops, prev = linear_setup(4)
         cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
-        ctx = StepContext.build(ops, prob, prev, 0.5)
+        ctx = StepContext.build(ops, prev, 0.5)
         state, _ = iterate_to_convergence(prev, cfg, ops, mat, prob, 0.5)
         given, _ = iterate_to_convergence(prev, cfg, ops, mat, prob, 0.5,
                                           ctx=ctx)
@@ -712,8 +712,7 @@ class TestTimeMarch:
     def test_bad_step_count(self):
         mesh, mat, prob, ops, prev = linear_setup(4)
         with pytest.raises(ValueError):
-            time_march(prob, mesh, mat,
-                       SchemeConfig("monolithic", 1.0, 1.0), 0.25, 0)
+            time_march(ops, SchemeConfig("monolithic", 1.0, 1.0), 0.25, 0)
 
 
 @pytest.mark.parametrize("kind, method", [("splitting", "lu"),
@@ -731,7 +730,7 @@ def test_step_builds_no_sparse_transpose(monkeypatch, kind, method):
     prev = build_initial_state(prob, ops)
     solver = SchemeSolver(ops, SchemeConfig(kind, *suggested_tuning(mat, kind)),
                           0.25)
-    ctx = StepContext.build(ops, prob, prev, 0.25)
+    ctx = StepContext.build(ops, prev, 0.25)
     built = []
     for cls in (sp.csr_matrix, sp.csc_matrix, sp.csr_array, sp.csc_array):
         def counting(matrix, *args, _original=cls.transpose, **kwargs):
@@ -760,7 +759,7 @@ def test_step_stays_in_reduced_coordinates(monkeypatch, kind, method):
     ops, prev, tau = case_setup("mandel", 10, 6, SolverOptions(method))
     cfg = SchemeConfig(kind, *suggested_tuning(ops.mat, kind))
     solver = SchemeSolver(ops, cfg, tau)
-    ctx = StepContext.build(ops, ops.problem, prev, tau)
+    ctx = StepContext.build(ops, prev, tau)
     calls = []
     for cls, name in ((FieldConstraints, "expand"), (FieldConstraints, "restrict"),
                       (BiotOperators, "divu_dual"), (BiotOperators, "hu_dual"),
@@ -867,7 +866,7 @@ def test_splitting_applies_the_sweep_once_per_iteration(monkeypatch):
     applied.clear()
     cfgs = [replace(cfg, L1=f * cfg.L1) for f in (1.0, 4.0, 16.0)]
     out = iterate_lockstep(ops, prev, cfgs, StepContext.build(
-        ops, prob, prev, 0.25), {})
+        ops, prev, 0.25), {})
     counts = [tr.iterations for tr in out]
     assert len(applied) == max(counts)
     assert applied[0][1] == 3 and len(set(counts)) > 1
@@ -902,7 +901,7 @@ def test_solver_reports_csv(tmp_path):
 def test_trace_csv_schema(tmp_path):
     mesh, mat, prob, ops, prev = linear_setup(4)
     cfg = SchemeConfig("splitting", L1=1.0, L2=2.0)
-    results = time_march(prob, mesh, mat, cfg, 0.25, 2, ops=ops)
+    results = time_march(ops, cfg, 0.25, 2)
     path = tmp_path / "trace.csv"
     write_trace_csv([tr for _, tr in results], path)
     lines = path.read_text().strip().splitlines()
@@ -930,9 +929,8 @@ def test_march_is_a_chain_of_steps(case, kind, method):
     ops, prev, tau = case_setup(case, *((10, 6) if case == "mandel"
                                         else (6, 6)), SolverOptions(method))
     cfg = SchemeConfig(kind, *suggested_tuning(ops.mat, kind))
-    got = list(march(ops.problem, ops.mesh, ops.mat, cfg, tau, 5, ops=ops,
-                     initial=prev))
-    want = step_chain(ops.problem, ops.mat, cfg, tau, 5, ops, prev)
+    got = list(march(ops, cfg, tau, 5, prev))
+    want = step_chain(ops, cfg, tau, 5, prev)
     assert len(got) == len(want) == 5
     for (a, ta), (b, tb) in zip(got, want):
         assert a.time == b.time
@@ -959,15 +957,14 @@ def test_march_assembles_steady_loads_once(monkeypatch, case, calls):
     from porobiot import schemes
     made, assemble = [], schemes.assemble_loads
 
-    def counting(problem, ops, t):
+    def counting(ops, t):
         made.append(t)
-        return assemble(problem, ops, t)
+        return assemble(ops, t)
 
     monkeypatch.setattr(schemes, "assemble_loads", counting)
     ops, prev, tau = case_setup(case, 6, 6)
     cfg = SchemeConfig("monolithic", *suggested_tuning(ops.mat, "monolithic"))
-    results = list(march(ops.problem, ops.mesh, ops.mat, cfg, tau, 5, ops=ops,
-                         initial=prev))
+    results = list(march(ops, cfg, tau, 5, prev))
     assert len(results) == 5 and len(made) == calls
     assert made[0] == prev.time + tau
 
@@ -994,14 +991,13 @@ def test_steps_carry_the_divergences_of_their_blocks(monkeypatch, kind,
     monkeypatch.setattr(SchemeSolver, "step", checked)
     ops, prev, tau = case_setup("mandel", 10, 6, SolverOptions(method))
     cfg = SchemeConfig(kind, *suggested_tuning(ops.mat, kind))
-    results = list(march(ops.problem, ops.mesh, ops.mat, cfg, tau, 3, ops=ops,
-                         initial=prev))
+    results = list(march(ops, cfg, tau, 3, prev))
     assert len(calls) == sum(tr.iterations for _, tr in results)
     if kind == "splitting":
         calls.clear()
         cfgs = [replace(cfg, L1=f * cfg.L1) for f in (1.0, 4.0, 16.0)]
         out = iterate_lockstep(ops, prev, cfgs,
-                               StepContext.build(ops, ops.problem, prev, tau), {})
+                               StepContext.build(ops, prev, tau), {})
         assert calls[0] == 3 and 0 < calls[-1] < 3
         assert len({tr.iterations for tr in out}) > 1
 
@@ -1014,7 +1010,7 @@ def test_lu_iteration_makes_four_sparse_products():
     ops, prev, tau = case_setup("mandel", 10, 6)
     solver = SchemeSolver(ops, SchemeConfig(
         "monolithic", *suggested_tuning(ops.mat, "monolithic")), tau)
-    ctx = StepContext.build(ops, ops.problem, prev, tau)
+    ctx = StepContext.build(ops, prev, tau)
     x = solver.coordinates(prev)
     divu = solver.divu_dual(x)
     products = []
@@ -1044,7 +1040,38 @@ def test_march_divergence_names_the_step():
     cfg = SchemeConfig("monolithic", L1=1.0, L2=0.0, max_iter=100)
     with pytest.raises(DivergenceError, match=re.escape(
             f"step 1 (t=0.25): increment ")):
-        list(march(prob, mesh, mat, cfg, 0.25, 3))
+        list(march(build_operators(mesh, mat, prob), cfg, 0.25, 3))
+
+
+class TestOneProblem:
+    # `ops` holds the problem a step iterates: `iterate_to_convergence`
+    # refuses a material or problem other than its own, and `march` and
+    # `residual_norms` take neither
+    @pytest.mark.parametrize("piece", ["mat", "problem"])
+    def test_iterate_to_convergence_refuses_another_piece(self, piece):
+        from porobiot.bench import manufactured_setup
+        ops, prev = manufactured_setup("t1c1", 8)
+        other = manufactured_material("t1c2", alpha=5.0)
+        mat, prob = ops.mat, ops.problem
+        if piece == "mat":
+            mat = other
+        else:
+            prob = manufactured_problem(other)
+        with pytest.raises(ValueError, match="ops was built from"):
+            iterate_to_convergence(prev, SchemeConfig("monolithic", 1.0, 1.0),
+                                   ops, mat, prob, 0.25)
+
+    def test_march_and_residual_norms_take_no_pieces(self):
+        from porobiot.bench import manufactured_setup
+        ops, prev = manufactured_setup("t1c1", 8)
+        other = manufactured_material("t1c2", alpha=5.0)
+        cfg = SchemeConfig("monolithic", 1.0, 1.0)
+        with pytest.raises(TypeError):
+            march(manufactured_problem(other),
+                  generate_rect_mesh((0, 0), (3, 3), 2, 2), other, cfg, 0.25,
+                  2, ops=ops, initial=prev)
+        with pytest.raises(TypeError):
+            residual_norms(prev, prev, ops, other, ops.problem, 0.25)
 
 
 class TestStepInputs:
@@ -1066,8 +1093,7 @@ class TestStepInputs:
     def test_march_refuses_the_step_size(self, tau):
         mesh, mat, prob, ops, prev = linear_setup(4)
         with pytest.raises(ValueError, match="step size tau"):
-            next(march(prob, mesh, mat, SchemeConfig("monolithic", 1.0, 1.0),
-                       tau, 2, ops=ops))
+            next(march(ops, SchemeConfig("monolithic", 1.0, 1.0), tau, 2))
 
     @pytest.mark.parametrize("dt", [-1.0, 0.0, float("nan"), float("inf")])
     def test_run_mandel_refuses_the_step_size(self, dt):
@@ -1089,12 +1115,11 @@ class TestStepInputs:
     def test_march_refuses_the_step_count(self, n_steps):
         mesh, mat, prob, ops, prev = linear_setup(4)
         with pytest.raises(ValueError, match="n_steps"):
-            next(march(prob, mesh, mat, SchemeConfig("monolithic", 1.0, 1.0),
-                       0.25, n_steps, ops=ops))
+            next(march(ops, SchemeConfig("monolithic", 1.0, 1.0), 0.25,
+                       n_steps))
 
     def test_integer_and_float_types_of_numpy_are_taken(self):
         mesh, mat, prob, ops, prev = linear_setup(4)
         cfg = SchemeConfig("monolithic", 1.0, 1.0)
-        results = time_march(prob, mesh, mat, cfg, np.float64(0.25),
-                             np.int64(2), ops=ops)
+        results = time_march(ops, cfg, np.float64(0.25), np.int64(2))
         assert [st.time for st, _ in results] == [0.25, 0.5]
