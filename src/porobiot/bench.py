@@ -230,9 +230,9 @@ class SweepGrid:
     status: list               # nested list of status strings
 
     def argmin(self):
-        """(L1, L2) of the fastest converged cell."""
-        it = np.where(np.array(self.status) == "converged", self.iterations,
-                      np.inf)
+        """(L1, L2) of the fastest converged (or exact) cell."""
+        it = np.where(np.isin(self.status, ("converged", "exact")),
+                      self.iterations, np.inf)
         if not np.isfinite(it).any():
             raise RuntimeError("no cell of the sweep converged")
         i, j = np.unravel_index(np.argmin(it), it.shape)
@@ -449,8 +449,11 @@ def run_mandel(case_id="linear", cfg: MandelConfig = None, scheme_kind="monolith
 
     Stabilization defaults to the estimated law constants; for the linear
     law the monolithic scheme then runs the exact preset L1 = 1/M,
-    L2 = lambda (two iterations per step) and the splitting scheme the
-    undrained preset L2 = lambda + M alpha^2.
+    L2 = lambda and the splitting scheme the undrained preset L2 = lambda +
+    M alpha^2.  With LU the exact preset's stabilized system is the
+    backward Euler system, so each step stops after its one direct solve
+    with the status 'exact' (`SchemeSolver.exact`); by GMRES it takes two
+    iterations per step, the second confirming the first.
 
     Returns (series, results, (ops, scheme)).  `results` holds one (state,
     trace) pair per step, but only the last pair holds its state; the

@@ -149,7 +149,13 @@ def parse_values(text):
 
 
 def _law_ranges(cfg):
-    """The (p_range, s_range) of [laws]: None where both ends are unset."""
+    """The (p_range, s_range) of [laws]: None where both ends are unset.
+    The linear laws have constant slopes, certified everywhere: their case
+    refuses any end."""
+    if cfg["laws"]["case"].lower() == "linear":
+        for key in ("p_lo", "p_hi", "s_lo", "s_hi"):
+            if cfg["laws"][key] != DEFAULTS["laws"][key]:
+                raise ConfigError(f"law case linear ignores laws.{key}")
     ranges = []
     for name in ("p", "s"):
         lo, hi = (_fget(cfg, "laws", f"{name}_{end}") for end in ("lo", "hi"))
@@ -331,9 +337,13 @@ def cmd_verify(cfg, outdir):
     report = verify_contraction(archive, state, scheme, ops)
     path = Path(outdir) / "contraction.csv"
     write_contraction_csv(report, path)
-    flag = "monotone" if report.monotone else "NON-MONOTONE"
+    if trace.status == "exact":   # one value, of the one iteration
+        verdict = "the step was solved exactly by one direct solve"
+    else:
+        verdict = (f"{'monotone' if report.monotone else 'NON-MONOTONE'} "
+                   f"over {len(report.values)} values")
     print(f"contraction functional ({scheme.kind}, theorem-safe="
-          f"{scheme.theorem_safe(mat)}): {flag} over {len(report.values)} values")
+          f"{scheme.theorem_safe(mat)}): {verdict}")
     if not report.monotone:
         raise DivergenceError("contraction functional is not monotone")
     return [path]

@@ -25,8 +25,14 @@ on time.  The essential conditions are homogeneous, so no constraint
 enters a right-hand side.  Iterations stop when the summed L2 norms of the
 field increments drop below the tolerance, and abort when they are not
 finite or exceed `DIVERGENCE_FACTOR` times the first (`stop_status`),
-norms taken in reduced coordinates too (`SchemeSolver.increment_norms`);
-one loop (`_iterate`) traces each cell of one step or of a lock-step block
+norms taken in reduced coordinates too (`SchemeSolver.increment_norms`).
+When both laws have a constant slope and L1, L2 equal those slopes, the
+stabilized system is the backward Euler system itself, and the monolithic
+LU solve of the first iteration is the step's solution: such a solver is
+`SchemeSolver.exact`, and its first iterate stops with the status 'exact',
+at any max_iter, unless it converged or diverged (GMRES solves inexactly,
+and a splitting sweep carries its splitting error, so neither is exact).  One
+loop (`_iterate`) traces each cell of one step or of a lock-step block
 of splitting cells of one L2 (`iterate_lockstep`), range check included.
 """
 
@@ -158,10 +164,10 @@ class IterationTrace:
     totals: list = dc_field(default_factory=list)
     rates: list = dc_field(default_factory=list)
     iterations: int = 0
-    status: str = None   # `stop_status`'s verdict
+    status: str = None   # `stop_status`'s verdict, or 'exact'
     n_linear_solves: int = 0
     range_excursions: int = 0   # certified law ranges the final iterate left
-    converged = property(lambda self: self.status == "converged")
+    converged = property(lambda self: self.status in ("converged", "exact"))
 
     def record(self, dp, dq, du):
         total = dp + dq + du
@@ -229,7 +235,8 @@ class SchemeSolver:
     the couplings of `BiotOperators.reduced_couplings`, shared with the
     sweep.  `step` performs one iteration of the scheme and depends on its
     iterate, its divergences and the step context alone: the solver keeps
-    no solution from one call to the next.
+    no solution from one call to the next.  `exact`: an LU monolithic
+    solver whose L1 and L2 are the slopes of two constant-slope laws.
 
     No attribute holds a bound method of the solver or its sweep: that
     reference cycle would keep their factorizations alive until the cyclic
@@ -258,6 +265,11 @@ class SchemeSolver:
             if cfg.kind == "monolithic":
                 self.matrix = ops.monolithic_system(cfg.L1, cfg.L2, tau)
         self.b_up_red_t = self.b_up_red.T   # B_u^T R_u, a view
+        mat = ops.mat
+        self.exact = (self.mono_lu is not None and mat.b_law.constant_slope
+                      and mat.h_law.constant_slope
+                      and cfg.L1 == mat.b_m == mat.L_b
+                      and cfg.L2 == mat.h_m == mat.L_h)
         # after the factorizations, whose working memory is a run's peak
         self.mass_u, self.mass_q = ops.reduced_masses()
 
@@ -359,7 +371,9 @@ def stop_status(total, first_total, iterations, cfg: SchemeConfig):
     """The stop rule after `iterations` iterations whose last and first
     summed increments are `total` and `first_total`: 'diverged' (not
     finite, or above `DIVERGENCE_FACTOR` times the first), 'converged' (at
-    most cfg.tol), 'maxiter' (cfg.max_iter reached), or None to go on."""
+    most cfg.tol), 'maxiter' (cfg.max_iter reached), or None to go on;
+    `_iterate` stops an `SchemeSolver.exact` solver as 'exact' in place of
+    the last two."""
     if not np.isfinite(total):
         return "diverged"
     if total <= cfg.tol:
@@ -374,8 +388,9 @@ def stop_status(total, first_total, iterations, cfg: SchemeConfig):
 def _iterate(solver: SchemeSolver, x, divu, ctx: StepContext, cfgs,
              archive=None):
     """Iterate `solver` from the (n, k) block x of its k cells (`cfgs`),
-    whose divergences are divu, until `stop_status` stops every cell, whose
-    column then leaves the block.  Increments are measured in reduced
+    whose divergences are divu, until `stop_status` stops every cell (an
+    `SchemeSolver.exact` one after its first iteration), whose column then
+    leaves the block.  Increments are measured in reduced
     coordinates (`SchemeSolver.increment_norms`), a cell's last column,
     unless it diverged, is range-checked (`check_admissible` of `ops.mat`)
     and `archive` records the states of a single cell.  Returns the last
@@ -397,6 +412,8 @@ def _iterate(solver: SchemeSolver, x, divu, ctx: StepContext, cfgs,
             tr.n_linear_solves += solves
             tr.status = stop_status(tr.totals[-1], tr.totals[0],
                                     tr.iterations, cfgs[c])
+            if solver.exact and tr.status in (None, "maxiter"):
+                tr.status = "exact"   # solved, even where max_iter is 1
             if tr.status is None:
                 going.append(j)
             elif tr.status != "diverged":
@@ -428,11 +445,14 @@ def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
     time-step solution, and the state is formed from the last one.  A
     combined increment that is not finite or above `DIVERGENCE_FACTOR`
     times the first one aborts with `DivergenceError`; exhausting max_iter
-    returns with converged=False (`stop_status`).  The problem iterated is
-    `ops`'s: `mat` and `problem` must be `ops.mat` and `ops.problem`
-    (`ValueError` otherwise).  `ctx` is the step context of `prev` and
-    `tau`, built here when None.  A list `archive` receives a copy of
-    `prev`, then each iterate's state.  Returns the final state and trace.
+    returns with converged=False (`stop_status`), and an
+    `SchemeSolver.exact` solver stops after its first iteration with the
+    status 'exact' unless that one converged by the tolerance.  The
+    problem iterated is `ops`'s: `mat` and `problem` must be `ops.mat` and
+    `ops.problem` (`ValueError` otherwise).  `ctx` is the step context of
+    `prev` and `tau`, built here when None.  A list `archive` receives a
+    copy of `prev`, then each iterate's state.  Returns the final state
+    and trace.
     """
     if mat is not ops.mat or problem is not ops.problem:
         raise ValueError("mat and problem must be those ops was built from")
@@ -493,7 +513,9 @@ def march(ops: BiotOperators, cfg: SchemeConfig, tau, n_steps,
     force and source are None.  It yields one (state, trace) pair per step,
     so a run's memory does not grow with n_steps unless its caller keeps
     the states.  Non-converged steps are yielded (flagged in the trace);
-    divergence aborts with the step index attached.
+    divergence aborts with the step index attached.  A last time level
+    that is not finite is a `ValueError`, as is a step size that is not
+    finite and positive.
     """
     if (not isinstance(n_steps, numbers.Integral) or isinstance(n_steps, bool)
             or n_steps < 1):
@@ -501,6 +523,10 @@ def march(ops: BiotOperators, cfg: SchemeConfig, tau, n_steps,
                          f"not {n_steps!r}")
     problem = ops.problem
     prev = initial if initial is not None else build_initial_state(problem, ops)
+    _check_step_size(tau)
+    if not np.isfinite(prev.time + n_steps * tau):
+        raise ValueError(f"{n_steps} steps of {tau!r} from t={prev.time:g} "
+                         f"end at a time that is not finite")
     solver = SchemeSolver(ops, cfg, tau)
     x, time, loads = solver.coordinates(prev), prev.time, None
     divu, nuq = solver.divu_dual(x), sum(solver.sizes[:2])

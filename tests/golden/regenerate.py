@@ -11,7 +11,8 @@ the arithmetic.  `FULL` holds the full-size runs, whose files live in
 `tests/golden/full/<case>/` with their own `versions.json`: `mandel` at
 its defaults, 50 splitting steps of it, the 9x9 splitting sweep at
 `--h 0.0625`, and the 3-level ladder by LU, splitting and GMRES.  They
-take about 15 s, so the tests do not run them.
+take about 12 s; `tests/test_golden.py` runs them once, through this
+script with `--full --check`.
 
     python tests/golden/regenerate.py [--check] [--full]
 

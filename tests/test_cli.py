@@ -118,6 +118,17 @@ class TestSubcommands:
         assert code == EXIT_OK
         assert (out / "contraction.csv").exists()
 
+    def test_verify_of_an_exact_step(self, tmp_path, capsys):
+        # at L1 = L2 = 1, the slopes of the linear laws, the monolithic LU
+        # step is exact: one iteration, one value, and no contraction to
+        # speak of
+        out = tmp_path / "run"
+        code = run_cli(["verify", "--case", "linear", "--scheme",
+                        "monolithic", "--h", "0.25", "--out", str(out)])
+        assert code == EXIT_OK
+        assert "solved exactly by one direct solve" in capsys.readouterr().out
+        assert len((out / "contraction.csv").read_text().splitlines()) == 2
+
     def test_config_error_exit_code(self, tmp_path):
         code = run_cli(["manufactured", "--set", "bogus.key=1",
                         "--out", str(tmp_path / "x")])
@@ -345,6 +356,20 @@ class TestSubcommands:
         ["manufactured", "--case", "t1c3", "--h", "0.25",
          "--set", "laws.s_hi=0.5"],
         ["mandel", "--steps", "2", "--set", "laws.p_lo=0"],
+        # the linear laws have constant slopes, certified everywhere
+        ["manufactured", "--case", "linear", "--h", "0.5",
+         "--set", "laws.p_lo=nan", "--set", "laws.p_hi=1"],
+        ["manufactured", "--case", "linear", "--h", "0.5",
+         "--set", "laws.p_lo=0", "--set", "laws.p_hi=1e-9",
+         "--set", "laws.s_lo=5", "--set", "laws.s_hi=6"],
+        ["verify", "--case", "linear", "--h", "0.5",
+         "--set", "laws.s_lo=-1", "--set", "laws.s_hi=1"],
+        ["mandel", "--steps", "1", "--set", "problem.nx=4",
+         "--set", "problem.ny=4", "--set", "laws.s_lo=-1",
+         "--set", "laws.s_hi=1"],
+        # each step is finite, but the time after the third is not
+        ["mandel", "--steps", "3", "--set", "problem.nx=4",
+         "--set", "problem.ny=4", "--set", "problem.dt=1e308"],
         # non-finite physical inputs
         ["mandel", "--steps", "2", "--set", "problem.force=nan"],
         ["mandel", "--steps", "2", "--set", "problem.force=inf"],

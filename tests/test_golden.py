@@ -10,7 +10,11 @@ change it prints.
 """
 
 import json
+import os
+import re
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -83,3 +87,17 @@ def test_full_check_reads_the_full_folder(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == (
         "small_sweep/sweep.csv: largest relative change 0, "
         "relative to its column 0\n")
+
+
+def test_full_size_runs_match_their_golden_files():
+    # `regenerate.py --full --check` as a script, with one BLAS thread as
+    # the full-size files were written: no exact cell moves, no file is new
+    # or gone, and no float cell moves by more than RTOL (about 12 s)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, str(GOLDEN / "regenerate.py"), "--full", "--check"],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    changes = re.findall(r"largest relative change (\S+),", proc.stdout)
+    assert len(changes) == len(proc.stdout.splitlines()) > 0
+    assert max(map(float, changes)) <= RTOL, proc.stdout

@@ -10,10 +10,10 @@ from porobiot.assembly import build_operators
 from porobiot.fem import FeFunction, l2_norm
 from porobiot.linalg import SolverOptions
 from porobiot.mesh import generate_rect_mesh
-from porobiot.physics import (MandelConfig, NonlinearLaw,
-                              make_material, law_catalog, mandel_material,
-                              mandel_problem, manufactured_material,
-                              manufactured_problem)
+from porobiot.physics import (AdmissibleRangeWarning, MandelConfig,
+                              NonlinearLaw, make_material, law_catalog,
+                              mandel_material, mandel_problem,
+                              manufactured_material, manufactured_problem)
 from porobiot.schemes import (DIVERGENCE_FACTOR, BiotState, DivergenceError,
                               SchemeConfig, SchemeConfigError, SchemeSolver,
                               StepContext, build_initial_state,
@@ -937,7 +937,11 @@ def test_march_is_a_chain_of_steps(case, kind, method):
         assert (ta.iterations, ta.converged, ta.n_linear_solves,
                 ta.range_excursions) == (tb.iterations, tb.converged,
                                          tb.n_linear_solves, tb.range_excursions)
-        assert ta.converged and ta.iterations > 1
+        if (case, kind, method) == ("mandel", "monolithic", "lu"):
+            # the exact preset of linear laws: one direct solve per step
+            assert ta.status == "exact" and ta.iterations == 1
+        else:
+            assert ta.converged and ta.iterations > 1
         for n in "uqp":
             fa, fb = getattr(a, n).coeffs, getattr(b, n).coeffs
             scale = np.max(np.abs(fb))
@@ -1042,6 +1046,84 @@ def test_march_divergence_names_the_step():
             f"step 1 (t=0.25): increment ")):
         list(march(build_operators(mesh, mat, prob), cfg, 0.25, 3))
 
+
+
+# -- an exact linearization stops after its one direct solve ---------------
+
+@pytest.mark.parametrize("case", ["linear", "mandel"])
+@pytest.mark.parametrize("name", ["L1", "L2"])
+def test_one_ulp_off_the_slopes_confirms_by_a_second_solve(case, name):
+    # at L1 = b' and L2 = h' of linear laws the LU step is exact and stops
+    # after one iteration; one ulp above either slope it is not, and takes
+    # the confirming second iteration.  Both states agree within 1e-11 of
+    # each field's largest value
+    ops, prev, tau = case_setup(case, *((10, 6) if case == "mandel"
+                                        else (6, 6)))
+    exact = SchemeConfig("monolithic",
+                         *suggested_tuning(ops.mat, "monolithic"))
+    off = replace(exact, **{name: np.nextafter(getattr(exact, name), np.inf)})
+    assert SchemeSolver(ops, exact, tau).exact
+    assert not SchemeSolver(ops, off, tau).exact
+    a, ta = iterate_to_convergence(prev, exact, ops, ops.mat, ops.problem, tau)
+    b, tb = iterate_to_convergence(prev, off, ops, ops.mat, ops.problem, tau)
+    assert (ta.iterations, ta.status, ta.n_linear_solves) == (1, "exact", 1)
+    assert ta.converged and len(ta.totals) == 1
+    assert (tb.iterations, tb.status) == (2, "converged")
+    assert ta.totals[0] == pytest.approx(tb.totals[0], rel=1e-9)
+    for n in "uqp":
+        fa, fb = getattr(a, n).coeffs, getattr(b, n).coeffs
+        scale = np.max(np.abs(fb))
+        assert scale > 0.0
+        assert np.max(np.abs(fa - fb)) <= 1e-11 * scale
+
+
+def test_an_exact_step_is_solved_at_any_max_iter():
+    # the one iteration of an exact step solves it: max_iter = 1 stops it
+    # as 'exact', not as 'maxiter'
+    ops, prev, tau = case_setup("mandel", 10, 6)
+    cfg = SchemeConfig("monolithic", *suggested_tuning(ops.mat, "monolithic"),
+                       max_iter=1)
+    traces = [tr for _, tr in march(ops, cfg, tau, 3, prev)]
+    assert [(tr.iterations, tr.status) for tr in traces] == [(1, "exact")] * 3
+
+
+@pytest.mark.parametrize("case, kind, method", [
+    ("linear", "splitting", "lu"), ("mandel", "monolithic", "gmres"),
+    ("t2c1", "monolithic", "lu")])
+def test_inexact_solves_and_curved_laws_are_never_exact(case, kind, method):
+    # a splitting sweep at the laws' slopes keeps its splitting error,
+    # GMRES on the exact preset solves inexactly, and t2c1 adds a cube to
+    # each linear law: each iterates until its increment converges
+    if case == "t2c1":
+        cfg = MandelConfig()
+        mat = mandel_material("t2c1", cfg)
+        ops = build_operators(
+            generate_rect_mesh((0, 0), (cfg.a, cfg.b), 8, 8), mat,
+            mandel_problem(mat, cfg, final_time=3.0))
+        prev, tau = build_initial_state(ops.problem, ops), 1.0
+    else:
+        ops, prev, tau = case_setup(case, *((10, 6) if case == "mandel"
+                                            else (6, 6)), SolverOptions(method))
+    slopes = SchemeConfig(kind, *suggested_tuning(ops.mat, "monolithic"))
+    assert not SchemeSolver(ops, slopes, tau).exact
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AdmissibleRangeWarning)
+        traces = [tr for _, tr in march(ops, slopes, tau, 3, prev)]
+    assert [tr.status for tr in traces] == ["converged"] * 3
+    assert all(tr.iterations > 1 for tr in traces)
+
+
+def test_an_exact_cell_is_the_fastest_cell_of_its_sweep():
+    # the linear laws' slopes (1, 1) take one LU solve; every other cell of
+    # the monolithic grid converges in more, and argmin returns the exact one
+    from porobiot.bench import sweep_L
+    grid = sweep_L("linear", "monolithic", [0.5, 1.0, 2.0], [0.5, 1.0, 2.0],
+                   nx=4, n_workers=1)
+    status = np.array(grid.status)
+    assert status[1, 1] == "exact" and grid.iterations[1, 1] == 1
+    assert set(status.ravel()) == {"exact", "converged"}
+    assert (grid.iterations[status == "converged"] > 1).all()
+    assert grid.argmin() == (1.0, 1.0)
 
 class TestOneProblem:
     # `ops` holds the problem a step iterates: `iterate_to_convergence`
