@@ -22,6 +22,7 @@ the diagonal blocks definite for the preconditioner.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,6 +225,27 @@ def build_constraints(problem: ProblemDefinition, mesh: Mesh,
         p=FieldConstraints(dofmap_p.n_dofs))
 
 
+def _finite_system(build):
+    """A system builder of `BiotOperators`, whose matrix is built from its
+    scalar arguments and the constant blocks alone: a matrix with an entry
+    that is not finite, as where the step size overflows a block, is bad
+    input, refused by a `ValueError` that names those arguments, and the
+    overflow is not warned of."""
+
+    @functools.wraps(build)
+    def checked(ops, *args):
+        with np.errstate(over="ignore", invalid="ignore"):
+            matrix = build(ops, *args)
+        if not np.all(np.isfinite(matrix.data)):
+            names = ["step size tau" if n == "tau" else n
+                     for n in build.__code__.co_varnames[1:]]
+            given = ", ".join(f"{n}={v:g}" for n, v in zip(names, args))
+            raise ValueError(f"the {build.__name__} of {given} has entries "
+                             f"that are not finite")
+        return matrix
+    return checked
+
+
 class BiotOperators:
     """All constant operators of one discretized problem.
 
@@ -238,7 +260,8 @@ class BiotOperators:
     block (a test oracle only).  The first three are the factored ones:
     symmetric positive definite, CSC, and built equal to their transposes
     to the last bit (`_reduced_spd`).  Each call builds a new matrix; its
-    user keeps it and owns its factorization.
+    user keeps it and owns its factorization.  A matrix with an entry that
+    is not finite is refused (`_finite_system`).
     """
 
     def __init__(self, mesh: Mesh, mat: MaterialModel,
@@ -327,14 +350,17 @@ class BiotOperators:
         matrix = self._reduced(full, names)
         return (0.5 * (matrix + matrix.T)).tocsc()
 
+    @_finite_system
     def mech_system(self, L2):
         return self._reduced_spd((self.a_e + L2 * self.d_div).tocsr(), ("u",))
 
+    @_finite_system
     def flow_system(self, L1, tau):
         full = sp.bmat([[self.m_q, -self.b_qp_t],
                         [tau * self.b_qp, L1 * self.m_p]], format="csr")
         return self._reduced(full, ("q", "p"))
 
+    @_finite_system
     def flow_schur_system(self, L1, tau):
         """Flux system with the pressure eliminated through the diagonal mass."""
         mp_inv = sp.diags(1.0 / self.mesh.areas)
@@ -342,6 +368,7 @@ class BiotOperators:
                 + (tau / L1) * (self.b_qp_t @ mp_inv @ self.b_qp)).tocsr()
         return self._reduced_spd(full, ("q",))
 
+    @_finite_system
     def monolithic_schur_system(self, L1, L2, tau):
         """The (u, q) system of the monolithic step with the pressure
         eliminated through the diagonal mass and the flux row scaled by tau:
@@ -353,6 +380,7 @@ class BiotOperators:
                 + (1.0 / L1) * (coupling.T @ mp_inv @ coupling)).tocsr()
         return self._reduced_spd(full, ("u", "q"))
 
+    @_finite_system
     def monolithic_system(self, L1, L2, tau):
         alpha = self.mat.alpha
         full = sp.bmat(

@@ -185,8 +185,9 @@ def cells_per_side(h):
 
 
 def _single_step(ops, prev, cfg: SchemeConfig, tau, ctx=None):
-    """The (iterations, status) of one time step from `prev`, whose step
-    context `ctx` may be given; a diverged step reports max_iter."""
+    """The (iterations, status, range excursions) of one time step from
+    `prev`, whose step context `ctx` may be given; a diverged step reports
+    max_iter and, as its iterate is not range-checked, no excursion."""
     try:
         with warnings.catch_warnings():
             # counted in trace.range_excursions
@@ -194,32 +195,33 @@ def _single_step(ops, prev, cfg: SchemeConfig, tau, ctx=None):
             _, trace = iterate_to_convergence(prev, cfg, ops, ops.mat,
                                               ops.problem, tau, ctx=ctx)
     except DivergenceError:
-        return cfg.max_iter, "diverged"
-    return trace.iterations, trace.status
+        return cfg.max_iter, "diverged", 0
+    return trace.iterations, trace.status, trace.range_excursions
 
 
 def _sweep_groups(args):
-    """Each cell's (iterations, status), group by group, from one set-up
-    and one step context.  A group of several cells is one L2 column of a
-    splitting grid, iterated in lock step (`iterate_lockstep`) with the
-    flow halves shared across the columns; a group of one cell is stepped
-    by `_single_step` with its own solver.  A diverged cell reports
-    max_iter."""
+    """Each cell's (iterations, status, range excursions), group by group,
+    from one set-up and one step context.  A group of several cells is one
+    L2 column of a splitting grid, and the cells of every column go
+    through one lock-step block (`iterate_lockstep`) of at most one
+    column's width, which takes in the next cell, column by column, as
+    soon as one stops; its solver and sweep, with their couplings and
+    masses, serve every column.  A group of one cell is stepped by
+    `_single_step` with its own solver.  A diverged cell reports max_iter."""
     case_id, nx, material, groups, tau = args
     ops, prev = manufactured_setup(case_id, nx, material)
     ctx = StepContext.build(ops, prev, tau)
-    flows, out = {}, []
-    for cfgs in groups:
-        if len(cfgs) == 1:
-            out.append(_single_step(ops, prev, cfgs[0], tau, ctx))
-            continue
-        with warnings.catch_warnings():
-            # counted in each trace's range_excursions
-            warnings.simplefilter("ignore", AdmissibleRangeWarning)
-            traces = iterate_lockstep(ops, prev, cfgs, ctx, flows)
-        out.extend((c.max_iter, "diverged") if t.status == "diverged"
-                   else (t.iterations, t.status) for c, t in zip(cfgs, traces))
-    return out
+    width = max(map(len, groups))
+    if width == 1:
+        return [_single_step(ops, prev, cfg, tau, ctx) for [cfg] in groups]
+    cfgs = list(chain.from_iterable(groups))
+    with warnings.catch_warnings():
+        # counted in each trace's range_excursions
+        warnings.simplefilter("ignore", AdmissibleRangeWarning)
+        traces = iterate_lockstep(ops, prev, cfgs, ctx, {}, width)
+    return [(c.max_iter, "diverged", 0) if t.status == "diverged"
+            else (t.iterations, t.status, t.range_excursions)
+            for c, t in zip(cfgs, traces)]
 
 
 @dataclass
@@ -228,6 +230,8 @@ class SweepGrid:
     L2_values: np.ndarray
     iterations: np.ndarray     # (len(L1), len(L2)) int
     status: list               # nested list of status strings
+    range_excursions: np.ndarray   # (len(L1), len(L2)) int: certified law
+                                   # ranges each cell's last iterate left
 
     def argmin(self):
         """(L1, L2) of the fastest converged (or exact) cell."""
@@ -247,17 +251,19 @@ def sweep_L(case_id, scheme_kind, L1_values, L2_values, nx=16, tau=0.25,
     continues.  `material` is as in `manufactured_setup`.
 
     The cells are split into groups, run by `_sweep_groups`.  On a
-    splitting grid a group is one L2 column: its cells iterate in lock
-    step, their iterates one block whose mechanics steps are one
-    multi-column solve, and each distinct flow half (L1) and mechanics
-    half (L2) is built and factored once per runner; a column of one cell
-    runs on its own.  On a monolithic grid a group is one cell with its
-    own solver.
-    Each cell keeps the count and status it has on its own.  With
-    POROBIOT_THREADS or n_workers = n > 1, worker w of a process pool runs
-    the groups w, w + n, ..., from its own set-up and step context;
-    otherwise one runner takes every group in-process.  The results keep
-    the L1-major order.
+    splitting grid a group is one L2 column.  With at least 2 L1 values a
+    runner iterates the cells of all its columns in lock step, their
+    iterates the columns of one block of at most len(L1_values) columns
+    that takes in the next cell, column by column, as soon as one stops;
+    the mechanics steps of the cells of one L2 are one multi-column solve,
+    and each distinct flow half (L1) and mechanics half (L2) is built and
+    factored once per runner.  A column of one cell runs on its own.  On a
+    monolithic grid a group is one cell with its own solver.
+    Each cell keeps the count, status and range excursions it has on its
+    own.  With POROBIOT_THREADS or n_workers = n > 1, worker w of a process
+    pool runs the groups w, w + n, ..., from its own set-up and step
+    context; otherwise one runner takes every group in-process.  The
+    results keep the L1-major order.
     """
     L1_values = np.asarray(list(L1_values), dtype=float)
     L2_values = np.asarray(list(L2_values), dtype=float)
@@ -282,10 +288,12 @@ def sweep_L(case_id, scheme_kind, L1_values, L2_values, nx=16, tau=0.25,
         parts = list(map(_sweep_groups, args))
     order = [k for w in range(n) for g in groups[w::n] for k in g]
     results = dict(zip(order, chain.from_iterable(parts)))
-    iterations, status = zip(*(results[k] for k in range(n1 * n2)))
+    iterations, status, excursions = zip(*(results[k]
+                                           for k in range(n1 * n2)))
     return SweepGrid(L1_values, L2_values,
                      np.array(iterations).reshape(n1, n2),
-                     [list(status[k:k + n2]) for k in range(0, n1 * n2, n2)])
+                     [list(status[k:k + n2]) for k in range(0, n1 * n2, n2)],
+                     np.array(excursions).reshape(n1, n2))
 
 
 def write_sweep_csv(grid: SweepGrid, path):
@@ -322,7 +330,8 @@ def sensitivity_grid(case_id, scheme_kind, axis, values, L1, L2, nx=16,
         else:
             material_v["alpha"] = float(v)
         runs.append((float(v), nx_v, material_v, tau_v))
-    return [(axis, v, *_single_step(*manufactured_setup(case_id, n, m), cfg, t))
+    return [(axis, v, *_single_step(*manufactured_setup(case_id, n, m), cfg,
+                                    t)[:2])
             for v, n, m, t in runs]
 
 

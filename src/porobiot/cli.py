@@ -3,7 +3,9 @@
 Configuration is a flat INI file with sections [material] [laws] [problem]
 [scheme] [solver] [output]; command-line values beat the file, which beats
 the defaults.  Every run writes its artifacts plus a manifest.json with
-the fully resolved configuration, package versions and timings.
+the fully resolved configuration, package versions and timings; a sweep's
+also lists, as `range_excursions`, the (L1, L2) cells whose last iterate
+left a certified law range.
 
 Exit codes: 0 success, 2 configuration error (also the ValueError or
 MeshError the library raises on invalid input), 3 solver failure.
@@ -187,7 +189,7 @@ def _scheme_config(cfg, mat):
                         max_iter=_iget(cfg, "scheme", "max_iter"))
 
 
-def _write_manifest(outdir, subcommand, cfg, artifacts, seconds):
+def _write_manifest(outdir, subcommand, cfg, artifacts, seconds, extra):
     manifest = {
         "subcommand": subcommand,
         "config": cfg,
@@ -197,6 +199,7 @@ def _write_manifest(outdir, subcommand, cfg, artifacts, seconds):
                      "python": sys.version.split()[0]},
         "seconds": round(seconds, 3),
         "workers": worker_count(),
+        **extra,
     }
     path = Path(outdir) / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
@@ -301,7 +304,12 @@ def cmd_sweep(cfg, outdir, l1_spec, l2_spec):
                    material=material)
     path = Path(outdir) / "sweep.csv"
     write_sweep_csv(grid, path)
-    return [path]
+    # the cells whose last iterate left a certified law range
+    out_of_range = [
+        {"L1": float(grid.L1_values[i]), "L2": float(grid.L2_values[j]),
+         "count": int(n)} for (i, j), n in np.ndenumerate(grid.range_excursions)
+        if n]
+    return [path], {"range_excursions": out_of_range}
 
 
 def cmd_sensitivity(cfg, outdir, axis, values_spec):
@@ -450,12 +458,14 @@ def main(argv=None):
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"output directory {outdir}: {exc}")
+        extra = {}   # manifest entries of one subcommand
         if args.subcommand == "manufactured":
             artifacts = cmd_manufactured(cfg, outdir)
         elif args.subcommand == "mandel":
             artifacts = cmd_mandel(cfg, outdir)
         elif args.subcommand == "sweep":
-            artifacts = cmd_sweep(cfg, outdir, args.L1_grid, args.L2_grid)
+            artifacts, extra = cmd_sweep(cfg, outdir, args.L1_grid,
+                                         args.L2_grid)
         elif args.subcommand == "sensitivity":
             artifacts = cmd_sensitivity(cfg, outdir, args.axis, args.values)
         elif args.subcommand == "verify":
@@ -470,7 +480,7 @@ def main(argv=None):
         return EXIT_SOLVER
     _write_manifest(outdir, args.subcommand, cfg,
                     [str(p.name) for p in artifacts],
-                    time.perf_counter() - t0)
+                    time.perf_counter() - t0, extra)
     for p in artifacts:
         print(f"wrote {p}")
     return EXIT_OK

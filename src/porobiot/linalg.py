@@ -6,9 +6,9 @@ steps).  Every factored matrix is symmetric positive definite, and
 `CachedLU` refuses any other.  The fixed-stress sweep,
 `FixedStressPreconditioner`, is one linearized splitting sweep: a flux
 solve with the pressure eliminated through the diagonal P0 mass (the flow
-half, `FlowHalf`), then a mechanics solve driven by the updated pressure.
-It is both the splitting step and the preconditioner of GMRES on the
-monolithic system.
+half, `FlowHalf`), then a mechanics solve driven by the updated pressure
+(the mechanics half, `MechanicsHalf`).  It is both the splitting step and
+the preconditioner of GMRES on the monolithic system.
 
 Both solvers work on the same symmetric diagonal equilibration
 S = diag(|a_ii|)^-1/2 (`_equilibration`): `CachedLU` factors S A S, and
@@ -126,7 +126,8 @@ class CachedLU:
     and Stability of Numerical Algorithms, 2nd ed. 2002, ch. 10).  For any
     b the computed x then solves (A + E) x = b with ||E|| / ||A|| a small
     multiple of the unit round-off, which the constructor measures on the
-    probe b = A z of a fixed z.  `FactorizationError` is raised for a
+    probe b = A z of a fixed z, the last use of A: the factor, the scale
+    and the shape are kept, not A.  `FactorizationError` is raised for a
     matrix with a non-finite entry (before it is scaled), for one that is
     not exactly symmetric or has a diagonal entry that is not positive,
     for a failed factorization, and for a factor whose probe's relative
@@ -136,7 +137,7 @@ class CachedLU:
     def __init__(self, matrix):
         matrix = sp.csc_matrix(matrix)
         # canonical before `_equilibrated` shares its index arrays: splu
-        # would otherwise sort them in place under `self.matrix`
+        # would otherwise sort them in place under `matrix`
         matrix.sum_duplicates()
         if not np.all(np.isfinite(matrix.data)):
             raise FactorizationError("matrix has non-finite entries")
@@ -144,9 +145,9 @@ class CachedLU:
         if (matrix != matrix.T).nnz or not np.all(d > 0.0):
             raise FactorizationError(
                 "matrix is not symmetric with a positive diagonal")
-        self.matrix, self.shape = matrix, matrix.shape
+        self.shape = matrix.shape
         self.scale = _equilibration(d)
-        scaled = self._equilibrated()
+        scaled = self._equilibrated(matrix)
         # A factorization is a run's largest allocation.  Beneath it glibc
         # keeps resident the heap freed before it (by earlier runs, by the
         # assembly of this matrix), so a run's peak memory would depend on
@@ -160,17 +161,19 @@ class CachedLU:
                                  options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise FactorizationError(str(exc)) from exc
+        # the probe is the matrix's last reader: the factor keeps no copy
         probe = matrix @ np.random.default_rng(0).standard_normal(self.shape[0])
         miss = np.linalg.norm(probe - matrix @ self._raw_solve(probe))
         if not miss <= 1e-12 * np.linalg.norm(probe):
             raise FactorizationError("factor fails its backward-error probe")
 
-    def _equilibrated(self):
-        """diag(scale) A diag(scale), formed on A's arrays: the entries
-        (s_i a_ij) s_j, exact zeros dropped, as the sparse products
-        diag(s) @ A @ diag(s) form them.  It shares A's index arrays unless
-        a zero is dropped, and its temporaries end with the call."""
-        a, s = self.matrix, self.scale
+    def _equilibrated(self, a):
+        """diag(scale) A diag(scale) of the CSC matrix a, formed on its
+        arrays: the entries (s_i a_ij) s_j, exact zeros dropped, as the
+        sparse products diag(s) @ A @ diag(s) form them.  It shares a's
+        index arrays unless a zero is dropped, and its temporaries end with
+        the call."""
+        s = self.scale
         col = np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
         scaled = sp.csc_matrix((s[a.indices] * a.data * s[col], a.indices,
                                 a.indptr), shape=a.shape)
@@ -307,37 +310,65 @@ class FlowHalf:
         self.L1, self.tau = L1, tau
 
 
+class MechanicsHalf:
+    """The mechanics half of a fixed-stress sweep, which depends on L2
+    alone: the factored mechanics block of `mech_system`.  The cells of one
+    L2 in a sweep share it."""
+
+    def __init__(self, ops, L2):
+        self.lu = CachedLU(ops.mech_system(L2))
+        self.L2 = L2
+
+
 class FixedStressPreconditioner:
     """One splitting sweep as a stationary linear operator on a reduced
     (r_u, r_q, r_p), the splitting step of `SchemeSolver` and the
-    preconditioner its GMRES solves pass to `gmres`.  It holds the flow
-    halves `flows` of step size `tau` (one of `cfg.L1` when None), the
-    factored mechanics block `mech` of `cfg.L2`, and the two couplings.
+    preconditioner its GMRES solves pass to `gmres`.  It holds, for each
+    of its cells, a flow half of step size `tau` (`flows`; one of `cfg.L1`
+    when None) and an L2 (`L2`; `cfg.L2` for every cell when None), the
+    mechanics halves `mechs` of the cells it holds (`hold`), by L2, and the
+    two couplings.  Without `L2` it holds every cell, which needs one
+    mechanics half; with it, it holds none until `hold` is called.
     """
 
-    def __init__(self, ops, cfg, tau, flows=None):
+    def __init__(self, ops, cfg, tau, flows=None, L2=None):
         if flows is not None and any(f.tau != tau for f in flows):
             raise ValueError("flow halves built for another step size")
         self.flows = flows or [FlowHalf(ops, cfg.L1, tau)]
-        self.mech_lu = CachedLU(ops.mech_system(cfg.L2))
+        self.L2 = np.array([cfg.L2] * len(self.flows) if L2 is None else L2,
+                           dtype=float)
+        if self.L2.shape != (len(self.flows),):
+            raise ValueError("a sweep takes one L2 per flow half")
+        self.ops, self.mechs = ops, {}
+        if L2 is None:
+            self.hold([0])
         # the pressure field is unreduced
         self.b_up_red, self.b_red = ops.reduced_couplings()
         self.b_red_t = self.b_red.T
         self.alpha, self.tau = ops.mat.alpha, tau
         self.L1 = np.array([f.L1 for f in self.flows])
         self.l1_areas = ops.mesh.areas[:, None] * self.L1
-        self.sizes = (self.mech_lu.shape[0], self.flows[0].lu.shape[0],
+        self.sizes = (ops.constraints.u.n_reduced, self.flows[0].lu.shape[0],
                       ops.mesh.n_cells)
         self.shape = (sum(self.sizes),) * 2
         self.dtype = np.dtype(float)
 
+    def hold(self, cells):
+        """Keep the mechanics halves of `cells` and drop every other: the
+        cells of one L2 share one half, built when the first of them is
+        held and freed when a call holds none of them."""
+        self.mechs = {l2: self.mechs.get(l2) or MechanicsHalf(self.ops, l2)
+                      for l2 in dict.fromkeys(self.L2[c] for c in cells)}
+
     def matvec(self, r, cells=None):
-        """The sweep of r, a vector or an (n, k) block whose column j uses
-        the flow half cells[j] (the first when None): with
+        """The sweep of r, a vector or an (n, k) block whose column j is of
+        the cell cells[j] (the first when None), which it holds: with
         w = r_p / (L1 M_p), d_q solves the flux system for r_q + B^T w,
         d_p = w - tau B d_q / (L1 M_p), and d_u the mechanics system for
-        r_u + alpha B_u^T d_p, all written into one new block.  A column
-        gets the bits of its vector sweep.
+        r_u + alpha B_u^T d_p, all written into one new block.  Each run
+        of adjacent columns whose cells share a mechanics half is one block
+        solve, so a block of one half makes one.  A column gets the bits of
+        its vector sweep.
         """
         block = r if r.ndim == 2 else r[:, None]
         cells = [0] * block.shape[1] if cells is None else cells
@@ -350,6 +381,11 @@ class FixedStressPreconditioner:
         for j, c in enumerate(cells):   # each flux solve into its column
             d_q[:, j] = self.flows[c].lu.solve(rhs_q[:, j])
         d_p -= self.tau * (self.b_red @ d_q) / l1_areas
-        d_u[:] = self.mech_lu.solve(block[:nu]
-                                    + self.alpha * (self.b_up_red @ d_p))
+        rhs_u = block[:nu] + self.alpha * (self.b_up_red @ d_p)
+        halves = [self.mechs[self.L2[c]] for c in cells]
+        first = 0   # the first column of a run of columns of one half
+        for j in range(1, len(halves) + 1):
+            if j == len(halves) or halves[j] is not halves[first]:
+                d_u[:, first:j] = halves[first].lu.solve(rhs_u[:, first:j])
+                first = j
         return out if r.ndim == 2 else out[:, 0]

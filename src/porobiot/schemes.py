@@ -32,14 +32,17 @@ LU solve of the first iteration is the step's solution: such a solver is
 `SchemeSolver.exact`, and its first iterate stops with the status 'exact',
 at any max_iter, unless it converged or diverged (GMRES solves inexactly,
 and a splitting sweep carries its splitting error, so neither is exact).  One
-loop (`_iterate`) traces each cell of one step or of a lock-step block
-of splitting cells of one L2 (`iterate_lockstep`), range check included.
+loop (`_iterate`) traces each cell of one step or of splitting cells of
+any (L1, L2) iterated in lock step (`iterate_lockstep`), range check
+included: their block holds at most a given number of cells and takes in
+the next one as soon as one stops.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field as dc_field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -225,9 +228,11 @@ class SchemeSolver:
 
     A splitting iteration is one application of the fixed-stress sweep
     `sweep` (`linalg.FixedStressPreconditioner`), which holds the flow
-    halves `flows` of k cells of `cfg.L2`, the first `cfg`'s (one built
-    there when None).  The monolithic scheme solves the (u, q) system
-    with the pressure eliminated by its LU factorization or, when
+    halves `flows` of k cells, the first `cfg`'s (one built there when
+    None), and their L2 values `L2` (`cfg.L2` for every cell when None),
+    with the mechanics halves of the cells it holds (`hold`).  Each cell's
+    L1 and L2 stabilize its column.  The monolithic scheme solves the (u, q)
+    system with the pressure eliminated by its LU factorization or, when
     ``ops.solver`` selects GMRES, the 3x3 block system by GMRES
     preconditioned with the sweep, applied once per inner iteration.
     GMRES starts from the iterate it is given, so it solves for the
@@ -244,15 +249,17 @@ class SchemeSolver:
     """
 
     def __init__(self, ops: BiotOperators, cfg: SchemeConfig, tau,
-                 flows=None):
+                 flows=None, L2=None):
         _check_step_size(tau)
         self.ops, self.cfg, self.tau = ops, cfg, tau
         con = ops.constraints
         self.sizes = (con.u.n_reduced, con.q.n_reduced, con.p.n_reduced)
         self.L1 = np.array([f.L1 for f in flows] if flows else [cfg.L1])
+        self.L2 = np.array([cfg.L2] * len(self.L1) if L2 is None else L2,
+                           dtype=float)
         self.mono_lu = None
-        if flows is not None and cfg.kind != "splitting":
-            raise ValueError("only a splitting solver takes flow halves")
+        if (flows is not None or L2 is not None) and cfg.kind != "splitting":
+            raise ValueError("only a splitting solver takes cells")
         if cfg.kind == "monolithic" and (ops.solver is None
                                          or ops.solver.method != "gmres"):
             self.mono_lu = CachedLU(
@@ -260,7 +267,7 @@ class SchemeSolver:
             self.b_up_red, self.b_red = ops.reduced_couplings()
             self.b_red_t = self.b_red.T
         else:
-            self.sweep = FixedStressPreconditioner(ops, cfg, tau, flows)
+            self.sweep = FixedStressPreconditioner(ops, cfg, tau, flows, L2)
             self.b_up_red = self.sweep.b_up_red
             if cfg.kind == "monolithic":
                 self.matrix = ops.monolithic_system(cfg.L1, cfg.L2, tau)
@@ -301,6 +308,13 @@ class SchemeSolver:
         each column of x: B_u^T R_u x_u."""
         return self.b_up_red_t @ x[:self.sizes[0]]
 
+    def hold(self, cells):
+        """Hold the halves of `cells`, the cells of a block, alone
+        (`FixedStressPreconditioner.hold`); a monolithic LU solver has one
+        system."""
+        if self.mono_lu is None:
+            self.sweep.hold(cells)
+
     def step(self, x, divu, ctx: StepContext, cells=None):
         """The next iterate after the (n, k) block x, whose divergences
         `divu_dual`(x) are divu: the new block and its divergences.
@@ -321,17 +335,19 @@ class SchemeSolver:
         diagonal P0 mass, the new divergences among them.
 
         Column j gets the bits of its own one-column step and iterates the
-        cell cells[j], a list or an index array into the sweep's flow halves
-        (the first when None).  GMRES takes one column.  The sweep and GMRES
+        cell cells[j], a list or an index array into the per-cell L1, L2
+        and halves (the first when None), which the sweep holds.  GMRES
+        takes one column.  The sweep and GMRES
         solve for one right-hand side block that the call allocates and
         fills in place.
         """
         ops, cfg, alpha = self.ops, self.cfg, self.ops.mat.alpha
         nu, nq, _ = self.sizes
-        L1 = self.L1[[0] if cells is None else cells]
+        cols = [0] if cells is None else cells
+        L1, L2 = self.L1[cols], self.L2[cols]
         p, areas = x[nu + nq:], ops.mesh.areas[:, None]
         div = divu / areas
-        mech = cfg.L2 * div - np.asarray(ops.mat.h_law(div), dtype=float)
+        mech = L2 * div - np.asarray(ops.mat.h_law(div), dtype=float)
         r = np.empty(x.shape)   # (r_u, r_q, rhs_p), filled in place
         r_u, r_q, rhs_p = r[:nu], r[nu:nu + nq], r[nu + nq:]
         np.add(ctx.mass_const[:, None] - ops.bp_dual(p), L1 * (areas * p),
@@ -386,18 +402,27 @@ def stop_status(total, first_total, iterations, cfg: SchemeConfig):
 
 
 def _iterate(solver: SchemeSolver, x, divu, ctx: StepContext, cfgs,
-             archive=None):
-    """Iterate `solver` from the (n, k) block x of its k cells (`cfgs`),
-    whose divergences are divu, until `stop_status` stops every cell (an
-    `SchemeSolver.exact` one after its first iteration), whose column then
-    leaves the block.  Increments are measured in reduced
-    coordinates (`SchemeSolver.increment_norms`), a cell's last column,
-    unless it diverged, is range-checked (`check_admissible` of `ops.mat`)
-    and `archive` records the states of a single cell.  Returns the last
-    block, its divergences and each cell's trace.
+             archive=None, width=1):
+    """Iterate `solver` on its cells `cfgs`, each from the one-column
+    iterate x whose divergences are divu, until `stop_status` stops every
+    cell (an `SchemeSolver.exact` one after its first iteration).  The
+    cells run in lock step as the columns of one block of at most `width`:
+    the first cells start it, and as cells stop, their columns leave and
+    the next cells in `cfgs` order enter at x, the solver holding the
+    halves of the block's cells alone (`SchemeSolver.hold`).  Increments
+    are measured in reduced coordinates (`SchemeSolver.increment_norms`),
+    a cell's last column, unless it diverged, is range-checked
+    (`check_admissible` of `ops.mat`) and `archive` records the states of
+    a single cell.  Returns the last block, its divergences and each
+    cell's trace.
     """
     traces = [IterationTrace() for _ in cfgs]
-    live = list(range(len(cfgs)))   # the cell of each column
+    queue = iter(range(len(cfgs)))
+    live = list(islice(queue, width))   # the cell of each column
+    start = x, divu
+    if len(live) > 1:
+        x, divu = (np.repeat(a, len(live), axis=1) for a in start)
+    solver.hold(live)
     nuq, areas = sum(solver.sizes[:2]), solver.ops.mesh.areas
     solves = 2 if solver.cfg.kind == "splitting" else 1   # flux, mechanics
     while live:
@@ -420,9 +445,12 @@ def _iterate(solver: SchemeSolver, x, divu, ctx: StepContext, cfgs,
                 tr.range_excursions = check_admissible(
                     solver.ops.mat, x[nuq:, j], divu[:, j] / areas,
                     context=f"t={ctx.t_new:g}: ")
-        if going and len(going) < len(live):
-            x, divu = x[:, going], divu[:, going]
-        live = [live[j] for j in going]
+        stopped, kept = len(going) < len(live), len(going)
+        live = [live[j] for j in going] + list(islice(queue, len(live) - kept))
+        if stopped and live:   # the next cells take the stopped ones' places
+            x, divu = (np.concatenate([a[:, going]] + [a0] * (len(live) - kept),
+                                      axis=1) for a, a0 in zip((x, divu), start))
+            solver.hold(live)
     return x, divu, traces
 
 
@@ -472,25 +500,31 @@ def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
 
 
 def iterate_lockstep(ops: BiotOperators, prev: BiotState, cfgs,
-                     ctx: StepContext, flows):
-    """One splitting time step from `prev` for k cells of one L2, iterated
-    in lock step: each cell's trace, in `cfgs` order.
+                     ctx: StepContext, flows, width=None):
+    """One splitting time step from `prev` for cells of any (L1, L2),
+    iterated in lock step: each cell's trace, in `cfgs` order.
 
     `ctx` is the step's context and `flows` maps L1 to the `FlowHalf`
     built for it and the step's tau; a half it lacks is built and added.
     The cells still running are the columns of one block of a
-    `SchemeSolver` whose sweep holds their flow halves and the mechanics
-    block of their L2, so a cell stops and is range-checked where
-    `iterate_to_convergence` would, but a divergence is a status.
+    `SchemeSolver`, at most `width` of them (every cell when None): as
+    cells stop, the next ones in `cfgs` order take their places
+    (`_iterate`).  Its sweep holds the flow halves of every cell and the
+    mechanics halves of the block's cells, one per L2, each built when the
+    first cell of its L2 enters and freed after the last one stops.  So a
+    cell stops and is range-checked where `iterate_to_convergence` would,
+    but a divergence is a status.
     """
-    if any(c.kind != "splitting" or c.L2 != cfgs[0].L2 for c in cfgs):
-        raise ValueError("lock-step cells are splitting cells of one L2")
+    if any(c.kind != "splitting" for c in cfgs):
+        raise ValueError("lock-step cells are splitting cells")
     for c in cfgs:
         if c.L1 not in flows:
             flows[c.L1] = FlowHalf(ops, c.L1, ctx.tau)
-    solver = SchemeSolver(ops, cfgs[0], ctx.tau, [flows[c.L1] for c in cfgs])
-    x = np.repeat(solver.coordinates(prev), len(cfgs), axis=1)
-    return _iterate(solver, x, solver.divu_dual(x), ctx, cfgs)[2]
+    solver = SchemeSolver(ops, cfgs[0], ctx.tau, [flows[c.L1] for c in cfgs],
+                          [c.L2 for c in cfgs])
+    x = solver.coordinates(prev)
+    return _iterate(solver, x, solver.divu_dual(x), ctx, cfgs,
+                    width=width or len(cfgs))[2]
 
 
 def build_initial_state(problem: ProblemDefinition, ops: BiotOperators) -> BiotState:

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,26 @@ def unit_ops():
     prob = manufactured_problem(mat)
     mesh = generate_rect_mesh((0, 0), (1, 1), 2, 2)
     return build_operators(mesh, mat, prob), mat, prob
+
+
+@pytest.mark.parametrize("build, args, named", [
+    ("mech_system", (1e308,), "L2=1e+308"),
+    ("flow_schur_system", (1.0, 1e308), "step size tau=1e+308"),
+    ("monolithic_schur_system", (1.0, 1.0, 1e308), "step size tau=1e+308"),
+    ("monolithic_system", (1.0, 1e308, 0.25), "L2=1e+308"),
+    ("monolithic_schur_system", (1e-320, 1.0, 0.25), "L1=9.99989e-321")])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_system_that_is_not_finite_is_refused(unit_ops, build, args,
+                                                named):
+    # a system matrix is built from its arguments and the constant blocks
+    # alone: an entry that overflows is bad input, named by its arguments,
+    # and no overflow warning escapes; a finite one is built as before
+    ops, _, _ = unit_ops
+    with pytest.raises(ValueError, match=rf"{build} of .*{re.escape(named)}"
+                                         r".* not finite"):
+        getattr(ops, build)(*args)
+    finite = getattr(ops, build)(*(1.0 for _ in args))
+    assert np.all(np.isfinite(finite.data))
 
 
 class TestMechanics:

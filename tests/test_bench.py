@@ -177,9 +177,9 @@ class TestSweep:
         fresh = [[_single_step(ops, prev, SchemeConfig(
             "splitting", L1=l1, L2=l2, max_iter=40), 0.25) for l2 in L2s]
             for l1 in L1s]
-        assert grid.iterations.tolist() == [[n for n, _ in row]
+        assert grid.iterations.tolist() == [[n for n, _, _ in row]
                                             for row in fresh]
-        assert grid.status == [[s for _, s in row] for row in fresh]
+        assert grid.status == [[s for _, s, _ in row] for row in fresh]
         assert {s for row in grid.status for s in row} == {
             "converged", "maxiter", "diverged"}
 
@@ -205,9 +205,9 @@ class TestSweep:
         fresh = [[_single_step(ops, prev, SchemeConfig(
             "splitting", L1=l1, L2=l2, max_iter=25), 0.25) for l2 in L2s]
             for l1 in L1s]
-        assert grid.iterations.tolist() == [[n for n, _ in row]
+        assert grid.iterations.tolist() == [[n for n, _, _ in row]
                                             for row in fresh]
-        assert grid.status == [[s for _, s in row] for row in fresh]
+        assert grid.status == [[s for _, s, _ in row] for row in fresh]
         assert {s for row in grid.status for s in row} == {"converged",
                                                            "maxiter"}
         assert all(len(set(grid.iterations[:, j])) > 1
@@ -253,6 +253,88 @@ class TestSweep:
         else:
             assert {tr.status for tr in got} == {"converged"}
             assert warned > 0
+
+    def test_queue_traces_are_fresh_traces(self, monkeypatch):
+        # the nine cells of a t1c4 grid go through one block of at most
+        # three columns that takes in the next cell, column by column, as
+        # soon as one stops: converged, stopped at max_iter or diverged,
+        # each has the trace of its own one-column run, to the bit.  The
+        # block mixes L2 values, and at every step exactly the mechanics
+        # halves of its cells are alive, each built once.
+        from porobiot import linalg
+        L1s, L2s, material = [0.3, 3.0, 10.0], [0.0, 3.0, 10.0], {
+            "alpha": 6.0}
+        ops, prev = setup = manufactured_setup("t1c4", 8, material)
+        ctx = schemes.StepContext.build(ops, prev, 0.25)
+        cfgs = [SchemeConfig("splitting", L1=l1, L2=l2, max_iter=40)
+                for l2 in L2s for l1 in L1s]
+        blocks, halves = [], []
+        step, init = schemes.SchemeSolver.step, linalg.MechanicsHalf.__init__
+
+        def recording(solver, x, divu, ctx, cells=None):
+            alive = sorted(l2 for l2, half in halves if half() is not None)
+            blocks.append(([solver.L2[c] for c in cells], alive))
+            return step(solver, x, divu, ctx, cells)
+
+        def built(half, ops, L2):
+            init(half, ops, L2)
+            halves.append((L2, weakref.ref(half)))
+
+        monkeypatch.setattr(schemes.SchemeSolver, "step", recording)
+        monkeypatch.setattr(linalg.MechanicsHalf, "__init__", built)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AdmissibleRangeWarning)
+            got = schemes.iterate_lockstep(ops, prev, cfgs, ctx, {},
+                                           len(L1s))
+        monkeypatch.undo()
+        want = [fresh_trace(*setup, cfg, 0.25) for cfg in cfgs]
+        fields = ("iterations", "status", "n_linear_solves",
+                  "range_excursions")
+        for a, b in zip(got, want, strict=True):
+            for name in ("dp", "dq", "du", "totals"):
+                assert ([v.hex() for v in getattr(a, name)]
+                        == [v.hex() for v in getattr(b, name)])
+            assert ([getattr(a, n) for n in fields]
+                    == [getattr(b, n) for n in fields])
+        assert {tr.status for tr in got} == {"converged", "maxiter",
+                                             "diverged"}
+        assert max(len(l2) for l2, _ in blocks) == len(L1s)
+        assert any(len(set(l2)) > 1 for l2, _ in blocks)
+        assert all(alive == sorted(set(l2)) for l2, alive in blocks)
+        assert sorted(l2 for l2, _ in halves) == L2s
+
+    def test_one_l1_row_steps_each_cell_on_its_own(self, monkeypatch):
+        # a 1 x k splitting grid has columns of one cell: each is stepped
+        # by a solver of its own, with no lock-step block
+        from porobiot import bench
+        calls, step = [], bench.iterate_to_convergence
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return step(*args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a one-cell column went through the queue")
+
+        monkeypatch.setattr(bench, "iterate_to_convergence", counted)
+        monkeypatch.setattr(bench, "iterate_lockstep", refused)
+        grid = sweep_L("t1c1", "splitting", [1.0], [0.1, 1.0, 10.0], nx=4)
+        assert [c.L2 for c in calls] == [0.1, 1.0, 10.0]
+        assert grid.iterations.shape == (1, 3)
+
+    def test_grid_keeps_each_cells_range_excursions(self):
+        # a t1c1 grid at tau = 4, by the queue and by one-cell columns:
+        # each cell reports the excursions of its own run, and some leave
+        # a certified range
+        ops, prev = manufactured_setup("t1c1", 4)
+        for L1s, L2s in (([1.0, 2.72, 10.0], [0.3, 3.0]), ([2.72], [0.3, 3.0])):
+            grid = sweep_L("t1c1", "splitting", L1s, L2s, nx=4, tau=4.0)
+            fresh = [[_single_step(ops, prev, SchemeConfig(
+                "splitting", L1=l1, L2=l2, max_iter=200), 4.0)
+                for l2 in L2s] for l1 in L1s]
+            assert grid.range_excursions.tolist() == [
+                [e for _, _, e in row] for row in fresh]
+            assert grid.range_excursions.max() > 0
 
     def test_lockstep_sweep_lets_no_range_warning_out(self):
         # the t1c1 column at tau = 4 leaves a certified range in lock step
@@ -300,9 +382,9 @@ class TestSweep:
         assert serial.status == parallel.status
 
     def test_pool_workers_keep_the_cell_order(self):
-        # each worker runs every second L2 column; the grid is put back in
-        # L1-major order.  The t1c4 grid has converged, max_iter and
-        # diverged cells.
+        # each worker runs every second L2 column, the columns of a worker
+        # through one lock-step block; the grid is put back in L1-major
+        # order.  The t1c4 grid has converged, max_iter and diverged cells.
         for case, L1s, L2s, kwargs in [
                 ("t1c1", [0.3, 1.0, 3.0], [0.3, 3.0], {}),
                 ("t1c4", [0.3, 3.0, 10.0], [0.0, 3.0, 10.0],
@@ -313,6 +395,8 @@ class TestSweep:
             assert len(set(serial.iterations.ravel())) > 2
             assert np.array_equal(serial.iterations, parallel.iterations)
             assert serial.status == parallel.status
+            assert np.array_equal(serial.range_excursions,
+                                  parallel.range_excursions)
         assert {s for row in parallel.status for s in row} == {
             "converged", "maxiter", "diverged"}
 
@@ -336,7 +420,7 @@ class TestSweep:
         n_flow = ops.constraints.q.restriction.shape[1]
         n_mech = ops.constraints.u.restriction.shape[1]
         assert sorted(built) == sorted([n_flow] * 3 + [n_mech] * 2)
-        assert [s for _, s in out] == ["converged"] * 6
+        assert [s for _, s, _ in out] == ["converged"] * 6
 
     def test_l1_line_is_one_lockstep_column(self, monkeypatch):
         # a splitting sweep over L1 at one L2 is one L2 column: 3 flow
@@ -359,9 +443,9 @@ class TestSweep:
         assert sorted(built) == sorted([n_flow] * 3 + [n_mech])
         fresh = [_single_step(ops, prev, SchemeConfig(
             "splitting", L1=l1, L2=1.0, max_iter=25), 0.25) for l1 in L1s]
-        assert grid.iterations.ravel().tolist() == [n for n, _ in fresh]
-        assert [row[0] for row in grid.status] == [s for _, s in fresh]
-        assert {s for _, s in fresh} == {"converged", "maxiter"}
+        assert grid.iterations.ravel().tolist() == [n for n, _, _ in fresh]
+        assert [row[0] for row in grid.status] == [s for _, s, _ in fresh]
+        assert {s for _, s, _ in fresh} == {"converged", "maxiter"}
 
 
 class TestSensitivity:
@@ -642,10 +726,10 @@ def test_range_excursion_counted_under_single_step_filter(monkeypatch):
     monkeypatch.setattr("porobiot.bench.iterate_to_convergence", recording)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        _, status = _single_step(*manufactured_setup("t1c1", 4),
-                                 SchemeConfig("splitting", L1=2.72, L2=3.0,
-                                              max_iter=200), 4.0)
+        _, status, excursions = _single_step(
+            *manufactured_setup("t1c1", 4),
+            SchemeConfig("splitting", L1=2.72, L2=3.0, max_iter=200), 4.0)
     assert status == "converged"
-    assert [tr.range_excursions for tr in traces] == [1]
+    assert [tr.range_excursions for tr in traces] == [excursions] == [1]
     assert not [w for w in caught if issubclass(w.category,
                                                 AdmissibleRangeWarning)]

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -83,6 +84,43 @@ class TestSubcommands:
         assert code == EXIT_OK
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 9
+
+    def test_sweep_manifest_lists_cells_out_of_range(self, tmp_path):
+        # at tau = 4 some t1c1 cells leave a certified range: the manifest
+        # lists each with its count, and sweep.csv keeps its columns
+        out = tmp_path / "run"
+        args = ["sweep", "--case", "t1c1", "--scheme", "splitting",
+                "--h", "0.25", "--L1-grid", "1,2.72,10", "--L2-grid", "0.3,3"]
+        assert run_cli(args + ["--tau", "4", "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        cells = manifest["range_excursions"]
+        assert cells and all(c["count"] > 0 for c in cells)
+        assert {(c["L1"], c["L2"]) for c in cells} <= {
+            (l1, l2) for l1 in (1.0, 2.72, 10.0) for l2 in (0.3, 3.0)}
+        lines = (out / "sweep.csv").read_text().strip().splitlines()
+        assert lines[0] == "L1,L2,iters,status" and len(lines) == 1 + 6
+        assert run_cli(args + ["--out", str(tmp_path / "calm")]) == EXIT_OK
+        calm = json.loads((tmp_path / "calm" / "manifest.json").read_text())
+        assert calm["range_excursions"] == []
+
+    @pytest.mark.parametrize("extra", [
+        [], ["--set", "scheme.kind=splitting"],
+        ["--set", "solver.method=gmres"]], ids=["lu", "splitting", "gmres"])
+    def test_an_overflowing_step_is_a_config_error(self, tmp_path, capsys,
+                                                   extra):
+        # one finite step of 1e308 s overflows a system matrix, by every
+        # path: bad input, named by its step size, with no overflow warning
+        out = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(["mandel", "--steps", "1", "--set", "problem.nx=4",
+                            "--set", "problem.ny=4", "--set",
+                            "problem.dt=1e308"] + extra + ["--out", str(out)])
+        assert code == EXIT_CONFIG
+        [line] = capsys.readouterr().err.strip().splitlines()
+        assert "step size tau=1e+308" in line and "not finite" in line
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (out / "manifest.json").exists()
 
     def test_mandel_row_count(self, tmp_path):
         out = tmp_path / "run"
@@ -367,6 +405,8 @@ class TestSubcommands:
         ["mandel", "--steps", "1", "--set", "problem.nx=4",
          "--set", "problem.ny=4", "--set", "laws.s_lo=-1",
          "--set", "laws.s_hi=1"],
+        # 1 / L1 overflows the (u, q) system of the pressure elimination
+        ["manufactured", "--h", "0.25", "--L1", "1e-320", "--L2", "1"],
         # each step is finite, but the time after the third is not
         ["mandel", "--steps", "3", "--set", "problem.nx=4",
          "--set", "problem.ny=4", "--set", "problem.dt=1e308"],
@@ -420,8 +460,8 @@ class TestSubcommands:
         assert run_cli(args + ["--set", f"material.{key}=1"]) == EXIT_OK
 
     @pytest.mark.parametrize("args", [
-        # L1 = 1e-320 makes the pressure elimination singular
-        ["manufactured", "--h", "0.25", "--L1", "1e-320", "--L2", "1"],
+        # L1 = 1e-300 makes the pressure elimination singular
+        ["manufactured", "--h", "0.25", "--L1", "1e-300", "--L2", "1"],
         ["manufactured", "--case", "t1c1", "--scheme", "splitting",
          "--h", "0.25", "--set", "scheme.max_iter=2"],
     ], ids=["factorization", "manufactured-max-iter"])

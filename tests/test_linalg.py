@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -153,7 +155,8 @@ class TestLU:
         monkeypatch.setattr(spla, "splu",
                             lambda *args, **kwargs: Recording(splu(*args, **kwargs)))
         ops, L1, L2 = mandel_si_operators(nx=8)
-        lu = CachedLU(ops.mech_system(L2))
+        A = ops.mech_system(L2)
+        lu = CachedLU(A)
         n = lu.shape[0]
         assert calls == [((n,), "T")]
         rng = np.random.default_rng(16)
@@ -162,7 +165,22 @@ class TestLU:
             b = rng.standard_normal(shape)
             x = lu.solve(b)
             assert calls == [(shape, "T")] and x.shape == shape
-            assert column_relres(lu.matrix, b, x).max() <= 1e-12
+            assert column_relres(A, b, x).max() <= 1e-12
+
+    def test_the_factor_keeps_no_copy_of_its_matrix(self):
+        # the probe is the matrix's last reader: once the caller lets go of
+        # it, its arrays are freed, and the factor still solves
+        ops, L1, L2 = mandel_si_operators(nx=8)
+        A = ops.monolithic_schur_system(L1, L2, 1.0)
+        b = np.random.default_rng(22).standard_normal(A.shape[0])
+        data, indices = weakref.ref(A.data), weakref.ref(A.indices)
+        lu = CachedLU(A)
+        x = lu.solve(b)
+        assert column_relres(A, b, x).max() <= 1e-12
+        del A
+        assert data() is None and indices() is None
+        assert not hasattr(lu, "matrix")
+        assert lu.solve(b).tobytes() == x.tobytes()
 
     def test_cached_lu_reuse(self):
         A = sp.diags([1.0, 2.0, 3.0]).tocsr()
@@ -178,7 +196,7 @@ class TestCertificate:
         ops, L1, L2 = mandel_si_operators(nx=8)
         A = ops.monolithic_schur_system(L1, L2, 1.0)
         lu = CachedLU(A)
-        M = lu.matrix
+        M = A
 
         class Products:
             def __init__(self):
@@ -275,13 +293,19 @@ class TestCertificate:
         # every solve of short runs: SI Mandel by each scheme and solver,
         # and a lock-step L-sweep
         from porobiot import linalg
-        worst, solve = [], linalg.CachedLU.solve
+        worst, matrices = [], {}
+        init, solve = linalg.CachedLU.__init__, linalg.CachedLU.solve
+
+        def kept(lu, matrix):   # the factor keeps no matrix: keep it here
+            init(lu, matrix)
+            matrices[lu] = matrix
 
         def checked(lu, b):
             x = solve(lu, b)
-            worst.append(column_relres(lu.matrix, b, x).max())
+            worst.append(column_relres(matrices[lu], b, x).max())
             return x
 
+        monkeypatch.setattr(linalg.CachedLU, "__init__", kept)
         monkeypatch.setattr(linalg.CachedLU, "solve", checked)
         for kind, method in [("monolithic", "lu"), ("monolithic", "gmres"),
                              ("splitting", "lu")]:
@@ -445,6 +469,60 @@ class TestFixedStressPreconditioner:
         for j, c in enumerate(cells):
             own = FixedStressPreconditioner(ops, cfgs[c], 0.25)
             assert got[:, j].tobytes() == own.matvec(R[:, j]).tobytes()
+
+    def test_block_columns_use_their_mechanics_halves(self):
+        # a block of the nine cells of three L1 and three L2, column by
+        # column and then permuted: each column is the vector sweep of a
+        # sweep built for its cell alone, and each run of adjacent columns
+        # of one L2 is one mechanics solve of those columns
+        from porobiot import linalg
+        _, _, ops, mat = monolithic_linear_system(nx=4)
+        cfgs = [SchemeConfig("splitting", L1=l1, L2=l2)
+                for l2 in (0.1, 1.0, 10.0) for l1 in (0.3, 1.0, 3.0)]
+        M = FixedStressPreconditioner(
+            ops, cfgs[0], 0.25, [FlowHalf(ops, c.L1, 0.25) for c in cfgs],
+            [c.L2 for c in cfgs])
+        assert M.mechs == {}
+        M.hold(range(9))
+        assert sorted(M.mechs) == [0.1, 1.0, 10.0]
+        solves, solve = [], linalg.CachedLU.solve
+
+        def counted(lu, b):   # a flux solve takes one column as a vector
+            if b.ndim == 2:
+                solves.append(b.shape[1])
+            return solve(lu, b)
+
+        rng = np.random.default_rng(19)
+        R = rng.standard_normal((M.shape[0], 9))
+        for cells, runs in ((list(range(9)), [3, 3, 3]),
+                            ([0, 4, 5, 1, 8], [1, 2, 1, 1])):
+            solves.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(linalg.CachedLU, "solve", counted)
+                got = M.matvec(R[:, :len(cells)], cells)
+            assert solves == runs
+            for j, c in enumerate(cells):
+                own = FixedStressPreconditioner(ops, cfgs[c], 0.25)
+                assert (got[:, j].tobytes()
+                        == own.matvec(R[:, j]).tobytes())
+
+    def test_a_mechanics_half_lives_while_a_held_cell_needs_it(self):
+        # holding cells keeps the halves of their L2 alone: a half is built
+        # once, shared by its cells and freed when no held cell needs it
+        _, _, ops, mat = monolithic_linear_system(nx=4)
+        cfgs = [SchemeConfig("splitting", L1=1.0, L2=l2)
+                for l2 in (0.1, 0.1, 1.0, 1.0)]
+        M = FixedStressPreconditioner(
+            ops, cfgs[0], 0.25, [FlowHalf(ops, 1.0, 0.25)] * 4,
+            [c.L2 for c in cfgs])
+        M.hold([0, 1])
+        first = weakref.ref(M.mechs[0.1])
+        M.hold([1, 2])
+        assert M.mechs[0.1] is first() and sorted(M.mechs) == [0.1, 1.0]
+        second = M.mechs[1.0]
+        M.hold([2, 3])
+        assert first() is None and list(M.mechs) == [1.0]
+        assert M.mechs[1.0] is second
 
     def test_decoupled_block_exactness(self):
         # alpha = 0 decouples mechanics from flow: the sweep is an exact

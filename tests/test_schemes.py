@@ -391,24 +391,25 @@ class TestIterationControl:
                     ops.problem, 0.25)
 
 
-def test_lockstep_cells_must_share_one_mechanics_half():
-    # a column's block has one mechanics solve: cells of another L2, or of
-    # the monolithic scheme, are refused instead of solved with it; a flow
-    # half the map lacks is built and kept, one it holds is used
+def test_lockstep_blocks_mix_mechanics_halves():
+    # cells of two L2 share one block, each with the iterations of its own
+    # run; cells of the monolithic scheme are refused; a flow half the map
+    # lacks is built and kept, one it holds is used
     mesh, mat, prob, ops, prev = linear_setup(4)
     cfgs = [SchemeConfig("splitting", L1=1.0, L2=l2) for l2 in (1.0, 2.0)]
     ctx = StepContext.build(ops, prev, 0.25)
     flows = {}
-    with pytest.raises(ValueError):
-        iterate_lockstep(ops, prev, cfgs, ctx, flows)
     with pytest.raises(ValueError):
         iterate_lockstep(ops, prev, [replace(cfgs[0], kind="monolithic")],
                          ctx, flows)
     assert flows == {}
     want = [iterate_to_convergence(prev, c, ops, mat, prob, 0.25)[1]
             for c in cfgs]
-    [got] = iterate_lockstep(ops, prev, cfgs[:1], ctx, flows)
-    assert (got.iterations, got.status) == (want[0].iterations, "converged")
+    got = iterate_lockstep(ops, prev, cfgs, ctx, flows)
+    assert [(t.iterations, t.status) for t in got] == [
+        (w.iterations, "converged") for w in want]
+    assert [[v.hex() for v in t.totals] for t in got] == [
+        [v.hex() for v in w.totals] for w in want]
     half = flows[1.0]
     assert list(flows) == [1.0] and half.L1 == 1.0 and half.tau == 0.25
     [got] = iterate_lockstep(ops, prev, cfgs[1:], ctx, flows)
