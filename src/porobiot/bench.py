@@ -203,22 +203,21 @@ def _sweep_groups(args):
     """Each cell's (iterations, status, range excursions), group by group,
     from one set-up and one step context.  A group of several cells is one
     L2 column of a splitting grid, and the cells of every column go
-    through one lock-step block (`iterate_lockstep`) of at most one
-    column's width, which takes in the next cell, column by column, as
-    soon as one stops; its solver and sweep, with their couplings and
-    masses, serve every column.  A group of one cell is stepped by
+    through one lock-step block (`iterate_lockstep`) as wide as the cells
+    have distinct L1 values, which takes in the next cell, column by
+    column, as soon as one stops; its solver, with its factors, couplings
+    and masses, serves every column.  A group of one cell is stepped by
     `_single_step` with its own solver.  A diverged cell reports max_iter."""
     case_id, nx, material, groups, tau = args
     ops, prev = manufactured_setup(case_id, nx, material)
     ctx = StepContext.build(ops, prev, tau)
-    width = max(map(len, groups))
-    if width == 1:
+    if max(map(len, groups)) == 1:
         return [_single_step(ops, prev, cfg, tau, ctx) for [cfg] in groups]
     cfgs = list(chain.from_iterable(groups))
     with warnings.catch_warnings():
         # counted in each trace's range_excursions
         warnings.simplefilter("ignore", AdmissibleRangeWarning)
-        traces = iterate_lockstep(ops, prev, cfgs, ctx, {}, width)
+        traces = iterate_lockstep(ops, prev, cfgs, ctx)
     return [(c.max_iter, "diverged", 0) if t.status == "diverged"
             else (t.iterations, t.status, t.range_excursions)
             for c, t in zip(cfgs, traces)]
@@ -253,12 +252,12 @@ def sweep_L(case_id, scheme_kind, L1_values, L2_values, nx=16, tau=0.25,
     The cells are split into groups, run by `_sweep_groups`.  On a
     splitting grid a group is one L2 column.  With at least 2 L1 values a
     runner iterates the cells of all its columns in lock step, their
-    iterates the columns of one block of at most len(L1_values) columns
-    that takes in the next cell, column by column, as soon as one stops;
-    the mechanics steps of the cells of one L2 are one multi-column solve,
-    and each distinct flow half (L1) and mechanics half (L2) is built and
-    factored once per runner.  A column of one cell runs on its own.  On a
-    monolithic grid a group is one cell with its own solver.
+    iterates the columns of one block as wide as the number of distinct
+    L1 values, which takes in the next cell, column by column, as soon as
+    one stops; the mechanics steps of the cells of one L2 are one
+    multi-column solve, and the runner's solver factors each distinct L1
+    and L2 once.  A column of one cell runs on its own.  On a monolithic
+    grid a group is one cell with its own solver.
     Each cell keeps the count, status and range excursions it has on its
     own.  With POROBIOT_THREADS or n_workers = n > 1, worker w of a process
     pool runs the groups w, w + n, ..., from its own set-up and step

@@ -5,10 +5,11 @@ reuses them (the L-scheme matrices are constant across iterations and time
 steps).  Every factored matrix is symmetric positive definite, and
 `CachedLU` refuses any other.  The fixed-stress sweep,
 `FixedStressPreconditioner`, is one linearized splitting sweep: a flux
-solve with the pressure eliminated through the diagonal P0 mass (the flow
-half, `FlowHalf`), then a mechanics solve driven by the updated pressure
-(the mechanics half, `MechanicsHalf`).  It is both the splitting step and
-the preconditioner of GMRES on the monolithic system.
+solve with the pressure eliminated through the diagonal P0 mass, whose
+factor depends on (L1, tau), then a mechanics solve driven by the updated
+pressure, whose factor depends on L2.  It is both the splitting step and
+the preconditioner of GMRES on the monolithic system, and it owns the
+factors of the cells it sweeps.
 
 Both solvers work on the same symmetric diagonal equilibration
 S = diag(|a_ii|)^-1/2 (`_equilibration`): `CachedLU` factors S A S, and
@@ -299,65 +300,42 @@ def gmres(A, b, preconditioner=None, restart=50, rtol=1e-10, maxiter=1000,
                            converged=status == "converged", status=status)
 
 
-class FlowHalf:
-    """The flow half of a fixed-stress sweep, which depends on (L1, tau)
-    alone: the factored flux system of `flow_schur_system`, with the
-    pressure eliminated through the diagonal P0 mass.  Sweeps of several
-    L2 may share it."""
-
-    def __init__(self, ops, L1, tau):
-        self.lu = CachedLU(ops.flow_schur_system(L1, tau))
-        self.L1, self.tau = L1, tau
-
-
-class MechanicsHalf:
-    """The mechanics half of a fixed-stress sweep, which depends on L2
-    alone: the factored mechanics block of `mech_system`.  The cells of one
-    L2 in a sweep share it."""
-
-    def __init__(self, ops, L2):
-        self.lu = CachedLU(ops.mech_system(L2))
-        self.L2 = L2
-
-
 class FixedStressPreconditioner:
     """One splitting sweep as a stationary linear operator on a reduced
     (r_u, r_q, r_p), the splitting step of `SchemeSolver` and the
-    preconditioner its GMRES solves pass to `gmres`.  It holds, for each
-    of its cells, a flow half of step size `tau` (`flows`; one of `cfg.L1`
-    when None) and an L2 (`L2`; `cfg.L2` for every cell when None), the
-    mechanics halves `mechs` of the cells it holds (`hold`), by L2, and the
-    two couplings.  Without `L2` it holds every cell, which needs one
-    mechanics half; with it, it holds none until `hold` is called.
+    preconditioner its GMRES solves pass to `gmres`.  Its `cells`, a list
+    of `SchemeConfig`, stabilize its columns by their L1 and L2, and it
+    owns their factorizations: the flux system of `flow_schur_system` at
+    step size `tau`, with the pressure eliminated through the diagonal P0
+    mass, once for each distinct L1, and the mechanics block of
+    `mech_system`, `mechs`, once for each L2 of the cells it holds
+    (`hold`), cell 0 from the start.  It also holds the two couplings.
     """
 
-    def __init__(self, ops, cfg, tau, flows=None, L2=None):
-        if flows is not None and any(f.tau != tau for f in flows):
-            raise ValueError("flow halves built for another step size")
-        self.flows = flows or [FlowHalf(ops, cfg.L1, tau)]
-        self.L2 = np.array([cfg.L2] * len(self.flows) if L2 is None else L2,
-                           dtype=float)
-        if self.L2.shape != (len(self.flows),):
-            raise ValueError("a sweep takes one L2 per flow half")
+    def __init__(self, ops, cells, tau):
+        self.L1 = np.array([c.L1 for c in cells], dtype=float)
+        self.L2 = np.array([c.L2 for c in cells], dtype=float)
+        flux = {l1: CachedLU(ops.flow_schur_system(l1, tau))
+                for l1 in dict.fromkeys(c.L1 for c in cells)}
+        self.flux = [flux[c.L1] for c in cells]   # each cell's, shared by L1
         self.ops, self.mechs = ops, {}
-        if L2 is None:
-            self.hold([0])
+        self.hold([0])
         # the pressure field is unreduced
         self.b_up_red, self.b_red = ops.reduced_couplings()
         self.b_red_t = self.b_red.T
         self.alpha, self.tau = ops.mat.alpha, tau
-        self.L1 = np.array([f.L1 for f in self.flows])
         self.l1_areas = ops.mesh.areas[:, None] * self.L1
-        self.sizes = (ops.constraints.u.n_reduced, self.flows[0].lu.shape[0],
+        self.sizes = (ops.constraints.u.n_reduced, self.flux[0].shape[0],
                       ops.mesh.n_cells)
         self.shape = (sum(self.sizes),) * 2
         self.dtype = np.dtype(float)
 
     def hold(self, cells):
-        """Keep the mechanics halves of `cells` and drop every other: the
-        cells of one L2 share one half, built when the first of them is
-        held and freed when a call holds none of them."""
-        self.mechs = {l2: self.mechs.get(l2) or MechanicsHalf(self.ops, l2)
+        """Keep the mechanics factors of `cells` and drop every other: the
+        cells of one L2 share one, built when the first of them is held
+        and freed when a call holds none of them."""
+        self.mechs = {l2: self.mechs.get(l2)
+                      or CachedLU(self.ops.mech_system(l2))
                       for l2 in dict.fromkeys(self.L2[c] for c in cells)}
 
     def matvec(self, r, cells=None):
@@ -366,9 +344,9 @@ class FixedStressPreconditioner:
         w = r_p / (L1 M_p), d_q solves the flux system for r_q + B^T w,
         d_p = w - tau B d_q / (L1 M_p), and d_u the mechanics system for
         r_u + alpha B_u^T d_p, all written into one new block.  Each run
-        of adjacent columns whose cells share a mechanics half is one block
-        solve, so a block of one half makes one.  A column gets the bits of
-        its vector sweep.
+        of adjacent columns whose cells share an L2 is one block solve by
+        its mechanics factor, so a block of one L2 makes one.  A column
+        gets the bits of its vector sweep.
         """
         block = r if r.ndim == 2 else r[:, None]
         cells = [0] * block.shape[1] if cells is None else cells
@@ -379,13 +357,13 @@ class FixedStressPreconditioner:
         w = np.divide(block[nu + nq:], l1_areas, out=d_p)
         rhs_q = block[nu:nu + nq] + self.b_red_t @ w
         for j, c in enumerate(cells):   # each flux solve into its column
-            d_q[:, j] = self.flows[c].lu.solve(rhs_q[:, j])
+            d_q[:, j] = self.flux[c].solve(rhs_q[:, j])
         d_p -= self.tau * (self.b_red @ d_q) / l1_areas
         rhs_u = block[:nu] + self.alpha * (self.b_up_red @ d_p)
-        halves = [self.mechs[self.L2[c]] for c in cells]
-        first = 0   # the first column of a run of columns of one half
-        for j in range(1, len(halves) + 1):
-            if j == len(halves) or halves[j] is not halves[first]:
-                d_u[:, first:j] = halves[first].lu.solve(rhs_u[:, first:j])
+        mechs = [self.mechs[self.L2[c]] for c in cells]
+        first = 0   # the first column of a run of columns of one factor
+        for j in range(1, len(mechs) + 1):
+            if j == len(mechs) or mechs[j] is not mechs[first]:
+                d_u[:, first:j] = mechs[first].solve(rhs_u[:, first:j])
                 first = j
         return out if r.ndim == 2 else out[:, 0]

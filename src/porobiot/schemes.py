@@ -32,10 +32,11 @@ LU solve of the first iteration is the step's solution: such a solver is
 `SchemeSolver.exact`, and its first iterate stops with the status 'exact',
 at any max_iter, unless it converged or diverged (GMRES solves inexactly,
 and a splitting sweep carries its splitting error, so neither is exact).  One
-loop (`_iterate`) traces each cell of one step or of splitting cells of
-any (L1, L2) iterated in lock step (`iterate_lockstep`), range check
-included: their block holds at most a given number of cells and takes in
-the next one as soon as one stops.
+loop (`_iterate`) traces each cell of a solver, range check included: the
+one cell of a step, or splitting cells of any (L1, L2) iterated in lock
+step (`iterate_lockstep`), whose block holds as many cells as they have
+distinct L1 values and takes in the next one as soon as one stops.  A
+solver is built from its cells alone and owns every factor they need.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ import numpy as np
 
 from .assembly import BiotOperators, assemble_loads
 from .fem import FeFunction, interpolate, l2_norm
-from .linalg import (CachedLU, FixedStressPreconditioner, FlowHalf,
-                     LinearSolveError, gmres)
+from .linalg import (CachedLU, FixedStressPreconditioner, LinearSolveError,
+                     gmres)
 from .physics import MaterialModel, ProblemDefinition, check_admissible
 
 
@@ -217,21 +218,23 @@ class StepContext:
 
 
 class SchemeSolver:
-    """The linear solves of one scheme at one step size, with their
-    factorizations.
+    """The linear solves of one scheme at one step size for its `cells`, a
+    list of `SchemeConfig`, with their factorizations.
 
     An iterate x is an (n, k) block of k reduced (u, q, p), numbered as in
     `BlockConstraints.composed`; `coordinates` and `state` convert it,
     `step` maps it and its divergences (`divu_dual`) to the next ones, and
-    `increment_norms` measures the difference of two.  tau must be finite
-    and positive (`_check_step_size`), as for `StepContext`.
+    `increment_norms` measures the difference of two.  `ValueError` is
+    raised, before anything is factored, for a tau that is not finite and
+    positive (`_check_step_size`), for no cell, for cells of two kinds and
+    for more than one monolithic cell.
 
     A splitting iteration is one application of the fixed-stress sweep
-    `sweep` (`linalg.FixedStressPreconditioner`), which holds the flow
-    halves `flows` of k cells, the first `cfg`'s (one built there when
-    None), and their L2 values `L2` (`cfg.L2` for every cell when None),
-    with the mechanics halves of the cells it holds (`hold`).  Each cell's
-    L1 and L2 stabilize its column.  The monolithic scheme solves the (u, q)
+    `sweep` (`linalg.FixedStressPreconditioner`) of the cells, which owns
+    their factors: one flux factor per distinct L1 and the mechanics
+    factors of the cells it holds (`hold`), cell 0's from the start.  Each
+    cell's L1 and L2 stabilize its column; `cfg` is cell 0, a monolithic
+    solver's one cell.  The monolithic scheme solves the (u, q)
     system with the pressure eliminated by its LU factorization or, when
     ``ops.solver`` selects GMRES, the 3x3 block system by GMRES
     preconditioned with the sweep, applied once per inner iteration.
@@ -248,18 +251,19 @@ class SchemeSolver:
     garbage collector runs, past the end of the run that built them.
     """
 
-    def __init__(self, ops: BiotOperators, cfg: SchemeConfig, tau,
-                 flows=None, L2=None):
+    def __init__(self, ops: BiotOperators, cells, tau):
         _check_step_size(tau)
-        self.ops, self.cfg, self.tau = ops, cfg, tau
+        if len({c.kind for c in cells}) != 1:
+            raise ValueError("a solver takes one or more cells of one kind")
+        cfg = cells[0]
+        if cfg.kind == "monolithic" and len(cells) > 1:
+            raise ValueError("a monolithic solver takes one cell")
+        self.ops, self.cells, self.cfg, self.tau = ops, cells, cfg, tau
         con = ops.constraints
         self.sizes = (con.u.n_reduced, con.q.n_reduced, con.p.n_reduced)
-        self.L1 = np.array([f.L1 for f in flows] if flows else [cfg.L1])
-        self.L2 = np.array([cfg.L2] * len(self.L1) if L2 is None else L2,
-                           dtype=float)
+        self.L1 = np.array([c.L1 for c in cells], dtype=float)
+        self.L2 = np.array([c.L2 for c in cells], dtype=float)
         self.mono_lu = None
-        if (flows is not None or L2 is not None) and cfg.kind != "splitting":
-            raise ValueError("only a splitting solver takes cells")
         if cfg.kind == "monolithic" and (ops.solver is None
                                          or ops.solver.method != "gmres"):
             self.mono_lu = CachedLU(
@@ -267,7 +271,7 @@ class SchemeSolver:
             self.b_up_red, self.b_red = ops.reduced_couplings()
             self.b_red_t = self.b_red.T
         else:
-            self.sweep = FixedStressPreconditioner(ops, cfg, tau, flows, L2)
+            self.sweep = FixedStressPreconditioner(ops, cells, tau)
             self.b_up_red = self.sweep.b_up_red
             if cfg.kind == "monolithic":
                 self.matrix = ops.monolithic_system(cfg.L1, cfg.L2, tau)
@@ -308,13 +312,6 @@ class SchemeSolver:
         each column of x: B_u^T R_u x_u."""
         return self.b_up_red_t @ x[:self.sizes[0]]
 
-    def hold(self, cells):
-        """Hold the halves of `cells`, the cells of a block, alone
-        (`FixedStressPreconditioner.hold`); a monolithic LU solver has one
-        system."""
-        if self.mono_lu is None:
-            self.sweep.hold(cells)
-
     def step(self, x, divu, ctx: StepContext, cells=None):
         """The next iterate after the (n, k) block x, whose divergences
         `divu_dual`(x) are divu: the new block and its divergences.
@@ -335,8 +332,8 @@ class SchemeSolver:
         diagonal P0 mass, the new divergences among them.
 
         Column j gets the bits of its own one-column step and iterates the
-        cell cells[j], a list or an index array into the per-cell L1, L2
-        and halves (the first when None), which the sweep holds.  GMRES
+        cell cells[j], a list or an index array into the solver's cells
+        (the first when None), which the sweep holds.  GMRES
         takes one column.  The sweep and GMRES
         solve for one right-hand side block that the call allocates and
         fills in place.
@@ -401,28 +398,29 @@ def stop_status(total, first_total, iterations, cfg: SchemeConfig):
     return None
 
 
-def _iterate(solver: SchemeSolver, x, divu, ctx: StepContext, cfgs,
-             archive=None, width=1):
-    """Iterate `solver` on its cells `cfgs`, each from the one-column
-    iterate x whose divergences are divu, until `stop_status` stops every
-    cell (an `SchemeSolver.exact` one after its first iteration).  The
-    cells run in lock step as the columns of one block of at most `width`:
-    the first cells start it, and as cells stop, their columns leave and
-    the next cells in `cfgs` order enter at x, the solver holding the
-    halves of the block's cells alone (`SchemeSolver.hold`).  Increments
+def _iterate(solver: SchemeSolver, x, divu, ctx: StepContext, archive=None):
+    """Iterate `solver` on its cells, each from the one-column iterate x
+    whose divergences are divu, until `stop_status` stops every cell (an
+    `SchemeSolver.exact` one after its first iteration).  The cells run in
+    lock step as the columns of one block, as wide as they have distinct
+    L1 values: the first cells start it, and as cells stop, their columns
+    leave and the next cells in order enter at x, the solver holding the
+    mechanics factors of the block's cells alone (its sweep's `hold`).
+    A column's bits do not depend on the width.  Increments
     are measured in reduced coordinates (`SchemeSolver.increment_norms`),
     a cell's last column, unless it diverged, is range-checked
     (`check_admissible` of `ops.mat`) and `archive` records the states of
     a single cell.  Returns the last block, its divergences and each
     cell's trace.
     """
+    cfgs = solver.cells
     traces = [IterationTrace() for _ in cfgs]
     queue = iter(range(len(cfgs)))
-    live = list(islice(queue, width))   # the cell of each column
+    live = list(islice(queue, len({c.L1 for c in cfgs})))   # column cells
     start = x, divu
-    if len(live) > 1:
+    if len(live) > 1:   # splitting cells, as is every solver of several
         x, divu = (np.repeat(a, len(live), axis=1) for a in start)
-    solver.hold(live)
+        solver.sweep.hold(live)
     nuq, areas = sum(solver.sizes[:2]), solver.ops.mesh.areas
     solves = 2 if solver.cfg.kind == "splitting" else 1   # flux, mechanics
     while live:
@@ -450,7 +448,7 @@ def _iterate(solver: SchemeSolver, x, divu, ctx: StepContext, cfgs,
         if stopped and live:   # the next cells take the stopped ones' places
             x, divu = (np.concatenate([a[:, going]] + [a0] * (len(live) - kept),
                                       axis=1) for a, a0 in zip((x, divu), start))
-            solver.hold(live)
+            solver.sweep.hold(live)
     return x, divu, traces
 
 
@@ -484,7 +482,7 @@ def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
     """
     if mat is not ops.mat or problem is not ops.problem:
         raise ValueError("mat and problem must be those ops was built from")
-    solver = SchemeSolver(ops, cfg, tau)
+    solver = SchemeSolver(ops, [cfg], tau)
     if ctx is None:
         ctx = StepContext.build(ops, prev, tau)
     elif ctx.tau != tau or ctx.t_new != prev.time + tau:
@@ -492,39 +490,32 @@ def iterate_to_convergence(prev: BiotState, cfg: SchemeConfig,
     if archive is not None:
         archive.append(prev.copy())
     x = solver.coordinates(prev)
-    x, _, [trace] = _iterate(solver, x, solver.divu_dual(x), ctx, [cfg],
-                             archive)
+    x, _, [trace] = _iterate(solver, x, solver.divu_dual(x), ctx, archive)
     if trace.status == "diverged":
         raise _divergence(trace)
     return solver.state(x, ctx.t_new), trace
 
 
 def iterate_lockstep(ops: BiotOperators, prev: BiotState, cfgs,
-                     ctx: StepContext, flows, width=None):
+                     ctx: StepContext):
     """One splitting time step from `prev` for cells of any (L1, L2),
     iterated in lock step: each cell's trace, in `cfgs` order.
 
-    `ctx` is the step's context and `flows` maps L1 to the `FlowHalf`
-    built for it and the step's tau; a half it lacks is built and added.
-    The cells still running are the columns of one block of a
-    `SchemeSolver`, at most `width` of them (every cell when None): as
-    cells stop, the next ones in `cfgs` order take their places
-    (`_iterate`).  Its sweep holds the flow halves of every cell and the
-    mechanics halves of the block's cells, one per L2, each built when the
-    first cell of its L2 enters and freed after the last one stops.  So a
-    cell stops and is range-checked where `iterate_to_convergence` would,
-    but a divergence is a status.
+    `ctx` is the step's context.  The cells still running are the columns
+    of one block of one `SchemeSolver`, as many as the cells have distinct
+    L1 values: as cells stop, the next ones in `cfgs` order take their
+    places (`_iterate`).  Its sweep factors each distinct L1 once and
+    holds the mechanics factors of the block's cells, one per L2, built
+    when the first cell of its L2 enters and freed after the last one
+    stops.  So a cell stops and is range-checked where
+    `iterate_to_convergence` would, but a divergence is a status;
+    `ValueError` is raised for no cell and for a monolithic one.
     """
     if any(c.kind != "splitting" for c in cfgs):
         raise ValueError("lock-step cells are splitting cells")
-    for c in cfgs:
-        if c.L1 not in flows:
-            flows[c.L1] = FlowHalf(ops, c.L1, ctx.tau)
-    solver = SchemeSolver(ops, cfgs[0], ctx.tau, [flows[c.L1] for c in cfgs],
-                          [c.L2 for c in cfgs])
+    solver = SchemeSolver(ops, cfgs, ctx.tau)
     x = solver.coordinates(prev)
-    return _iterate(solver, x, solver.divu_dual(x), ctx, cfgs,
-                    width=width or len(cfgs))[2]
+    return _iterate(solver, x, solver.divu_dual(x), ctx)[2]
 
 
 def build_initial_state(problem: ProblemDefinition, ops: BiotOperators) -> BiotState:
@@ -561,7 +552,7 @@ def march(ops: BiotOperators, cfg: SchemeConfig, tau, n_steps,
     if not np.isfinite(prev.time + n_steps * tau):
         raise ValueError(f"{n_steps} steps of {tau!r} from t={prev.time:g} "
                          f"end at a time that is not finite")
-    solver = SchemeSolver(ops, cfg, tau)
+    solver = SchemeSolver(ops, [cfg], tau)
     x, time, loads = solver.coordinates(prev), prev.time, None
     divu, nuq = solver.divu_dual(x), sum(solver.sizes[:2])
     for n in range(1, n_steps + 1):
@@ -569,7 +560,7 @@ def march(ops: BiotOperators, cfg: SchemeConfig, tau, n_steps,
         if loads is None or problem.body_force or problem.source:
             loads = StepContext.loads(ops, time, tau)
         ctx = loads.seeded(ops, time, x[nuq:, 0], divu[:, 0])
-        x, divu, [trace] = _iterate(solver, x, divu, ctx, [cfg])
+        x, divu, [trace] = _iterate(solver, x, divu, ctx)
         if trace.status == "diverged":
             raise _divergence(trace, f"step {n} (t={time:g}): ")
         yield solver.state(x, time), trace

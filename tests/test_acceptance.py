@@ -317,7 +317,7 @@ def test_criterion_8_preconditioned_gmres_mesh_robust():
         for nx in (8, 16, 32, 64):
             A, b, ops, mat = _linear_monolithic_system(nx)
             cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
-            M = FixedStressPreconditioner(ops, cfg, 0.25)
+            M = FixedStressPreconditioner(ops, [cfg], 0.25)
             _, rep = gmres(A, b, preconditioner=M, rtol=1e-10)
             assert rep.converged, nx
             precond_counts.append(rep.iterations)

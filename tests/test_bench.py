@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from porobiot import schemes
-from porobiot.assembly import build_operators
+from porobiot.assembly import BiotOperators, build_operators
 from porobiot.bench import (ContractionReport, _single_step, error_norms,
                             manufactured_convergence, manufactured_setup,
                             mandel_report, run_mandel, sensitivity_grid,
@@ -31,11 +31,10 @@ def fresh_trace(ops, prev, cfg, tau):
             return iterate_to_convergence(prev, cfg, ops, ops.mat,
                                           ops.problem, tau)[1]
     except schemes.DivergenceError:
-        solver = schemes.SchemeSolver(ops, cfg, tau)
+        solver = schemes.SchemeSolver(ops, [cfg], tau)
         x = solver.coordinates(prev)
         ctx = schemes.StepContext.build(ops, prev, tau)
-        return schemes._iterate(solver, x, solver.divu_dual(x), ctx,
-                                [cfg])[2][0]
+        return schemes._iterate(solver, x, solver.divu_dual(x), ctx)[2][0]
 
 
 def linear_setup(nx=8):
@@ -229,13 +228,13 @@ class TestSweep:
         ops, prev = setup = manufactured_setup(case, 8 if case == "t1c4"
                                                else 4, material)
         ctx = schemes.StepContext.build(ops, prev, tau)
-        flows, got, warned, want = {}, [], 0, []
+        got, warned, want = [], 0, []
         for l2 in L2s:
             cfgs = [SchemeConfig("splitting", L1=l1, L2=l2,
                                  max_iter=max_iter) for l1 in L1s]
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", AdmissibleRangeWarning)
-                got += schemes.iterate_lockstep(ops, prev, cfgs, ctx, flows)
+                got += schemes.iterate_lockstep(ops, prev, cfgs, ctx)
             warned += len(caught)
             want += [fresh_trace(*setup, cfg, tau) for cfg in cfgs]
         fields = ("iterations", "status", "n_linear_solves",
@@ -254,38 +253,51 @@ class TestSweep:
             assert {tr.status for tr in got} == {"converged"}
             assert warned > 0
 
-    def test_queue_traces_are_fresh_traces(self, monkeypatch):
-        # the nine cells of a t1c4 grid go through one block of at most
-        # three columns that takes in the next cell, column by column, as
-        # soon as one stops: converged, stopped at max_iter or diverged,
-        # each has the trace of its own one-column run, to the bit.  The
-        # block mixes L2 values, and at every step exactly the mechanics
-        # halves of its cells are alive, each built once.
-        from porobiot import linalg
-        L1s, L2s, material = [0.3, 3.0, 10.0], [0.0, 3.0, 10.0], {
-            "alpha": 6.0}
-        ops, prev = setup = manufactured_setup("t1c4", 8, material)
+    @pytest.mark.parametrize("case, material, L1s, L2s", [
+        ("t1c4", {"alpha": 6.0}, [0.3, 3.0, 10.0], [0.0, 3.0, 10.0]),
+        ("t1c1", None, [1.0, 1.0, 2.0], [0.5, 1.0])],
+        ids=["t1c4", "t1c1-repeated-L1"])
+    def test_queue_traces_are_fresh_traces(self, monkeypatch, case, material,
+                                           L1s, L2s):
+        # the cells of a grid, column by column, go through one block as
+        # wide as they have distinct L1 values, which takes in the next
+        # cell as soon as one stops: converged, stopped at max_iter or
+        # diverged, each has the trace of its own one-column run, to the
+        # bit.  The solver factors the flux system of each distinct L1
+        # once.  The block mixes L2 values, and at every step exactly the
+        # mechanics factors of its cells' L2 are alive, each built once.
+        ops, prev = setup = manufactured_setup(case, 8 if case == "t1c4"
+                                               else 4, material)
         ctx = schemes.StepContext.build(ops, prev, 0.25)
         cfgs = [SchemeConfig("splitting", L1=l1, L2=l2, max_iter=40)
                 for l2 in L2s for l1 in L1s]
-        blocks, halves = [], []
-        step, init = schemes.SchemeSolver.step, linalg.MechanicsHalf.__init__
+        blocks, mechs, flow_l1s, mech_l2s = [], [], [], []
+        step = schemes.SchemeSolver.step
+        flow_system = BiotOperators.flow_schur_system
+        mech_system = BiotOperators.mech_system
+
+        def flow_built(ops, L1, tau):
+            flow_l1s.append(L1)
+            return flow_system(ops, L1, tau)
+
+        def mech_built(ops, L2):
+            mech_l2s.append(L2)
+            return mech_system(ops, L2)
 
         def recording(solver, x, divu, ctx, cells=None):
-            alive = sorted(l2 for l2, half in halves if half() is not None)
+            for l2, lu in solver.sweep.mechs.items():
+                if not any(ref() is lu for _, ref in mechs):
+                    mechs.append((l2, weakref.ref(lu)))
+            alive = sorted(l2 for l2, ref in mechs if ref() is not None)
             blocks.append(([solver.L2[c] for c in cells], alive))
             return step(solver, x, divu, ctx, cells)
 
-        def built(half, ops, L2):
-            init(half, ops, L2)
-            halves.append((L2, weakref.ref(half)))
-
+        monkeypatch.setattr(BiotOperators, "flow_schur_system", flow_built)
+        monkeypatch.setattr(BiotOperators, "mech_system", mech_built)
         monkeypatch.setattr(schemes.SchemeSolver, "step", recording)
-        monkeypatch.setattr(linalg.MechanicsHalf, "__init__", built)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AdmissibleRangeWarning)
-            got = schemes.iterate_lockstep(ops, prev, cfgs, ctx, {},
-                                           len(L1s))
+            got = schemes.iterate_lockstep(ops, prev, cfgs, ctx)
         monkeypatch.undo()
         want = [fresh_trace(*setup, cfg, 0.25) for cfg in cfgs]
         fields = ("iterations", "status", "n_linear_solves",
@@ -296,12 +308,13 @@ class TestSweep:
                         == [v.hex() for v in getattr(b, name)])
             assert ([getattr(a, n) for n in fields]
                     == [getattr(b, n) for n in fields])
-        assert {tr.status for tr in got} == {"converged", "maxiter",
-                                             "diverged"}
-        assert max(len(l2) for l2, _ in blocks) == len(L1s)
+        if case == "t1c4":
+            assert {tr.status for tr in got} == {"converged", "maxiter",
+                                                 "diverged"}
+        assert (flow_l1s, mech_l2s) == (sorted(set(L1s)), L2s)
+        assert max(len(l2) for l2, _ in blocks) == len(set(L1s))
         assert any(len(set(l2)) > 1 for l2, _ in blocks)
         assert all(alive == sorted(set(l2)) for l2, alive in blocks)
-        assert sorted(l2 for l2, _ in halves) == L2s
 
     def test_one_l1_row_steps_each_cell_on_its_own(self, monkeypatch):
         # a 1 x k splitting grid has columns of one cell: each is stepped

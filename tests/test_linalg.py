@@ -8,8 +8,7 @@ import scipy.sparse.linalg as spla
 from porobiot.assembly import build_operators
 from porobiot.bench import manufactured_setup, run_mandel, sweep_L
 from porobiot.linalg import (CachedLU, FactorizationError,
-                             FixedStressPreconditioner, FlowHalf,
-                             SolverOptions, gmres)
+                             FixedStressPreconditioner, SolverOptions, gmres)
 from porobiot.mesh import generate_rect_mesh
 from porobiot.physics import (MandelConfig, mandel_material, mandel_problem,
                               manufactured_material, manufactured_problem)
@@ -282,7 +281,7 @@ class TestCertificate:
         for method in ("lu", "gmres"):
             ops.solver = SolverOptions(method)
             for kind, L1, L2 in cells:
-                SchemeSolver(ops, SchemeConfig(kind, L1=L1, L2=L2), 0.25)
+                SchemeSolver(ops, [SchemeConfig(kind, L1=L1, L2=L2)], 0.25)
         # each factor passed its probe, or its constructor would have
         # raised: five monolithic cells by LU 1 and by GMRES sweep 2, and
         # five splitting sweeps twice 2
@@ -365,7 +364,7 @@ class TestGMRES:
     def test_warm_start_at_the_solution_takes_no_iteration(self):
         A, b, ops, _ = monolithic_linear_system(nx=6)
         M = FixedStressPreconditioner(
-            ops, SchemeConfig("monolithic", L1=1.0, L2=1.0), 0.25)
+            ops, [SchemeConfig("monolithic", L1=1.0, L2=1.0)], 0.25)
         x = lu_solve(A, b)
         got, rep = gmres(A, b, preconditioner=M, rtol=1e-10, x0=x)
         assert rep.converged and rep.iterations == 0 and rep.relres <= 1e-10
@@ -391,7 +390,7 @@ class TestGMRES:
         # iterations, final residual and solution follow
         A, b, ops, _ = monolithic_linear_system(nx=8)
         M = FixedStressPreconditioner(
-            ops, SchemeConfig("monolithic", L1=1.0, L2=1.0), 0.25)
+            ops, [SchemeConfig("monolithic", L1=1.0, L2=1.0)], 0.25)
         n = A.shape[0]
         d = 10.0 ** np.random.default_rng(17).uniform(-10.0, 10.0, n)
         D = sp.diags(d)
@@ -425,14 +424,14 @@ class TestFixedStressPreconditioner:
     def test_zero_residual_zero_correction(self):
         _, _, ops, mat = monolithic_linear_system(nx=4)
         cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
-        M = FixedStressPreconditioner(ops, cfg, 0.25)
+        M = FixedStressPreconditioner(ops, [cfg], 0.25)
         out = M.matvec(np.zeros(M.shape[0]))
         assert np.allclose(out, 0.0)
 
     def test_linearity(self):
         _, _, ops, mat = monolithic_linear_system(nx=4)
         cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
-        M = FixedStressPreconditioner(ops, cfg, 0.25)
+        M = FixedStressPreconditioner(ops, [cfg], 0.25)
         rng = np.random.default_rng(6)
         r1 = rng.standard_normal(M.shape[0])
         r2 = rng.standard_normal(M.shape[0])
@@ -442,32 +441,31 @@ class TestFixedStressPreconditioner:
         assert np.abs(left - right).max() <= 1e-12 * scale
 
     def test_block_sweep_is_column_sweeps(self):
-        # every column of a block uses the first flow half, to the bits
-        # of its own vector sweep
+        # every column of a block uses the first cell, to the bits of its
+        # own vector sweep
         _, _, ops, mat = monolithic_linear_system(nx=4)
         M = FixedStressPreconditioner(
-            ops, SchemeConfig("splitting", L1=0.3, L2=3.0), 0.25)
+            ops, [SchemeConfig("splitting", L1=0.3, L2=3.0)], 0.25)
         R = np.random.default_rng(16).standard_normal((M.shape[0], 3))
         got = M.matvec(R)
         for j in range(R.shape[1]):
             assert got[:, j].tobytes() == M.matvec(R[:, j]).tobytes()
 
     def test_block_columns_use_their_flow_halves(self):
-        # a block of nine columns over nine flow halves, taken in a permuted
-        # order, as a lock-step L-sweep's first block: each column is the
-        # vector sweep of a sweep built for its cell alone
+        # a block of nine columns over nine L1, taken in a permuted order,
+        # as a lock-step L-sweep's first block: each column is the vector
+        # sweep of a sweep built for its cell alone
         _, _, ops, mat = monolithic_linear_system(nx=4)
         cfgs = [SchemeConfig("splitting", L1=l1, L2=3.0)
                 for l1 in np.logspace(-2.0, 2.0, 9)]
-        M = FixedStressPreconditioner(
-            ops, cfgs[0], 0.25, [FlowHalf(ops, c.L1, 0.25) for c in cfgs])
+        M = FixedStressPreconditioner(ops, cfgs, 0.25)
         rng = np.random.default_rng(18)
         R = rng.standard_normal((M.shape[0], 9))
         cells = rng.permutation(9).tolist()
         assert cells != sorted(cells)
         got = M.matvec(R, cells)
         for j, c in enumerate(cells):
-            own = FixedStressPreconditioner(ops, cfgs[c], 0.25)
+            own = FixedStressPreconditioner(ops, [cfgs[c]], 0.25)
             assert got[:, j].tobytes() == own.matvec(R[:, j]).tobytes()
 
     def test_block_columns_use_their_mechanics_halves(self):
@@ -479,10 +477,8 @@ class TestFixedStressPreconditioner:
         _, _, ops, mat = monolithic_linear_system(nx=4)
         cfgs = [SchemeConfig("splitting", L1=l1, L2=l2)
                 for l2 in (0.1, 1.0, 10.0) for l1 in (0.3, 1.0, 3.0)]
-        M = FixedStressPreconditioner(
-            ops, cfgs[0], 0.25, [FlowHalf(ops, c.L1, 0.25) for c in cfgs],
-            [c.L2 for c in cfgs])
-        assert M.mechs == {}
+        M = FixedStressPreconditioner(ops, cfgs, 0.25)
+        assert list(M.mechs) == [0.1]   # cell 0's
         M.hold(range(9))
         assert sorted(M.mechs) == [0.1, 1.0, 10.0]
         solves, solve = [], linalg.CachedLU.solve
@@ -502,19 +498,19 @@ class TestFixedStressPreconditioner:
                 got = M.matvec(R[:, :len(cells)], cells)
             assert solves == runs
             for j, c in enumerate(cells):
-                own = FixedStressPreconditioner(ops, cfgs[c], 0.25)
+                own = FixedStressPreconditioner(ops, [cfgs[c]], 0.25)
                 assert (got[:, j].tobytes()
                         == own.matvec(R[:, j]).tobytes())
 
     def test_a_mechanics_half_lives_while_a_held_cell_needs_it(self):
-        # holding cells keeps the halves of their L2 alone: a half is built
-        # once, shared by its cells and freed when no held cell needs it
+        # holding cells keeps the mechanics factors of their L2 alone: a
+        # factor is built once, shared by its cells and freed when no held
+        # cell needs it; the cells of one L1 share one flux factor
         _, _, ops, mat = monolithic_linear_system(nx=4)
         cfgs = [SchemeConfig("splitting", L1=1.0, L2=l2)
                 for l2 in (0.1, 0.1, 1.0, 1.0)]
-        M = FixedStressPreconditioner(
-            ops, cfgs[0], 0.25, [FlowHalf(ops, 1.0, 0.25)] * 4,
-            [c.L2 for c in cfgs])
+        M = FixedStressPreconditioner(ops, cfgs, 0.25)
+        assert all(lu is M.flux[0] for lu in M.flux)
         M.hold([0, 1])
         first = weakref.ref(M.mechs[0.1])
         M.hold([1, 2])
@@ -529,7 +525,7 @@ class TestFixedStressPreconditioner:
         # inverse and GMRES converges immediately
         A, _, ops, mat = monolithic_linear_system(nx=6, alpha=0.0)
         cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
-        M = FixedStressPreconditioner(ops, cfg, 0.25)
+        M = FixedStressPreconditioner(ops, [cfg], 0.25)
         b = np.random.default_rng(7).standard_normal(A.shape[0])
         x, rep = gmres(A, b, preconditioner=M, rtol=1e-10)
         assert rep.converged
@@ -540,7 +536,7 @@ class TestFixedStressPreconditioner:
         for nx in (8, 16, 32):
             A, b, ops, mat = monolithic_linear_system(nx=nx)
             cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
-            M = FixedStressPreconditioner(ops, cfg, 0.25)
+            M = FixedStressPreconditioner(ops, [cfg], 0.25)
             x, rep = gmres(A, b, preconditioner=M, rtol=1e-10)
             assert rep.converged
             counts.append(rep.iterations)
@@ -550,7 +546,7 @@ class TestFixedStressPreconditioner:
     def test_direct_vs_preconditioned_gmres(self):
         A, b, ops, mat = monolithic_linear_system(nx=8)
         cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)
-        M = FixedStressPreconditioner(ops, cfg, 0.25)
+        M = FixedStressPreconditioner(ops, [cfg], 0.25)
         xg, repg = gmres(A, b, preconditioner=M, rtol=1e-12)
         xd = lu_solve(A, b)
         assert np.linalg.norm(xg - xd) / np.linalg.norm(xd) <= 1e-8
@@ -569,7 +565,7 @@ def test_sweep_matches_two_by_two_flow_oracle(case):
                               manufactured_problem(mat))
         tau = 0.25
     L1, L2 = suggested_tuning(mat, "splitting")
-    M = FixedStressPreconditioner(ops, SchemeConfig("monolithic", L1, L2),
+    M = FixedStressPreconditioner(ops, [SchemeConfig("monolithic", L1, L2)],
                                   tau)
     nu, nq, _ = M.sizes
     r = np.random.default_rng(13).standard_normal(M.shape[0])

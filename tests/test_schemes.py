@@ -153,7 +153,7 @@ class TestFixedPoints:
         ctx = StepContext.build(ops, prev, 0.25)
         for kind in ("splitting", "monolithic"):
             cfg = SchemeConfig(kind, L1=1.0, L2=2.0)
-            solver = SchemeSolver(ops, cfg, 0.25)
+            solver = SchemeSolver(ops, [cfg], 0.25)
             new = solver.state(step(solver, solver.coordinates(prev), ctx),
                                ctx.t_new)
             assert np.allclose(new.p.coeffs, 0.0, atol=1e-14)
@@ -226,7 +226,7 @@ class TestLinearConvergence:
         prev = build_initial_state(prob, ops)
         tau, L1, L2 = 0.25, mat.L_b, mat.L_h + 1.0 / mat.b_m
         ctx = StepContext.build(ops, prev, tau)
-        solver = SchemeSolver(ops, SchemeConfig("splitting", L1, L2), tau)
+        solver = SchemeSolver(ops, [SchemeConfig("splitting", L1, L2)], tau)
         nq = ops.dofmap_q.n_dofs
         cur, x = prev.copy(), solver.coordinates(prev)
         for _ in range(3):
@@ -268,7 +268,7 @@ class TestLinearConvergence:
         prev = build_initial_state(prob, ops)
         L1, L2 = suggested_tuning(mat, "monolithic")
         ctx = StepContext.build(ops, prev, tau)
-        solver = SchemeSolver(ops, SchemeConfig("monolithic", L1, L2), tau)
+        solver = SchemeSolver(ops, [SchemeConfig("monolithic", L1, L2)], tau)
         got = solver.state(step(solver, solver.coordinates(prev), ctx), ctx.t_new)
         u, p = prev.u.coeffs, prev.p.coeffs
         rhs_u = ctx.f_vec + L2 * (ops.d_div @ u) - ops.hu_dual(u)
@@ -392,29 +392,40 @@ class TestIterationControl:
 
 
 def test_lockstep_blocks_mix_mechanics_halves():
-    # cells of two L2 share one block, each with the iterations of its own
-    # run; cells of the monolithic scheme are refused; a flow half the map
-    # lacks is built and kept, one it holds is used
+    # cells of two L1 and two L2 share one block, each with the iterations
+    # of its own run, to the bit
     mesh, mat, prob, ops, prev = linear_setup(4)
-    cfgs = [SchemeConfig("splitting", L1=1.0, L2=l2) for l2 in (1.0, 2.0)]
+    cfgs = [SchemeConfig("splitting", L1=l, L2=l) for l in (1.0, 2.0)]
     ctx = StepContext.build(ops, prev, 0.25)
-    flows = {}
-    with pytest.raises(ValueError):
-        iterate_lockstep(ops, prev, [replace(cfgs[0], kind="monolithic")],
-                         ctx, flows)
-    assert flows == {}
     want = [iterate_to_convergence(prev, c, ops, mat, prob, 0.25)[1]
             for c in cfgs]
-    got = iterate_lockstep(ops, prev, cfgs, ctx, flows)
+    got = iterate_lockstep(ops, prev, cfgs, ctx)
     assert [(t.iterations, t.status) for t in got] == [
         (w.iterations, "converged") for w in want]
     assert [[v.hex() for v in t.totals] for t in got] == [
         [v.hex() for v in w.totals] for w in want]
-    half = flows[1.0]
-    assert list(flows) == [1.0] and half.L1 == 1.0 and half.tau == 0.25
-    [got] = iterate_lockstep(ops, prev, cfgs[1:], ctx, flows)
-    assert (got.iterations, got.status) == (want[1].iterations, "converged")
-    assert list(flows) == [1.0] and flows[1.0] is half
+
+
+def test_solver_refuses_cells_it_cannot_hold(monkeypatch):
+    # no cell, cells of two kinds and two monolithic cells are refused by
+    # the solver before anything is factored, and so by the lock-step
+    # step, which refuses a monolithic cell as well
+    from porobiot import linalg
+    mesh, mat, prob, ops, prev = linear_setup(4)
+    ctx = StepContext.build(ops, prev, 0.25)
+    split = SchemeConfig("splitting", L1=1.0, L2=1.0)
+    mono = replace(split, kind="monolithic")
+
+    def refused(lu, matrix):
+        raise AssertionError("a refused solver factored a matrix")
+
+    monkeypatch.setattr(linalg.CachedLU, "__init__", refused)
+    for cells in ([], [split, mono], [mono, split], [mono, mono]):
+        with pytest.raises(ValueError, match="cell"):
+            SchemeSolver(ops, cells, 0.25)
+    for cells in ([], [mono], [split, mono]):
+        with pytest.raises(ValueError, match="cell"):
+            iterate_lockstep(ops, prev, cells, ctx)
 
 
 def case_setup(case, nx, ny, solver=None):
@@ -446,8 +457,8 @@ def test_one_column_block_step_is_the_vector_step(case, kind):
     for method in ("lu", "gmres") if kind == "monolithic" else ("lu",):
         ops, prev, tau = case_setup(case, *((10, 6) if case == "mandel"
                                             else (6, 6)), SolverOptions(method))
-        solver = SchemeSolver(ops, SchemeConfig(
-            kind, *suggested_tuning(ops.mat, kind)), tau)
+        solver = SchemeSolver(ops, [SchemeConfig(
+            kind, *suggested_tuning(ops.mat, kind))], tau)
         ctx = StepContext.build(ops, prev, tau)
         x = solver.coordinates(prev)
         vec = solver.state(x, prev.time)
@@ -470,8 +481,8 @@ def test_state_and_iterate_round_trip_bit_for_bit(case):
     ops, prev, tau = case_setup(case, 10, 10)
     ctx = StepContext.build(ops, prev, tau)
     for kind in ("splitting", "monolithic"):
-        solver = SchemeSolver(ops, SchemeConfig(
-            kind, *suggested_tuning(ops.mat, kind)), tau)
+        solver = SchemeSolver(ops, [SchemeConfig(
+            kind, *suggested_tuning(ops.mat, kind))], tau)
         x = solver.coordinates(prev)
         states = [(solver.state(x, prev.time), prev, x)]
         x = step(solver, x, ctx)
@@ -491,38 +502,29 @@ def test_state_and_iterate_round_trip_bit_for_bit(case):
 def test_block_step_columns_are_their_cells_vector_steps():
     # a splitting solver of three cells of one L2 steps a block of two of
     # them: each column as a fresh solver of its cell steps its column
-    from porobiot.linalg import FlowHalf
     mat = manufactured_material("t1c1")
     prob = manufactured_problem(mat)
     ops = build_operators(generate_rect_mesh((0, 0), (1, 1), 6, 6), mat, prob)
     prev = build_initial_state(prob, ops)
     ctx = StepContext.build(ops, prev, 0.25)
     cfgs = [SchemeConfig("splitting", L1=l1, L2=2.0) for l1 in (0.5, 1.0, 3.0)]
-    solver = SchemeSolver(ops, cfgs[0], 0.25,
-                          [FlowHalf(ops, c.L1, 0.25) for c in cfgs])
-    fresh = [SchemeSolver(ops, c, 0.25) for c in cfgs]
+    solver = SchemeSolver(ops, cfgs, 0.25)
+    fresh = [SchemeSolver(ops, [c], 0.25) for c in cfgs]
     xs = [step(f, f.coordinates(prev), ctx) for f in fresh]   # distinct iterates
     cells = [2, 0]
     got = step(solver, np.hstack([xs[c] for c in cells]), ctx, cells=cells)
     for j, c in enumerate(cells):
         want = step(fresh[c], xs[c], ctx)
         assert got[:, j].tobytes() == want[:, 0].tobytes()
-    with pytest.raises(ValueError):
-        SchemeSolver(ops, replace(cfgs[0], kind="monolithic"), 0.25,
-                     solver.sweep.flows)
-    with pytest.raises(ValueError):
-        SchemeSolver(ops, cfgs[0], 0.5, solver.sweep.flows)
 
 
 def test_block_step_takes_its_cells_as_a_list_or_an_array():
-    # the cells of a block step index the flow halves as the sweep does:
-    # a list and an index array give the same bits
-    from porobiot.linalg import FlowHalf
+    # the cells of a block step index the solver's cells as the sweep
+    # does: a list and an index array give the same bits
     ops, prev, tau = case_setup("t1c1", 6, 6)
     ctx = StepContext.build(ops, prev, tau)
     cfgs = [SchemeConfig("splitting", L1=l1, L2=2.0) for l1 in (0.5, 1.0, 3.0)]
-    solver = SchemeSolver(ops, cfgs[0], tau,
-                          [FlowHalf(ops, c.L1, tau) for c in cfgs])
+    solver = SchemeSolver(ops, cfgs, tau)
     x = np.repeat(solver.coordinates(prev), 2, axis=1)
     for cells in ([2, 0], [1]):
         block = x[:, :len(cells)]
@@ -537,19 +539,17 @@ def test_each_step_returns_a_block_of_its_own(path):
     # once: the second leaves the bytes of the first's block and
     # divergences as they were, and no result shares memory with the block
     # it was stepped from; a step that reused one output buffer fails both
-    from porobiot.linalg import FlowHalf
     ops, prev, tau = case_setup("t1c1", 6, 6, SolverOptions(
         "gmres" if path == "gmres" else "lu"))
     ctx = StepContext.build(ops, prev, tau)
     if path == "splitting":   # a lock-step block of three cells
         cfgs = [SchemeConfig("splitting", L1=l1, L2=2.0)
                 for l1 in (0.5, 1.0, 3.0)]
-        solver = SchemeSolver(ops, cfgs[0], tau,
-                              [FlowHalf(ops, c.L1, tau) for c in cfgs])
+        solver = SchemeSolver(ops, cfgs, tau)
         cells = [0, 1, 2]
     else:
-        solver = SchemeSolver(ops, SchemeConfig(
-            "monolithic", *suggested_tuning(ops.mat, "monolithic")), tau)
+        solver = SchemeSolver(ops, [SchemeConfig(
+            "monolithic", *suggested_tuning(ops.mat, "monolithic"))], tau)
         cells = [0]
     x = np.repeat(solver.coordinates(prev), len(cells), axis=1)
     first = solver.step(x, solver.divu_dual(x), ctx, cells)
@@ -573,8 +573,8 @@ def test_reduced_increment_norms_are_the_full_field_norms(case):
     ops, prev, tau = case_setup(case, *((10, 6) if case == "mandel"
                                         else (6, 6)))
     ctx = StepContext.build(ops, prev, tau)
-    solver = SchemeSolver(ops, SchemeConfig(
-        "splitting", *suggested_tuning(ops.mat, "splitting")), tau)
+    solver = SchemeSolver(ops, [SchemeConfig(
+        "splitting", *suggested_tuning(ops.mat, "splitting"))], tau)
     xs = [solver.coordinates(prev)]
     for _ in range(3):
         xs.append(step(solver, xs[-1], ctx))
@@ -694,7 +694,7 @@ class TestTimeMarch:
             pins.append(np.ones(256))
         full = resident_mib()
         del blocks
-        SchemeSolver(ops, SchemeConfig("monolithic", L1=1.0, L2=1.0), 0.5)
+        SchemeSolver(ops, [SchemeConfig("monolithic", L1=1.0, L2=1.0)], 0.5)
         assert full - resident_mib() > 15.0
 
     def test_context_for_another_step_rejected(self):
@@ -729,8 +729,8 @@ def test_step_builds_no_sparse_transpose(monkeypatch, kind, method):
     ops = build_operators(generate_rect_mesh((0, 0), (1, 1), 6, 6), mat, prob)
     ops.solver = SolverOptions(method=method)
     prev = build_initial_state(prob, ops)
-    solver = SchemeSolver(ops, SchemeConfig(kind, *suggested_tuning(mat, kind)),
-                          0.25)
+    solver = SchemeSolver(
+        ops, [SchemeConfig(kind, *suggested_tuning(mat, kind))], 0.25)
     ctx = StepContext.build(ops, prev, 0.25)
     built = []
     for cls in (sp.csr_matrix, sp.csc_matrix, sp.csr_array, sp.csc_array):
@@ -759,7 +759,7 @@ def test_step_stays_in_reduced_coordinates(monkeypatch, kind, method):
     from porobiot.assembly import BiotOperators, FieldConstraints
     ops, prev, tau = case_setup("mandel", 10, 6, SolverOptions(method))
     cfg = SchemeConfig(kind, *suggested_tuning(ops.mat, kind))
-    solver = SchemeSolver(ops, cfg, tau)
+    solver = SchemeSolver(ops, [cfg], tau)
     ctx = StepContext.build(ops, prev, tau)
     calls = []
     for cls, name in ((FieldConstraints, "expand"), (FieldConstraints, "restrict"),
@@ -785,8 +785,7 @@ def test_step_stays_in_reduced_coordinates(monkeypatch, kind, method):
         x = step(solver, x, ctx)
     assert calls == []
     x = solver.coordinates(prev)
-    _, _, [trace] = schemes._iterate(solver, x, solver.divu_dual(x), ctx,
-                                     [cfg])
+    _, _, [trace] = schemes._iterate(solver, x, solver.divu_dual(x), ctx)
     assert trace.converged
     assert not {"restrict", "divu_dual", "hu_dual", "div_u_cells",
                 "d_div"} & set(calls)
@@ -867,7 +866,7 @@ def test_splitting_applies_the_sweep_once_per_iteration(monkeypatch):
     applied.clear()
     cfgs = [replace(cfg, L1=f * cfg.L1) for f in (1.0, 4.0, 16.0)]
     out = iterate_lockstep(ops, prev, cfgs, StepContext.build(
-        ops, prev, 0.25), {})
+        ops, prev, 0.25))
     counts = [tr.iterations for tr in out]
     assert len(applied) == max(counts)
     assert applied[0][1] == 3 and len(set(counts)) > 1
@@ -1002,7 +1001,7 @@ def test_steps_carry_the_divergences_of_their_blocks(monkeypatch, kind,
         calls.clear()
         cfgs = [replace(cfg, L1=f * cfg.L1) for f in (1.0, 4.0, 16.0)]
         out = iterate_lockstep(ops, prev, cfgs,
-                               StepContext.build(ops, prev, tau), {})
+                               StepContext.build(ops, prev, tau))
         assert calls[0] == 3 and 0 < calls[-1] < 3
         assert len({tr.iterations for tr in out}) > 1
 
@@ -1013,8 +1012,8 @@ def test_lu_iteration_makes_four_sparse_products():
     # products, of which B_u^T R_u (u, q) is the new divergence; the step
     # that formed its divergences from x made a fifth
     ops, prev, tau = case_setup("mandel", 10, 6)
-    solver = SchemeSolver(ops, SchemeConfig(
-        "monolithic", *suggested_tuning(ops.mat, "monolithic")), tau)
+    solver = SchemeSolver(ops, [SchemeConfig(
+        "monolithic", *suggested_tuning(ops.mat, "monolithic"))], tau)
     ctx = StepContext.build(ops, prev, tau)
     x = solver.coordinates(prev)
     divu = solver.divu_dual(x)
@@ -1063,8 +1062,8 @@ def test_one_ulp_off_the_slopes_confirms_by_a_second_solve(case, name):
     exact = SchemeConfig("monolithic",
                          *suggested_tuning(ops.mat, "monolithic"))
     off = replace(exact, **{name: np.nextafter(getattr(exact, name), np.inf)})
-    assert SchemeSolver(ops, exact, tau).exact
-    assert not SchemeSolver(ops, off, tau).exact
+    assert SchemeSolver(ops, [exact], tau).exact
+    assert not SchemeSolver(ops, [off], tau).exact
     a, ta = iterate_to_convergence(prev, exact, ops, ops.mat, ops.problem, tau)
     b, tb = iterate_to_convergence(prev, off, ops, ops.mat, ops.problem, tau)
     assert (ta.iterations, ta.status, ta.n_linear_solves) == (1, "exact", 1)
@@ -1106,7 +1105,7 @@ def test_inexact_solves_and_curved_laws_are_never_exact(case, kind, method):
         ops, prev, tau = case_setup(case, *((10, 6) if case == "mandel"
                                             else (6, 6)), SolverOptions(method))
     slopes = SchemeConfig(kind, *suggested_tuning(ops.mat, "monolithic"))
-    assert not SchemeSolver(ops, slopes, tau).exact
+    assert not SchemeSolver(ops, [slopes], tau).exact
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AdmissibleRangeWarning)
         traces = [tr for _, tr in march(ops, slopes, tau, 3, prev)]
