@@ -223,6 +223,14 @@ def _sweep_groups(args):
             for c, t in zip(cfgs, traces)]
 
 
+def _distinct(values):
+    """The distinct entries of the array `values` in first-occurrence
+    order, and the index among them of each entry."""
+    first = {}
+    index = [first.setdefault(v, len(first)) for v in values.tolist()]
+    return np.array(list(first), dtype=float), index
+
+
 @dataclass
 class SweepGrid:
     L1_values: np.ndarray
@@ -258,20 +266,23 @@ def sweep_L(case_id, scheme_kind, L1_values, L2_values, nx=16, tau=0.25,
     multi-column solve, and the runner's solver factors each distinct L1
     and L2 once.  A column of one cell runs on its own.  On a monolithic
     grid a group is one cell with its own solver.
-    Each cell keeps the count, status and range excursions it has on its
-    own.  With POROBIOT_THREADS or n_workers = n > 1, worker w of a process
-    pool runs the groups w, w + n, ..., from its own set-up and step
-    context; otherwise one runner takes every group in-process.  The
-    results keep the L1-major order.
+    Each distinct (L1, L2) is stepped once, in first-occurrence order, and
+    the cells of a repeated value get its results.  Each cell keeps the
+    count, status and range excursions it has on its own.  With
+    POROBIOT_THREADS or n_workers = n > 1, worker w of a process pool runs
+    the groups w, w + n, ..., from its own set-up and step context;
+    otherwise one runner takes every group in-process.  The results keep
+    the L1-major order.
     """
     L1_values = np.asarray(list(L1_values), dtype=float)
     L2_values = np.asarray(list(L2_values), dtype=float)
     if L1_values.size == 0 or L2_values.size == 0:
         raise ValueError("parameter grids must be non-empty")
     n_workers = worker_count() if n_workers is None else max(1, n_workers)
+    (L1s, i1), (L2s, i2) = _distinct(L1_values), _distinct(L2_values)
     cfgs = [SchemeConfig(scheme_kind, L1=l1, L2=l2, tol=tol, max_iter=max_iter)
-            for l1 in L1_values for l2 in L2_values]
-    n1, n2 = L1_values.size, L2_values.size
+            for l1 in L1s for l2 in L2s]
+    n1, n2 = L1s.size, L2s.size
     if scheme_kind == "splitting":
         groups = [list(range(j, n1 * n2, n2)) for j in range(n2)]
     else:
@@ -287,12 +298,11 @@ def sweep_L(case_id, scheme_kind, L1_values, L2_values, nx=16, tau=0.25,
         parts = list(map(_sweep_groups, args))
     order = [k for w in range(n) for g in groups[w::n] for k in g]
     results = dict(zip(order, chain.from_iterable(parts)))
-    iterations, status, excursions = zip(*(results[k]
-                                           for k in range(n1 * n2)))
+    cells = [[results[k1 * n2 + k2] for k2 in i2] for k1 in i1]
     return SweepGrid(L1_values, L2_values,
-                     np.array(iterations).reshape(n1, n2),
-                     [list(status[k:k + n2]) for k in range(0, n1 * n2, n2)],
-                     np.array(excursions).reshape(n1, n2))
+                     np.array([[n for n, _, _ in row] for row in cells]),
+                     [[s for _, s, _ in row] for row in cells],
+                     np.array([[e for _, _, e in row] for row in cells]))
 
 
 def write_sweep_csv(grid: SweepGrid, path):

@@ -14,8 +14,12 @@ factors of the cells it sweeps.
 Both solvers work on the same symmetric diagonal equilibration
 S = diag(|a_ii|)^-1/2 (`_equilibration`): `CachedLU` factors S A S, and
 `gmres` iterates on it and stops on the equilibrated relative residual
-||S (b - A x)|| / ||S b||, which does not depend on the units of the
-unknowns or of the equations.
+||S (b - A x)|| / ||S b|| at `rtol`, which does not depend on the units of
+the unknowns or of the equations.  A forced call, given the blocks of the
+fields, also stops as soon as each field's block of S (b - A x) is
+`FORCING` times its block at the start, `rtol` ||S b|| being each block's
+floor: an inner solve of an L-scheme iteration need only be accurate
+enough for the outer contraction to go on (Eisenstat & Walker, SISC 1996).
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ class LinearSolveError(RuntimeError):
     """An iterative linear solve did not reach its tolerance."""
 
 
+FORCING = 1e-2   # a forced `gmres` call cuts each block's residual this far
+
+
 @dataclass
 class SolverOptions:
     """Inner linear-solver selection for the scheme iterations.
@@ -50,7 +57,11 @@ class SolverOptions:
     sub-solves keep their factorizations either way).  GMRES restarts
     after `restart` inner iterations, makes at most `maxiter` of them per
     solve (one sweep each), and stops when the equilibrated relative
-    residual ||S (b - A x)|| / ||S b|| of `gmres` is at most `rtol`.
+    residual ||S (b - A x)|| / ||S b|| of `gmres` is at most `rtol`.  Its
+    solves are forced (`gmres`'s `blocks`) unless the linearization is
+    exact (`SchemeSolver.forcing`): they also stop when each field's block
+    of the residual is `FORCING` times its first, and `rtol` ||S b|| is
+    each block's floor.
     `ValueError` is raised for an unknown method, for a `restart` or
     `maxiter` that is not an integer of at least 1, and for an `rtol`
     outside the open interval (0, 1).
@@ -78,9 +89,10 @@ class SolverOptions:
 
 def write_solver_reports_csv(rows, path):
     """Serialize (label, SolverReport) pairs as linsys,iters,relres,seconds:
-    the inner iterations of a GMRES solve (one sweep each), the
-    equilibrated relative residual ||S (b - A x)|| / ||S b|| its stop
-    tested, and its seconds."""
+    the inner iterations of a GMRES solve (one sweep each), the true
+    equilibrated relative residual ||S (b - A x)|| / ||S b|| of the whole
+    system at its exit, and its seconds.  A forced solve stops on its
+    blocks, so its relres may lie well above `rtol`."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("linsys,iters,relres,seconds\n")
         for label, rep in rows:
@@ -191,13 +203,18 @@ class CachedLU:
         return self._raw_solve(np.asarray(b, dtype=float))
 
 
+def _block_norms(r, edges):
+    """The 2-norm of each block of r, the blocks split at `edges`."""
+    return np.array([np.linalg.norm(part) for part in np.split(r, edges)])
+
+
 def gmres(A, b, preconditioner=None, restart=50, rtol=1e-10, maxiter=1000,
-          x0=None):
+          x0=None, blocks=None):
     """Restarted, right-preconditioned flexible GMRES (Saad, "A flexible
     inner-outer preconditioned GMRES algorithm", SISC 1993) on the
     equilibrated system S A S y = S b, x = S y, with S of `_equilibration`.
-    `ValueError` is raised for a sparse matrix A that is not square and for
-    a vector b whose length is not A's.
+    `ValueError` is raised for a sparse matrix A that is not square, for
+    a vector b whose length is not A's and for `blocks` whose sum is not.
 
     `preconditioner` approximates the inverse of A: a matrix, a
     `LinearOperator` or an object with `shape`, `matvec` and `dtype`, such
@@ -210,11 +227,23 @@ def gmres(A, b, preconditioner=None, restart=50, rtol=1e-10, maxiter=1000,
     `restart` inner iterations and makes at most `maxiter` of them.  It
     stops when the true equilibrated relative residual
     ||S (b - A x)|| / ||S b||, b the whole right-hand side, is at most
-    `rtol`; a zero b returns zeros.  The report holds the inner
-    iterations and that residual as `relres`.  Status 'breakdown' marks a
-    cycle whose Hessenberg column was singular or not finite, short of the
-    tolerance, and a b with a non-finite entry, which returns NaN as a
-    direct solve would.
+    `rtol`; a zero b returns zeros.
+
+    `blocks`, the sizes of consecutive blocks of the unknowns (the fields
+    u, q, p of a Biot system), forces the stop.  With r0 = S (b - A x0),
+    the call also stops when every block of the true equilibrated residual
+    r meets ||r_i|| <= max(FORCING ||r0_i||, rtol ||S b||).  Each block of
+    S r is invariant under a change of units of its field.  Within a cycle
+    the blocks are read from the Arnoldi relation, r = V_{j+1} Q_j^T
+    (g_{j+1} e_{j+1}), which costs O(n j) and no product by A or
+    application of the preconditioner; a cycle ends when they meet their
+    targets, and the call stops when the true residual does.
+
+    The report holds the inner iterations and the true whole-system
+    residual at exit as `relres`.  Status 'breakdown' marks a cycle whose
+    Hessenberg column was singular or not finite, short of the tolerance,
+    and a b with a non-finite entry, which returns NaN as a direct solve
+    would.
     """
     t0 = time.perf_counter()
     n = A.shape[0]
@@ -222,6 +251,8 @@ def gmres(A, b, preconditioner=None, restart=50, rtol=1e-10, maxiter=1000,
         raise ValueError("system matrix must be square")
     if b.shape != (n,):
         raise ValueError("rhs length does not match the matrix")
+    if blocks is not None and sum(blocks) != n:
+        raise ValueError("blocks do not sum to the rhs length")
     if not np.all(np.isfinite(b)):
         return np.full(n, np.nan), SolverReport(
             0, np.nan, time.perf_counter() - t0, False, "breakdown")
@@ -232,12 +263,16 @@ def gmres(A, b, preconditioner=None, restart=50, rtol=1e-10, maxiter=1000,
     M = (None if preconditioner is None
          else spla.aslinearoperator(preconditioner))
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    eps = np.finfo(float).eps
-    iterations, status = 0, None
+    eps, floor = np.finfo(float).eps, rtol * bnorm
+    edges = None if blocks is None else np.cumsum(blocks)[:-1]
+    iterations, status, targets = 0, None, None
     while True:
         r = s * (b - A @ x)
         rnorm = np.linalg.norm(r)
-        if rnorm <= rtol * bnorm:
+        if edges is not None and targets is None:   # r0's blocks set them
+            targets = np.maximum(FORCING * _block_norms(r, edges), floor)
+        if rnorm <= floor or (targets is not None
+                              and np.all(_block_norms(r, edges) <= targets)):
             status = "converged"
             break
         if status == "breakdown" or not np.isfinite(rnorm):
@@ -288,8 +323,19 @@ def gmres(A, b, preconditioner=None, restart=50, rtol=1e-10, maxiter=1000,
             rotations.append((cs, sn))
             H[:j, j], H[j, j] = h[:j], rho
             g[j], g[j + 1] = cs * g[j], -sn * g[j]
-            if lucky or abs(g[j + 1]) <= rtol * bnorm:
+            if lucky or abs(g[j + 1]) <= floor:
                 break
+            if targets is not None and j + 1 < m:
+                # the residual of the cycle's least-squares step,
+                # V_{j+1} Q_j^T (g_{j+1} e_{j+1}): the rotations undone
+                c = np.zeros(j + 2)
+                c[j + 1] = g[j + 1]
+                for i in range(j, -1, -1):
+                    cs_i, sn_i = rotations[i]
+                    c[i], c[i + 1] = (cs_i * c[i] - sn_i * c[i + 1],
+                                      sn_i * c[i] + cs_i * c[i + 1])
+                if np.all(_block_norms(c @ V[:j + 2], edges) <= targets):
+                    break
         k = len(Z)
         if k:
             y = sla.solve_triangular(H[:k, :k], g[:k], check_finite=False)
@@ -310,9 +356,12 @@ class FixedStressPreconditioner:
     mass, once for each distinct L1, and the mechanics block of
     `mech_system`, `mechs`, once for each L2 of the cells it holds
     (`hold`), cell 0 from the start.  It also holds the two couplings.
+    `ValueError` is raised for no cell.
     """
 
     def __init__(self, ops, cells, tau):
+        if not cells:
+            raise ValueError("a sweep takes one or more cells")
         self.L1 = np.array([c.L1 for c in cells], dtype=float)
         self.L2 = np.array([c.L2 for c in cells], dtype=float)
         flux = {l1: CachedLU(ops.flow_schur_system(l1, tau))

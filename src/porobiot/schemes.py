@@ -31,7 +31,9 @@ stabilized system is the backward Euler system itself, and the monolithic
 LU solve of the first iteration is the step's solution: such a solver is
 `SchemeSolver.exact`, and its first iterate stops with the status 'exact',
 at any max_iter, unless it converged or diverged (GMRES solves inexactly,
-and a splitting sweep carries its splitting error, so neither is exact).  One
+and a splitting sweep carries its splitting error, so neither is exact).
+The same test keeps a GMRES solve at its full `rtol` stop; every other
+GMRES solve is forced (`SchemeSolver.forcing`, `linalg.FORCING`).  One
 loop (`_iterate`) traces each cell of a solver, range check included: the
 one cell of a step, or splitting cells of any (L1, L2) iterated in lock
 step (`iterate_lockstep`), whose block holds as many cells as they have
@@ -245,6 +247,9 @@ class SchemeSolver:
     iterate, its divergences and the step context alone: the solver keeps
     no solution from one call to the next.  `exact`: an LU monolithic
     solver whose L1 and L2 are the slopes of two constant-slope laws.
+    `forcing`: the field sizes that force the stop of each GMRES solve
+    (`linalg.gmres`'s `blocks`), or None for such L1 and L2, whose solves
+    keep the full `rtol` stop.
 
     No attribute holds a bound method of the solver or its sweep: that
     reference cycle would keep their factorizations alive until the cyclic
@@ -277,10 +282,12 @@ class SchemeSolver:
                 self.matrix = ops.monolithic_system(cfg.L1, cfg.L2, tau)
         self.b_up_red_t = self.b_up_red.T   # B_u^T R_u, a view
         mat = ops.mat
-        self.exact = (self.mono_lu is not None and mat.b_law.constant_slope
-                      and mat.h_law.constant_slope
-                      and cfg.L1 == mat.b_m == mat.L_b
-                      and cfg.L2 == mat.h_m == mat.L_h)
+        # the stabilized system is the backward Euler system itself
+        at_slopes = (mat.b_law.constant_slope and mat.h_law.constant_slope
+                     and cfg.L1 == mat.b_m == mat.L_b
+                     and cfg.L2 == mat.h_m == mat.L_h)
+        self.exact = at_slopes and self.mono_lu is not None
+        self.forcing = None if at_slopes else self.sizes   # `gmres`'s blocks
         # after the factorizations, whose working memory is a run's peak
         self.mass_u, self.mass_q = ops.reduced_masses()
 
@@ -370,7 +377,8 @@ class SchemeSolver:
         opts = ops.solver
         x_red, report = gmres(self.matrix, r.ravel(), preconditioner=self.sweep,
                               restart=opts.restart, rtol=opts.rtol,
-                              maxiter=opts.maxiter, x0=x.ravel())
+                              maxiter=opts.maxiter, x0=x.ravel(),
+                              blocks=self.forcing)
         ops.solver_log.append((f"mono/L1={cfg.L1:g}/L2={cfg.L2:g}", report))
         # a NaN solution, of a non-finite rhs, diverges as the LU path's does
         if not report.converged and np.all(np.isfinite(x_red)):

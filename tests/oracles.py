@@ -165,7 +165,8 @@ def vector_step(solver, cur, ctx):
     `BlockConstraints.composed` restriction of the fields that the step
     solves for, solved (by the matrix built here from the assembled blocks,
     or by the solver's factorization), and expanded by R, GMRES started
-    from the reduced coordinates that the index of R gives `cur`.
+    from the reduced coordinates that the index of R gives `cur` and
+    forced on the solver's blocks (`SchemeSolver.forcing`).
     `SchemeSolver.step` forms the same iteration in reduced coordinates."""
     ops, cfg, alpha, tau = solver.ops, solver.cfg, solver.ops.mat.alpha, ctx.tau
     names = ("u", "q", "p")
@@ -201,7 +202,7 @@ def vector_step(solver, cur, ctx):
         opts = ops.solver
         x_red = gmres(matrix, r, preconditioner=solver.sweep,
                       restart=opts.restart, rtol=opts.rtol,
-                      maxiter=opts.maxiter, x0=x0)[0]
+                      maxiter=opts.maxiter, x0=x0, blocks=solver.forcing)[0]
     else:
         x_red = solver.sweep.matvec(r)
     x = R @ x_red

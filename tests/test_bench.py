@@ -335,6 +335,29 @@ class TestSweep:
         assert [c.L2 for c in calls] == [0.1, 1.0, 10.0]
         assert grid.iterations.shape == (1, 3)
 
+    def test_repeated_values_step_each_distinct_cell_once(self, monkeypatch):
+        # [1, 1, 2] x [0.5, 1]: the two repeated rows are one row of cells,
+        # stepped once through the queue, and both get its results
+        from porobiot import bench
+        stepped, queue = [], bench.iterate_lockstep
+
+        def spied(ops, prev, cfgs, ctx):
+            stepped.extend((c.L1, c.L2) for c in cfgs)
+            return queue(ops, prev, cfgs, ctx)
+
+        monkeypatch.setattr(bench, "iterate_lockstep", spied)
+        grid = sweep_L("t1c1", "splitting", [1.0, 1.0, 2.0], [0.5, 1.0], nx=4,
+                       n_workers=1)
+        assert sorted(stepped) == [(1.0, 0.5), (1.0, 1.0), (2.0, 0.5),
+                                   (2.0, 1.0)]
+        once = sweep_L("t1c1", "splitting", [1.0, 2.0], [0.5, 1.0], nx=4,
+                       n_workers=1)
+        assert grid.L1_values.tolist() == [1.0, 1.0, 2.0]
+        assert grid.iterations.tolist() == once.iterations[[0, 0, 1]].tolist()
+        assert grid.status == [once.status[i] for i in (0, 0, 1)]
+        assert (grid.range_excursions.tolist()
+                == once.range_excursions[[0, 0, 1]].tolist())
+
     def test_grid_keeps_each_cells_range_excursions(self):
         # a t1c1 grid at tau = 4, by the queue and by one-cell columns:
         # each cell reports the excursions of its own run, and some leave

@@ -383,11 +383,12 @@ class TestGMRES:
         assert rep.converged and rep.iterations == 1
         assert np.allclose(x, [0.0, 2.0, 0.0])
 
-    def test_stop_is_unit_invariant(self):
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_stop_is_unit_invariant(self, forced):
         # the system in other units, D A D (D^-1 x) = D b with D spanning
         # twenty decades, preconditioned by the sweep in the same units:
-        # the stop tests the same equilibrated residual, so the same
-        # iterations, final residual and solution follow
+        # the stop tests the same equilibrated residual, whole or by block,
+        # so the same iterations, final residual and solution follow
         A, b, ops, _ = monolithic_linear_system(nx=8)
         M = FixedStressPreconditioner(
             ops, [SchemeConfig("monolithic", L1=1.0, L2=1.0)], 0.25)
@@ -395,13 +396,75 @@ class TestGMRES:
         d = 10.0 ** np.random.default_rng(17).uniform(-10.0, 10.0, n)
         D = sp.diags(d)
         M_d = spla.LinearOperator((n, n), matvec=lambda v: M.matvec(v / d) / d)
-        x, rep = gmres(A, b, preconditioner=M, rtol=1e-10)
+        blocks = M.sizes if forced else None
+        x, rep = gmres(A, b, preconditioner=M, rtol=1e-10, blocks=blocks)
         x_d, rep_d = gmres((D @ A @ D).tocsr(), d * b, preconditioner=M_d,
-                           rtol=1e-10)
+                           rtol=1e-10, blocks=blocks)
         assert rep.converged and rep_d.converged
         assert rep_d.iterations == rep.iterations
         assert rep_d.relres == pytest.approx(rep.relres, rel=1e-6)
         assert np.linalg.norm(d * x_d - x) <= 1e-10 * np.linalg.norm(x)
+
+    def test_blocks_must_cover_the_rhs(self):
+        with pytest.raises(ValueError, match="blocks"):
+            gmres(sp.eye(3, format="csr"), np.ones(3), blocks=(1, 1))
+
+    @pytest.mark.parametrize("restart", [1, 2, 50])
+    def test_forced_stop_cuts_every_block_by_the_forcing(self, restart):
+        # from a start x0 that misses in every block, the forced call
+        # stops once each block of S (b - A x) is FORCING times its start's
+        # (within or at the end of a cycle), sooner than the full stop;
+        # relres is the true whole residual at exit
+        from porobiot.linalg import FORCING, _equilibration
+        A, b, ops, _ = monolithic_linear_system(nx=8)
+        M = FixedStressPreconditioner(
+            ops, [SchemeConfig("monolithic", L1=1.0, L2=1.0)], 0.25)
+        s = _equilibration(A.diagonal())
+        x0 = lu_solve(A, b) + s * np.random.default_rng(3).standard_normal(
+            A.shape[0])
+        edges = np.cumsum(M.sizes)[:-1]
+        r0 = np.split(s * (b - A @ x0), edges)
+        x, rep = gmres(A, b, preconditioner=M, restart=restart, x0=x0,
+                       blocks=M.sizes)
+        _, full = gmres(A, b, preconditioner=M, restart=restart, x0=x0)
+        r = s * (b - A @ x)
+        assert rep.converged and 0 < rep.iterations < full.iterations
+        assert rep.relres == np.linalg.norm(r) / np.linalg.norm(s * b)
+        for got, start in zip(np.split(r, edges), r0):
+            assert np.linalg.norm(got) <= FORCING * np.linalg.norm(start)
+
+
+    @pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (1.0, 1e-3, 1e-3),
+                                         (1e-3, 1e-3, 1.0)])
+    def test_forced_stop_reads_the_true_blocks_within_a_cycle(self, weights):
+        # unpreconditioned, so that the blocks settle over many iterations
+        # of one cycle, each iterate that of an unforced call capped at k
+        # inner iterations: the forced call stops at the first k whose true
+        # residual meets every block's target, so the blocks it reads from
+        # the Arnoldi relation are the true residual's
+        from porobiot.linalg import FORCING, _equilibration
+        A, b, ops, _ = monolithic_linear_system(nx=6)
+        sizes = (ops.constraints.u.n_reduced, ops.constraints.q.n_reduced,
+                 ops.mesh.n_cells)
+        s = _equilibration(A.diagonal())
+        edges, n = np.cumsum(sizes)[:-1], A.shape[0]
+
+        def blocks(x):
+            return np.array([np.linalg.norm(part) for part in
+                             np.split(s * (b - A @ x), edges)])
+
+        x0 = lu_solve(A, b) + s * np.repeat(weights, sizes) * (
+            np.random.default_rng(0).standard_normal(n))
+        targets = np.maximum(FORCING * blocks(x0),
+                             1e-10 * np.linalg.norm(s * b))
+        x, rep = gmres(A, b, restart=n, x0=x0, blocks=sizes)
+        k = rep.iterations
+        before, at = (gmres(A, b, restart=n, maxiter=i, x0=x0)[0]
+                      for i in (k - 1, k))
+        assert rep.converged and k > 20
+        assert np.any(blocks(before) > targets)
+        assert np.all(blocks(at) <= targets)
+        assert x.tobytes() == at.tobytes()
 
 
 class TestSolverOptions:
@@ -421,6 +484,11 @@ class TestSolverOptions:
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestFixedStressPreconditioner:
+    def test_no_cell_refused(self):
+        ops, _ = manufactured_setup("t1c1", 2)
+        with pytest.raises(ValueError, match="one or more cells"):
+            FixedStressPreconditioner(ops, [], 0.25)
+
     def test_zero_residual_zero_correction(self):
         _, _, ops, mat = monolithic_linear_system(nx=4)
         cfg = SchemeConfig("monolithic", L1=1.0, L2=1.0)

@@ -40,6 +40,25 @@ def test_scale_round_checks_correct():
     assert scale.check(scale.run().payload) == []
 
 
+def test_scale_gmres_solves_are_forced_and_keep_the_outer_count():
+    # the mechanism behind `scale`'s GMRES time: each forced solve takes at
+    # most 3 inner iterations, and GMRES takes as many outer iterations
+    # as LU at every size
+    outer = {}
+
+    class Counted(SmallScale):
+        def _step(self, nx, solver):
+            its, setup, result = super()._step(nx, solver)
+            outer[nx, solver] = its
+            return its, setup, result
+
+    levels = Counted(seed=1).run().payload
+    for nx in SmallScale.NXS:
+        inner = levels[nx]["gmres"]["inner_iters"]
+        assert len(inner) == outer[nx, "gmres"] == outer[nx, "lu"] > 2
+        assert max(inner) <= 3
+
+
 def test_lsweep_check_runs():
     # the check steps its fastest cell again by `iterate_to_convergence`,
     # called positionally; at nx=4 the error bound need not hold

@@ -814,12 +814,32 @@ def test_gmres_backed_monolithic_matches_lu():
     assert report.converged and report.iterations <= 15
 
 
+def unforce(monkeypatch):
+    """Make `SchemeSolver.step` call `gmres` without forcing (`blocks`)."""
+    import porobiot.schemes as schemes
+    forced = schemes.gmres
+    monkeypatch.setattr(schemes, "gmres", lambda *args, **kwargs: forced(
+        *args, **{**kwargs, "blocks": None}))
+
+
+def gmres_step(case, nx, tau=0.25, steps=1):
+    """The (states, traces, inner iterations) of `steps` GMRES time steps
+    of the monolithic preset `suggested_tuning` of a manufactured case."""
+    mat = manufactured_material(case)
+    prob = manufactured_problem(mat)
+    ops = build_operators(generate_rect_mesh((0, 0), (1, 1), nx, nx), mat, prob,
+                          SolverOptions("gmres"))
+    cfg = SchemeConfig("monolithic", *suggested_tuning(mat, "monolithic"))
+    states, traces = zip(*march(ops, cfg, tau, steps))
+    return states, traces, [rep.iterations for _, rep in ops.solver_log]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_gmres_step_applies_the_sweep_once_per_inner_iteration(monkeypatch):
     # one monolithic t1c1 step: each sweep application is one inner
     # iteration, none goes to a preconditioned right-hand side or an
-    # initial residual, and each solve starts from the iterate, so the
-    # solves get shorter as the iterates settle
+    # initial residual, and each forced solve takes at most 3 sweeps,
+    # fewer in all than the solves at full accuracy
     from porobiot.linalg import FixedStressPreconditioner
     applied, matvec = [], FixedStressPreconditioner.matvec
 
@@ -828,17 +848,72 @@ def test_gmres_step_applies_the_sweep_once_per_inner_iteration(monkeypatch):
         return matvec(sweep, r)
 
     monkeypatch.setattr(FixedStressPreconditioner, "matvec", counted)
-    mat = manufactured_material("t1c1")
-    prob = manufactured_problem(mat)
-    ops = build_operators(generate_rect_mesh((0, 0), (1, 1), 8, 8), mat, prob,
-                          SolverOptions("gmres"))
-    cfg = SchemeConfig("monolithic", *suggested_tuning(mat, "monolithic"))
-    _, trace = iterate_to_convergence(build_initial_state(prob, ops), cfg,
-                                      ops, mat, prob, 0.25)
-    iters = [rep.iterations for _, rep in ops.solver_log]
+    _, [trace], iters = gmres_step("t1c1", 8)
     assert trace.converged and len(iters) == trace.iterations > 2
     assert len(applied) == sum(iters)
-    assert iters[-1] < iters[0]
+    assert max(iters) <= 3
+    unforce(monkeypatch)
+    _, [full], full_iters = gmres_step("t1c1", 8)
+    assert full.converged and sum(iters) < sum(full_iters)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_forced_solves_end_with_every_block_at_its_target(monkeypatch):
+    # each GMRES solve of a t1c1 step stops when every field's block of the
+    # equilibrated residual, recomputed here from the returned x, is at most
+    # max(FORCING times its start's, rtol ||S b||)
+    import porobiot.schemes as schemes
+    from porobiot.linalg import FORCING, _equilibration
+    solves, solve = [], schemes.gmres
+
+    def recorded(A, b, **kwargs):
+        x, report = solve(A, b, **kwargs)
+        solves.append((A, b, kwargs, x, report))
+        return x, report
+
+    monkeypatch.setattr(schemes, "gmres", recorded)
+    _, [trace], _ = gmres_step("t1c1", 8)
+    assert trace.converged and len(solves) == trace.iterations
+    for A, b, kwargs, x, report in solves:
+        s = _equilibration(A.diagonal())
+        edges = np.cumsum(kwargs["blocks"])[:-1]
+        floor = kwargs["rtol"] * np.linalg.norm(s * b)
+        start = np.split(s * (b - A @ kwargs["x0"]), edges)
+        end = np.split(s * (b - A @ x), edges)
+        assert report.converged and len(end) == 3
+        for r0, r in zip(start, end):
+            assert np.linalg.norm(r) <= max(FORCING * np.linalg.norm(r0), floor)
+
+
+def test_an_exact_linearization_keeps_the_full_gmres_stop(monkeypatch):
+    # linear laws at the monolithic preset: the GMRES solves are not
+    # forced, so the steps have the bits and counts of unforced calls
+    states, traces, iters = gmres_step("linear", 6, steps=2)
+    unforce(monkeypatch)
+    full_states, full_traces, full_iters = gmres_step("linear", 6, steps=2)
+    assert iters == full_iters and iters[1] == 0
+    assert ([t.iterations for t in traces]
+            == [t.iterations for t in full_traces] == [2, 2])
+    for a, b in zip(states, full_states):
+        for n in "uqp":
+            assert getattr(a, n).coeffs.tobytes() == getattr(b, n).coeffs.tobytes()
+
+
+def test_forced_gmres_steps_agree_with_lu_on_t1c1():
+    # two t1c1 steps: forced GMRES takes as many outer iterations as LU,
+    # and each field ends within 1e-8 of its largest value of LU's
+    mat = manufactured_material("t1c1")
+    prob = manufactured_problem(mat)
+    mesh = generate_rect_mesh((0, 0), (1, 1), 8, 8)
+    cfg = SchemeConfig("monolithic", *suggested_tuning(mat, "monolithic"))
+    lu = list(march(build_operators(mesh, mat, prob), cfg, 0.25, 2))
+    states, traces, _ = gmres_step("t1c1", 8, steps=2)
+    assert ([t.iterations for _, t in lu]
+            == [t.iterations for t in traces])
+    for (a, _), b in zip(lu, states):
+        for n in "uqp":
+            fa, fb = getattr(a, n).coeffs, getattr(b, n).coeffs
+            assert np.max(np.abs(fb - fa)) <= 1e-8 * np.max(np.abs(fa))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
